@@ -25,7 +25,6 @@ from .core_lang import (
     TraceKind,
     parse_program,
     print_program,
-    program_structure,
     run_trace,
     step,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "movement_summary",
     "parse_program",
     "print_program",
-    "program_structure",
     "run_staged",
     "run_trace",
     "step",

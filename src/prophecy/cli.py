@@ -42,12 +42,19 @@ from .einsum import (
     build_matvec_benchmark,
     movement_summary,
 )
-from .interp import interpret_program
+from .interp import InterpError, interpret_program
 from .nn import NnError, build_conv_relu_benchmark
 from .second_stage import emit_c
-from .staging import RunStats, StagingError
+from .staging import StageStats, StagingError
 
 _STRATEGY_FLAGS = {"prophecy": "prophecy", "copy-all": "copy_all", "unified": "unified"}
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_bindings(pairs: list[str] | None) -> dict[str, int]:
@@ -82,28 +89,28 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    report: dict[str, Any] = {"mode": args.mode, "strict_paper": args.strict_paper}
     try:
         if args.mode == "concrete":
             results, stats = analyze_concrete(
                 program, initial, args.max_steps, strict_paper=args.strict_paper
             )
-            report["runs"] = stats.runs
-            report["mispredictions"] = stats.mispredictions
-            report["constraint_repairs"] = stats.constraint_repairs
         else:
-            results, all_stats = analyze_all_paths_with_stats(program)
-            report["runs"] = all_stats.passes
-            report["mispredictions"] = all_stats.mispredictions
-            report["constraint_repairs"] = all_stats.constraint_repairs
+            results, stats = analyze_all_paths_with_stats(program)
     except AnalysisError as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return 1
 
-    report["beta"] = {label: sorted(results[label]) for label in program.labels}
-    report["oracle_match"] = None
-    report["preservation"] = None
-    report["progress"] = None
+    report: dict[str, Any] = {
+        "mode": args.mode,
+        "strict_paper": args.strict_paper,
+        "runs": stats.runs,
+        "mispredictions": stats.mispredictions,
+        "constraint_repairs": stats.constraint_repairs,
+        "beta": {label: sorted(results[label]) for label in program.labels},
+        "oracle_match": None,
+        "preservation": None,
+        "progress": None,
+    }
 
     if args.check:
         oracle = live_variables_oracle(program)
@@ -154,7 +161,8 @@ def _print_analysis_report(report: dict[str, Any], fmt: str) -> None:
         if key in report:
             v = report[key]
             where = v["label"] + (f" -> {v['next_label']}" if "next_label" in v else "")
-            print(f"  {key.replace('_', ' ')}: {v['kind']} at {where}, witness {v['witness']}")
+            what = v.get("detail") or f"witness {v['witness']}"
+            print(f"  {key.replace('_', ' ')}: {v['kind']} at {where}, {what}")
 
 
 # --------------------------------------------------------------------------
@@ -204,7 +212,7 @@ def _benchmark_inputs(args: argparse.Namespace, rng: np.random.Generator) -> lis
     ]
 
 
-def _print_stage_stats(args: argparse.Namespace, program, stats: RunStats) -> None:
+def _print_stage_stats(args: argparse.Namespace, program, stats: StageStats) -> None:
     print(f"dsl: {args.dsl}")
     if args.dsl.startswith("einsum"):
         print(f"strategy: {program.meta['strategy']}")
@@ -248,36 +256,40 @@ def cmd_stage(args: argparse.Namespace) -> int:
         print(emitted, end="")
 
     failed = False
-    if args.run_interp:
-        rng = np.random.default_rng(args.seed)
-        for case, inputs in enumerate(_benchmark_inputs(args, rng)):
-            outputs = interpret_program(program, inputs)
-            for name in sorted(outputs):
-                if isinstance(outputs[name], np.ndarray):
-                    print(f"checksum[case {case}][{name}]: {_checksum(outputs[name])}")
+    try:
+        if args.run_interp:
+            rng = np.random.default_rng(args.seed)
+            for case, inputs in enumerate(_benchmark_inputs(args, rng)):
+                outputs = interpret_program(program, inputs)
+                for name in sorted(outputs):
+                    if isinstance(outputs[name], np.ndarray):
+                        print(f"checksum[case {case}][{name}]: {_checksum(outputs[name])}")
 
-    if args.diff_strategies:
-        rng = np.random.default_rng(args.seed)
-        input_sets = _benchmark_inputs(args, rng)
-        baselines: list[dict] | None = None
-        for flag_name, strategy_name in _STRATEGY_FLAGS.items():
-            variant, _ = _build_benchmark(args, strategy_name)
-            outputs = [interpret_program(variant, inputs) for inputs in input_sets]
-            if baselines is None:
-                baselines = outputs
-            else:
-                for base, got in zip(baselines, outputs):
-                    for name in base:
-                        same = (
-                            np.array_equal(base[name], got[name])
-                            if isinstance(base[name], np.ndarray)
-                            else base[name] == got[name]
-                        )
-                        if not same:
-                            print(f"diff-strategies: FAIL ({flag_name} differs at {name})")
-                            failed = True
-        if not failed:
-            print("diff-strategies: pass (outputs bit-identical across strategies)")
+        if args.diff_strategies:
+            rng = np.random.default_rng(args.seed)
+            input_sets = _benchmark_inputs(args, rng)
+            baselines: list[dict] | None = None
+            for flag_name, strategy_name in _STRATEGY_FLAGS.items():
+                variant, _ = _build_benchmark(args, strategy_name)
+                outputs = [interpret_program(variant, inputs) for inputs in input_sets]
+                if baselines is None:
+                    baselines = outputs
+                else:
+                    for base, got in zip(baselines, outputs):
+                        for name in base:
+                            same = (
+                                np.array_equal(base[name], got[name])
+                                if isinstance(base[name], np.ndarray)
+                                else base[name] == got[name]
+                            )
+                            if not same:
+                                print(f"diff-strategies: FAIL ({flag_name} differs at {name})")
+                                failed = True
+            if not failed:
+                print("diff-strategies: pass (outputs bit-identical across strategies)")
+    except InterpError as exc:
+        print(f"interpreter error: {exc}", file=sys.stderr)
+        return 1
 
     return 1 if failed else 0
 
@@ -300,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--init", action="append", metavar="NAME=INT", help="seed an initial state binding"
     )
-    analyze.add_argument("--max-steps", type=int, default=10_000)
+    analyze.add_argument("--max-steps", type=positive_int, default=10_000)
     analyze.add_argument(
         "--check",
         action="store_true",
@@ -321,13 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["einsum-matmul", "einsum-matvec", "nn-conv-relu"],
     )
     stage.add_argument("--strategy", choices=sorted(_STRATEGY_FLAGS), default=None)
-    stage.add_argument("--m", type=int, default=8)
-    stage.add_argument("--n", type=int, default=8)
-    stage.add_argument("--o", type=int, default=8)
-    stage.add_argument("--size", type=int, default=64)
-    stage.add_argument("--filter-size", type=int, default=9)
-    stage.add_argument("--max-bid", type=int, default=DEFAULT_MAX_BID)
-    stage.add_argument("--max-tid", type=int, default=DEFAULT_MAX_TID)
+    stage.add_argument("--m", type=positive_int, default=8)
+    stage.add_argument("--n", type=positive_int, default=8)
+    stage.add_argument("--o", type=positive_int, default=8)
+    stage.add_argument("--size", type=positive_int, default=64)
+    stage.add_argument("--filter-size", type=positive_int, default=9)
+    stage.add_argument("--max-bid", type=positive_int, default=DEFAULT_MAX_BID)
+    stage.add_argument("--max-tid", type=positive_int, default=DEFAULT_MAX_TID)
     stage.add_argument("--emit", metavar="PATH", help="write the C-like code here")
     stage.add_argument("--stats", action="store_true", help="print rerun statistics")
     stage.add_argument(

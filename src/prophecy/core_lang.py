@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Iterator, Mapping, Union
 
 Label = str
 
@@ -303,21 +303,6 @@ class Program:
             if isinstance(command, Assign):
                 names.add(command.var)
         return frozenset(names)
-
-
-class StructureInfo(NamedTuple):
-    next: Label | None
-    successors: frozenset[Label]
-    predecessors: frozenset[Label]
-
-
-def program_structure(program: Program, label: Label) -> StructureInfo:
-    """Control-flow neighborhood of one label."""
-    return StructureInfo(
-        next=program.next_label(label),
-        successors=program.successors(label),
-        predecessors=program.predecessors(label),
-    )
 
 
 # --------------------------------------------------------------------------

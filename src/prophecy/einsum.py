@@ -27,13 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .second_stage import RuntimeCall, SecondStageProgram
+from .second_stage import _ELEM_BYTES, RuntimeCall, SecondStageProgram
 from .staging import (
     HistoryVar,
     LatticeSpec,
     ProphecyCell,
-    RunStats,
     StageContext,
+    StageStats,
     StagedExpr,
     run_staged,
 )
@@ -42,8 +42,6 @@ STRATEGIES = ("prophecy", "copy_all", "unified")
 
 DEFAULT_MAX_BID = 40
 DEFAULT_MAX_TID = 512
-
-_ELEM_BYTES = 4  # float elements
 
 
 class EinsumError(Exception):
@@ -560,7 +558,7 @@ def build_matmul_benchmark(
     *,
     max_bid: int = DEFAULT_MAX_BID,
     max_tid: int = DEFAULT_MAX_TID,
-) -> tuple[SecondStageProgram, RunStats]:
+) -> tuple[SecondStageProgram, StageStats]:
     """Six tensors, host copies in, one GPU matmul kernel, host copy out.
 
     Working tensors x (m×n), y (n×o), z (m×o) are filled from and drained to
@@ -601,7 +599,7 @@ def build_matvec_benchmark(
     *,
     max_bid: int = DEFAULT_MAX_BID,
     max_tid: int = DEFAULT_MAX_TID,
-) -> tuple[SecondStageProgram, RunStats]:
+) -> tuple[SecondStageProgram, StageStats]:
     """Matrix-vector analogue of the matmul benchmark (z[i] += x[i,k]·y[k])."""
 
     def generate(ctx: StageContext) -> None:

@@ -32,7 +32,8 @@ on all labels reachable from the entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from functools import partial
+from typing import Callable, Union
 
 from .core_lang import (
     AtDone,
@@ -103,6 +104,8 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class RunStats:
+    """Rerun accounting for either mode: runs == mispredictions + constraint_repairs + 1."""
+
     runs: int
     mispredictions: int
     constraint_repairs: int
@@ -110,6 +113,11 @@ class RunStats:
     def __post_init__(self) -> None:
         if self.runs != self.mispredictions + self.constraint_repairs + 1:
             raise ValueError(f"inconsistent run statistics: {self}")
+
+    @property
+    def passes(self) -> int:
+        """All-paths name for ``runs``: there each run is one sweep."""
+        return self.runs
 
 
 @dataclass(frozen=True)
@@ -149,6 +157,43 @@ def empty_results(program: Program) -> dict[Label, VarSet]:
     return {label: frozenset() for label in program.labels}
 
 
+def _repair_precondition(
+    label: Label,
+    obligations: StepObligations,
+    results: dict[Label, VarSet],
+    constraints: ConstraintSet,
+) -> Misprediction | None:
+    """Force the command's reads into results[label]; a repair aborts the run."""
+    missing = obligations.precondition - results[label]
+    if not missing:
+        return None
+    results[label] |= missing
+    solve(label, results, constraints)
+    return Misprediction(label, "precondition")
+
+
+def _record_edge(
+    label: Label,
+    successor: Label,
+    obligations: StepObligations,
+    results: dict[Label, VarSet],
+    constraints: ConstraintSet,
+    *,
+    repair: bool,
+) -> Misprediction | None:
+    """Record the edge's prediction constraint; with ``repair``, fix it if already violated."""
+    constraint = PredictionConstraint(successor, label, obligations.prediction_extra)
+    constraints.add(constraint)
+    if not repair:
+        return None
+    excess = results[successor] - constraint.extra - results[label]
+    if not excess:
+        return None
+    results[label] |= excess
+    solve(label, results, constraints)
+    return Misprediction(label, "constraint", edge=(label, successor))
+
+
 def execute_once(
     program: Program,
     initial_state: State | None,
@@ -168,27 +213,43 @@ def execute_once(
     for steps in range(max_steps + 1):
         label = config.label
         obligations = command_obligations(program, label)
-        missing = obligations.precondition - results[label]
-        if missing:
-            results[label] |= missing
-            solve(label, results, constraints)
-            return Misprediction(label, "precondition")
+        repaired = _repair_precondition(label, obligations, results, constraints)
+        if repaired:
+            return repaired
         outcome = step(program, config)
         if isinstance(outcome, AtDone):
             return Completed(reached_done=True, steps=steps)
         if isinstance(outcome, Stuck):
             raise ProgramStuckError(label, outcome.reason)
-        successor = outcome.label
-        constraint = PredictionConstraint(successor, label, obligations.prediction_extra)
-        constraints.add(constraint)
-        if repair_constraints:
-            excess = results[successor] - constraint.extra - results[label]
-            if excess:
-                results[label] |= excess
-                solve(label, results, constraints)
-                return Misprediction(label, "constraint", edge=(label, successor))
+        repaired = _record_edge(
+            label, outcome.label, obligations, results, constraints, repair=repair_constraints
+        )
+        if repaired:
+            return repaired
         config = outcome
     return Completed(reached_done=False, steps=max_steps)
+
+
+def _rerun(
+    program: Program,
+    attempt: Callable[[dict[Label, VarSet], ConstraintSet], Misprediction | None],
+) -> tuple[dict[Label, VarSet], RunStats]:
+    """Repeat ``attempt`` on persistent results and constraints until it returns None.
+
+    Every aborted run grew some result, and results are bounded by the
+    program's variables at each label, so more runs than the ceiling means
+    the repair accounting is broken.
+    """
+    results = empty_results(program)
+    constraints = ConstraintSet()
+    repairs = {"precondition": 0, "constraint": 0}
+    run_ceiling = len(program.labels) * max(1, len(program.variables())) + 2
+    for runs in range(1, run_ceiling + 1):
+        outcome = attempt(results, constraints)
+        if outcome is None:
+            return results, RunStats(runs, repairs["precondition"], repairs["constraint"])
+        repairs[outcome.kind] += 1
+    raise AnalysisError("rerun ceiling exceeded; repair accounting is broken")
 
 
 def analyze_concrete(
@@ -207,12 +268,8 @@ def analyze_concrete(
     disabled, so results may leave a late-recorded edge constraint
     unsatisfied.
     """
-    results = empty_results(program)
-    constraints = ConstraintSet()
-    mispredictions = 0
-    constraint_repairs = 0
-    run_ceiling = len(program.labels) * max(1, len(program.variables())) + 2
-    for runs in range(1, run_ceiling + 1):
+
+    def attempt(results: dict[Label, VarSet], constraints: ConstraintSet) -> Misprediction | None:
         outcome = execute_once(
             program,
             initial_state,
@@ -221,22 +278,13 @@ def analyze_concrete(
             max_steps,
             repair_constraints=not strict_paper,
         )
-        if isinstance(outcome, Completed):
-            if not outcome.reached_done:
-                raise StepBudgetExceeded(max_steps)
-            return results, RunStats(runs, mispredictions, constraint_repairs)
-        if outcome.kind == "precondition":
-            mispredictions += 1
-        else:
-            constraint_repairs += 1
-    raise AnalysisError("rerun ceiling exceeded; repair accounting is broken")
+        if isinstance(outcome, Misprediction):
+            return outcome
+        if not outcome.reached_done:
+            raise StepBudgetExceeded(max_steps)
+        return None
 
-
-@dataclass(frozen=True)
-class AllPathsStats:
-    passes: int
-    mispredictions: int
-    constraint_repairs: int
+    return _rerun(program, attempt)
 
 
 def _all_paths_pass(
@@ -258,20 +306,16 @@ def _all_paths_pass(
             continue
         visited.add(label)
         obligations = command_obligations(program, label)
-        missing = obligations.precondition - results[label]
-        if missing:
-            results[label] |= missing
-            solve(label, results, constraints)
-            return Misprediction(label, "precondition")
+        repaired = _repair_precondition(label, obligations, results, constraints)
+        if repaired:
+            return repaired
         successors = program.ordered_successors(label)
         for successor in successors:
-            constraint = PredictionConstraint(successor, label, obligations.prediction_extra)
-            constraints.add(constraint)
-            excess = results[successor] - constraint.extra - results[label]
-            if excess:
-                results[label] |= excess
-                solve(label, results, constraints)
-                return Misprediction(label, "constraint", edge=(label, successor))
+            repaired = _record_edge(
+                label, successor, obligations, results, constraints, repair=True
+            )
+            if repaired:
+                return repaired
         for successor in reversed(successors):
             if successor not in visited:
                 stack.append(successor)
@@ -290,21 +334,9 @@ def analyze_all_paths(program: Program) -> dict[Label, VarSet]:
     return results
 
 
-def analyze_all_paths_with_stats(program: Program) -> tuple[dict[Label, VarSet], AllPathsStats]:
-    results = empty_results(program)
-    constraints = ConstraintSet()
-    mispredictions = 0
-    constraint_repairs = 0
-    pass_ceiling = len(program.labels) * max(1, len(program.variables())) + 2
-    for passes in range(1, pass_ceiling + 1):
-        outcome = _all_paths_pass(program, results, constraints)
-        if outcome is None:
-            return results, AllPathsStats(passes, mispredictions, constraint_repairs)
-        if outcome.kind == "precondition":
-            mispredictions += 1
-        else:
-            constraint_repairs += 1
-    raise AnalysisError("sweep ceiling exceeded; repair accounting is broken")
+def analyze_all_paths_with_stats(program: Program) -> tuple[dict[Label, VarSet], RunStats]:
+    """``analyze_all_paths`` plus its rerun accounting; each run is one sweep."""
+    return _rerun(program, partial(_all_paths_pass, program))
 
 
 def live_variables_oracle(program: Program) -> dict[Label, VarSet]:

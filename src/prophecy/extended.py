@@ -18,16 +18,18 @@ which inclusion failed and by which elements.
 (each projects onto the standard step); ``check_progress`` asserts the
 analysis results let the extended semantics follow every standard step.
 When both pass, standard and extended configurations simulate each other
-along the checked execution.
+along the checked execution.  A check whose step budget runs out before
+``done`` does not pass: it reports a ``truncated`` violation at the label
+where it stopped, by the rule ``run_trace`` uses for a complete trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from itertools import count
+from typing import Mapping, Union
 
 from .core_lang import (
-    AT_DONE,
     AtDone,
     Assign,
     Configuration,
@@ -138,7 +140,7 @@ def ext_step_with_results(
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # precondition | prediction | projection
+    kind: str  # precondition | prediction | projection | truncated
     label: Label
     witness: VarSet = frozenset()
     next_label: Label | None = None
@@ -153,6 +155,8 @@ class Violation:
                 f"prediction violation on edge {self.label} -> {self.next_label}:"
                 f" excess {witness}"
             )
+        if self.kind == "truncated":
+            return f"truncated at {self.label}: {self.detail}"
         return f"projection failure at {self.label}: {self.detail}"
 
     def to_record(self) -> dict:
@@ -188,6 +192,12 @@ class CheckReport:
         return record
 
 
+def _truncated(check: str, config: Configuration, checked: int, notes: list[str]) -> CheckReport:
+    """Budget ran out before ``done``: the rest of the execution went unchecked."""
+    violation = Violation("truncated", config.label, detail=f"no done within {checked} steps")
+    return CheckReport(check, False, checked, violation, tuple(notes))
+
+
 def check_preservation(
     program: Program,
     results: AnalysisResults,
@@ -201,9 +211,8 @@ def check_preservation(
     simply ends the extended execution early; that cannot break preservation.
     """
     config = Configuration.make(program.first, initial_state or {})
-    checked = 0
     notes: list[str] = []
-    for _ in range(max_steps):
+    for checked in count():
         outcome = ext_step_with_results(program, config, results)
         if isinstance(outcome, ExtAtDone):
             notes.append("extended execution complete")
@@ -211,6 +220,8 @@ def check_preservation(
         if not isinstance(outcome, ExtOk):
             notes.append(f"extended execution stopped: {outcome!r}")
             break
+        if checked >= max_steps:
+            return _truncated("preservation", config, checked, notes)
         standard = step(program, config)
         if not isinstance(standard, Configuration) or standard != outcome.next:
             violation = Violation(
@@ -219,31 +230,8 @@ def check_preservation(
                 detail=f"extended step reached {outcome.next} but standard semantics give {standard!r}",
             )
             return CheckReport("preservation", False, checked, violation, tuple(notes))
-        checked += 1
         config = outcome.next
     return CheckReport("preservation", True, checked, None, tuple(notes))
-
-
-def check_transition_log(
-    program: Program, transitions: Iterable[tuple[Configuration, Configuration]]
-) -> CheckReport:
-    """Check an explicit log of claimed extended transitions for preservation.
-
-    Negative-control hook: feed a fabricated transition and the report
-    pinpoints the configuration whose standard step disagrees.
-    """
-    checked = 0
-    for before, after in transitions:
-        standard = step(program, before)
-        if not isinstance(standard, Configuration) or standard != after:
-            violation = Violation(
-                kind="projection",
-                label=before.label,
-                detail=f"log claims {before} => {after} but standard semantics give {standard!r}",
-            )
-            return CheckReport("preservation", False, checked, violation)
-        checked += 1
-    return CheckReport("preservation", True, checked)
 
 
 def check_progress(
@@ -259,9 +247,8 @@ def check_progress(
     i.e. the results correctly predict this execution's futures.
     """
     config = Configuration.make(program.first, initial_state or {})
-    checked = 0
     notes: list[str] = []
-    for _ in range(max_steps):
+    for checked in count():
         standard = step(program, config)
         if isinstance(standard, AtDone):
             notes.append("standard execution complete")
@@ -269,6 +256,8 @@ def check_progress(
         if isinstance(standard, Stuck):
             notes.append(f"standard execution stuck: {standard.reason}")
             break
+        if checked >= max_steps:
+            return _truncated("progress", config, checked, notes)
         outcome = ext_step_with_results(program, config, results)
         if isinstance(outcome, PreconditionViolation):
             violation = Violation("precondition", outcome.label, outcome.missing)
@@ -285,6 +274,5 @@ def check_progress(
                 detail=f"extended semantics produced {outcome!r} for standard step to {standard}",
             )
             return CheckReport("progress", False, checked, violation, tuple(notes))
-        checked += 1
         config = standard
     return CheckReport("progress", True, checked, None, tuple(notes))

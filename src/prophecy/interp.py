@@ -26,6 +26,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .second_stage import (
+    _ELEM_BYTES,
     ArrayIndex,
     Assign,
     Binary,
@@ -77,11 +78,7 @@ _BINOPS: dict[str, Callable[[Any, Any], Any]] = {
     "<=": operator.le,
     ">": operator.gt,
     ">=": operator.ge,
-    "==": operator.eq,
-    "!=": operator.ne,
 }
-
-_ELEM_BYTES = 4  # float32 elements throughout
 
 
 def _collect_slots(program: SecondStageProgram) -> dict[str, int]:
@@ -148,6 +145,8 @@ def _compile_expr(
 
             return read_var
         case Binary(op, left, right):
+            if op not in _BINOPS:
+                raise InterpError(f"unknown binary operator {op!r}")
             fn = _BINOPS[op]
             lf = _compile_expr(left, slots)
             rf = _compile_expr(right, slots)
@@ -156,8 +155,6 @@ def _compile_expr(
             inner = _compile_expr(operand, slots)
             if op == "-":
                 return lambda env: -inner(env)
-            if op == "!":
-                return lambda env: 0 if inner(env) else 1
             raise InterpError(f"unknown unary operator {op!r}")
         case ArrayIndex(base, index):
             bf = _compile_expr(base, slots)

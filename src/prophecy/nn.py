@@ -26,20 +26,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .second_stage import SecondStageProgram
+from .second_stage import _ELEM_BYTES, SecondStageProgram
 from .staging import (
     HistoryVar,
     LatticeSpec,
     ProphecyCell,
-    RunStats,
     StageContext,
+    StageStats,
     StagedExpr,
     run_staged,
 )
 
 THRESHOLD_TOLERANCE = 0.001
-
-_ELEM_BYTES = 4
 
 
 class NnError(Exception):
@@ -201,7 +199,7 @@ class NnSession:
 
 def build_conv_relu_benchmark(
     size: int, filter_size: int, *, fusion: bool = True
-) -> tuple[SecondStageProgram, RunStats]:
+) -> tuple[SecondStageProgram, StageStats]:
     """Two-part benchmark: divergent thresholds, then a fusable pair.
 
     Part 1 convolves and branches on a second-stage flag, applying

@@ -25,6 +25,8 @@ RUNTIME_CALLS = (
 
 RUNTIME_HEADER = '#include "runtime.h"'
 
+_ELEM_BYTES = 4  # every buffer holds float32 elements; sizes passed to the runtime are bytes
+
 
 class UnknownRuntimeCall(Exception):
     def __init__(self, name: str):
@@ -60,14 +62,14 @@ class VarRef:
 
 @dataclass(frozen=True)
 class Binary:
-    op: str  # + - * % < <= > >= == !=
+    op: str  # + - * % < <= > >=
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
 class Unary:
-    op: str  # - !
+    op: str  # -
     operand: "Expr"
 
 

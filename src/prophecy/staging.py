@@ -111,23 +111,12 @@ class MergeEvent:
     required: Any
 
 
-@dataclass(frozen=True)
-class RequireEvent:
-    cell_id: int
-    required: Any
-    satisfied: bool
-
-
 class ProphecyStore:
     """Creation-order-keyed cell values that outlive individual runs."""
 
     def __init__(self) -> None:
         self.cells: list[_CellState] = []
         self.merge_log: list[MergeEvent] = []
-
-    @property
-    def merges(self) -> int:
-        return len(self.merge_log)
 
 
 class ProphecyCell:
@@ -226,17 +215,19 @@ class StagedExpr:
 
 
 @dataclass(frozen=True)
-class RunStats:
+class StageStats:
     """Rerun accounting for one staged session: runs == merges + 1."""
 
     runs: int
-    merges: int
     merge_log: tuple[MergeEvent, ...]
-    require_log: tuple[RequireEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.merges != len(self.merge_log):
-            raise ValueError("merge count disagrees with merge log")
+        if self.runs != self.merges + 1:
+            raise ValueError(f"inconsistent staging statistics: {self}")
+
+    @property
+    def merges(self) -> int:
+        return len(self.merge_log)
 
 
 class StageContext:
@@ -254,7 +245,6 @@ class StageContext:
         self._params: list[tuple[str, str]] = []
         self._root: list = []
         self._blocks: list[list] = [self._root]
-        self.require_log: list[RequireEvent] = []
         self.program_meta: dict = {}
 
     @property
@@ -300,9 +290,7 @@ class StageContext:
             )
         current = state.value
         if state.lattice.satisfies(current, required):
-            self.require_log.append(RequireEvent(cell.cell_id, required, True))
             return
-        self.require_log.append(RequireEvent(cell.cell_id, required, False))
         merged = state.lattice.merge(current, required)
         old_rank = state.lattice.rank(current)
         new_rank = state.lattice.rank(merged)
@@ -457,7 +445,7 @@ def run_staged(
     *,
     name: str = "generated",
     max_runs: int = 1000,
-) -> tuple[SecondStageProgram, RunStats]:
+) -> tuple[SecondStageProgram, StageStats]:
     """Rerun the generator until a run completes without mispredictions.
 
     The generator must be deterministic given identical prophecy store
@@ -475,12 +463,5 @@ def run_staged(
             generator(ctx)
         except MispredictionSignal:
             continue
-        program = ctx.finish()
-        stats = RunStats(
-            runs=run_index,
-            merges=store.merges,
-            merge_log=tuple(store.merge_log),
-            require_log=tuple(ctx.require_log),
-        )
-        return program, stats
+        return ctx.finish(), StageStats(run_index, tuple(store.merge_log))
     raise StagingError(f"no clean run within {max_runs} attempts; check the lattice contract")

@@ -4,7 +4,7 @@ from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
 
-from prophecy.cli import main
+from prophecy.cli import build_parser, cmd_stage, main
 
 LOOP = """
 l0: x := 10
@@ -114,6 +114,23 @@ class TestAnalyze:
         code, _, _ = run_cli("analyze", loop_prog, "--mode", "sideways")
         assert code == 2
 
+    def test_nonpositive_max_steps_exit_2(self, loop_prog):
+        code, _, err = run_cli("analyze", loop_prog, "--check", "--max-steps", "0")
+        assert code == 2
+        assert "--max-steps" in err
+
+    def test_truncated_check_exit_1(self, tmp_path):
+        path = tmp_path / "spin.prog"
+        path.write_text("l0: x := 1\nl1: goto l1\nl2: done")
+        code, out, _ = run_cli(
+            "analyze", str(path), "--mode", "all-paths", "--check", "--format", "json"
+        )
+        assert code == 1
+        record = json.loads(out)
+        assert record["preservation"] is False and record["progress"] is False
+        assert record["progress_violation"]["kind"] == "truncated"
+        assert record["progress_violation"]["label"] == "l1"
+
 
 class TestStage:
     def test_emits_code_to_stdout_by_default(self):
@@ -190,6 +207,25 @@ class TestStage:
         )
         assert code == 1
         assert "staging error" in err
+
+    @pytest.mark.parametrize(
+        "flag", ["--m", "--n", "--o", "--size", "--filter-size", "--max-bid", "--max-tid"]
+    )
+    def test_nonpositive_size_rejected_exit_2(self, flag):
+        code, _, err = run_cli("stage", "--dsl", "einsum-matmul", flag, "0")
+        assert code == 2
+        assert flag in err
+
+    def test_interp_error_exit_1(self):
+        # a grid with no blocks leaves the output buffer unwritten
+        args = build_parser().parse_args(["stage", "--dsl", "einsum-matmul", "--run-interp"])
+        args.max_bid = 0
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cmd_stage(args)
+        assert code == 1
+        assert "interpreter error" in err.getvalue()
+        assert "uninitialized read" in err.getvalue()
 
     def test_seed_changes_checksums(self):
         base = (

@@ -29,7 +29,6 @@ from prophecy.core_lang import (
     expr_vars,
     parse_program,
     print_program,
-    program_structure,
     run_trace,
     step,
 )
@@ -101,9 +100,8 @@ class TestParser:
 class TestStructure:
     def test_if_successors(self):
         program = parse_program("l0: if x <= 0 then l3\nl1: skip\nl2: halt\nl3: done")
-        info = program_structure(program, "l0")
-        assert info.successors == {"l1", "l3"}
-        assert info.next == "l1"
+        assert program.successors("l0") == {"l1", "l3"}
+        assert program.next_label("l0") == "l1"
 
     def test_done_has_no_successors(self):
         program = parse_program(MINIMAL)
@@ -111,7 +109,7 @@ class TestStructure:
 
     def test_straight_line_predecessors(self):
         program = parse_program("l0: skip\nl1: halt\nl2: done")
-        assert program_structure(program, "l1").predecessors == {"l0"}
+        assert program.predecessors("l1") == {"l0"}
 
     def test_goto_successor_is_target(self):
         program = parse_program("l0: goto l2\nl1: skip\nl2: halt\nl3: done")

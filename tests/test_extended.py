@@ -1,6 +1,6 @@
 import pytest
 
-from prophecy.core_lang import Configuration, parse_program
+from prophecy.core_lang import Configuration, parse_program, run_trace
 from prophecy.engine import analyze_concrete, live_variables_oracle
 from prophecy.extended import (
     ExtAtDone,
@@ -10,7 +10,6 @@ from prophecy.extended import (
     PredictionViolation,
     check_preservation,
     check_progress,
-    check_transition_log,
     command_obligations,
     ext_step_with_results,
 )
@@ -132,15 +131,6 @@ class TestPreservation:
         empty = {l: frozenset() for l in program.labels}
         assert check_preservation(program, empty).passed
 
-    def test_fabricated_log_is_caught(self):
-        program = parse_program(LOOP)
-        good = (Configuration.make("l0", {}), Configuration.make("l1", {"x": 10}))
-        fabricated = (Configuration.make("l1", {"x": 10}), Configuration.make("l4", {"x": 10}))
-        report = check_transition_log(program, [good, fabricated])
-        assert not report.passed
-        assert report.violation.kind == "projection"
-        assert report.violation.label == "l1"
-
 
 class TestProgress:
     def test_fixpoint_passes(self):
@@ -173,6 +163,32 @@ class TestProgress:
         program = parse_program(LOOP)
         report = check_progress(program, live_variables_oracle(program))
         assert report.passed
+
+
+class TestTruncation:
+    """A check that runs out of steps before ``done`` is not a pass."""
+
+    SPIN = "l0: x := 1\nl1: goto l1\nl2: done"
+
+    @pytest.mark.parametrize("check", [check_preservation, check_progress])
+    def test_budget_exhausted_is_not_a_pass(self, check):
+        program = parse_program(self.SPIN)
+        results = {label: frozenset() for label in program.labels}
+        report = check(program, results, None, 50)
+        assert not report.passed
+        assert report.steps_checked == 50
+        assert report.violation.kind == "truncated"
+        assert report.violation.label == "l1"
+        assert "truncated" in str(report)
+
+    @pytest.mark.parametrize("check", [check_preservation, check_progress])
+    def test_done_in_exactly_max_steps_passes(self, check):
+        program, results = loop_fixpoint()
+        steps = len(run_trace(program)) - 1
+        exact = check(program, results, None, steps)
+        assert exact.passed and exact.steps_checked == steps
+        short = check(program, results, None, steps - 1)
+        assert not short.passed and short.violation.kind == "truncated"
 
 
 class TestMonotonicity:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from prophecy.interp import InterpError, interpret_program
-from prophecy.second_stage import SecondStageProgram
+from prophecy.second_stage import Assign, Binary, IntLit, SecondStageProgram, Unary, VarRef
 from prophecy.staging import ProphecyStore, StageContext
 
 
@@ -111,6 +111,18 @@ class TestErrors:
         prog = SecondStageProgram("p", (("data", "float*"),), [])
         with pytest.raises(InterpError, match="missing input"):
             interpret_program(prog, {})
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            (Binary("==", IntLit(1), IntLit(1)), "unknown binary operator '=='"),
+            (Unary("!", IntLit(0)), "unknown unary operator '!'"),
+        ],
+    )
+    def test_operator_no_recording_produces(self, expr, message):
+        prog = SecondStageProgram("p", (("n", "int"),), [Assign(VarRef("n"), expr)])
+        with pytest.raises(InterpError, match=message):
+            interpret_program(prog, {"n": 0})
 
 
 class TestGridStyleExecution:

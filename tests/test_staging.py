@@ -14,6 +14,7 @@ from prophecy.staging import (
     MispredictionSignal,
     ProphecyStore,
     StageContext,
+    StageStats,
     StagingError,
     run_staged,
 )
@@ -239,6 +240,10 @@ class TestRunStaged:
         assert emit_c(prog1) == emit_c(prog2)
         assert stats1.runs == stats2.runs == 2
         assert stats1.merge_log == stats2.merge_log
+
+    def test_stats_reject_runs_without_a_merge_each(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            StageStats(runs=3, merge_log=())
 
 
 class TestRecording:
