@@ -18,21 +18,38 @@ variable missing from the state makes the execution stuck.
 
 Integers are 64-bit two's complement with wrap-around on overflow.
 All values here are immutable after construction and safe to share.
+
+Building a ``Program`` compiles it once into a per-label table: each
+label's command, its ``StepObligations`` (read set and assigned variable),
+its next label, its successors (as a set and fall-through first), and a
+transition function whose expression is compiled into nested closures.
+``step``, ``command_obligations`` and the successor queries are lookups in
+that table.  A transition keeps the sorted state tuple of its
+configuration: commands that assign nothing reuse it as it is, and an
+assignment replaces or inserts one binding in place.  ``eval_expr`` stays
+the tree-walking evaluator that also reports the variables it read.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 Label = str
+# a state as configurations hold it: (name, value) pairs sorted by name
+StateTuple = tuple[tuple[str, int], ...]
 
 _INT64_MASK = (1 << 64) - 1
 _INT64_SIGN = 1 << 63
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INT_RE = re.compile(r"[0-9]+")
+# parentheses and ``not`` nest at most this deep, well inside Python's recursion limit
+_MAX_NESTING = 50
 _KEYWORDS = frozenset(
     {"skip", "if", "then", "goto", "halt", "done", "true", "false", "not", "and", "or"}
 )
@@ -187,26 +204,71 @@ def command_vars(command: Command) -> frozenset[str]:
             return frozenset()
 
 
+VarSet = frozenset[str]
+
+
+@dataclass(frozen=True)
+class StepObligations:
+    """Per-command obligations: what must be predicted, what may be dropped.
+
+    ``precondition`` is the set of variables the command reads (they must be
+    predicted live before the command).  ``prediction_extra`` is the set the
+    next prediction may add beyond the current one: the assigned variable
+    for assignments, empty otherwise.  For the backward dataflow reading,
+    precondition is use(l) and prediction_extra is def(l).
+    """
+
+    precondition: VarSet
+    prediction_extra: VarSet
+
+
+@dataclass(frozen=True)
+class _LabelEntry:
+    """Everything the semantics and the analyses ask about one label, computed once."""
+
+    command: Command
+    obligations: StepObligations
+    next_label: Label | None
+    ordered_successors: tuple[Label, ...]
+    successors: frozenset[Label]
+    transition: Callable[[StateTuple], "StepResult"]
+
+
+def _ordered_successors(command: Command, nxt: Label | None) -> tuple[Label, ...]:
+    """Fall-through first, then the branch target (``nxt`` is None only at a final done/goto)."""
+    match command:
+        case Done():
+            return ()
+        case Goto(target):
+            return (target,)
+        case If(_, target) if target != nxt:
+            return (nxt, target)
+        case Assign() | Skip() | Halt() | If():
+            return (nxt,)
+    raise TypeError(f"not a command: {command!r}")
+
+
 class Program:
     """An ordered sequence of uniquely labeled commands.
 
     Validation happens at construction: labels must be unique, every
     ``halt`` must be immediately followed by a ``done``, branch targets
     must exist, and the final command must not fall through (only
-    ``done`` or ``goto`` may end the sequence).
+    ``done`` or ``goto`` may end the sequence).  Construction also builds
+    the per-label table (see the module docstring), so every query below
+    is a lookup.
     """
 
     def __init__(self, commands: Iterator[tuple[Label, Command]] | list[tuple[Label, Command]]):
         self.commands: tuple[tuple[Label, Command], ...] = tuple(commands)
         if not self.commands:
             raise ProgramStructureError("a program must contain at least one command")
-        self._by_label: dict[Label, Command] = {}
-        self._position: dict[Label, int] = {}
-        for pos, (label, command) in enumerate(self.commands):
-            if label in self._by_label:
+        self.labels: tuple[Label, ...] = tuple(label for label, _ in self.commands)
+        known: set[Label] = set()
+        for label in self.labels:
+            if label in known:
                 raise ProgramStructureError(f"duplicate label {label!r}")
-            self._by_label[label] = command
-            self._position[label] = pos
+            known.add(label)
         for pos, (label, command) in enumerate(self.commands):
             if isinstance(command, Halt):
                 follower = self.commands[pos + 1][1] if pos + 1 < len(self.commands) else None
@@ -214,7 +276,7 @@ class Program:
                     raise ProgramStructureError(
                         f"halt at {label!r} is not immediately followed by done"
                     )
-            if isinstance(command, (If, Goto)) and command.target not in self._by_label:
+            if isinstance(command, (If, Goto)) and command.target not in known:
                 raise ProgramStructureError(
                     f"command at {label!r} targets unknown label {command.target!r}"
                 )
@@ -223,7 +285,30 @@ class Program:
             raise ProgramStructureError(
                 f"last command at {last_label!r} may fall through past the end"
             )
-        self._predecessors: dict[Label, frozenset[Label]] | None = None
+        self._table: dict[Label, _LabelEntry] = {}
+        for pos, (label, command) in enumerate(self.commands):
+            nxt = self.labels[pos + 1] if pos + 1 < len(self.labels) else None
+            ordered = _ordered_successors(command, nxt)
+            self._table[label] = _LabelEntry(
+                command,
+                StepObligations(
+                    command_vars(command),
+                    frozenset((command.var,)) if isinstance(command, Assign) else frozenset(),
+                ),
+                nxt,
+                ordered,
+                frozenset(ordered),
+                _compile_transition(command, nxt),
+            )
+        inverse: dict[Label, set[Label]] = {label: set() for label in self.labels}
+        for label, entry in self._table.items():
+            for successor in entry.successors:
+                inverse[successor].add(label)
+        self._predecessors = {label: frozenset(preds) for label, preds in inverse.items()}
+        self._variables = frozenset().union(
+            *(e.obligations.precondition | e.obligations.prediction_extra
+              for e in self._table.values())
+        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Program) and self.commands == other.commands
@@ -231,78 +316,51 @@ class Program:
     def __hash__(self) -> int:
         return hash(self.commands)
 
+    def __reduce__(self):
+        # the table holds closures, which do not pickle; rebuild it from the commands
+        return (Program, (self.commands,))
+
     def __repr__(self) -> str:
         return f"Program({len(self.commands)} commands, first={self.first!r})"
 
     @property
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(label for label, _ in self.commands)
-
-    @property
     def first(self) -> Label:
-        return self.commands[0][0]
+        return self.labels[0]
 
-    def command_at(self, label: Label) -> Command:
+    def _entry(self, label: Label) -> _LabelEntry:
         try:
-            return self._by_label[label]
+            return self._table[label]
         except KeyError:
             raise UnknownLabelError(label) from None
 
+    def command_at(self, label: Label) -> Command:
+        return self._entry(label).command
+
     def next_label(self, label: Label) -> Label | None:
         """Label of the next command in sequence order, or None at the end."""
-        pos = self._position.get(label)
-        if pos is None:
-            raise UnknownLabelError(label)
-        if pos + 1 >= len(self.commands):
-            return None
-        return self.commands[pos + 1][0]
+        return self._entry(label).next_label
 
     def successors(self, label: Label) -> frozenset[Label]:
-        command = self.command_at(label)
-        match command:
-            case Assign() | Skip() | Halt():
-                nxt = self.next_label(label)
-                return frozenset((nxt,)) if nxt is not None else frozenset()
-            case Goto(target):
-                return frozenset((target,))
-            case If(_, target):
-                nxt = self.next_label(label)
-                result = {target}
-                if nxt is not None:
-                    result.add(nxt)
-                return frozenset(result)
-            case Done():
-                return frozenset()
-        raise TypeError(f"not a command: {command!r}")
+        return self._entry(label).successors
 
     def ordered_successors(self, label: Label) -> tuple[Label, ...]:
         """Successors in a fixed order: fall-through first, then the branch target."""
-        command = self.command_at(label)
-        if isinstance(command, If):
-            nxt = self.next_label(label)
-            out = () if nxt is None else (nxt,)
-            return out + ((command.target,) if command.target != nxt else ())
-        return tuple(sorted(self.successors(label), key=self._position.__getitem__))
+        return self._entry(label).ordered_successors
 
     def predecessors(self, label: Label) -> frozenset[Label]:
-        if label not in self._by_label:
-            raise UnknownLabelError(label)
-        if self._predecessors is None:
-            inverse: dict[Label, set[Label]] = {l: set() for l in self._by_label}
-            for l in self._by_label:
-                for succ in self.successors(l):
-                    inverse[succ].add(l)
-            self._predecessors = {l: frozenset(preds) for l, preds in inverse.items()}
-        return self._predecessors[label]
+        try:
+            return self._predecessors[label]
+        except KeyError:
+            raise UnknownLabelError(label) from None
 
     def variables(self) -> frozenset[str]:
         """All variable names mentioned anywhere in the program."""
-        names: set[str] = set()
-        for _, command in self.commands:
-            names |= command_vars(command)
-            if isinstance(command, Assign):
-                names.add(command.var)
-        return frozenset(names)
+        return self._variables
+
+
+def command_obligations(program: Program, label: Label) -> StepObligations:
+    """The obligations of the command at ``label``, from the program's table."""
+    return program._entry(label).obligations
 
 
 # --------------------------------------------------------------------------
@@ -318,6 +376,7 @@ class _ExprParser:
         self.line_no = line_no
         self.offset = offset  # column of text[0] within the original line
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.line_no, self.offset + self.pos + 1)
@@ -350,6 +409,16 @@ class _ExprParser:
         m = _IDENT_RE.match(self.text, self.pos)
         return m.group() if m else None
 
+    def nested(self, parse: Callable[[], "AExp | BExp"]) -> "AExp | BExp":
+        """Parse one level of parentheses or ``not`` with ``parse``, bounding the depth."""
+        if self.depth >= _MAX_NESTING:
+            raise self.error(f"expression nested more than {_MAX_NESTING} deep")
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
     def expect_end(self) -> None:
         self.skip_ws()
         if self.pos != len(self.text):
@@ -376,15 +445,18 @@ class _ExprParser:
     def afactor(self) -> AExp:
         self.skip_ws()
         if self.take("("):
-            node = self.aexp()
+            node = self.nested(self.aexp)
             if not self.take(")"):
                 raise self.error("expected ')'")
             return node
-        if self.pos < len(self.text) and self.text[self.pos].isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return Num(int(self.text[start : self.pos]))
+        m = _INT_RE.match(self.text, self.pos)
+        if m is not None:
+            try:
+                value = int(m.group())
+            except ValueError:  # longer than int() accepts
+                raise self.error("integer literal too long") from None
+            self.pos = m.end()
+            return Num(value)
         word = self.peek_word()
         if word is not None and word not in _KEYWORDS:
             self.take_word()
@@ -409,7 +481,7 @@ class _ExprParser:
     def bnot(self) -> BExp:
         if self.peek_word() == "not":
             self.take_word()
-            return Not(self.bnot())
+            return Not(self.nested(self.bnot))
         return self.batom()
 
     def batom(self) -> BExp:
@@ -426,7 +498,7 @@ class _ExprParser:
             saved = self.pos
             self.take("(")
             try:
-                inner = self.bexp()
+                inner = self.nested(self.bexp)
                 if self.take(")"):
                     self.skip_ws()
                     if self.peek() not in {"=", "<", "+", "-", "*"}:
@@ -582,8 +654,14 @@ State = Mapping[str, int]
 
 @dataclass(frozen=True)
 class Configuration:
+    """A label and a state, the state as (name, value) pairs sorted by name.
+
+    Build one with ``make``: ``step`` finds variables by binary search and
+    so relies on that order.
+    """
+
     label: Label
-    state: tuple[tuple[str, int], ...]
+    state: StateTuple
 
     @staticmethod
     def make(label: Label, state: State) -> "Configuration":
@@ -675,31 +753,115 @@ StepResult = Union[Configuration, Stuck, AtDone]
 
 
 def step(program: Program, config: Configuration) -> StepResult:
-    """One transition of the standard execution rules."""
-    command = program.command_at(config.label)
-    state = config.state_dict()
+    """One transition of the standard execution rules: the label's compiled transition."""
+    try:
+        entry = program._table[config.label]
+    except KeyError:
+        raise UnknownLabelError(config.label) from None
+    return entry.transition(config.state)
+
+
+# Compilation of the standard rules.  Each expression becomes nested closures
+# over the configuration's sorted state tuple; a variable is found by binary
+# search, and a missing one surfaces as the KeyError of its lookup.  Every
+# operand evaluates, left to right, so the first undefined variable is the
+# one eval_expr names.  The closures carry no annotations: building an
+# annotation dict for each one made compiling an expression about twice as slow.
+
+
+def _compile_aexp(expr: AExp) -> Callable[[StateTuple], int]:
+    match expr:
+        case Num(value):
+            return lambda state: value
+        case Var(name):
+            key = (name,)
+
+            def read(state):
+                at = bisect_left(state, key)
+                if at < len(state) and state[at][0] == name:
+                    return state[at][1]
+                raise KeyError(name)
+
+            return read
+        case ABin(op, left, right):
+            apply = operator.add if op == "+" else operator.sub if op == "-" else operator.mul
+            lhs, rhs = _compile_aexp(left), _compile_aexp(right)
+
+            def binary(state):
+                value = apply(lhs(state), rhs(state))
+                return value if -_INT64_SIGN <= value < _INT64_SIGN else _wrap64(value)
+
+            return binary
+    raise TypeError(f"not an arithmetic expression: {expr!r}")
+
+
+def _compile_bexp(expr: BExp) -> Callable[[StateTuple], bool]:
+    match expr:
+        case BoolLit(value):
+            return lambda state: value
+        case Cmp(op, left, right):
+            lhs, rhs = _compile_aexp(left), _compile_aexp(right)
+            if op == "=":
+                return lambda state: lhs(state) == rhs(state)
+            return lambda state: lhs(state) <= rhs(state)
+        case Not(operand):
+            inner = _compile_bexp(operand)
+            return lambda state: not inner(state)
+        case BBin(op, left, right):
+            first, second = _compile_bexp(left), _compile_bexp(right)
+
+            def both(state):
+                a = first(state)
+                b = second(state)
+                return (a and b) if op == "and" else (a or b)
+
+            return both
+    raise TypeError(f"not a boolean expression: {expr!r}")
+
+
+def _undefined(exc: KeyError) -> Stuck:
+    return Stuck(str(UndefinedVariableError(exc.args[0])))
+
+
+def _compile_transition(command: Command, nxt: Label | None) -> Callable[[StateTuple], StepResult]:
+    """The standard rule for ``command``, as a function of the state tuple.
+
+    Commands that do not assign keep the state tuple itself.  An assignment
+    replaces the variable's binding at its place in the sorted tuple, or
+    inserts a new binding where sorting would put it.
+    """
     match command:
         case Done():
-            return AT_DONE
-        case Skip():
-            return Configuration.make(program.next_label(config.label), state)
-        case Halt():
-            return Configuration.make(program.next_label(config.label), state)
+            return lambda state: AT_DONE
+        case Skip() | Halt():
+            return lambda state: Configuration(nxt, state)
         case Goto(target):
-            return Configuration.make(target, state)
+            return lambda state: Configuration(target, state)
         case Assign(var, expr):
-            try:
-                value, _ = eval_expr(expr, state)
-            except UndefinedVariableError as exc:
-                return Stuck(str(exc))
-            state[var] = int(value)
-            return Configuration.make(program.next_label(config.label), state)
+            evaluate = _compile_aexp(expr)
+            key = (var,)
+
+            def assign(state):
+                try:
+                    binding = ((var, evaluate(state)),)
+                except KeyError as exc:
+                    return _undefined(exc)
+                at = bisect_left(state, key)
+                rest = at + 1 if at < len(state) and state[at][0] == var else at
+                return Configuration(nxt, state[:at] + binding + state[rest:])
+
+            return assign
         case If(cond, target):
-            try:
-                value, _ = eval_expr(cond, state)
-            except UndefinedVariableError as exc:
-                return Stuck(str(exc))
-            return Configuration.make(target if value else program.next_label(config.label), state)
+            holds = _compile_bexp(cond)
+
+            def branch(state):
+                try:
+                    taken = holds(state)
+                except KeyError as exc:
+                    return _undefined(exc)
+                return Configuration(target if taken else nxt, state)
+
+            return branch
     raise TypeError(f"not a command: {command!r}")
 
 

@@ -16,6 +16,14 @@ Because repairs only ever add elements that some precondition or constraint
 forces, the fixpoint is the least one consistent with everything the
 executions encountered.
 
+The standard semantics never read predictions, so every rerun of one
+analysis follows the same execution.  ``analyze_concrete`` therefore keeps a
+``Recording`` of the labels its runs have evaluated: a rerun replays that
+prefix with only the precondition and edge checks, and calls ``step`` only
+past its end.  The analysis costs one evaluated trace plus the checks of
+each rerun; run, misprediction and repair counts are those of evaluating
+every run afresh.
+
 One deliberate deviation from the literal pseudocode this follows: a
 prediction constraint that is already violated when recorded (a loop back
 edge first traversed after the last precondition repair) is repaired on the
@@ -41,10 +49,12 @@ from .core_lang import (
     Label,
     Program,
     State,
+    StepObligations,
     Stuck,
+    VarSet,
+    command_obligations,
     step,
 )
-from .extended import StepObligations, VarSet, command_obligations
 
 
 class AnalysisError(Exception):
@@ -194,6 +204,24 @@ def _record_edge(
     return Misprediction(label, "constraint", edge=(label, successor))
 
 
+@dataclass
+class Recording:
+    """The standard execution of one program from one initial state, evaluated so far.
+
+    ``labels[k]`` is the label after k transitions and ``config`` is the
+    configuration at ``labels[-1]``.  Standard steps never read predictions,
+    so every rerun follows the same labels and can replay this prefix.
+    """
+
+    labels: list[Label]
+    config: Configuration
+
+    @classmethod
+    def start(cls, program: Program, initial_state: State | None) -> "Recording":
+        config = Configuration.make(program.first, initial_state or {})
+        return cls([config.label], config)
+
+
 def execute_once(
     program: Program,
     initial_state: State | None,
@@ -202,31 +230,42 @@ def execute_once(
     max_steps: int = 10_000,
     *,
     repair_constraints: bool = True,
+    recording: Recording | None = None,
 ) -> ExecutionOutcome:
     """One forward run checking preconditions and collecting constraints.
 
     Returns Misprediction as soon as a repair happened (the caller reruns);
     Completed(reached_done=False) when the step budget ran out violation-free.
     Standard stuckness is a program error, not a misprediction.
+
+    ``recording``, if given, holds what earlier runs from ``initial_state``
+    evaluated: its steps are replayed with only the precondition and edge
+    checks, ``step`` runs only past its end, and new steps are appended.
+    Replayed steps count toward ``max_steps``.  Without it the run starts a
+    fresh recording and evaluates every step.
     """
-    config = Configuration.make(program.first, initial_state or {})
+    if recording is None:
+        recording = Recording.start(program, initial_state)
+    labels = recording.labels
     for steps in range(max_steps + 1):
-        label = config.label
+        label = labels[steps]
         obligations = command_obligations(program, label)
         repaired = _repair_precondition(label, obligations, results, constraints)
         if repaired:
             return repaired
-        outcome = step(program, config)
-        if isinstance(outcome, AtDone):
-            return Completed(reached_done=True, steps=steps)
-        if isinstance(outcome, Stuck):
-            raise ProgramStuckError(label, outcome.reason)
+        if steps + 1 == len(labels):
+            outcome = step(program, recording.config)
+            if isinstance(outcome, AtDone):
+                return Completed(reached_done=True, steps=steps)
+            if isinstance(outcome, Stuck):
+                raise ProgramStuckError(label, outcome.reason)
+            labels.append(outcome.label)
+            recording.config = outcome
         repaired = _record_edge(
-            label, outcome.label, obligations, results, constraints, repair=repair_constraints
+            label, labels[steps + 1], obligations, results, constraints, repair=repair_constraints
         )
         if repaired:
             return repaired
-        config = outcome
     return Completed(reached_done=False, steps=max_steps)
 
 
@@ -267,7 +306,11 @@ def analyze_concrete(
     forced).  With ``strict_paper=True`` the constraint-repair deviation is
     disabled, so results may leave a late-recorded edge constraint
     unsatisfied.
+
+    The runs share one ``Recording``: the standard execution is evaluated
+    once, and each rerun replays what earlier runs evaluated.
     """
+    recording = Recording.start(program, initial_state)
 
     def attempt(results: dict[Label, VarSet], constraints: ConstraintSet) -> Misprediction | None:
         outcome = execute_once(
@@ -277,6 +320,7 @@ def analyze_concrete(
             constraints,
             max_steps,
             repair_constraints=not strict_paper,
+            recording=recording,
         )
         if isinstance(outcome, Misprediction):
             return outcome

@@ -2,7 +2,9 @@
 
 The extended semantics augments each configuration with a predicted set of
 live variables.  Two kinds of obligations attach to every transition out of
-a command:
+a command (``StepObligations``, which ``core_lang`` computes once per label
+when the program is built; this module re-exports it with
+``command_obligations``):
 
 * a precondition: every variable the command reads must already be in the
   current prediction;
@@ -21,6 +23,12 @@ When both pass, standard and extended configurations simulate each other
 along the checked execution.  A check whose step budget runs out before
 ``done`` does not pass: it reports a ``truncated`` violation at the label
 where it stopped, by the rule ``run_trace`` uses for a complete trace.
+Progress also fails with a ``stuck`` violation when the standard execution
+gets stuck (an undefined variable): there is no step for the results to
+follow, and the analyzed execution did not run to ``done``.  Preservation
+is unaffected, as an extended run that stops early cannot break it.  Both
+checkers keep their two step calls per checked step; each is a lookup of
+the label's compiled transition.
 """
 
 from __future__ import annotations
@@ -31,42 +39,18 @@ from typing import Mapping, Union
 
 from .core_lang import (
     AtDone,
-    Assign,
     Configuration,
-    If,
     Label,
     Program,
     State,
+    StepObligations,  # re-exported with command_obligations and VarSet
     Stuck,
-    command_vars,
+    VarSet,
+    command_obligations,
     step,
 )
 
-VarSet = frozenset[str]
-
 AnalysisResults = Mapping[Label, VarSet]
-
-
-@dataclass(frozen=True)
-class StepObligations:
-    """Per-command obligations: what must be predicted, what may be dropped.
-
-    ``precondition`` is the set of variables the command reads (they must be
-    predicted live before the command).  ``prediction_extra`` is the set the
-    next prediction may add beyond the current one: the assigned variable
-    for assignments, empty otherwise.  For the backward dataflow reading,
-    precondition is use(l) and prediction_extra is def(l).
-    """
-
-    precondition: VarSet
-    prediction_extra: VarSet
-
-
-def command_obligations(program: Program, label: Label) -> StepObligations:
-    command = program.command_at(label)
-    reads = command_vars(command)
-    writes = frozenset((command.var,)) if isinstance(command, Assign) else frozenset()
-    return StepObligations(precondition=reads, prediction_extra=writes)
 
 
 # --------------------------------------------------------------------------
@@ -140,7 +124,7 @@ def ext_step_with_results(
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # precondition | prediction | projection | truncated
+    kind: str  # precondition | prediction | projection | truncated | stuck
     label: Label
     witness: VarSet = frozenset()
     next_label: Label | None = None
@@ -155,8 +139,8 @@ class Violation:
                 f"prediction violation on edge {self.label} -> {self.next_label}:"
                 f" excess {witness}"
             )
-        if self.kind == "truncated":
-            return f"truncated at {self.label}: {self.detail}"
+        if self.kind in ("truncated", "stuck"):
+            return f"{self.kind} at {self.label}: {self.detail}"
         return f"projection failure at {self.label}: {self.detail}"
 
     def to_record(self) -> dict:
@@ -244,7 +228,9 @@ def check_progress(
 
     A pass certifies that pairing each visited configuration with its
     analysis result simulates the standard run under the extended rules,
-    i.e. the results correctly predict this execution's futures.
+    i.e. the results correctly predict this execution's futures.  A standard
+    execution that gets stuck has no step to follow, so the check fails with
+    a ``stuck`` violation at that label.
     """
     config = Configuration.make(program.first, initial_state or {})
     notes: list[str] = []
@@ -254,8 +240,8 @@ def check_progress(
             notes.append("standard execution complete")
             break
         if isinstance(standard, Stuck):
-            notes.append(f"standard execution stuck: {standard.reason}")
-            break
+            violation = Violation("stuck", config.label, detail=standard.reason)
+            return CheckReport("progress", False, checked, violation, tuple(notes))
         if checked >= max_steps:
             return _truncated("progress", config, checked, notes)
         outcome = ext_step_with_results(program, config, results)

@@ -73,9 +73,10 @@ class MispredictionSignal(Exception):
 class LatticeSpec(abc.ABC):
     """Value domain for a prophecy cell.
 
-    ``merge`` is only invoked when ``satisfies`` failed and must strictly
-    increase ``rank``; ranks are bounded by ``max_rank``.  Together these
-    bound the number of reruns a cell can cause.
+    ``merge`` is only invoked when ``satisfies`` failed and must return a
+    value of the domain (``contains``) of strictly higher ``rank``; ranks are
+    bounded by ``max_rank``.  Together these bound the number of reruns a
+    cell can cause.
     """
 
     name: str = "lattice"
@@ -292,6 +293,11 @@ class StageContext:
         if state.lattice.satisfies(current, required):
             return
         merged = state.lattice.merge(current, required)
+        if not state.lattice.contains(merged):
+            raise LatticeContractError(
+                f"{state.lattice.name}: merge({current!r}, {required!r}) = {merged!r}"
+                f" is not a value of the lattice"
+            )
         old_rank = state.lattice.rank(current)
         new_rank = state.lattice.rank(merged)
         if merged == current or new_rank <= old_rank:

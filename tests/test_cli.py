@@ -65,9 +65,22 @@ class TestAnalyze:
         assert "l3 -> l1" in out
 
     def test_all_paths_matches_oracle(self, branch_prog):
+        # without --init the execution is stuck at l0 on x: the results match
+        # the oracle, but progress cannot follow a stuck execution
         code, out, _ = run_cli("analyze", branch_prog, "--mode", "all-paths", "--check")
+        assert code == 1
+        assert "oracle_match: pass" in out
+        assert "progress: FAIL" in out
+        assert "stuck at l0" in out
+
+    def test_all_paths_check_passes_with_init(self, branch_prog):
+        code, out, _ = run_cli(
+            "analyze", branch_prog, "--mode", "all-paths", "--check",
+            "--init", "x=1", "--init", "y=2", "--init", "w=3",
+        )
         assert code == 0
         assert "oracle_match: pass" in out
+        assert "progress: pass" in out
 
     def test_json_format_round_trips(self, loop_prog):
         code, out, _ = run_cli(

@@ -1,5 +1,8 @@
+import pickle
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prophecy.core_lang import (
@@ -32,6 +35,7 @@ from prophecy.core_lang import (
     run_trace,
     step,
 )
+from randprog import random_program
 
 MINIMAL = "l0: x := 1\nl1: halt\nl2: done"
 
@@ -182,6 +186,12 @@ class TestStep:
         assert after == Configuration.make("l2", {"x": 1})
         assert step(program, after) is AT_DONE
 
+    def test_program_pickles(self):
+        program = parse_program(LOOP)
+        copy = pickle.loads(pickle.dumps(program))
+        assert copy == program
+        assert step(copy, Configuration.make("l2", {"x": 5})) == Configuration.make("l3", {"x": 4})
+
     def test_determinism(self):
         program = parse_program(LOOP)
         config = Configuration.make("l1", {"x": 5})
@@ -302,3 +312,32 @@ def test_step_is_deterministic(program, state):
     first = step(program, config)
     second = step(program, config)
     assert first == second or (isinstance(first, (Stuck, AtDone)) and first == second)
+
+
+# Fragments of the grammar, some stray characters, and Unicode digits that
+# str.isdigit() accepts but int() does not (or reads as other digits).
+_FRAGMENTS = [
+    "l0", "l1", "l2", "x", "y", ":", ":=", " ", "\n", "#", "if", "then", "goto",
+    "halt", "done", "skip", "not", "and", "or", "true", "false", "(", ")", "+",
+    "-", "*", "=", "<=", "<", "0", "7", "99999999999999999999", "\u00b2", "\u0661", "\t",
+]
+
+
+@given(st.one_of(st.text(), st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join)))
+@example("l0: x := \u00b2\nl1: halt\nl2: done")
+@example("l0: x := " + "1" * 5000 + "\nl1: halt\nl2: done")
+@example("l0: x := " + "(" * 400 + "1" + ")" * 400 + "\nl1: goto l0")
+@example("l0: if " + "not " * 400 + "true then l0\nl1: goto l0")
+@settings(max_examples=500, deadline=None)
+def test_parser_raises_only_its_own_errors(text):
+    try:
+        parse_program(text)
+    except (ParseError, ProgramStructureError):
+        pass
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_random_program_round_trip(seed):
+    program = random_program(random.Random(seed))
+    assert parse_program(print_program(program)) == program

@@ -1,0 +1,199 @@
+"""Differential tests: each fast path against the path it replaced.
+
+* ``core_lang.step`` runs each label's compiled transition.  It is compared
+  with ``reference_step``, the tree-walking rules built on ``eval_expr``,
+  step by step along random executions (states may lack variables, so
+  ``Stuck`` reasons are compared, and may hold values near 2**63, so
+  64-bit wrap-around is compared).
+* ``analyze_concrete`` replays the recorded execution on reruns.  It is
+  compared with ``analyze_afresh``, which calls ``execute_once`` without a
+  recording on every run, in default and ``strict_paper`` mode, including
+  programs that get stuck and budgets that run out.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prophecy.core_lang import (
+    AT_DONE,
+    ABin,
+    Assign,
+    BBin,
+    BoolLit,
+    Cmp,
+    Configuration,
+    Done,
+    Goto,
+    Halt,
+    If,
+    Not,
+    Num,
+    Program,
+    Skip,
+    Stuck,
+    UndefinedVariableError,
+    UnknownLabelError,
+    Var,
+    eval_expr,
+    step,
+)
+from prophecy.engine import (
+    AnalysisError,
+    ConstraintSet,
+    Misprediction,
+    RunStats,
+    StepBudgetExceeded,
+    analyze_concrete,
+    empty_results,
+    execute_once,
+)
+from randprog import VARS, random_program, random_state, terminating_sample
+
+
+def reference_step(program, config):
+    """The standard rules walked over the command's syntax tree."""
+    command = program.command_at(config.label)
+    state = config.state_dict()
+    match command:
+        case Done():
+            return AT_DONE
+        case Skip() | Halt():
+            return Configuration.make(program.next_label(config.label), state)
+        case Goto(target):
+            return Configuration.make(target, state)
+        case Assign(var, expr):
+            try:
+                value, _ = eval_expr(expr, state)
+            except UndefinedVariableError as exc:
+                return Stuck(str(exc))
+            state[var] = int(value)
+            return Configuration.make(program.next_label(config.label), state)
+        case If(cond, target):
+            try:
+                value, _ = eval_expr(cond, state)
+            except UndefinedVariableError as exc:
+                return Stuck(str(exc))
+            return Configuration.make(target if value else program.next_label(config.label), state)
+    raise TypeError(f"not a command: {command!r}")
+
+
+_values = st.one_of(
+    st.integers(-8, 8),
+    st.integers(2**63 - 16, 2**63 - 1),
+    st.integers(-(2**63), -(2**63) + 16),
+)
+# a partial state: variables the program reads may be missing
+_states = st.dictionaries(st.sampled_from(VARS), _values, max_size=len(VARS))
+
+
+@given(st.integers(0, 2**32), _states)
+@settings(max_examples=300, deadline=None)
+def test_compiled_step_matches_reference(seed, state):
+    program = random_program(random.Random(seed))
+    config = Configuration.make(program.first, state)
+    for _ in range(200):
+        got, want = step(program, config), reference_step(program, config)
+        assert got == want
+        if not isinstance(got, Configuration):
+            break
+        config = got
+
+
+@given(st.integers(0, 2**32), _states)
+@settings(max_examples=100, deadline=None)
+def test_compiled_step_matches_reference_from_every_label(seed, state):
+    program = random_program(random.Random(seed))
+    for label in program.labels:
+        config = Configuration.make(label, state)
+        assert step(program, config) == reference_step(program, config)
+
+
+_names = st.sampled_from(["x", "y", "z"])
+_aexps = st.recursive(
+    st.one_of(_values.map(Num), _names.map(Var)),
+    lambda children: st.builds(ABin, st.sampled_from("+-*"), children, children),
+    max_leaves=6,
+)
+_bexps = st.recursive(
+    st.one_of(
+        st.booleans().map(BoolLit),
+        st.builds(Cmp, st.sampled_from(["=", "<="]), _aexps, _aexps),
+    ),
+    lambda children: st.one_of(
+        children.map(Not), st.builds(BBin, st.sampled_from(["and", "or"]), children, children)
+    ),
+    max_leaves=6,
+)
+_partial_states = st.dictionaries(_names, _values)
+
+
+@given(_aexps, _bexps, _partial_states)
+@settings(max_examples=500, deadline=None)
+def test_compiled_expressions_match_reference(expr, cond, state):
+    """Deeper expressions than randprog draws, so and/or/not and wrap-around all occur."""
+    program = Program(
+        [("l0", Assign("x", expr)), ("l1", If(cond, "l0")), ("l2", Halt()), ("l3", Done())]
+    )
+    for label in ("l0", "l1"):
+        config = Configuration.make(label, state)
+        assert step(program, config) == reference_step(program, config)
+
+
+def test_foreign_label_is_unknown():
+    program = random_program(random.Random(0))
+    with pytest.raises(UnknownLabelError):
+        step(program, Configuration.make("nowhere", {}))
+
+
+def analyze_afresh(program, initial_state, max_steps, strict_paper):
+    """``analyze_concrete`` with every run evaluated from the start."""
+    results = empty_results(program)
+    constraints = ConstraintSet()
+    repairs = {"precondition": 0, "constraint": 0}
+    while True:
+        outcome = execute_once(
+            program, initial_state, results, constraints, max_steps,
+            repair_constraints=not strict_paper,
+        )
+        if not isinstance(outcome, Misprediction):
+            break
+        repairs[outcome.kind] += 1
+    if not outcome.reached_done:
+        raise StepBudgetExceeded(max_steps)
+    runs = repairs["precondition"] + repairs["constraint"] + 1
+    return results, RunStats(runs, repairs["precondition"], repairs["constraint"])
+
+
+def _outcome(analyze, *args):
+    try:
+        return analyze(*args)
+    except AnalysisError as exc:
+        return type(exc), exc.args, getattr(exc, "label", None), getattr(exc, "reason", None)
+
+
+@pytest.mark.parametrize("strict_paper", [False, True])
+def test_replay_matches_afresh_on_terminating_sample(strict_paper):
+    for program, state in terminating_sample(random.Random(11), 60):
+        args = (program, state, 10_000, strict_paper)
+        assert analyze_concrete(program, state, 10_000, strict_paper=strict_paper) == (
+            analyze_afresh(*args)
+        )
+
+
+@given(st.integers(0, 2**32), st.sampled_from([1, 5, 40, 10_000]), st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_replay_matches_afresh_when_stuck_or_over_budget(seed, max_steps, drop, strict_paper):
+    rng = random.Random(seed)
+    program = random_program(rng)
+    state = random_state(rng, program)
+    if drop and state:
+        del state[rng.choice(sorted(state))]  # likely stuck on the dropped variable
+
+    def replayed(program, state, max_steps, strict_paper):
+        return analyze_concrete(program, state, max_steps, strict_paper=strict_paper)
+
+    args = (program, state, max_steps, strict_paper)
+    assert _outcome(replayed, *args) == _outcome(analyze_afresh, *args)

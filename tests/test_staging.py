@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prophecy.second_stage import (
     RUNTIME_CALLS,
@@ -126,6 +128,80 @@ class TestProphecyCells:
         ctx2.prophecy_cell(FLAG, Flag.UNSET)
         with pytest.raises(StagingError):
             ctx2.prophecy_get(cell)
+
+
+class Chain(LatticeSpec):
+    """The chain 0 < 1 < ... < max_rank, optionally broken by one flaw.
+
+    ``stalls``: merge does not increase the rank.  ``rank_overflow``: a merged
+    value ranks above max_rank.  ``foreign_merge``: merge leaves the domain
+    (with a rank that looks fine).  ``never_satisfied``: satisfies never holds.
+    """
+
+    name = "chain"
+
+    def __init__(self, max_rank, flaw, amount):
+        self.max_rank = max_rank
+        self.flaw = flaw
+        self.amount = amount
+
+    def contains(self, value):
+        return isinstance(value, int) and 0 <= value <= self.max_rank
+
+    def satisfies(self, current, required):
+        return self.flaw != "never_satisfied" and current >= required
+
+    def merge(self, current, required):
+        if self.flaw == "stalls":
+            return current - self.amount
+        if self.flaw == "foreign_merge":
+            return ("foreign", current)
+        return max(current, required)
+
+    def rank(self, value):
+        if isinstance(value, tuple):
+            return value[1] + 1
+        if self.flaw == "rank_overflow" and value > 0:
+            return value + self.max_rank
+        return value
+
+
+FLAWS = ["stalls", "rank_overflow", "foreign_merge", "never_satisfied", "foreign_required"]
+
+
+@given(
+    st.sampled_from(FLAWS + [None]),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=3), min_size=1, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_broken_lattice_contract_is_diagnosed(flaw, max_rank, amount, requirements):
+    """A broken lattice ends in a contract or staging error well before max_runs."""
+    lattice = Chain(max_rank, flaw, amount)
+    runs = []
+
+    def generator(ctx):
+        runs.append(ctx.run_index)
+        for wanted in requirements:
+            cell = ctx.prophecy_cell(lattice, 0)
+            for value in wanted:
+                foreign = flaw == "foreign_required"
+                cell.require(max_rank + value if foreign else min(value, max_rank))
+
+    bound = 1 + len(requirements) * max_rank
+    if flaw is None:
+        _, stats = run_staged(generator)
+        assert stats.runs <= bound
+        return
+    with pytest.raises(StagingError) as excinfo:
+        run_staged(generator)
+    assert "no clean run" not in str(excinfo.value)
+    assert len(runs) <= bound
+    if flaw == "foreign_required":
+        assert "not a value of lattice" in str(excinfo.value)
+    else:
+        assert isinstance(excinfo.value, LatticeContractError)
 
 
 class TestRunStaged:
