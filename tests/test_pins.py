@@ -1,18 +1,25 @@
-"""Pinned outputs: refactors of the engine and the staged runtime keep these bytes.
+"""Pinned outputs: refactors of the engine, the staged runtime and the interpreter keep these bytes.
 
 Each digest covers the analysis results together with the rerun statistics
-(or the emitted C together with the run count), so a change in any run
-count, any result set or any emitted byte shows as a digest mismatch.
+(or the emitted C together with the run count, or every interpreted output
+with its dtype), so a change in any run count, any result set, any emitted
+byte or any output byte shows as a digest mismatch.
 """
 
 import hashlib
+import io
 import json
 import random
+from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
+
+from prophecy.cli import main
 
 from prophecy.einsum import build_matmul_benchmark, build_matvec_benchmark
 from prophecy.engine import analyze_all_paths_with_stats, analyze_concrete
+from prophecy.interp import interpret_program
 from prophecy.nn import build_conv_relu_benchmark
 from prophecy.second_stage import emit_c
 from randprog import corpus, terminating_sample
@@ -100,3 +107,134 @@ def test_emitted_code_pinned(case):
     assert stats.runs == runs
     assert stats.runs == stats.merges + 1
     assert _digest([emit_c(program), stats.runs]) == expected
+
+
+def _output_record(outputs) -> list:
+    record = []
+    for name in sorted(outputs):
+        value = outputs[name]
+        if isinstance(value, np.ndarray):
+            record.append([name, str(value.dtype), hashlib.sha256(value.tobytes()).hexdigest()])
+        else:
+            record.append([name, type(value).__name__, repr(value)])
+    return record
+
+
+def _matrix_inputs(rng, m, n, o):
+    return {
+        "arg0": rng.random(m * n, dtype=np.float32),
+        "arg1": rng.random(n * o, dtype=np.float32),
+        "arg2": np.zeros(m * o, dtype=np.float32),
+    }
+
+
+def _vector_inputs(rng, m, n):
+    return {
+        "arg0": rng.random(m * n, dtype=np.float32),
+        "arg1": rng.random(n, dtype=np.float32),
+        "arg2": np.zeros(m, dtype=np.float32),
+    }
+
+
+def _conv_inputs(rng, size, filter_size, flag):
+    return {
+        "arg0": rng.standard_normal(size, dtype=np.float32) * 4,
+        "arg1": rng.standard_normal(filter_size, dtype=np.float32),
+        "arg2": flag,
+        "arg3": np.zeros(size),
+        "arg4": np.zeros(size),
+    }
+
+
+# Small shapes, a strided grid smaller than the data and the default 40 x 512
+# grid, so grid-stride loops both run and sit idle.
+INTERPRETED = {
+    **{
+        f"matmul-{strategy}-5x3x6-grid2x3": (
+            lambda s=strategy: build_matmul_benchmark(5, 3, 6, s, max_bid=2, max_tid=3),
+            lambda rng: _matrix_inputs(rng, 5, 3, 6),
+        )
+        for strategy in ("prophecy", "copy_all", "unified")
+    },
+    **{
+        f"matmul-{strategy}-4x4x4": (
+            lambda s=strategy: build_matmul_benchmark(4, 4, 4, s),
+            lambda rng: _matrix_inputs(rng, 4, 4, 4),
+        )
+        for strategy in ("prophecy", "copy_all", "unified")
+    },
+    **{
+        f"matvec-{strategy}-7x5-grid3x2": (
+            lambda s=strategy: build_matvec_benchmark(7, 5, s, max_bid=3, max_tid=2),
+            lambda rng: _vector_inputs(rng, 7, 5),
+        )
+        for strategy in ("prophecy", "copy_all", "unified")
+    },
+    **{
+        f"conv-relu-flag{flag}": (
+            lambda: build_conv_relu_benchmark(24, 5),
+            lambda rng, f=flag: _conv_inputs(rng, 24, 5, f),
+        )
+        for flag in (1, 0)
+    },
+}
+
+# The three einsum strategies agree bit for bit, so their digests do too.
+INTERPRETED_DIGESTS = {
+    "conv-relu-flag0": "dee443d757b462a3ff34cc37c2ee08d653946c2b875ab941d70769ee98980cb5",
+    "conv-relu-flag1": "c54420817cfec1fca2d717d9e67dc609fcbfbd937eefd371d55250d0fedfc85d",
+    "matmul-copy_all-4x4x4": "c1c3b841d3e060859e60f371e570c7f199d12c3cb5f54899b13c986af07944f2",
+    "matmul-copy_all-5x3x6-grid2x3": "d4b3a5b5b3e3964a60247257b61c905b4c422a44e498cc1f5f74135aacc6f99c",
+    "matmul-prophecy-4x4x4": "c1c3b841d3e060859e60f371e570c7f199d12c3cb5f54899b13c986af07944f2",
+    "matmul-prophecy-5x3x6-grid2x3": "d4b3a5b5b3e3964a60247257b61c905b4c422a44e498cc1f5f74135aacc6f99c",
+    "matmul-unified-4x4x4": "c1c3b841d3e060859e60f371e570c7f199d12c3cb5f54899b13c986af07944f2",
+    "matmul-unified-5x3x6-grid2x3": "d4b3a5b5b3e3964a60247257b61c905b4c422a44e498cc1f5f74135aacc6f99c",
+    "matvec-copy_all-7x5-grid3x2": "553e0709da4f60a262fee4bbe66fd6cacfc4eb3da875f03ffef0adad334a909f",
+    "matvec-prophecy-7x5-grid3x2": "553e0709da4f60a262fee4bbe66fd6cacfc4eb3da875f03ffef0adad334a909f",
+    "matvec-unified-7x5-grid3x2": "553e0709da4f60a262fee4bbe66fd6cacfc4eb3da875f03ffef0adad334a909f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERPRETED))
+def test_interpreted_outputs_pinned(case):
+    build, make_inputs = INTERPRETED[case]
+    program, _ = build()
+    records = []
+    for seed in (0, 1):
+        inputs = make_inputs(np.random.default_rng(seed))
+        records.append(_output_record(interpret_program(program, inputs)))
+    assert _digest(records) == INTERPRETED_DIGESTS[case]
+
+
+# `prophecy stage --dsl <dsl> --run-interp --seed 0` at the CLI default sizes.
+CLI_CHECKSUMS = {
+    "einsum-matmul": [
+        "checksum[case 0][arg0]: ffe18a4d6f35bc74",
+        "checksum[case 0][arg1]: 162d0103517358b9",
+        "checksum[case 0][arg2]: 849c696cb220efd6",
+    ],
+    "einsum-matvec": [
+        "checksum[case 0][arg0]: ffe18a4d6f35bc74",
+        "checksum[case 0][arg1]: 66eb929a0df495cf",
+        "checksum[case 0][arg2]: 4dbfba1f012cf3bb",
+    ],
+    "nn-conv-relu": [
+        "checksum[case 0][arg0]: f956c4e72eb2e38a",
+        "checksum[case 0][arg1]: e093c087df8a24f2",
+        "checksum[case 0][arg3]: 842c5b4723e44bcf",
+        "checksum[case 0][arg4]: 1f5f03fa87519552",
+        "checksum[case 1][arg0]: f956c4e72eb2e38a",
+        "checksum[case 1][arg1]: e093c087df8a24f2",
+        "checksum[case 1][arg3]: 53f98396da4d0a59",
+        "checksum[case 1][arg4]: 1f5f03fa87519552",
+    ],
+}
+
+
+@pytest.mark.parametrize("dsl", sorted(CLI_CHECKSUMS))
+def test_cli_run_interp_checksums_pinned(dsl):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["stage", "--dsl", dsl, "--run-interp", "--seed", "0"])
+    assert code == 0
+    assert out.getvalue().splitlines() == CLI_CHECKSUMS[dsl]
