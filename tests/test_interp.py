@@ -1,6 +1,10 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from prophecy import interp
 from prophecy.interp import InterpError, interpret_program
 from prophecy.second_stage import Assign, Binary, IntLit, SecondStageProgram, Unary, VarRef
 from prophecy.staging import ProphecyStore, StageContext
@@ -8,6 +12,22 @@ from prophecy.staging import ProphecyStore, StageContext
 
 def ctx_named(name="t"):
     return StageContext(ProphecyStore(), run_index=1, name=name)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail a test whose code would otherwise run forever."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestBasics:
@@ -51,6 +71,24 @@ class TestBasics:
         out = interpret_program(ctx.finish(), {"arg0": [1e8]})
         assert out["arg0"][0] == np.float32(1e8)
         assert out["arg0"].dtype == np.float32
+
+    def test_scalar_parameter_returns_its_final_value(self):
+        prog = SecondStageProgram("p", (("n", "int"),), [Assign(VarRef("n"), IntLit(5))])
+        assert interpret_program(prog, {"n": 1}) == {"n": 5}
+
+    def test_loop_variable_after_its_loop(self):
+        # an empty loop leaves its variable at start, a finished one at the first value
+        # failing the condition; a body that assigns the bound makes a while loop
+        ctx = ctx_named()
+        buf = ctx.parameter("float*")
+        bound = ctx.declare("int", 7)
+        counted = ctx.for_loop(0, 7, 3, lambda i: None)
+        empty = ctx.for_loop(7, 7, 3, lambda i: None)
+        moving = ctx.for_loop(0, bound, 3, lambda i: ctx.assign(bound, bound + 0))
+        for k, var in enumerate([counted, empty, moving]):
+            ctx.assign(buf[k], var)
+        out = interpret_program(ctx.finish(), {"arg0": np.zeros(3)})
+        np.testing.assert_array_equal(out["arg0"], np.float32([9, 7, 9]))
 
     def test_modulo_wraparound_indexing(self):
         ctx = ctx_named()
@@ -105,6 +143,69 @@ class TestErrors:
         ctx.runtime("runtime::free", a)
         ctx.assign(out_buf[0], a[0])
         with pytest.raises(InterpError, match="freed"):
+            interpret_program(ctx.finish(), {"arg0": [0.0]})
+
+    def test_negative_copy_size(self):
+        ctx = ctx_named()
+        dst = ctx.parameter("float*")
+        src = ctx.parameter("float*")
+        ctx.runtime("runtime::memcpy", dst, src, -8)
+        with pytest.raises(InterpError, match=r"runtime::memcpy: copying -8 bytes, a negative"):
+            interpret_program(ctx.finish(), {"arg0": [0, 0, 0, 0], "arg1": [1, 2, 3, 4]})
+
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_loop_that_never_advances(self, step):
+        ctx = ctx_named()
+        buf = ctx.parameter("float*")
+        ctx.for_loop(0, 4, step, lambda i: ctx.assign(buf[0], buf[0] + 1.0))
+        with deadline(5), pytest.raises(InterpError, match=r"loop over var0 never ends"):
+            interpret_program(ctx.finish(), {"arg0": [0.0]})
+
+    def test_loop_that_never_advances_and_never_starts(self):
+        ctx = ctx_named()
+        buf = ctx.parameter("float*")
+        ctx.assign(buf[0], ctx.for_loop(5, 4, 0, lambda i: ctx.assign(buf[0], 1.0)))
+        assert interpret_program(ctx.finish(), {"arg0": [0.0]})["arg0"][0] == 5.0
+
+    @pytest.mark.parametrize("iterations, finishes", [(40, True), (41, False)])
+    def test_loop_that_moves_its_bound_has_a_ceiling(self, monkeypatch, iterations, finishes):
+        monkeypatch.setattr(interp, "MAX_LOOP_ITERATIONS", 40)
+        ctx = ctx_named()
+        buf = ctx.parameter("float*")
+        bound = ctx.declare("int", 1)
+
+        def body(i):
+            ctx.if_else(bound < iterations, lambda: ctx.assign(bound, bound + 1))
+            ctx.assign(buf[0], buf[0] + 1.0)
+
+        ctx.for_loop(0, bound, 1, body)
+        program = ctx.finish()
+        with deadline(5):
+            if finishes:
+                assert interpret_program(program, {"arg0": [0.0]})["arg0"][0] == iterations
+            else:
+                with pytest.raises(InterpError, match="loop over var1 still running after 40"):
+                    interpret_program(program, {"arg0": [0.0]})
+
+    def test_long_sum_and_too_deep_loop_nest(self):
+        # a left-nested sum prints without parentheses; Python compiles at most 20 nested loops
+        ctx = ctx_named()
+        buf = ctx.parameter("float*")
+        total = buf[0]
+        for _ in range(500):
+            total = total + 1.0
+        ctx.assign(buf[0], total)
+        assert interpret_program(ctx.finish(), {"arg0": [0.0]})["arg0"][0] == 500.0
+
+        ctx = ctx_named()
+        buf = ctx.parameter("float*")
+
+        def nest(depth):
+            innermost = lambda i: ctx.assign(buf[0], 1.0)
+            ctx.for_loop(0, 1, 1, (lambda i: nest(depth - 1)) if depth > 1 else innermost)
+
+        nest(21)
+        with pytest.raises(InterpError, match="nested too deeply: too many statically nested"):
             interpret_program(ctx.finish(), {"arg0": [0.0]})
 
     def test_missing_input(self):

@@ -1,0 +1,508 @@
+"""Differential test: ``interpret_program`` against the interpreter it replaced.
+
+``reference_interpret`` is the closure-per-node interpreter that
+``interpret_program`` replaced: each AST node is compiled once into a
+closure over an environment list.  It is kept here as it was, with its own
+``Buffer``, as the reference the generated-source interpreter must agree
+with.  Random programs are recorded through the public ``StageContext``
+API, so they have the recorder's shapes, and cover nested loops with varied
+start, bound and step (including loop variables read after their loop, and
+loops whose body assigns the loop variable or the bound), ``if_else``,
+loads and stores in and out of bounds, reads of unset variables and of
+uninitialized elements, whole, short and over-long copies, aliases, and use
+after free.  Outputs are compared byte for byte, scalars by type and value,
+and errors by type and message.
+
+The reference hangs on a loop that never advances and accepts a negative
+copy size, both of which the new interpreter diagnoses, so the generator
+makes neither.
+"""
+
+import operator
+import random
+from typing import Any, Callable, Mapping
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prophecy.interp import InterpError, interpret_program
+from prophecy.second_stage import (
+    _ELEM_BYTES,
+    ArrayIndex,
+    Assign,
+    Binary,
+    Declare,
+    Expr,
+    FloatLit,
+    ForLoop,
+    IfElse,
+    IntLit,
+    Return,
+    RuntimeCall,
+    RuntimeCallExpr,
+    SecondStageProgram,
+    Stmt,
+    Unary,
+    VarRef,
+)
+from prophecy.staging import ProphecyStore, StageContext
+
+
+class Buffer:
+    __slots__ = ("values", "mask", "name", "freed")
+
+    def __init__(self, values: np.ndarray, mask: bytearray, name: str):
+        self.values = values
+        self.mask = mask
+        self.name = name
+        self.freed = False
+
+    @property
+    def size(self) -> int:
+        return len(self.values)
+
+
+class _ReturnSignal(Exception):
+    def __init__(self, value: Any):
+        self.value = value
+
+
+_BINOPS: dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "%": operator.mod,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _collect_slots(program: SecondStageProgram) -> dict[str, int]:
+    slots: dict[str, int] = {}
+
+    def add(name: str) -> None:
+        if name in slots:
+            raise InterpError(f"duplicate variable name {name!r}")
+        slots[name] = len(slots)
+
+    def walk(stmts: list[Stmt]) -> None:
+        for stmt in stmts:
+            if isinstance(stmt, Declare):
+                add(stmt.name)
+            elif isinstance(stmt, ForLoop):
+                add(stmt.var)
+                walk(stmt.body)
+            elif isinstance(stmt, IfElse):
+                walk(stmt.then_body)
+                if stmt.else_body is not None:
+                    walk(stmt.else_body)
+
+    for name, _ in program.params:
+        add(name)
+    walk(program.body)
+    return slots
+
+
+def _alloc(args: tuple[Any, ...], name: str) -> Buffer:
+    (nbytes,) = args
+    count = int(nbytes) // _ELEM_BYTES
+    if count <= 0:
+        raise InterpError(f"allocation of {nbytes} bytes at {name}")
+    return Buffer(np.zeros(count, dtype=np.float32), bytearray(count), name)
+
+
+def _as_buffer(value: Any, where: str) -> Buffer:
+    if not isinstance(value, Buffer):
+        raise InterpError(f"{where}: expected a buffer, got {type(value).__name__}")
+    if value.freed:
+        raise InterpError(f"{where}: buffer {value.name} was freed")
+    return value
+
+
+def _compile_expr(
+    expr: Expr, slots: Mapping[str, int], alloc_name: str | None = None
+) -> Callable[[list], Any]:
+    match expr:
+        case IntLit(value):
+            return lambda env: value
+        case FloatLit(value):
+            const = np.float32(value)
+            return lambda env: const
+        case VarRef(name):
+            if name not in slots:
+                raise InterpError(f"variable {name!r} is never declared")
+            slot = slots[name]
+
+            def read_var(env, slot=slot, name=name):
+                value = env[slot]
+                if value is None:
+                    raise InterpError(f"variable {name} used before it holds a value")
+                return value
+
+            return read_var
+        case Binary(op, left, right):
+            if op not in _BINOPS:
+                raise InterpError(f"unknown binary operator {op!r}")
+            fn = _BINOPS[op]
+            lf = _compile_expr(left, slots)
+            rf = _compile_expr(right, slots)
+            return lambda env: fn(lf(env), rf(env))
+        case Unary(op, operand):
+            inner = _compile_expr(operand, slots)
+            if op == "-":
+                return lambda env: -inner(env)
+            raise InterpError(f"unknown unary operator {op!r}")
+        case ArrayIndex(base, index):
+            bf = _compile_expr(base, slots)
+            xf = _compile_expr(index, slots)
+
+            def load(env):
+                buf = _as_buffer(bf(env), "load")
+                i = xf(env)
+                if i < 0 or i >= buf.size:
+                    raise InterpError(
+                        f"index {i} out of bounds for {buf.name} of size {buf.size}"
+                    )
+                if not buf.mask[i]:
+                    raise InterpError(f"uninitialized read at {buf.name}[{i}]")
+                return buf.values[i]
+
+            return load
+        case RuntimeCallExpr(name, args):
+            if name in ("runtime::malloc", "runtime::cuda_malloc"):
+                arg_fns = [_compile_expr(a, slots) for a in args]
+                label = alloc_name or name
+
+                def allocate(env, label=label):
+                    return _alloc(tuple(f(env) for f in arg_fns), label)
+
+                return allocate
+            raise InterpError(f"runtime call {name} does not produce a value")
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def _compile_stmt(stmt: Stmt, slots: Mapping[str, int]) -> Callable[[list], None]:
+    match stmt:
+        case Declare(name, _, init):
+            slot = slots[name]
+            if init is None:
+                def declare(env):
+                    env[slot] = None
+                return declare
+            init_fn = _compile_expr(init, slots, alloc_name=name)
+
+            def declare_init(env):
+                env[slot] = init_fn(env)
+
+            return declare_init
+        case Assign(target, value):
+            vf = _compile_expr(value, slots)
+            if isinstance(target, VarRef):
+                slot = slots[target.name]
+
+                def store_var(env):
+                    env[slot] = vf(env)
+
+                return store_var
+            if isinstance(target, ArrayIndex):
+                bf = _compile_expr(target.base, slots)
+                xf = _compile_expr(target.index, slots)
+
+                def store_elem(env):
+                    buf = _as_buffer(bf(env), "store")
+                    i = xf(env)
+                    if i < 0 or i >= buf.size:
+                        raise InterpError(
+                            f"index {i} out of bounds for {buf.name} of size {buf.size}"
+                        )
+                    buf.values[i] = vf(env)
+                    buf.mask[i] = 1
+
+                return store_elem
+            raise InterpError(f"bad assignment target {target!r}")
+        case ForLoop(var, init, cond, step, body):
+            slot = slots[var]
+            init_fn = _compile_expr(init, slots)
+            cond_fn = _compile_expr(cond, slots)
+            step_fn = _compile_expr(step, slots)
+            body_fns = [_compile_stmt(s, slots) for s in body]
+
+            def loop(env):
+                env[slot] = init_fn(env)
+                while cond_fn(env):
+                    for fn in body_fns:
+                        fn(env)
+                    env[slot] = step_fn(env)
+
+            return loop
+        case IfElse(cond, then_body, else_body):
+            cond_fn = _compile_expr(cond, slots)
+            then_fns = [_compile_stmt(s, slots) for s in then_body]
+            else_fns = [_compile_stmt(s, slots) for s in (else_body or [])]
+
+            def branch(env):
+                for fn in then_fns if cond_fn(env) else else_fns:
+                    fn(env)
+
+            return branch
+        case RuntimeCall(name, args):
+            arg_fns = [_compile_expr(a, slots) for a in args]
+            if name in (
+                "runtime::memcpy",
+                "runtime::cudaMemcpyToDevice",
+                "runtime::cudaMemcpyToHost",
+            ):
+
+                def copy(env):
+                    dst = _as_buffer(arg_fns[0](env), name)
+                    src = _as_buffer(arg_fns[1](env), name)
+                    count = int(arg_fns[2](env)) // _ELEM_BYTES
+                    if count > dst.size or count > src.size:
+                        raise InterpError(
+                            f"{name}: copying {count} elements between {src.name}"
+                            f" ({src.size}) and {dst.name} ({dst.size})"
+                        )
+                    dst.values[:count] = src.values[:count]
+                    dst.mask[:count] = src.mask[:count]
+
+                return copy
+            if name == "runtime::grid_sync":
+                return lambda env: None
+            if name == "runtime::free":
+
+                def free(env):
+                    _as_buffer(arg_fns[0](env), name).freed = True
+
+                return free
+            raise InterpError(f"runtime call {name} is not a statement")
+        case Return(value):
+            if value is None:
+                def ret(env):
+                    raise _ReturnSignal(None)
+                return ret
+            vf = _compile_expr(value, slots)
+
+            def ret_value(env):
+                raise _ReturnSignal(vf(env))
+
+            return ret_value
+    raise TypeError(f"not a statement: {stmt!r}")
+
+
+def reference_interpret(
+    program: SecondStageProgram, inputs: Mapping[str, Any]
+) -> dict[str, Any]:
+    slots = _collect_slots(program)
+    env: list[Any] = [None] * len(slots)
+    for name, kind in program.params:
+        if name not in inputs:
+            raise InterpError(f"missing input for parameter {name!r}")
+        if kind.endswith("*"):
+            values = np.asarray(inputs[name], dtype=np.float32).ravel().copy()
+            env[slots[name]] = Buffer(values, bytearray(b"\x01" * len(values)), name)
+        elif kind == "int":
+            env[slots[name]] = int(inputs[name])
+        elif kind == "float":
+            env[slots[name]] = np.float32(inputs[name])
+        else:
+            raise InterpError(f"unsupported parameter kind {kind!r}")
+    body = [_compile_stmt(s, slots) for s in program.body]
+    try:
+        for fn in body:
+            fn(env)
+    except _ReturnSignal:
+        pass
+    outputs: dict[str, Any] = {}
+    for name, kind in program.params:
+        value = env[slots[name]]
+        outputs[name] = value.values.copy() if isinstance(value, Buffer) else value
+    return outputs
+
+
+# --------------------------------------------------------------------------
+# random recorded programs
+# --------------------------------------------------------------------------
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+class _Gen:
+    """Records one random program; every loop advances and ends."""
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.ctx = StageContext(ProphecyStore(), run_index=1, name="rand")
+        self.buffers = [self.ctx.parameter("float*"), self.ctx.parameter("float*")]
+        self.n = self.ctx.parameter("int")
+        self.ints = [self.n]  # int-valued handles: loop variables, declared ints
+        self.floats = [self.ctx.parameter("float")]
+        self.statements = 0
+
+    def int_expr(self, depth: int = 0):
+        rng = self.rng
+        roll = rng.random()
+        if depth > 1 or roll < 0.3:
+            return rng.randint(-2, 6)
+        if roll < 0.65:
+            return rng.choice(self.ints)
+        a = self.ctx.lift(self.int_expr(depth + 1))
+        op = rng.choice("+-*%")
+        if op == "%":
+            return a % rng.randint(1, 7)
+        return _ARITH[op](a, self.int_expr(depth + 1))
+
+    def base(self):
+        if self.rng.random() < 0.04:  # not a buffer: an int, often a loop variable
+            return self.ctx.lift(self.rng.choice(self.ints))
+        return self.rng.choice(self.buffers)
+
+    def index(self):
+        idx = self.int_expr()
+        if self.rng.random() < 0.8:  # mostly in bounds of the smaller buffers
+            idx = self.ctx.lift(idx) % 4
+        return idx
+
+    def float_expr(self, depth: int = 0):
+        rng = self.rng
+        roll = rng.random()
+        if depth > 1 or roll < 0.2:
+            return rng.choice([0.5, -1.25, 3.0, 1e8])
+        if roll < 0.5:
+            return self.base()[self.index()]
+        if roll < 0.65:
+            return rng.choice(self.floats)
+        if roll < 0.75:
+            return -self.ctx.lift(self.float_expr(depth + 1))
+        a = self.ctx.lift(self.float_expr(depth + 1))
+        return _ARITH[rng.choice("+-*")](a, self.float_expr(depth + 1))
+
+    def cond(self):
+        rng = self.rng
+        op = rng.choice([operator.lt, operator.le, operator.gt, operator.ge])
+        if rng.random() < 0.5:
+            return op(self.ctx.lift(rng.choice(self.ints)), self.int_expr())
+        return op(self.ctx.lift(self.float_expr()), self.float_expr())
+
+    def block(self, depth: int, length: int) -> None:
+        for _ in range(length):
+            if self.statements > 40:
+                return
+            self.statements += 1
+            self.statement(depth)
+
+    def statement(self, depth: int) -> None:
+        rng, ctx = self.rng, self.ctx
+        kinds = ["store", "float", "int", "loop", "if", "copy", "alloc", "free", "alias", "scalar"]
+        weights = [30, 12, 6, 14 if depth < 3 else 0, 8, 6, 5, 2, 3, 2]
+        kind = rng.choices(kinds + ["return"], weights + [1])[0]
+        if kind == "store":
+            value = self.float_expr() if rng.random() < 0.8 else self.int_expr()
+            ctx.assign(self.base()[self.index()], value)
+        elif kind == "float":
+            if self.floats[1:] and rng.random() < 0.5:
+                ctx.assign(rng.choice(self.floats[1:]), self.float_expr())
+            else:
+                init = None if rng.random() < 0.3 else self.float_expr()
+                self.floats.append(ctx.declare("float", init))
+        elif kind == "int":
+            self.ints.append(ctx.declare("int", self.int_expr()))
+        elif kind == "loop":
+            self.loop(depth)
+        elif kind == "if":
+            then_body = lambda: self.block(depth + 1, rng.randint(0, 3))
+            else_body = lambda: self.block(depth + 1, rng.randint(0, 2))
+            ctx.if_else(self.cond(), then_body, else_body if rng.random() < 0.6 else None)
+        elif kind == "copy":
+            name = rng.choice(
+                ["runtime::memcpy", "runtime::cudaMemcpyToDevice", "runtime::cudaMemcpyToHost"]
+            )
+            dst, src = rng.choice(self.buffers), rng.choice(self.buffers)
+            if rng.random() < 0.05:
+                src = rng.choice(self.ints)
+            ctx.runtime(name, dst, src, rng.choice([0, 4, 8, 12, 16, 18, 32, 40]))
+        elif kind == "alloc":
+            alloc = rng.choice(["runtime::malloc", "runtime::cuda_malloc"])
+            nbytes = rng.choice([16, 16, 24, 32, 0, -4])
+            self.buffers.append(ctx.declare("float*", ctx.runtime_expr(alloc, nbytes)))
+        elif kind == "free":
+            ctx.runtime("runtime::free", rng.choice(self.buffers))
+        elif kind == "alias":
+            if rng.random() < 0.5:
+                self.buffers.append(ctx.declare("float*", rng.choice(self.buffers)))
+            else:
+                ctx.assign(rng.choice(self.buffers), rng.choice(self.buffers))
+        elif kind == "scalar":
+            ctx.assign(self.n, self.n + 1)
+        else:
+            ctx.return_()
+
+    def loop(self, depth: int) -> None:
+        rng, ctx = self.rng, self.ctx
+        shape = rng.choice(
+            ["counted", "counted", "var-start", "float-start", "moving-bound", "assigns-var"]
+        )
+        start = rng.randint(-1, 3)
+        if shape == "var-start":
+            start = ctx.lift(self.int_expr()) % 5 - 1
+        elif shape == "float-start":
+            start = rng.choice([0.5, -1.5, self.floats[0]])
+        bound = rng.choice([rng.randint(0, 6), self.ctx.lift(rng.choice(self.ints)) % 5 + 1])
+        if shape == "moving-bound":
+            bound = ctx.declare("int", rng.randint(2, 7))
+        elif shape == "counted" and rng.random() < 0.25:
+            start = bound  # an empty loop
+        step = rng.choice([1, 1, 2, 3]) if rng.random() < 0.9 else self.n
+
+        def body(var) -> None:
+            self.ints.append(var)
+            if shape == "moving-bound":
+                ctx.assign(bound, bound - 1)
+            self.block(depth + 1, rng.randint(0, 3))
+            if shape == "assigns-var":
+                ctx.assign(var, var + 1)
+
+        var = ctx.for_loop(start, bound, step, body)
+        if rng.random() < 0.3:
+            ctx.assign(self.buffers[0][0], var)
+
+
+def random_program(seed: int):
+    rng = random.Random(seed)
+    gen = _Gen(rng)
+    gen.block(0, rng.randint(1, 12))
+    inputs = {
+        "arg0": np.float32(rng.choices([0.25, -1.5, 2.0, 7.0], k=rng.choice([4, 5, 8]))),
+        "arg1": np.float32(rng.choices([1.0, -0.5, 3.25], k=rng.choice([4, 6]))),
+        "arg2": rng.randint(1, 4),
+        "arg3": rng.choice([0.5, -2.0]),
+    }
+    return gen.ctx.finish(), inputs
+
+
+def _outcome(interpret, program, inputs):
+    try:
+        outputs = interpret(program, inputs)
+    except Exception as exc:  # noqa: BLE001 - the error is what is compared
+        return ("error", type(exc).__name__, str(exc))
+    return (
+        "ok",
+        [
+            (name, str(value.dtype), value.tobytes())
+            if isinstance(value, np.ndarray)
+            else (name, type(value).__name__, repr(value))
+            for name, value in sorted(outputs.items())
+        ],
+    )
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=600, deadline=None)
+def test_generated_source_matches_reference(seed):
+    program, inputs = random_program(seed)
+    assert _outcome(interpret_program, program, inputs) == _outcome(
+        reference_interpret, program, inputs
+    )
