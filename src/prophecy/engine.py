@@ -18,11 +18,15 @@ executions encountered.
 
 The standard semantics never read predictions, so every rerun of one
 analysis follows the same execution.  ``analyze_concrete`` therefore keeps a
-``Recording`` of the labels its runs have evaluated: a rerun replays that
-prefix with only the precondition and edge checks, and calls ``step`` only
-past its end.  The analysis costs one evaluated trace plus the checks of
-each rerun; run, misprediction and repair counts are those of evaluating
-every run afresh.
+``Recording`` of the labels its runs have evaluated and calls ``step`` only
+past its end.  A rerun also resumes its checks at the step where the
+previous run aborted: results only grow, and ``solve`` re-establishes every
+recorded constraint whenever one grows, so no earlier check can fire again.
+The analysis costs one evaluated trace, plus one check per step, plus the
+repairs; run, misprediction and repair counts are those of running every
+run from the start.  ``analyze_all_paths`` resumes its sweeps the same way
+along one depth-first order of the control-flow graph, so it costs one
+sweep order, plus one check per reachable label, plus the repairs.
 
 One deliberate deviation from the literal pseudocode this follows: a
 prediction constraint that is already violated when recorded (a loop back
@@ -40,7 +44,6 @@ on all labels reachable from the entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Union
 
 from .core_lang import (
@@ -167,59 +170,74 @@ def empty_results(program: Program) -> dict[Label, VarSet]:
     return {label: frozenset() for label in program.labels}
 
 
-def _repair_precondition(
-    label: Label,
-    obligations: StepObligations,
-    results: dict[Label, VarSet],
-    constraints: ConstraintSet,
-) -> Misprediction | None:
-    """Force the command's reads into results[label]; a repair aborts the run."""
-    missing = obligations.precondition - results[label]
-    if not missing:
-        return None
-    results[label] |= missing
-    solve(label, results, constraints)
-    return Misprediction(label, "precondition")
-
-
-def _record_edge(
-    label: Label,
-    successor: Label,
-    obligations: StepObligations,
-    results: dict[Label, VarSet],
-    constraints: ConstraintSet,
-    *,
-    repair: bool,
-) -> Misprediction | None:
-    """Record the edge's prediction constraint; with ``repair``, fix it if already violated."""
-    constraint = PredictionConstraint(successor, label, obligations.prediction_extra)
-    constraints.add(constraint)
-    if not repair:
-        return None
-    excess = results[successor] - constraint.extra - results[label]
-    if not excess:
-        return None
-    results[label] |= excess
-    solve(label, results, constraints)
-    return Misprediction(label, "constraint", edge=(label, successor))
-
-
 @dataclass
 class Recording:
     """The standard execution of one program from one initial state, evaluated so far.
 
     ``labels[k]`` is the label after k transitions and ``config`` is the
     configuration at ``labels[-1]``.  Standard steps never read predictions,
-    so every rerun follows the same labels and can replay this prefix.
+    so every rerun follows the same labels and can reuse this prefix.
     """
 
+    program: Program
     labels: list[Label]
     config: Configuration
 
     @classmethod
     def start(cls, program: Program, initial_state: State | None) -> "Recording":
         config = Configuration.make(program.first, initial_state or {})
-        return cls([config.label], config)
+        return cls(program, [config.label], config)
+
+    def successors(self, position: int) -> tuple[Label, ...]:
+        """The label after ``labels[position]``; ``step`` runs only past the recorded end."""
+        if position + 1 < len(self.labels):
+            return (self.labels[position + 1],)
+        outcome = step(self.program, self.config)
+        if isinstance(outcome, AtDone):
+            return ()
+        if isinstance(outcome, Stuck):
+            raise ProgramStuckError(self.labels[position], outcome.reason)
+        self.labels.append(outcome.label)
+        self.config = outcome
+        return (outcome.label,)
+
+
+def _check_from(
+    program: Program,
+    labels: list[Label],
+    successors: Callable[[int], tuple[Label, ...]],
+    stop: int,
+    cursor: int,
+    results: dict[Label, VarSet],
+    constraints: ConstraintSet,
+    repair_constraints: bool,
+) -> tuple[int, Misprediction | None]:
+    """Check positions from ``cursor`` until a repair aborts the run or the walk ends.
+
+    Position k forces the reads of ``labels[k]`` into its result, then
+    records the prediction constraint of each edge to ``successors(k)``,
+    which may extend ``labels``.  Unless ``repair_constraints`` is off, a
+    constraint already violated is repaired on the spot.  Any repair aborts
+    the run.  The walk ends at ``stop`` or past the last label.  Returns
+    the position where it stopped and the misprediction, if any.
+    """
+    while cursor < stop and cursor < len(labels):
+        label = labels[cursor]
+        obligations = command_obligations(program, label)
+        missing = obligations.precondition - results[label]
+        if missing:
+            results[label] |= missing
+            solve(label, results, constraints)
+            return cursor, Misprediction(label, "precondition")
+        extra = obligations.prediction_extra
+        for successor in successors(cursor):
+            constraints.add(PredictionConstraint(successor, label, extra))
+            if repair_constraints and (excess := results[successor] - extra - results[label]):
+                results[label] |= excess
+                solve(label, results, constraints)
+                return cursor, Misprediction(label, "constraint", edge=(label, successor))
+        cursor += 1
+    return cursor, None
 
 
 def execute_once(
@@ -230,50 +248,43 @@ def execute_once(
     max_steps: int = 10_000,
     *,
     repair_constraints: bool = True,
-    recording: Recording | None = None,
 ) -> ExecutionOutcome:
-    """One forward run checking preconditions and collecting constraints.
+    """One forward run from the first step, checking preconditions and collecting constraints.
 
     Returns Misprediction as soon as a repair happened (the caller reruns);
     Completed(reached_done=False) when the step budget ran out violation-free.
-    Standard stuckness is a program error, not a misprediction.
-
-    ``recording``, if given, holds what earlier runs from ``initial_state``
-    evaluated: its steps are replayed with only the precondition and edge
-    checks, ``step`` runs only past its end, and new steps are appended.
-    Replayed steps count toward ``max_steps``.  Without it the run starts a
-    fresh recording and evaluates every step.
+    Standard stuckness is a program error, not a misprediction.  The run
+    costs one evaluated step and one check per step; ``analyze_concrete``
+    evaluates each step once, and checks it once plus once more per run it
+    aborted.
     """
-    if recording is None:
-        recording = Recording.start(program, initial_state)
-    labels = recording.labels
-    for steps in range(max_steps + 1):
-        label = labels[steps]
-        obligations = command_obligations(program, label)
-        repaired = _repair_precondition(label, obligations, results, constraints)
-        if repaired:
-            return repaired
-        if steps + 1 == len(labels):
-            outcome = step(program, recording.config)
-            if isinstance(outcome, AtDone):
-                return Completed(reached_done=True, steps=steps)
-            if isinstance(outcome, Stuck):
-                raise ProgramStuckError(label, outcome.reason)
-            labels.append(outcome.label)
-            recording.config = outcome
-        repaired = _record_edge(
-            label, labels[steps + 1], obligations, results, constraints, repair=repair_constraints
-        )
-        if repaired:
-            return repaired
+    recording = Recording.start(program, initial_state)
+    end, outcome = _check_from(
+        program, recording.labels, recording.successors, max_steps + 1, 0,
+        results, constraints, repair_constraints,
+    )
+    if outcome:
+        return outcome
+    if end == len(recording.labels):
+        return Completed(reached_done=True, steps=end - 1)
     return Completed(reached_done=False, steps=max_steps)
 
 
 def _rerun(
     program: Program,
-    attempt: Callable[[dict[Label, VarSet], ConstraintSet], Misprediction | None],
+    labels: list[Label],
+    successors: Callable[[int], tuple[Label, ...]],
+    stop: int,
+    *,
+    repair_constraints: bool = True,
 ) -> tuple[dict[Label, VarSet], RunStats]:
-    """Repeat ``attempt`` on persistent results and constraints until it returns None.
+    """Run the check walk on persistent results and constraints until no repair aborts it.
+
+    Each rerun resumes at the position where the previous run aborted.
+    Checks before it cannot fire again: results only grow, so a precondition
+    that held still holds, and ``solve`` re-establishes every recorded
+    constraint whenever a result grows.  So each rerun aborts where a run
+    from position 0 would.
 
     Every aborted run grew some result, and results are bounded by the
     program's variables at each label, so more runs than the ceiling means
@@ -283,8 +294,11 @@ def _rerun(
     constraints = ConstraintSet()
     repairs = {"precondition": 0, "constraint": 0}
     run_ceiling = len(program.labels) * max(1, len(program.variables())) + 2
+    cursor = 0
     for runs in range(1, run_ceiling + 1):
-        outcome = attempt(results, constraints)
+        cursor, outcome = _check_from(
+            program, labels, successors, stop, cursor, results, constraints, repair_constraints
+        )
         if outcome is None:
             return results, RunStats(runs, repairs["precondition"], repairs["constraint"])
         repairs[outcome.kind] += 1
@@ -308,62 +322,30 @@ def analyze_concrete(
     unsatisfied.
 
     The runs share one ``Recording``: the standard execution is evaluated
-    once, and each rerun replays what earlier runs evaluated.
+    once, and each rerun resumes at the step where the previous run aborted.
+    Steps before it still count toward ``max_steps``.
     """
     recording = Recording.start(program, initial_state)
-
-    def attempt(results: dict[Label, VarSet], constraints: ConstraintSet) -> Misprediction | None:
-        outcome = execute_once(
-            program,
-            initial_state,
-            results,
-            constraints,
-            max_steps,
-            repair_constraints=not strict_paper,
-            recording=recording,
-        )
-        if isinstance(outcome, Misprediction):
-            return outcome
-        if not outcome.reached_done:
-            raise StepBudgetExceeded(max_steps)
-        return None
-
-    return _rerun(program, attempt)
+    analysis = _rerun(
+        program, recording.labels, recording.successors, max_steps + 1,
+        repair_constraints=not strict_paper,
+    )
+    if len(recording.labels) > max_steps + 1:  # a label past the budget was reached
+        raise StepBudgetExceeded(max_steps)
+    return analysis
 
 
-def _all_paths_pass(
-    program: Program,
-    results: dict[Label, VarSet],
-    constraints: ConstraintSet,
-) -> Misprediction | None:
-    """One label-level sweep over every reachable label and edge.
-
-    Conditionals contribute both successors; each label is visited once
-    (depth first, fall-through before branch target).  The first violation
-    is repaired and ends the sweep, mirroring how a concrete run aborts.
-    """
-    visited: set[Label] = set()
+def _sweep_order(program: Program) -> list[Label]:
+    """Every reachable label once, depth first from the entry, fall-through before branch target."""
+    visited: dict[Label, None] = {}
     stack = [program.first]
     while stack:
         label = stack.pop()
         if label in visited:
             continue
-        visited.add(label)
-        obligations = command_obligations(program, label)
-        repaired = _repair_precondition(label, obligations, results, constraints)
-        if repaired:
-            return repaired
-        successors = program.ordered_successors(label)
-        for successor in successors:
-            repaired = _record_edge(
-                label, successor, obligations, results, constraints, repair=True
-            )
-            if repaired:
-                return repaired
-        for successor in reversed(successors):
-            if successor not in visited:
-                stack.append(successor)
-    return None
+        visited[label] = None
+        stack.extend(s for s in reversed(program.ordered_successors(label)) if s not in visited)
+    return list(visited)
 
 
 def analyze_all_paths(program: Program) -> dict[Label, VarSet]:
@@ -379,8 +361,15 @@ def analyze_all_paths(program: Program) -> dict[Label, VarSet]:
 
 
 def analyze_all_paths_with_stats(program: Program) -> tuple[dict[Label, VarSet], RunStats]:
-    """``analyze_all_paths`` plus its rerun accounting; each run is one sweep."""
-    return _rerun(program, partial(_all_paths_pass, program))
+    """``analyze_all_paths`` plus its rerun accounting; each run is one sweep.
+
+    A sweep checks the reachable labels in ``_sweep_order``, each with the
+    edges to all its successors.  The first violation is repaired and ends
+    the sweep, mirroring how a concrete run aborts; the next sweep resumes
+    at that label.
+    """
+    order = _sweep_order(program)
+    return _rerun(program, order, lambda k: program.ordered_successors(order[k]), len(order))
 
 
 def live_variables_oracle(program: Program) -> dict[Label, VarSet]:
@@ -415,12 +404,4 @@ def live_variables_oracle(program: Program) -> dict[Label, VarSet]:
 
 
 def reachable_labels(program: Program) -> frozenset[Label]:
-    seen: set[Label] = set()
-    stack = [program.first]
-    while stack:
-        label = stack.pop()
-        if label in seen:
-            continue
-        seen.add(label)
-        stack.extend(program.successors(label))
-    return frozenset(seen)
+    return frozenset(_sweep_order(program))

@@ -22,6 +22,7 @@ literals, specializing the second-stage program to this run's knowledge.
 from __future__ import annotations
 
 import abc
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -337,6 +338,15 @@ class StageContext:
         if isinstance(value, bool):
             raise StagingError("no staged booleans; use int 0/1")
         if isinstance(value, int):
+            # the second stage prints every literal; below 2000 bits an int has
+            # fewer digits than the lowest limit Python allows (640)
+            if value.bit_length() > 2000:
+                try:
+                    str(value)
+                except ValueError:
+                    raise StagingError(
+                        f"integer literal has more than {sys.get_int_max_str_digits()} digits"
+                    ) from None
             return StagedExpr(IntLit(value), self)
         if isinstance(value, float):
             return StagedExpr(FloatLit(value), self)

@@ -5,10 +5,15 @@
   step by step along random executions (states may lack variables, so
   ``Stuck`` reasons are compared, and may hold values near 2**63, so
   64-bit wrap-around is compared).
-* ``analyze_concrete`` replays the recorded execution on reruns.  It is
-  compared with ``analyze_afresh``, which calls ``execute_once`` without a
-  recording on every run, in default and ``strict_paper`` mode, including
-  programs that get stuck and budgets that run out.
+* ``analyze_concrete`` resumes each rerun at the step where the previous
+  run aborted.  It is compared with ``analyze_afresh``, which calls
+  ``execute_once`` to run every rerun from the first step, in default and
+  ``strict_paper`` mode, including programs that get stuck and budgets that
+  run out.
+* ``analyze_all_paths_with_stats`` resumes each sweep at the label where
+  the previous sweep aborted.  It is compared with ``all_paths_afresh``,
+  which walks the control-flow graph from the entry on every sweep, on
+  random programs with loops and unreachable labels.
 """
 
 import random
@@ -37,6 +42,7 @@ from prophecy.core_lang import (
     UndefinedVariableError,
     UnknownLabelError,
     Var,
+    command_obligations,
     eval_expr,
     step,
 )
@@ -44,13 +50,24 @@ from prophecy.engine import (
     AnalysisError,
     ConstraintSet,
     Misprediction,
+    PredictionConstraint,
     RunStats,
     StepBudgetExceeded,
+    analyze_all_paths_with_stats,
     analyze_concrete,
     empty_results,
     execute_once,
+    reachable_labels,
+    solve,
 )
-from randprog import VARS, random_program, random_state, terminating_sample
+from randprog import (
+    VARS,
+    corpus,
+    has_back_edge,
+    random_program,
+    random_state,
+    terminating_sample,
+)
 
 
 def reference_step(program, config):
@@ -197,3 +214,60 @@ def test_replay_matches_afresh_when_stuck_or_over_budget(seed, max_steps, drop, 
 
     args = (program, state, max_steps, strict_paper)
     assert _outcome(replayed, *args) == _outcome(analyze_afresh, *args)
+
+
+def _sweep_afresh(program, results, constraints):
+    """One sweep from the entry, depth first, fall-through before branch target.
+
+    Returns the kind of the first repair, which ends the sweep, or None.
+    """
+    visited = set()
+    stack = [program.first]
+    while stack:
+        label = stack.pop()
+        if label in visited:
+            continue
+        visited.add(label)
+        obligations = command_obligations(program, label)
+        missing = obligations.precondition - results[label]
+        if missing:
+            results[label] |= missing
+            solve(label, results, constraints)
+            return "precondition"
+        successors = program.ordered_successors(label)
+        for successor in successors:
+            constraints.add(PredictionConstraint(successor, label, obligations.prediction_extra))
+            excess = results[successor] - obligations.prediction_extra - results[label]
+            if excess:
+                results[label] |= excess
+                solve(label, results, constraints)
+                return "constraint"
+        stack.extend(s for s in reversed(successors) if s not in visited)
+    return None
+
+
+def all_paths_afresh(program):
+    """``analyze_all_paths_with_stats`` with every sweep walking from the entry."""
+    results = empty_results(program)
+    constraints = ConstraintSet()
+    repairs = {"precondition": 0, "constraint": 0}
+    while (kind := _sweep_afresh(program, results, constraints)) is not None:
+        repairs[kind] += 1
+    runs = repairs["precondition"] + repairs["constraint"] + 1
+    return results, RunStats(runs, repairs["precondition"], repairs["constraint"])
+
+
+@given(st.integers(0, 2**32), st.integers(2, 40))
+@settings(max_examples=300, deadline=None)
+def test_all_paths_resumed_matches_afresh(seed, max_body):
+    program = random_program(random.Random(seed), max_body=max_body)
+    assert analyze_all_paths_with_stats(program) == all_paths_afresh(program)
+
+
+def test_all_paths_resumed_matches_afresh_on_corpus():
+    programs = corpus(random.Random(17), 200)
+    assert any(has_back_edge(program) for program in programs)
+    assert any(len(reachable_labels(program)) < len(program.labels) for program in programs)
+    assert any(all_paths_afresh(program)[1].constraint_repairs for program in programs)
+    for program in programs:
+        assert analyze_all_paths_with_stats(program) == all_paths_afresh(program)

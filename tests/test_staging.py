@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -331,6 +333,15 @@ class TestRecording:
         prog = ctx.finish()
         text = emit_c(prog)
         assert "int var2 = var0 + (var1 * 2);" in text
+
+    def test_unprintable_int_literal_rejected(self):
+        ctx = fresh_ctx()
+        n = ctx.declare("int", 1)
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(StagingError, match=f"more than {limit} digits"):
+            ctx.assign(n, n % 10 ** (limit + 1))
+        ctx.assign(n, n % 10 ** (limit - 1))  # limit digits: still printable
+        assert str(10 ** (limit - 1)) in emit_c(ctx.finish())
 
     def test_first_stage_loop_unrolls(self):
         ctx = fresh_ctx()
