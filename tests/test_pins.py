@@ -1,9 +1,10 @@
-"""Pinned outputs: refactors of the engine, the staged runtime and the interpreter keep these bytes.
+"""Pinned outputs: refactors of the engine, the checkers, the staged runtime and the interpreter keep these bytes.
 
 Each digest covers the analysis results together with the rerun statistics
-(or the emitted C together with the run count, or every interpreted output
-with its dtype), so a change in any run count, any result set, any emitted
-byte or any output byte shows as a digest mismatch.
+(or both checkers' report records, or the emitted C together with the run
+count, or every interpreted output with its dtype), so a change in any run
+count, any result set, any verdict, any emitted byte or any output byte
+shows as a digest mismatch.
 """
 
 import hashlib
@@ -18,11 +19,12 @@ import pytest
 from prophecy.cli import main
 
 from prophecy.einsum import build_matmul_benchmark, build_matvec_benchmark
-from prophecy.engine import analyze_all_paths_with_stats, analyze_concrete
+from prophecy.engine import analyze_all_paths_with_stats, analyze_concrete, live_variables_oracle
+from prophecy.extended import check_preservation, check_progress
 from prophecy.interp import interpret_program
 from prophecy.nn import build_conv_relu_benchmark
 from prophecy.second_stage import emit_c
-from randprog import corpus, terminating_sample
+from randprog import VARS, corpus, terminating_sample
 
 
 def _digest(record) -> str:
@@ -238,3 +240,35 @@ def test_cli_run_interp_checksums_pinned(dsl):
         code = main(["stage", "--dsl", dsl, "--run-interp", "--seed", "0"])
     assert code == 0
     assert out.getvalue().splitlines() == CLI_CHECKSUMS[dsl]
+
+
+def _checker_tables(program, state, rng) -> list:
+    """Computed, oracle, all-empty, and computed with one label's set perturbed."""
+    computed, _ = analyze_concrete(program, state)
+    perturbed = dict(computed)
+    label = rng.choice(program.labels)
+    perturbed[label] = computed[label] ^ {rng.choice(VARS)}
+    empty = {label: frozenset() for label in program.labels}
+    return [computed, live_variables_oracle(program), empty, perturbed]
+
+
+def _checker_records(program, state, tables) -> list:
+    return [
+        [check_preservation(program, table, state, budget).to_record(),
+         check_progress(program, table, state, budget).to_record()]
+        for table in tables
+        for budget in (10_000, 0, 3)
+    ]
+
+
+def test_checker_reports_pinned():
+    rng = random.Random(5)
+    records = []
+    for program, state in terminating_sample(random.Random(3), 80):
+        records.append(_checker_records(program, state, _checker_tables(program, state, rng)))
+    # a dropped initial variable: some of these executions get stuck
+    for program, state in terminating_sample(random.Random(4), 12):
+        del state[rng.choice(sorted(state))]
+        empty = {label: frozenset() for label in program.labels}
+        records.append(_checker_records(program, state, [live_variables_oracle(program), empty]))
+    assert _digest(records) == "5c56556bdd9c3c299a747c789d2cc14c69bc21be15596cd7a2becdd779854441"
