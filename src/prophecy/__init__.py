@@ -29,9 +29,8 @@ from .core_lang import (
     step,
 )
 from .engine import (
-    PredictionConstraint,
     RunStats,
-    analyze_all_paths,
+    analyze_all_paths_with_stats,
     analyze_concrete,
     live_variables_oracle,
 )
@@ -41,7 +40,6 @@ from .extended import (
     check_preservation,
     check_progress,
     command_obligations,
-    ext_step_with_results,
 )
 from .einsum import (
     EinsumSession,
@@ -76,7 +74,6 @@ __all__ = [
     "MispredictionSignal",
     "NnSession",
     "ParseError",
-    "PredictionConstraint",
     "Program",
     "ProgramStructureError",
     "ProphecyCell",
@@ -88,7 +85,7 @@ __all__ = [
     "Trace",
     "TraceKind",
     "TrueTopLattice",
-    "analyze_all_paths",
+    "analyze_all_paths_with_stats",
     "analyze_concrete",
     "build_conv_relu_benchmark",
     "build_matmul_benchmark",
@@ -98,7 +95,6 @@ __all__ = [
     "command_obligations",
     "einsum_assign",
     "emit_c",
-    "ext_step_with_results",
     "interpret_program",
     "live_variables_oracle",
     "movement_summary",

@@ -24,9 +24,9 @@ previous run aborted: results only grow, and ``solve`` re-establishes every
 recorded constraint whenever one grows, so no earlier check can fire again.
 The analysis costs one evaluated trace, plus one check per step, plus the
 repairs; run, misprediction and repair counts are those of running every
-run from the start.  ``analyze_all_paths`` resumes its sweeps the same way
-along one depth-first order of the control-flow graph, so it costs one
-sweep order, plus one check per reachable label, plus the repairs.
+run from the start.  ``analyze_all_paths_with_stats`` resumes its sweeps
+the same way along one depth-first order of the control-flow graph, so it
+costs one sweep order, plus one check per reachable label, plus the repairs.
 
 One deliberate deviation from the literal pseudocode this follows: a
 prediction constraint that is already violated when recorded (a loop back
@@ -35,16 +35,17 @@ spot and triggers one more rerun.  Without this, the computed results can
 fail the progress check on that edge; ``strict_paper=True`` restores the
 literal behavior so the gap stays demonstrable.
 
-``analyze_all_paths`` explores both branches of every conditional at the
-label level (no states) and matches ``live_variables_oracle`` — a classic
-worklist solver kept entirely separate as the correctness reference —
-on all labels reachable from the entry.
+``analyze_all_paths_with_stats`` explores both branches of every
+conditional at the label level (no states) and matches
+``live_variables_oracle`` — a classic worklist solver kept entirely
+separate as the correctness reference — on all labels reachable from the
+entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 from .core_lang import (
     AtDone,
@@ -89,16 +90,21 @@ class PredictionConstraint:
 
 
 class ConstraintSet:
-    """Insertion-ordered set of prediction constraints, indexed for solving."""
+    """Insertion-ordered prediction constraints, one per edge, indexed for solving.
+
+    A constraint's ``extra`` is the predecessor's assigned variable, so the
+    edge ``(predecessor, successor)`` determines it and serves as its key.
+    """
 
     def __init__(self) -> None:
-        self._all: dict[PredictionConstraint, None] = {}
+        self._all: dict[tuple[Label, Label], PredictionConstraint] = {}
         self._by_successor: dict[Label, list[PredictionConstraint]] = {}
 
     def add(self, constraint: PredictionConstraint) -> bool:
-        if constraint in self._all:
+        edge = (constraint.predecessor, constraint.successor)
+        if edge in self._all:
             return False
-        self._all[constraint] = None
+        self._all[edge] = constraint
         self._by_successor.setdefault(constraint.successor, []).append(constraint)
         return True
 
@@ -106,13 +112,10 @@ class ConstraintSet:
         return self._by_successor.get(label, [])
 
     def __iter__(self):
-        return iter(self._all)
+        return iter(self._all.values())
 
-    def __len__(self) -> int:
-        return len(self._all)
-
-    def __contains__(self, constraint: PredictionConstraint) -> bool:
-        return constraint in self._all
+    def __contains__(self, edge: tuple[Label, Label]) -> bool:
+        return edge in self._all
 
 
 @dataclass(frozen=True)
@@ -134,19 +137,10 @@ class RunStats:
 
 
 @dataclass(frozen=True)
-class Completed:
-    reached_done: bool
-    steps: int
-
-
-@dataclass(frozen=True)
 class Misprediction:
     label: Label
     kind: str  # precondition | constraint
     edge: tuple[Label, Label] | None = None
-
-
-ExecutionOutcome = Union[Completed, Misprediction]
 
 
 def solve(label: Label, results: dict[Label, VarSet], constraints: ConstraintSet) -> None:
@@ -220,6 +214,12 @@ def _check_from(
     constraint already violated is repaired on the spot.  Any repair aborts
     the run.  The walk ends at ``stop`` or past the last label.  Returns
     the position where it stopped and the misprediction, if any.
+
+    An edge already recorded is skipped: its constraint holds from then on.
+    By default it was repaired when first recorded, and ``solve`` keeps it
+    satisfied whenever a result grows; under ``strict_paper`` it is never
+    checked.  So a loop records each of its edges once, not once per
+    iteration.
     """
     while cursor < stop and cursor < len(labels):
         label = labels[cursor]
@@ -231,6 +231,8 @@ def _check_from(
             return cursor, Misprediction(label, "precondition")
         extra = obligations.prediction_extra
         for successor in successors(cursor):
+            if (label, successor) in constraints:
+                continue
             constraints.add(PredictionConstraint(successor, label, extra))
             if repair_constraints and (excess := results[successor] - extra - results[label]):
                 results[label] |= excess
@@ -238,36 +240,6 @@ def _check_from(
                 return cursor, Misprediction(label, "constraint", edge=(label, successor))
         cursor += 1
     return cursor, None
-
-
-def execute_once(
-    program: Program,
-    initial_state: State | None,
-    results: dict[Label, VarSet],
-    constraints: ConstraintSet,
-    max_steps: int = 10_000,
-    *,
-    repair_constraints: bool = True,
-) -> ExecutionOutcome:
-    """One forward run from the first step, checking preconditions and collecting constraints.
-
-    Returns Misprediction as soon as a repair happened (the caller reruns);
-    Completed(reached_done=False) when the step budget ran out violation-free.
-    Standard stuckness is a program error, not a misprediction.  The run
-    costs one evaluated step and one check per step; ``analyze_concrete``
-    evaluates each step once, and checks it once plus once more per run it
-    aborted.
-    """
-    recording = Recording.start(program, initial_state)
-    end, outcome = _check_from(
-        program, recording.labels, recording.successors, max_steps + 1, 0,
-        results, constraints, repair_constraints,
-    )
-    if outcome:
-        return outcome
-    if end == len(recording.labels):
-        return Completed(reached_done=True, steps=end - 1)
-    return Completed(reached_done=False, steps=max_steps)
 
 
 def _rerun(
@@ -348,20 +320,14 @@ def _sweep_order(program: Program) -> list[Label]:
     return list(visited)
 
 
-def analyze_all_paths(program: Program) -> dict[Label, VarSet]:
+def analyze_all_paths_with_stats(program: Program) -> tuple[dict[Label, VarSet], RunStats]:
     """Fixpoint over every path: all branch alternatives contribute obligations.
 
     Stand-in for exhaustively exploring dynamic control flow: instead of
     concrete executions, the sweep walks the control-flow graph and treats
     each conditional as taking both branches.  Unreachable labels keep
-    empty results.
-    """
-    results, _ = analyze_all_paths_with_stats(program)
-    return results
-
-
-def analyze_all_paths_with_stats(program: Program) -> tuple[dict[Label, VarSet], RunStats]:
-    """``analyze_all_paths`` plus its rerun accounting; each run is one sweep.
+    empty results.  Returns the results with the rerun accounting, where
+    each run is one sweep.
 
     A sweep checks the reachable labels in ``_sweep_order``, each with the
     edges to all its successors.  The first violation is repaired and ends

@@ -13,29 +13,34 @@ when the program is built; this module re-exports it with
 
 For checking we substitute computed analysis results for the predictions:
 the prediction before label ``l`` is ``results[l]``.  An extended step is
-then deterministic and either mirrors the standard step or reports exactly
-which inclusion failed and by which elements.
+then the standard ``step`` plus two inclusion guards over ``results``: it
+exists iff the standard step does and both guards hold, and it reaches the
+configuration the standard step reaches.
 
-``check_preservation`` asserts extended steps introduce no new behavior
-(each projects onto the standard step); ``check_progress`` asserts the
-analysis results let the extended semantics follow every standard step.
-When both pass, standard and extended configurations simulate each other
-along the checked execution.  A check whose step budget runs out before
-``done`` does not pass: it reports a ``truncated`` violation at the label
-where it stopped, by the rule ``run_trace`` uses for a complete trace.
-Progress also fails with a ``stuck`` violation when the standard execution
-gets stuck (an undefined variable): there is no step for the results to
-follow, and the analyzed execution did not run to ``done``.  Preservation
-is unaffected, as an extended run that stops early cannot break it.  Both
-checkers keep their two step calls per checked step; each is a lookup of
-the label's compiled transition.
+Preservation (extended steps introduce no new behavior) therefore holds by
+construction, for any results, even wrong ones: a failed guard only ends
+the extended execution early.  The compiled ``step`` itself is checked
+against the tree-walking rules by the ``reference_step`` differential test.
+Progress (the results let the extended semantics follow every standard
+step) is what the results must earn.  When both hold, standard and extended
+configurations simulate each other along the checked execution.
+
+Both checkers run one walk along the standard execution that evaluates
+each standard step once and checks both guards against it.  A check whose
+step budget runs out before ``done`` does not pass: it reports a
+``truncated`` violation at the label where it stopped, by the rule
+``run_trace`` uses for a complete trace.  Progress also fails with a
+``stuck`` violation when the standard execution gets stuck (an undefined
+variable): there is no step for the results to follow, and the analyzed
+execution did not run to ``done``.  Preservation passes there, noting
+where the extended execution stopped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Mapping, Union
+from typing import Mapping
 
 from .core_lang import (
     AtDone,
@@ -44,6 +49,7 @@ from .core_lang import (
     Program,
     State,
     StepObligations,  # re-exported with command_obligations and VarSet
+    StepResult,
     Stuck,
     VarSet,
     command_obligations,
@@ -53,78 +59,9 @@ from .core_lang import (
 AnalysisResults = Mapping[Label, VarSet]
 
 
-# --------------------------------------------------------------------------
-# Extended step
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExtOk:
-    next: Configuration
-
-
-@dataclass(frozen=True)
-class PreconditionViolation:
-    label: Label
-    missing: VarSet
-
-
-@dataclass(frozen=True)
-class PredictionViolation:
-    label: Label
-    next_label: Label
-    excess: VarSet
-
-
-@dataclass(frozen=True)
-class ExtStuck:
-    reason: str
-
-
-@dataclass(frozen=True)
-class ExtAtDone:
-    pass
-
-
-ExtStepOutcome = Union[ExtOk, PreconditionViolation, PredictionViolation, ExtStuck, ExtAtDone]
-
-
-def ext_step_with_results(
-    program: Program, config: Configuration, results: AnalysisResults
-) -> ExtStepOutcome:
-    """One extended step with predictions taken from analysis results.
-
-    The prediction before the step is ``results[config.label]`` and the
-    prediction after comes from the label the standard step reaches.  The
-    step succeeds iff the standard step succeeds, the precondition holds,
-    and the successor's result adds nothing beyond the allowed extra.
-    """
-    label = config.label
-    obligations = command_obligations(program, label)
-    current = results[label]
-    missing = obligations.precondition - current
-    if missing:
-        return PreconditionViolation(label, missing)
-    outcome = step(program, config)
-    if isinstance(outcome, AtDone):
-        return ExtAtDone()
-    if isinstance(outcome, Stuck):
-        return ExtStuck(outcome.reason)
-    nxt = outcome.label
-    excess = results[nxt] - (current | obligations.prediction_extra)
-    if excess:
-        return PredictionViolation(label, nxt, excess)
-    return ExtOk(outcome)
-
-
-# --------------------------------------------------------------------------
-# Reports
-# --------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # precondition | prediction | projection | truncated | stuck
+    kind: str  # precondition | prediction | truncated | stuck
     label: Label
     witness: VarSet = frozenset()
     next_label: Label | None = None
@@ -139,9 +76,7 @@ class Violation:
                 f"prediction violation on edge {self.label} -> {self.next_label}:"
                 f" excess {witness}"
             )
-        if self.kind in ("truncated", "stuck"):
-            return f"{self.kind} at {self.label}: {self.detail}"
-        return f"projection failure at {self.label}: {self.detail}"
+        return f"{self.kind} at {self.label}: {self.detail}"
 
     def to_record(self) -> dict:
         record = {"kind": self.kind, "label": self.label, "witness": sorted(self.witness)}
@@ -176,10 +111,39 @@ class CheckReport:
         return record
 
 
-def _truncated(check: str, config: Configuration, checked: int, notes: list[str]) -> CheckReport:
+def _truncated(check: str, config: Configuration, checked: int) -> CheckReport:
     """Budget ran out before ``done``: the rest of the execution went unchecked."""
     violation = Violation("truncated", config.label, detail=f"no done within {checked} steps")
-    return CheckReport(check, False, checked, violation, tuple(notes))
+    return CheckReport(check, False, checked, violation)
+
+
+def _walk(
+    program: Program, results: AnalysisResults, initial_state: State | None, max_steps: int
+) -> tuple[int, Configuration, StepResult, Violation | None]:
+    """Follow the standard execution with one ``step`` per position until it stops.
+
+    At each position the extended guards are checked against the standard
+    step: the precondition first, then the prediction on the edge the step
+    takes.  The walk stops at ``done``, when stuck, at ``max_steps`` or at
+    the first failed guard.  Returns the position it stopped at, the
+    configuration there, the standard step's outcome there and the failed
+    guard, if any.
+    """
+    config = Configuration.make(program.first, initial_state or {})
+    for checked in count():
+        label = config.label
+        obligations = command_obligations(program, label)
+        current = results[label]
+        outcome = step(program, config)
+        failed = None
+        if missing := obligations.precondition - current:
+            failed = Violation("precondition", label, missing)
+        elif isinstance(outcome, Configuration):
+            if excess := results[outcome.label] - current - obligations.prediction_extra:
+                failed = Violation("prediction", label, excess, next_label=outcome.label)
+        if failed or checked >= max_steps or not isinstance(outcome, Configuration):
+            return checked, config, outcome, failed
+        config = outcome
 
 
 def check_preservation(
@@ -188,34 +152,21 @@ def check_preservation(
     initial_state: State | None = None,
     max_steps: int = 10_000,
 ) -> CheckReport:
-    """Replay the extended execution; every ok step must project onto a standard step.
+    """Replay the extended execution; it must end at ``done`` or stop early within the budget.
 
-    Holds for any results (even wrong ones): extended rules share the
-    standard rules' preconditions over label and state.  A violation outcome
-    simply ends the extended execution early; that cannot break preservation.
+    Holds for any results (even wrong ones): an extended step is the
+    standard step behind two guards, so a failed guard or a stuck step
+    only stops the extended execution, which a note records.
     """
-    config = Configuration.make(program.first, initial_state or {})
-    notes: list[str] = []
-    for checked in count():
-        outcome = ext_step_with_results(program, config, results)
-        if isinstance(outcome, ExtAtDone):
-            notes.append("extended execution complete")
-            break
-        if not isinstance(outcome, ExtOk):
-            notes.append(f"extended execution stopped: {outcome!r}")
-            break
-        if checked >= max_steps:
-            return _truncated("preservation", config, checked, notes)
-        standard = step(program, config)
-        if not isinstance(standard, Configuration) or standard != outcome.next:
-            violation = Violation(
-                kind="projection",
-                label=config.label,
-                detail=f"extended step reached {outcome.next} but standard semantics give {standard!r}",
-            )
-            return CheckReport("preservation", False, checked, violation, tuple(notes))
-        config = outcome.next
-    return CheckReport("preservation", True, checked, None, tuple(notes))
+    checked, config, outcome, failed = _walk(program, results, initial_state, max_steps)
+    if isinstance(outcome, AtDone):
+        return CheckReport("preservation", True, checked, None, ("extended execution complete",))
+    if isinstance(outcome, Stuck) and failed is None:
+        failed = Violation("stuck", config.label, detail=outcome.reason)
+    if failed is None:
+        return _truncated("preservation", config, checked)
+    note = f"extended execution stopped: {failed.describe()}"
+    return CheckReport("preservation", True, checked, None, (note,))
 
 
 def check_progress(
@@ -232,33 +183,11 @@ def check_progress(
     execution that gets stuck has no step to follow, so the check fails with
     a ``stuck`` violation at that label.
     """
-    config = Configuration.make(program.first, initial_state or {})
-    notes: list[str] = []
-    for checked in count():
-        standard = step(program, config)
-        if isinstance(standard, AtDone):
-            notes.append("standard execution complete")
-            break
-        if isinstance(standard, Stuck):
-            violation = Violation("stuck", config.label, detail=standard.reason)
-            return CheckReport("progress", False, checked, violation, tuple(notes))
-        if checked >= max_steps:
-            return _truncated("progress", config, checked, notes)
-        outcome = ext_step_with_results(program, config, results)
-        if isinstance(outcome, PreconditionViolation):
-            violation = Violation("precondition", outcome.label, outcome.missing)
-            return CheckReport("progress", False, checked, violation, tuple(notes))
-        if isinstance(outcome, PredictionViolation):
-            violation = Violation(
-                "prediction", outcome.label, outcome.excess, next_label=outcome.next_label
-            )
-            return CheckReport("progress", False, checked, violation, tuple(notes))
-        if not isinstance(outcome, ExtOk) or outcome.next != standard:
-            violation = Violation(
-                kind="projection",
-                label=config.label,
-                detail=f"extended semantics produced {outcome!r} for standard step to {standard}",
-            )
-            return CheckReport("progress", False, checked, violation, tuple(notes))
-        config = standard
-    return CheckReport("progress", True, checked, None, tuple(notes))
+    checked, config, outcome, failed = _walk(program, results, initial_state, max_steps)
+    if isinstance(outcome, AtDone):
+        return CheckReport("progress", True, checked, None, ("standard execution complete",))
+    if isinstance(outcome, Stuck):
+        failed = Violation("stuck", config.label, detail=outcome.reason)
+    elif checked >= max_steps:
+        return _truncated("progress", config, checked)
+    return CheckReport("progress", False, checked, failed)

@@ -29,7 +29,7 @@ from prophecy.core_lang import (
     parse_program,
 )
 from prophecy.engine import (
-    analyze_all_paths,
+    analyze_all_paths_with_stats,
     analyze_concrete,
     live_variables_oracle,
     reachable_labels,
@@ -78,7 +78,7 @@ def test_criterion_1_oracle_equivalence():
     for program in programs:
         assert len(program.commands) <= 25
         assert len(program.variables()) <= 6
-        computed = analyze_all_paths(program)
+        computed = analyze_all_paths_with_stats(program)[0]
         oracle = live_variables_oracle(program)
         for label in reachable_labels(program):
             assert computed[label] == oracle[label], (label, computed[label], oracle[label])
@@ -240,7 +240,7 @@ def test_criterion_3_leastness():
 
     joint_checked = 0
     for index, program in enumerate(family):
-        computed = analyze_all_paths(program)
+        computed = analyze_all_paths_with_stats(program)[0]
         reachable = reachable_labels(program)
         for label in program.labels:
             if label not in reachable:

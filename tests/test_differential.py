@@ -6,10 +6,11 @@
   ``Stuck`` reasons are compared, and may hold values near 2**63, so
   64-bit wrap-around is compared).
 * ``analyze_concrete`` resumes each rerun at the step where the previous
-  run aborted.  It is compared with ``analyze_afresh``, which calls
-  ``execute_once`` to run every rerun from the first step, in default and
-  ``strict_paper`` mode, including programs that get stuck and budgets that
-  run out.
+  run aborted, and records each edge once.  It is compared with
+  ``analyze_afresh``, which calls ``execute_once`` to run every rerun from
+  the first step, recording and checking every traversed edge, in default
+  and ``strict_paper`` mode, including programs that get stuck and budgets
+  that run out.
 * ``analyze_all_paths_with_stats`` resumes each sweep at the label where
   the previous sweep aborted.  It is compared with ``all_paths_afresh``,
   which walks the control-flow graph from the entry on every sweep, on
@@ -17,6 +18,8 @@
 """
 
 import random
+from dataclasses import dataclass
+from typing import Union
 
 import pytest
 from hypothesis import given, settings
@@ -46,17 +49,19 @@ from prophecy.core_lang import (
     eval_expr,
     step,
 )
+from prophecy.core_lang import parse_program
 from prophecy.engine import (
     AnalysisError,
     ConstraintSet,
     Misprediction,
     PredictionConstraint,
+    ProgramStuckError,
+    Recording,
     RunStats,
     StepBudgetExceeded,
     analyze_all_paths_with_stats,
     analyze_concrete,
     empty_results,
-    execute_once,
     reachable_labels,
     solve,
 )
@@ -163,6 +168,115 @@ def test_foreign_label_is_unknown():
     program = random_program(random.Random(0))
     with pytest.raises(UnknownLabelError):
         step(program, Configuration.make("nowhere", {}))
+
+
+@dataclass(frozen=True)
+class Completed:
+    reached_done: bool
+    steps: int
+
+
+ExecutionOutcome = Union[Completed, Misprediction]
+
+
+def execute_once(
+    program, initial_state, results, constraints, max_steps=10_000, *, repair_constraints=True
+) -> ExecutionOutcome:
+    """One forward run from the first step, checking preconditions and collecting constraints.
+
+    Returns Misprediction as soon as a repair happened (the caller reruns);
+    Completed(reached_done=False) when the step budget ran out violation-free.
+    Standard stuckness is a program error, not a misprediction.  Every
+    traversed edge is recorded and, unless ``repair_constraints`` is off,
+    checked, however often the run has traversed it before.
+    """
+    recording = Recording.start(program, initial_state)
+    labels = recording.labels
+    position = 0
+    while position <= max_steps and position < len(labels):
+        label = labels[position]
+        obligations = command_obligations(program, label)
+        missing = obligations.precondition - results[label]
+        if missing:
+            results[label] |= missing
+            solve(label, results, constraints)
+            return Misprediction(label, "precondition")
+        extra = obligations.prediction_extra
+        for successor in recording.successors(position):
+            constraints.add(PredictionConstraint(successor, label, extra))
+            if repair_constraints and (excess := results[successor] - extra - results[label]):
+                results[label] |= excess
+                solve(label, results, constraints)
+                return Misprediction(label, "constraint", edge=(label, successor))
+        position += 1
+    if position == len(labels):
+        return Completed(reached_done=True, steps=position - 1)
+    return Completed(reached_done=False, steps=max_steps)
+
+
+STRAIGHT = "l0: x := 1\nl1: y := x\nl2: halt\nl3: done"
+
+LOOP = """
+l0: x := 10
+l1: if x <= 0 then l4
+l2: x := x - 1
+l3: goto l1
+l4: halt
+l5: done
+"""
+
+
+class TestExecuteOnce:
+    def test_first_run_mispredicts_at_read(self):
+        program = parse_program(STRAIGHT)
+        results = empty_results(program)
+        constraints = ConstraintSet()
+        outcome = execute_once(program, {}, results, constraints)
+        assert outcome == Misprediction("l1", "precondition")
+        assert results["l1"] == {"x"}
+
+    def test_second_run_completes_and_collects_constraints(self):
+        program = parse_program(STRAIGHT)
+        results = empty_results(program)
+        constraints = ConstraintSet()
+        execute_once(program, {}, results, constraints)
+        outcome = execute_once(program, {}, results, constraints)
+        assert isinstance(outcome, Completed) and outcome.reached_done
+        assert set(constraints) == {
+            PredictionConstraint("l1", "l0", frozenset({"x"})),
+            PredictionConstraint("l2", "l1", frozenset({"y"})),
+            PredictionConstraint("l3", "l2", frozenset()),
+        }
+
+    def test_read_free_program_completes_first_run(self):
+        program = parse_program("l0: x := 1\nl1: skip\nl2: halt\nl3: done")
+        outcome = execute_once(program, {}, empty_results(program), ConstraintSet())
+        assert isinstance(outcome, Completed) and outcome.reached_done
+
+    def test_stuck_program_is_an_error_not_a_misprediction(self):
+        program = parse_program("l0: y := x\nl1: halt\nl2: done")
+        results = empty_results(program)
+        constraints = ConstraintSet()
+        # first run repairs the precondition at l0
+        assert execute_once(program, {}, results, constraints) == Misprediction(
+            "l0", "precondition"
+        )
+        with pytest.raises(ProgramStuckError):
+            execute_once(program, {}, results, constraints)
+
+    def test_results_only_grow_across_runs(self):
+        program = parse_program(LOOP)
+        results = empty_results(program)
+        constraints = ConstraintSet()
+        snapshots = [dict(results)]
+        while True:
+            outcome = execute_once(program, {}, results, constraints)
+            snapshots.append(dict(results))
+            if isinstance(outcome, Completed):
+                break
+        for before, after in zip(snapshots, snapshots[1:]):
+            for label in program.labels:
+                assert before[label] <= after[label]
 
 
 def analyze_afresh(program, initial_state, max_steps, strict_paper):

@@ -3,18 +3,12 @@ import pytest
 from prophecy import engine
 from prophecy.core_lang import command_obligations, parse_program, run_trace
 from prophecy.engine import (
-    Completed,
     ConstraintSet,
-    Misprediction,
     PredictionConstraint,
-    ProgramStuckError,
     RunStats,
     StepBudgetExceeded,
-    analyze_all_paths,
     analyze_all_paths_with_stats,
     analyze_concrete,
-    empty_results,
-    execute_once,
     live_variables_oracle,
     reachable_labels,
     solve,
@@ -65,45 +59,6 @@ class TestSolve:
         solve("l2", results, constraints)
         assert results["l1"] == {"x"}
         assert results["l0"] == {"x"}
-
-
-class TestExecuteOnce:
-    def test_first_run_mispredicts_at_read(self):
-        program = parse_program(STRAIGHT)
-        results = empty_results(program)
-        constraints = ConstraintSet()
-        outcome = execute_once(program, {}, results, constraints)
-        assert outcome == Misprediction("l1", "precondition")
-        assert results["l1"] == {"x"}
-
-    def test_second_run_completes_and_collects_constraints(self):
-        program = parse_program(STRAIGHT)
-        results = empty_results(program)
-        constraints = ConstraintSet()
-        execute_once(program, {}, results, constraints)
-        outcome = execute_once(program, {}, results, constraints)
-        assert isinstance(outcome, Completed) and outcome.reached_done
-        assert set(constraints) == {
-            PredictionConstraint("l1", "l0", frozenset({"x"})),
-            PredictionConstraint("l2", "l1", frozenset({"y"})),
-            PredictionConstraint("l3", "l2", frozenset()),
-        }
-
-    def test_read_free_program_completes_first_run(self):
-        program = parse_program("l0: x := 1\nl1: skip\nl2: halt\nl3: done")
-        outcome = execute_once(program, {}, empty_results(program), ConstraintSet())
-        assert isinstance(outcome, Completed) and outcome.reached_done
-
-    def test_stuck_program_is_an_error_not_a_misprediction(self):
-        program = parse_program("l0: y := x\nl1: halt\nl2: done")
-        results = empty_results(program)
-        constraints = ConstraintSet()
-        # first run repairs the precondition at l0
-        assert execute_once(program, {}, results, constraints) == Misprediction(
-            "l0", "precondition"
-        )
-        with pytest.raises(ProgramStuckError):
-            execute_once(program, {}, results, constraints)
 
 
 class TestAnalyzeConcrete:
@@ -164,25 +119,11 @@ class TestAnalyzeConcrete:
         second = analyze_concrete(program)
         assert first == second
 
-    def test_results_only_grow_across_runs(self):
-        program = parse_program(LOOP)
-        results = empty_results(program)
-        constraints = ConstraintSet()
-        snapshots = [dict(results)]
-        while True:
-            outcome = execute_once(program, {}, results, constraints)
-            snapshots.append(dict(results))
-            if isinstance(outcome, Completed):
-                break
-        for before, after in zip(snapshots, snapshots[1:]):
-            for label in program.labels:
-                assert before[label] <= after[label]
-
 
 class TestAllPaths:
     def test_branch_program(self):
         program = parse_program(BRANCH)
-        results = analyze_all_paths(program)
+        results = analyze_all_paths_with_stats(program)[0]
         assert results == {
             "l0": frozenset({"x", "y", "w"}),
             "l1": frozenset({"y"}),
@@ -195,13 +136,13 @@ class TestAllPaths:
     def test_straight_line_matches_concrete(self):
         program = parse_program(STRAIGHT)
         concrete, _ = analyze_concrete(program)
-        assert analyze_all_paths(program) == concrete
+        assert analyze_all_paths_with_stats(program)[0] == concrete
 
     def test_unreachable_label_stays_empty(self):
         program = parse_program(
             "l0: goto l2\nl1: q := r\nl2: halt\nl3: done"
         )
-        results = analyze_all_paths(program)
+        results = analyze_all_paths_with_stats(program)[0]
         assert results["l1"] == frozenset()
         assert "l1" not in reachable_labels(program)
 
@@ -209,7 +150,7 @@ class TestAllPaths:
         for text in (LOOP, BRANCH, STRAIGHT):
             program = parse_program(text)
             oracle = live_variables_oracle(program)
-            computed = analyze_all_paths(program)
+            computed = analyze_all_paths_with_stats(program)[0]
             for label in reachable_labels(program):
                 assert computed[label] == oracle[label], label
 
@@ -223,7 +164,8 @@ class TestCheckCost:
     """Each run resumes where the previous one aborted, so checks grow linearly.
 
     Every position is checked once, and each rerun re-checks only the
-    position that aborted the run before it.
+    position that aborted the run before it.  Each edge's constraint is
+    built once, however often a loop traverses the edge.
     """
 
     @staticmethod
@@ -246,16 +188,33 @@ class TestCheckCost:
         assert stats.runs >= 198
         assert lookups <= len(program.labels) + 2 * stats.runs
 
-    def test_concrete_counting_loop(self, monkeypatch):
+    @staticmethod
+    def _counting_loop():
         names = [f"a{j}" for j in range(8)]
         lines = ["i := 50"] + [f"{a} := 0" for a in names] + ["if i <= 0 then l{end}"]
         lines += [f"{a} := {a} + {b}" for a, b in zip(names, names[1:] + ["i"])]
         lines += ["i := i - 1", "goto l9", "t := " + " + ".join(names), "halt", "done"]
         text = "\n".join(f"l{k}: {line}" for k, line in enumerate(lines))
-        program = parse_program(text.format(end=len(lines) - 3))
+        return parse_program(text.format(end=len(lines) - 3))
+
+    def test_concrete_counting_loop(self, monkeypatch):
+        program = self._counting_loop()
         lookups, stats = self._lookups(monkeypatch, analyze_concrete, program)
         assert stats.runs >= 10
         assert lookups <= len(run_trace(program)) + 2 * stats.runs
+
+    def test_concrete_counting_loop_builds_each_edge_once(self, monkeypatch):
+        program = self._counting_loop()
+        built = []
+
+        def counting(successor, predecessor, extra):
+            built.append((predecessor, successor))
+            return PredictionConstraint(successor, predecessor, extra)
+
+        monkeypatch.setattr(engine, "PredictionConstraint", counting)
+        analyze_concrete(program)
+        labels = [config.label for config in run_trace(program).configurations]
+        assert len(built) == len(set(built)) <= len(set(zip(labels, labels[1:])))
 
 
 class TestOracle:
@@ -267,7 +226,7 @@ class TestOracle:
 
     def test_branch_program(self):
         program = parse_program(BRANCH)
-        assert live_variables_oracle(program) == analyze_all_paths(program)
+        assert live_variables_oracle(program) == analyze_all_paths_with_stats(program)[0]
 
     def test_empty_read_program(self):
         program = parse_program("l0: x := 1\nl1: skip\nl2: halt\nl3: done")

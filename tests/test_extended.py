@@ -1,18 +1,33 @@
-import pytest
+"""The prophecy-extended semantics and its checkers.
 
-from prophecy.core_lang import Configuration, parse_program, run_trace
-from prophecy.engine import analyze_concrete, live_variables_oracle
+``check_preservation`` and ``check_progress`` share one walk that
+evaluates each standard step once.  The two checkers it replaced, which
+each built an extended step with ``ext_step_with_results`` and compared it
+with a second ``step``, are kept here as the reference: ``TestExtStep`` and
+``TestMonotonicity`` test the reference extended step, and a hypothesis
+differential test compares the reference reports with the walk's.
+"""
+
+import random
+from dataclasses import dataclass
+from itertools import count
+from typing import Union
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prophecy import extended
+from prophecy.core_lang import AtDone, Configuration, Stuck, parse_program, run_trace, step
+from prophecy.engine import AnalysisError, analyze_concrete, live_variables_oracle
 from prophecy.extended import (
-    ExtAtDone,
-    ExtOk,
-    ExtStuck,
-    PreconditionViolation,
-    PredictionViolation,
+    CheckReport,
+    Violation,
     check_preservation,
     check_progress,
     command_obligations,
-    ext_step_with_results,
 )
+from randprog import VARS, random_program, random_state
 
 LOOP = """
 l0: x := 10
@@ -22,6 +37,139 @@ l3: goto l1
 l4: halt
 l5: done
 """
+
+
+@dataclass(frozen=True)
+class ExtOk:
+    next: Configuration
+
+
+@dataclass(frozen=True)
+class PreconditionViolation:
+    label: str
+    missing: frozenset
+
+
+@dataclass(frozen=True)
+class PredictionViolation:
+    label: str
+    next_label: str
+    excess: frozenset
+
+
+@dataclass(frozen=True)
+class ExtStuck:
+    reason: str
+
+
+@dataclass(frozen=True)
+class ExtAtDone:
+    pass
+
+
+ExtStepOutcome = Union[ExtOk, PreconditionViolation, PredictionViolation, ExtStuck, ExtAtDone]
+
+
+def ext_step_with_results(program, config, results) -> ExtStepOutcome:
+    """One extended step with predictions taken from analysis results.
+
+    The prediction before the step is ``results[config.label]`` and the
+    prediction after comes from the label the standard step reaches.  The
+    step succeeds iff the standard step succeeds, the precondition holds,
+    and the successor's result adds nothing beyond the allowed extra.
+    """
+    label = config.label
+    obligations = command_obligations(program, label)
+    current = results[label]
+    missing = obligations.precondition - current
+    if missing:
+        return PreconditionViolation(label, missing)
+    outcome = step(program, config)
+    if isinstance(outcome, AtDone):
+        return ExtAtDone()
+    if isinstance(outcome, Stuck):
+        return ExtStuck(outcome.reason)
+    nxt = outcome.label
+    excess = results[nxt] - (current | obligations.prediction_extra)
+    if excess:
+        return PredictionViolation(label, nxt, excess)
+    return ExtOk(outcome)
+
+
+def _stopped_note(outcome, label) -> str:
+    """The note for an extended execution that stopped early, in the checkers' wording."""
+    if isinstance(outcome, PreconditionViolation):
+        violation = Violation("precondition", outcome.label, outcome.missing)
+    elif isinstance(outcome, PredictionViolation):
+        violation = Violation("prediction", outcome.label, outcome.excess, outcome.next_label)
+    else:
+        violation = Violation("stuck", label, detail=outcome.reason)
+    return f"extended execution stopped: {violation.describe()}"
+
+
+def _truncated(check, config, checked, notes):
+    violation = Violation("truncated", config.label, detail=f"no done within {checked} steps")
+    return CheckReport(check, False, checked, violation, tuple(notes))
+
+
+def reference_preservation(program, results, initial_state=None, max_steps=10_000):
+    """Replay the extended execution; every ok step must project onto a standard step."""
+    config = Configuration.make(program.first, initial_state or {})
+    notes = []
+    for checked in count():
+        outcome = ext_step_with_results(program, config, results)
+        if isinstance(outcome, ExtAtDone):
+            notes.append("extended execution complete")
+            break
+        if not isinstance(outcome, ExtOk):
+            notes.append(_stopped_note(outcome, config.label))
+            break
+        if checked >= max_steps:
+            return _truncated("preservation", config, checked, notes)
+        standard = step(program, config)
+        if not isinstance(standard, Configuration) or standard != outcome.next:
+            violation = Violation(
+                kind="projection",
+                label=config.label,
+                detail=f"extended step reached {outcome.next} but standard semantics give {standard!r}",
+            )
+            return CheckReport("preservation", False, checked, violation, tuple(notes))
+        config = outcome.next
+    return CheckReport("preservation", True, checked, None, tuple(notes))
+
+
+def reference_progress(program, results, initial_state=None, max_steps=10_000):
+    """Along the standard execution, every step must have an extended counterpart."""
+    config = Configuration.make(program.first, initial_state or {})
+    notes = []
+    for checked in count():
+        standard = step(program, config)
+        if isinstance(standard, AtDone):
+            notes.append("standard execution complete")
+            break
+        if isinstance(standard, Stuck):
+            violation = Violation("stuck", config.label, detail=standard.reason)
+            return CheckReport("progress", False, checked, violation, tuple(notes))
+        if checked >= max_steps:
+            return _truncated("progress", config, checked, notes)
+        outcome = ext_step_with_results(program, config, results)
+        if isinstance(outcome, PreconditionViolation):
+            violation = Violation("precondition", outcome.label, outcome.missing)
+            return CheckReport("progress", False, checked, violation, tuple(notes))
+        if isinstance(outcome, PredictionViolation):
+            violation = Violation(
+                "prediction", outcome.label, outcome.excess, next_label=outcome.next_label
+            )
+            return CheckReport("progress", False, checked, violation, tuple(notes))
+        if not isinstance(outcome, ExtOk) or outcome.next != standard:
+            violation = Violation(
+                kind="projection",
+                label=config.label,
+                detail=f"extended semantics produced {outcome!r} for standard step to {standard}",
+            )
+            return CheckReport("progress", False, checked, violation, tuple(notes))
+        config = standard
+    return CheckReport("progress", True, checked, None, tuple(notes))
 
 
 def loop_fixpoint():
@@ -222,3 +370,101 @@ class TestMonotonicity:
         assert record["passed"] is False
         assert record["violation"]["label"] == "l2"
         assert record["violation"]["witness"] == ["x"]
+
+
+TABLES = ("computed", "oracle", "empty", "perturbed")
+
+
+def _table(kind, program, state, rng):
+    """A prediction table: the analysis of this execution, the oracle, all empty, or perturbed.
+
+    An execution that gets stuck or runs past the budget has no computed
+    table; the oracle stands in for it.
+    """
+    if kind == "empty":
+        return {label: frozenset() for label in program.labels}
+    if kind == "oracle":
+        return live_variables_oracle(program)
+    try:
+        computed, _ = analyze_concrete(program, state)
+    except AnalysisError:
+        computed = live_variables_oracle(program)
+    if kind == "perturbed":
+        label = rng.choice(program.labels)
+        computed = {**computed, label: computed[label] ^ {rng.choice(VARS)}}
+    return computed
+
+
+def _case(seed, drop):
+    rng = random.Random(seed)
+    program = random_program(rng)
+    state = random_state(rng, program)
+    if drop and state:
+        del state[rng.choice(sorted(state))]  # likely stuck on the dropped variable
+    return rng, program, state
+
+
+BUDGETS = [0, 1, 2, 3, 4, 5, 6, 10_000]
+
+
+@given(st.integers(0, 2**32), st.sampled_from(TABLES), st.sampled_from(BUDGETS), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_walk_matches_reference_checkers(seed, table, max_steps, drop):
+    rng, program, state = _case(seed, drop)
+    results = _table(table, program, state, rng)
+    args = (program, results, state, max_steps)
+    assert check_preservation(*args) == reference_preservation(*args)
+    assert check_progress(*args) == reference_progress(*args)
+
+
+def test_walk_matches_reference_checkers_on_every_outcome():
+    """A seeded sweep that reaches every verdict, violation kind and note of both checkers."""
+    seen = set()
+    for seed in range(60):
+        for drop in (False, True):
+            rng, program, state = _case(seed, drop)
+            for table in TABLES:
+                results = _table(table, program, state, rng)
+                for max_steps in BUDGETS:
+                    args = (program, results, state, max_steps)
+                    for check, reference in (
+                        (check_preservation, reference_preservation),
+                        (check_progress, reference_progress),
+                    ):
+                        report = check(*args)
+                        assert report == reference(*args)
+                        kind = report.violation.kind if report.violation else None
+                        notes = tuple(note.split(":")[0] for note in report.notes)
+                        seen.add((report.check, report.passed, kind, notes))
+    assert seen >= {
+        ("preservation", True, None, ("extended execution complete",)),
+        ("preservation", True, None, ("extended execution stopped",)),
+        ("preservation", False, "truncated", ()),
+        ("progress", True, None, ("standard execution complete",)),
+        ("progress", False, "precondition", ()),
+        ("progress", False, "prediction", ()),
+        ("progress", False, "stuck", ()),
+        ("progress", False, "truncated", ()),
+    }
+
+
+class TestStepCost:
+    """Each checker evaluates every standard step once, plus the step where it stops."""
+
+    @pytest.mark.parametrize("check", [check_preservation, check_progress])
+    @pytest.mark.parametrize("table", TABLES)
+    def test_one_step_per_position(self, monkeypatch, check, table):
+        calls = []
+
+        def counting(program, config):
+            calls.append(config.label)
+            return step(program, config)
+
+        monkeypatch.setattr(extended, "step", counting)
+        program, results = loop_fixpoint()
+        if table != "computed":
+            results = _table(table, program, {}, random.Random(1))
+        for max_steps in (0, 3, 10_000):
+            calls.clear()
+            report = check(program, results, None, max_steps)
+            assert len(calls) <= report.steps_checked + 1
