@@ -47,9 +47,9 @@ from prophecy.core_lang import (
     Var,
     command_obligations,
     eval_expr,
+    parse_program,
     step,
 )
-from prophecy.core_lang import parse_program
 from prophecy.engine import (
     AnalysisError,
     ConstraintSet,
