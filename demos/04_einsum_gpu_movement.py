@@ -27,8 +27,7 @@ def main():
         print(f"== {strategy} ==")
         print(f"  runs: {stats.runs} (merges: {stats.merges})")
         for event in stats.merge_log:
-            name = program.meta["cell_names"][event.cell_id]
-            print(f"    run {event.run}: {name} {event.old_value} -> {event.new_value}")
+            print(f"    run {event.run}: {event.name} {event.old_value} -> {event.new_value}")
         print(f"  device allocations: {sorted(moves.device_allocations)}")
         print(f"  copied to device:   {sorted(moves.copied_to_device)}")
         print(f"  copied to host:     {sorted(moves.copied_to_host)}")

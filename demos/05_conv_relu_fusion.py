@@ -19,8 +19,7 @@ def main():
     program, stats = build_conv_relu_benchmark(SIZE, FILTER)
     print(f"runs={stats.runs} merges={stats.merges}")
     for event in stats.merge_log:
-        name = program.meta["cell_names"][event.cell_id]
-        print(f"  run {event.run}: {name} {event.old_value} -> {event.new_value}")
+        print(f"  run {event.run}: {event.name} {event.old_value} -> {event.new_value}")
     print()
     print(emit_c(program))
 

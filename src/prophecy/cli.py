@@ -219,10 +219,8 @@ def _print_stage_stats(args: argparse.Namespace, program, stats: StageStats) -> 
     print(f"runs: {stats.runs}")
     print(f"merges: {stats.merges}")
     print(f"derivation: runs = merges + 1 = {stats.merges} + 1 = {stats.merges + 1}")
-    cell_names = program.meta.get("cell_names", {})
     for event in stats.merge_log:
-        name = cell_names.get(event.cell_id, f"cell {event.cell_id}")
-        print(f"  run {event.run}: {name} {event.old_value} -> {event.new_value}")
+        print(f"  run {event.run}: {event.name} {event.old_value} -> {event.new_value}")
     if args.dsl.startswith("einsum"):
         moves = movement_summary(program)
         print(f"device_allocations: {sorted(moves.device_allocations)}")

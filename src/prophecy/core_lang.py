@@ -26,8 +26,10 @@ transition function whose expression is compiled into nested closures.
 ``step``, ``command_obligations`` and the successor queries are lookups in
 that table.  A transition keeps the sorted state tuple of its
 configuration: commands that assign nothing reuse it as it is, and an
-assignment replaces or inserts one binding in place.  ``eval_expr`` stays
-the tree-walking evaluator that also reports the variables it read.
+assignment replaces or inserts one binding in place.
+
+``execution`` is the one loop over ``step`` and the one home of the
+``max_steps`` rule: ``run_trace``, the engine and the checkers all walk it.
 """
 
 from __future__ import annotations
@@ -675,57 +677,6 @@ class Configuration:
         return f"<{self.label}, {{{bindings}}}>"
 
 
-def eval_expr(expr: AExp | BExp, state: State) -> tuple[int | bool, frozenset[str]]:
-    """Evaluate an expression, returning its value and the variables read.
-
-    There is no short-circuiting: every subterm evaluates, so the read set
-    equals expr_vars(expr) whenever evaluation succeeds.  Reading a variable
-    missing from the state raises UndefinedVariableError.
-    """
-    reads: set[str] = set()
-
-    def arith(e: AExp) -> int:
-        match e:
-            case Num(value):
-                return value
-            case Var(name):
-                reads.add(name)
-                if name not in state:
-                    raise UndefinedVariableError(name)
-                return state[name]
-            case ABin(op, left, right):
-                a = arith(left)
-                b = arith(right)
-                if op == "+":
-                    return _wrap64(a + b)
-                if op == "-":
-                    return _wrap64(a - b)
-                return _wrap64(a * b)
-        raise TypeError(f"not an arithmetic expression: {e!r}")
-
-    def boolean(e: BExp) -> bool:
-        match e:
-            case BoolLit(value):
-                return value
-            case Cmp(op, left, right):
-                a = arith(left)
-                b = arith(right)
-                return a == b if op == "=" else a <= b
-            case Not(operand):
-                return not boolean(operand)
-            case BBin(op, left, right):
-                a = boolean(left)
-                b = boolean(right)
-                return (a and b) if op == "and" else (a or b)
-        raise TypeError(f"not a boolean expression: {e!r}")
-
-    if isinstance(expr, (Num, Var, ABin)):
-        value: int | bool = arith(expr)
-    else:
-        value = boolean(expr)
-    return value, frozenset(reads)
-
-
 @dataclass(frozen=True)
 class Stuck:
     """No execution rule applies at the configuration."""
@@ -765,7 +716,7 @@ def step(program: Program, config: Configuration) -> StepResult:
 # over the configuration's sorted state tuple; a variable is found by binary
 # search, and a missing one surfaces as the KeyError of its lookup.  Every
 # operand evaluates, left to right, so the first undefined variable is the
-# one eval_expr names.  The closures carry no annotations: building an
+# one a tree walk names.  The closures carry no annotations: building an
 # annotation dict for each one made compiling an expression about twice as slow.
 
 
@@ -881,20 +832,36 @@ class Trace:
         return len(self.configurations)
 
 
-def run_trace(program: Program, initial_state: State | None = None, max_steps: int = 10_000) -> Trace:
-    """Run from the first label, collecting configurations until done/stuck/bound."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+def execution(
+    program: Program, initial_state: State | None = None, max_steps: int = 10_000
+) -> Iterator[tuple[Configuration, StepResult]]:
+    """The standard execution from the first label, with one ``step`` per position.
+
+    Yields each configuration with the outcome of its step, for positions 0
+    through ``max_steps``, and stops after the first outcome that is not a
+    configuration.  The last outcome says how the run ended: ``AtDone``
+    (complete), ``Stuck``, or a configuration past the budget (truncated).
+    So ``max_steps`` transitions are allowed, and an execution stuck after
+    exactly that many is stuck, not truncated.
+    """
+    if max_steps < 0:
+        raise ValueError("max_steps must be at least 0")
     config = Configuration.make(program.first, initial_state or {})
-    seen = [config]
-    for _ in range(max_steps):
-        result = step(program, config)
-        if isinstance(result, AtDone):
-            return Trace(tuple(seen), TraceKind.COMPLETE)
-        if isinstance(result, Stuck):
-            return Trace(tuple(seen), TraceKind.STUCK, result.reason)
-        config = result
-        seen.append(config)
-    if isinstance(step(program, config), AtDone):
-        return Trace(tuple(seen), TraceKind.COMPLETE)
-    return Trace(tuple(seen), TraceKind.TRUNCATED, f"no done within {max_steps} steps")
+    for _ in range(max_steps + 1):
+        outcome = step(program, config)
+        yield config, outcome
+        if not isinstance(outcome, Configuration):
+            return
+        config = outcome
+
+
+def run_trace(program: Program, initial_state: State | None = None, max_steps: int = 10_000) -> Trace:
+    """The configurations of ``execution`` and how it ended."""
+    configurations: list[Configuration] = []
+    for config, outcome in execution(program, initial_state, max_steps):
+        configurations.append(config)
+    if isinstance(outcome, AtDone):
+        return Trace(tuple(configurations), TraceKind.COMPLETE)
+    if isinstance(outcome, Stuck):
+        return Trace(tuple(configurations), TraceKind.STUCK, outcome.reason)
+    return Trace(tuple(configurations), TraceKind.TRUNCATED, f"no done within {max_steps} steps")

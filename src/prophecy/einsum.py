@@ -115,8 +115,9 @@ class Tensor:
         self.sizes = tuple(int(s) for s in sizes)
         self.external = buffer is not None
         ctx = session.ctx
-        self.needs_gpu: ProphecyCell = ctx.prophecy_cell(TRUE_TOP, TrueTopLattice.F)
-        session.cell_names[self.needs_gpu.cell_id] = f"needs_gpu[{name}]"
+        self.needs_gpu: ProphecyCell = ctx.prophecy_cell(
+            TRUE_TOP, TrueTopLattice.F, name=f"needs_gpu[{name}]"
+        )
         self.gpu_written = HistoryVar(ctx, False)
         self.gpu_read: ProphecyCell | None = None
         if buffer is not None:
@@ -346,7 +347,6 @@ class EinsumSession:
         self.max_bid = max_bid
         self.max_tid = max_tid
         self.tensors: list[Tensor] = []
-        self.cell_names: dict[int, str] = {}
         self.on_gpu = False
         self.bid: StagedExpr | None = None
         self.tid: StagedExpr | None = None
@@ -404,8 +404,9 @@ class EinsumSession:
                     tensor.total_size * _ELEM_BYTES,
                 )
             elif self.strategy == "prophecy":
-                tensor.gpu_read = ctx.prophecy_cell(TRUE_TOP, TrueTopLattice.F)
-                self.cell_names[tensor.gpu_read.cell_id] = f"gpu_read[{tensor.name}]"
+                tensor.gpu_read = ctx.prophecy_cell(
+                    TRUE_TOP, TrueTopLattice.F, name=f"gpu_read[{tensor.name}]"
+                )
                 tensor.gpu_written.set(False)
                 if tensor.gpu_read.get() == TrueTopLattice.T:
                     ctx.runtime(
@@ -641,7 +642,6 @@ def _record_meta(session: EinsumSession) -> None:
         "tensors": tensors,
         "strategy": session.strategy,
         "grid": [session.max_bid, session.max_tid],
-        "cell_names": dict(session.cell_names),
     }
 
 

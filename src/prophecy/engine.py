@@ -17,16 +17,16 @@ forces, the fixpoint is the least one consistent with everything the
 executions encountered.
 
 The standard semantics never read predictions, so every rerun of one
-analysis follows the same execution.  ``analyze_concrete`` therefore keeps a
-``Recording`` of the labels its runs have evaluated and calls ``step`` only
-past its end.  A rerun also resumes its checks at the step where the
-previous run aborted: results only grow, and ``solve`` re-establishes every
-recorded constraint whenever one grows, so no earlier check can fire again.
-The analysis costs one evaluated trace, plus one check per step, plus the
-repairs; run, misprediction and repair counts are those of running every
-run from the start.  ``analyze_all_paths_with_stats`` resumes its sweeps
-the same way along one depth-first order of the control-flow graph, so it
-costs one sweep order, plus one check per reachable label, plus the repairs.
+analysis follows the same execution.  ``analyze_concrete`` collects its
+labels from ``core_lang.execution`` once, before the first run, and each
+rerun resumes its checks at the position where the previous run aborted:
+results only grow, and ``solve`` re-establishes every recorded constraint
+whenever one grows, so no earlier check can fire again.  The analysis
+costs one evaluated trace, plus one check per position, plus the repairs;
+run, misprediction and repair counts are those of running every run from
+the start.  ``analyze_all_paths_with_stats`` resumes its sweeps the same
+way along one depth-first order of the control-flow graph, so it costs
+one sweep order, plus one check per reachable label, plus the repairs.
 
 One deliberate deviation from the literal pseudocode this follows: a
 prediction constraint that is already violated when recorded (a loop back
@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core_lang import (
-    AtDone,
     Configuration,
     Label,
     Program,
@@ -57,7 +56,7 @@ from .core_lang import (
     Stuck,
     VarSet,
     command_obligations,
-    step,
+    execution,
 )
 
 
@@ -164,43 +163,10 @@ def empty_results(program: Program) -> dict[Label, VarSet]:
     return {label: frozenset() for label in program.labels}
 
 
-@dataclass
-class Recording:
-    """The standard execution of one program from one initial state, evaluated so far.
-
-    ``labels[k]`` is the label after k transitions and ``config`` is the
-    configuration at ``labels[-1]``.  Standard steps never read predictions,
-    so every rerun follows the same labels and can reuse this prefix.
-    """
-
-    program: Program
-    labels: list[Label]
-    config: Configuration
-
-    @classmethod
-    def start(cls, program: Program, initial_state: State | None) -> "Recording":
-        config = Configuration.make(program.first, initial_state or {})
-        return cls(program, [config.label], config)
-
-    def successors(self, position: int) -> tuple[Label, ...]:
-        """The label after ``labels[position]``; ``step`` runs only past the recorded end."""
-        if position + 1 < len(self.labels):
-            return (self.labels[position + 1],)
-        outcome = step(self.program, self.config)
-        if isinstance(outcome, AtDone):
-            return ()
-        if isinstance(outcome, Stuck):
-            raise ProgramStuckError(self.labels[position], outcome.reason)
-        self.labels.append(outcome.label)
-        self.config = outcome
-        return (outcome.label,)
-
-
 def _check_from(
     program: Program,
     labels: list[Label],
     successors: Callable[[int], tuple[Label, ...]],
-    stop: int,
     cursor: int,
     results: dict[Label, VarSet],
     constraints: ConstraintSet,
@@ -209,11 +175,10 @@ def _check_from(
     """Check positions from ``cursor`` until a repair aborts the run or the walk ends.
 
     Position k forces the reads of ``labels[k]`` into its result, then
-    records the prediction constraint of each edge to ``successors(k)``,
-    which may extend ``labels``.  Unless ``repair_constraints`` is off, a
-    constraint already violated is repaired on the spot.  Any repair aborts
-    the run.  The walk ends at ``stop`` or past the last label.  Returns
-    the position where it stopped and the misprediction, if any.
+    records the prediction constraint of each edge to ``successors(k)``.
+    Unless ``repair_constraints`` is off, a constraint already violated is
+    repaired on the spot.  Any repair aborts the run.  Returns the position
+    where the walk stopped and the misprediction, if any.
 
     An edge already recorded is skipped: its constraint holds from then on.
     By default it was repaired when first recorded, and ``solve`` keeps it
@@ -221,7 +186,7 @@ def _check_from(
     checked.  So a loop records each of its edges once, not once per
     iteration.
     """
-    while cursor < stop and cursor < len(labels):
+    while cursor < len(labels):
         label = labels[cursor]
         obligations = command_obligations(program, label)
         missing = obligations.precondition - results[label]
@@ -246,7 +211,6 @@ def _rerun(
     program: Program,
     labels: list[Label],
     successors: Callable[[int], tuple[Label, ...]],
-    stop: int,
     *,
     repair_constraints: bool = True,
 ) -> tuple[dict[Label, VarSet], RunStats]:
@@ -269,7 +233,7 @@ def _rerun(
     cursor = 0
     for runs in range(1, run_ceiling + 1):
         cursor, outcome = _check_from(
-            program, labels, successors, stop, cursor, results, constraints, repair_constraints
+            program, labels, successors, cursor, results, constraints, repair_constraints
         )
         if outcome is None:
             return results, RunStats(runs, repairs["precondition"], repairs["constraint"])
@@ -293,18 +257,20 @@ def analyze_concrete(
     disabled, so results may leave a late-recorded edge constraint
     unsatisfied.
 
-    The runs share one ``Recording``: the standard execution is evaluated
-    once, and each rerun resumes at the step where the previous run aborted.
-    Steps before it still count toward ``max_steps``.
+    The standard execution is evaluated once, before the first run, and
+    each rerun resumes at the position where the previous run aborted.  An
+    execution that gets stuck or runs past ``max_steps`` is not analyzed.
     """
-    recording = Recording.start(program, initial_state)
-    analysis = _rerun(
-        program, recording.labels, recording.successors, max_steps + 1,
-        repair_constraints=not strict_paper,
-    )
-    if len(recording.labels) > max_steps + 1:  # a label past the budget was reached
+    labels: list[Label] = []
+    for config, outcome in execution(program, initial_state, max_steps):
+        labels.append(config.label)
+    if isinstance(outcome, Stuck):
+        raise ProgramStuckError(labels[-1], outcome.reason)
+    if isinstance(outcome, Configuration):
         raise StepBudgetExceeded(max_steps)
-    return analysis
+    return _rerun(
+        program, labels, lambda k: labels[k + 1 : k + 2], repair_constraints=not strict_paper
+    )
 
 
 def _sweep_order(program: Program) -> list[Label]:
@@ -335,7 +301,7 @@ def analyze_all_paths_with_stats(program: Program) -> tuple[dict[Label, VarSet],
     at that label.
     """
     order = _sweep_order(program)
-    return _rerun(program, order, lambda k: program.ordered_successors(order[k]), len(order))
+    return _rerun(program, order, lambda k: program.ordered_successors(order[k]))
 
 
 def live_variables_oracle(program: Program) -> dict[Label, VarSet]:

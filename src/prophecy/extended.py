@@ -25,11 +25,11 @@ Progress (the results let the extended semantics follow every standard
 step) is what the results must earn.  When both hold, standard and extended
 configurations simulate each other along the checked execution.
 
-Both checkers run one walk along the standard execution that evaluates
-each standard step once and checks both guards against it.  A check whose
-step budget runs out before ``done`` does not pass: it reports a
-``truncated`` violation at the label where it stopped, by the rule
-``run_trace`` uses for a complete trace.  Progress also fails with a
+Both checkers walk ``core_lang.execution``, which evaluates each standard
+step once under the ``max_steps`` rule ``run_trace`` and the engine share,
+and check both guards against each step.  A check whose execution runs
+past the budget does not pass: it reports a ``truncated`` violation at
+the label where it stopped.  Progress also fails with a
 ``stuck`` violation when the standard execution gets stuck (an undefined
 variable): there is no step for the results to follow, and the analyzed
 execution did not run to ``done``.  Preservation passes there, noting
@@ -39,7 +39,6 @@ where the extended execution stopped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Mapping
 
 from .core_lang import (
@@ -53,7 +52,7 @@ from .core_lang import (
     Stuck,
     VarSet,
     command_obligations,
-    step,
+    execution,
 )
 
 AnalysisResults = Mapping[Label, VarSet]
@@ -120,30 +119,25 @@ def _truncated(check: str, config: Configuration, checked: int) -> CheckReport:
 def _walk(
     program: Program, results: AnalysisResults, initial_state: State | None, max_steps: int
 ) -> tuple[int, Configuration, StepResult, Violation | None]:
-    """Follow the standard execution with one ``step`` per position until it stops.
+    """Check the extended guards along ``execution`` until a guard fails or it stops.
 
-    At each position the extended guards are checked against the standard
-    step: the precondition first, then the prediction on the edge the step
-    takes.  The walk stops at ``done``, when stuck, at ``max_steps`` or at
-    the first failed guard.  Returns the position it stopped at, the
-    configuration there, the standard step's outcome there and the failed
-    guard, if any.
+    The precondition is checked first, then the prediction on the edge the
+    standard step takes.  Returns the position, configuration and step
+    outcome where the walk stopped, and the failed guard, if any.
     """
-    config = Configuration.make(program.first, initial_state or {})
-    for checked in count():
+    failed = None
+    for checked, (config, outcome) in enumerate(execution(program, initial_state, max_steps)):
         label = config.label
         obligations = command_obligations(program, label)
         current = results[label]
-        outcome = step(program, config)
-        failed = None
         if missing := obligations.precondition - current:
             failed = Violation("precondition", label, missing)
-        elif isinstance(outcome, Configuration):
+            break
+        if isinstance(outcome, Configuration):
             if excess := results[outcome.label] - current - obligations.prediction_extra:
                 failed = Violation("prediction", label, excess, next_label=outcome.label)
-        if failed or checked >= max_steps or not isinstance(outcome, Configuration):
-            return checked, config, outcome, failed
-        config = outcome
+                break
+    return checked, config, outcome, failed
 
 
 def check_preservation(

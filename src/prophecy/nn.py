@@ -129,7 +129,6 @@ class NnSession:
     def __init__(self, ctx: StageContext, *, fusion: bool = True):
         self.ctx = ctx
         self.fusion = fusion
-        self.cell_names: dict[int, str] = {}
         self._conv_count = 0
 
     def tensor(self, size: int, buffer: StagedExpr | None = None) -> MLTensor:
@@ -153,8 +152,9 @@ class NnSession:
         conv_name = f"conv{self._conv_count}"
         self._conv_count += 1
         if self.fusion:
-            output.is_next_relu = ctx.prophecy_cell(FALSE_TOP, FALSE_TOP_UNSPECIFIED)
-            self.cell_names[output.is_next_relu.cell_id] = f"is_next_relu[{conv_name}]"
+            output.is_next_relu = ctx.prophecy_cell(
+                FALSE_TOP, FALSE_TOP_UNSPECIFIED, name=f"is_next_relu[{conv_name}]"
+            )
 
         def body(i: StagedExpr) -> None:
             acc = ctx.declare("float", 0.0)
@@ -235,6 +235,5 @@ def build_conv_relu_benchmark(
         conv_out2 = session.convolve(input, filt)
         out2 = session.relu(conv_out2, 1.56)
         ctx.runtime("runtime::memcpy", part2_out, out2.buffer, size * _ELEM_BYTES)
-        ctx.program_meta = {"cell_names": dict(session.cell_names)}
 
     return run_staged(generate, name="conv_relu")

@@ -108,6 +108,7 @@ class _CellState:
 class MergeEvent:
     run: int
     cell_id: int
+    name: str
     old_value: Any
     new_value: Any
     required: Any
@@ -124,10 +125,11 @@ class ProphecyStore:
 class ProphecyCell:
     """Handle to one stored cell, valid for the run that created it."""
 
-    __slots__ = ("cell_id", "lattice", "_ctx")
+    __slots__ = ("cell_id", "name", "lattice", "_ctx")
 
-    def __init__(self, cell_id: int, lattice: LatticeSpec, ctx: "StageContext"):
+    def __init__(self, cell_id: int, name: str, lattice: LatticeSpec, ctx: "StageContext"):
         self.cell_id = cell_id
+        self.name = name
         self.lattice = lattice
         self._ctx = ctx
 
@@ -255,7 +257,13 @@ class StageContext:
 
     # -- prophecy cells ----------------------------------------------------
 
-    def prophecy_cell(self, lattice: LatticeSpec, initial: Any) -> ProphecyCell:
+    def prophecy_cell(
+        self, lattice: LatticeSpec, initial: Any, name: str | None = None
+    ) -> ProphecyCell:
+        """A handle to the next cell in creation order.
+
+        ``name`` labels the cell's merges in the log; it defaults to ``cell <id>``.
+        """
         cell_id = self._next_cell_id
         self._next_cell_id += 1
         if cell_id < len(self._store.cells):
@@ -272,7 +280,7 @@ class StageContext:
                 )
         else:
             self._store.cells.append(_CellState(lattice, initial, initial))
-        cell = ProphecyCell(cell_id, lattice, self)
+        cell = ProphecyCell(cell_id, name or f"cell {cell_id}", lattice, self)
         self._active_cells[cell_id] = cell
         return cell
 
@@ -313,7 +321,7 @@ class StageContext:
             )
         state.value = merged
         self._store.merge_log.append(
-            MergeEvent(self._run_index, cell.cell_id, current, merged, required)
+            MergeEvent(self._run_index, cell.cell_id, cell.name, current, merged, required)
         )
         raise MispredictionSignal(cell.cell_id, current, required, merged)
 

@@ -28,7 +28,6 @@ from prophecy.core_lang import (
     TraceKind,
     UndefinedVariableError,
     Var,
-    eval_expr,
     expr_vars,
     parse_program,
     print_program,
@@ -36,6 +35,7 @@ from prophecy.core_lang import (
     step,
 )
 from randprog import random_program
+from test_differential import eval_expr
 
 MINIMAL = "l0: x := 1\nl1: halt\nl2: done"
 
@@ -129,6 +129,8 @@ class TestStructure:
 
 
 class TestEval:
+    """The tree evaluator that the differential tests' ``reference_step`` is built on."""
+
     def test_arithmetic(self):
         value, reads = eval_expr(ABin("+", Var("x"), Num(2)), {"x": 3})
         assert value == 5

@@ -1,16 +1,18 @@
 """Differential tests: each fast path against the path it replaced.
 
 * ``core_lang.step`` runs each label's compiled transition.  It is compared
-  with ``reference_step``, the tree-walking rules built on ``eval_expr``,
+  with ``reference_step``, the tree-walking rules built on ``eval_expr``
+  (the tree evaluator, which also reports the variables it read),
   step by step along random executions (states may lack variables, so
   ``Stuck`` reasons are compared, and may hold values near 2**63, so
   64-bit wrap-around is compared).
-* ``analyze_concrete`` resumes each rerun at the step where the previous
-  run aborted, and records each edge once.  It is compared with
+* ``analyze_concrete`` evaluates the standard execution once, before the
+  first run, resumes each rerun at the position where the previous run
+  aborted, and records each edge once.  It is compared with
   ``analyze_afresh``, which calls ``execute_once`` to run every rerun from
-  the first step, recording and checking every traversed edge, in default
-  and ``strict_paper`` mode, including programs that get stuck and budgets
-  that run out.
+  the first step over a lazily evaluated ``Recording``, recording and
+  checking every traversed edge, in default and ``strict_paper`` mode,
+  including programs that get stuck and budgets that run out.
 * ``analyze_all_paths_with_stats`` resumes each sweep at the label where
   the previous sweep aborted.  It is compared with ``all_paths_afresh``,
   which walks the control-flow graph from the entry on every sweep, on
@@ -46,7 +48,6 @@ from prophecy.core_lang import (
     UnknownLabelError,
     Var,
     command_obligations,
-    eval_expr,
     parse_program,
     step,
 )
@@ -56,7 +57,6 @@ from prophecy.engine import (
     Misprediction,
     PredictionConstraint,
     ProgramStuckError,
-    Recording,
     RunStats,
     StepBudgetExceeded,
     analyze_all_paths_with_stats,
@@ -73,6 +73,58 @@ from randprog import (
     random_state,
     terminating_sample,
 )
+
+
+def _wrap64(value):
+    return (value + 2**63) % 2**64 - 2**63
+
+
+def eval_expr(expr, state):
+    """Evaluate an expression over its syntax tree, returning its value and the variables read.
+
+    There is no short-circuiting: every subterm evaluates, so the read set
+    equals expr_vars(expr) whenever evaluation succeeds.  Reading a variable
+    missing from the state raises UndefinedVariableError.
+    """
+    reads = set()
+
+    def arith(e):
+        match e:
+            case Num(value):
+                return value
+            case Var(name):
+                reads.add(name)
+                if name not in state:
+                    raise UndefinedVariableError(name)
+                return state[name]
+            case ABin(op, left, right):
+                a = arith(left)
+                b = arith(right)
+                if op == "+":
+                    return _wrap64(a + b)
+                if op == "-":
+                    return _wrap64(a - b)
+                return _wrap64(a * b)
+        raise TypeError(f"not an arithmetic expression: {e!r}")
+
+    def boolean(e):
+        match e:
+            case BoolLit(value):
+                return value
+            case Cmp(op, left, right):
+                a = arith(left)
+                b = arith(right)
+                return a == b if op == "=" else a <= b
+            case Not(operand):
+                return not boolean(operand)
+            case BBin(op, left, right):
+                a = boolean(left)
+                b = boolean(right)
+                return (a and b) if op == "and" else (a or b)
+        raise TypeError(f"not a boolean expression: {e!r}")
+
+    value = arith(expr) if isinstance(expr, (Num, Var, ABin)) else boolean(expr)
+    return value, frozenset(reads)
 
 
 def reference_step(program, config):
@@ -177,6 +229,39 @@ class Completed:
 
 
 ExecutionOutcome = Union[Completed, Misprediction]
+
+
+@dataclass
+class Recording:
+    """The standard execution of one program from one initial state, evaluated so far.
+
+    ``labels[k]`` is the label after k transitions and ``config`` is the
+    configuration at ``labels[-1]``.  ``step`` runs only past the recorded
+    end, so the reference evaluates each position once without sharing
+    ``core_lang.execution`` with the engine.
+    """
+
+    program: Program
+    labels: list
+    config: Configuration
+
+    @classmethod
+    def start(cls, program, initial_state):
+        config = Configuration.make(program.first, initial_state or {})
+        return cls(program, [config.label], config)
+
+    def successors(self, position):
+        """The label after ``labels[position]``."""
+        if position + 1 < len(self.labels):
+            return (self.labels[position + 1],)
+        outcome = step(self.program, self.config)
+        if outcome is AT_DONE:
+            return ()
+        if isinstance(outcome, Stuck):
+            raise ProgramStuckError(self.labels[position], outcome.reason)
+        self.labels.append(outcome.label)
+        self.config = outcome
+        return (outcome.label,)
 
 
 def execute_once(

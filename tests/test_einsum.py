@@ -193,6 +193,12 @@ class TestMatmulBenchmark:
         assert stats.runs == stats.merges + 1
         assert stats.runs == 6  # needs_gpu for x, y, z plus gpu_read for x, y
 
+    def test_merges_name_their_cells_in_order(self):
+        _, stats = build_matmul_benchmark(4, 4, 4, "prophecy", max_bid=2, max_tid=4)
+        assert [event.name for event in stats.merge_log] == [
+            "needs_gpu[z]", "needs_gpu[x]", "gpu_read[x]", "needs_gpu[y]", "gpu_read[y]",
+        ]
+
     def test_copy_all_single_run_and_full_movement(self):
         prog, stats = build_matmul_benchmark(4, 4, 4, "copy_all", max_bid=2, max_tid=4)
         assert stats.runs == 1

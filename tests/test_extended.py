@@ -11,15 +11,22 @@ differential test compares the reference reports with the walk's.
 import random
 from dataclasses import dataclass
 from itertools import count
+from types import SimpleNamespace
 from typing import Union
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prophecy import extended
+from prophecy import core_lang
 from prophecy.core_lang import AtDone, Configuration, Stuck, parse_program, run_trace, step
-from prophecy.engine import AnalysisError, analyze_concrete, live_variables_oracle
+from prophecy.engine import (
+    AnalysisError,
+    ProgramStuckError,
+    StepBudgetExceeded,
+    analyze_concrete,
+    live_variables_oracle,
+)
 from prophecy.extended import (
     CheckReport,
     Violation,
@@ -213,8 +220,9 @@ class TestObligations:
         # every variable in the precondition is read whenever the step runs
         import random
 
-        from prophecy.core_lang import Assign, If, eval_expr
+        from prophecy.core_lang import Assign, If
         from randprog import random_program, random_state
+        from test_differential import eval_expr
 
         rng = random.Random(99)
         for _ in range(50):
@@ -339,6 +347,47 @@ class TestTruncation:
         assert not short.passed and short.violation.kind == "truncated"
 
 
+def _verdict(caller, program, max_steps):
+    """How ``caller`` reports the execution within ``max_steps``: complete, stuck or truncated."""
+    if caller == "run_trace":
+        return run_trace(program, {}, max_steps).kind.value
+    if caller == "analyze_concrete":
+        try:
+            analyze_concrete(program, {}, max_steps)
+        except ProgramStuckError:
+            return "stuck"
+        except StepBudgetExceeded:
+            return "truncated"
+        return "complete"
+    check = check_preservation if caller == "check_preservation" else check_progress
+    report = check(program, live_variables_oracle(program), {}, max_steps)
+    if report.violation is not None:
+        return report.violation.kind
+    (note,) = report.notes
+    stopped = "extended execution stopped: "
+    return note[len(stopped) :].split()[0] if note.startswith(stopped) else "complete"
+
+
+class TestBudgetBoundary:
+    """``max_steps`` N allows N transitions, by one rule for every caller."""
+
+    CALLERS = ["run_trace", "analyze_concrete", "check_preservation", "check_progress"]
+
+    @staticmethod
+    def _program(lines):
+        return parse_program("\n".join(f"l{k}: {line}" for k, line in enumerate(lines)))
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_done_stuck_and_past_budget_at_n_transitions(self, caller, n):
+        done_at_n = self._program(["skip"] * (n - 1) + ["halt", "done"])
+        stuck_at_n = self._program([f"x := {k}" for k in range(n)] + ["y := z", "halt", "done"])
+        needs_n_plus_1 = self._program(["skip"] * n + ["halt", "done"])
+        assert _verdict(caller, done_at_n, n) == "complete"
+        assert _verdict(caller, stuck_at_n, n) == "stuck"
+        assert _verdict(caller, needs_n_plus_1, n) == "truncated"
+
+
 class TestMonotonicity:
     """Enlarging one label's result only trades violation kinds, predictably."""
 
@@ -448,10 +497,37 @@ def test_walk_matches_reference_checkers_on_every_outcome():
     }
 
 
-class TestStepCost:
-    """Each checker evaluates every standard step once, plus the step where it stops."""
+def _last_position(program, state, max_steps):
+    """Where the standard execution stops within ``max_steps``, stepped without ``execution``."""
+    config = Configuration.make(program.first, state or {})
+    for position in range(max_steps):
+        config = step(program, config)
+        if not isinstance(config, Configuration):
+            return position
+    return max_steps
 
-    @pytest.mark.parametrize("check", [check_preservation, check_progress])
+
+def run_trace_positions(program, results, state, max_steps):
+    """``run_trace``, with its last position as ``steps_checked``."""
+    return SimpleNamespace(steps_checked=len(run_trace(program, state, max_steps)) - 1)
+
+
+def analyze_concrete_positions(program, results, state, max_steps):
+    """``analyze_concrete``, with the last position of its execution as ``steps_checked``."""
+    try:
+        analyze_concrete(program, state, max_steps)
+    except StepBudgetExceeded:
+        pass
+    return SimpleNamespace(steps_checked=_last_position(program, state, max_steps))
+
+
+class TestStepCost:
+    """Each caller of ``execution`` evaluates every standard step once, plus the one where it stops."""
+
+    @pytest.mark.parametrize(
+        "check",
+        [check_preservation, check_progress, run_trace_positions, analyze_concrete_positions],
+    )
     @pytest.mark.parametrize("table", TABLES)
     def test_one_step_per_position(self, monkeypatch, check, table):
         calls = []
@@ -460,11 +536,12 @@ class TestStepCost:
             calls.append(config.label)
             return step(program, config)
 
-        monkeypatch.setattr(extended, "step", counting)
+        monkeypatch.setattr(core_lang, "step", counting)
         program, results = loop_fixpoint()
         if table != "computed":
             results = _table(table, program, {}, random.Random(1))
         for max_steps in (0, 3, 10_000):
             calls.clear()
             report = check(program, results, None, max_steps)
+            assert calls  # the patched step is the one the caller reaches
             assert len(calls) <= report.steps_checked + 1

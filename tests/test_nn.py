@@ -130,6 +130,12 @@ class TestBenchmark:
             (FALSE_TOP_UNSPECIFIED, next_is_relu(1.56)),
         ]
 
+    def test_merges_name_their_cells_in_order(self):
+        _, stats = build_conv_relu_benchmark(16, 3)
+        assert [event.name for event in stats.merge_log] == [
+            "is_next_relu[conv0]", "is_next_relu[conv0]", "is_next_relu[conv1]",
+        ]
+
     def test_structural_counts(self):
         prog, _ = build_conv_relu_benchmark(16, 3)
         # part 1: convolution loop plus one relu loop per branch (divergent

@@ -76,6 +76,16 @@ class TestProphecyCells:
             cell.require(Flag.SET)
         assert store.cells[0].value == Flag.SET
 
+    def test_merge_carries_the_cell_name(self):
+        store = ProphecyStore()
+        ctx = StageContext(store, 1, "t")
+        unnamed = ctx.prophecy_cell(FLAG, Flag.UNSET)
+        named = ctx.prophecy_cell(FLAG, Flag.UNSET, name="flag[a]")
+        for cell in (unnamed, named):
+            with pytest.raises(MispredictionSignal):
+                cell.require(Flag.SET)
+        assert [event.name for event in store.merge_log] == ["cell 0", "flag[a]"]
+
     def test_value_persists_into_next_run(self):
         store = ProphecyStore()
         ctx1 = StageContext(store, 1, "t")
