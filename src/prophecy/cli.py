@@ -25,7 +25,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core_lang import CoreLangError, parse_program
+from .core_lang import CoreLangError, is_variable_name, parse_program
 from .engine import (
     AnalysisError,
     analyze_all_paths_with_stats,
@@ -61,9 +61,13 @@ def _parse_bindings(pairs: list[str] | None) -> dict[str, int]:
     state: dict[str, int] = {}
     for pair in pairs or []:
         name, sep, value = pair.partition("=")
-        if not sep or not name:
-            raise ValueError(f"--init expects name=value, got {pair!r}")
-        state[name.strip()] = int(value)
+        name = name.strip()
+        if not sep or not is_variable_name(name):
+            raise ValueError(f"--init expects name=value with a variable name, got {pair!r}")
+        number = int(value)
+        if not -(1 << 63) <= number < 1 << 63:
+            raise ValueError(f"--init value of {name} is outside the 64-bit range: {value.strip()}")
+        state[name] = number
     return state
 
 
@@ -74,9 +78,13 @@ def _parse_bindings(pairs: list[str] | None) -> dict[str, int]:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        text = open(args.program, "r", encoding="utf-8").read()
+        with open(args.program, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.program} is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     try:
         program = parse_program(text)

@@ -19,14 +19,16 @@ variable missing from the state makes the execution stuck.
 Integers are 64-bit two's complement with wrap-around on overflow.
 All values here are immutable after construction and safe to share.
 
-Building a ``Program`` compiles it once into a per-label table: each
-label's command, its ``StepObligations`` (read set and assigned variable),
-its next label, its successors (as a set and fall-through first), and a
-transition function whose expression is compiled into nested closures.
-``step``, ``command_obligations`` and the successor queries are lookups in
-that table.  A transition keeps the sorted state tuple of its
-configuration: commands that assign nothing reuse it as it is, and an
-assignment replaces or inserts one binding in place.
+The parser runs a recursive descent over the tokens one regular
+expression splits each line into.  Building a ``Program`` fills a
+per-label table: each label's command, its ``StepObligations`` (read set
+and assigned variable), its next label and its successors (as a set and
+fall-through first), so ``command_obligations`` and the successor queries
+are lookups.  The first ``step`` at a label compiles its transition, the
+expression into nested closures, and keeps it in the table: the only change
+to a ``Program`` after construction.  A transition keeps the sorted state
+tuple of its configuration: commands that assign nothing reuse it as it
+is, and an assignment replaces or inserts one binding in place.
 
 ``execution`` is the one loop over ``step`` and the one home of the
 ``max_steps`` rule: ``run_trace``, the engine and the checkers all walk it.
@@ -49,7 +51,6 @@ _INT64_MASK = (1 << 64) - 1
 _INT64_SIGN = 1 << 63
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
 # parentheses and ``not`` nest at most this deep, well inside Python's recursion limit
 _MAX_NESTING = 50
 _KEYWORDS = frozenset(
@@ -143,15 +144,15 @@ BExp = Union[BoolLit, Cmp, Not, BBin]
 
 def expr_vars(expr: AExp | BExp) -> frozenset[str]:
     """All variable names read by an expression."""
-    match expr:
-        case Num() | BoolLit():
-            return frozenset()
-        case Var(name):
-            return frozenset((name,))
-        case ABin(_, left, right) | Cmp(_, left, right) | BBin(_, left, right):
-            return expr_vars(left) | expr_vars(right)
-        case Not(operand):
-            return expr_vars(operand)
+    # isinstance tests, not class patterns: this runs for every label a Program builds
+    if isinstance(expr, Var):
+        return frozenset((expr.name,))
+    if isinstance(expr, (ABin, Cmp, BBin)):
+        return expr_vars(expr.left) | expr_vars(expr.right)
+    if isinstance(expr, Not):
+        return expr_vars(expr.operand)
+    if isinstance(expr, (Num, BoolLit)):
+        return frozenset()
     raise TypeError(f"not an expression: {expr!r}")
 
 
@@ -224,30 +225,41 @@ class StepObligations:
     prediction_extra: VarSet
 
 
-@dataclass(frozen=True)
+_NO_OBLIGATIONS = StepObligations(frozenset(), frozenset())
+
+
 class _LabelEntry:
-    """Everything the semantics and the analyses ask about one label, computed once."""
+    """Everything the semantics and the analyses ask about one label.
 
-    command: Command
-    obligations: StepObligations
-    next_label: Label | None
-    ordered_successors: tuple[Label, ...]
-    successors: frozenset[Label]
-    transition: Callable[[StateTuple], "StepResult"]
+    ``transition`` stays None until the label's first ``step`` compiles it.
+    """
 
+    __slots__ = ("command", "obligations", "next_label", "ordered_successors", "successors",
+                 "transition")
 
-def _ordered_successors(command: Command, nxt: Label | None) -> tuple[Label, ...]:
-    """Fall-through first, then the branch target (``nxt`` is None only at a final done/goto)."""
-    match command:
-        case Done():
-            return ()
-        case Goto(target):
-            return (target,)
-        case If(_, target) if target != nxt:
-            return (nxt, target)
-        case Assign() | Skip() | Halt() | If():
-            return (nxt,)
-    raise TypeError(f"not a command: {command!r}")
+    def __init__(self, command: Command, next_label: Label | None):
+        self.command = command
+        self.next_label = next_label
+        if isinstance(command, Assign):
+            self.obligations = StepObligations(expr_vars(command.expr), frozenset((command.var,)))
+        elif isinstance(command, If):
+            self.obligations = StepObligations(expr_vars(command.cond), frozenset())
+        else:
+            self.obligations = _NO_OBLIGATIONS
+        # fall-through first, then the branch target (next_label is None only at the end)
+        if isinstance(command, Goto):
+            ordered: tuple[Label, ...] = (command.target,)
+        elif isinstance(command, If) and command.target != next_label:
+            ordered = (next_label, command.target)
+        elif isinstance(command, Done):
+            ordered = ()
+        elif isinstance(command, (Assign, If, Skip, Halt)):
+            ordered = (next_label,)
+        else:
+            raise TypeError(f"not a command: {command!r}")
+        self.ordered_successors = ordered
+        self.successors = frozenset(ordered)
+        self.transition: Callable[[StateTuple], StepResult] | None = None
 
 
 class Program:
@@ -258,7 +270,7 @@ class Program:
     must exist, and the final command must not fall through (only
     ``done`` or ``goto`` may end the sequence).  Construction also builds
     the per-label table (see the module docstring), so every query below
-    is a lookup.
+    is a lookup; a label's transition is compiled on its first ``step``.
     """
 
     def __init__(self, commands: Iterator[tuple[Label, Command]] | list[tuple[Label, Command]]):
@@ -266,51 +278,34 @@ class Program:
         if not self.commands:
             raise ProgramStructureError("a program must contain at least one command")
         self.labels: tuple[Label, ...] = tuple(label for label, _ in self.commands)
-        known: set[Label] = set()
-        for label in self.labels:
-            if label in known:
+        followers = self.commands[1:] + ((None, None),)
+        self._table: dict[Label, _LabelEntry] = {}
+        for (label, command), (nxt, _) in zip(self.commands, followers):
+            if label in self._table:
                 raise ProgramStructureError(f"duplicate label {label!r}")
-            known.add(label)
-        for pos, (label, command) in enumerate(self.commands):
-            if isinstance(command, Halt):
-                follower = self.commands[pos + 1][1] if pos + 1 < len(self.commands) else None
-                if not isinstance(follower, Done):
-                    raise ProgramStructureError(
-                        f"halt at {label!r} is not immediately followed by done"
-                    )
-            if isinstance(command, (If, Goto)) and command.target not in known:
+            self._table[label] = _LabelEntry(command, nxt)
+        # None stands for the end, where only a final command that falls through goes
+        inverse: dict[Label | None, set[Label]] = {label: set() for label in (*self.labels, None)}
+        variables: set[str] = set()
+        for (label, command), (_, follower) in zip(self.commands, followers):
+            entry = self._table[label]
+            if isinstance(command, Halt) and not isinstance(follower, Done):
+                raise ProgramStructureError(
+                    f"halt at {label!r} is not immediately followed by done"
+                )
+            if isinstance(command, (If, Goto)) and command.target not in self._table:
                 raise ProgramStructureError(
                     f"command at {label!r} targets unknown label {command.target!r}"
                 )
-        last_label, last_command = self.commands[-1]
-        if not isinstance(last_command, (Done, Goto)):
-            raise ProgramStructureError(
-                f"last command at {last_label!r} may fall through past the end"
-            )
-        self._table: dict[Label, _LabelEntry] = {}
-        for pos, (label, command) in enumerate(self.commands):
-            nxt = self.labels[pos + 1] if pos + 1 < len(self.labels) else None
-            ordered = _ordered_successors(command, nxt)
-            self._table[label] = _LabelEntry(
-                command,
-                StepObligations(
-                    command_vars(command),
-                    frozenset((command.var,)) if isinstance(command, Assign) else frozenset(),
-                ),
-                nxt,
-                ordered,
-                frozenset(ordered),
-                _compile_transition(command, nxt),
-            )
-        inverse: dict[Label, set[Label]] = {label: set() for label in self.labels}
-        for label, entry in self._table.items():
-            for successor in entry.successors:
+            for successor in entry.ordered_successors:
                 inverse[successor].add(label)
+            variables |= entry.obligations.precondition | entry.obligations.prediction_extra
+        if inverse.pop(None):
+            raise ProgramStructureError(
+                f"last command at {self.labels[-1]!r} may fall through past the end"
+            )
         self._predecessors = {label: frozenset(preds) for label, preds in inverse.items()}
-        self._variables = frozenset().union(
-            *(e.obligations.precondition | e.obligations.prediction_extra
-              for e in self._table.values())
-        )
+        self._variables = frozenset(variables)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Program) and self.commands == other.commands
@@ -370,73 +365,80 @@ def command_obligations(program: Program, label: Label) -> StepObligations:
 # --------------------------------------------------------------------------
 
 
-class _ExprParser:
-    """Recursive-descent parser for one line's expression suffix."""
+# One token per match: an identifier, an integer, ':=' or '<=', or any other
+# single character.  Only blanks and tabs separate tokens.
+_TOKEN_RE = re.compile(r"[ \t]*([A-Za-z_][A-Za-z0-9_]*|[0-9]+|:=|<=|[^ \t])")
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_DIGITS = frozenset("0123456789")
+# after a parenthesized boolean, these first characters make it an arithmetic operand
+_ARITH_FOLLOW = frozenset("=<+-*")
+_BARE_COMMANDS = {"skip": Skip, "halt": Halt, "done": Done}
+
+
+class _Parser:
+    """Recursive descent over one line's tokens, then an empty end token.
+
+    Errors point at the next token or the end of the text, found only then;
+    a nesting error, or a word read in place of ``then``, just past the last token read.
+    """
 
     def __init__(self, text: str, line_no: int, offset: int):
         self.text = text
         self.line_no = line_no
         self.offset = offset  # column of text[0] within the original line
-        self.pos = 0
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append("")
+        self.i = 0
         self.depth = 0
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line_no, self.offset + self.pos + 1)
+    def error(self, message: str, after_previous: bool = False) -> ParseError:
+        return ParseError(message, self.line_no, self.offset + self.position(after_previous) + 1)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+    def position(self, after_previous: bool = False) -> int:
+        spans = [m.span(1) for m in _TOKEN_RE.finditer(self.text)] + [(len(self.text), 0)]
+        return spans[self.i - 1][1] if after_previous else spans[self.i][0]
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
+    def take(self, token: str) -> bool:
+        if self.tokens[self.i] == token:
+            self.i += 1
             return True
         return False
 
     def take_word(self) -> str | None:
-        self.skip_ws()
-        m = _IDENT_RE.match(self.text, self.pos)
-        if m is None:
-            return None
-        self.pos = m.end()
-        return m.group()
-
-    def peek_word(self) -> str | None:
-        self.skip_ws()
-        m = _IDENT_RE.match(self.text, self.pos)
-        return m.group() if m else None
+        token = self.tokens[self.i]
+        if token[:1] in _WORD_START:
+            self.i += 1
+            return token
+        return None
 
     def nested(self, parse: Callable[[], "AExp | BExp"]) -> "AExp | BExp":
         """Parse one level of parentheses or ``not`` with ``parse``, bounding the depth."""
         if self.depth >= _MAX_NESTING:
-            raise self.error(f"expression nested more than {_MAX_NESTING} deep")
+            raise self.error(f"expression nested more than {_MAX_NESTING} deep", True)
         self.depth += 1
         try:
             return parse()
         finally:
             self.depth -= 1
 
-    def expect_end(self) -> None:
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error(f"unexpected trailing input {self.text[self.pos:]!r}")
+    def label(self, after: str) -> Label:
+        target = self.take_word()
+        if target is None:
+            raise self.error(f"expected target label after {after!r}")
+        return target
+
+    def end(self, command: Command) -> Command:
+        if self.i != len(self.tokens) - 1:
+            raise self.error(f"unexpected trailing input {self.text[self.position():]!r}")
+        return command
 
     # arithmetic: term ((+|-) term)*, term: factor (* factor)*
     def aexp(self) -> AExp:
         node = self.aterm()
-        while True:
-            self.skip_ws()
-            if self.take("+"):
-                node = ABin("+", node, self.aterm())
-            elif self.take("-"):
-                node = ABin("-", node, self.aterm())
-            else:
-                return node
+        while (op := self.tokens[self.i]) == "+" or op == "-":
+            self.i += 1
+            node = ABin(op, node, self.aterm())
+        return node
 
     def aterm(self) -> AExp:
         node = self.afactor()
@@ -445,117 +447,90 @@ class _ExprParser:
         return node
 
     def afactor(self) -> AExp:
-        self.skip_ws()
         if self.take("("):
             node = self.nested(self.aexp)
             if not self.take(")"):
                 raise self.error("expected ')'")
             return node
-        m = _INT_RE.match(self.text, self.pos)
-        if m is not None:
+        token = self.tokens[self.i]
+        if token[:1] in _DIGITS:
             try:
-                value = int(m.group())
+                value = int(token)
             except ValueError:  # longer than int() accepts
                 raise self.error("integer literal too long") from None
-            self.pos = m.end()
+            self.i += 1
             return Num(value)
-        word = self.peek_word()
-        if word is not None and word not in _KEYWORDS:
-            self.take_word()
-            return Var(word)
+        if token[:1] in _WORD_START and token not in _KEYWORDS:
+            self.i += 1
+            return Var(token)
         raise self.error("expected integer, identifier, or '('")
 
     # boolean: bor := band ("or" band)*, band := bnot ("and" bnot)*
     def bexp(self) -> BExp:
         node = self.band()
-        while self.peek_word() == "or":
-            self.take_word()
+        while self.take("or"):
             node = BBin("or", node, self.band())
         return node
 
     def band(self) -> BExp:
         node = self.bnot()
-        while self.peek_word() == "and":
-            self.take_word()
+        while self.take("and"):
             node = BBin("and", node, self.bnot())
         return node
 
     def bnot(self) -> BExp:
-        if self.peek_word() == "not":
-            self.take_word()
+        if self.take("not"):
             return Not(self.nested(self.bnot))
         return self.batom()
 
     def batom(self) -> BExp:
-        word = self.peek_word()
-        if word == "true":
-            self.take_word()
+        if self.take("true"):
             return BoolLit(True)
-        if word == "false":
-            self.take_word()
+        if self.take("false"):
             return BoolLit(False)
-        if self.peek() == "(":
+        if self.tokens[self.i] == "(":
             # Could be a parenthesized boolean or the left side of a
             # comparison; try boolean first, fall back to comparison.
-            saved = self.pos
-            self.take("(")
+            saved = self.i
+            self.i += 1
             try:
                 inner = self.nested(self.bexp)
-                if self.take(")"):
-                    self.skip_ws()
-                    if self.peek() not in {"=", "<", "+", "-", "*"}:
-                        return inner
+                if self.take(")") and self.tokens[self.i][:1] not in _ARITH_FOLLOW:
+                    return inner
             except ParseError:
                 pass
-            self.pos = saved
+            self.i = saved
         left = self.aexp()
-        self.skip_ws()
-        if self.take("<="):
-            return Cmp("<=", left, self.aexp())
-        if self.take("="):
-            return Cmp("=", left, self.aexp())
+        op = self.tokens[self.i]
+        if op == "<=" or op == "=":
+            self.i += 1
+            return Cmp(op, left, self.aexp())
         raise self.error("expected '=' or '<=' in comparison")
 
 
+def is_variable_name(text: str) -> bool:
+    """Whether ``text`` can name a variable: an identifier that is not a keyword."""
+    return _IDENT_RE.fullmatch(text) is not None and text not in _KEYWORDS
+
+
 def _parse_command(rest: str, line_no: int, offset: int) -> Command:
-    parser = _ExprParser(rest, line_no, offset)
-    word = parser.peek_word()
-    if word == "skip":
-        parser.take_word()
-        parser.expect_end()
-        return Skip()
-    if word == "halt":
-        parser.take_word()
-        parser.expect_end()
-        return Halt()
-    if word == "done":
-        parser.take_word()
-        parser.expect_end()
-        return Done()
+    parser = _Parser(rest, line_no, offset)
+    word = parser.take_word()
+    if word in _BARE_COMMANDS:
+        return parser.end(_BARE_COMMANDS[word]())
     if word == "goto":
-        parser.take_word()
-        target = parser.take_word()
-        if target is None:
-            raise parser.error("expected target label after 'goto'")
-        parser.expect_end()
-        return Goto(target)
+        return parser.end(Goto(parser.label("goto")))
     if word == "if":
-        parser.take_word()
         cond = parser.bexp()
-        if parser.take_word() != "then":
-            raise parser.error("expected 'then'")
-        target = parser.take_word()
-        if target is None:
-            raise parser.error("expected target label after 'then'")
-        parser.expect_end()
-        return If(cond, target)
+        then = parser.take_word()
+        if then != "then":
+            raise parser.error("expected 'then'", then is not None)
+        return parser.end(If(cond, parser.label("then")))
     if word is not None and word not in _KEYWORDS:
-        parser.take_word()
         if not parser.take(":="):
             raise parser.error("expected ':=' after variable name")
-        expr = parser.aexp()
-        parser.expect_end()
-        return Assign(word, expr)
+        return parser.end(Assign(word, parser.aexp()))
+    parser.i = 0  # the error points at the first token, not past a keyword read there
     raise parser.error("expected a command")
 
 
@@ -572,8 +547,7 @@ def parse_program(text: str) -> Program:
         label = line[:colon].strip()
         if not _IDENT_RE.fullmatch(label):
             raise ParseError(f"invalid label {label!r}", line_no, 1)
-        command = _parse_command(line[colon + 1 :], line_no, colon + 2)
-        pairs.append((label, command))
+        pairs.append((label, _parse_command(line[colon + 1 :], line_no, colon + 2)))
     if not pairs:
         raise ParseError("empty program", 1, 1)
     return Program(pairs)
@@ -704,11 +678,13 @@ StepResult = Union[Configuration, Stuck, AtDone]
 
 
 def step(program: Program, config: Configuration) -> StepResult:
-    """One transition of the standard execution rules: the label's compiled transition."""
+    """One transition of the standard rules; the first step at a label compiles its rule."""
     try:
         entry = program._table[config.label]
     except KeyError:
         raise UnknownLabelError(config.label) from None
+    if entry.transition is None:
+        entry.transition = _compile_transition(entry.command, entry.next_label)
     return entry.transition(config.state)
 
 
@@ -734,6 +710,19 @@ def _compile_aexp(expr: AExp) -> Callable[[StateTuple], int]:
                 raise KeyError(name)
 
             return read
+        case ABin("+" | "-" as op, Var(name), Num(value)):
+            # the common ``y + c`` and ``y - c`` in one closure
+            key = (name,)
+            delta = value if op == "+" else -value
+
+            def shift(state):
+                at = bisect_left(state, key)
+                if at < len(state) and state[at][0] == name:
+                    shifted = state[at][1] + delta
+                    return shifted if -_INT64_SIGN <= shifted < _INT64_SIGN else _wrap64(shifted)
+                raise KeyError(name)
+
+            return shift
         case ABin(op, left, right):
             apply = operator.add if op == "+" else operator.sub if op == "-" else operator.mul
             lhs, rhs = _compile_aexp(left), _compile_aexp(right)

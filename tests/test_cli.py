@@ -145,6 +145,39 @@ class TestAnalyze:
         assert record["progress_violation"]["label"] == "l1"
 
 
+    def test_non_utf8_file_exit_2(self, tmp_path):
+        path = tmp_path / "latin1.prog"
+        path.write_bytes(b"l0: x := 1\xff\nl1: halt\nl2: done\n")
+        code, _, err = run_cli("analyze", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "UTF-8" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("binding", [" =3", "=3", "1x=3", "if=3", "done=3", "x-y=3", "x"])
+    def test_init_name_must_be_a_variable_exit_2(self, tmp_path, binding):
+        path = tmp_path / "reads.prog"
+        path.write_text("l0: y := x\nl1: halt\nl2: done")
+        code, out, err = run_cli("analyze", str(path), "--init", binding)
+        assert code == 2
+        assert "--init" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "value", ["99999999999999999999999", str(2**63), str(-(2**63) - 1)]
+    )
+    def test_init_value_outside_64_bits_exit_2(self, tmp_path, value):
+        path = tmp_path / "reads.prog"
+        path.write_text("l0: y := x\nl1: halt\nl2: done")
+        code, out, err = run_cli("analyze", str(path), "--init", f"x={value}", "--check")
+        assert code == 2
+        assert "64-bit" in err and out == ""
+
+    @pytest.mark.parametrize("value", [2**63 - 1, -(2**63)])
+    def test_init_accepts_64_bit_extremes(self, tmp_path, value):
+        path = tmp_path / "reads.prog"
+        path.write_text("l0: y := x\nl1: halt\nl2: done")
+        code, _, _ = run_cli("analyze", str(path), "--init", f" x = {value}", "--check")
+        assert code == 0
+
 class TestStage:
     def test_emits_code_to_stdout_by_default(self):
         code, out, _ = run_cli(

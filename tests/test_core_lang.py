@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prophecy import core_lang
 from prophecy.core_lang import (
     AT_DONE,
     ABin,
@@ -73,6 +74,20 @@ class TestParser:
     def test_fallthrough_last_command_rejected(self):
         with pytest.raises(ProgramStructureError, match="fall through"):
             parse_program("l0: halt\nl1: done\nl2: skip")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("l0: halt\nl1: skip\nl0: done", "duplicate label"),
+            ("l0: halt\nl1: goto l9\nl2: skip", "halt at 'l0'"),
+            ("l0: goto l9\nl1: halt\nl2: skip", "unknown label 'l9'"),
+            ("l0: halt\nl1: done\nl2: halt", "halt at 'l2'"),
+        ],
+    )
+    def test_first_structure_error_in_validation_order(self, text, message):
+        """Duplicates first, then halts and targets in program order, then the last command."""
+        with pytest.raises(ProgramStructureError, match=message):
+            parse_program(text)
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError) as excinfo:
@@ -198,6 +213,50 @@ class TestStep:
         program = parse_program(LOOP)
         config = Configuration.make("l1", {"x": 5})
         assert step(program, config) == step(program, config)
+
+
+class TestLazyCompilation:
+    """A label's transition compiles on its first step, and only then."""
+
+    @pytest.fixture()
+    def compiled(self, monkeypatch):
+        calls = []
+        compile_transition = core_lang._compile_transition
+
+        def counting(command, nxt):
+            calls.append(command)
+            return compile_transition(command, nxt)
+
+        monkeypatch.setattr(core_lang, "_compile_transition", counting)
+        return calls
+
+    def test_building_a_program_compiles_nothing(self, compiled):
+        program = parse_program(LOOP)
+        Program(program.commands)
+        assert compiled == []
+
+    def test_first_step_compiles_once(self, compiled):
+        program = parse_program(LOOP)
+        config = Configuration.make("l2", {"x": 5})
+        after = step(program, config)
+        assert compiled == [program.command_at("l2")]
+        assert step(program, config) == after == Configuration.make("l3", {"x": 4})
+        assert compiled == [program.command_at("l2")]
+
+    def test_a_trace_compiles_each_visited_label_once(self, compiled):
+        program = parse_program(
+            "l0: x := 2\nl1: x := x - 1\nl2: if 0 <= x then l1\nl3: halt\nl4: done"
+        )
+        trace = run_trace(program)
+        assert trace.kind is TraceKind.COMPLETE and len(trace) > len(program.labels)
+        assert compiled == [command for _, command in program.commands]
+
+    def test_stepped_program_pickles_and_steps(self):
+        program = parse_program(LOOP)
+        trace = run_trace(program)
+        copy = pickle.loads(pickle.dumps(program))
+        assert copy == program
+        assert run_trace(copy) == trace
 
 
 class TestTrace:
