@@ -1,10 +1,11 @@
-"""Pinned outputs: refactors of the engine, the checkers, the staged runtime and the interpreter keep these bytes.
+"""Pinned outputs: refactors of the engine, the checkers, the staged runtime, the einsum DSL and the interpreter keep these bytes.
 
 Each digest covers the analysis results together with the rerun statistics
 (or both checkers' report records, or the emitted C together with the run
-count, or every interpreted output with its dtype), so a change in any run
-count, any result set, any verdict, any emitted byte or any output byte
-shows as a digest mismatch.
+count and merge names, or every interpreted output with its dtype, or an
+error's type and message), so a change in any run count, any result set,
+any verdict, any emitted byte, any output byte or any error shows as a
+digest mismatch.
 """
 
 import hashlib
@@ -18,12 +19,21 @@ import pytest
 
 from prophecy.cli import main
 
-from prophecy.einsum import build_matmul_benchmark, build_matvec_benchmark
+from prophecy.einsum import (
+    EinsumError,
+    EinsumSession,
+    Index,
+    build_matmul_benchmark,
+    build_matvec_benchmark,
+    einsum_assign,
+    movement_summary,
+)
 from prophecy.engine import analyze_all_paths_with_stats, analyze_concrete, live_variables_oracle
 from prophecy.extended import check_preservation, check_progress
 from prophecy.interp import interpret_program
 from prophecy.nn import build_conv_relu_benchmark
 from prophecy.second_stage import emit_c
+from prophecy.staging import run_staged
 from randprog import VARS, corpus, terminating_sample
 
 
@@ -272,3 +282,159 @@ def test_checker_reports_pinned():
         empty = {label: frozenset() for label in program.labels}
         records.append(_checker_records(program, state, [live_variables_oracle(program), empty]))
     assert _digest(records) == "5c56556bdd9c3c299a747c789d2cc14c69bc21be15596cd7a2becdd779854441"
+
+
+# Einsum statements beyond the two benchmarks, on a 2 x 3 grid, under each
+# strategy: every lowering path and every EinsumError the DSL raises.
+def _einsum_corpus():
+    def mul_assign(s, i, j, k):
+        a, c = s.tensor("a", [2, 3]), s.tensor("c", [2])
+        a[i, k] = 2.0
+        c[i] = 1.0
+        c[i] *= a[i, k]
+
+    def index_arithmetic(s, i, j, k):
+        b, x, v = s.tensor("b", [2, 3]), s.tensor("x", [3]), s.tensor("v", [3])
+        b[i, j] = 4.0 + i + j
+        v[i] = 2.0 * x[i]
+        v[i] = x[i] * 3 + 1 + (2 * i) * x[i] + i * 2 + (i + 1)
+        v[i] = 2 * (x[i] + i) + x[i] * (v[i] + 1)
+        v[i] += 1.0 + x[i] + v[i] * (0.5 + x[i] * x[i])
+        b[i, j] = 7
+
+    def chained_subscripts(s, i, j, k):
+        a, b, c = s.tensor("a", [2, 3]), s.tensor("b", [3, 2]), s.tensor("c", [2, 2])
+        a[i][j] = 3.0
+        b[i][j] = a[j][i]
+        c[i][j] += a[i][k] * b[k][j]
+        c[i][j] *= a[i, k] + b[k][j]
+
+    def rank3_flat_index(s, i, j, k):
+        t, u = s.tensor("t", [2, 3, 4]), s.tensor("u", [4, 3, 2])
+        u[k, j, i] = 1.0 * k
+        t[i, j, k] = u[k, j, i] + 1.0
+        t[k, i, j] = 0.0  # ranges rebind per statement
+
+    def repeated_index(s, i, j, k):
+        d, e, w = s.tensor("d", [3, 3]), s.tensor("e", [3, 4]), s.tensor("w", [3])
+        d[i, i] = 1.0
+        d[i, i] += e[i, k]
+        w[i] = d[i, i] * d[i, i]
+        w[j] += d[j, k] * e[k, i]  # k ranges 3 in d and 4 in e
+
+    def external_buffer(s, i, j, k):
+        data = s.ctx.parameter("float*")
+        a, a_b = s.tensor("a", [4]), s.tensor("a_b", [4], buffer=data)
+        a[i] = a_b[i]
+        s.run_on_gpu(lambda: a.__setitem__(i, a[i] * a[i]))
+        a_b[i] = a[i]
+
+    def gpu(shape, reduce):
+        def case(s, i, j, k):
+            out = [i, j, k][: len(shape)]
+            r = Index("r")
+            src = s.tensor("src", list(shape) + [5])
+            dst = s.tensor("dst", list(shape))
+            src[tuple(out) + (r,)] = 1.5
+
+            def kernel():
+                if reduce:
+                    dst[tuple(out)] += src[tuple(out) + (r,)] * 2.0
+                else:
+                    dst[tuple(out)] = 3.0 + out[0]
+
+            s.run_on_gpu(kernel)
+        return case
+
+    def two_kernels(s, i, j, k):
+        a, b, c = s.tensor("a", [4]), s.tensor("b", [4]), s.tensor("c", [4])
+        a[i] = 1.0
+        b[i] = 2.0
+        s.run_on_gpu(lambda: c.__setitem__(i, a[i] + 0.0))
+        s.run_on_gpu(lambda: c.__setitem__(i, b[i] + c[i]))
+        a[i] = c[i]
+
+    def kernel_then_host(s, i, j, k):
+        m, v, y = s.tensor("m", [3, 4]), s.tensor("v", [4]), s.tensor("y", [3])
+
+        def kernel():
+            y[i] += m[i, j] * v[j]
+            m[i, j] = y[i] * 0.5
+
+        s.run_on_gpu(kernel)
+        v[j] += m[i, j]
+
+    def created_in_kernel(s, i, j, k):
+        c = s.tensor("c", [4])
+
+        def kernel():
+            t = s.tensor("t", [4])
+            c[i] = t[i]
+
+        s.run_on_gpu(kernel)
+
+    def foreign_tensor(s, i, j, k):
+        other = EinsumSession(s.ctx, "unified")
+        t, c = other.tensor("t", [4]), s.tensor("c", [4])
+        s.run_on_gpu(lambda: c.__setitem__(i, t[i]))
+
+    def a23(s):
+        return s.tensor("a", [2, 3])
+
+    return {
+        "mul_assign": mul_assign,
+        "index_arithmetic": index_arithmetic,
+        "chained_subscripts": chained_subscripts,
+        "rank3_flat_index": rank3_flat_index,
+        "repeated_index": repeated_index,
+        "external_buffer": external_buffer,
+        "two_kernels": two_kernels,
+        "kernel_then_host": kernel_then_host,
+        **{f"gpu{len(shape)}-{'reduce' if reduce else 'map'}": gpu(shape, reduce)
+           for shape in ((7,), (3, 4), (2, 3, 4)) for reduce in (False, True)},
+        "err-empty-sizes": lambda s, i, j, k: s.tensor("a", []),
+        "err-zero-size": lambda s, i, j, k: s.tensor("a", [0, 3]),
+        "err-negative-size": lambda s, i, j, k: s.tensor("a", [-1]),
+        "err-duplicate-name": lambda s, i, j, k: [s.tensor("a", [1]), s.tensor("a", [2])],
+        "err-unknown-strategy": lambda s, i, j, k: EinsumSession(s.ctx, "pinned"),
+        "err-int-subscript": lambda s, i, j, k: a23(s)[i, 0],
+        "err-chained-int-subscript": lambda s, i, j, k: a23(s)[i][0],
+        "err-lhs-rank": lambda s, i, j, k: a23(s).__setitem__(i, 1.0),
+        "err-rhs-rank": lambda s, i, j, k: s.tensor("c", [2]).__setitem__(i, a23(s)[i, j, k]),
+        "err-range": lambda s, i, j, k: (lambda a: a.__setitem__((i, j), a[j, i]))(a23(s)),
+        "err-unbound-index": lambda s, i, j, k: s.tensor("c", [2]).__setitem__(i, 1.0 + k),
+        "err-reduce-in-assign": lambda s, i, j, k: s.tensor("c", [2]).__setitem__(i, a23(s)[i, k]),
+        "err-string-rhs": lambda s, i, j, k: s.tensor("c", [2]).__setitem__(i, "x"),
+        "err-bool-rhs": lambda s, i, j, k: s.tensor("c", [2]).__setitem__(i, True),
+        "err-none-operand": lambda s, i, j, k: a23(s)[i, j] + None,
+        "err-reflected-operand": lambda s, i, j, k: "x" * i,
+        "err-unknown-mode": lambda s, i, j, k: einsum_assign(s.tensor("c", [2])[i], 1.0, "sub_assign"),
+        "err-nested-kernel": lambda s, i, j, k: s.run_on_gpu(lambda: s.run_on_gpu(lambda: None)),
+        "err-created-in-kernel": created_in_kernel,  # prophecy only
+        "err-no-device-buffer": foreign_tensor,  # copy_all only
+    }
+
+
+def _einsum_outcome(case, strategy) -> list:
+    def generate(ctx):
+        case(EinsumSession(ctx, strategy, max_bid=2, max_tid=3), Index("i"), Index("j"), Index("k"))
+
+    try:
+        program, stats = run_staged(generate, name="pinned")
+    except Exception as exc:  # noqa: BLE001 - the pin records every failure
+        return ["error", type(exc).__name__, str(exc)]
+    return ["ok", emit_c(program), stats.runs, [event.name for event in stats.merge_log]]
+
+
+def test_einsum_lowering_pinned():
+    records = []
+    for name, case in _einsum_corpus().items():
+        for strategy in ("prophecy", "copy_all", "unified"):
+            records.append([name, strategy, _einsum_outcome(case, strategy)])
+    with pytest.raises(EinsumError) as no_manifest:
+        movement_summary(run_staged(lambda ctx: None)[0])
+    records.append([type(no_manifest.value).__name__, str(no_manifest.value)])
+    for strategy in ("prophecy", "copy_all", "unified"):
+        records.append([build_matmul_benchmark(2, 3, 4, strategy)[0].meta,
+                        build_matvec_benchmark(3, 2, strategy)[0].meta])
+    assert _digest(records) == "168c14a86d513633d203dcc7a42cb38c683d24d9103826b4f8fe45d9666205c4"
