@@ -253,8 +253,12 @@ def cmd_stage(args: argparse.Namespace) -> int:
         return 1
     emitted = emit_c(program)
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(emitted)
+        try:
+            with open(args.emit, "w", encoding="utf-8") as fh:
+                fh.write(emitted)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"emitted: {args.emit}")
     if args.stats:
         _print_stage_stats(args, program, stats)

@@ -6,6 +6,15 @@ loop per reduction index accumulating into a scalar.  Inside ``run_on_gpu``
 the outer one or two left-hand loops are mapped onto a simulated
 (block, thread) grid with grid-stride steps.
 
+``+`` and ``*`` on accesses, indices and terms build a ``TensorTerm`` tree
+of ``(op, left, right)`` whose leaves are the accesses, indices and numbers
+themselves.  Lowering walks the leaves once, left to right, to collect the
+statement's indices and bind their ranges, then records every loop of the
+nest through one binder and stages the right-hand side with one recursive
+value function that reads through one host-or-device buffer choice.  Each
+``EinsumSession`` keeps the naming manifest ``movement_summary`` reads in
+``ctx.program_meta`` as it creates tensors.
+
 Data movement is decided by prophecy cells on each tensor:
 
 * ``needs_gpu`` (per tensor, whole session) — true if any GPU code touches
@@ -25,9 +34,10 @@ bypass the cells (move everything / share one buffer) for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from math import prod
+from typing import Any, Callable, Iterator, Sequence
 
-from .second_stage import _ELEM_BYTES, RuntimeCall, SecondStageProgram
+from .second_stage import _ELEM_BYTES, RuntimeCall, SecondStageProgram, iter_stmts
 from .staging import (
     HistoryVar,
     LatticeSpec,
@@ -72,7 +82,25 @@ class TrueTopLattice(LatticeSpec):
 TRUE_TOP = TrueTopLattice()
 
 
-class Index:
+class _Operators:
+    """``+`` and ``*`` on any einsum operand build a ``TensorTerm``."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return TensorTerm("+", self, _operand(other))
+
+    def __radd__(self, other):
+        return TensorTerm("+", _operand(other), self)
+
+    def __mul__(self, other):
+        return TensorTerm("*", self, _operand(other))
+
+    def __rmul__(self, other):
+        return TensorTerm("*", _operand(other), self)
+
+
+class Index(_Operators):
     """Einsum index variable; its range binds per statement at first use."""
 
     __slots__ = ("name", "range", "handle")
@@ -85,18 +113,6 @@ class Index:
     def __repr__(self) -> str:
         return f"Index({self.name!r})"
 
-    def __add__(self, other):
-        return _to_term(self)._combine("+", other)
-
-    def __radd__(self, other):
-        return _to_term(other)._combine("+", self)
-
-    def __mul__(self, other):
-        return _to_term(self)._combine("*", other)
-
-    def __rmul__(self, other):
-        return _to_term(other)._combine("*", self)
-
 
 class Tensor:
     """A named float tensor participating in staged einsum computation."""
@@ -108,11 +124,14 @@ class Tensor:
         sizes: Sequence[int],
         buffer: StagedExpr | None = None,
     ):
+        if any(isinstance(s, bool) or not isinstance(s, int) for s in sizes):
+            raise EinsumError(f"tensor {name!r} needs int sizes, got {sizes}")
         if not sizes or any(s <= 0 for s in sizes):
             raise EinsumError(f"tensor {name!r} needs nonempty positive sizes, got {sizes}")
         self.session = session
         self.name = name
-        self.sizes = tuple(int(s) for s in sizes)
+        self.sizes = tuple(sizes)
+        self.total_size = prod(self.sizes)
         self.external = buffer is not None
         ctx = session.ctx
         self.needs_gpu: ProphecyCell = ctx.prophecy_cell(
@@ -135,35 +154,16 @@ class Tensor:
                 ctx.runtime_expr("runtime::cuda_malloc", self.total_size * _ELEM_BYTES),
             )
 
-    @property
-    def total_size(self) -> int:
-        total = 1
-        for s in self.sizes:
-            total *= s
-        return total
-
-    @property
-    def rank(self) -> int:
-        return len(self.sizes)
-
-    def _device(self) -> StagedExpr:
-        if self.device_buffer is None:
-            raise EinsumError(f"tensor {self.name!r} has no device buffer")
-        return self.device_buffer
-
     def __getitem__(self, indices) -> "TensorAccess":
         if not isinstance(indices, tuple):
             indices = (indices,)
         return TensorAccess(self, list(indices))
 
     def __setitem__(self, indices, value) -> None:
-        if isinstance(value, TensorAccess) and value._consumed:
-            return  # ``t[i] += rhs`` already recorded via __iadd__
-        access = self[indices]
-        einsum_assign(access, value, "assign")
+        _assign(self[indices], value)
 
 
-class TensorAccess:
+class TensorAccess(_Operators):
     """A tensor applied to index variables, e.g. ``x[i, k]``."""
 
     def __init__(self, tensor: Tensor, indices: list[Index]):
@@ -178,10 +178,7 @@ class TensorAccess:
         return TensorAccess(self.tensor, self.indices + [index])
 
     def __setitem__(self, index: Index, value) -> None:
-        # chained-subscript assignment: t[i][j] = rhs
-        if isinstance(value, TensorAccess) and value._consumed:
-            return
-        einsum_assign(self[index], value, "assign")
+        _assign(self[index], value)  # chained-subscript assignment: t[i][j] = rhs
 
     def __iadd__(self, other):
         einsum_assign(self, other, "add_assign")
@@ -193,32 +190,14 @@ class TensorAccess:
         self._consumed = True
         return self
 
-    def __add__(self, other):
-        return _to_term(self)._combine("+", other)
-
-    def __radd__(self, other):
-        return _to_term(other)._combine("+", self)
-
-    def __mul__(self, other):
-        return _to_term(self)._combine("*", other)
-
-    def __rmul__(self, other):
-        return _to_term(other)._combine("*", self)
-
-    def distinct_indices(self) -> list[Index]:
-        out: list[Index] = []
-        for index in self.indices:
-            if index not in out:
-                out.append(index)
-        return out
-
     def bind_ranges(self) -> None:
-        if len(self.indices) != self.tensor.rank:
+        sizes = self.tensor.sizes
+        if len(self.indices) != len(sizes):
             raise EinsumError(
-                f"tensor {self.tensor.name!r} has rank {self.tensor.rank} but"
+                f"tensor {self.tensor.name!r} has rank {len(sizes)} but"
                 f" {len(self.indices)} subscripts were given"
             )
-        for index, size in zip(self.indices, self.tensor.sizes):
+        for index, size in zip(self.indices, sizes):
             if index.range is not None and index.range != size:
                 raise EinsumError(
                     f"index {index.name!r} ranges over {index.range} elsewhere in this"
@@ -232,105 +211,63 @@ class TensorAccess:
 
         def build(d: int) -> StagedExpr:
             it = self.indices[d].handle
-            if it is None:
-                raise EinsumError(f"index {self.indices[d].name!r} used outside its loop")
             if d + 1 == len(sizes):
                 return it
-            trailing = 1
-            for s in sizes[d + 1 :]:
-                trailing *= s
-            return it * trailing + build(d + 1)
+            return it * prod(sizes[d + 1 :]) + build(d + 1)
 
         return build(0)
 
 
-@dataclass
-class TensorTerm:
-    """Right-hand-side expression: constants, accesses, indices, sums, products."""
+@dataclass(frozen=True)
+class TensorTerm(_Operators):
+    """A sum or product of two operands: terms, accesses, indices or numbers."""
 
-    kind: str  # value | access | index | sum | product
-    value: float | int | None = None
-    access: TensorAccess | None = None
-    index: Index | None = None
-    left: "TensorTerm | None" = None
-    right: "TensorTerm | None" = None
-
-    def _combine(self, op: str, other) -> "TensorTerm":
-        return TensorTerm(
-            "sum" if op == "+" else "product", left=self, right=_to_term(other)
-        )
-
-    def __add__(self, other):
-        return self._combine("+", other)
-
-    def __radd__(self, other):
-        return _to_term(other)._combine("+", self)
-
-    def __mul__(self, other):
-        return self._combine("*", other)
-
-    def __rmul__(self, other):
-        return _to_term(other)._combine("*", self)
-
-    def gather_indices(self) -> list[Index]:
-        if self.kind == "access":
-            return self.access.distinct_indices()
-        if self.kind == "index":
-            return [self.index]
-        if self.kind in ("sum", "product"):
-            out = self.left.gather_indices()
-            for index in self.right.gather_indices():
-                if index not in out:
-                    out.append(index)
-            return out
-        return []
-
-    def bind_ranges(self) -> None:
-        if self.kind == "access":
-            self.access.bind_ranges()
-        elif self.kind in ("sum", "product"):
-            self.left.bind_ranges()
-            self.right.bind_ranges()
-
-    def tensors_read(self) -> list[Tensor]:
-        if self.kind == "access":
-            return [self.access.tensor]
-        if self.kind in ("sum", "product"):
-            out = self.left.tensors_read()
-            for tensor in self.right.tensors_read():
-                if tensor not in out:
-                    out.append(tensor)
-            return out
-        return []
-
-    def staged_value(self, session: "EinsumSession") -> StagedExpr:
-        if self.kind == "value":
-            return session.ctx.lift(float(self.value))
-        if self.kind == "index":
-            if self.index.handle is None:
-                raise EinsumError(f"index {self.index.name!r} used outside its loop")
-            return self.index.handle
-        if self.kind == "access":
-            return session._read_element(self.access)
-        left = self.left.staged_value(session)
-        right = self.right.staged_value(session)
-        return left + right if self.kind == "sum" else left * right
+    op: str  # + or *
+    left: TensorTerm | TensorAccess | Index | float
+    right: TensorTerm | TensorAccess | Index | float
 
 
-def _to_term(value) -> TensorTerm:
-    if isinstance(value, TensorTerm):
+def _operand(value):
+    if isinstance(value, (TensorTerm, TensorAccess, Index)):
         return value
-    if isinstance(value, TensorAccess):
-        return TensorTerm("access", access=value)
-    if isinstance(value, Index):
-        return TensorTerm("index", index=value)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return TensorTerm("value", value=value)
+        return value
     raise EinsumError(f"cannot use {value!r} in an einsum expression")
 
 
+def _leaves(term) -> Iterator:
+    """The accesses, indices and numbers of ``term``, left to right."""
+    if isinstance(term, TensorTerm):
+        yield from _leaves(term.left)
+        yield from _leaves(term.right)
+    else:
+        yield term
+
+
+def _value(term, session: "EinsumSession") -> StagedExpr:
+    """Stage ``term`` inside its loops, reading tensors through ``session``."""
+    if isinstance(term, TensorTerm):
+        left, right = _value(term.left, session), _value(term.right, session)
+        return left + right if term.op == "+" else left * right
+    if isinstance(term, TensorAccess):
+        return session._element(term, store=False)
+    if isinstance(term, Index):
+        return term.handle
+    return session.ctx.lift(float(term))
+
+
+def _assign(access: TensorAccess, value) -> None:
+    if not (isinstance(value, TensorAccess) and value._consumed):
+        einsum_assign(access, value, "assign")  # ``t[i] += rhs`` recorded it via __iadd__
+
+
 class EinsumSession:
-    """One DSL generation session: strategy, tensor registry, device marker."""
+    """One DSL generation session: strategy, tensor registry, device marker.
+
+    The session keeps the naming manifest ``movement_summary`` reads in
+    ``ctx.program_meta``: each tensor's host and device buffer variables and
+    sizes, the strategy and the grid.
+    """
 
     def __init__(
         self,
@@ -350,39 +287,41 @@ class EinsumSession:
         self.on_gpu = False
         self.bid: StagedExpr | None = None
         self.tid: StagedExpr | None = None
+        ctx.program_meta = {"tensors": {}, "strategy": strategy, "grid": [max_bid, max_tid]}
 
     def tensor(self, name: str, sizes: Sequence[int], buffer: StagedExpr | None = None) -> Tensor:
         if any(t.name == name for t in self.tensors):
             raise EinsumError(f"duplicate tensor name {name!r}")
         tensor = Tensor(self, name, sizes, buffer)
         self.tensors.append(tensor)
+        device = tensor.device_buffer
+        self.ctx.program_meta["tensors"][name] = {
+            "host": tensor.host_buffer.node.name,
+            "device": device.node.name if device is not None else None,
+            "sizes": list(tensor.sizes),
+        }
         return tensor
 
-    # -- element access (called during lowering) ---------------------------
+    def _element(self, access: TensorAccess, store: bool) -> StagedExpr:
+        """The element ``access`` names in the buffer this code runs against.
 
-    def _read_element(self, access: TensorAccess) -> StagedExpr:
+        GPU code under the prophecy strategy requires ``needs_gpu`` and, to
+        read, ``gpu_read``; a store sets ``gpu_written``.
+        """
         tensor = access.tensor
-        if self.on_gpu and self.strategy != "unified":
-            if self.strategy == "prophecy":
-                if tensor.gpu_read is None:
-                    raise EinsumError(
-                        f"tensor {tensor.name!r} was created inside the GPU context"
-                    )
-                tensor.needs_gpu.require(TrueTopLattice.T)
-                tensor.gpu_read.require(TrueTopLattice.T)
-            return tensor._device()[access.flat_index()]
-        return tensor.host_buffer[access.flat_index()]
-
-    def _store_target(self, access: TensorAccess) -> tuple[StagedExpr, StagedExpr]:
-        tensor = access.tensor
-        if self.on_gpu and self.strategy != "unified":
-            if self.strategy == "prophecy":
-                tensor.needs_gpu.require(TrueTopLattice.T)
+        if not self.on_gpu or self.strategy == "unified":
+            return tensor.host_buffer[access.flat_index()]
+        if self.strategy == "prophecy":
+            if not store and tensor.gpu_read is None:
+                raise EinsumError(f"tensor {tensor.name!r} was created inside the GPU context")
+            tensor.needs_gpu.require(TrueTopLattice.T)
+            if store:
                 tensor.gpu_written.set(True)
-            return tensor._device(), access.flat_index()
-        return tensor.host_buffer, access.flat_index()
-
-    # -- kernel recording ---------------------------------------------------
+            else:
+                tensor.gpu_read.require(TrueTopLattice.T)
+        if tensor.device_buffer is None:
+            raise EinsumError(f"tensor {tensor.name!r} has no device buffer")
+        return tensor.device_buffer[access.flat_index()]
 
     def run_on_gpu(self, kernel: Callable[[], None]) -> None:
         """Record data movement around a kernel and the kernel under the grid.
@@ -395,26 +334,20 @@ class EinsumSession:
         if self.on_gpu:
             raise EinsumError("nested run_on_gpu is not supported")
         ctx = self.ctx
+        prophecy, copy_all = self.strategy == "prophecy", self.strategy == "copy_all"
         for tensor in self.tensors:
-            if self.strategy == "copy_all":
-                ctx.runtime(
-                    "runtime::cudaMemcpyToDevice",
-                    tensor._device(),
-                    tensor.host_buffer,
-                    tensor.total_size * _ELEM_BYTES,
-                )
-            elif self.strategy == "prophecy":
+            if prophecy:
                 tensor.gpu_read = ctx.prophecy_cell(
                     TRUE_TOP, TrueTopLattice.F, name=f"gpu_read[{tensor.name}]"
                 )
                 tensor.gpu_written.set(False)
-                if tensor.gpu_read.get() == TrueTopLattice.T:
-                    ctx.runtime(
-                        "runtime::cudaMemcpyToDevice",
-                        tensor._device(),
-                        tensor.host_buffer,
-                        tensor.total_size * _ELEM_BYTES,
-                    )
+            if copy_all or prophecy and tensor.gpu_read.get() == TrueTopLattice.T:
+                ctx.runtime(
+                    "runtime::cudaMemcpyToDevice",
+                    tensor.device_buffer,
+                    tensor.host_buffer,
+                    tensor.total_size * _ELEM_BYTES,
+                )
         self.on_gpu = True
 
         def tid_loop(bid: StagedExpr):
@@ -430,24 +363,36 @@ class EinsumSession:
         self.bid = None
         self.tid = None
         for tensor in self.tensors:
-            if self.strategy == "copy_all":
+            if copy_all or tensor.gpu_written.get():  # only prophecy GPU stores set it
                 ctx.runtime(
                     "runtime::cudaMemcpyToHost",
                     tensor.host_buffer,
-                    tensor._device(),
+                    tensor.device_buffer,
                     tensor.total_size * _ELEM_BYTES,
                 )
-            elif self.strategy == "prophecy":
-                if tensor.gpu_written.get():
-                    ctx.runtime(
-                        "runtime::cudaMemcpyToHost",
-                        tensor.host_buffer,
-                        tensor._device(),
-                        tensor.total_size * _ELEM_BYTES,
-                    )
+            if prophecy:
                 tensor.gpu_read.destroy()
                 tensor.gpu_read = None
                 tensor.gpu_written.set(False)
+
+
+def _loop_nest(ctx: StageContext, loops: list[tuple[Index, Any, Any]], body: Callable) -> None:
+    """Record ``body`` inside ``loops``, outermost first.
+
+    Each ``(index, start, step)`` loops from ``start`` by ``step`` over the
+    index's range, with the index's handle bound while its body records.
+    """
+    if not loops:
+        body()
+        return
+    index, start, step = loops[0]
+
+    def bound(it: StagedExpr) -> None:
+        index.handle = it
+        _loop_nest(ctx, loops[1:], body)
+
+    ctx.for_loop(start, index.range, step, bound)
+    index.handle = None
 
 
 def einsum_assign(lhs: TensorAccess, rhs, mode: str) -> None:
@@ -455,95 +400,60 @@ def einsum_assign(lhs: TensorAccess, rhs, mode: str) -> None:
 
     Indices on the right but not the left are reduction indices; they get
     inner loops accumulating into a scalar (unit 0 for ``add_assign``, 1 for
-    ``mul_assign``).  ``assign`` admits no reduction indices.
+    ``mul_assign``).  ``assign`` admits no reduction indices.  On the GPU a
+    single output index is grid-strided over flat thread ids; with two or
+    more, the first is block-strided and the second thread-strided.
     """
     if mode not in ("assign", "add_assign", "mul_assign"):
         raise EinsumError(f"unknown einsum mode {mode!r}")
     session = lhs.tensor.session
-    term = _to_term(rhs)
+    term = _operand(rhs)
 
-    lhs_indices = lhs.distinct_indices()
-    rhs_indices = term.gather_indices()
-    for index in lhs_indices + rhs_indices:
-        index.range = None  # ranges rebind per statement
-    lhs.bind_ranges()
-    term.bind_ranges()
-    for index in lhs_indices + rhs_indices:
+    leaves = [lhs, *_leaves(term)]
+    indices: dict[Index, None] = {}  # the statement's indices in order of first use
+    for leaf in leaves:
+        for index in leaf.indices if isinstance(leaf, TensorAccess) else [leaf]:
+            if isinstance(index, Index):
+                index.range = None  # ranges rebind per statement
+                indices[index] = None
+    for leaf in leaves:
+        if isinstance(leaf, TensorAccess):
+            leaf.bind_ranges()
+    for index in indices:
         if index.range is None:
             raise EinsumError(f"index {index.name!r} never meets a tensor dimension")
-    reduce_indices = [i for i in rhs_indices if i not in lhs_indices]
-    if mode == "assign" and reduce_indices:
-        names = ", ".join(i.name for i in reduce_indices)
+    outputs = list(dict.fromkeys(lhs.indices))
+    reductions = [i for i in indices if i not in outputs]
+    if mode == "assign" and reductions:
+        names = ", ".join(i.name for i in reductions)
         raise EinsumError(f"plain assignment cannot reduce over {names}")
 
     ctx = session.ctx
+    loops = [(index, 0, 1) for index in outputs]
+    if session.on_gpu and len(outputs) == 1:
+        thread = ctx.declare("int", session.bid * session.max_tid + session.tid)
+        loops[0] = (outputs[0], thread, session.max_bid * session.max_tid)
+    elif session.on_gpu:
+        loops[:2] = [(outputs[0], session.bid, session.max_bid),
+                     (outputs[1], session.tid, session.max_tid)]
 
     def innermost() -> None:
-        buffer, flat = session._store_target(lhs)
+        target = session._element(lhs, store=True)
         if mode == "assign":
-            ctx.assign(buffer[flat], term.staged_value(session))
+            ctx.assign(target, _value(term, session))
             return
-        unit = 0.0 if mode == "add_assign" else 1.0
-        acc = ctx.declare("float", unit)
+        acc = ctx.declare("float", 0.0 if mode == "add_assign" else 1.0)
 
-        def reduce_loops(depth: int) -> None:
-            if depth == len(reduce_indices):
-                value = term.staged_value(session)
-                ctx.assign(acc, acc + value if mode == "add_assign" else acc * value)
-                return
+        def accumulate() -> None:
+            value = _value(term, session)
+            ctx.assign(acc, acc + value if mode == "add_assign" else acc * value)
 
-            def body(it: StagedExpr) -> None:
-                reduce_indices[depth].handle = it
-                reduce_loops(depth + 1)
+        _loop_nest(ctx, [(index, 0, 1) for index in reductions], accumulate)
+        ctx.assign(target, acc)
 
-            ctx.for_loop(0, reduce_indices[depth].range, 1, body)
-            reduce_indices[depth].handle = None
-
-        reduce_loops(0)
-        ctx.assign(buffer[flat], acc)
-
-    def lhs_loops(depth: int) -> None:
-        if depth == len(lhs_indices):
-            innermost()
-            return
-        if session.on_gpu and depth == 0:
-            stride = session.max_bid * session.max_tid
-            if len(lhs_indices) == 1:
-                thread = ctx.declare("int", session.bid * session.max_tid + session.tid)
-
-                def body(it: StagedExpr) -> None:
-                    lhs_indices[0].handle = it
-                    lhs_loops(1)
-
-                ctx.for_loop(thread, lhs_indices[0].range, stride, body)
-                lhs_indices[0].handle = None
-                ctx.runtime("runtime::grid_sync")
-                return
-            # two or more output indices: block-stride the first, thread-stride
-            # the second, plain loops below
-            def outer(it0: StagedExpr) -> None:
-                lhs_indices[0].handle = it0
-
-                def inner(it1: StagedExpr) -> None:
-                    lhs_indices[1].handle = it1
-                    lhs_loops(2)
-
-                ctx.for_loop(session.tid, lhs_indices[1].range, session.max_tid, inner)
-                lhs_indices[1].handle = None
-
-            ctx.for_loop(session.bid, lhs_indices[0].range, session.max_bid, outer)
-            lhs_indices[0].handle = None
-            ctx.runtime("runtime::grid_sync")
-            return
-
-        def body(it: StagedExpr) -> None:
-            lhs_indices[depth].handle = it
-            lhs_loops(depth + 1)
-
-        ctx.for_loop(0, lhs_indices[depth].range, 1, body)
-        lhs_indices[depth].handle = None
-
-    lhs_loops(0)
+    _loop_nest(ctx, loops, innermost)
+    if session.on_gpu:
+        ctx.runtime("runtime::grid_sync")
 
 
 # --------------------------------------------------------------------------
@@ -588,7 +498,6 @@ def build_matmul_benchmark(
 
         session.run_on_gpu(kernel)
         z_b[i, j] = z[i, j]
-        _record_meta(session)
 
     return run_staged(generate, name="matmul")
 
@@ -624,25 +533,8 @@ def build_matvec_benchmark(
 
         session.run_on_gpu(kernel)
         z_b[i] = z[i]
-        _record_meta(session)
 
     return run_staged(generate, name="matvec")
-
-
-def _record_meta(session: EinsumSession) -> None:
-    """Stash tensor-to-variable naming on the program for movement scans."""
-    tensors = {}
-    for t in session.tensors:
-        tensors[t.name] = {
-            "host": t.host_buffer.node.name,
-            "device": t.device_buffer.node.name if t.device_buffer is not None else None,
-            "sizes": list(t.sizes),
-        }
-    session.ctx.program_meta = {
-        "tensors": tensors,
-        "strategy": session.strategy,
-        "grid": [session.max_bid, session.max_tid],
-    }
 
 
 @dataclass(frozen=True)
@@ -655,35 +547,20 @@ class MovementSummary:
 def movement_summary(program: SecondStageProgram) -> MovementSummary:
     """Static scan of an emitted benchmark: which tensors move where.
 
-    Uses the naming manifest the builders attach to the program to map
-    buffer variables back to tensor names.
+    Uses the naming manifest the session keeps on the program to map buffer
+    variables back to tensor names.
     """
     tensors = program.meta.get("tensors")
     if tensors is None:
         raise EinsumError("program carries no tensor manifest")
     by_host = {info["host"]: name for name, info in tensors.items()}
     by_device = {info["device"]: name for name, info in tensors.items() if info["device"]}
-    allocations = frozenset(
-        name
-        for name, info in tensors.items()
-        if info["device"] is not None
-    )
     to_device: set[str] = set()
     to_host: set[str] = set()
-
-    def walk(stmts) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, RuntimeCall):
-                if stmt.name == "runtime::cudaMemcpyToDevice":
-                    to_device.add(by_device[stmt.args[0].name])
-                elif stmt.name == "runtime::cudaMemcpyToHost":
-                    to_host.add(by_host[stmt.args[0].name])
-            elif hasattr(stmt, "body"):
-                walk(stmt.body)
-            elif hasattr(stmt, "then_body"):
-                walk(stmt.then_body)
-                if stmt.else_body:
-                    walk(stmt.else_body)
-
-    walk(program.body)
-    return MovementSummary(allocations, frozenset(to_device), frozenset(to_host))
+    for stmt in iter_stmts(program.body):
+        if isinstance(stmt, RuntimeCall):
+            if stmt.name == "runtime::cudaMemcpyToDevice":
+                to_device.add(by_device[stmt.args[0].name])
+            elif stmt.name == "runtime::cudaMemcpyToHost":
+                to_host.add(by_host[stmt.args[0].name])
+    return MovementSummary(frozenset(by_device.values()), frozenset(to_device), frozenset(to_host))

@@ -28,13 +28,13 @@ step of zero or less means they never end.
 """
 
 import re
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
 from .second_stage import (
     _ELEM_BYTES, ArrayIndex, Assign, Binary, Declare, Expr, FloatLit, ForLoop, IfElse, IntLit,
-    Return, RuntimeCall, RuntimeCallExpr, SecondStageProgram, Stmt, Unary, VarRef,
+    Return, RuntimeCall, RuntimeCallExpr, SecondStageProgram, Stmt, Unary, VarRef, iter_stmts,
 )
 
 MAX_LOOP_ITERATIONS = 1 << 24  # per run of one while loop; range loops always end
@@ -104,21 +104,11 @@ def _copy(name: str, dst: Buffer, src: Buffer, nbytes: Any) -> None:
     dst.mask[:count] = src.mask[:count]
 
 
-def _stmts(stmts: Iterable[Stmt]) -> Iterator[Stmt]:
-    """Every statement in ``stmts`` and in the blocks below them, in program order."""
-    for stmt in stmts:
-        yield stmt
-        if isinstance(stmt, ForLoop):
-            yield from _stmts(stmt.body)
-        elif isinstance(stmt, IfElse):
-            yield from _stmts(stmt.then_body + (stmt.else_body or []))
-
-
 class _Walk:
     """What printing one program needs beyond the node at hand."""
 
     def __init__(self, program: SecondStageProgram):
-        stmts = list(_stmts(program.body))
+        stmts = list(iter_stmts(program.body))
         self.slots: dict[str, int] = {}
         declared = [s.var if isinstance(s, ForLoop) else s.name
                     for s in stmts if isinstance(s, (Declare, ForLoop))]
@@ -252,7 +242,7 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk) -> None:
                 out.append(f"{pad}    {v} = {v} + {counted}")  # its first value >= bound
                 return
             cond_src, step_src = _expr_src(cond, w), _expr_src(step, w)
-            if counted is not None and counted <= 0 and Return not in map(type, _stmts(body)):
+            if counted is not None and counted <= 0 and Return not in map(type, iter_stmts(body)):
                 endless = f"loop over {var} never ends: its step {counted} does not advance it"
                 out.append(f"{pad}if {cond_src}: raise InterpError({endless!r})")
             out.append(f"{pad}for _ in range(MAX_LOOP_ITERATIONS):")

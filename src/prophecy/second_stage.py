@@ -5,13 +5,14 @@ behind: declarations, assignments, loops, conditionals, and calls into a
 small fixed runtime.  Programs are plain data — building them is the
 recorder's job (see staging), executing them is the interpreter's (see
 interp), and ``emit_c`` turns them into deterministic C-like text suitable
-for golden-file comparison.
+for golden-file comparison.  ``iter_stmts`` is the one walk over every
+statement of a program in program order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterable, Iterator, Union
 
 RUNTIME_CALLS = (
     "runtime::malloc",
@@ -140,6 +141,16 @@ class Return:
 
 
 Stmt = Union[Declare, Assign, ForLoop, IfElse, RuntimeCall, Return]
+
+
+def iter_stmts(stmts: Iterable[Stmt]) -> Iterator[Stmt]:
+    """Every statement in ``stmts`` and in the blocks below them, in program order."""
+    for stmt in stmts:
+        yield stmt
+        if isinstance(stmt, ForLoop):
+            yield from iter_stmts(stmt.body)
+        elif isinstance(stmt, IfElse):
+            yield from iter_stmts(stmt.then_body + (stmt.else_body or []))
 
 
 @dataclass

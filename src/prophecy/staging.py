@@ -407,7 +407,8 @@ class StageContext:
         """Record ``for (int v = start; v < bound; v = v + step)`` around body.
 
         The body procedure runs exactly once, receiving the loop variable
-        handle; whatever it records lands inside the loop.
+        handle; whatever it records lands inside the loop.  The loop's block
+        closes even when the body raises.
         """
         name = self._fresh_var()
         var = StagedExpr(VarRef(name), self)
@@ -420,8 +421,10 @@ class StageContext:
         )
         self._record(stmt)
         self._blocks.append(stmt.body)
-        body(var)
-        self._blocks.pop()
+        try:
+            body(var)
+        finally:
+            self._blocks.pop()
         return var
 
     def if_else(

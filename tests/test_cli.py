@@ -197,6 +197,16 @@ class TestStage:
         assert code == 0
         assert target.read_text().startswith('#include "runtime.h"')
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_emit_path_exit_2(self, tmp_path, where):
+        target = tmp_path / "missing" / "x.c" if where == "missing-dir" else tmp_path
+        code, out, err = run_cli(
+            "stage", "--dsl", "einsum-matvec", "--m", "2", "--n", "2", "--emit", str(target),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and str(target) in err
+        assert "Traceback" not in err and out == ""
+
     def test_stats_report_states_count_and_derivation(self):
         code, out, _ = run_cli(
             "stage", "--dsl", "einsum-matmul", "--strategy", "prophecy", "--stats",

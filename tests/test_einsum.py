@@ -68,6 +68,25 @@ class TestTensorNew:
         with pytest.raises(EinsumError, match="positive"):
             session.tensor("a", [0, 3])
 
+    @pytest.mark.parametrize("sizes", [[2.5], [2, 3.0], [True], [2, False], ["4"]])
+    def test_non_int_size_rejected(self, sizes):
+        session = fresh_session()
+        with pytest.raises(EinsumError, match=r"tensor 'a' needs int sizes"):
+            session.tensor("a", sizes)
+
+    def test_session_keeps_the_manifest(self):
+        session = fresh_session("copy_all", max_bid=2, max_tid=3)
+        session.tensor("a", [2, 3])
+        session.tensor("b", [4], buffer=session.ctx.parameter("float*"))
+        assert session.ctx.finish().meta == {
+            "tensors": {
+                "a": {"host": "var0", "device": "var1", "sizes": [2, 3]},
+                "b": {"host": "arg0", "device": "var2", "sizes": [4]},
+            },
+            "strategy": "copy_all",
+            "grid": [2, 3],
+        }
+
     def test_duplicate_name_rejected(self):
         session = fresh_session()
         session.tensor("a", [1])
@@ -218,14 +237,20 @@ class TestMatmulBenchmark:
     def test_movement_matches_independent_readwrite_analysis(self):
         # independent read/write scan of the kernel's einsum expression:
         # z[i,j] += x[i,k] * y[k,j] reads {x, y} and writes {z}
-        from prophecy.einsum import TensorTerm, _to_term
+        from prophecy.einsum import TensorAccess, TensorTerm
+
+        def tensors_read(term):
+            if isinstance(term, TensorAccess):
+                return [term.tensor]
+            if isinstance(term, TensorTerm):
+                return tensors_read(term.left) + tensors_read(term.right)
+            return []
 
         session = fresh_session()
         i, j, k = Index("i"), Index("j"), Index("k")
         x = session.tensor("x", [2, 2])
         y = session.tensor("y", [2, 2])
-        term = _to_term(x[i, k] * y[k, j])
-        reads = {t.name for t in term.tensors_read()}
+        reads = {t.name for t in tensors_read(x[i, k] * y[k, j])}
         assert reads == {"x", "y"}
 
         prog, _ = build_matmul_benchmark(4, 4, 4, "prophecy", max_bid=2, max_tid=4)
@@ -290,9 +315,6 @@ class TestPerKernelReadCells:
             b[i] = 2.0
             session.run_on_gpu(lambda: _assign(c, i, a))  # reads a only
             session.run_on_gpu(lambda: _assign(c, i, b))  # reads b only
-            from prophecy.einsum import _record_meta
-
-            _record_meta(session)
 
         def _assign(dst, i, src):
             dst[i] = src[i] + 0.0

@@ -10,6 +10,7 @@ from prophecy.second_stage import (
     SecondStageProgram,
     UnknownRuntimeCall,
     emit_c,
+    iter_stmts,
 )
 from prophecy.staging import (
     HistoryVar,
@@ -418,6 +419,24 @@ class TestRecording:
 
         run_staged(generator)
 
+    @pytest.mark.parametrize("record", ["loop", "branch"])
+    def test_block_closes_when_its_body_raises(self, record):
+        ctx = fresh_ctx()
+        buf = ctx.parameter("float*")
+
+        def body(*_):
+            ctx.assign(buf[0], 1.0)
+            raise ValueError("body failed")
+
+        with pytest.raises(ValueError, match="body failed"):
+            if record == "loop":
+                ctx.for_loop(0, 4, 1, body)
+            else:
+                ctx.if_else(1, body)
+        ctx.assign(buf[1], 2.0)  # lands after the block, not inside it
+        text = emit_c(ctx.finish())
+        assert text.index("}\n  arg0[1] = 2.0;") > text.index("arg0[0] = 1.0;")
+
     def test_unbalanced_recorder_is_an_error(self):
         ctx = fresh_ctx()
         ctx._blocks.append([])
@@ -426,6 +445,22 @@ class TestRecording:
 
 
 class TestEmission:
+    def test_iter_stmts_walks_every_block_in_program_order(self):
+        ctx = fresh_ctx()
+        buf = ctx.parameter("float*")
+        ctx.assign(buf[0], 0.0)
+
+        def body(i):
+            ctx.if_else(i, lambda: ctx.assign(buf[1], 1.0), lambda: ctx.assign(buf[2], 2.0))
+
+        ctx.for_loop(0, 2, 1, body)
+        ctx.assign(buf[3], 3.0)
+        walked = list(iter_stmts(ctx.finish().body))
+        assert [type(stmt).__name__ for stmt in walked] == [
+            "Assign", "ForLoop", "IfElse", "Assign", "Assign", "Assign",
+        ]
+        assert [s.target.index.value for s in walked if hasattr(s, "target")] == [0, 1, 2, 3]
+
     def test_empty_program(self):
         prog = SecondStageProgram("empty", (), [])
         assert emit_c(prog) == '#include "runtime.h"\n\nvoid empty(void) {\n}\n'
