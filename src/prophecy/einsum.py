@@ -132,7 +132,6 @@ class Tensor:
         self.name = name
         self.sizes = tuple(sizes)
         self.total_size = prod(self.sizes)
-        self.external = buffer is not None
         ctx = session.ctx
         self.needs_gpu: ProphecyCell = ctx.prophecy_cell(
             TRUE_TOP, TrueTopLattice.F, name=f"needs_gpu[{name}]"
@@ -290,6 +289,8 @@ class EinsumSession:
         ctx.program_meta = {"tensors": {}, "strategy": strategy, "grid": [max_bid, max_tid]}
 
     def tensor(self, name: str, sizes: Sequence[int], buffer: StagedExpr | None = None) -> Tensor:
+        if self.on_gpu:
+            raise EinsumError(f"tensor {name!r} cannot be created inside run_on_gpu")
         if any(t.name == name for t in self.tensors):
             raise EinsumError(f"duplicate tensor name {name!r}")
         tensor = Tensor(self, name, sizes, buffer)

@@ -190,6 +190,21 @@ class TestRunOnGpu:
         with pytest.raises(EinsumError, match="nested"):
             run_staged(generate)
 
+    @pytest.mark.parametrize("strategy", ["prophecy", "copy_all", "unified"])
+    def test_tensor_created_in_kernel_rejected(self, strategy):
+        def generate(ctx):
+            session = EinsumSession(ctx, strategy)
+            i = Index("i")
+
+            def kernel():
+                t = session.tensor("t", [4])
+                t[i] = 1.0
+
+            session.run_on_gpu(kernel)
+
+        with pytest.raises(EinsumError, match="cannot be created inside run_on_gpu"):
+            run_staged(generate)
+
     def test_grid_loops_recorded(self):
         prog, _ = build_matmul_benchmark(2, 2, 2, "unified", max_bid=3, max_tid=5)
         text = emit_c(prog)
