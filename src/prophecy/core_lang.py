@@ -25,13 +25,15 @@ per-label table: each label's command, its ``StepObligations`` (read set
 and assigned variable), its next label and its successors (as a set and
 fall-through first), so ``command_obligations`` and the successor queries
 are lookups.  The first ``step`` at a label compiles its transition, the
-expression into nested closures, and keeps it in the table: the only change
-to a ``Program`` after construction.  A transition keeps the sorted state
-tuple of its configuration: commands that assign nothing reuse it as it
-is, and an assignment replaces or inserts one binding in place.
+expression into nested closures, and keeps it in the table, as a
+``Program`` keeps its ``sweep_order`` and last ``label_path`` (neither
+enters equality or pickling).  A transition keeps the sorted state tuple
+of its configuration: commands that assign nothing reuse it as it is, and
+an assignment replaces or inserts one binding in place.
 
 ``execution`` is the one loop over ``step`` and the one home of the
-``max_steps`` rule: ``run_trace``, the engine and the checkers all walk it.
+``max_steps`` rule.  ``run_trace`` walks it; the engine and the checkers
+read only labels, from ``label_path``, which records them once.
 """
 
 from __future__ import annotations
@@ -306,6 +308,8 @@ class Program:
             )
         self._predecessors = {label: frozenset(preds) for label, preds in inverse.items()}
         self._variables = frozenset(variables)
+        self._sweep_order: tuple[Label, ...] | None = None
+        self._path: tuple | None = None  # (key, labels, what each step reached)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Program) and self.commands == other.commands
@@ -353,6 +357,20 @@ class Program:
     def variables(self) -> frozenset[str]:
         """All variable names mentioned anywhere in the program."""
         return self._variables
+
+    def sweep_order(self) -> tuple[Label, ...]:
+        """Each reachable label once, depth first, fall-through before branch target; kept."""
+        if self._sweep_order is None:
+            visited: dict[Label, None] = {}
+            stack = [self.first]
+            while stack:
+                label = stack.pop()
+                if label in visited:
+                    continue
+                visited[label] = None
+                stack.extend(s for s in reversed(self.ordered_successors(label)) if s not in visited)
+            self._sweep_order = tuple(visited)
+        return self._sweep_order
 
 
 def command_obligations(program: Program, label: Label) -> StepObligations:
@@ -842,6 +860,32 @@ def execution(
         if not isinstance(outcome, Configuration):
             return
         config = outcome
+
+
+def label_path(
+    program: Program, initial_state: State | None = None, max_steps: int = 10_000
+) -> Iterator[tuple[Label, Union[Label, Stuck, AtDone]]]:
+    """The labels of ``execution``: each position's label and what its step reached.
+
+    That is the next label, and at the last position how the run ended:
+    ``AtDone``, ``Stuck``, or the label past the budget.  The ``Program``
+    keeps the path of its latest walk if that walk reached the end, keyed
+    by the sorted initial state and ``max_steps``, and replays it for the
+    same key without a ``step``.  A walk stopped early records nothing.
+    """
+    key = (Configuration.make(program.first, initial_state or {}).state, max_steps)
+    recorded = program._path
+    if recorded is not None and recorded[0] == key:
+        yield from zip(recorded[1], recorded[2])
+        return
+    program._path = None
+    labels: list[Label] = []
+    for config, outcome in execution(program, initial_state, max_steps):
+        reached = outcome.label if isinstance(outcome, Configuration) else outcome
+        labels.append(config.label)
+        yield config.label, reached
+    path = tuple(labels)
+    program._path = (key, path, path[1:] + (reached,))
 
 
 def run_trace(program: Program, initial_state: State | None = None, max_steps: int = 10_000) -> Trace:

@@ -18,15 +18,15 @@ executions encountered.
 
 The standard semantics never read predictions, so every rerun of one
 analysis follows the same execution.  ``analyze_concrete`` collects its
-labels from ``core_lang.execution`` once, before the first run, and each
+labels from ``core_lang.label_path`` once, before the first run, and each
 rerun resumes its checks at the position where the previous run aborted:
 results only grow, and ``solve`` re-establishes every recorded constraint
 whenever one grows, so no earlier check can fire again.  The analysis
-costs one evaluated trace, plus one check per position, plus the repairs;
+costs one label path, plus one check per position, plus the repairs;
 run, misprediction and repair counts are those of running every run from
 the start.  ``analyze_all_paths_with_stats`` resumes its sweeps the same
-way along one depth-first order of the control-flow graph, so it costs
-one sweep order, plus one check per reachable label, plus the repairs.
+way along the program's ``sweep_order``, so it costs one check per
+reachable label, plus the repairs.
 
 One deliberate deviation from the literal pseudocode this follows: a
 prediction constraint that is already violated when recorded (a loop back
@@ -45,10 +45,9 @@ entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core_lang import (
-    Configuration,
     Label,
     Program,
     State,
@@ -56,7 +55,7 @@ from .core_lang import (
     Stuck,
     VarSet,
     command_obligations,
-    execution,
+    label_path,
 )
 
 
@@ -165,7 +164,7 @@ def empty_results(program: Program) -> dict[Label, VarSet]:
 
 def _check_from(
     program: Program,
-    labels: list[Label],
+    labels: Sequence[Label],
     successors: Callable[[int], tuple[Label, ...]],
     cursor: int,
     results: dict[Label, VarSet],
@@ -209,7 +208,7 @@ def _check_from(
 
 def _rerun(
     program: Program,
-    labels: list[Label],
+    labels: Sequence[Label],
     successors: Callable[[int], tuple[Label, ...]],
     *,
     repair_constraints: bool = True,
@@ -257,33 +256,21 @@ def analyze_concrete(
     disabled, so results may leave a late-recorded edge constraint
     unsatisfied.
 
-    The standard execution is evaluated once, before the first run, and
-    each rerun resumes at the position where the previous run aborted.  An
-    execution that gets stuck or runs past ``max_steps`` is not analyzed.
+    The labels of the standard execution come from ``label_path`` once,
+    before the first run, and each rerun resumes at the position where the
+    previous run aborted.  An execution that gets stuck or runs past
+    ``max_steps`` is not analyzed.
     """
     labels: list[Label] = []
-    for config, outcome in execution(program, initial_state, max_steps):
-        labels.append(config.label)
-    if isinstance(outcome, Stuck):
-        raise ProgramStuckError(labels[-1], outcome.reason)
-    if isinstance(outcome, Configuration):
+    for label, reached in label_path(program, initial_state, max_steps):
+        labels.append(label)
+    if isinstance(reached, Stuck):
+        raise ProgramStuckError(label, reached.reason)
+    if isinstance(reached, str):  # the label past the budget
         raise StepBudgetExceeded(max_steps)
     return _rerun(
         program, labels, lambda k: labels[k + 1 : k + 2], repair_constraints=not strict_paper
     )
-
-
-def _sweep_order(program: Program) -> list[Label]:
-    """Every reachable label once, depth first from the entry, fall-through before branch target."""
-    visited: dict[Label, None] = {}
-    stack = [program.first]
-    while stack:
-        label = stack.pop()
-        if label in visited:
-            continue
-        visited[label] = None
-        stack.extend(s for s in reversed(program.ordered_successors(label)) if s not in visited)
-    return list(visited)
 
 
 def analyze_all_paths_with_stats(program: Program) -> tuple[dict[Label, VarSet], RunStats]:
@@ -295,12 +282,12 @@ def analyze_all_paths_with_stats(program: Program) -> tuple[dict[Label, VarSet],
     empty results.  Returns the results with the rerun accounting, where
     each run is one sweep.
 
-    A sweep checks the reachable labels in ``_sweep_order``, each with the
+    A sweep checks the reachable labels in ``sweep_order``, each with the
     edges to all its successors.  The first violation is repaired and ends
     the sweep, mirroring how a concrete run aborts; the next sweep resumes
     at that label.
     """
-    order = _sweep_order(program)
+    order = program.sweep_order()
     return _rerun(program, order, lambda k: program.ordered_successors(order[k]))
 
 
@@ -336,4 +323,4 @@ def live_variables_oracle(program: Program) -> dict[Label, VarSet]:
 
 
 def reachable_labels(program: Program) -> frozenset[Label]:
-    return frozenset(_sweep_order(program))
+    return frozenset(program.sweep_order())

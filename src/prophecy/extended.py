@@ -25,11 +25,12 @@ Progress (the results let the extended semantics follow every standard
 step) is what the results must earn.  When both hold, standard and extended
 configurations simulate each other along the checked execution.
 
-Both checkers walk ``core_lang.execution``, which evaluates each standard
-step once under the ``max_steps`` rule ``run_trace`` and the engine share,
-and check both guards against each step.  A check whose execution runs
-past the budget does not pass: it reports a ``truncated`` violation at
-the label where it stopped.  Progress also fails with a
+Both checkers walk ``core_lang.label_path`` under the ``max_steps`` rule
+``run_trace`` and the engine share, and check both guards against each
+step; after ``analyze_concrete`` or the other checker on the same
+execution, that walk is a replay that evaluates no step.  A check whose
+execution runs past the budget does not pass: it reports a ``truncated``
+violation at the label where it stopped.  Progress also fails with a
 ``stuck`` violation when the standard execution gets stuck (an undefined
 variable): there is no step for the results to follow, and the analyzed
 execution did not run to ``done``.  Preservation passes there, noting
@@ -43,16 +44,14 @@ from typing import Mapping
 
 from .core_lang import (
     AtDone,
-    Configuration,
     Label,
     Program,
     State,
     StepObligations,  # re-exported with command_obligations and VarSet
-    StepResult,
     Stuck,
     VarSet,
     command_obligations,
-    execution,
+    label_path,
 )
 
 AnalysisResults = Mapping[Label, VarSet]
@@ -110,34 +109,33 @@ class CheckReport:
         return record
 
 
-def _truncated(check: str, config: Configuration, checked: int) -> CheckReport:
+def _truncated(check: str, label: Label, checked: int) -> CheckReport:
     """Budget ran out before ``done``: the rest of the execution went unchecked."""
-    violation = Violation("truncated", config.label, detail=f"no done within {checked} steps")
+    violation = Violation("truncated", label, detail=f"no done within {checked} steps")
     return CheckReport(check, False, checked, violation)
 
 
 def _walk(
     program: Program, results: AnalysisResults, initial_state: State | None, max_steps: int
-) -> tuple[int, Configuration, StepResult, Violation | None]:
-    """Check the extended guards along ``execution`` until a guard fails or it stops.
+) -> tuple[int, Label, Label | Stuck | AtDone, Violation | None]:
+    """Check the extended guards along ``label_path`` until a guard fails or it stops.
 
     The precondition is checked first, then the prediction on the edge the
-    standard step takes.  Returns the position, configuration and step
-    outcome where the walk stopped, and the failed guard, if any.
+    standard step takes.  Returns the position and label where the walk
+    stopped, what that step reached, and the failed guard, if any.
     """
     failed = None
-    for checked, (config, outcome) in enumerate(execution(program, initial_state, max_steps)):
-        label = config.label
+    for checked, (label, reached) in enumerate(label_path(program, initial_state, max_steps)):
         obligations = command_obligations(program, label)
         current = results[label]
         if missing := obligations.precondition - current:
             failed = Violation("precondition", label, missing)
             break
-        if isinstance(outcome, Configuration):
-            if excess := results[outcome.label] - current - obligations.prediction_extra:
-                failed = Violation("prediction", label, excess, next_label=outcome.label)
+        if isinstance(reached, str):
+            if excess := results[reached] - current - obligations.prediction_extra:
+                failed = Violation("prediction", label, excess, next_label=reached)
                 break
-    return checked, config, outcome, failed
+    return checked, label, reached, failed
 
 
 def check_preservation(
@@ -152,13 +150,13 @@ def check_preservation(
     standard step behind two guards, so a failed guard or a stuck step
     only stops the extended execution, which a note records.
     """
-    checked, config, outcome, failed = _walk(program, results, initial_state, max_steps)
-    if isinstance(outcome, AtDone):
+    checked, label, reached, failed = _walk(program, results, initial_state, max_steps)
+    if isinstance(reached, AtDone):
         return CheckReport("preservation", True, checked, None, ("extended execution complete",))
-    if isinstance(outcome, Stuck) and failed is None:
-        failed = Violation("stuck", config.label, detail=outcome.reason)
+    if isinstance(reached, Stuck) and failed is None:
+        failed = Violation("stuck", label, detail=reached.reason)
     if failed is None:
-        return _truncated("preservation", config, checked)
+        return _truncated("preservation", label, checked)
     note = f"extended execution stopped: {failed.describe()}"
     return CheckReport("preservation", True, checked, None, (note,))
 
@@ -177,11 +175,11 @@ def check_progress(
     execution that gets stuck has no step to follow, so the check fails with
     a ``stuck`` violation at that label.
     """
-    checked, config, outcome, failed = _walk(program, results, initial_state, max_steps)
-    if isinstance(outcome, AtDone):
+    checked, label, reached, failed = _walk(program, results, initial_state, max_steps)
+    if isinstance(reached, AtDone):
         return CheckReport("progress", True, checked, None, ("standard execution complete",))
-    if isinstance(outcome, Stuck):
-        failed = Violation("stuck", config.label, detail=outcome.reason)
+    if isinstance(reached, Stuck):
+        failed = Violation("stuck", label, detail=reached.reason)
     elif checked >= max_steps:
-        return _truncated("progress", config, checked)
+        return _truncated("progress", label, checked)
     return CheckReport("progress", False, checked, failed)

@@ -8,6 +8,7 @@ with a second ``step``, are kept here as the reference: ``TestExtStep`` and
 differential test compares the reference reports with the walk's.
 """
 
+import pickle
 import random
 from dataclasses import dataclass
 from itertools import count
@@ -19,7 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prophecy import core_lang
-from prophecy.core_lang import AtDone, Configuration, Stuck, parse_program, run_trace, step
+from prophecy.core_lang import (
+    AtDone,
+    Configuration,
+    Program,
+    Stuck,
+    parse_program,
+    run_trace,
+    step,
+)
 from prophecy.engine import (
     AnalysisError,
     ProgramStuckError,
@@ -545,3 +554,130 @@ class TestStepCost:
             report = check(program, results, None, max_steps)
             assert calls  # the patched step is the one the caller reaches
             assert len(calls) <= report.steps_checked + 1
+
+
+# Programs whose executions get stuck or never reach done, beside the random ones.
+FIXED = (
+    "l0: x := 1\nl1: goto l1\nl2: done",
+    "l0: x := 3\nl1: x := x - 1\nl2: if 0 <= x then l1\nl3: y := z\nl4: halt\nl5: done",
+)
+CALLS = ("analyze", "preservation", "progress", "failing")
+
+
+def _fresh(program):
+    """An equal program that has walked nothing yet."""
+    return Program(program.commands)
+
+
+def _call(kind, program, state, max_steps):
+    """One caller of ``label_path``, its outcome as a comparable value."""
+    if kind == "analyze":
+        try:
+            return analyze_concrete(program, state, max_steps)
+        except AnalysisError as exc:
+            return type(exc).__name__, str(exc)
+    if kind == "failing":
+        # fails the first guard that reads a variable
+        table = {label: frozenset() for label in program.labels}
+        check = check_progress
+    else:
+        table = live_variables_oracle(program)
+        check = check_preservation if kind == "preservation" else check_progress
+    report = check(program, table, state, max_steps)
+    return report.to_record(), report.notes
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from((None,) + FIXED),
+    st.lists(
+        st.tuples(st.sampled_from(CALLS), st.integers(0, 3), st.sampled_from([0, 3, 10_000])),
+        min_size=1,
+        max_size=10,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_warm_program_matches_fresh_program(seed, text, calls):
+    """Each caller on one program, in any order, reports what it reports on a fresh copy."""
+    rng = random.Random(seed)
+    program = random_program(rng) if text is None else parse_program(text)
+    full = random_state(rng, program)
+    dropped = dict(full)
+    if dropped:
+        del dropped[rng.choice(sorted(dropped))]
+    states = [full, dropped, {}, random_state(rng, program)]
+    for kind, which, max_steps in calls:
+        state = states[which]
+        assert _call(kind, program, state, max_steps) == _call(kind, _fresh(program), state, max_steps)
+
+
+class TestRecordedPath:
+    """The engine and the checkers evaluate one standard execution once per program."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = []
+
+        def counting(program, config):
+            calls.append(config.label)
+            return step(program, config)
+
+        monkeypatch.setattr(core_lang, "step", counting)
+        return calls
+
+    def test_analysis_and_checks_step_once(self, steps):
+        program = parse_program(LOOP)
+        positions = len(run_trace(program))
+        steps.clear()
+        results, _ = analyze_concrete(program)
+        preservation = check_preservation(program, results)
+        progress = check_progress(program, results)
+        assert len(steps) == positions
+        assert preservation.passed and progress.passed
+        assert preservation.steps_checked == progress.steps_checked == positions - 1
+
+    def test_other_key_steps_again(self, steps):
+        program, results = loop_fixpoint()
+        steps.clear()
+        check_progress(program, results, {"x": 2})
+        assert steps
+        steps.clear()
+        check_progress(program, results, None, 5)
+        assert len(steps) == 6
+
+    def test_walk_stopped_by_a_guard_records_nothing(self, steps):
+        program = parse_program(LOOP)
+        results = live_variables_oracle(program)
+        broken = {**results, "l2": frozenset()}
+        report = check_progress(program, broken)
+        assert report.violation.kind == "precondition"
+        assert len(steps) == report.steps_checked + 1  # no step past the failed guard
+        steps.clear()
+        assert check_progress(program, results).passed
+        assert len(steps) == len(run_trace(program))
+
+    @pytest.mark.parametrize("copy", ["reparsed", "pickled"])
+    def test_equal_program_steps_again(self, steps, copy):
+        program, results = loop_fixpoint()
+        other = parse_program(LOOP) if copy == "reparsed" else pickle.loads(pickle.dumps(program))
+        assert other == program and other is not program
+        steps.clear()
+        assert check_progress(program, results).passed
+        assert not steps  # replayed
+        assert check_progress(other, results).passed
+        assert len(steps) == len(run_trace(program))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda program, results: analyze_concrete(program, None, -1),
+            lambda program, results: check_preservation(program, results, None, -1),
+            lambda program, results: check_progress(program, results, None, -1),
+            lambda program, results: run_trace(program, None, -1),
+        ],
+    )
+    def test_negative_budget_raises_on_warm_program(self, call):
+        program, results = loop_fixpoint()
+        assert check_progress(program, results).passed
+        with pytest.raises(ValueError, match="max_steps"):
+            call(program, results)

@@ -6,13 +6,16 @@ references), so running it here keeps a fast path from breaking the gate
 between benchmark runs.  The three cheapest items of each pool keep this
 short.  On the stage workloads those are matvec builds only, so the
 cheapest matmul shape (all three strategies: the two-index block/thread
-split) and the cheapest conv join them.
+split) and the cheapest conv join them.  An analyze request evaluates its
+standard execution once: the analysis and both checkers share one label path.
 """
 
 import sys
 from pathlib import Path
 
 import pytest
+
+from prophecy import core_lang
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -52,3 +55,19 @@ def test_cheapest_requests_pass_and_repeat(name):
         return counters
 
     assert serve_all() == serve_all()
+
+
+@pytest.mark.parametrize("name", ["analyze-concrete", "analyze-allpaths"])
+def test_analyze_requests_step_once_per_position(monkeypatch, name):
+    calls = []
+    step = core_lang.step
+
+    def counting(program, config):
+        calls.append(config.label)
+        return step(program, config)
+
+    monkeypatch.setattr(core_lang, "step", counting)
+    for item in smoke_items(name):
+        calls.clear()
+        WORKLOADS[name].request(item, call)
+        assert len(calls) == item.expected["steps"] + 1, item.key
