@@ -359,7 +359,7 @@ class Program:
         return self._variables
 
     def sweep_order(self) -> tuple[Label, ...]:
-        """Each reachable label once, depth first, fall-through before branch target; kept."""
+        """Each reachable label once, depth first, fall-through before branch target (kept)."""
         if self._sweep_order is None:
             visited: dict[Label, None] = {}
             stack = [self.first]
@@ -368,7 +368,7 @@ class Program:
                 if label in visited:
                     continue
                 visited[label] = None
-                stack.extend(s for s in reversed(self.ordered_successors(label)) if s not in visited)
+                stack += [s for s in reversed(self.ordered_successors(label)) if s not in visited]
             self._sweep_order = tuple(visited)
         return self._sweep_order
 

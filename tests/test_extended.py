@@ -5,7 +5,9 @@ evaluates each standard step once.  The two checkers it replaced, which
 each built an extended step with ``ext_step_with_results`` and compared it
 with a second ``step``, are kept here as the reference: ``TestExtStep`` and
 ``TestMonotonicity`` test the reference extended step, and a hypothesis
-differential test compares the reference reports with the walk's.
+differential test compares the reference reports with the walk's.  The
+walk replays the label path a ``Program`` recorded; another hypothesis test
+compares every caller of it on a warm program with a fresh copy.
 """
 
 import pickle
