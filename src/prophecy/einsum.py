@@ -314,7 +314,8 @@ class EinsumSession:
             return tensor.host_buffer[access.flat_index()]
         if self.strategy == "prophecy":
             if not store and tensor.gpu_read is None:
-                raise EinsumError(f"tensor {tensor.name!r} was created inside the GPU context")
+                raise EinsumError(f"tensor {tensor.name!r} belongs to another EinsumSession"
+                                  f" (strategy {tensor.session.strategy!r})")
             tensor.needs_gpu.require(TrueTopLattice.T)
             if store:
                 tensor.gpu_written.set(True)

@@ -205,6 +205,17 @@ class TestRunOnGpu:
         with pytest.raises(EinsumError, match="cannot be created inside run_on_gpu"):
             run_staged(generate)
 
+    def test_kernel_reading_another_sessions_tensor_names_that_session(self):
+        def generate(ctx):
+            other, session = EinsumSession(ctx, "unified"), EinsumSession(ctx, "prophecy")
+            i = Index("i")
+            t, c = other.tensor("t", [4]), session.tensor("c", [4])
+            session.run_on_gpu(lambda: c.__setitem__(i, t[i]))
+
+        with pytest.raises(EinsumError) as raised:
+            run_staged(generate)
+        assert str(raised.value) == "tensor 't' belongs to another EinsumSession (strategy 'unified')"
+
     def test_grid_loops_recorded(self):
         prog, _ = build_matmul_benchmark(2, 2, 2, "unified", max_bid=3, max_tid=5)
         text = emit_c(prog)

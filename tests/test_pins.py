@@ -437,4 +437,4 @@ def test_einsum_lowering_pinned():
     for strategy in ("prophecy", "copy_all", "unified"):
         records.append([build_matmul_benchmark(2, 3, 4, strategy)[0].meta,
                         build_matvec_benchmark(3, 2, strategy)[0].meta])
-    assert _digest(records) == "9efcc2c2b3e5a24e6b99f3407808d0979497b117ca288430837b1296dbfd8858"
+    assert _digest(records) == "3bcc6734a90f75b076421f4354a38c3bc713b23dc4ce51d5b5ab6ad40db86ddf"
