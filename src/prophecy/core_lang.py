@@ -16,31 +16,32 @@ integers.  A ``halt`` steps to the ``done`` command that must immediately
 follow it; execution is complete once it reaches a ``done``.  Evaluating a
 variable missing from the state makes the execution stuck.
 
-Integers are 64-bit two's complement with wrap-around on overflow.
-All values here are immutable after construction and safe to share.
+Integers are 64-bit two's complement with wrap-around on overflow: the
+parser rejects a literal above 2**63 - 1 and an execution an initial value
+outside that range.  All values here are immutable after construction and
+safe to share.
 
 The parser runs a recursive descent over the tokens one regular
 expression splits each line into.  Building a ``Program`` fills a
 per-label table: each label's command, its ``StepObligations`` (read set
 and assigned variable), its next label and its successors (as a set and
 fall-through first), so ``command_obligations`` and the successor queries
-are lookups.  The first ``step`` at a label compiles its transition, the
-expression into nested closures, and keeps it in the table, as a
-``Program`` keeps its ``sweep_order`` and last ``label_path`` (neither
-enters equality or pickling).  A transition keeps the sorted state tuple
-of its configuration: commands that assign nothing reuse it as it is, and
-an assignment replaces or inserts one binding in place.
+are lookups.  The first use of a label compiles its transition into nested
+closures over the slots, a list with one entry per variable, and keeps it
+in the table, as a ``Program`` keeps its ``sweep_order`` and last
+``label_path`` (neither enters equality or pickling).  An assignment
+writes its slot and returns the next label; a branch returns a label.
 
-``execution`` is the one loop over ``step`` and the one home of the
-``max_steps`` rule.  ``run_trace`` walks it; the engine and the checkers
-read only labels, from ``label_path``, which records them once.
+``execution`` is the one loop over the transitions and the one home of
+the ``max_steps`` rule.  ``label_path`` reads only its labels, and records
+them once for the engine and the checkers; ``run_trace`` builds a
+``Configuration`` per position, and ``step`` runs one transition.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Mapping, Union
@@ -231,10 +232,7 @@ _NO_OBLIGATIONS = StepObligations(frozenset(), frozenset())
 
 
 class _LabelEntry:
-    """Everything the semantics and the analyses ask about one label.
-
-    ``transition`` stays None until the label's first ``step`` compiles it.
-    """
+    """What the semantics and analyses ask about a label; ``transition`` compiles on first use."""
 
     __slots__ = ("command", "obligations", "next_label", "ordered_successors", "successors",
                  "transition")
@@ -261,7 +259,7 @@ class _LabelEntry:
             raise TypeError(f"not a command: {command!r}")
         self.ordered_successors = ordered
         self.successors = frozenset(ordered)
-        self.transition: Callable[[StateTuple], StepResult] | None = None
+        self.transition: Transition | None = None
 
 
 class Program:
@@ -272,7 +270,7 @@ class Program:
     must exist, and the final command must not fall through (only
     ``done`` or ``goto`` may end the sequence).  Construction also builds
     the per-label table (see the module docstring), so every query below
-    is a lookup; a label's transition is compiled on its first ``step``.
+    is a lookup; a label's transition is compiled on its first use.
     """
 
     def __init__(self, commands: Iterator[tuple[Label, Command]] | list[tuple[Label, Command]]):
@@ -308,6 +306,7 @@ class Program:
             )
         self._predecessors = {label: frozenset(preds) for label, preds in inverse.items()}
         self._variables = frozenset(variables)
+        self._slot = {name: at for at, name in enumerate(sorted(variables))}
         self._sweep_order: tuple[Label, ...] | None = None
         self._path: tuple | None = None  # (key, labels, what each step reached)
 
@@ -476,6 +475,8 @@ class _Parser:
                 value = int(token)
             except ValueError:  # longer than int() accepts
                 raise self.error("integer literal too long") from None
+            if value >= _INT64_SIGN:
+                raise self.error("integer literal outside the 64-bit range")
             self.i += 1
             return Num(value)
         if token[:1] in _WORD_START and token not in _KEYWORDS:
@@ -650,8 +651,7 @@ State = Mapping[str, int]
 class Configuration:
     """A label and a state, the state as (name, value) pairs sorted by name.
 
-    Build one with ``make``: ``step`` finds variables by binary search and
-    so relies on that order.
+    Build one with ``make``, which sorts the pairs, so equal states compare equal.
     """
 
     label: Label
@@ -692,135 +692,116 @@ class AtDone:
 
 AT_DONE = AtDone()
 
-StepResult = Union[Configuration, Stuck, AtDone]
+Reached = Union[Label, Stuck, AtDone]  # what a transition reached
+Transition = Callable[[list], Reached]
 
 
-def step(program: Program, config: Configuration) -> StepResult:
-    """One transition of the standard rules; the first step at a label compiles its rule."""
-    try:
-        entry = program._table[config.label]
-    except KeyError:
-        raise UnknownLabelError(config.label) from None
-    if entry.transition is None:
-        entry.transition = _compile_transition(entry.command, entry.next_label)
-    return entry.transition(config.state)
+def step(program: Program, config: Configuration) -> Configuration | Stuck | AtDone:
+    """One transition of the standard rules, run over slots filled from ``config``."""
+    slots = _fill(program, config.state)
+    reached = _transition(program, config.label)(slots)
+    if not isinstance(reached, str):
+        return reached
+    written = {name: value for name, value in zip(program._slot, slots) if value is not None}
+    return Configuration.make(reached, {**dict(config.state), **written})
 
 
-# Compilation of the standard rules.  Each expression becomes nested closures
-# over the configuration's sorted state tuple; a variable is found by binary
-# search, and a missing one surfaces as the KeyError of its lookup.  Every
-# operand evaluates, left to right, so the first undefined variable is the
-# one a tree walk names.  The closures carry no annotations: building an
-# annotation dict for each one made compiling an expression about twice as slow.
+# Compilation of the standard rules into closures over the slots (see ``_fill``).
+# Reading an empty slot raises UndefinedVariableError, which the transition
+# returns as ``Stuck``.  Every operand evaluates, left to right, so the first
+# undefined variable is the one a tree walk names.  The closures carry no
+# annotations: an annotation dict for each made compiling about twice as slow.
+
+_APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "=": operator.eq,
+          "<=": operator.le, "and": operator.and_, "or": operator.or_}
 
 
-def _compile_aexp(expr: AExp) -> Callable[[StateTuple], int]:
-    match expr:
-        case Num(value):
-            return lambda state: value
-        case Var(name):
-            key = (name,)
+def _expr(expr: AExp | BExp, slot: dict[str, int]) -> Callable[[list], int | bool]:
+    if isinstance(expr, (Num, BoolLit)):
+        constant = expr.value
+        return lambda slots: constant
+    if isinstance(expr, Var):
+        at, name = slot[expr.name], expr.name
 
-            def read(state):
-                at = bisect_left(state, key)
-                if at < len(state) and state[at][0] == name:
-                    return state[at][1]
-                raise KeyError(name)
+        def read(slots):
+            if (value := slots[at]) is None:
+                raise UndefinedVariableError(name)
+            return value
 
-            return read
-        case ABin("+" | "-" as op, Var(name), Num(value)):
-            # the common ``y + c`` and ``y - c`` in one closure
-            key = (name,)
-            delta = value if op == "+" else -value
+        return read
+    if isinstance(expr, Not):
+        inner = _expr(expr.operand, slot)
+        return lambda slots: not inner(slots)
+    if not isinstance(expr, (ABin, Cmp, BBin)):
+        raise TypeError(f"not an expression: {expr!r}")
+    apply, lhs, rhs = _APPLY[expr.op], _expr(expr.left, slot), _expr(expr.right, slot)
+    if isinstance(expr, ABin):
 
-            def shift(state):
-                at = bisect_left(state, key)
-                if at < len(state) and state[at][0] == name:
-                    shifted = state[at][1] + delta
-                    return shifted if -_INT64_SIGN <= shifted < _INT64_SIGN else _wrap64(shifted)
-                raise KeyError(name)
+        def arith(slots):
+            value = apply(lhs(slots), rhs(slots))
+            return value if -_INT64_SIGN <= value < _INT64_SIGN else _wrap64(value)
 
-            return shift
-        case ABin(op, left, right):
-            apply = operator.add if op == "+" else operator.sub if op == "-" else operator.mul
-            lhs, rhs = _compile_aexp(left), _compile_aexp(right)
-
-            def binary(state):
-                value = apply(lhs(state), rhs(state))
-                return value if -_INT64_SIGN <= value < _INT64_SIGN else _wrap64(value)
-
-            return binary
-    raise TypeError(f"not an arithmetic expression: {expr!r}")
+        return arith
+    # a comparison, or and/or as & and | over bools, which evaluate both operands
+    return lambda slots: apply(lhs(slots), rhs(slots))
 
 
-def _compile_bexp(expr: BExp) -> Callable[[StateTuple], bool]:
-    match expr:
-        case BoolLit(value):
-            return lambda state: value
-        case Cmp(op, left, right):
-            lhs, rhs = _compile_aexp(left), _compile_aexp(right)
-            if op == "=":
-                return lambda state: lhs(state) == rhs(state)
-            return lambda state: lhs(state) <= rhs(state)
-        case Not(operand):
-            inner = _compile_bexp(operand)
-            return lambda state: not inner(state)
-        case BBin(op, left, right):
-            first, second = _compile_bexp(left), _compile_bexp(right)
+def _compile_label(command: Command, nxt: Label | None, slot: dict[str, int]) -> Transition:
+    """The standard rule for ``command`` as a function of the slots: it returns what it reached."""
+    if isinstance(command, Done):
+        return lambda slots: AT_DONE
+    if isinstance(command, (Skip, Halt, Goto)):
+        target = command.target if isinstance(command, Goto) else nxt
+        return lambda slots: target
+    if isinstance(command, Assign):
+        at, evaluate = slot[command.var], _expr(command.expr, slot)
 
-            def both(state):
-                a = first(state)
-                b = second(state)
-                return (a and b) if op == "and" else (a or b)
+        def assign(slots):
+            try:
+                slots[at] = evaluate(slots)
+            except UndefinedVariableError as exc:
+                return Stuck(str(exc))
+            return nxt
 
-            return both
-    raise TypeError(f"not a boolean expression: {expr!r}")
+        return assign
+    if isinstance(command, If):
+        holds, target = _expr(command.cond, slot), command.target
 
+        def branch(slots):
+            try:
+                return target if holds(slots) else nxt
+            except UndefinedVariableError as exc:
+                return Stuck(str(exc))
 
-def _undefined(exc: KeyError) -> Stuck:
-    return Stuck(str(UndefinedVariableError(exc.args[0])))
-
-
-def _compile_transition(command: Command, nxt: Label | None) -> Callable[[StateTuple], StepResult]:
-    """The standard rule for ``command``, as a function of the state tuple.
-
-    Commands that do not assign keep the state tuple itself.  An assignment
-    replaces the variable's binding at its place in the sorted tuple, or
-    inserts a new binding where sorting would put it.
-    """
-    match command:
-        case Done():
-            return lambda state: AT_DONE
-        case Skip() | Halt():
-            return lambda state: Configuration(nxt, state)
-        case Goto(target):
-            return lambda state: Configuration(target, state)
-        case Assign(var, expr):
-            evaluate = _compile_aexp(expr)
-            key = (var,)
-
-            def assign(state):
-                try:
-                    binding = ((var, evaluate(state)),)
-                except KeyError as exc:
-                    return _undefined(exc)
-                at = bisect_left(state, key)
-                rest = at + 1 if at < len(state) and state[at][0] == var else at
-                return Configuration(nxt, state[:at] + binding + state[rest:])
-
-            return assign
-        case If(cond, target):
-            holds = _compile_bexp(cond)
-
-            def branch(state):
-                try:
-                    taken = holds(state)
-                except KeyError as exc:
-                    return _undefined(exc)
-                return Configuration(target if taken else nxt, state)
-
-            return branch
+        return branch
     raise TypeError(f"not a command: {command!r}")
+
+
+def _transition(program: Program, label: Label) -> Transition:
+    """The compiled rule at ``label``; the first call at a label compiles and keeps it."""
+    entry = program._entry(label)
+    if entry.transition is None:
+        entry.transition = _compile_label(entry.command, entry.next_label, program._slot)
+    return entry.transition
+
+
+def _initial(initial_state: State | None) -> StateTuple:
+    """The initial state sorted by name, once every value is checked to be a 64-bit integer."""
+    state = tuple(sorted((initial_state or {}).items()))
+    for name, value in state:
+        if type(value) is not int or not -_INT64_SIGN <= value < _INT64_SIGN:
+            raise ValueError(f"initial value of {name!r} is not a 64-bit integer: {value!r}")
+    return state
+
+
+def _fill(program: Program, state: StateTuple) -> list:
+    """The slots of ``state``: each program variable's value at its sorted index, or None."""
+    slot = program._slot
+    slots: list = [None] * len(slot)
+    for name, value in state:
+        if name in slot:
+            slots[slot[name]] = value
+    return slots
 
 
 class TraceKind(str, Enum):
@@ -841,60 +822,76 @@ class Trace:
 
 def execution(
     program: Program, initial_state: State | None = None, max_steps: int = 10_000
-) -> Iterator[tuple[Configuration, StepResult]]:
-    """The standard execution from the first label, with one ``step`` per position.
+) -> Iterator[tuple[Label, Reached, list]]:
+    """The standard execution from the first label, one transition per position.
 
-    Yields each configuration with the outcome of its step, for positions 0
-    through ``max_steps``, and stops after the first outcome that is not a
-    configuration.  The last outcome says how the run ended: ``AtDone``
-    (complete), ``Stuck``, or a configuration past the budget (truncated).
-    So ``max_steps`` transitions are allowed, and an execution stuck after
-    exactly that many is stuck, not truncated.
+    Yields each position's label, what its transition reached and the slots
+    after it (one list, updated in place), for positions 0 through
+    ``max_steps``, and stops after the first outcome that is not a label:
+    ``AtDone`` (complete), ``Stuck``, or a label past the budget
+    (truncated).  So ``max_steps`` transitions are allowed, and an execution
+    stuck after exactly that many is stuck, not truncated.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be at least 0")
-    config = Configuration.make(program.first, initial_state or {})
+    slots = _fill(program, _initial(initial_state))
+    table, label = program._table, program.first
     for _ in range(max_steps + 1):
-        outcome = step(program, config)
-        yield config, outcome
-        if not isinstance(outcome, Configuration):
+        reached = (table[label].transition or _transition(program, label))(slots)
+        yield label, reached, slots
+        if not isinstance(reached, str):
             return
-        config = outcome
+        label = reached
 
 
 def label_path(
     program: Program, initial_state: State | None = None, max_steps: int = 10_000
-) -> Iterator[tuple[Label, Union[Label, Stuck, AtDone]]]:
+) -> Iterator[tuple[Label, Reached]]:
     """The labels of ``execution``: each position's label and what its step reached.
 
     That is the next label, and at the last position how the run ended:
     ``AtDone``, ``Stuck``, or the label past the budget.  The ``Program``
     keeps the path of its latest walk if that walk reached the end, keyed
     by the sorted initial state and ``max_steps``, and replays it for the
-    same key without a ``step``.  A walk stopped early records nothing.
+    same key without a transition.  A walk stopped early records nothing.
     """
-    key = (Configuration.make(program.first, initial_state or {}).state, max_steps)
+    key = (_initial(initial_state), max_steps)
     recorded = program._path
     if recorded is not None and recorded[0] == key:
         yield from zip(recorded[1], recorded[2])
         return
     program._path = None
     labels: list[Label] = []
-    for config, outcome in execution(program, initial_state, max_steps):
-        reached = outcome.label if isinstance(outcome, Configuration) else outcome
-        labels.append(config.label)
-        yield config.label, reached
+    for label, reached, _ in execution(program, initial_state, max_steps):
+        labels.append(label)
+        yield label, reached
     path = tuple(labels)
     program._path = (key, path, path[1:] + (reached,))
 
 
 def run_trace(program: Program, initial_state: State | None = None, max_steps: int = 10_000) -> Trace:
-    """The configurations of ``execution`` and how it ended."""
-    configurations: list[Configuration] = []
-    for config, outcome in execution(program, initial_state, max_steps):
-        configurations.append(config)
-    if isinstance(outcome, AtDone):
+    """The configurations of ``execution`` and how it ended.
+
+    A state shares its (name, value) pairs with the one before: only an
+    assignment makes a new pair, in its sorted place.
+    """
+    start = Configuration.make(program.first, initial_state or {})
+    bound = dict(start.state)
+    pairs = {name: (name, bound[name]) if name in bound else None  # in sorted order
+             for name in sorted(bound.keys() | program._slot.keys())}
+    writes = {label: (command.var, program._slot[command.var])
+              for label, command in program.commands if isinstance(command, Assign)}
+    configurations, state = [start], start.state
+    for label, reached, slots in execution(program, initial_state, max_steps):
+        if isinstance(reached, str):
+            if label in writes:
+                var, slot = writes[label]
+                pairs[var] = (var, slots[slot])
+                state = tuple(filter(None, pairs.values()))
+            configurations.append(Configuration(reached, state))
+    if isinstance(reached, AtDone):
         return Trace(tuple(configurations), TraceKind.COMPLETE)
-    if isinstance(outcome, Stuck):
-        return Trace(tuple(configurations), TraceKind.STUCK, outcome.reason)
+    if isinstance(reached, Stuck):
+        return Trace(tuple(configurations), TraceKind.STUCK, reached.reason)
+    configurations.pop()  # the configuration past the budget
     return Trace(tuple(configurations), TraceKind.TRUNCATED, f"no done within {max_steps} steps")

@@ -19,8 +19,8 @@ configuration the standard step reaches.
 
 Preservation (extended steps introduce no new behavior) therefore holds by
 construction, for any results, even wrong ones: a failed guard only ends
-the extended execution early.  The compiled ``step`` itself is checked
-against the tree-walking rules by the ``reference_step`` differential test.
+the extended execution early.  The compiled transitions themselves are
+checked against the tree-walking ``reference_step`` by differential tests.
 Progress (the results let the extended semantics follow every standard
 step) is what the results must earn.  When both hold, standard and extended
 configurations simulate each other along the checked execution.

@@ -1,4 +1,44 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+from prophecy import core_lang  # noqa: E402
+
+
+class Transitions:
+    """What the label compiler did while the hook was on.
+
+    ``compiled`` has each command whose transition compiled, in order, and
+    ``calls`` the command of each call to a transition compiled meanwhile.
+    """
+
+    def __init__(self):
+        self.compiled = []
+        self.calls = []
+
+
+@pytest.fixture
+def transitions(monkeypatch):
+    """Count compiled transitions and their calls, by wrapping ``core_lang._compile_label``.
+
+    Only programs that compile a label after the hook is on are counted:
+    build them inside the test.
+    """
+    seen = Transitions()
+    compile_label = core_lang._compile_label
+
+    def counting(command, nxt, slot):
+        transition = compile_label(command, nxt, slot)
+        seen.compiled.append(command)
+
+        def counted(slots):
+            seen.calls.append(command)
+            return transition(slots)
+
+        return counted
+
+    monkeypatch.setattr(core_lang, "_compile_label", counting)
+    return seen

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prophecy import core_lang
 from prophecy.core_lang import (
     AT_DONE,
     ABin,
@@ -30,11 +29,14 @@ from prophecy.core_lang import (
     UndefinedVariableError,
     Var,
     expr_vars,
+    label_path,
     parse_program,
     print_program,
     run_trace,
     step,
 )
+from prophecy.engine import analyze_concrete, live_variables_oracle
+from prophecy.extended import check_progress
 from randprog import random_program
 from test_differential import eval_expr
 
@@ -219,16 +221,8 @@ class TestLazyCompilation:
     """A label's transition compiles on its first step, and only then."""
 
     @pytest.fixture()
-    def compiled(self, monkeypatch):
-        calls = []
-        compile_transition = core_lang._compile_transition
-
-        def counting(command, nxt):
-            calls.append(command)
-            return compile_transition(command, nxt)
-
-        monkeypatch.setattr(core_lang, "_compile_transition", counting)
-        return calls
+    def compiled(self, transitions):
+        return transitions.compiled
 
     def test_building_a_program_compiles_nothing(self, compiled):
         program = parse_program(LOOP)
@@ -279,6 +273,58 @@ class TestTrace:
         trace = run_trace(parse_program(LOOP), {})
         assert trace.kind is TraceKind.COMPLETE
         assert trace.configurations[-1].state_dict() == {"x": 0}
+
+    def test_unmentioned_initial_variables_survive(self):
+        trace = run_trace(parse_program(LOOP), {"a": 7, "z": -1})
+        assert trace.configurations[1] == Configuration.make("l1", {"a": 7, "x": 10, "z": -1})
+        assert trace.configurations[-1].state_dict() == {"a": 7, "x": 0, "z": -1}
+
+
+class TestInt64Domain:
+    """Integers are 64-bit two's complement where they enter: literals and initial values."""
+
+    def test_largest_literal_parses(self):
+        program = parse_program(f"l0: x := {2**63 - 1}\nl1: halt\nl2: done")
+        assert program.command_at("l0") == Assign("x", Num(2**63 - 1))
+
+    @pytest.mark.parametrize("literal", [2**63, 99999999999999999999])
+    def test_literal_above_the_range_is_a_parse_error(self, literal):
+        with pytest.raises(ParseError) as excinfo:
+            parse_program(f"l0: skip\nl1: x := 1 + {literal}\nl2: halt\nl3: done")
+        with pytest.raises(ParseError) as at_the_literal:
+            parse_program("l0: skip\nl1: x := 1 + ?\nl2: halt\nl3: done")
+        assert str(excinfo.value).endswith(": integer literal outside the 64-bit range")
+        assert (excinfo.value.line, excinfo.value.column) == (2, at_the_literal.value.column)
+
+    @pytest.mark.parametrize("value", [-(2**63), 2**63 - 1])
+    def test_extreme_initial_values_run(self, value):
+        trace = run_trace(parse_program("l0: y := x + 1\nl1: halt\nl2: done"), {"x": value})
+        assert trace.kind is TraceKind.COMPLETE
+        assert trace.configurations[-1].state_dict()["y"] == _wrap(value + 1)
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2**70, True, 1.0, "1"])
+    @pytest.mark.parametrize("name", ["x", "unmentioned"])
+    def test_initial_value_outside_the_range_is_rejected(self, value, name):
+        program = parse_program(LOOP)
+        walks = (
+            lambda: run_trace(program, {name: value}),
+            lambda: list(label_path(program, {name: value})),
+            lambda: analyze_concrete(program, {name: value}),
+            lambda: check_progress(program, live_variables_oracle(program), {name: value}),
+        )
+        for walk in walks:
+            with pytest.raises(ValueError, match=f"initial value of '{name}' is not a 64-bit integer"):
+                walk()
+
+    def test_recorded_path_is_not_replayed_for_an_equal_bool(self):
+        program = parse_program("l0: y := x\nl1: halt\nl2: done")
+        assert list(label_path(program, {"x": 1}))[-1] == ("l2", AT_DONE)
+        with pytest.raises(ValueError):
+            list(label_path(program, {"x": True}))
+
+
+def _wrap(value):
+    return (value + 2**63) % 2**64 - 2**63
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Differential tests: each fast path against the path it replaced.
 
-* ``core_lang.step`` runs each label's compiled transition.  It is compared
-  with ``reference_step``, the tree-walking rules built on ``eval_expr``
-  (the tree evaluator, which also reports the variables it read),
-  step by step along random executions (states may lack variables, so
-  ``Stuck`` reasons are compared, and may hold values near 2**63, so
-  64-bit wrap-around is compared).
+* ``core_lang.step`` runs each label's compiled transition over slots.  It
+  is compared with ``reference_step``, the tree-walking rules built on
+  ``eval_expr`` (the tree evaluator, which also reports the variables it
+  read), step by step along random executions (states may lack variables,
+  so ``Stuck`` reasons are compared, and may hold values near 2**63, so
+  64-bit wrap-around is compared).  ``run_trace`` and ``label_path``, which
+  run the transitions over one list of slots along ``execution``, are
+  compared with a walk over ``reference_step``, including stuck and
+  truncated runs and initial variables the program never mentions.
 * ``analyze_concrete`` evaluates the standard execution once, before the
   first run, resumes each rerun at the position where the previous run
   aborted, and records each edge once.  It is compared with
@@ -45,10 +48,14 @@ from prophecy.core_lang import (
     Skip,
     Stuck,
     UndefinedVariableError,
+    Trace,
+    TraceKind,
     UnknownLabelError,
     Var,
     command_obligations,
+    label_path,
     parse_program,
+    run_trace,
     step,
 )
 from prophecy.engine import (
@@ -214,6 +221,37 @@ def test_compiled_expressions_match_reference(expr, cond, state):
     for label in ("l0", "l1"):
         config = Configuration.make(label, state)
         assert step(program, config) == reference_step(program, config)
+
+
+def reference_trace(program, state, max_steps):
+    """``run_trace`` and ``label_path`` by ``reference_step``, one tree walk per position."""
+    config = Configuration.make(program.first, state)
+    configurations, path = [], []
+    for _ in range(max_steps + 1):
+        configurations.append(config)
+        outcome = reference_step(program, config)
+        path.append((config.label, outcome.label if isinstance(outcome, Configuration) else outcome))
+        if outcome is AT_DONE:
+            return Trace(tuple(configurations), TraceKind.COMPLETE), path
+        if isinstance(outcome, Stuck):
+            return Trace(tuple(configurations), TraceKind.STUCK, outcome.reason), path
+        config = outcome
+    return Trace(tuple(configurations), TraceKind.TRUNCATED, f"no done within {max_steps} steps"), path
+
+
+# the program's variables and some it never mentions, sorting before, among and after them
+_walk_states = st.dictionaries(st.sampled_from(VARS + ["_a", "cc", "zz"]), _values, max_size=9)
+
+
+@given(st.integers(0, 2**32), _walk_states, st.sampled_from([0, 3, 10_000]))
+@settings(max_examples=300, deadline=None)
+def test_slot_walk_matches_reference_walk(seed, state, max_steps):
+    """Partial states get stuck, small budgets truncate, values near 2**63 wrap."""
+    program = random_program(random.Random(seed))
+    trace, path = reference_trace(program, state, max_steps)
+    assert run_trace(program, state, max_steps) == trace
+    assert list(label_path(program, state, max_steps)) == path
+    assert list(label_path(program, state, max_steps)) == path  # the recorded replay
 
 
 def test_foreign_label_is_unknown():

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prophecy import core_lang
 from prophecy.core_lang import (
     AtDone,
     Configuration,
@@ -46,6 +45,7 @@ from prophecy.extended import (
     command_obligations,
 )
 from randprog import VARS, random_program, random_state
+from test_differential import reference_step
 
 LOOP = """
 l0: x := 10
@@ -509,10 +509,10 @@ def test_walk_matches_reference_checkers_on_every_outcome():
 
 
 def _last_position(program, state, max_steps):
-    """Where the standard execution stops within ``max_steps``, stepped without ``execution``."""
+    """Where the standard execution stops within ``max_steps``, by the uncompiled reference rules."""
     config = Configuration.make(program.first, state or {})
     for position in range(max_steps):
-        config = step(program, config)
+        config = reference_step(program, config)
         if not isinstance(config, Configuration):
             return position
     return max_steps
@@ -540,21 +540,15 @@ class TestStepCost:
         [check_preservation, check_progress, run_trace_positions, analyze_concrete_positions],
     )
     @pytest.mark.parametrize("table", TABLES)
-    def test_one_step_per_position(self, monkeypatch, check, table):
-        calls = []
-
-        def counting(program, config):
-            calls.append(config.label)
-            return step(program, config)
-
-        monkeypatch.setattr(core_lang, "step", counting)
+    def test_one_step_per_position(self, transitions, check, table):
+        calls = transitions.calls
         program, results = loop_fixpoint()
         if table != "computed":
             results = _table(table, program, {}, random.Random(1))
         for max_steps in (0, 3, 10_000):
             calls.clear()
             report = check(program, results, None, max_steps)
-            assert calls  # the patched step is the one the caller reaches
+            assert calls  # the counted transitions are the ones the caller reaches
             assert len(calls) <= report.steps_checked + 1
 
 
@@ -617,15 +611,8 @@ class TestRecordedPath:
     """The engine and the checkers evaluate one standard execution once per program."""
 
     @pytest.fixture
-    def steps(self, monkeypatch):
-        calls = []
-
-        def counting(program, config):
-            calls.append(config.label)
-            return step(program, config)
-
-        monkeypatch.setattr(core_lang, "step", counting)
-        return calls
+    def steps(self, transitions):
+        return transitions.calls
 
     def test_analysis_and_checks_step_once(self, steps):
         program = parse_program(LOOP)

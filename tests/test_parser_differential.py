@@ -139,6 +139,8 @@ class _ExprParser:
                 value = int(m.group())
             except ValueError:  # longer than int() accepts
                 raise self.error("integer literal too long") from None
+            if value > 2**63 - 1:
+                raise self.error("integer literal outside the 64-bit range")
             self.pos = m.end()
             return Num(value)
         word = self.peek_word()
@@ -297,6 +299,7 @@ _fragment_texts = st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join
 @given(st.one_of(st.text(), _fragment_texts))
 @example("l0: x := \u00b2\nl1: halt\nl2: done")
 @example("l0: x := " + "1" * 5000 + "\nl1: halt\nl2: done")
+@example("l0: x := 9223372036854775807 + 9223372036854775808\nl1: halt\nl2: done")
 @example("l0: x := " + "(" * 400 + "1" + ")" * 400 + "\nl1: goto l0")
 @example("l0: if " + "not " * 400 + "true then l0\nl1: goto l0")
 @example("l0: if " + "(" * 60 + "x" + ")" * 60 + " <= 1 then l0\nl1: goto l0")
@@ -318,6 +321,7 @@ def test_edited_programs_parse_as_the_reference_does(seed):
 _PARSE_ERRORS = (
     "expected ')'",
     "integer literal too long",
+    "integer literal outside the 64-bit range",
     "expected integer, identifier, or '('",
     "expected '=' or '<=' in comparison",
     "unexpected trailing input",
@@ -346,5 +350,10 @@ def test_edited_programs_reach_every_error():
     """A seeded sweep of edited programs, in which nearly every outcome occurs."""
     rng = random.Random(0)
     kinds = {_outcome_kind(assert_same_outcome(edited_program_text(rng))) for _ in range(3000)}
-    rare = {"integer literal too long", "expression nested more than", "empty program"}
+    rare = {
+        "integer literal too long",
+        "integer literal outside the 64-bit range",
+        "expression nested more than",
+        "empty program",
+    }
     assert kinds >= {"parsed", "ProgramStructureError", *_PARSE_ERRORS} - rare, kinds

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from prophecy import core_lang
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -58,15 +57,8 @@ def test_cheapest_requests_pass_and_repeat(name):
 
 
 @pytest.mark.parametrize("name", ["analyze-concrete", "analyze-allpaths"])
-def test_analyze_requests_step_once_per_position(monkeypatch, name):
-    calls = []
-    step = core_lang.step
-
-    def counting(program, config):
-        calls.append(config.label)
-        return step(program, config)
-
-    monkeypatch.setattr(core_lang, "step", counting)
+def test_analyze_requests_step_once_per_position(transitions, name):
+    calls = transitions.calls
     for item in smoke_items(name):
         calls.clear()
         WORKLOADS[name].request(item, call)
