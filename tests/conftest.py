@@ -1,5 +1,6 @@
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,26 +9,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 from prophecy import core_lang  # noqa: E402
 
 
-class Transitions:
-    """What the label compiler did while the hook was on.
-
-    ``compiled`` has each command whose transition compiled, in order, and
-    ``calls`` the command of each call to a transition compiled meanwhile.
-    """
-
-    def __init__(self):
-        self.compiled = []
-        self.calls = []
-
-
 @pytest.fixture
 def transitions(monkeypatch):
     """Count compiled transitions and their calls, by wrapping ``core_lang._compile_label``.
 
-    Only programs that compile a label after the hook is on are counted:
-    build them inside the test.
+    ``compiled`` lists each command whose transition compiled, in order, and
+    ``calls`` the command of each call to a transition compiled meanwhile.
+    Only labels compiled after the hook is on are counted: build the
+    programs inside the test.
     """
-    seen = Transitions()
+    seen = SimpleNamespace(compiled=[], calls=[])
     compile_label = core_lang._compile_label
 
     def counting(command, nxt, slot):

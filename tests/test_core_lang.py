@@ -38,7 +38,7 @@ from prophecy.core_lang import (
 from prophecy.engine import analyze_concrete, live_variables_oracle
 from prophecy.extended import check_progress
 from randprog import random_program
-from test_differential import eval_expr
+from test_differential import _wrap64, eval_expr
 
 MINIMAL = "l0: x := 1\nl1: halt\nl2: done"
 
@@ -300,7 +300,7 @@ class TestInt64Domain:
     def test_extreme_initial_values_run(self, value):
         trace = run_trace(parse_program("l0: y := x + 1\nl1: halt\nl2: done"), {"x": value})
         assert trace.kind is TraceKind.COMPLETE
-        assert trace.configurations[-1].state_dict()["y"] == _wrap(value + 1)
+        assert trace.configurations[-1].state_dict()["y"] == _wrap64(value + 1)
 
     @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2**70, True, 1.0, "1"])
     @pytest.mark.parametrize("name", ["x", "unmentioned"])
@@ -321,10 +321,6 @@ class TestInt64Domain:
         assert list(label_path(program, {"x": 1}))[-1] == ("l2", AT_DONE)
         with pytest.raises(ValueError):
             list(label_path(program, {"x": True}))
-
-
-def _wrap(value):
-    return (value + 2**63) % 2**64 - 2**63
 
 
 # ---------------------------------------------------------------------------
