@@ -33,7 +33,8 @@ in the table, as a ``Program`` keeps its ``sweep_order`` and last
 writes its slot and returns the next label; a branch returns a label.
 
 ``execution`` is the one loop over the transitions and the one home of
-the ``max_steps`` rule.  ``label_path`` reads only its labels, and records
+the ``max_steps`` rule.  ``label_path`` yields only the first position of
+each distinct step (a label and what it reached) and the last, and records
 them once for the engine and the checkers; ``run_trace`` builds a
 ``Configuration`` per position, and ``step`` runs one transition.
 """
@@ -308,7 +309,7 @@ class Program:
         self._variables = frozenset(variables)
         self._slot = {name: at for at, name in enumerate(sorted(variables))}
         self._sweep_order: tuple[Label, ...] | None = None
-        self._path: tuple | None = None  # (key, labels, what each step reached)
+        self._path: tuple | None = None  # (key, the entries of label_path)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Program) and self.commands == other.commands
@@ -409,7 +410,7 @@ class _Parser:
         self.depth = 0
 
     def error(self, message: str, after_previous: bool = False) -> ParseError:
-        return ParseError(message, self.line_no, self.offset + self.position(after_previous) + 1)
+        return ParseError(message, self.line_no, self.offset + self.position(after_previous))
 
     def position(self, after_previous: bool = False) -> int:
         spans = [m.span(1) for m in _TOKEN_RE.finditer(self.text)] + [(len(self.text), 0)]
@@ -846,27 +847,36 @@ def execution(
 
 def label_path(
     program: Program, initial_state: State | None = None, max_steps: int = 10_000
-) -> Iterator[tuple[Label, Reached]]:
-    """The labels of ``execution``: each position's label and what its step reached.
+) -> Iterator[tuple[int, Label, Reached]]:
+    """The new steps of ``execution``: ``(position, label, reached)`` where a step first occurs.
 
-    That is the next label, and at the last position how the run ended:
-    ``AtDone``, ``Stuck``, or the label past the budget.  The ``Program``
-    keeps the path of its latest walk if that walk reached the end, keyed
-    by the sorted initial state and ``max_steps``, and replays it for the
-    same key without a transition.  A walk stopped early records nothing.
+    A step is a label and what its transition reached: the next label, and
+    at the last position how the run ended: ``AtDone``, ``Stuck``, or the
+    label past the budget.  The last position is always yielded, after the
+    run ends.  The ``Program`` keeps these entries of its latest walk if
+    that walk reached the end, keyed by the sorted initial state and
+    ``max_steps``, and replays them for the same key without a transition.
+    A walk stopped early records nothing.
     """
     key = (_initial(initial_state), max_steps)
     recorded = program._path
     if recorded is not None and recorded[0] == key:
-        yield from zip(recorded[1], recorded[2])
+        yield from recorded[1]
         return
     program._path = None
-    labels: list[Label] = []
-    for label, reached, _ in execution(program, initial_state, max_steps):
-        labels.append(label)
-        yield label, reached
-    path = tuple(labels)
-    program._path = (key, path, path[1:] + (reached,))
+    seen: set[tuple[Label, Reached]] = set()
+    entries: list[tuple[int, Label, Reached]] = []
+    for position, (label, reached, _) in enumerate(execution(program, initial_state, max_steps)):
+        this_step = label, reached
+        if this_step not in seen:
+            seen.add(this_step)
+            entry = position, label, reached
+            entries.append(entry)
+            yield entry
+    if entries[-1][0] != position:
+        entries.append((position, label, reached))
+        yield entries[-1]
+    program._path = (key, tuple(entries))
 
 
 def run_trace(program: Program, initial_state: State | None = None, max_steps: int = 10_000) -> Trace:

@@ -18,15 +18,17 @@ executions encountered.
 
 The standard semantics never read predictions, so every rerun of one
 analysis follows the same execution.  ``analyze_concrete`` collects its
-labels from ``core_lang.label_path`` once, before the first run, and each
-rerun resumes its checks at the position where the previous run aborted:
-results only grow, and ``solve`` re-establishes every recorded constraint
-whenever one grows, so no earlier check can fire again.  The analysis
-costs one label path, plus one check per position, plus the repairs;
-run, misprediction and repair counts are those of running every run from
-the start.  ``analyze_all_paths_with_stats`` resumes its sweeps the same
-way along the program's ``sweep_order``, so it costs one check per
-reachable label, plus the repairs.
+steps (a label and the label it reaches) from ``core_lang.label_path``
+once, before the first run, and each rerun resumes its checks at the step
+where the previous run aborted: results only grow, and ``solve``
+re-establishes every recorded constraint whenever one grows, so no earlier
+check can fire again.  Nor can the checks of a step that occurred before,
+so ``label_path`` yields each distinct step once, plus the last.  The
+analysis costs one execution, plus one check per distinct step, plus the
+repairs; run, misprediction and repair counts are those of running every
+run from the start.  ``analyze_all_paths_with_stats`` resumes its sweeps
+the same way along the program's ``sweep_order``, so it costs one check
+per reachable label, plus the repairs.
 
 One deliberate deviation from the literal pseudocode this follows: a
 prediction constraint that is already violated when recorded (a loop back
@@ -171,12 +173,12 @@ def _check_from(
     constraints: ConstraintSet,
     repair_constraints: bool,
 ) -> tuple[int, Misprediction | None]:
-    """Check positions from ``cursor`` until a repair aborts the run or the walk ends.
+    """Check steps from ``cursor`` until a repair aborts the run or the walk ends.
 
-    Position k forces the reads of ``labels[k]`` into its result, then
-    records the prediction constraint of each edge to ``successors(k)``.
+    Step k forces the reads of ``labels[k]`` into its result, then records
+    the prediction constraint of each edge to ``successors(k)``.
     Unless ``repair_constraints`` is off, a constraint already violated is
-    repaired on the spot.  Any repair aborts the run.  Returns the position
+    repaired on the spot.  Any repair aborts the run.  Returns the step
     where the walk stopped and the misprediction, if any.
 
     An edge already recorded is skipped: its constraint holds from then on.
@@ -215,11 +217,11 @@ def _rerun(
 ) -> tuple[dict[Label, VarSet], RunStats]:
     """Run the check walk on persistent results and constraints until no repair aborts it.
 
-    Each rerun resumes at the position where the previous run aborted.
+    Each rerun resumes at the step where the previous run aborted.
     Checks before it cannot fire again: results only grow, so a precondition
     that held still holds, and ``solve`` re-establishes every recorded
     constraint whenever a result grows.  So each rerun aborts where a run
-    from position 0 would.
+    from step 0 would.
 
     Every aborted run grew some result, and results are bounded by the
     program's variables at each label, so more runs than the ceiling means
@@ -256,20 +258,20 @@ def analyze_concrete(
     disabled, so results may leave a late-recorded edge constraint
     unsatisfied.
 
-    The labels of the standard execution come from ``label_path`` once,
-    before the first run, and each rerun resumes at the position where the
+    The distinct steps of the standard execution come from ``label_path``
+    once, before the first run, and each rerun resumes at the step where the
     previous run aborted.  An execution that gets stuck or runs past
     ``max_steps`` is not analyzed.
     """
-    labels: list[Label] = []
-    for label, reached in label_path(program, initial_state, max_steps):
-        labels.append(label)
+    steps = list(label_path(program, initial_state, max_steps))
+    _, label, reached = steps[-1]
     if isinstance(reached, Stuck):
         raise ProgramStuckError(label, reached.reason)
     if isinstance(reached, str):  # the label past the budget
         raise StepBudgetExceeded(max_steps)
-    return _rerun(
-        program, labels, lambda k: labels[k + 1 : k + 2], repair_constraints=not strict_paper
+    return _rerun(  # a step's edge goes to the label it reached; the last one reached done
+        program, [label for _, label, _ in steps],
+        lambda k: steps[k][2:] if k + 1 < len(steps) else (), repair_constraints=not strict_paper,
     )
 
 

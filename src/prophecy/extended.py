@@ -27,14 +27,17 @@ configurations simulate each other along the checked execution.
 
 Both checkers walk ``core_lang.label_path`` under the ``max_steps`` rule
 ``run_trace`` and the engine share, and check both guards against each
-step; after ``analyze_concrete`` or the other checker on the same
-execution, that walk is a replay that evaluates no step.  A check whose
-execution runs past the budget does not pass: it reports a ``truncated``
-violation at the label where it stopped.  Progress also fails with a
-``stuck`` violation when the standard execution gets stuck (an undefined
-variable): there is no step for the results to follow, and the analyzed
-execution did not run to ``done``.  Preservation passes there, noting
-where the extended execution stopped.
+step it yields; after ``analyze_concrete`` or the other checker on the
+same execution, that walk is a replay that evaluates no step.  With the
+results fixed, a guard's outcome depends only on the step (a label and
+the label it reaches), so the first failing position is that of the
+first failing distinct step.  A check whose execution runs past the
+budget does not pass: it reports a ``truncated`` violation at the label
+where it stopped.  Progress also fails with a ``stuck`` violation when
+the standard execution gets stuck (an undefined variable): there is no
+step for the results to follow, and the analyzed execution did not run
+to ``done``.  Preservation passes there, noting where the extended
+execution stopped.
 """
 
 from __future__ import annotations
@@ -118,14 +121,14 @@ def _truncated(check: str, label: Label, checked: int) -> CheckReport:
 def _walk(
     program: Program, results: AnalysisResults, initial_state: State | None, max_steps: int
 ) -> tuple[int, Label, Label | Stuck | AtDone, Violation | None]:
-    """Check the extended guards along ``label_path`` until a guard fails or it stops.
+    """Check the extended guards on the steps of ``label_path`` until a guard fails or it stops.
 
     The precondition is checked first, then the prediction on the edge the
     standard step takes.  Returns the position and label where the walk
     stopped, what that step reached, and the failed guard, if any.
     """
     failed = None
-    for checked, (label, reached) in enumerate(label_path(program, initial_state, max_steps)):
+    for checked, label, reached in label_path(program, initial_state, max_steps):
         obligations = command_obligations(program, label)
         current = results[label]
         if missing := obligations.precondition - current:

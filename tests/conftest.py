@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from prophecy import core_lang  # noqa: E402
+from prophecy import core_lang, engine, extended  # noqa: E402
 
 
 @pytest.fixture
@@ -32,4 +32,22 @@ def transitions(monkeypatch):
         return counted
 
     monkeypatch.setattr(core_lang, "_compile_label", counting)
+    return seen
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """Count obligation lookups, by wrapping ``command_obligations`` where each module calls it.
+
+    ``engine`` lists the label of each lookup the engine makes (its reruns
+    and the oracle), and ``extended`` each one the checkers make.
+    """
+    seen = SimpleNamespace(engine=[], extended=[])
+    for module, looked_up in ((engine, seen.engine), (extended, seen.extended)):
+
+        def counting(program, label, looked_up=looked_up):
+            looked_up.append(label)
+            return core_lang.command_obligations(program, label)
+
+        monkeypatch.setattr(module, "command_obligations", counting)
     return seen

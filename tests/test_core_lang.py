@@ -96,6 +96,23 @@ class TestParser:
             parse_program("l0: x := 1\nl1: x := ??\nl2: halt\nl3: done")
         assert excinfo.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("l0: x := ?", 10),  # the bad token inside the command
+            ("l1: x := ??\nl2: done", 10),
+            ("l0: goto", 9),  # just past the end of the 8-character line
+            ("  l0:  x := 1 +", 16),
+            ("l0: if " + "(" * 60 + "x" + ")" * 60 + " <= 1 then l0", 59),  # past the 51st '('
+            ("l0: if x <= 1 thn l0", 18),  # past the word read in place of 'then'
+        ],
+    )
+    def test_syntax_error_column_is_one_based(self, text, column):
+        with pytest.raises(ParseError) as excinfo:
+            parse_program(text)
+        assert excinfo.value.column == column
+        assert str(excinfo.value).startswith(f"1:{column}: ")
+
     def test_comments_and_blank_lines(self):
         text = "# header\nl0: x := 1  # set x\n\nl1: halt\nl2: done\n"
         program = parse_program(text)
@@ -318,7 +335,7 @@ class TestInt64Domain:
 
     def test_recorded_path_is_not_replayed_for_an_equal_bool(self):
         program = parse_program("l0: y := x\nl1: halt\nl2: done")
-        assert list(label_path(program, {"x": 1}))[-1] == ("l2", AT_DONE)
+        assert list(label_path(program, {"x": 1}))[-1][1:] == ("l2", AT_DONE)
         with pytest.raises(ValueError):
             list(label_path(program, {"x": True}))
 

@@ -7,15 +7,18 @@
   so ``Stuck`` reasons are compared, and may hold values near 2**63, so
   64-bit wrap-around is compared).  ``run_trace`` and ``label_path``, which
   run the transitions over one list of slots along ``execution``, are
-  compared with a walk over ``reference_step``, including stuck and
-  truncated runs and initial variables the program never mentions.
+  compared with a walk over ``reference_step`` (``label_path`` with the
+  first position of each of its distinct steps, plus the last), including
+  stuck and truncated runs and initial variables the program never
+  mentions.
 * ``analyze_concrete`` evaluates the standard execution once, before the
-  first run, resumes each rerun at the position where the previous run
-  aborted, and records each edge once.  It is compared with
-  ``analyze_afresh``, which calls ``execute_once`` to run every rerun from
-  the first step over a lazily evaluated ``Recording``, recording and
-  checking every traversed edge, in default and ``strict_paper`` mode,
-  including programs that get stuck and budgets that run out.
+  first run, checks only its distinct steps, resumes each rerun at the
+  step where the previous run aborted, and records each edge once.  It is
+  compared with ``analyze_afresh``, which calls ``execute_once`` to run
+  every rerun from the first step over a lazily evaluated ``Recording``,
+  recording and checking every traversed edge, in default and
+  ``strict_paper`` mode, including programs that get stuck and budgets
+  that run out.
 * ``analyze_all_paths_with_stats`` resumes each sweep at the label where
   the previous sweep aborted.  It is compared with ``all_paths_afresh``,
   which walks the control-flow graph from the entry on every sweep, on
@@ -224,7 +227,7 @@ def test_compiled_expressions_match_reference(expr, cond, state):
 
 
 def reference_trace(program, state, max_steps):
-    """``run_trace`` and ``label_path`` by ``reference_step``, one tree walk per position."""
+    """``run_trace`` and each position's step by ``reference_step``, one tree walk per position."""
     config = Configuration.make(program.first, state)
     configurations, path = [], []
     for _ in range(max_steps + 1):
@@ -250,8 +253,12 @@ def test_slot_walk_matches_reference_walk(seed, state, max_steps):
     program = random_program(random.Random(seed))
     trace, path = reference_trace(program, state, max_steps)
     assert run_trace(program, state, max_steps) == trace
-    assert list(label_path(program, state, max_steps)) == path
-    assert list(label_path(program, state, max_steps)) == path  # the recorded replay
+    # the first position of each (label, reached) step, and the last position
+    first = {taken: position for position, taken in reversed(list(enumerate(path)))}
+    entries = [(position, *taken) for position, taken in enumerate(path)
+               if first[taken] == position or position == len(path) - 1]
+    assert list(label_path(program, state, max_steps)) == entries
+    assert list(label_path(program, state, max_steps)) == entries  # the recorded replay
 
 
 def test_foreign_label_is_unknown():

@@ -1,7 +1,7 @@
 import pytest
 
 from prophecy import engine
-from prophecy.core_lang import command_obligations, parse_program, run_trace
+from prophecy.core_lang import parse_program, run_trace
 from prophecy.engine import (
     ConstraintSet,
     PredictionConstraint,
@@ -163,45 +163,41 @@ class TestAllPaths:
 class TestCheckCost:
     """Each run resumes where the previous one aborted, so checks grow linearly.
 
-    Every position is checked once, and each rerun re-checks only the
-    position that aborted the run before it.  Each edge's constraint is
-    built once, however often a loop traverses the edge.
+    Every distinct step is checked once, and each rerun re-checks only the
+    step that aborted the run before it, so a loop costs the same checks
+    however often it iterates.  Each edge's constraint is built once.
     """
 
-    @staticmethod
-    def _lookups(monkeypatch, analyze, *args):
-        looked_up = []
-
-        def counting(program, label):
-            looked_up.append(label)
-            return command_obligations(program, label)
-
-        monkeypatch.setattr(engine, "command_obligations", counting)
-        _, stats = analyze(*args)
-        return len(looked_up), stats
-
-    def test_all_paths_chain(self, monkeypatch):
+    def test_all_paths_chain(self, lookups):
         # each link reads what the previous one wrote: one sweep per link
         links = [f"l{k}: x{(k + 1) % 8} := x{k % 8} + 1" for k in range(198)]
         program = parse_program("\n".join(links + ["l198: halt", "l199: done"]))
-        lookups, stats = self._lookups(monkeypatch, analyze_all_paths_with_stats, program)
+        _, stats = analyze_all_paths_with_stats(program)
         assert stats.runs >= 198
-        assert lookups <= len(program.labels) + 2 * stats.runs
+        assert len(lookups.engine) <= len(program.labels) + 2 * stats.runs
 
     @staticmethod
-    def _counting_loop():
+    def _counting_loop(start=50):
         names = [f"a{j}" for j in range(8)]
-        lines = ["i := 50"] + [f"{a} := 0" for a in names] + ["if i <= 0 then l{end}"]
+        lines = [f"i := {start}"] + [f"{a} := 0" for a in names] + ["if i <= 0 then l{end}"]
         lines += [f"{a} := {a} + {b}" for a, b in zip(names, names[1:] + ["i"])]
         lines += ["i := i - 1", "goto l9", "t := " + " + ".join(names), "halt", "done"]
         text = "\n".join(f"l{k}: {line}" for k, line in enumerate(lines))
         return parse_program(text.format(end=len(lines) - 3))
 
-    def test_concrete_counting_loop(self, monkeypatch):
+    def test_concrete_counting_loop(self, lookups):
         program = self._counting_loop()
-        lookups, stats = self._lookups(monkeypatch, analyze_concrete, program)
+        _, stats = analyze_concrete(program)
         assert stats.runs >= 10
-        assert lookups <= len(run_trace(program)) + 2 * stats.runs
+        assert len(lookups.engine) <= len(run_trace(program)) + 2 * stats.runs
+
+    def test_concrete_lookups_do_not_grow_with_iterations(self, lookups):
+        counts = []
+        for start in (50, 500):
+            lookups.engine.clear()
+            analyze_concrete(self._counting_loop(start))
+            counts.append(len(lookups.engine))
+        assert counts[0] == counts[1]
 
     def test_concrete_counting_loop_builds_each_edge_once(self, monkeypatch):
         program = self._counting_loop()

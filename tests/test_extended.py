@@ -6,8 +6,10 @@ each built an extended step with ``ext_step_with_results`` and compared it
 with a second ``step``, are kept here as the reference: ``TestExtStep`` and
 ``TestMonotonicity`` test the reference extended step, and a hypothesis
 differential test compares the reference reports with the walk's.  The
-walk replays the label path a ``Program`` recorded; another hypothesis test
-compares every caller of it on a warm program with a fresh copy.
+walk checks only the distinct steps ``label_path`` yields and replays the
+entries a ``Program`` recorded; another hypothesis test compares every
+caller of it on a warm program with a fresh copy, and a third compares
+the engine and both checkers with the per-position walks they replaced.
 """
 
 import pickle
@@ -16,26 +18,34 @@ from dataclasses import dataclass
 from itertools import count
 from types import SimpleNamespace
 from typing import Union
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prophecy import extended
 from prophecy.core_lang import (
     AtDone,
     Configuration,
     Program,
     Stuck,
+    execution,
     parse_program,
     run_trace,
     step,
 )
 from prophecy.engine import (
     AnalysisError,
+    ConstraintSet,
+    PredictionConstraint,
     ProgramStuckError,
+    RunStats,
     StepBudgetExceeded,
     analyze_concrete,
+    empty_results,
     live_variables_oracle,
+    solve,
 )
 from prophecy.extended import (
     CheckReport,
@@ -605,6 +615,150 @@ def test_warm_program_matches_fresh_program(seed, text, calls):
     for kind, which, max_steps in calls:
         state = states[which]
         assert _call(kind, program, state, max_steps) == _call(kind, _fresh(program), state, max_steps)
+
+
+# The per-position walks that the distinct-step walk of ``label_path`` replaced.
+
+
+def _positions(program, state, max_steps):
+    """Every position's label and what its step reached."""
+    return [(label, reached) for label, reached, _ in execution(program, state, max_steps)]
+
+
+def _check_positions_from(program, labels, cursor, results, constraints, repair_constraints):
+    """The engine's check walk over every position: the reads, then the edge to the next label."""
+    while cursor < len(labels):
+        label = labels[cursor]
+        obligations = command_obligations(program, label)
+        missing = obligations.precondition - results[label]
+        if missing:
+            results[label] |= missing
+            solve(label, results, constraints)
+            return cursor, "precondition"
+        extra = obligations.prediction_extra
+        for successor in labels[cursor + 1 : cursor + 2]:
+            if (label, successor) in constraints:
+                continue
+            constraints.add(PredictionConstraint(successor, label, extra))
+            if repair_constraints and (excess := results[successor] - extra - results[label]):
+                results[label] |= excess
+                solve(label, results, constraints)
+                return cursor, "constraint"
+        cursor += 1
+    return cursor, None
+
+
+def reference_analyze_concrete(program, state=None, max_steps=10_000, *, strict_paper=False):
+    """``analyze_concrete`` over every position, each rerun resuming where the last one aborted."""
+    path = _positions(program, state, max_steps)
+    label, reached = path[-1]
+    if isinstance(reached, Stuck):
+        raise ProgramStuckError(label, reached.reason)
+    if isinstance(reached, str):
+        raise StepBudgetExceeded(max_steps)
+    labels = [label for label, _ in path]
+    results, constraints = empty_results(program), ConstraintSet()
+    repairs = {"precondition": 0, "constraint": 0}
+    cursor = 0
+    for _ in range(len(program.labels) * max(1, len(program.variables())) + 2):
+        cursor, kind = _check_positions_from(
+            program, labels, cursor, results, constraints, not strict_paper
+        )
+        if kind is None:
+            runs = repairs["precondition"] + repairs["constraint"] + 1
+            return results, RunStats(runs, repairs["precondition"], repairs["constraint"])
+        repairs[kind] += 1
+    raise AssertionError("rerun ceiling exceeded")
+
+
+def reference_walk(program, results, initial_state, max_steps):
+    """The checkers' walk over every position: both guards at each one, until one fails."""
+    failed = None
+    for checked, (label, reached) in enumerate(_positions(program, initial_state, max_steps)):
+        obligations = command_obligations(program, label)
+        current = results[label]
+        if missing := obligations.precondition - current:
+            failed = Violation("precondition", label, missing)
+            break
+        if isinstance(reached, str):
+            if excess := results[reached] - current - obligations.prediction_extra:
+                failed = Violation("prediction", label, excess, next_label=reached)
+                break
+    return checked, label, reached, failed
+
+
+def _analysis(analyze, program, state, max_steps, strict_paper):
+    try:
+        return analyze(program, state, max_steps, strict_paper=strict_paper)
+    except AnalysisError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _report(check, program, results, state, max_steps):
+    report = check(program, results, state, max_steps)
+    return report.to_record(), report.notes
+
+
+def _reference_report(check, program, results, state, max_steps):
+    with mock.patch.object(extended, "_walk", reference_walk):
+        return _report(check, program, results, state, max_steps)
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from((None,) + FIXED),
+    st.integers(0, 3),
+    st.sampled_from([0, 3, 10_000]),
+)
+@settings(max_examples=200, deadline=None)
+def test_distinct_steps_match_per_position_walks(seed, text, which, max_steps):
+    """Checking each distinct step once reports what checking every position reports.
+
+    Every call runs first on its own fresh program, whose walk is cold,
+    then all of them in turn on one program, which replays the walk the
+    first of them to reach the end recorded.
+    """
+    rng = random.Random(seed)
+    program = random_program(rng) if text is None else parse_program(text)
+    full = random_state(rng, program)
+    dropped = dict(full)
+    if dropped:
+        del dropped[rng.choice(sorted(dropped))]
+    state = [full, dropped, {}, random_state(rng, program)][which]
+    tables = (
+        live_variables_oracle(program),
+        {label: frozenset() for label in program.labels},
+        _table(rng.choice(TABLES), _fresh(program), state, rng),
+    )
+    calls, expected = [], []
+    for strict_paper in (False, True):
+        args = (state, max_steps, strict_paper)
+        calls.append(lambda subject, args=args: _analysis(analyze_concrete, subject, *args))
+        expected.append(_analysis(reference_analyze_concrete, program, *args))
+    for results in tables:
+        for check in (check_preservation, check_progress):
+            args = (check, results, state, max_steps)
+            calls.append(lambda subject, args=args: _report(args[0], subject, *args[1:]))
+            expected.append(_reference_report(check, program, results, state, max_steps))
+    assert [call(_fresh(program)) for call in calls] == expected
+    assert [call(program) for call in calls] == expected
+
+
+class TestLookupCost:
+    """A warm checker looks up obligations once per distinct step, plus the last position."""
+
+    @pytest.mark.parametrize("check", [check_preservation, check_progress])
+    @pytest.mark.parametrize("table", TABLES)
+    def test_warm_checker_looks_up_each_distinct_step(self, lookups, check, table):
+        program, results = loop_fixpoint()
+        if table != "computed":
+            results = _table(table, program, {}, random.Random(1))
+        labels = [config.label for config in run_trace(program).configurations]
+        distinct = len(set(zip(labels, labels[1:])))
+        lookups.extended.clear()
+        check(program, results)
+        assert lookups.extended
+        assert len(lookups.extended) <= distinct + 1 < len(labels)
 
 
 class TestRecordedPath:

@@ -63,7 +63,7 @@ class _ExprParser:
         self.depth = 0
 
     def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line_no, self.offset + self.pos + 1)
+        return ParseError(message, self.line_no, self.offset + self.pos)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
