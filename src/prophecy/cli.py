@@ -57,6 +57,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _parse_bindings(pairs: list[str] | None) -> dict[str, int]:
     state: dict[str, int] = {}
     for pair in pairs or []:
@@ -362,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="assert bit-identical interpreted outputs across all strategies",
     )
-    stage.add_argument("--seed", type=int, default=0)
+    stage.add_argument("--seed", type=non_negative_int, default=0)
     stage.set_defaults(func=cmd_stage)
     return parser
 

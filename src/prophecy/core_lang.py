@@ -200,17 +200,6 @@ class Done:
 Command = Union[Skip, Assign, If, Goto, Halt, Done]
 
 
-def command_vars(command: Command) -> frozenset[str]:
-    """Variables read when the command executes (its whole expression)."""
-    match command:
-        case Assign(_, expr):
-            return expr_vars(expr)
-        case If(cond, _):
-            return expr_vars(cond)
-        case _:
-            return frozenset()
-
-
 VarSet = frozenset[str]
 
 

@@ -16,19 +16,17 @@ Because repairs only ever add elements that some precondition or constraint
 forces, the fixpoint is the least one consistent with everything the
 executions encountered.
 
-The standard semantics never read predictions, so every rerun of one
-analysis follows the same execution.  ``analyze_concrete`` collects its
-steps (a label and the label it reaches) from ``core_lang.label_path``
-once, before the first run, and each rerun resumes its checks at the step
-where the previous run aborted: results only grow, and ``solve``
-re-establishes every recorded constraint whenever one grows, so no earlier
-check can fire again.  Nor can the checks of a step that occurred before,
-so ``label_path`` yields each distinct step once, plus the last.  The
-analysis costs one execution, plus one check per distinct step, plus the
-repairs; run, misprediction and repair counts are those of running every
-run from the start.  ``analyze_all_paths_with_stats`` resumes its sweeps
-the same way along the program's ``sweep_order``, so it costs one check
-per reachable label, plus the repairs.
+Both modes hand ``_rerun`` a walk: a list of edges ``(label, successor)``,
+with no successor for a label that ends the walk.  The standard semantics
+never read predictions, so every rerun of one concrete analysis follows the
+same execution, and ``analyze_concrete`` takes its edges from the distinct
+steps ``core_lang.label_path`` yields.  ``analyze_all_paths_with_stats``
+takes one edge per reachable label and successor, in ``sweep_order``.
+Each rerun resumes at the edge where the previous run aborted: results
+only grow, and ``solve`` re-establishes every recorded constraint whenever
+one grows, so no earlier check can fire again.  An analysis costs one
+check per edge, plus the repairs; run, misprediction and repair counts are
+those of running every run from the start.
 
 One deliberate deviation from the literal pseudocode this follows: a
 prediction constraint that is already violated when recorded (a loop back
@@ -47,7 +45,7 @@ entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core_lang import (
     Label,
@@ -81,44 +79,6 @@ class StepBudgetExceeded(AnalysisError):
 
 
 @dataclass(frozen=True)
-class PredictionConstraint:
-    """results[successor] ⊆ results[predecessor] ∪ extra, for one CFG edge."""
-
-    successor: Label
-    predecessor: Label
-    extra: VarSet
-
-
-class ConstraintSet:
-    """Insertion-ordered prediction constraints, one per edge, indexed for solving.
-
-    A constraint's ``extra`` is the predecessor's assigned variable, so the
-    edge ``(predecessor, successor)`` determines it and serves as its key.
-    """
-
-    def __init__(self) -> None:
-        self._all: dict[tuple[Label, Label], PredictionConstraint] = {}
-        self._by_successor: dict[Label, list[PredictionConstraint]] = {}
-
-    def add(self, constraint: PredictionConstraint) -> bool:
-        edge = (constraint.predecessor, constraint.successor)
-        if edge in self._all:
-            return False
-        self._all[edge] = constraint
-        self._by_successor.setdefault(constraint.successor, []).append(constraint)
-        return True
-
-    def with_successor(self, label: Label) -> list[PredictionConstraint]:
-        return self._by_successor.get(label, [])
-
-    def __iter__(self):
-        return iter(self._all.values())
-
-    def __contains__(self, edge: tuple[Label, Label]) -> bool:
-        return edge in self._all
-
-
-@dataclass(frozen=True)
 class RunStats:
     """Rerun accounting for either mode: runs == mispredictions + constraint_repairs + 1."""
 
@@ -136,14 +96,12 @@ class RunStats:
         return self.runs
 
 
-@dataclass(frozen=True)
-class Misprediction:
-    label: Label
-    kind: str  # precondition | constraint
-    edge: tuple[Label, Label] | None = None
+# successor -> [(predecessor, extra)], one per recorded edge, each meaning
+# results[successor] ⊆ results[predecessor] ∪ extra
+Constraints = dict[Label, list[tuple[Label, VarSet]]]
 
 
-def solve(label: Label, results: dict[Label, VarSet], constraints: ConstraintSet) -> None:
+def solve(label: Label, results: dict[Label, VarSet], constraints: Constraints) -> None:
     """Re-establish every recorded constraint after results[label] grew.
 
     Worklist version of the recursive repair: whenever the left side of a
@@ -153,93 +111,69 @@ def solve(label: Label, results: dict[Label, VarSet], constraints: ConstraintSet
     pending = [label]
     while pending:
         current = pending.pop()
-        for constraint in constraints.with_successor(current):
-            missing = results[current] - constraint.extra - results[constraint.predecessor]
+        for predecessor, extra in constraints.get(current, ()):
+            missing = results[current] - extra - results[predecessor]
             if missing:
-                results[constraint.predecessor] |= missing
-                pending.append(constraint.predecessor)
+                results[predecessor] |= missing
+                pending.append(predecessor)
 
 
 def empty_results(program: Program) -> dict[Label, VarSet]:
     return {label: frozenset() for label in program.labels}
 
 
-def _check_from(
-    program: Program,
-    labels: Sequence[Label],
-    successors: Callable[[int], tuple[Label, ...]],
-    cursor: int,
-    results: dict[Label, VarSet],
-    constraints: ConstraintSet,
-    repair_constraints: bool,
-) -> tuple[int, Misprediction | None]:
-    """Check steps from ``cursor`` until a repair aborts the run or the walk ends.
-
-    Step k forces the reads of ``labels[k]`` into its result, then records
-    the prediction constraint of each edge to ``successors(k)``.
-    Unless ``repair_constraints`` is off, a constraint already violated is
-    repaired on the spot.  Any repair aborts the run.  Returns the step
-    where the walk stopped and the misprediction, if any.
-
-    An edge already recorded is skipped: its constraint holds from then on.
-    By default it was repaired when first recorded, and ``solve`` keeps it
-    satisfied whenever a result grows; under ``strict_paper`` it is never
-    checked.  So a loop records each of its edges once, not once per
-    iteration.
-    """
-    while cursor < len(labels):
-        label = labels[cursor]
-        obligations = command_obligations(program, label)
-        missing = obligations.precondition - results[label]
-        if missing:
-            results[label] |= missing
-            solve(label, results, constraints)
-            return cursor, Misprediction(label, "precondition")
-        extra = obligations.prediction_extra
-        for successor in successors(cursor):
-            if (label, successor) in constraints:
-                continue
-            constraints.add(PredictionConstraint(successor, label, extra))
-            if repair_constraints and (excess := results[successor] - extra - results[label]):
-                results[label] |= excess
-                solve(label, results, constraints)
-                return cursor, Misprediction(label, "constraint", edge=(label, successor))
-        cursor += 1
-    return cursor, None
-
-
 def _rerun(
     program: Program,
-    labels: Sequence[Label],
-    successors: Callable[[int], tuple[Label, ...]],
+    edges: Sequence[tuple[Label, Label | None]],
     *,
     repair_constraints: bool = True,
 ) -> tuple[dict[Label, VarSet], RunStats]:
-    """Run the check walk on persistent results and constraints until no repair aborts it.
+    """Check the walk's edges on persistent results and constraints until no repair aborts a run.
 
-    Each rerun resumes at the step where the previous run aborted.
-    Checks before it cannot fire again: results only grow, so a precondition
-    that held still holds, and ``solve`` re-establishes every recorded
-    constraint whenever a result grows.  So each rerun aborts where a run
-    from step 0 would.
+    At ``(label, successor)`` a read of ``label`` not yet in its result is
+    added there and aborts the run, which resumes at the same edge.
+    Otherwise the edge's prediction constraint is recorded, when it has a
+    successor, and unless ``repair_constraints`` is off one already
+    violated is repaired on the spot; that aborts the run, which resumes
+    at the next edge.  Each repair calls ``solve``.
+
+    Checks before the resumption point cannot fire again: results only
+    grow, so a precondition that held still holds, and ``solve``
+    re-establishes every recorded constraint whenever a result grows.  So
+    each rerun aborts where a run from the first edge would.  Each edge
+    occurs once in ``edges``, so its constraint is recorded once.
 
     Every aborted run grew some result, and results are bounded by the
     program's variables at each label, so more runs than the ceiling means
     the repair accounting is broken.
     """
     results = empty_results(program)
-    constraints = ConstraintSet()
+    constraints: Constraints = {}
     repairs = {"precondition": 0, "constraint": 0}
     run_ceiling = len(program.labels) * max(1, len(program.variables())) + 2
-    cursor = 0
-    for runs in range(1, run_ceiling + 1):
-        cursor, outcome = _check_from(
-            program, labels, successors, cursor, results, constraints, repair_constraints
-        )
-        if outcome is None:
-            return results, RunStats(runs, repairs["precondition"], repairs["constraint"])
-        repairs[outcome.kind] += 1
-    raise AnalysisError("rerun ceiling exceeded; repair accounting is broken")
+    runs, position = 1, 0
+    while position < len(edges):
+        label, successor = edges[position]
+        obligations = command_obligations(program, label)
+        if missing := obligations.precondition - results[label]:
+            kind = "precondition"
+        else:
+            position += 1
+            if successor is None:
+                continue
+            extra = obligations.prediction_extra
+            constraints.setdefault(successor, []).append((label, extra))
+            missing = results[successor] - extra - results[label]
+            if not (missing and repair_constraints):
+                continue
+            kind = "constraint"
+        results[label] |= missing
+        solve(label, results, constraints)
+        repairs[kind] += 1
+        if runs == run_ceiling:
+            raise AnalysisError("rerun ceiling exceeded; repair accounting is broken")
+        runs += 1
+    return results, RunStats(runs, repairs["precondition"], repairs["constraint"])
 
 
 def analyze_concrete(
@@ -259,9 +193,9 @@ def analyze_concrete(
     unsatisfied.
 
     The distinct steps of the standard execution come from ``label_path``
-    once, before the first run, and each rerun resumes at the step where the
-    previous run aborted.  An execution that gets stuck or runs past
-    ``max_steps`` is not analyzed.
+    once, before the first run: each step's edge goes to the label it
+    reached, and the last step, which reached done, has none.  An execution
+    that gets stuck or runs past ``max_steps`` is not analyzed.
     """
     steps = list(label_path(program, initial_state, max_steps))
     _, label, reached = steps[-1]
@@ -269,10 +203,8 @@ def analyze_concrete(
         raise ProgramStuckError(label, reached.reason)
     if isinstance(reached, str):  # the label past the budget
         raise StepBudgetExceeded(max_steps)
-    return _rerun(  # a step's edge goes to the label it reached; the last one reached done
-        program, [label for _, label, _ in steps],
-        lambda k: steps[k][2:] if k + 1 < len(steps) else (), repair_constraints=not strict_paper,
-    )
+    edges = [(label, reached) for _, label, reached in steps[:-1]]
+    return _rerun(program, edges + [(label, None)], repair_constraints=not strict_paper)
 
 
 def analyze_all_paths_with_stats(program: Program) -> tuple[dict[Label, VarSet], RunStats]:
@@ -285,12 +217,13 @@ def analyze_all_paths_with_stats(program: Program) -> tuple[dict[Label, VarSet],
     each run is one sweep.
 
     A sweep checks the reachable labels in ``sweep_order``, each with the
-    edges to all its successors.  The first violation is repaired and ends
-    the sweep, mirroring how a concrete run aborts; the next sweep resumes
-    at that label.
+    edges to all its successors (``done`` has none).  The first violation
+    is repaired and ends the sweep, mirroring how a concrete run aborts;
+    the next sweep resumes there.
     """
-    order = program.sweep_order()
-    return _rerun(program, order, lambda k: program.ordered_successors(order[k]))
+    order, successors = program.sweep_order(), program.ordered_successors
+    edges = [(label, s) for label in order for s in successors(label) or (None,)]
+    return _rerun(program, edges)
 
 
 def live_variables_oracle(program: Program) -> dict[Label, VarSet]:

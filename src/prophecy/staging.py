@@ -467,28 +467,28 @@ class StageContext:
         )
 
 
+MAX_RUNS = 1000
+
+
 def run_staged(
-    generator: Callable[[StageContext], None],
-    *,
-    name: str = "generated",
-    max_runs: int = 1000,
+    generator: Callable[[StageContext], None], *, name: str = "generated"
 ) -> tuple[SecondStageProgram, StageStats]:
     """Rerun the generator until a run completes without mispredictions.
 
     The generator must be deterministic given identical prophecy store
     contents: cells are matched across runs by creation order.  On a
     misprediction the partial recording and all history state are discarded;
-    merged cell values are retained.  The ``max_runs`` ceiling turns a
+    merged cell values are retained.  The ``MAX_RUNS`` ceiling turns a
     broken (non-monotone) lattice into a diagnosable error instead of a
     hang; for well-formed lattices the store's rank headroom is the real
     bound.
     """
     store = ProphecyStore()
-    for run_index in range(1, max_runs + 1):
+    for run_index in range(1, MAX_RUNS + 1):
         ctx = StageContext(store, run_index, name)
         try:
             generator(ctx)
         except MispredictionSignal:
             continue
         return ctx.finish(), StageStats(run_index, tuple(store.merge_log))
-    raise StagingError(f"no clean run within {max_runs} attempts; check the lattice contract")
+    raise StagingError(f"no clean run within {MAX_RUNS} attempts; check the lattice contract")

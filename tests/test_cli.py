@@ -272,6 +272,13 @@ class TestStage:
         assert code == 2
         assert flag in err
 
+    @pytest.mark.parametrize("flag", ["--run-interp", "--diff-strategies"])
+    def test_negative_seed_rejected_exit_2(self, flag):
+        code, _, err = run_cli("stage", "--dsl", "einsum-matmul", flag, "--seed", "-1")
+        assert code == 2
+        assert "--seed" in err
+        assert "Traceback" not in err
+
     def test_interp_error_exit_1(self):
         # a grid with no blocks leaves the output buffer unwritten
         args = build_parser().parse_args(["stage", "--dsl", "einsum-matmul", "--run-interp"])

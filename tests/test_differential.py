@@ -63,9 +63,6 @@ from prophecy.core_lang import (
 )
 from prophecy.engine import (
     AnalysisError,
-    ConstraintSet,
-    Misprediction,
-    PredictionConstraint,
     ProgramStuckError,
     RunStats,
     StepBudgetExceeded,
@@ -273,7 +270,27 @@ class Completed:
     steps: int
 
 
+@dataclass(frozen=True)
+class Misprediction:
+    label: str
+    kind: str  # precondition | constraint
+    edge: tuple | None = None
+
+
 ExecutionOutcome = Union[Completed, Misprediction]
+
+
+def record_constraint(constraints, label, successor, extra):
+    """Record the edge's constraint in ``engine.solve``'s mapping; False if it is there already.
+
+    The references re-traverse edges, so unlike the engine they need the
+    membership test.
+    """
+    recorded = constraints.setdefault(successor, [])
+    if (label, extra) in recorded:
+        return False
+    recorded.append((label, extra))
+    return True
 
 
 @dataclass
@@ -333,7 +350,7 @@ def execute_once(
             return Misprediction(label, "precondition")
         extra = obligations.prediction_extra
         for successor in recording.successors(position):
-            constraints.add(PredictionConstraint(successor, label, extra))
+            record_constraint(constraints, label, successor, extra)
             if repair_constraints and (excess := results[successor] - extra - results[label]):
                 results[label] |= excess
                 solve(label, results, constraints)
@@ -360,7 +377,7 @@ class TestExecuteOnce:
     def test_first_run_mispredicts_at_read(self):
         program = parse_program(STRAIGHT)
         results = empty_results(program)
-        constraints = ConstraintSet()
+        constraints = {}
         outcome = execute_once(program, {}, results, constraints)
         assert outcome == Misprediction("l1", "precondition")
         assert results["l1"] == {"x"}
@@ -368,25 +385,25 @@ class TestExecuteOnce:
     def test_second_run_completes_and_collects_constraints(self):
         program = parse_program(STRAIGHT)
         results = empty_results(program)
-        constraints = ConstraintSet()
+        constraints = {}
         execute_once(program, {}, results, constraints)
         outcome = execute_once(program, {}, results, constraints)
         assert isinstance(outcome, Completed) and outcome.reached_done
-        assert set(constraints) == {
-            PredictionConstraint("l1", "l0", frozenset({"x"})),
-            PredictionConstraint("l2", "l1", frozenset({"y"})),
-            PredictionConstraint("l3", "l2", frozenset()),
+        assert constraints == {
+            "l1": [("l0", frozenset({"x"}))],
+            "l2": [("l1", frozenset({"y"}))],
+            "l3": [("l2", frozenset())],
         }
 
     def test_read_free_program_completes_first_run(self):
         program = parse_program("l0: x := 1\nl1: skip\nl2: halt\nl3: done")
-        outcome = execute_once(program, {}, empty_results(program), ConstraintSet())
+        outcome = execute_once(program, {}, empty_results(program), {})
         assert isinstance(outcome, Completed) and outcome.reached_done
 
     def test_stuck_program_is_an_error_not_a_misprediction(self):
         program = parse_program("l0: y := x\nl1: halt\nl2: done")
         results = empty_results(program)
-        constraints = ConstraintSet()
+        constraints = {}
         # first run repairs the precondition at l0
         assert execute_once(program, {}, results, constraints) == Misprediction(
             "l0", "precondition"
@@ -397,7 +414,7 @@ class TestExecuteOnce:
     def test_results_only_grow_across_runs(self):
         program = parse_program(LOOP)
         results = empty_results(program)
-        constraints = ConstraintSet()
+        constraints = {}
         snapshots = [dict(results)]
         while True:
             outcome = execute_once(program, {}, results, constraints)
@@ -412,7 +429,7 @@ class TestExecuteOnce:
 def analyze_afresh(program, initial_state, max_steps, strict_paper):
     """``analyze_concrete`` with every run evaluated from the start."""
     results = empty_results(program)
-    constraints = ConstraintSet()
+    constraints = {}
     repairs = {"precondition": 0, "constraint": 0}
     while True:
         outcome = execute_once(
@@ -480,7 +497,7 @@ def _sweep_afresh(program, results, constraints):
             return "precondition"
         successors = program.ordered_successors(label)
         for successor in successors:
-            constraints.add(PredictionConstraint(successor, label, obligations.prediction_extra))
+            record_constraint(constraints, label, successor, obligations.prediction_extra)
             excess = results[successor] - obligations.prediction_extra - results[label]
             if excess:
                 results[label] |= excess
@@ -493,7 +510,7 @@ def _sweep_afresh(program, results, constraints):
 def all_paths_afresh(program):
     """``analyze_all_paths_with_stats`` with every sweep walking from the entry."""
     results = empty_results(program)
-    constraints = ConstraintSet()
+    constraints = {}
     repairs = {"precondition": 0, "constraint": 0}
     while (kind := _sweep_afresh(program, results, constraints)) is not None:
         repairs[kind] += 1

@@ -1,10 +1,10 @@
+import random
+
 import pytest
 
 from prophecy import engine
 from prophecy.core_lang import parse_program, run_trace
 from prophecy.engine import (
-    ConstraintSet,
-    PredictionConstraint,
     RunStats,
     StepBudgetExceeded,
     analyze_all_paths_with_stats,
@@ -14,6 +14,7 @@ from prophecy.engine import (
     solve,
 )
 from prophecy.extended import check_preservation, check_progress
+from randprog import corpus, terminating_sample
 
 STRAIGHT = "l0: x := 1\nl1: y := x\nl2: halt\nl3: done"
 
@@ -38,23 +39,19 @@ l5: done
 
 class TestSolve:
     def test_direct_propagation(self):
-        constraints = ConstraintSet()
-        constraints.add(PredictionConstraint("l1", "l0", frozenset()))
+        constraints = {"l1": [("l0", frozenset())]}
         results = {"l0": frozenset(), "l1": frozenset({"x"})}
         solve("l1", results, constraints)
         assert results["l0"] == {"x"}
 
     def test_extra_absorbs(self):
-        constraints = ConstraintSet()
-        constraints.add(PredictionConstraint("l1", "l0", frozenset({"x"})))
+        constraints = {"l1": [("l0", frozenset({"x"}))]}
         results = {"l0": frozenset(), "l1": frozenset({"x"})}
         solve("l1", results, constraints)
         assert results["l0"] == frozenset()
 
     def test_chain_propagation(self):
-        constraints = ConstraintSet()
-        constraints.add(PredictionConstraint("l2", "l1", frozenset()))
-        constraints.add(PredictionConstraint("l1", "l0", frozenset()))
+        constraints = {"l2": [("l1", frozenset())], "l1": [("l0", frozenset())]}
         results = {"l0": frozenset(), "l1": frozenset(), "l2": frozenset({"x"})}
         solve("l2", results, constraints)
         assert results["l1"] == {"x"}
@@ -200,17 +197,39 @@ class TestCheckCost:
         assert counts[0] == counts[1]
 
     def test_concrete_counting_loop_builds_each_edge_once(self, monkeypatch):
+        handed = []
+
+        def keeping(label, results, constraints):
+            handed.append(constraints)
+            solve(label, results, constraints)
+
+        monkeypatch.setattr(engine, "solve", keeping)
+
+        def built(analyze, program, *args):
+            """The edges of the constraints an analysis recorded, if it repaired anything."""
+            handed.clear()
+            analyze(program, *args)
+            # every repair hands solve the same mapping, which the analysis keeps growing
+            return [(predecessor, successor) for successor, recorded in handed[-1].items()
+                    for predecessor, _ in recorded] if handed else []
+
         program = self._counting_loop()
-        built = []
-
-        def counting(successor, predecessor, extra):
-            built.append((predecessor, successor))
-            return PredictionConstraint(successor, predecessor, extra)
-
-        monkeypatch.setattr(engine, "PredictionConstraint", counting)
-        analyze_concrete(program)
+        edges = built(analyze_concrete, program)
         labels = [config.label for config in run_trace(program).configurations]
-        assert len(built) == len(set(built)) <= len(set(zip(labels, labels[1:])))
+        assert len(edges) == len(set(edges)) <= len(set(zip(labels, labels[1:])))
+        assert edges
+
+        for program, state in terminating_sample(random.Random(5), 40):
+            edges = built(analyze_concrete, program, state)
+            labels = [config.label for config in run_trace(program, state).configurations]
+            assert len(edges) == len(set(edges)) <= len(set(zip(labels, labels[1:])))
+
+        for program in [self._counting_loop()] + corpus(random.Random(5), 40):
+            edges = built(analyze_all_paths_with_stats, program)
+            reachable = reachable_labels(program)
+            cfg = {(label, s) for label in reachable for s in program.successors(label)}
+            assert len(edges) == len(set(edges))
+            assert not edges or set(edges) == cfg  # a sweep records every reachable edge
 
 
 class TestOracle:

@@ -37,8 +37,6 @@ from prophecy.core_lang import (
 )
 from prophecy.engine import (
     AnalysisError,
-    ConstraintSet,
-    PredictionConstraint,
     ProgramStuckError,
     RunStats,
     StepBudgetExceeded,
@@ -55,7 +53,7 @@ from prophecy.extended import (
     command_obligations,
 )
 from randprog import VARS, random_program, random_state
-from test_differential import reference_step
+from test_differential import record_constraint, reference_step
 
 LOOP = """
 l0: x := 10
@@ -228,12 +226,17 @@ class TestObligations:
 
     def test_obligation_matches_actual_reads(self):
         # soundness: the precondition is exactly what evaluation reads
-        from prophecy.core_lang import Assign, If, command_vars
+        from prophecy.core_lang import Assign, If, expr_vars
 
         program = parse_program(LOOP)
         for label in program.labels:
             command = program.command_at(label)
-            assert command_obligations(program, label).precondition == command_vars(command)
+            match command:
+                case Assign(_, expr) | If(expr, _):
+                    reads = expr_vars(expr)
+                case _:
+                    reads = frozenset()
+            assert command_obligations(program, label).precondition == reads
             if isinstance(command, Assign):
                 assert command_obligations(program, label).prediction_extra == {command.var}
 
@@ -637,9 +640,8 @@ def _check_positions_from(program, labels, cursor, results, constraints, repair_
             return cursor, "precondition"
         extra = obligations.prediction_extra
         for successor in labels[cursor + 1 : cursor + 2]:
-            if (label, successor) in constraints:
+            if not record_constraint(constraints, label, successor, extra):
                 continue
-            constraints.add(PredictionConstraint(successor, label, extra))
             if repair_constraints and (excess := results[successor] - extra - results[label]):
                 results[label] |= excess
                 solve(label, results, constraints)
@@ -657,7 +659,7 @@ def reference_analyze_concrete(program, state=None, max_steps=10_000, *, strict_
     if isinstance(reached, str):
         raise StepBudgetExceeded(max_steps)
     labels = [label for label, _ in path]
-    results, constraints = empty_results(program), ConstraintSet()
+    results, constraints = empty_results(program), {}
     repairs = {"precondition": 0, "constraint": 0}
     cursor = 0
     for _ in range(len(program.labels) * max(1, len(program.variables())) + 2):

@@ -298,7 +298,7 @@ class TestRunStaged:
             cell.require(Flag.SET)
 
         with pytest.raises(StagingError, match="no clean run within"):
-            run_staged(generator, max_runs=20)
+            run_staged(generator)
 
     def test_persistence_asymmetry_across_reruns(self):
         observed = []
