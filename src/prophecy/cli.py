@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from typing import Any, Callable
 
@@ -48,17 +49,32 @@ from .second_stage import emit_c
 from .staging import StageStats, StagingError
 
 _STRATEGY_FLAGS = {"prophecy": "prophecy", "copy-all": "copy_all", "unified": "unified"}
+_DECIMAL = re.compile(r"[ \t]*([+-]?[0-9]+)[ \t]*")
+
+
+def decimal_int(text: str) -> int:
+    """Read an optional sign and ASCII digits, with blanks around them and nothing else.
+
+    ``int`` alone also reads underscores (``1_0``) and digits of other
+    scripts (``١٢``), which the program parser's literals do not.
+    """
+    if not (match := _DECIMAL.fullmatch(text)):
+        raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
+    try:
+        return int(match[1])
+    except ValueError:  # more digits than int converts
+        raise ValueError(f"too many digits for an integer: {len(match[1])}") from None
 
 
 def positive_int(text: str) -> int:
-    value = int(text)
+    value = decimal_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
 def non_negative_int(text: str) -> int:
-    value = int(text)
+    value = decimal_int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
@@ -71,7 +87,10 @@ def _parse_bindings(pairs: list[str] | None) -> dict[str, int]:
         name = name.strip()
         if not sep or not is_variable_name(name):
             raise ValueError(f"--init expects name=value with a variable name, got {pair!r}")
-        number = int(value)
+        try:
+            number = decimal_int(value)
+        except ValueError as exc:
+            raise ValueError(f"--init value of {name}: {exc}") from None
         if not -(1 << 63) <= number < 1 << 63:
             raise ValueError(f"--init value of {name} is outside the 64-bit range: {value.strip()}")
         state[name] = number
@@ -129,8 +148,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if args.check:
         oracle = live_variables_oracle(program)
-        reachable = reachable_labels(program)
         if args.mode == "all-paths":
+            reachable = reachable_labels(program)
             report["oracle_match"] = all(results[l] == oracle[l] for l in reachable)
         else:
             # a single trace constrains no more than all paths do

@@ -39,7 +39,10 @@ literal behavior so the gap stays demonstrable.
 conditional at the label level (no states) and matches
 ``live_variables_oracle`` — a classic worklist solver kept entirely
 separate as the correctness reference — on all labels reachable from the
-entry.
+entry.  The oracle visits labels last to first, so loop-free code (every
+edge leads to a later label) takes one visit per label, and a label is
+revisited only when a successor's set grows after its visit, about once
+more per label inside a loop.
 """
 
 from __future__ import annotations
@@ -233,13 +236,19 @@ def live_variables_oracle(program: Program) -> dict[Label, VarSet]:
     iterated to the least fixpoint.  Shares only the per-command use/def
     sets with the engine; the propagation is a conventional worklist over
     the control-flow graph, with no reexecution involved.
+
+    The first visits go backward, from the last label to the first, and a
+    label whose set changes enqueues its predecessors, popped last in first
+    out.  So loop-free code (every edge leads to a later label) takes one
+    visit per label, and a label is revisited only when a successor's set
+    grew after its visit.  The least fixpoint does not depend on the order.
     """
     labels = program.labels
     obligations: dict[Label, StepObligations] = {
         label: command_obligations(program, label) for label in labels
     }
     live: dict[Label, VarSet] = {label: frozenset() for label in labels}
-    pending = list(reversed(labels))
+    pending = list(labels)  # popped from the end: the last label first
     in_queue = set(pending)
     while pending:
         label = pending.pop()

@@ -178,6 +178,38 @@ class TestAnalyze:
         code, _, _ = run_cli("analyze", str(path), "--init", f" x = {value}", "--check")
         assert code == 0
 
+    @pytest.mark.parametrize("value", ["1_0", "١٢", "12.0", "0x10", "", "+", "1 2", "\u00a012"])
+    def test_init_value_must_be_ascii_digits_exit_2(self, tmp_path, value):
+        path = tmp_path / "reads.prog"
+        path.write_text("l0: y := x\nl1: halt\nl2: done")
+        code, out, err = run_cli("analyze", str(path), "--init", f"x={value}", "--check")
+        assert code == 2
+        assert "--init" in err and out == ""
+
+    def test_init_value_takes_sign_and_blanks(self, tmp_path):
+        path = tmp_path / "copy.prog"
+        path.write_text("l0: y := x\nl1: halt\nl2: done")
+        for value in ("+7", "\t-7 ", "007"):
+            code, out, _ = run_cli("analyze", str(path), "--init", f"x={value}", "--format", "json")
+            assert code == 0 and json.loads(out)["beta"]["l0"] == ["x"]
+        code, _, _ = run_cli("analyze", str(path), "--init", "x=7", "--max-steps", " +2 ")
+        assert code == 0
+
+    def test_integer_of_too_many_digits_exit_2(self, loop_prog):
+        digits = "9" * 5000  # more than int converts
+        code, out, err = run_cli("analyze", loop_prog, "--init", f"x={digits}")
+        assert code == 2
+        assert "--init value of x: too many digits" in err and out == ""
+        code, out, err = run_cli("analyze", loop_prog, "--max-steps", digits)
+        assert code == 2
+        assert "--max-steps" in err and out == ""
+
+    @pytest.mark.parametrize("value", ["1_0", "١٢"])
+    def test_max_steps_must_be_ascii_digits_exit_2(self, loop_prog, value):
+        code, out, err = run_cli("analyze", loop_prog, "--max-steps", value)
+        assert code == 2
+        assert "--max-steps" in err and out == ""
+
 class TestStage:
     def test_emits_code_to_stdout_by_default(self):
         code, out, _ = run_cli(
@@ -271,6 +303,16 @@ class TestStage:
         code, _, err = run_cli("stage", "--dsl", "einsum-matmul", flag, "0")
         assert code == 2
         assert flag in err
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--m", "--n", "--o", "--size", "--filter-size", "--max-bid", "--max-tid", "--seed"],
+    )
+    @pytest.mark.parametrize("value", ["1_0", "١٢"])
+    def test_integer_flags_take_only_ascii_digits_exit_2(self, flag, value):
+        code, out, err = run_cli("stage", "--dsl", "einsum-matmul", "--stats", flag, value)
+        assert code == 2
+        assert flag in err and out == ""
 
     @pytest.mark.parametrize("flag", ["--run-interp", "--diff-strategies"])
     def test_negative_seed_rejected_exit_2(self, flag):

@@ -23,6 +23,10 @@
   the previous sweep aborted.  It is compared with ``all_paths_afresh``,
   which walks the control-flow graph from the entry on every sweep, on
   random programs with loops and unreachable labels.
+* ``live_variables_oracle`` visits labels last to first.  It is compared
+  with ``reference_oracle``, the same worklist visiting them first to
+  last, on every label of random programs, including unreachable labels
+  and labels that jump to themselves.
 """
 
 import random
@@ -69,6 +73,7 @@ from prophecy.engine import (
     analyze_all_paths_with_stats,
     analyze_concrete,
     empty_results,
+    live_variables_oracle,
     reachable_labels,
     solve,
 )
@@ -532,3 +537,53 @@ def test_all_paths_resumed_matches_afresh_on_corpus():
     assert any(all_paths_afresh(program)[1].constraint_repairs for program in programs)
     for program in programs:
         assert analyze_all_paths_with_stats(program) == all_paths_afresh(program)
+
+
+def reference_oracle(program):
+    """``live_variables_oracle`` with its first visits in label order, first to last."""
+    live = {label: frozenset() for label in program.labels}
+    pending = list(reversed(program.labels))
+    in_queue = set(pending)
+    while pending:
+        label = pending.pop()
+        in_queue.discard(label)
+        obligations = command_obligations(program, label)
+        out = frozenset()
+        for successor in program.successors(label):
+            out |= live[successor]
+        updated = obligations.precondition | (out - obligations.prediction_extra)
+        if updated != live[label]:
+            live[label] = updated
+            for predecessor in program.predecessors(label):
+                if predecessor not in in_queue:
+                    pending.append(predecessor)
+                    in_queue.add(predecessor)
+    return live
+
+
+def with_self_loop(program, position):
+    """The program with the command at ``position`` of its body replaced by a jump to itself."""
+    commands = list(program.commands)
+    label, _ = commands[position % (len(commands) - 2)]
+    commands[position % (len(commands) - 2)] = (label, Goto(label))
+    return Program(commands)
+
+
+@given(st.integers(0, 2**32), st.integers(2, 40), st.none() | st.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+def test_backward_oracle_matches_forward_reference(seed, max_body, self_loop):
+    program = random_program(random.Random(seed), max_body=max_body)
+    if self_loop is not None:
+        program = with_self_loop(program, self_loop)
+    assert live_variables_oracle(program) == reference_oracle(program)
+
+
+def test_backward_oracle_matches_forward_reference_on_corpus():
+    programs = corpus(random.Random(23), 200)
+    programs += [with_self_loop(program, 3) for program in programs[:50]]
+    assert any(len(reachable_labels(program)) < len(program.labels) for program in programs)
+    assert any(label in program.successors(label) for program in programs for label in program.labels)
+    for program in programs:
+        oracle = live_variables_oracle(program)
+        assert oracle == reference_oracle(program)
+        assert oracle.keys() == set(program.labels)

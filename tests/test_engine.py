@@ -165,10 +165,14 @@ class TestCheckCost:
     however often it iterates.  Each edge's constraint is built once.
     """
 
-    def test_all_paths_chain(self, lookups):
+    @staticmethod
+    def _chain():
         # each link reads what the previous one wrote: one sweep per link
         links = [f"l{k}: x{(k + 1) % 8} := x{k % 8} + 1" for k in range(198)]
-        program = parse_program("\n".join(links + ["l198: halt", "l199: done"]))
+        return parse_program("\n".join(links + ["l198: halt", "l199: done"]))
+
+    def test_all_paths_chain(self, lookups):
+        program = self._chain()
         _, stats = analyze_all_paths_with_stats(program)
         assert stats.runs >= 198
         assert len(lookups.engine) <= len(program.labels) + 2 * stats.runs
@@ -233,6 +237,36 @@ class TestCheckCost:
 
 
 class TestOracle:
+    @staticmethod
+    def _visits(program):
+        """The labels the oracle visits, in order: it asks for successors once per visit."""
+        visited = []
+        successors = program.successors
+
+        def counting(label):
+            visited.append(label)
+            return successors(label)
+
+        program.successors = counting
+        try:
+            live_variables_oracle(program)
+        finally:
+            del program.successors
+        return visited
+
+    def test_loop_free_chain_takes_one_visit_per_label(self):
+        program = TestCheckCost._chain()
+        visited = self._visits(program)
+        assert len(program.labels) == 200
+        assert visited == list(reversed(program.labels))
+
+    def test_loop_takes_at_most_two_visits_per_label(self):
+        program = TestCheckCost._counting_loop()
+        visited = self._visits(program)
+        assert len(program.labels) == 23
+        assert set(visited) == set(program.labels)
+        assert len(visited) <= 2 * len(program.labels)
+
     def test_loop_program(self):
         program = parse_program(LOOP)
         oracle = live_variables_oracle(program)

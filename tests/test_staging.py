@@ -190,7 +190,7 @@ FLAWS = ["stalls", "rank_overflow", "foreign_merge", "never_satisfied", "foreign
 )
 @settings(max_examples=300, deadline=None)
 def test_broken_lattice_contract_is_diagnosed(flaw, max_rank, amount, requirements):
-    """A broken lattice ends in a contract or staging error well before max_runs."""
+    """A broken lattice ends in a contract or staging error well before ``staging.MAX_RUNS``."""
     lattice = Chain(max_rank, flaw, amount)
     runs = []
 
