@@ -5,7 +5,8 @@ Each digest covers the analysis results together with the rerun statistics
 count and merge names, or every interpreted output with its dtype, or an
 error's type and message), so a change in any run count, any result set,
 any verdict, any emitted byte, any output byte or any error shows as a
-digest mismatch.
+digest mismatch.  The staged benchmarks' full merge logs are pinned as
+literal lists beside their digests.
 """
 
 import hashlib
@@ -119,6 +120,45 @@ def test_emitted_code_pinned(case):
     assert stats.runs == runs
     assert stats.runs == stats.merges + 1
     assert _digest([emit_c(program), stats.runs]) == expected
+
+
+# Every merge as [run, cell_id, name, repr(old), repr(new), repr(required)].
+# The two einsum prophecy builds settle the same five cells in the same order.
+_EINSUM_MERGES = [
+    [1, 4, "needs_gpu[z]", "'F'", "'T'", "'T'"],
+    [2, 0, "needs_gpu[x]", "'F'", "'T'", "'T'"],
+    [3, 6, "gpu_read[x]", "'F'", "'T'", "'T'"],
+    [4, 2, "needs_gpu[y]", "'F'", "'T'", "'T'"],
+    [5, 8, "gpu_read[y]", "'F'", "'T'", "'T'"],
+]
+MERGE_LOGS = {
+    "matmul-prophecy": (STAGED["matmul-prophecy"][0], _EINSUM_MERGES),
+    "matmul-copy_all": (STAGED["matmul-copy_all"][0], []),
+    "matmul-unified": (STAGED["matmul-unified"][0], []),
+    "matvec-prophecy": (STAGED["matvec-prophecy"][0], _EINSUM_MERGES),
+    "matvec-copy_all": (STAGED["matvec-copy_all"][0], []),
+    "matvec-unified": (STAGED["matvec-unified"][0], []),
+    "conv-relu": (
+        STAGED["conv-relu"][0],
+        [
+            [1, 0, "is_next_relu[conv0]", "Unspecified", "T(2.0)", "T(2.0)"],
+            [2, 0, "is_next_relu[conv0]", "T(2.0)", "F", "T(4.0)"],
+            [3, 1, "is_next_relu[conv1]", "Unspecified", "T(1.56)", "T(1.56)"],
+        ],
+    ),
+    "conv-relu-unfused": (lambda: build_conv_relu_benchmark(64, 9, fusion=False), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MERGE_LOGS))
+def test_merge_logs_pinned(case):
+    build, expected = MERGE_LOGS[case]
+    _, stats = build()
+    log = [
+        [e.run, e.cell_id, e.name, repr(e.old_value), repr(e.new_value), repr(e.required)]
+        for e in stats.merge_log
+    ]
+    assert log == expected
 
 
 def _output_record(outputs) -> list:
