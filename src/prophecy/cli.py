@@ -11,8 +11,8 @@ Two subcommands:
   seeded random inputs, and compare data-movement strategies.
 
 Exit codes: 0 success, 1 a check or assertion failed (or the analyzed
-program misbehaved), 2 usage or parse errors.  All output is deterministic
-for fixed seeds.
+program misbehaved), 2 usage or parse errors, 141 (as for SIGPIPE) when the
+reader closed stdout early.  All output is deterministic for fixed seeds.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 from typing import Any, Callable
@@ -93,6 +94,8 @@ def _parse_bindings(pairs: list[str] | None) -> dict[str, int]:
             raise ValueError(f"--init value of {name}: {exc}") from None
         if not -(1 << 63) <= number < 1 << 63:
             raise ValueError(f"--init value of {name} is outside the 64-bit range: {value.strip()}")
+        if name in state:
+            raise ValueError(f"--init {name} given more than once")
         state[name] = number
     return state
 
@@ -396,7 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler: Callable[[argparse.Namespace], int] = args.func
-    return handler(args)
+    try:
+        code = handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

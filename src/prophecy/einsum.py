@@ -373,7 +373,6 @@ class EinsumSession:
                     tensor.total_size * _ELEM_BYTES,
                 )
             if prophecy:
-                tensor.gpu_read.destroy()
                 tensor.gpu_read = None
                 tensor.gpu_written.set(False)
 

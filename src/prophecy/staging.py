@@ -8,7 +8,10 @@ Requiring an unsatisfied value merges it upward and aborts the run with
 reruns the generator.  Cell values persist across reruns (identified by
 creation order, which is why generators must be deterministic given the cell
 contents), so each rerun starts better informed, and the bounded rank of
-every lattice guarantees the loop ends in a clean run.
+every lattice guarantees the loop ends in a clean run.  A cell handle
+belongs to the run that made it: it works only while that run is the
+latest ``StageContext`` made on its store, and a handle kept into a later
+run raises ``StagingError``.
 
 *History variables* are the complement: first-stage state about the past
 execution, reset at the start of every run.  Inside ``if_else`` both branch
@@ -60,15 +63,12 @@ class MispredictionSignal(Exception):
     has already been merged upward when the signal is raised.
     """
 
-    def __init__(self, cell_id: int, old_value: Any, required: Any, new_value: Any):
+    def __init__(self, event: MergeEvent):
         super().__init__(
-            f"prophecy cell {cell_id} mispredicted: {old_value!r} lacked {required!r},"
-            f" merged to {new_value!r}"
+            f"prophecy cell {event.cell_id} mispredicted: {event.old_value!r} lacked"
+            f" {event.required!r}, merged to {event.new_value!r}"
         )
-        self.cell_id = cell_id
-        self.old_value = old_value
-        self.required = required
-        self.new_value = new_value
+        self.event = event
 
 
 class LatticeSpec(abc.ABC):
@@ -120,27 +120,59 @@ class ProphecyStore:
     def __init__(self) -> None:
         self.cells: list[_CellState] = []
         self.merge_log: list[MergeEvent] = []
+        # the latest StageContext made on this store: only its cell handles are valid
+        self.current_run: StageContext | None = None
 
 
 class ProphecyCell:
-    """Handle to one stored cell, valid for the run that created it."""
+    """Handle to one stored cell, valid while its run is the store's current run."""
 
-    __slots__ = ("cell_id", "name", "lattice", "_ctx")
+    __slots__ = ("cell_id", "name", "_ctx")
 
-    def __init__(self, cell_id: int, name: str, lattice: LatticeSpec, ctx: "StageContext"):
+    def __init__(self, cell_id: int, name: str, ctx: "StageContext"):
         self.cell_id = cell_id
         self.name = name
-        self.lattice = lattice
         self._ctx = ctx
 
+    def _state(self) -> _CellState:
+        store = self._ctx._store
+        if store.current_run is not self._ctx:
+            raise StagingError(f"handle of {self.name} belongs to a different run")
+        return store.cells[self.cell_id]
+
     def get(self) -> Any:
-        return self._ctx.prophecy_get(self)
+        return self._state().value
 
     def require(self, required: Any) -> None:
-        self._ctx.prophecy_require(self, required)
-
-    def destroy(self) -> None:
-        self._ctx.destroy_cell(self)
+        """Return if the value satisfies ``required``; else merge, log and signal."""
+        state = self._state()
+        lattice = state.lattice
+        if not lattice.contains(required):
+            raise StagingError(f"{required!r} is not a value of lattice {lattice.name!r}")
+        current = state.value
+        if lattice.satisfies(current, required):
+            return
+        merged = lattice.merge(current, required)
+        if not lattice.contains(merged):
+            raise LatticeContractError(
+                f"{lattice.name}: merge({current!r}, {required!r}) = {merged!r}"
+                f" is not a value of the lattice"
+            )
+        old_rank = lattice.rank(current)
+        new_rank = lattice.rank(merged)
+        if merged == current or new_rank <= old_rank:
+            raise LatticeContractError(
+                f"{lattice.name}: merge({current!r}, {required!r}) = {merged!r}"
+                f" did not strictly increase rank ({old_rank} -> {new_rank})"
+            )
+        if new_rank > lattice.max_rank:
+            raise LatticeContractError(
+                f"{lattice.name}: rank {new_rank} exceeds max_rank {lattice.max_rank}"
+            )
+        state.value = merged
+        event = MergeEvent(self._ctx.run_index, self.cell_id, self.name, current, merged, required)
+        self._ctx._store.merge_log.append(event)
+        raise MispredictionSignal(event)
 
 
 class HistoryVar:
@@ -155,7 +187,7 @@ class HistoryVar:
 
     def __init__(self, ctx: "StageContext", initial: Any):
         self._value = initial
-        ctx._register_history(self)
+        ctx._history_vars.append(self)
 
     def get(self) -> Any:
         return self._value
@@ -238,11 +270,11 @@ class StageContext:
     """One first-stage run: prophecy access plus the statement recorder."""
 
     def __init__(self, store: ProphecyStore, run_index: int, name: str):
+        store.current_run = self
         self._store = store
-        self._run_index = run_index
+        self.run_index = run_index
         self._name = name
         self._next_cell_id = 0
-        self._active_cells: dict[int, ProphecyCell] = {}
         self._history_vars: list[HistoryVar] = []
         self._var_counter = 0
         self._param_counter = 0
@@ -250,10 +282,6 @@ class StageContext:
         self._root: list = []
         self._blocks: list[list] = [self._root]
         self.program_meta: dict = {}
-
-    @property
-    def run_index(self) -> int:
-        return self._run_index
 
     # -- prophecy cells ----------------------------------------------------
 
@@ -280,60 +308,7 @@ class StageContext:
                 )
         else:
             self._store.cells.append(_CellState(lattice, initial, initial))
-        cell = ProphecyCell(cell_id, name or f"cell {cell_id}", lattice, self)
-        self._active_cells[cell_id] = cell
-        return cell
-
-    def _cell_state(self, cell: ProphecyCell) -> _CellState:
-        if self._active_cells.get(cell.cell_id) is not cell:
-            raise StagingError(f"cell {cell.cell_id} is not active in this run")
-        return self._store.cells[cell.cell_id]
-
-    def prophecy_get(self, cell: ProphecyCell) -> Any:
-        return self._cell_state(cell).value
-
-    def prophecy_require(self, cell: ProphecyCell, required: Any) -> None:
-        state = self._cell_state(cell)
-        if not state.lattice.contains(required):
-            raise StagingError(
-                f"{required!r} is not a value of lattice {state.lattice.name!r}"
-            )
-        current = state.value
-        if state.lattice.satisfies(current, required):
-            return
-        merged = state.lattice.merge(current, required)
-        if not state.lattice.contains(merged):
-            raise LatticeContractError(
-                f"{state.lattice.name}: merge({current!r}, {required!r}) = {merged!r}"
-                f" is not a value of the lattice"
-            )
-        old_rank = state.lattice.rank(current)
-        new_rank = state.lattice.rank(merged)
-        if merged == current or new_rank <= old_rank:
-            raise LatticeContractError(
-                f"{state.lattice.name}: merge({current!r}, {required!r}) = {merged!r}"
-                f" did not strictly increase rank ({old_rank} -> {new_rank})"
-            )
-        if new_rank > state.lattice.max_rank:
-            raise LatticeContractError(
-                f"{state.lattice.name}: rank {new_rank} exceeds max_rank"
-                f" {state.lattice.max_rank}"
-            )
-        state.value = merged
-        self._store.merge_log.append(
-            MergeEvent(self._run_index, cell.cell_id, cell.name, current, merged, required)
-        )
-        raise MispredictionSignal(cell.cell_id, current, required, merged)
-
-    def destroy_cell(self, cell: ProphecyCell) -> None:
-        """Deactivate the handle for this run; the stored value persists."""
-        self._cell_state(cell)
-        del self._active_cells[cell.cell_id]
-
-    # -- history variables ---------------------------------------------------
-
-    def _register_history(self, var: HistoryVar) -> None:
-        self._history_vars.append(var)
+        return ProphecyCell(cell_id, name or f"cell {cell_id}", self)
 
     # -- recording -----------------------------------------------------------
 
@@ -420,11 +395,7 @@ class StageContext:
             body=[],
         )
         self._record(stmt)
-        self._blocks.append(stmt.body)
-        try:
-            body(var)
-        finally:
-            self._blocks.pop()
+        self._record_block(stmt.body, body, var)
         return var
 
     def if_else(
@@ -443,21 +414,19 @@ class StageContext:
         stmt = IfElse(self.lift(cond).node, [], [] if else_body is not None else None)
         self._record(stmt)
         snapshot = [(var, var._value) for var in self._history_vars]
-        self._blocks.append(stmt.then_body)
+        for block, body in ((stmt.then_body, then_body), (stmt.else_body, else_body)):
+            if body is not None:
+                self._record_block(block, body)
+                for var, value in snapshot:
+                    var._value = value
+
+    def _record_block(self, block: list, body: Callable, *args: Any) -> None:
+        """Run ``body(*args)`` recording into ``block``; the block closes even if it raises."""
+        self._blocks.append(block)
         try:
-            then_body()
+            body(*args)
         finally:
             self._blocks.pop()
-        for var, value in snapshot:
-            var._value = value
-        if else_body is not None:
-            self._blocks.append(stmt.else_body)
-            try:
-                else_body()
-            finally:
-                self._blocks.pop()
-            for var, value in snapshot:
-                var._value = value
 
     def finish(self) -> SecondStageProgram:
         if len(self._blocks) != 1:
@@ -489,6 +458,15 @@ def run_staged(
         try:
             generator(ctx)
         except MispredictionSignal:
-            continue
-        return ctx.finish(), StageStats(run_index, tuple(store.merge_log))
+            if len(store.merge_log) <= run_index:
+                continue
+        else:
+            if len(store.merge_log) < run_index:
+                return ctx.finish(), StageStats(run_index, tuple(store.merge_log))
+        # a merge in this run was caught inside the generator
+        cell = store.merge_log[run_index - 1].name
+        raise StagingError(
+            f"run {run_index} caught the misprediction of {cell};"
+            " generators must let MispredictionSignal propagate"
+        )
     raise StagingError(f"no clean run within {MAX_RUNS} attempts; check the lattice contract")

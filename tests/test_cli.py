@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout, redirect_stderr
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +198,25 @@ class TestAnalyze:
             assert code == 0 and json.loads(out)["beta"]["l0"] == ["x"]
         code, _, _ = run_cli("analyze", str(path), "--init", "x=7", "--max-steps", " +2 ")
         assert code == 0
+
+    def test_repeated_init_exit_2(self, tmp_path):
+        path = tmp_path / "reads.prog"
+        path.write_text("l0: y := x\nl1: halt\nl2: done")
+        code, out, err = run_cli("analyze", str(path), "--init", "x=1", "--init", "x=2", "--check")
+        assert code == 2
+        assert err == "error: --init x given more than once\n" and out == ""
+
+    def test_closed_stdout_exits_quietly(self, loop_prog):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "prophecy", "analyze", loop_prog, "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        child.stdout.close()  # no reader is left before the child writes
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 141
+        assert err == ""
 
     def test_integer_of_too_many_digits_exit_2(self, loop_prog):
         digits = "9" * 5000  # more than int converts

@@ -98,15 +98,6 @@ class TestProphecyCells:
         assert cell2.get() == Flag.SET
         cell2.require(Flag.SET)  # satisfied now
 
-    def test_destroy_deactivates_handle_but_keeps_value(self):
-        store = ProphecyStore()
-        ctx = StageContext(store, 1, "t")
-        cell = ctx.prophecy_cell(FLAG, Flag.UNSET)
-        cell.destroy()
-        with pytest.raises(StagingError):
-            cell.get()
-        assert store.cells[0].value == Flag.UNSET
-
     def test_creation_order_divergence_is_detected(self):
         store = ProphecyStore()
         ctx1 = StageContext(store, 1, "t")
@@ -140,7 +131,26 @@ class TestProphecyCells:
         ctx2 = StageContext(store, 2, "t")
         ctx2.prophecy_cell(FLAG, Flag.UNSET)
         with pytest.raises(StagingError):
-            ctx2.prophecy_get(cell)
+            cell.get()
+
+    def test_handle_kept_from_run_one_is_rejected_in_run_two(self):
+        store = ProphecyStore()
+        leaked = StageContext(store, 1, "t").prophecy_cell(FLAG, Flag.UNSET, name="flag[a]")
+        fresh = StageContext(store, 2, "t").prophecy_cell(FLAG, Flag.UNSET, name="flag[a]")
+        for use in (leaked.get, lambda: leaked.require(Flag.SET)):
+            with pytest.raises(StagingError, match="flag\\[a\\] belongs to a different run"):
+                use()
+        assert store.merge_log == []
+        assert store.cells[0].value == Flag.UNSET
+        assert fresh.get() == Flag.UNSET
+
+    def test_signal_carries_its_merge_event(self):
+        store = ProphecyStore()
+        cell = StageContext(store, 1, "t").prophecy_cell(FLAG, Flag.UNSET)
+        with pytest.raises(MispredictionSignal) as signal:
+            cell.require(Flag.SET)
+        assert signal.value.event is store.merge_log[0]
+        assert str(signal.value) == "prophecy cell 0 mispredicted: 'unset' lacked 'set', merged to 'set'"
 
 
 class Chain(LatticeSpec):
@@ -234,6 +244,20 @@ class TestRunStaged:
         assert stats.merges == 1
         assert seen == [Flag.UNSET, Flag.SET]
         assert len(program.body) == 1  # corrected value reflected in recording
+
+    @pytest.mark.parametrize("then_raise", [False, True])
+    def test_caught_misprediction_is_an_error(self, then_raise):
+        def generator(ctx):
+            cell = ctx.prophecy_cell(FLAG, Flag.UNSET, name="flag[a]")
+            try:
+                cell.require(Flag.SET)
+            except Exception:  # noqa: BLE001 - the misuse under test
+                pass
+            if then_raise:
+                ctx.prophecy_cell(FLAG, Flag.UNSET).require(Flag.SET)
+
+        with pytest.raises(StagingError, match="run 1 caught the misprediction of flag\\[a\\]"):
+            run_staged(generator)
 
     def test_no_cells_single_run(self):
         def generator(ctx):
