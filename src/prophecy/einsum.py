@@ -25,7 +25,8 @@ Data movement is decided by prophecy cells on each tensor:
   device-to-host copy after the kernel.
 
 Every GPU read requires both cells to be true, every GPU store requires
-``needs_gpu``; initial predictions are false, so mispredictions rerun the
+``needs_gpu`` (and ``gpu_read`` if it repeats an index, so writes part of
+the tensor); initial predictions are false, so mispredictions rerun the
 generator until exactly the touched tensors are allocated and exactly the
 read/written ones are copied.  ``copy_all`` and ``unified`` strategies
 bypass the cells (move everything / share one buffer) for comparison.
@@ -307,19 +308,21 @@ class EinsumSession:
         """The element ``access`` names in the buffer this code runs against.
 
         GPU code under the prophecy strategy requires ``needs_gpu`` and, to
-        read, ``gpu_read``; a store sets ``gpu_written``.
+        read or to store part of the tensor (its subscripts repeat an index),
+        ``gpu_read``, so the copy back keeps the rest; a store sets ``gpu_written``.
         """
         tensor = access.tensor
         if not self.on_gpu or self.strategy == "unified":
             return tensor.host_buffer[access.flat_index()]
         if self.strategy == "prophecy":
-            if not store and tensor.gpu_read is None:
+            reads = not store or len(set(access.indices)) < len(access.indices)
+            if reads and tensor.gpu_read is None:
                 raise EinsumError(f"tensor {tensor.name!r} belongs to another EinsumSession"
                                   f" (strategy {tensor.session.strategy!r})")
             tensor.needs_gpu.require(TrueTopLattice.T)
             if store:
                 tensor.gpu_written.set(True)
-            else:
+            if reads:
                 tensor.gpu_read.require(TrueTopLattice.T)
         if tensor.device_buffer is None:
             raise EinsumError(f"tensor {tensor.name!r} has no device buffer")

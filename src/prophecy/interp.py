@@ -19,12 +19,12 @@ Each call prints the program as one Python function, walking it as
 ``_stmt_lines``), and runs it.  Variables are locals named by slot (``v3``),
 so reading one that holds no value raises UnboundLocalError, reported under
 its recorded name.  Checks are inline, in C order; a pointer variable's
-buffer arrays, size and liveness stay in locals (``V3 M3 N3 K3``).  A loop
-of the recorder's shape with a positive literal step, a variable nothing
-assigns, and a start and bound ``is_int`` proves integral runs as a
-``range`` loop.  Others run as ``while`` loops, which raise an InterpError
-naming the variable after MAX_LOOP_ITERATIONS iterations, or at entry if a
-step of zero or less means they never end.
+buffer arrays, size and whether it holds a buffer stay in locals
+(``V3 M3 N3 K3``).  A loop of the recorder's shape with a positive literal
+step, a variable nothing assigns, and a start and bound ``is_int`` proves
+integral runs as a ``range`` loop.  Others run as ``while`` loops, which
+raise an InterpError naming the variable after MAX_LOOP_ITERATIONS
+iterations, or at entry if a step of zero or less means they never end.
 """
 
 import re
@@ -34,7 +34,7 @@ import numpy as np
 
 from .second_stage import (
     _ELEM_BYTES, ArrayIndex, Assign, Binary, Declare, Expr, FloatLit, ForLoop, IfElse, IntLit,
-    Return, RuntimeCall, RuntimeCallExpr, SecondStageProgram, Stmt, Unary, VarRef, iter_stmts,
+    RuntimeCall, RuntimeCallExpr, SecondStageProgram, Stmt, VarRef, iter_stmts,
 )
 
 MAX_LOOP_ITERATIONS = 1 << 24  # per run of one while loop; range loops always end
@@ -49,13 +49,12 @@ class InterpError(Exception):
 
 
 class Buffer:
-    __slots__ = ("values", "mask", "name", "freed", "size")
+    __slots__ = ("values", "mask", "name", "size")
 
     def __init__(self, values: np.ndarray, mask: bytearray, name: str):
         self.values = values
         self.mask = mask
         self.name = name
-        self.freed = False
         self.size = len(values)
 
 
@@ -70,13 +69,11 @@ def _alloc(name: str, *args: Any) -> Buffer:
 def _buf(value: Any, where: str) -> Buffer:
     if not isinstance(value, Buffer):
         raise InterpError(f"{where}: expected a buffer, got {type(value).__name__}")
-    if value.freed:
-        raise InterpError(f"{where}: buffer {value.name} was freed")
     return value
 
 
 def _view(value: Any) -> tuple:
-    if isinstance(value, Buffer) and not value.freed:
+    if isinstance(value, Buffer):
         return value.values, value.mask, value.size, True
     return None, None, 0, False
 
@@ -147,8 +144,6 @@ class _Walk:
                 return name in self.ints
             case Binary("+" | "-" | "*" | "%", left, right):
                 return self.is_int(left) and self.is_int(right)
-            case Unary("-", operand):
-                return self.is_int(operand)
         return False
 
     def block(self, stmts: list[Stmt], depth: int, out: list[str]) -> None:
@@ -173,11 +168,6 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
             p = _BINOPS[op]  # parentheses only where Python would group otherwise
             text = f"{_expr_src(left, w, prec=p + (p == 0))} {op} {_expr_src(right, w, prec=p + 1)}"
             return text if p >= prec else f"({text})"
-        case Unary(op, operand):
-            inner = _expr_src(operand, w, prec=3)
-            if op == "-":
-                return f"-{inner}"
-            raise InterpError(f"unknown unary operator {op!r}")
         case ArrayIndex(base, index) if (k := w.view(base)) is not None:
             # a load inside the index is done with _i before this one assigns it
             return (f"(V{k}[_i] if (K{k} or _buf(v{k}, 'load')) and 0 <= (_i := "
@@ -242,7 +232,7 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk) -> None:
                 out.append(f"{pad}    {v} = {v} + {counted}")  # its first value >= bound
                 return
             cond_src, step_src = _expr_src(cond, w), _expr_src(step, w)
-            if counted is not None and counted <= 0 and Return not in map(type, iter_stmts(body)):
+            if counted is not None and counted <= 0:
                 endless = f"loop over {var} never ends: its step {counted} does not advance it"
                 out.append(f"{pad}if {cond_src}: raise InterpError({endless!r})")
             out.append(f"{pad}for _ in range(MAX_LOOP_ITERATIONS):")
@@ -262,14 +252,8 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk) -> None:
             if name in _COPIES:
                 checked = [f"_buf({a}, {name!r})" for a in arg_src[:2]]
                 out.append(f"{pad}_copy({name!r}, {', '.join(checked)}, {arg_src[2]})")
-            elif name == "runtime::free":
-                out.append(f"{pad}_buf({arg_src[0]}, {name!r}).freed = True")
-                out.extend(f"{pad}K{k} = K{k} and not v{k}.freed" for k in sorted(w.views))
             elif name != "runtime::grid_sync":
                 raise InterpError(f"runtime call {name} is not a statement")
-        case Return(value):
-            out.extend([f"{pad}{_expr_src(value, w)}"] if value is not None else [])
-            out.append(f"{pad}{w.result}")
         case _:
             raise TypeError(f"not a statement: {stmt!r}")
 

@@ -16,7 +16,6 @@ from typing import Iterable, Iterator, Union
 
 RUNTIME_CALLS = (
     "runtime::malloc",
-    "runtime::free",
     "runtime::memcpy",
     "runtime::cuda_malloc",
     "runtime::cudaMemcpyToDevice",
@@ -69,12 +68,6 @@ class Binary:
 
 
 @dataclass(frozen=True)
-class Unary:
-    op: str  # -
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
 class ArrayIndex:
     base: "Expr"
     index: "Expr"
@@ -89,7 +82,7 @@ class RuntimeCallExpr:
         _check_runtime_name(self.name)
 
 
-Expr = Union[IntLit, FloatLit, VarRef, Binary, Unary, ArrayIndex, RuntimeCallExpr]
+Expr = Union[IntLit, FloatLit, VarRef, Binary, ArrayIndex, RuntimeCallExpr]
 
 
 # --------------------------------------------------------------------------
@@ -135,12 +128,7 @@ class RuntimeCall:
         _check_runtime_name(self.name)
 
 
-@dataclass
-class Return:
-    value: Expr | None = None
-
-
-Stmt = Union[Declare, Assign, ForLoop, IfElse, RuntimeCall, Return]
+Stmt = Union[Declare, Assign, ForLoop, IfElse, RuntimeCall]
 
 
 def iter_stmts(stmts: Iterable[Stmt]) -> Iterator[Stmt]:
@@ -177,8 +165,6 @@ def _expr_text(expr: Expr, top: bool = False) -> str:
         case Binary(op, left, right):
             text = f"{_expr_text(left)} {op} {_expr_text(right)}"
             return text if top else f"({text})"
-        case Unary(op, operand):
-            return f"{op}{_expr_text(operand)}"
         case ArrayIndex(base, index):
             return f"{_expr_text(base)}[{_expr_text(index, top=True)}]"
         case RuntimeCallExpr(name, args):
@@ -222,11 +208,6 @@ def _stmt_lines(stmt: Stmt, depth: int, out: list[str]) -> None:
             _check_runtime_name(name)
             arg_text = ", ".join(_expr_text(a, top=True) for a in args)
             out.append(f"{pad}{name}({arg_text});")
-        case Return(value):
-            if value is None:
-                out.append(f"{pad}return;")
-            else:
-                out.append(f"{pad}return {_expr_text(value, top=True)};")
         case _:
             raise TypeError(f"not a statement: {stmt!r}")
 

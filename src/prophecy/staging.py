@@ -39,11 +39,9 @@ from .second_stage import (
     ForLoop,
     IfElse,
     IntLit,
-    Return,
     RuntimeCall,
     RuntimeCallExpr,
     SecondStageProgram,
-    Unary,
     VarRef,
 )
 
@@ -144,7 +142,7 @@ class ProphecyCell:
         return self._state().value
 
     def require(self, required: Any) -> None:
-        """Return if the value satisfies ``required``; else merge, log and signal."""
+        """Do nothing if the value satisfies ``required``; else merge, log and signal."""
         state = self._state()
         lattice = state.lattice
         if not lattice.contains(required):
@@ -242,9 +240,6 @@ class StagedExpr:
 
     def __ge__(self, other):
         return self._bin(">=", other)
-
-    def __neg__(self):
-        return StagedExpr(Unary("-", self.node), self._ctx)
 
     def __getitem__(self, index) -> "StagedExpr":
         return StagedExpr(ArrayIndex(self.node, self._ctx.lift(index).node), self._ctx)
@@ -368,9 +363,6 @@ class StageContext:
         return StagedExpr(
             RuntimeCallExpr(name, tuple(self.lift(a).node for a in args)), self
         )
-
-    def return_(self, value: Any = None) -> None:
-        self._record(Return(None if value is None else self.lift(value).node))
 
     def for_loop(
         self,

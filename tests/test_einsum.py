@@ -216,6 +216,30 @@ class TestRunOnGpu:
             run_staged(generate)
         assert str(raised.value) == "tensor 't' belongs to another EinsumSession (strategy 'unified')"
 
+    def test_partial_gpu_store_keeps_the_rest_of_its_tensor(self):
+        # the kernel writes only z's diagonal, and the host then reads all of z
+        def generate(ctx, strategy):
+            session = EinsumSession(ctx, strategy, max_bid=2, max_tid=2)
+            i, j = Index("i"), Index("j")
+            x = session.tensor("x", [4, 4], buffer=ctx.parameter("float*"))
+            out = session.tensor("out", [4, 4], buffer=ctx.parameter("float*"))
+            z = session.tensor("z", [4, 4])
+            z[i, j] = x[i, j] + 1.0
+            session.run_on_gpu(lambda: z.__setitem__((i, i), x[i, i] * 2.0))
+            out[i, j] = z[i, j]
+
+        x = np.random.default_rng(3).random((4, 4), dtype=np.float32)
+        expected = x + np.float32(1.0)
+        np.fill_diagonal(expected, x.diagonal() * np.float32(2.0))
+        for strategy in ("prophecy", "copy_all", "unified"):
+            prog, stats = run_staged(lambda ctx: generate(ctx, strategy))
+            out = interpret_program(prog, {"arg0": x, "arg1": np.zeros(16)})
+            assert out["arg1"].tobytes() == expected.ravel().tobytes(), strategy
+            if strategy == "prophecy":  # z is copied in before the kernel writes part of it
+                moves = movement_summary(prog)
+                assert (moves.copied_to_device, moves.copied_to_host) == ({"x", "z"}, {"z"})
+                assert stats.runs == stats.merges + 1 == 5
+
     def test_grid_loops_recorded(self):
         prog, _ = build_matmul_benchmark(2, 2, 2, "unified", max_bid=3, max_tid=5)
         text = emit_c(prog)

@@ -3,15 +3,16 @@
 ``reference_interpret`` is the closure-per-node interpreter that
 ``interpret_program`` replaced: each AST node is compiled once into a
 closure over an environment list.  It is kept here as it was, with its own
-``Buffer``, as the reference the generated-source interpreter must agree
-with.  Random programs are recorded through the public ``StageContext``
-API, so they have the recorder's shapes, and cover nested loops with varied
-start, bound and step (including loop variables read after their loop, and
-loops whose body assigns the loop variable or the bound), ``if_else``,
-loads and stores in and out of bounds, reads of unset variables and of
-uninitialized elements, whole, short and over-long copies, aliases, and use
-after free.  Outputs are compared byte for byte, scalars by type and value,
-and errors by type and message.
+``Buffer``, less the branches of the second-stage features since removed
+(``Return``, ``Unary`` and ``runtime::free``), as the reference the
+generated-source interpreter must agree with.  Random programs are
+recorded through the public ``StageContext`` API, so they have the
+recorder's shapes, and cover nested loops with varied start, bound and
+step (including loop variables read after their loop, and loops whose body
+assigns the loop variable or the bound), ``if_else``, loads and stores in
+and out of bounds, reads of unset variables and of uninitialized elements,
+whole, short and over-long copies, and aliases.  Outputs are compared byte
+for byte, scalars by type and value, and errors by type and message.
 
 The reference hangs on a loop that never advances and accepts a negative
 copy size, both of which the new interpreter diagnoses, so the generator
@@ -38,34 +39,26 @@ from prophecy.second_stage import (
     ForLoop,
     IfElse,
     IntLit,
-    Return,
     RuntimeCall,
     RuntimeCallExpr,
     SecondStageProgram,
     Stmt,
-    Unary,
     VarRef,
 )
 from prophecy.staging import ProphecyStore, StageContext
 
 
 class Buffer:
-    __slots__ = ("values", "mask", "name", "freed")
+    __slots__ = ("values", "mask", "name")
 
     def __init__(self, values: np.ndarray, mask: bytearray, name: str):
         self.values = values
         self.mask = mask
         self.name = name
-        self.freed = False
 
     @property
     def size(self) -> int:
         return len(self.values)
-
-
-class _ReturnSignal(Exception):
-    def __init__(self, value: Any):
-        self.value = value
 
 
 _BINOPS: dict[str, Callable[[Any, Any], Any]] = {
@@ -117,8 +110,6 @@ def _alloc(args: tuple[Any, ...], name: str) -> Buffer:
 def _as_buffer(value: Any, where: str) -> Buffer:
     if not isinstance(value, Buffer):
         raise InterpError(f"{where}: expected a buffer, got {type(value).__name__}")
-    if value.freed:
-        raise InterpError(f"{where}: buffer {value.name} was freed")
     return value
 
 
@@ -150,11 +141,6 @@ def _compile_expr(
             lf = _compile_expr(left, slots)
             rf = _compile_expr(right, slots)
             return lambda env: fn(lf(env), rf(env))
-        case Unary(op, operand):
-            inner = _compile_expr(operand, slots)
-            if op == "-":
-                return lambda env: -inner(env)
-            raise InterpError(f"unknown unary operator {op!r}")
         case ArrayIndex(base, index):
             bf = _compile_expr(base, slots)
             xf = _compile_expr(index, slots)
@@ -271,24 +257,7 @@ def _compile_stmt(stmt: Stmt, slots: Mapping[str, int]) -> Callable[[list], None
                 return copy
             if name == "runtime::grid_sync":
                 return lambda env: None
-            if name == "runtime::free":
-
-                def free(env):
-                    _as_buffer(arg_fns[0](env), name).freed = True
-
-                return free
             raise InterpError(f"runtime call {name} is not a statement")
-        case Return(value):
-            if value is None:
-                def ret(env):
-                    raise _ReturnSignal(None)
-                return ret
-            vf = _compile_expr(value, slots)
-
-            def ret_value(env):
-                raise _ReturnSignal(vf(env))
-
-            return ret_value
     raise TypeError(f"not a statement: {stmt!r}")
 
 
@@ -310,11 +279,8 @@ def reference_interpret(
         else:
             raise InterpError(f"unsupported parameter kind {kind!r}")
     body = [_compile_stmt(s, slots) for s in program.body]
-    try:
-        for fn in body:
-            fn(env)
-    except _ReturnSignal:
-        pass
+    for fn in body:
+        fn(env)
     outputs: dict[str, Any] = {}
     for name, kind in program.params:
         value = env[slots[name]]
@@ -375,8 +341,6 @@ class _Gen:
             return self.base()[self.index()]
         if roll < 0.65:
             return rng.choice(self.floats)
-        if roll < 0.75:
-            return -self.ctx.lift(self.float_expr(depth + 1))
         a = self.ctx.lift(self.float_expr(depth + 1))
         return _ARITH[rng.choice("+-*")](a, self.float_expr(depth + 1))
 
@@ -396,9 +360,9 @@ class _Gen:
 
     def statement(self, depth: int) -> None:
         rng, ctx = self.rng, self.ctx
-        kinds = ["store", "float", "int", "loop", "if", "copy", "alloc", "free", "alias", "scalar"]
-        weights = [30, 12, 6, 14 if depth < 3 else 0, 8, 6, 5, 2, 3, 2]
-        kind = rng.choices(kinds + ["return"], weights + [1])[0]
+        kinds = ["store", "float", "int", "loop", "if", "copy", "alloc", "alias", "scalar"]
+        weights = [30, 12, 6, 14 if depth < 3 else 0, 8, 6, 5, 3, 2]
+        kind = rng.choices(kinds, weights)[0]
         if kind == "store":
             value = self.float_expr() if rng.random() < 0.8 else self.int_expr()
             ctx.assign(self.base()[self.index()], value)
@@ -428,17 +392,13 @@ class _Gen:
             alloc = rng.choice(["runtime::malloc", "runtime::cuda_malloc"])
             nbytes = rng.choice([16, 16, 24, 32, 0, -4])
             self.buffers.append(ctx.declare("float*", ctx.runtime_expr(alloc, nbytes)))
-        elif kind == "free":
-            ctx.runtime("runtime::free", rng.choice(self.buffers))
         elif kind == "alias":
             if rng.random() < 0.5:
                 self.buffers.append(ctx.declare("float*", rng.choice(self.buffers)))
             else:
                 ctx.assign(rng.choice(self.buffers), rng.choice(self.buffers))
-        elif kind == "scalar":
-            ctx.assign(self.n, self.n + 1)
         else:
-            ctx.return_()
+            ctx.assign(self.n, self.n + 1)
 
     def loop(self, depth: int) -> None:
         rng, ctx = self.rng, self.ctx

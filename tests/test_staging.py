@@ -1,12 +1,18 @@
+import dataclasses
 import sys
+import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prophecy import second_stage
+from prophecy.einsum import build_matmul_benchmark, build_matvec_benchmark
+from prophecy.nn import build_conv_relu_benchmark
 from prophecy.second_stage import (
     RUNTIME_CALLS,
     RuntimeCall,
+    RuntimeCallExpr,
     SecondStageProgram,
     UnknownRuntimeCall,
     emit_c,
@@ -525,11 +531,9 @@ void t(float* arg0, int arg1) {
 
     def test_declare_with_allocation(self):
         ctx = fresh_ctx()
-        buf = ctx.declare("float*", ctx.runtime_expr("runtime::malloc", 64))
-        ctx.runtime("runtime::free", buf)
+        ctx.declare("float*", ctx.runtime_expr("runtime::malloc", 64))
         text = emit_c(ctx.finish())
         assert "float* var0 = runtime::malloc(64);" in text
-        assert "runtime::free(var0);" in text
 
     def test_unknown_runtime_call_rejected(self):
         with pytest.raises(UnknownRuntimeCall):
@@ -537,14 +541,40 @@ void t(float* arg0, int arg1) {
         ctx = fresh_ctx()
         with pytest.raises(UnknownRuntimeCall):
             ctx.runtime("runtime::start_time")
+        with pytest.raises(UnknownRuntimeCall):  # no DSL recorded it, so it was removed
+            RuntimeCall("runtime::free", ())
+        with pytest.raises(UnknownRuntimeCall):
+            ctx.runtime("runtime::free", ctx.parameter("float*"))
 
     def test_registry_is_the_public_surface(self):
         assert set(RUNTIME_CALLS) == {
             "runtime::malloc",
-            "runtime::free",
             "runtime::memcpy",
             "runtime::cuda_malloc",
             "runtime::cudaMemcpyToDevice",
             "runtime::cudaMemcpyToHost",
             "runtime::grid_sync",
         }
+        # every runtime call and node class is one that a pinned build records
+        kinds, calls = set(), set()
+
+        def walk(node):
+            kinds.add(type(node))
+            if isinstance(node, (RuntimeCall, RuntimeCallExpr)):
+                calls.add(node.name)
+            for field in dataclasses.fields(node):
+                value = getattr(node, field.name)
+                for child in value if isinstance(value, (list, tuple)) else [value]:
+                    if dataclasses.is_dataclass(child):
+                        walk(child)
+
+        for strategy in ("prophecy", "copy_all", "unified"):
+            for stmt in build_matmul_benchmark(5, 3, 6, strategy, max_bid=2, max_tid=3)[0].body:
+                walk(stmt)
+            for stmt in build_matvec_benchmark(7, 5, strategy, max_bid=3, max_tid=2)[0].body:
+                walk(stmt)
+        for fusion in (True, False):
+            for stmt in build_conv_relu_benchmark(24, 5, fusion=fusion)[0].body:
+                walk(stmt)
+        assert calls == set(RUNTIME_CALLS)
+        assert kinds == {*typing.get_args(second_stage.Expr), *typing.get_args(second_stage.Stmt)}
