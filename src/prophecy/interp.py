@@ -81,6 +81,8 @@ def _view(value: Any) -> tuple:
 def _in_bounds(buf: Buffer, i: Any) -> None:
     if i < 0 or i >= buf.size:
         raise InterpError(f"index {i} out of bounds for {buf.name} of size {buf.size}")
+    if not isinstance(i, int):
+        raise InterpError(f"index {i} into {buf.name} is not an integer")
 
 
 def _at(buf: Buffer, i: Any) -> Any:
@@ -168,7 +170,7 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
             p = _BINOPS[op]  # parentheses only where Python would group otherwise
             text = f"{_expr_src(left, w, prec=p + (p == 0))} {op} {_expr_src(right, w, prec=p + 1)}"
             return text if p >= prec else f"({text})"
-        case ArrayIndex(base, index) if (k := w.view(base)) is not None:
+        case ArrayIndex(base, index) if (k := w.view(base)) is not None and w.is_int(index):
             # a load inside the index is done with _i before this one assigns it
             return (f"(V{k}[_i] if (K{k} or _buf(v{k}, 'load')) and 0 <= (_i := "
                     f"{_expr_src(index, w)}) < N{k} and M{k}[_i] else _at(v{k}, _i))")
@@ -198,7 +200,7 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk) -> None:
             value_src, v = _expr_src(value, w), w.local(name)
             out.extend(pad + line for line in [f"{v} = {value_src}", *w.refresh(name, v)])
         case Assign(ArrayIndex(base, index), value):  # base, index, bounds, then the value
-            value_src, k = _expr_src(value, w), w.view(base)
+            value_src, k = _expr_src(value, w), w.view(base) if w.is_int(index) else None
             if k is None:
                 out.append(f"{pad}_b = _buf({_expr_src(base, w)}, 'store')")
                 values, mask, check = "_b.values", "_b.mask", "_in_bounds(_b, _s)"

@@ -154,6 +154,17 @@ class TestErrors:
         with pytest.raises(InterpError, match=message):
             interpret_program(ctx.finish(), {"arg0": [0.0]})
 
+    @pytest.mark.parametrize("access", ["load", "store"])
+    def test_index_that_is_not_an_integer(self, access):
+        ctx = ctx_named()
+        buf = ctx.parameter("float*")
+        if access == "load":
+            ctx.for_loop(0.5, 2, 1, lambda i: ctx.assign(buf[0], buf[i]))
+        else:
+            ctx.for_loop(0.5, 2, 1, lambda i: ctx.assign(buf[i], 1.0))
+        with pytest.raises(InterpError, match=r"^index 0\.5 into arg0 is not an integer$"):
+            interpret_program(ctx.finish(), {"arg0": [0.0, 1.0]})
+
     def test_negative_copy_size(self):
         ctx = ctx_named()
         dst = ctx.parameter("float*")

@@ -4,7 +4,10 @@
 ``interpret_program`` replaced: each AST node is compiled once into a
 closure over an environment list.  It is kept here as it was, with its own
 ``Buffer``, less the branches of the second-stage features since removed
-(``Return``, ``Unary`` and ``runtime::free``), as the reference the
+(``Return``, ``Unary`` and ``runtime::free``) and with one check added to
+both: an index that is not an integer (a float-start loop's variable) is an
+InterpError after the bounds check, where numpy and the mask used to raise
+their own TypeError or IndexError.  It is the reference the
 generated-source interpreter must agree with.  Random programs are
 recorded through the public ``StageContext`` API, so they have the
 recorder's shapes, and cover nested loops with varied start, bound and
@@ -152,6 +155,8 @@ def _compile_expr(
                     raise InterpError(
                         f"index {i} out of bounds for {buf.name} of size {buf.size}"
                     )
+                if not isinstance(i, int):
+                    raise InterpError(f"index {i} into {buf.name} is not an integer")
                 if not buf.mask[i]:
                     raise InterpError(f"uninitialized read at {buf.name}[{i}]")
                 return buf.values[i]
@@ -204,6 +209,8 @@ def _compile_stmt(stmt: Stmt, slots: Mapping[str, int]) -> Callable[[list], None
                         raise InterpError(
                             f"index {i} out of bounds for {buf.name} of size {buf.size}"
                         )
+                    if not isinstance(i, int):
+                        raise InterpError(f"index {i} into {buf.name} is not an integer")
                     buf.values[i] = vf(env)
                     buf.mask[i] = 1
 
