@@ -265,8 +265,9 @@ def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) ->
 
     Every pointer parameter must be covered by an input array (it arrives
     fully initialized and its final contents are returned under the same
-    name), every scalar parameter by a scalar input (its final value is
-    returned).  A program nested deeper than Python compiles (20 loops,
+    name), every int parameter by an integer and every float parameter by a
+    scalar (its final value is returned); any other input is an InterpError
+    naming the parameter.  A program nested deeper than Python compiles (20 loops,
     about 200 parentheses) is an InterpError.
     """
     w = _Walk(program)
@@ -274,13 +275,18 @@ def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) ->
     for name, kind in program.params:
         if name not in inputs:
             raise InterpError(f"missing input for parameter {name!r}")
+        value = inputs[name]
         if kind.endswith("*"):
-            values = np.asarray(inputs[name], dtype=np.float32).ravel().copy()
+            if np.ndim(value) == 0:  # None, or a bare scalar
+                raise InterpError(f"parameter {name!r} needs an array, got {type(value).__name__}")
+            values = np.asarray(value, dtype=np.float32).ravel().copy()
             args.append(Buffer(values, bytearray(b"\x01" * len(values)), name))
         elif kind == "int":
-            args.append(int(inputs[name]))
+            if not isinstance(value, (int, np.integer)):
+                raise InterpError(f"parameter {name!r} needs an integer, got {value!r}")
+            args.append(int(value))
         elif kind == "float":
-            args.append(np.float32(inputs[name]))
+            args.append(np.float32(value))
         else:
             raise InterpError(f"unsupported parameter kind {kind!r}")
     body: list[str] = []

@@ -234,6 +234,27 @@ class TestErrors:
             interpret_program(prog, {})
 
     @pytest.mark.parametrize(
+        "kind, value, message",
+        [
+            ("int", 2.7, "parameter 'p' needs an integer, got 2.7"),
+            ("int", "3", "parameter 'p' needs an integer, got '3'"),
+            ("int", np.float32(2.5), r"parameter 'p' needs an integer, got np.float32\(2.5\)"),
+            ("float*", None, "parameter 'p' needs an array, got NoneType"),
+            ("float*", 1.5, "parameter 'p' needs an array, got float"),
+            ("float*", np.float32(1.5), "parameter 'p' needs an array, got float32"),
+        ],
+    )
+    def test_input_of_the_wrong_kind(self, kind, value, message):
+        prog = SecondStageProgram("p", (("p", kind),), [])
+        with pytest.raises(InterpError, match=f"^{message}$"):
+            interpret_program(prog, {"p": value})
+
+    def test_integer_inputs_of_any_integer_type(self):
+        prog = SecondStageProgram("p", (("n", "int"),), [])
+        out = interpret_program(prog, {"n": np.int64(3)})
+        assert out == {"n": 3} and type(out["n"]) is int
+
+    @pytest.mark.parametrize(
         "expr, message",
         [
             (Binary("==", IntLit(1), IntLit(1)), "unknown binary operator '=='"),
