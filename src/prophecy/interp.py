@@ -8,22 +8,29 @@ thread grid is just a pair of loops, so "GPU" code runs by iterating every
 
 Float values use genuine 32-bit arithmetic (numpy scalars), matching the
 DSLs' float element type; integers are Python ints (loop counters and flat
-indices only).  Out-of-bounds indexing and reading an element nothing ever
-wrote are fatal, with the offending location in the message.  Buffers are
-zero-filled at allocation so never-read garbage cannot make runs differ,
-but the initialized mask is what gates reads — copies propagate the mask
-rather than legitimizing uninitialized data.
+indices only).  A buffer's elements are a Python list of ``np.float32``
+scalars, with ``None`` where nothing wrote: a store coerces its value as a
+float32 array would, a copy carries the ``None`` along rather than
+legitimizing uninitialized data, and an output reads unwritten elements as
+0.0.  Out-of-bounds indexing, an index that is not an integer and reading
+an element that holds ``None`` are fatal, with the offending location in
+the message.
 
 Each call prints the program as one Python function, walking it as
 ``emit_c`` does (``_expr_src``/``_stmt_src`` mirror ``_expr_text``/
 ``_stmt_lines``), and runs it.  Variables are locals named by slot (``v3``),
 so reading one that holds no value raises UnboundLocalError, reported under
-its recorded name.  Checks are inline, in C order; a pointer variable's
-buffer arrays, size and whether it holds a buffer stay in locals
-(``V3 M3 N3 K3``).  A loop of the recorder's shape with a positive literal
-step, a variable nothing assigns, and a start and bound ``is_int`` proves
-integral runs as a ``range`` loop.  Others run as ``while`` loops, which
-raise an InterpError naming the variable after MAX_LOOP_ITERATIONS
+its recorded name.  Checks run in C order: the base holds a buffer, then the
+index, its bounds, and for a store the value.  A pointer slot is proven to
+hold a buffer when it is a parameter nothing assigns, or when an allocation
+declares it and nothing assigns it, from the declaration to the end of its
+block; its element list and size stay in locals (``V3 N3``).  An access
+through a proven slot at an index ``is_int`` proves integral is inline, with
+only the bounds and ``None`` tests; every other access calls ``_buf`` and
+``_at``/``_in_bounds``.  A loop of the recorder's shape with a positive
+literal step, a variable nothing assigns, and a start and bound ``is_int``
+proves integral runs as a ``range`` loop.  Others run as ``while`` loops,
+which raise an InterpError naming the variable after MAX_LOOP_ITERATIONS
 iterations, or at entry if a step of zero or less means they never end.
 """
 
@@ -39,6 +46,7 @@ from .second_stage import (
 
 MAX_LOOP_ITERATIONS = 1 << 24  # per run of one while loop; range loops always end
 
+_f32 = np.float32
 _BINOPS = {"<": 0, "<=": 0, ">": 0, ">=": 0, "+": 1, "-": 1, "*": 2, "%": 2}  # binding strength
 _ALLOCS = ("runtime::malloc", "runtime::cuda_malloc")
 _COPIES = ("runtime::memcpy", "runtime::cudaMemcpyToDevice", "runtime::cudaMemcpyToHost")
@@ -49,11 +57,10 @@ class InterpError(Exception):
 
 
 class Buffer:
-    __slots__ = ("values", "mask", "name", "size")
+    __slots__ = ("values", "name", "size")
 
-    def __init__(self, values: np.ndarray, mask: bytearray, name: str):
-        self.values = values
-        self.mask = mask
+    def __init__(self, values: list, name: str):
+        self.values = values  # np.float32 scalars, None where nothing wrote
         self.name = name
         self.size = len(values)
 
@@ -63,19 +70,13 @@ def _alloc(name: str, *args: Any) -> Buffer:
     count = int(nbytes) // _ELEM_BYTES
     if count <= 0:
         raise InterpError(f"allocation of {nbytes} bytes at {name}")
-    return Buffer(np.zeros(count, dtype=np.float32), bytearray(count), name)
+    return Buffer([None] * count, name)
 
 
 def _buf(value: Any, where: str) -> Buffer:
     if not isinstance(value, Buffer):
         raise InterpError(f"{where}: expected a buffer, got {type(value).__name__}")
     return value
-
-
-def _view(value: Any) -> tuple:
-    if isinstance(value, Buffer):
-        return value.values, value.mask, value.size, True
-    return None, None, 0, False
 
 
 def _in_bounds(buf: Buffer, i: Any) -> None:
@@ -87,9 +88,9 @@ def _in_bounds(buf: Buffer, i: Any) -> None:
 
 def _at(buf: Buffer, i: Any) -> Any:
     _in_bounds(buf, i)
-    if not buf.mask[i]:
+    if (value := buf.values[i]) is None:
         raise InterpError(f"uninitialized read at {buf.name}[{i}]")
-    return buf.values[i]
+    return value
 
 
 def _copy(name: str, dst: Buffer, src: Buffer, nbytes: Any) -> None:
@@ -100,7 +101,6 @@ def _copy(name: str, dst: Buffer, src: Buffer, nbytes: Any) -> None:
         raise InterpError(f"{name}: copying {count} elements between {src.name}"
                           f" ({src.size}) and {dst.name} ({dst.size})")
     dst.values[:count] = src.values[:count]
-    dst.mask[:count] = src.mask[:count]
 
 
 class _Walk:
@@ -115,11 +115,10 @@ class _Walk:
             if name in self.slots:
                 raise InterpError(f"duplicate variable name {name!r}")
             self.slots[name] = len(self.slots)
-        pointers = [name for name, kind in program.params if kind.endswith("*")]
-        pointers += [s.name for s in stmts if isinstance(s, Declare) and s.kind.endswith("*")]
-        self.views = {self.slots[name] for name in pointers}
         self.assigned = {s.target.name for s in stmts
                          if isinstance(s, Assign) and isinstance(s.target, VarRef)}
+        self.proven = {self.slots[name] for name, kind in program.params  # hold a buffer here
+                       if kind.endswith("*") and name not in self.assigned}
         self.ints: set[str] = set()  # variables known to hold ints at this point, see is_int
         self.result = "return (" + "".join(f"v{k}, " for k in range(len(program.params))) + ")"
         self.constants: dict[str, Any] = {}
@@ -129,13 +128,10 @@ class _Walk:
             raise InterpError(f"variable {name!r} is never declared")
         return f"v{self.slots[name]}"
 
-    def view(self, base: Expr) -> int | None:
+    def inline(self, base: Expr, index: Expr) -> int | None:
+        """The slot of a base proven to hold a buffer, when the index is proven an int."""
         k = self.slots.get(base.name) if isinstance(base, VarRef) else None
-        return k if k in self.views else None
-
-    def refresh(self, name: str, value: str) -> list[str]:
-        k = self.slots[name]
-        return [f"V{k}, M{k}, N{k}, K{k} = _view({value})"] if k in self.views else []
+        return k if k in self.proven and self.is_int(index) else None
 
     def is_int(self, expr: Expr) -> bool:
         """Built of int literals, enclosing range loops' and never-assigned int variables."""
@@ -149,9 +145,11 @@ class _Walk:
         return False
 
     def block(self, stmts: list[Stmt], depth: int, out: list[str]) -> None:
+        proven = set(self.proven)  # an allocation proves its pointer until its block ends
         for stmt in stmts:
             _stmt_src(stmt, depth, out, self)
         out.append("    " * depth + "pass")  # a block may print nothing
+        self.proven = proven
 
 
 def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0) -> str:
@@ -170,10 +168,9 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
             p = _BINOPS[op]  # parentheses only where Python would group otherwise
             text = f"{_expr_src(left, w, prec=p + (p == 0))} {op} {_expr_src(right, w, prec=p + 1)}"
             return text if p >= prec else f"({text})"
-        case ArrayIndex(base, index) if (k := w.view(base)) is not None and w.is_int(index):
-            # a load inside the index is done with _i before this one assigns it
-            return (f"(V{k}[_i] if (K{k} or _buf(v{k}, 'load')) and 0 <= (_i := "
-                    f"{_expr_src(index, w)}) < N{k} and M{k}[_i] else _at(v{k}, _i))")
+        case ArrayIndex(base, index) if (k := w.inline(base, index)) is not None:
+            return (f"(_v if 0 <= (_i := {_expr_src(index, w)}) < N{k} and "
+                    f"(_v := V{k}[_i]) is not None else _at(v{k}, _i))")
         case ArrayIndex(base, index):
             return f"_at(_buf({_expr_src(base, w)}, 'load'), {_expr_src(index, w)})"
         case RuntimeCallExpr(name, args):
@@ -190,27 +187,29 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk) -> None:
         case Declare(name, _, init):
             v = w.local(name)
             if init is None:  # holds no value until assigned
-                lines = [f"{v} = None; del {v}", *w.refresh(name, "None")]
-            else:
-                lines = [f"{v} = {_expr_src(init, w, name)}", *w.refresh(name, v)]
-                if w.is_int(init) and name not in w.assigned:
-                    w.ints.add(name)
-            out.extend(pad + line for line in lines)
+                out.append(f"{pad}{v} = None; del {v}")
+                return
+            out.append(f"{pad}{v} = {_expr_src(init, w, name)}")
+            if name in w.assigned:
+                return
+            if w.is_int(init):
+                w.ints.add(name)
+            if isinstance(init, RuntimeCallExpr) and init.name in _ALLOCS:
+                w.proven.add(k := w.slots[name])
+                out.append(f"{pad}V{k}, N{k} = {v}.values, {v}.size")
         case Assign(VarRef(name), value):
-            value_src, v = _expr_src(value, w), w.local(name)
-            out.extend(pad + line for line in [f"{v} = {value_src}", *w.refresh(name, v)])
+            value_src = _expr_src(value, w)
+            out.append(f"{pad}{w.local(name)} = {value_src}")
         case Assign(ArrayIndex(base, index), value):  # base, index, bounds, then the value
-            value_src, k = _expr_src(value, w), w.view(base) if w.is_int(index) else None
+            value_src, k = _expr_src(value, w), w.inline(base, index)
             if k is None:
                 out.append(f"{pad}_b = _buf({_expr_src(base, w)}, 'store')")
-                values, mask, check = "_b.values", "_b.mask", "_in_bounds(_b, _s)"
+                values, check = "_b.values", "_in_bounds(_b, _s)"
             else:
-                out.append(f"{pad}if not K{k}: _buf(v{k}, 'store')")
-                values, mask = f"V{k}", f"M{k}"
-                check = f"if not 0 <= _s < N{k}: _in_bounds(v{k}, _s)"
+                values, check = f"V{k}", f"if not 0 <= _s < N{k}: _in_bounds(v{k}, _s)"
             out.append(f"{pad}_s = {_expr_src(index, w)}")
-            store = [check, f"{values}[_s] = {value_src}", f"{mask}[_s] = 1"]
-            out.extend(pad + line for line in store)
+            store = f"{values}[_s] = _v if type(_v := {value_src}) is _f32 else _f32(_v)"
+            out.extend([f"{pad}{check}", f"{pad}{store}"])
         case Assign(target, value):
             _expr_src(value, w)
             raise InterpError(f"bad assignment target {target!r}")
@@ -279,8 +278,7 @@ def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) ->
         if kind.endswith("*"):
             if np.ndim(value) == 0:  # None, or a bare scalar
                 raise InterpError(f"parameter {name!r} needs an array, got {type(value).__name__}")
-            values = np.asarray(value, dtype=np.float32).ravel().copy()
-            args.append(Buffer(values, bytearray(b"\x01" * len(values)), name))
+            args.append(Buffer(list(np.asarray(value, dtype=np.float32).ravel()), name))
         elif kind == "int":
             if not isinstance(value, (int, np.integer)):
                 raise InterpError(f"parameter {name!r} needs an integer, got {value!r}")
@@ -289,12 +287,10 @@ def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) ->
             args.append(np.float32(value))
         else:
             raise InterpError(f"unsupported parameter kind {kind!r}")
-    body: list[str] = []
+    body = [f"    V{k}, N{k} = v{k}.values, v{k}.size" for k in sorted(w.proven)]
     w.block(program.body, 1, body)
     params = [f"v{k}" for k in range(len(args))] + [f"{c}={c}" for c in w.constants]
-    views = [f"    {w.refresh(name, w.local(name) if k < len(args) else 'None')[0]}"
-             for name, k in w.slots.items() if k in w.views]
-    source = "\n".join([f"def _program({', '.join(params)}):", *views, *body, f"    {w.result}"])
+    source = "\n".join([f"def _program({', '.join(params)}):", *body, f"    {w.result}"])
     namespace = dict(w.constants)
     try:
         exec(compile(source, f"<{program.name}>", "exec"), globals(), namespace)
@@ -307,5 +303,6 @@ def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) ->
             raise
         name = list(w.slots)[int(unset[1])]
         raise InterpError(f"variable {name} used before it holds a value") from None
-    return {name: value.values.copy() if isinstance(value, Buffer) else value
+    return {name: np.array([0.0 if x is None else x for x in value.values], np.float32)
+            if isinstance(value, Buffer) else value
             for (name, _), value in zip(program.params, final)}

@@ -8,6 +8,7 @@ from prophecy import interp
 from prophecy.interp import InterpError, interpret_program
 from prophecy.second_stage import Assign, Binary, IntLit, SecondStageProgram, VarRef
 from prophecy.staging import ProphecyStore, StageContext
+from test_pins import INTERPRETED
 
 
 def ctx_named(name="t"):
@@ -305,3 +306,97 @@ class TestGridStyleExecution:
         out1 = interpret_program(prog, {"arg0": data})
         out2 = interpret_program(prog, {"arg0": data})
         np.testing.assert_array_equal(out1["arg0"], out2["arg0"])
+
+
+class TestInlineAccess:
+    """Loads and stores through a pointer proven to hold a buffer are inline."""
+
+    @pytest.mark.parametrize("case", sorted(INTERPRETED))
+    def test_pinned_builds_take_only_the_inline_path(self, monkeypatch, case):
+        calls = []
+        for name in ("_at", "_in_bounds"):
+            checked = getattr(interp, name)
+            spy = lambda *args, name=name, checked=checked: calls.append(name) or checked(*args)
+            monkeypatch.setattr(interp, name, spy)
+        build, make_inputs = INTERPRETED[case]
+        interpret_program(build()[0], make_inputs(np.random.default_rng(0)))
+        assert calls == []
+
+    @pytest.mark.parametrize("access", ["load", "store"])
+    @pytest.mark.parametrize("block", ["untaken branch", "zero-trip loop"])
+    def test_allocation_in_a_block_that_never_runs(self, block, access):
+        ctx = ctx_named()
+        out_buf = ctx.parameter("float*")
+        held = []
+        allocate = lambda *_: held.append(
+            ctx.declare("float*", ctx.runtime_expr("runtime::malloc", 16)))
+        if block == "untaken branch":
+            ctx.if_else(out_buf[0] > 1.0, allocate)
+        else:
+            ctx.for_loop(0, 0, 1, allocate)
+        if access == "load":
+            ctx.assign(out_buf[0], held[0][1])
+        else:
+            ctx.assign(held[0][1], 1.0)
+        unset = "var1" if block == "zero-trip loop" else "var0"  # the loop variable is var0
+        with pytest.raises(InterpError, match=f"^variable {unset} used before it holds a value$"):
+            interpret_program(ctx.finish(), {"arg0": [0.0]})
+
+    def test_allocation_in_a_block_that_runs(self):
+        ctx = ctx_named()
+        out_buf = ctx.parameter("float*")
+        held = []
+        ctx.if_else(out_buf[0] < 1.0, lambda: held.append(
+            ctx.declare("float*", ctx.runtime_expr("runtime::malloc", 16))))
+        ctx.assign(held[0][1], 4.0)
+        ctx.assign(out_buf[0], held[0][1])
+        assert interpret_program(ctx.finish(), {"arg0": [0.0]})["arg0"][0] == 4.0
+
+    @pytest.mark.parametrize("pointer", ["allocated", "parameter"])
+    def test_reassigned_pointer_keeps_its_guard(self, pointer):
+        ctx = ctx_named()
+        out_buf = ctx.parameter("float*")
+        other = ctx.parameter("float*")
+        flag = ctx.parameter("int")
+        if pointer == "parameter":
+            p = other
+        else:
+            p = ctx.declare("float*", ctx.runtime_expr("runtime::malloc", 8))
+        ctx.assign(p[0], 1.0)
+        ctx.assign(p, out_buf)  # an alias: p[...] now reaches out_buf
+        ctx.assign(p[1], p[0] + 1.0)
+        ctx.if_else(flag, lambda: ctx.assign(p, 3))
+        ctx.assign(out_buf[2], p[0])
+        program = ctx.finish()
+        out = interpret_program(program, {"arg0": [10.0, 20.0, 30.0], "arg1": [0.0, 0.0], "arg2": 0})
+        np.testing.assert_array_equal(out["arg0"], np.float32([10, 11, 10]))
+        # a pointer parameter's output is the buffer it holds at the end
+        other_out = [10, 11, 10] if pointer == "parameter" else [0, 0]
+        np.testing.assert_array_equal(out["arg1"], np.float32(other_out))
+        with pytest.raises(InterpError, match="^load: expected a buffer, got int$"):
+            interpret_program(program, {"arg0": [10.0, 20.0, 30.0], "arg1": [0.0, 0.0], "arg2": 1})
+
+    def test_parameter_overwritten_by_unwritten_elements(self):
+        ctx = ctx_named()
+        buf = ctx.parameter("float*")
+        flag = ctx.parameter("int")
+        scratch = ctx.declare("float*", ctx.runtime_expr("runtime::malloc", 8))
+        ctx.assign(scratch[1], 5.0)
+        ctx.runtime("runtime::memcpy", buf, scratch, 8)
+        ctx.if_else(flag, lambda: ctx.assign(buf[2], buf[0]))
+        program = ctx.finish()
+        out = interpret_program(program, {"arg0": [1.0, 2.0, 3.0], "arg1": 0})
+        assert out["arg0"].dtype == np.float32
+        np.testing.assert_array_equal(out["arg0"], np.float32([0, 5, 3]))
+        with pytest.raises(InterpError, match=r"^uninitialized read at arg0\[0\]$"):
+            interpret_program(program, {"arg0": [1.0, 2.0, 3.0], "arg1": 1})
+
+    @pytest.mark.parametrize("value", [lambda buf: 1, lambda buf: buf[1] < 1.0])
+    def test_stored_int_or_bool_becomes_a_float32(self, value):
+        # as in a float32 array, so the element read back is no index
+        ctx = ctx_named()
+        buf = ctx.parameter("float*")
+        ctx.assign(buf[0], value(buf))
+        ctx.assign(buf[1], buf[buf[0]])
+        with pytest.raises(InterpError, match=r"^index 1\.0 into arg0 is not an integer$"):
+            interpret_program(ctx.finish(), {"arg0": [0.0, 0.5]})

@@ -14,8 +14,10 @@ recorder's shapes, and cover nested loops with varied start, bound and
 step (including loop variables read after their loop, and loops whose body
 assigns the loop variable or the bound), ``if_else``, loads and stores in
 and out of bounds, reads of unset variables and of uninitialized elements,
-whole, short and over-long copies, and aliases.  Outputs are compared byte
-for byte, scalars by type and value, and errors by type and message.
+whole, short and over-long copies, and aliases.  The pinned builds with a
+small grid (matmul and matvec in all three strategies, conv/ReLU 24 x 5
+with both flags) are compared too.  Outputs are compared byte for byte,
+scalars by type and value, and errors by type and message.
 
 The reference hangs on a loop that never advances and accepts a negative
 copy size, both of which the new interpreter diagnoses, so the generator
@@ -27,6 +29,7 @@ import random
 from typing import Any, Callable, Mapping
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,6 +52,7 @@ from prophecy.second_stage import (
     VarRef,
 )
 from prophecy.staging import ProphecyStore, StageContext
+from test_pins import INTERPRETED
 
 
 class Buffer:
@@ -473,3 +477,14 @@ def test_generated_source_matches_reference(seed):
     assert _outcome(interpret_program, program, inputs) == _outcome(
         reference_interpret, program, inputs
     )
+
+
+@pytest.mark.parametrize("case", sorted(c for c in INTERPRETED if "grid" in c or "conv" in c))
+def test_pinned_builds_match_reference(case):
+    build, make_inputs = INTERPRETED[case]
+    program, _ = build()
+    for seed in (0, 1):
+        inputs = make_inputs(np.random.default_rng(seed))
+        outcome = _outcome(interpret_program, program, inputs)
+        assert outcome[0] == "ok"
+        assert outcome == _outcome(reference_interpret, program, inputs)
