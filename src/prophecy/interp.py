@@ -117,7 +117,8 @@ class _Walk:
             self.slots[name] = len(self.slots)
         self.assigned = {s.target.name for s in stmts
                          if isinstance(s, Assign) and isinstance(s.target, VarRef)}
-        self.proven = {self.slots[name] for name, kind in program.params  # hold a buffer here
+        # pointer slots known to hold a buffer at this point, see inline and block
+        self.proven = {self.slots[name] for name, kind in program.params
                        if kind.endswith("*") and name not in self.assigned}
         self.ints: set[str] = set()  # variables known to hold ints at this point, see is_int
         self.result = "return (" + "".join(f"v{k}, " for k in range(len(program.params))) + ")"
