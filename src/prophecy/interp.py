@@ -34,6 +34,7 @@ which raise an InterpError naming the variable after MAX_LOOP_ITERATIONS
 iterations, or at entry if a step of zero or less means they never end.
 """
 
+import numbers
 import re
 from typing import Any, Mapping
 
@@ -266,8 +267,8 @@ def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) ->
     Every pointer parameter must be covered by an input array (it arrives
     fully initialized and its final contents are returned under the same
     name), every int parameter by an integer and every float parameter by a
-    scalar (its final value is returned); any other input is an InterpError
-    naming the parameter.  A program nested deeper than Python compiles (20 loops,
+    real number (its final value is returned); any other input is an
+    InterpError naming the parameter.  A program nested deeper than Python compiles (20 loops,
     about 200 parentheses) is an InterpError.
     """
     w = _Walk(program)
@@ -281,10 +282,12 @@ def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) ->
                 raise InterpError(f"parameter {name!r} needs an array, got {type(value).__name__}")
             args.append(Buffer(list(np.asarray(value, dtype=np.float32).ravel()), name))
         elif kind == "int":
-            if not isinstance(value, (int, np.integer)):
+            if not isinstance(value, numbers.Integral):
                 raise InterpError(f"parameter {name!r} needs an integer, got {value!r}")
             args.append(int(value))
         elif kind == "float":
+            if not isinstance(value, numbers.Real):
+                raise InterpError(f"parameter {name!r} needs a number, got {value!r}")
             args.append(np.float32(value))
         else:
             raise InterpError(f"unsupported parameter kind {kind!r}")

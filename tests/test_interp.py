@@ -243,6 +243,9 @@ class TestErrors:
             ("float*", None, "parameter 'p' needs an array, got NoneType"),
             ("float*", 1.5, "parameter 'p' needs an array, got float"),
             ("float*", np.float32(1.5), "parameter 'p' needs an array, got float32"),
+            ("float", "3.5", "parameter 'p' needs a number, got '3.5'"),
+            ("float", None, "parameter 'p' needs a number, got None"),
+            ("float", [1.0], r"parameter 'p' needs a number, got \[1\.0\]"),
         ],
     )
     def test_input_of_the_wrong_kind(self, kind, value, message):
@@ -250,10 +253,11 @@ class TestErrors:
         with pytest.raises(InterpError, match=f"^{message}$"):
             interpret_program(prog, {"p": value})
 
-    def test_integer_inputs_of_any_integer_type(self):
-        prog = SecondStageProgram("p", (("n", "int"),), [])
-        out = interpret_program(prog, {"n": np.int64(3)})
-        assert out == {"n": 3} and type(out["n"]) is int
+    def test_numbers_of_any_numeric_type(self):
+        prog = SecondStageProgram("p", (("n", "int"), ("x", "float")), [])
+        out = interpret_program(prog, {"n": np.int64(3), "x": 2})
+        assert out == {"n": 3, "x": 2.0}
+        assert type(out["n"]) is int and type(out["x"]) is np.float32
 
     @pytest.mark.parametrize(
         "expr, message",
