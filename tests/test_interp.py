@@ -372,13 +372,14 @@ class TestInlineAccess:
         ctx.if_else(flag, lambda: ctx.assign(p, 3))
         ctx.assign(out_buf[2], p[0])
         program = ctx.finish()
-        out = interpret_program(program, {"arg0": [10.0, 20.0, 30.0], "arg1": [0.0, 0.0], "arg2": 0})
+        inputs = {"arg0": [10.0, 20.0, 30.0], "arg1": [0.0, 0.0], "arg2": 0}
+        out = interpret_program(program, inputs)
         np.testing.assert_array_equal(out["arg0"], np.float32([10, 11, 10]))
         # a pointer parameter's output is the buffer it holds at the end
         other_out = [10, 11, 10] if pointer == "parameter" else [0, 0]
         np.testing.assert_array_equal(out["arg1"], np.float32(other_out))
         with pytest.raises(InterpError, match="^load: expected a buffer, got int$"):
-            interpret_program(program, {"arg0": [10.0, 20.0, 30.0], "arg1": [0.0, 0.0], "arg2": 1})
+            interpret_program(program, {**inputs, "arg2": 1})
 
     def test_parameter_overwritten_by_unwritten_elements(self):
         ctx = ctx_named()
