@@ -566,46 +566,27 @@ def parse_program(text: str) -> Program:
 # Pretty-printing (inverse of the parser)
 # --------------------------------------------------------------------------
 
-_APREC = {"+": 1, "-": 1, "*": 2}
+_PREC = {"or": 1, "and": 2, "not": 3, "=": 4, "<=": 4, "+": 5, "-": 5, "*": 6}
 
 
-def _aexp_text(expr: AExp, parent_prec: int = 0, right_side: bool = False) -> str:
+def _expr_text(expr: AExp | BExp, parent_prec: int = 0, right_side: bool = False) -> str:
     match expr:
         case Num(value):
             return str(value)
         case Var(name):
             return name
-        case ABin(op, left, right):
-            prec = _APREC[op]
-            text = (
-                f"{_aexp_text(left, prec, False)} {op} {_aexp_text(right, prec, True)}"
-            )
+        case BoolLit(value):
+            return "true" if value else "false"
+        case Not(operand):
+            return f"not {_expr_text(operand, _PREC['not'])}"
+        case ABin(op, left, right) | Cmp(op, left, right) | BBin(op, left, right):
+            prec = _PREC[op]
+            text = f"{_expr_text(left, prec)} {op} {_expr_text(right, prec, True)}"
             # left-associative: a right child at equal precedence needs parens
             if prec < parent_prec or (prec == parent_prec and right_side):
                 return f"({text})"
             return text
-    raise TypeError(f"not an arithmetic expression: {expr!r}")
-
-
-_BPREC = {"or": 1, "and": 2}
-
-
-def _bexp_text(expr: BExp, parent_prec: int = 0, right_side: bool = False) -> str:
-    match expr:
-        case BoolLit(value):
-            return "true" if value else "false"
-        case Cmp(op, left, right):
-            return f"{_aexp_text(left)} {op} {_aexp_text(right)}"
-        case Not(operand):
-            inner = _bexp_text(operand, parent_prec=3)
-            return f"not {inner}"
-        case BBin(op, left, right):
-            prec = _BPREC[op]
-            text = f"{_bexp_text(left, prec, False)} {op} {_bexp_text(right, prec, True)}"
-            if prec < parent_prec or (prec == parent_prec and right_side):
-                return f"({text})"
-            return text
-    raise TypeError(f"not a boolean expression: {expr!r}")
+    raise TypeError(f"not an expression: {expr!r}")
 
 
 def _command_text(command: Command) -> str:
@@ -613,9 +594,9 @@ def _command_text(command: Command) -> str:
         case Skip():
             return "skip"
         case Assign(var, expr):
-            return f"{var} := {_aexp_text(expr)}"
+            return f"{var} := {_expr_text(expr)}"
         case If(cond, target):
-            return f"if {_bexp_text(cond)} then {target}"
+            return f"if {_expr_text(cond)} then {target}"
         case Goto(target):
             return f"goto {target}"
         case Halt():
