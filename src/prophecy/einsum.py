@@ -253,7 +253,11 @@ def _value(term, session: "EinsumSession") -> StagedExpr:
         return session._element(term, store=False)
     if isinstance(term, Index):
         return term.handle
-    return session.ctx.lift(float(term))
+    try:
+        return session.ctx.lift(float(term))
+    except OverflowError:
+        bits = term.bit_length()
+        raise EinsumError(f"constant of {bits} bits does not fit in a float") from None
 
 
 def _assign(access: TensorAccess, value) -> None:

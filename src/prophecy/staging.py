@@ -25,6 +25,7 @@ literals, specializing the second-stage program to this run's knowledge.
 from __future__ import annotations
 
 import abc
+import math
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -327,6 +328,8 @@ class StageContext:
                     ) from None
             return StagedExpr(IntLit(value), self)
         if isinstance(value, float):
+            if not math.isfinite(value):  # C has no literal for inf or nan
+                raise StagingError(f"float literal {value!r} is not finite")
             return StagedExpr(FloatLit(value), self)
         raise StagingError(f"cannot stage a value of type {type(value).__name__}")
 

@@ -127,6 +127,14 @@ class TestLowering:
         c[i][j] += a[i][k] * b[k][j]
         assert count_loops(session.ctx.finish().body) == 5
 
+    def test_constant_too_large_for_a_float_rejected(self):
+        session = fresh_session()
+        i = Index("i")
+        x = session.tensor("x", [2])
+        z = session.tensor("z", [2])
+        with pytest.raises(EinsumError, match="constant of 1329 bits does not fit in a float"):
+            z[i] = x[i] * 10**400
+
     def test_index_arithmetic_in_rhs(self):
         session = fresh_session()
         i, j = Index("i"), Index("j")

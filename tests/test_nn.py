@@ -13,7 +13,9 @@ from prophecy.nn import (
     next_is_relu,
 )
 from prophecy.second_stage import ForLoop, IfElse, emit_c
-from prophecy.staging import MispredictionSignal, ProphecyStore, StageContext, run_staged
+from prophecy.staging import (
+    MispredictionSignal, ProphecyStore, StageContext, StagingError, run_staged,
+)
 
 
 def top_level_data_loops(stmts):
@@ -106,6 +108,15 @@ class TestConvolveRelu:
         prog, stats = run_staged(generate)
         assert stats.runs == 1
         assert len(top_level_data_loops(prog.body)) == 1
+
+    def test_infinite_threshold_rejected(self):
+        def generate(ctx):
+            session = NnSession(ctx)
+            data = ctx.parameter("float*")
+            session.relu(session.tensor(8, data), float("inf"))  # C has no `inf` literal
+
+        with pytest.raises(StagingError, match="is not finite"):
+            run_staged(generate)
 
     def test_filter_larger_than_input_rejected(self):
         def generate(ctx):

@@ -384,6 +384,17 @@ class TestRecording:
         ctx.assign(n, n % 10 ** (limit - 1))  # limit digits: still printable
         assert str(10 ** (limit - 1)) in emit_c(ctx.finish())
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_float_literal_rejected(self, value):
+        ctx = fresh_ctx()
+        x = ctx.declare("float", 1.0)
+        with pytest.raises(StagingError, match="is not finite"):
+            ctx.assign(x, x * value)
+        with pytest.raises(StagingError, match="is not finite"):
+            ctx.declare("float", value)
+        text = emit_c(ctx.finish())
+        assert "inf" not in text and "nan" not in text
+
     def test_first_stage_loop_unrolls(self):
         ctx = fresh_ctx()
         buf = ctx.parameter("float*")
