@@ -27,11 +27,13 @@ declares it and nothing assigns it, from the declaration to the end of its
 block; its element list and size stay in locals (``V3 N3``).  An access
 through a proven slot at an index ``is_int`` proves integral is inline, with
 only the bounds and ``None`` tests; every other access calls ``_buf`` and
-``_at``/``_in_bounds``.  A loop of the recorder's shape with a positive
-literal step, a variable nothing assigns, and a start and bound ``is_int``
-proves integral runs as a ``range`` loop.  Others run as ``while`` loops,
-which raise an InterpError naming the variable after MAX_LOOP_ITERATIONS
-iterations, or at entry if a step of zero or less means they never end.
+``_at``/``_in_bounds``.  A ``ForLoop`` runs ``var < bound`` tests and
+``var = var + step`` updates.  One whose step is a positive int literal,
+whose variable nothing assigns, and whose start and bound ``is_int`` proves
+integral runs as a ``range`` loop.  Others run as ``while`` loops, which
+raise an InterpError naming the variable after MAX_LOOP_ITERATIONS
+iterations, or at entry if a literal step of zero or less means they never
+end.
 """
 
 import numbers
@@ -215,17 +217,12 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk) -> None:
         case Assign(target, value):
             _expr_src(value, w)
             raise InterpError(f"bad assignment target {target!r}")
-        case ForLoop(var, init, cond, step, body):
+        case ForLoop(var, start, bound, step, body):
             v = w.local(var)
-            out.append(f"{pad}{v} = {_expr_src(init, w)}")
-            counted = None
-            match cond, step:
-                case Binary("<", VarRef(a), bound), Binary("+", VarRef(b), IntLit(by)) if (
-                    a == b == var and type(by) is int and var not in w.assigned
-                    and w.is_int(bound)
-                ):
-                    counted = by
-            if counted is not None and counted > 0 and w.is_int(init):
+            out.append(f"{pad}{v} = {_expr_src(start, w)}")
+            counted = (step.value if isinstance(step, IntLit) and w.is_int(step)
+                       and var not in w.assigned and w.is_int(bound) else None)
+            if counted is not None and counted > 0 and w.is_int(start):
                 bound_src = _expr_src(bound, w)
                 out.append(f"{pad}if {v} < {bound_src}:")  # an empty loop leaves v at start
                 out.append(f"{pad}    for {v} in range({v}, {bound_src}, {counted}):")
@@ -234,7 +231,8 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk) -> None:
                 w.ints.discard(var)
                 out.append(f"{pad}    {v} = {v} + {counted}")  # its first value >= bound
                 return
-            cond_src, step_src = _expr_src(cond, w), _expr_src(step, w)
+            cond_src = f"{v} < {_expr_src(bound, w, prec=1)}"
+            step_src = f"{v} + {_expr_src(step, w, prec=2)}"
             if counted is not None and counted <= 0:
                 endless = f"loop over {var} never ends: its step {counted} does not advance it"
                 out.append(f"{pad}if {cond_src}: raise InterpError({endless!r})")

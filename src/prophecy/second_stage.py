@@ -105,10 +105,12 @@ class Assign:
 
 @dataclass
 class ForLoop:
+    """``for (int var = start; var < bound; var = var + step) { body }``."""
+
     var: str
-    init: Expr
-    cond: Expr
-    step: Expr  # new value of var at the end of each iteration
+    start: Expr
+    bound: Expr
+    step: Expr
     body: list["Stmt"]
 
 
@@ -184,12 +186,11 @@ def _stmt_lines(stmt: Stmt, depth: int, out: list[str]) -> None:
                 out.append(f"{pad}{kind} {name} = {_expr_text(init, top=True)};")
         case Assign(target, value):
             out.append(f"{pad}{_expr_text(target, top=True)} = {_expr_text(value, top=True)};")
-        case ForLoop(var, init, cond, step, body):
-            head = (
-                f"{pad}for (int {var} = {_expr_text(init, top=True)}; "
-                f"{_expr_text(cond, top=True)}; {var} = {_expr_text(step, top=True)}) {{"
+        case ForLoop(var, start, bound, step, body):
+            out.append(
+                f"{pad}for (int {var} = {_expr_text(start, top=True)}; "
+                f"{var} < {_expr_text(bound)}; {var} = {var} + {_expr_text(step)}) {{"
             )
-            out.append(head)
             for inner in body:
                 _stmt_lines(inner, depth + 1, out)
             out.append(f"{pad}}}")

@@ -383,11 +383,7 @@ class StageContext:
         name = self._fresh_var()
         var = StagedExpr(VarRef(name), self)
         stmt = ForLoop(
-            var=name,
-            init=self.lift(start).node,
-            cond=Binary("<", VarRef(name), self.lift(bound).node),
-            step=Binary("+", VarRef(name), self.lift(step).node),
-            body=[],
+            name, self.lift(start).node, self.lift(bound).node, self.lift(step).node, []
         )
         self._record(stmt)
         self._record_block(stmt.body, body, var)

@@ -7,10 +7,12 @@ closure over an environment list.  It is kept here as it was, with its own
 (``Return``, ``Unary`` and ``runtime::free``) and with one check added to
 both: an index that is not an integer (a float-start loop's variable) is an
 InterpError after the bounds check, where numpy and the mask used to raise
-their own TypeError or IndexError.  It is the reference the
-generated-source interpreter must agree with.  Random programs are
-recorded through the public ``StageContext`` API, so they have the
-recorder's shapes, and cover nested loops with varied start, bound and
+their own TypeError or IndexError.  Its loop builds the ``var < bound``
+test and the ``var = var + step`` update from the ``ForLoop`` fields, the
+expressions the node used to store, and runs them as before.  It is the
+reference the generated-source interpreter must agree with.  Random
+programs are recorded through the public ``StageContext`` API, so they have
+the recorder's shapes, and cover nested loops with varied start, bound and
 step (including loop variables read after their loop, and loops whose body
 assigns the loop variable or the bound), ``if_else``, loads and stores in
 and out of bounds, reads of unset variables and of uninitialized elements,
@@ -220,7 +222,8 @@ def _compile_stmt(stmt: Stmt, slots: Mapping[str, int]) -> Callable[[list], None
 
                 return store_elem
             raise InterpError(f"bad assignment target {target!r}")
-        case ForLoop(var, init, cond, step, body):
+        case ForLoop(var, init, bound, by, body):
+            cond, step = Binary("<", VarRef(var), bound), Binary("+", VarRef(var), by)
             slot = slots[var]
             init_fn = _compile_expr(init, slots)
             cond_fn = _compile_expr(cond, slots)

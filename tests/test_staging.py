@@ -2,12 +2,14 @@ import dataclasses
 import sys
 import typing
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prophecy import second_stage
 from prophecy.einsum import build_matmul_benchmark, build_matvec_benchmark
+from prophecy.interp import interpret_program
 from prophecy.nn import build_conv_relu_benchmark
 from prophecy.second_stage import (
     RUNTIME_CALLS,
@@ -539,6 +541,20 @@ void t(float* arg0, int arg1) {
 }
 """
         assert emit_c(ctx.finish()) == golden
+
+    def test_loop_with_compound_bound_and_step(self):
+        ctx = fresh_ctx()
+        n = ctx.parameter("int")
+        buf = ctx.parameter("float*")
+        ctx.for_loop(n % 2, n + 1, n * 2 - 3, lambda i: ctx.assign(buf[i], 1.0))
+        program = ctx.finish()
+        assert (
+            "\n  for (int var0 = arg0 % 2; var0 < (arg0 + 1);"
+            " var0 = var0 + ((arg0 * 2) - 3)) {\n"
+        ) in emit_c(program)
+        # arg0 = 3: var0 runs from 1 while below 4, by 3, so only buf[1] is written
+        out = interpret_program(program, {"arg0": 3, "arg1": np.zeros(4, np.float32)})
+        assert out["arg1"].tolist() == [0.0, 1.0, 0.0, 0.0]
 
     def test_declare_with_allocation(self):
         ctx = fresh_ctx()
