@@ -254,10 +254,10 @@ def _value(term, session: "EinsumSession") -> StagedExpr:
     if isinstance(term, Index):
         return term.handle
     try:
-        return session.ctx.lift(float(term))
+        value = float(term)
     except OverflowError:
-        bits = term.bit_length()
-        raise EinsumError(f"constant of {bits} bits does not fit in a float") from None
+        raise EinsumError(f"constant of {term.bit_length()} bits does not fit in a float") from None
+    return session.ctx.lift(value)
 
 
 def _assign(access: TensorAccess, value) -> None:
