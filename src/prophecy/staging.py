@@ -245,6 +245,13 @@ class StagedExpr:
     def __getitem__(self, index) -> "StagedExpr":
         return StagedExpr(ArrayIndex(self.node, self._ctx.lift(index).node), self._ctx)
 
+    # without these, every handle is true and iterates through __getitem__ without end
+    def __bool__(self):
+        raise StagingError("a staged value has no first-stage truth; branch with ctx.if_else")
+
+    def __iter__(self):
+        raise StagingError("a staged value cannot be iterated; loop with ctx.for_loop")
+
 
 @dataclass(frozen=True)
 class StageStats:

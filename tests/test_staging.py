@@ -405,6 +405,24 @@ class TestRecording:
         prog = ctx.finish()
         assert len(prog.body) == 3
 
+    def test_staged_value_has_no_first_stage_truth(self):
+        # both used to be True, so a generator's `if x < t:` silently took one branch
+        ctx = fresh_ctx()
+        buf = ctx.parameter("float*")
+        for cond in (buf[0] < 1.0, buf[0] > 1.0, ctx.declare("int", 0)):
+            with pytest.raises(StagingError, match="ctx.if_else"):
+                bool(cond)
+        with pytest.raises(StagingError, match="ctx.if_else"):
+            ctx.assign(buf[0], 1.0) if buf[0] < 1.0 else None
+
+    def test_staged_value_is_not_iterable(self):
+        # it used to yield buf[0], buf[1], ... without end, so list(buf) never returned
+        buf = fresh_ctx().parameter("float*")
+        with pytest.raises(StagingError, match="ctx.for_loop"):
+            next(iter(buf))
+        with pytest.raises(StagingError, match="ctx.for_loop"):
+            a, b = buf
+
     def test_both_branches_observed_in_one_recording(self):
         observed = []
 
