@@ -283,6 +283,9 @@ class EinsumSession:
     ):
         if strategy not in STRATEGIES:
             raise EinsumError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+        for name, size in (("max_bid", max_bid), ("max_tid", max_tid)):
+            if isinstance(size, bool) or not isinstance(size, int) or size <= 0:
+                raise EinsumError(f"{name} must be a positive int, got {size!r}")
         self.ctx = ctx
         self.strategy = strategy
         self.max_bid = max_bid

@@ -109,8 +109,8 @@ class MLTensor:
     """A 1-D float tensor; convolution outputs carry the fusion cell."""
 
     def __init__(self, session: "NnSession", size: int, buffer: StagedExpr | None = None):
-        if size <= 0:
-            raise NnError(f"tensor size must be positive, got {size}")
+        if isinstance(size, bool) or not isinstance(size, int) or size <= 0:
+            raise NnError(f"tensor size must be a positive int, got {size!r}")
         self.session = session
         self.size = size
         if buffer is None:

@@ -6,8 +6,10 @@ import sys
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from prophecy import cli
 from prophecy.cli import build_parser, cmd_stage, main
 
 LOOP = """
@@ -344,16 +346,28 @@ class TestStage:
         assert "--seed" in err
         assert "Traceback" not in err
 
-    def test_interp_error_exit_1(self):
-        # a grid with no blocks leaves the output buffer unwritten
+    def test_interp_error_exit_1(self, monkeypatch):
+        # an output buffer one element long: the kernel stores past its end
+        inputs = cli._benchmark_inputs
+        short = lambda args, rng: [{**case, "arg2": np.zeros(1)} for case in inputs(args, rng)]
+        monkeypatch.setattr(cli, "_benchmark_inputs", short)
+        args = build_parser().parse_args(["stage", "--dsl", "einsum-matmul", "--run-interp"])
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cmd_stage(args)
+        assert code == 1
+        assert "interpreter error" in err.getvalue()
+        assert "out of bounds for arg2 of size 1" in err.getvalue()
+
+    def test_zero_grid_is_a_staging_error(self):
+        # a grid with no blocks would record kernel loops that never advance
         args = build_parser().parse_args(["stage", "--dsl", "einsum-matmul", "--run-interp"])
         args.max_bid = 0
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cmd_stage(args)
         assert code == 1
-        assert "interpreter error" in err.getvalue()
-        assert "uninitialized read" in err.getvalue()
+        assert err.getvalue() == "staging error: max_bid must be a positive int, got 0\n"
 
     def test_seed_changes_checksums(self):
         base = (

@@ -68,6 +68,13 @@ class TestTensorNew:
         with pytest.raises(EinsumError, match="positive"):
             session.tensor("a", [0, 3])
 
+    @pytest.mark.parametrize("name, size", [("max_bid", 0), ("max_tid", -2), ("max_bid", 2.0),
+                                            ("max_tid", True), ("max_bid", "4")])
+    def test_grid_that_is_not_a_positive_int_rejected(self, name, size):
+        # a zero grid used to record kernel loops with step 0
+        with pytest.raises(EinsumError, match=f"^{name} must be a positive int, got {size!r}$"):
+            fresh_session(**{name: size})
+
     @pytest.mark.parametrize("sizes", [[2.5], [2, 3.0], [True], [2, False], ["4"]])
     def test_non_int_size_rejected(self, sizes):
         session = fresh_session()

@@ -118,6 +118,13 @@ class TestConvolveRelu:
         with pytest.raises(StagingError, match="is not finite"):
             run_staged(generate)
 
+    @pytest.mark.parametrize("size", [4.0, True, 0, -1])
+    def test_size_that_is_not_a_positive_int_rejected(self, size):
+        # a float size used to record `var0 < 4.0` and `runtime::malloc(16.0)`
+        session = NnSession(StageContext(ProphecyStore(), run_index=1, name="t"))
+        with pytest.raises(NnError, match=f"^tensor size must be a positive int, got {size!r}$"):
+            session.tensor(size)
+
     def test_filter_larger_than_input_rejected(self):
         def generate(ctx):
             session = NnSession(ctx)
