@@ -27,13 +27,9 @@ declares it and nothing assigns it, from the declaration to the end of its
 block; its element list and size stay in locals (``V3 N3``).  An access
 through a proven slot at an index ``is_int`` proves integral is inline, with
 only the bounds and ``None`` tests; every other access calls ``_buf`` and
-``_at``/``_in_bounds``.  A ``ForLoop`` runs ``var < bound`` tests and
-``var = var + step`` updates.  One whose step is a positive int literal,
-whose variable nothing assigns, and whose start and bound ``is_int`` proves
-integral runs as a ``range`` loop.  Others run as ``while`` loops, which
-raise an InterpError naming the variable after MAX_LOOP_ITERATIONS
-iterations, or at entry if a literal step of zero or less means they never
-end.
+``_at``/``_in_bounds``.  A ``ForLoop`` is counted, so it runs as a ``range``
+loop; as in C, its variable is never assigned and in scope only while its
+body prints, and an int variable holds only ints (``_int``).
 """
 
 import numbers
@@ -46,8 +42,6 @@ from .second_stage import (
     _ELEM_BYTES, ArrayIndex, Assign, Binary, Declare, Expr, FloatLit, ForLoop, IfElse, IntLit,
     RuntimeCall, RuntimeCallExpr, SecondStageProgram, Stmt, VarRef, iter_stmts,
 )
-
-MAX_LOOP_ITERATIONS = 1 << 24  # per run of one while loop; range loops always end
 
 _f32 = np.float32
 _BINOPS = {"<": 0, "<=": 0, ">": 0, ">=": 0, "+": 1, "-": 1, "*": 2, "%": 2}  # binding strength
@@ -74,6 +68,15 @@ def _alloc(name: str, *args: Any) -> Buffer:
     if count <= 0:
         raise InterpError(f"allocation of {nbytes} bytes at {name}")
     return Buffer([None] * count, name)
+
+
+def _int(value: Any, name: str) -> int:
+    """``value`` as C stores it in int variable ``name``: truncated toward zero."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):  # a buffer, nan, inf
+        what = "a buffer" if isinstance(value, Buffer) else value
+        raise InterpError(f"int {name} cannot hold {what}") from None
 
 
 def _buf(value: Any, where: str) -> Buffer:
@@ -112,24 +115,29 @@ class _Walk:
     def __init__(self, program: SecondStageProgram):
         stmts = list(iter_stmts(program.body))
         self.slots: dict[str, int] = {}
-        declared = [s.var if isinstance(s, ForLoop) else s.name
+        declared = [(s.var, "int") if isinstance(s, ForLoop) else (s.name, s.kind)
                     for s in stmts if isinstance(s, (Declare, ForLoop))]
-        for name in [name for name, _ in program.params] + declared:
+        for name, _ in [*program.params, *declared]:
             if name in self.slots:
                 raise InterpError(f"duplicate variable name {name!r}")
             self.slots[name] = len(self.slots)
         self.assigned = {s.target.name for s in stmts
                          if isinstance(s, Assign) and isinstance(s.target, VarRef)}
+        self.outside = {s.var for s in stmts if isinstance(s, ForLoop)}  # out of scope, see local
+        if assigned := self.outside & self.assigned:
+            raise InterpError(f"loop variable {min(assigned)} is assigned")
         # pointer slots known to hold a buffer at this point, see inline and block
         self.proven = {self.slots[name] for name, kind in program.params
                        if kind.endswith("*") and name not in self.assigned}
-        self.ints: set[str] = set()  # variables known to hold ints at this point, see is_int
+        self.ints = {name for name, kind in [*program.params, *declared] if kind == "int"}
         self.result = "return (" + "".join(f"v{k}, " for k in range(len(program.params))) + ")"
         self.constants: dict[str, Any] = {}
 
     def local(self, name: str) -> str:
         if name not in self.slots:
             raise InterpError(f"variable {name!r} is never declared")
+        if name in self.outside:
+            raise InterpError(f"loop variable {name} is used outside its loop")
         return f"v{self.slots[name]}"
 
     def inline(self, base: Expr, index: Expr) -> int | None:
@@ -138,7 +146,7 @@ class _Walk:
         return k if k in self.proven and self.is_int(index) else None
 
     def is_int(self, expr: Expr) -> bool:
-        """Built of int literals, enclosing range loops' and never-assigned int variables."""
+        """Built of int literals and int variables (parameters, declarations, loop variables)."""
         match expr:
             case IntLit(value):
                 return type(value) is int
@@ -147,6 +155,10 @@ class _Walk:
             case Binary("+" | "-" | "*" | "%", left, right):
                 return self.is_int(left) and self.is_int(right)
         return False
+
+    def stored(self, name: str, expr: Expr, src: str) -> str:
+        """The source ``src`` of ``expr`` as variable ``name`` holds it: C converts to an int."""
+        return f"_int({src}, {name!r})" if name in self.ints and not self.is_int(expr) else src
 
     def block(self, stmts: list[Stmt], depth: int, out: list[str]) -> None:
         proven = set(self.proven)  # an allocation proves its pointer until its block ends
@@ -193,16 +205,14 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk) -> None:
             if init is None:  # holds no value until assigned
                 out.append(f"{pad}{v} = None; del {v}")
                 return
-            out.append(f"{pad}{v} = {_expr_src(init, w, name)}")
+            out.append(f"{pad}{v} = {w.stored(name, init, _expr_src(init, w, name))}")
             if name in w.assigned:
                 return
-            if w.is_int(init):
-                w.ints.add(name)
             if isinstance(init, RuntimeCallExpr) and init.name in _ALLOCS:
                 w.proven.add(k := w.slots[name])
                 out.append(f"{pad}V{k}, N{k} = {v}.values, {v}.size")
         case Assign(VarRef(name), value):
-            value_src = _expr_src(value, w)
+            value_src = w.stored(name, value, _expr_src(value, w))
             out.append(f"{pad}{w.local(name)} = {value_src}")
         case Assign(ArrayIndex(base, index), value):  # base, index, bounds, then the value
             value_src, k = _expr_src(value, w), w.inline(base, index)
@@ -218,30 +228,15 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk) -> None:
             _expr_src(value, w)
             raise InterpError(f"bad assignment target {target!r}")
         case ForLoop(var, start, bound, step, body):
+            start_src = w.stored(var, start, _expr_src(start, w))
+            w.outside.discard(var)
             v = w.local(var)
-            out.append(f"{pad}{v} = {_expr_src(start, w)}")
-            counted = (step.value if isinstance(step, IntLit) and w.is_int(step)
-                       and var not in w.assigned and w.is_int(bound) else None)
-            if counted is not None and counted > 0 and w.is_int(start):
-                bound_src = _expr_src(bound, w)
-                out.append(f"{pad}if {v} < {bound_src}:")  # an empty loop leaves v at start
-                out.append(f"{pad}    for {v} in range({v}, {bound_src}, {counted}):")
-                w.ints.add(var)
-                w.block(body, depth + 2, out)
-                w.ints.discard(var)
-                out.append(f"{pad}    {v} = {v} + {counted}")  # its first value >= bound
-                return
-            cond_src = f"{v} < {_expr_src(bound, w, prec=1)}"
-            step_src = f"{v} + {_expr_src(step, w, prec=2)}"
-            if counted is not None and counted <= 0:
-                endless = f"loop over {var} never ends: its step {counted} does not advance it"
-                out.append(f"{pad}if {cond_src}: raise InterpError({endless!r})")
-            out.append(f"{pad}for _ in range(MAX_LOOP_ITERATIONS):")
-            out.append(f"{pad}    if not {cond_src}: break")
-            w.block(body, depth + 1, out)
-            unfinished = f"loop over {var} still running after {MAX_LOOP_ITERATIONS} iterations"
-            out.extend([f"{pad}    {v} = {step_src}", f"{pad}else:"])
-            out.append(f"{pad}    if {cond_src}: raise InterpError({unfinished!r})")
+            out.append(f"{pad}{v} = {start_src}")
+            # range alone would do; this test spares the many empty grid-stride loops building one
+            out.append(f"{pad}if {v} < {bound.value}:")
+            out.append(f"{pad}    for {v} in range({v}, {bound.value}, {step.value}):")
+            w.block(body, depth + 2, out)
+            w.outside.add(var)
         case IfElse(cond, then_body, else_body):
             out.append(f"{pad}if {_expr_src(cond, w)}:")
             w.block(then_body, depth + 1, out)

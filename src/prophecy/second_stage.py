@@ -113,6 +113,12 @@ class ForLoop:
     step: Expr
     body: list["Stmt"]
 
+    def __post_init__(self) -> None:
+        if type(self.bound) is not IntLit or type(self.bound.value) is not int:
+            raise ValueError(f"loop bound must be an int literal, got {self.bound!r}")
+        if type(self.step) is not IntLit or type(self.step.value) is not int or self.step.value < 1:
+            raise ValueError(f"loop step must be an int literal of at least 1, got {self.step!r}")
+
 
 @dataclass
 class IfElse:

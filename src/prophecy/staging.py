@@ -380,21 +380,20 @@ class StageContext:
         bound: Any,
         step: Any,
         body: Callable[[StagedExpr], None],
-    ) -> StagedExpr:
+    ) -> None:
         """Record ``for (int v = start; v < bound; v = v + step)`` around body.
 
-        The body procedure runs exactly once, receiving the loop variable
-        handle; whatever it records lands inside the loop.  The loop's block
-        closes even when the body raises.
+        ``bound`` and ``step`` are Python ints, ``step`` at least 1 (see
+        ``ForLoop``).  The body runs exactly once, receiving the loop
+        variable handle, which exists only inside the loop; what it records
+        lands inside the loop, whose block closes even if the body raises.
         """
         name = self._fresh_var()
-        var = StagedExpr(VarRef(name), self)
         stmt = ForLoop(
             name, self.lift(start).node, self.lift(bound).node, self.lift(step).node, []
         )
         self._record(stmt)
-        self._record_block(stmt.body, body, var)
-        return var
+        self._record_block(stmt.body, body, StagedExpr(VarRef(name), self))
 
     def if_else(
         self,

@@ -4,28 +4,33 @@
 ``interpret_program`` replaced: each AST node is compiled once into a
 closure over an environment list.  It is kept here as it was, with its own
 ``Buffer``, less the branches of the second-stage features since removed
-(``Return``, ``Unary`` and ``runtime::free``) and with one check added to
-both: an index that is not an integer (a float-start loop's variable) is an
-InterpError after the bounds check, where numpy and the mask used to raise
-their own TypeError or IndexError.  Its loop builds the ``var < bound``
-test and the ``var = var + step`` update from the ``ForLoop`` fields, the
-expressions the node used to store, and runs them as before.  It is the
-reference the generated-source interpreter must agree with.  Random
-programs are recorded through the public ``StageContext`` API, so they have
-the recorder's shapes, and cover nested loops with varied start, bound and
-step (including loop variables read after their loop, and loops whose body
-assigns the loop variable or the bound), ``if_else``, loads and stores in
-and out of bounds, reads of unset variables and of uninitialized elements,
-whole, short and over-long copies, and aliases.  The pinned builds with a
-small grid (matmul and matvec in all three strategies, conv/ReLU 24 x 5
-with both flags) are compared too.  Outputs are compared byte for byte,
-scalars by type and value, and errors by type and message.
+(``Return``, ``Unary`` and ``runtime::free``), and with two additions
+made to both.  An index that is not an integer (a ``float`` variable's
+value) is an InterpError after the bounds check, where numpy and the mask
+used to raise their own TypeError or IndexError.  A loop start, an ``int``
+declaration's value and a value assigned to an ``int`` variable or
+parameter become what C stores in an ``int`` (``_to_int``): truncated
+toward zero, with a buffer, nan or inf an InterpError.  Its loop builds
+the ``var < bound`` test and the ``var = var + step`` update from the
+``ForLoop`` fields and runs them as a ``while`` loop.  It is the reference
+the generated-source interpreter must agree with.  Random programs are
+recorded through the public ``StageContext`` API, so they have the
+recorder's shapes, and cover nested counted loops with literal, staged,
+float and float-parameter starts (some of them empty), ``if_else``, ``int``
+variables given float values, loads and stores in and out of bounds, reads
+of unset variables and of uninitialized elements, whole, short and
+over-long copies, and aliases.  The pinned builds with a small grid (matmul
+and matvec in all three strategies, conv/ReLU 24 x 5 with both flags) are
+compared too.  Outputs are compared byte for byte, scalars by type and
+value, and errors by type and message.
 
-The reference hangs on a loop that never advances and accepts a negative
-copy size, both of which the new interpreter diagnoses, so the generator
-makes neither.
+The reference accepts a negative copy size, a loop variable read outside
+its loop and an assigned loop variable, which the new interpreter
+diagnoses (see ``tests/test_interp.py``), so the generator makes none of
+them.
 """
 
+import math
 import operator
 import random
 from typing import Any, Callable, Mapping
@@ -52,6 +57,7 @@ from prophecy.second_stage import (
     SecondStageProgram,
     Stmt,
     VarRef,
+    iter_stmts,
 )
 from prophecy.staging import ProphecyStore, StageContext
 from test_pins import INTERPRETED
@@ -80,6 +86,29 @@ _BINOPS: dict[str, Callable[[Any, Any], Any]] = {
     ">": operator.gt,
     ">=": operator.ge,
 }
+
+
+def _int_vars(program: SecondStageProgram) -> set[str]:
+    names = {name for name, kind in program.params if kind == "int"}
+    for stmt in iter_stmts(program.body):
+        if isinstance(stmt, ForLoop):
+            names.add(stmt.var)
+        elif isinstance(stmt, Declare) and stmt.kind == "int":
+            names.add(stmt.name)
+    return names
+
+
+def _to_int(value: Any, name: str) -> int:
+    """What C stores in int variable ``name``: ``value`` truncated toward zero."""
+    if isinstance(value, Buffer):
+        raise InterpError(f"int {name} cannot hold a buffer")
+    if not math.isfinite(value):
+        raise InterpError(f"int {name} cannot hold {value}")
+    return math.trunc(value.item() if isinstance(value, np.generic) else value)
+
+
+def _as_stored(value: Any, name: str) -> Any:
+    return value
 
 
 def _collect_slots(program: SecondStageProgram) -> dict[str, int]:
@@ -181,7 +210,9 @@ def _compile_expr(
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def _compile_stmt(stmt: Stmt, slots: Mapping[str, int]) -> Callable[[list], None]:
+def _compile_stmt(
+    stmt: Stmt, slots: Mapping[str, int], ints: set[str]
+) -> Callable[[list], None]:
     match stmt:
         case Declare(name, _, init):
             slot = slots[name]
@@ -190,18 +221,20 @@ def _compile_stmt(stmt: Stmt, slots: Mapping[str, int]) -> Callable[[list], None
                     env[slot] = None
                 return declare
             init_fn = _compile_expr(init, slots, alloc_name=name)
+            convert = _to_int if name in ints else _as_stored
 
             def declare_init(env):
-                env[slot] = init_fn(env)
+                env[slot] = convert(init_fn(env), name)
 
             return declare_init
         case Assign(target, value):
             vf = _compile_expr(value, slots)
             if isinstance(target, VarRef):
-                slot = slots[target.name]
+                slot, name = slots[target.name], target.name
+                convert = _to_int if name in ints else _as_stored
 
                 def store_var(env):
-                    env[slot] = vf(env)
+                    env[slot] = convert(vf(env), name)
 
                 return store_var
             if isinstance(target, ArrayIndex):
@@ -228,10 +261,10 @@ def _compile_stmt(stmt: Stmt, slots: Mapping[str, int]) -> Callable[[list], None
             init_fn = _compile_expr(init, slots)
             cond_fn = _compile_expr(cond, slots)
             step_fn = _compile_expr(step, slots)
-            body_fns = [_compile_stmt(s, slots) for s in body]
+            body_fns = [_compile_stmt(s, slots, ints) for s in body]
 
             def loop(env):
-                env[slot] = init_fn(env)
+                env[slot] = _to_int(init_fn(env), var)
                 while cond_fn(env):
                     for fn in body_fns:
                         fn(env)
@@ -240,8 +273,8 @@ def _compile_stmt(stmt: Stmt, slots: Mapping[str, int]) -> Callable[[list], None
             return loop
         case IfElse(cond, then_body, else_body):
             cond_fn = _compile_expr(cond, slots)
-            then_fns = [_compile_stmt(s, slots) for s in then_body]
-            else_fns = [_compile_stmt(s, slots) for s in (else_body or [])]
+            then_fns = [_compile_stmt(s, slots, ints) for s in then_body]
+            else_fns = [_compile_stmt(s, slots, ints) for s in (else_body or [])]
 
             def branch(env):
                 for fn in then_fns if cond_fn(env) else else_fns:
@@ -292,7 +325,8 @@ def reference_interpret(
             env[slots[name]] = np.float32(inputs[name])
         else:
             raise InterpError(f"unsupported parameter kind {kind!r}")
-    body = [_compile_stmt(s, slots) for s in program.body]
+    ints = _int_vars(program)
+    body = [_compile_stmt(s, slots, ints) for s in program.body]
     for fn in body:
         fn(env)
     outputs: dict[str, Any] = {}
@@ -318,7 +352,8 @@ class _Gen:
         self.ctx = StageContext(ProphecyStore(), run_index=1, name="rand")
         self.buffers = [self.ctx.parameter("float*"), self.ctx.parameter("float*")]
         self.n = self.ctx.parameter("int")
-        self.ints = [self.n]  # int-valued handles: loop variables, declared ints
+        self.ints = [self.n]  # int-valued handles in scope: loop variables, declared ints
+        self.declared_ints = []
         self.floats = [self.ctx.parameter("float")]
         self.statements = 0
 
@@ -341,6 +376,8 @@ class _Gen:
         return self.rng.choice(self.buffers)
 
     def index(self):
+        if self.rng.random() < 0.03:  # a float, often not an integer
+            return self.rng.choice(self.floats)
         idx = self.int_expr()
         if self.rng.random() < 0.8:  # mostly in bounds of the smaller buffers
             idx = self.ctx.lift(idx) % 4
@@ -375,7 +412,7 @@ class _Gen:
     def statement(self, depth: int) -> None:
         rng, ctx = self.rng, self.ctx
         kinds = ["store", "float", "int", "loop", "if", "copy", "alloc", "alias", "scalar"]
-        weights = [30, 12, 6, 14 if depth < 3 else 0, 8, 6, 5, 3, 2]
+        weights = [30, 12, 6, 14 if depth < 3 else 0, 8, 6, 5, 3, 4]
         kind = rng.choices(kinds, weights)[0]
         if kind == "store":
             value = self.float_expr() if rng.random() < 0.8 else self.int_expr()
@@ -387,7 +424,10 @@ class _Gen:
                 init = None if rng.random() < 0.3 else self.float_expr()
                 self.floats.append(ctx.declare("float", init))
         elif kind == "int":
-            self.ints.append(ctx.declare("int", self.int_expr()))
+            roll = rng.random()
+            init = self.int_expr() if roll < 0.75 else self.float_expr() if roll < 0.95 else self.base()
+            self.declared_ints.append(ctx.declare("int", init))
+            self.ints.append(self.declared_ints[-1])
         elif kind == "loop":
             self.loop(depth)
         elif kind == "if":
@@ -411,37 +451,29 @@ class _Gen:
                 self.buffers.append(ctx.declare("float*", rng.choice(self.buffers)))
             else:
                 ctx.assign(rng.choice(self.buffers), rng.choice(self.buffers))
-        else:
-            ctx.assign(self.n, self.n + 1)
+        else:  # never a loop variable: C allows no assignment to one here
+            target = rng.choice([self.n, *self.declared_ints])
+            ctx.assign(target, target + 1 if rng.random() < 0.5 else self.float_expr())
 
     def loop(self, depth: int) -> None:
         rng, ctx = self.rng, self.ctx
-        shape = rng.choice(
-            ["counted", "counted", "var-start", "float-start", "moving-bound", "assigns-var"]
-        )
+        shape = rng.choice(["counted", "counted", "var-start", "float-start"])
         start = rng.randint(-1, 3)
         if shape == "var-start":
             start = ctx.lift(self.int_expr()) % 5 - 1
         elif shape == "float-start":
-            start = rng.choice([0.5, -1.5, self.floats[0]])
-        bound = rng.choice([rng.randint(0, 6), self.ctx.lift(rng.choice(self.ints)) % 5 + 1])
-        if shape == "moving-bound":
-            bound = ctx.declare("int", rng.randint(2, 7))
-        elif shape == "counted" and rng.random() < 0.25:
+            start = rng.choice([0.5, -1.5, 2.75, self.floats[0]])
+        bound = rng.randint(0, 6)
+        if shape == "counted" and rng.random() < 0.25:
             start = bound  # an empty loop
-        step = rng.choice([1, 1, 2, 3]) if rng.random() < 0.9 else self.n
+        step = rng.choice([1, 1, 2, 3])
 
         def body(var) -> None:
             self.ints.append(var)
-            if shape == "moving-bound":
-                ctx.assign(bound, bound - 1)
             self.block(depth + 1, rng.randint(0, 3))
-            if shape == "assigns-var":
-                ctx.assign(var, var + 1)
+            self.ints.remove(var)  # out of scope after its loop
 
-        var = ctx.for_loop(start, bound, step, body)
-        if rng.random() < 0.3:
-            ctx.assign(self.buffers[0][0], var)
+        ctx.for_loop(start, bound, step, body)
 
 
 def random_program(seed: int):

@@ -351,7 +351,7 @@ class TestRunStaged:
         def generator(ctx):
             cell = ctx.prophecy_cell(FLAG, Flag.UNSET)
             buf = ctx.parameter("float*")
-            n = ctx.declare("int", 4)
+            n = 4
             if cell.get() == Flag.UNSET:
                 cell.require(Flag.SET)
             ctx.for_loop(0, n, 1, lambda i: ctx.assign(buf[i], i * 2))
@@ -529,7 +529,7 @@ class TestEmission:
     def test_nested_blocks_golden(self):
         ctx = fresh_ctx()
         buf = ctx.parameter("float*")
-        n = ctx.parameter("int")
+        n = 2
 
         def outer(i):
             def inner(j):
@@ -545,8 +545,8 @@ class TestEmission:
         ctx.runtime("runtime::grid_sync")
         golden = """#include "runtime.h"
 
-void t(float* arg0, int arg1) {
-  for (int var0 = 0; var0 < arg1; var0 = var0 + 1) {
+void t(float* arg0) {
+  for (int var0 = 0; var0 < 2; var0 = var0 + 1) {
     for (int var1 = 0; var1 < 4; var1 = var1 + 1) {
       if ((var0 + var1) % 2) {
         arg0[(var0 * 4) + var1] = 1.0;
@@ -564,12 +564,10 @@ void t(float* arg0, int arg1) {
         ctx = fresh_ctx()
         n = ctx.parameter("int")
         buf = ctx.parameter("float*")
-        ctx.for_loop(n % 2, n + 1, n * 2 - 3, lambda i: ctx.assign(buf[i], 1.0))
+        # the start may be staged; the bound and step are int literals (see ForLoop)
+        ctx.for_loop(n % 2, 4, 3, lambda i: ctx.assign(buf[i], 1.0))
         program = ctx.finish()
-        assert (
-            "\n  for (int var0 = arg0 % 2; var0 < (arg0 + 1);"
-            " var0 = var0 + ((arg0 * 2) - 3)) {\n"
-        ) in emit_c(program)
+        assert "\n  for (int var0 = arg0 % 2; var0 < 4; var0 = var0 + 3) {\n" in emit_c(program)
         # arg0 = 3: var0 runs from 1 while below 4, by 3, so only buf[1] is written
         out = interpret_program(program, {"arg0": 3, "arg1": np.zeros(4, np.float32)})
         assert out["arg1"].tolist() == [0.0, 1.0, 0.0, 0.0]
