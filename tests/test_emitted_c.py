@@ -1,0 +1,64 @@
+"""The emitted C is C: ``g++ -fsyntax-only`` accepts every pinned program.
+
+Programs are checked against ``tests/data/runtime.h``, a stub of the six
+runtime calls, so this covers syntax and types only; nothing is linked or
+run.  The check skips only when no ``g++`` is on PATH.
+"""
+
+import os
+import shutil
+import subprocess
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from prophecy.einsum import STRATEGIES
+from prophecy.interp import InterpError, interpret_program
+from prophecy.second_stage import RUNTIME_HEADER, emit_c
+from prophecy.staging import ProphecyStore, StageContext
+from test_pins import STAGED, _einsum_corpus, _einsum_outcome
+
+pytestmark = pytest.mark.skipif(shutil.which("g++") is None, reason="no g++ on PATH")
+
+RUNTIME_DIR = Path(__file__).parent / "data"
+
+
+def syntax_check(sources: dict[str, str]) -> subprocess.CompletedProcess:
+    """One translation unit; each program in its own namespace, its errors under its name."""
+    unit = [RUNTIME_HEADER]
+    for k, (name, text) in enumerate(sources.items()):
+        assert text.startswith(RUNTIME_HEADER + "\n")
+        body = text.removeprefix(RUNTIME_HEADER + "\n")
+        unit.append(f'namespace case{k} {{\n#line 1 "{name}"\n{body}}}')
+    return subprocess.run(
+        ["g++", "-fsyntax-only", "-I", str(RUNTIME_DIR), "-x", "c++", "-"],
+        input="\n".join(unit), capture_output=True, text=True, timeout=120,
+        env={**os.environ, "LC_ALL": "C"},  # plain quotes in messages
+    )
+
+
+def test_pinned_programs_compile():
+    sources = {case: emit_c(build()[0]) for case, (build, _, _) in sorted(STAGED.items())}
+    for name, case in _einsum_corpus().items():
+        for strategy in STRATEGIES:
+            outcome = _einsum_outcome(case, strategy)
+            if outcome[0] == "ok":
+                sources[f"einsum-{name}-{strategy}"] = outcome[1]
+    assert len(sources) > len(STAGED)
+    result = syntax_check(sources)
+    assert result.returncode == 0, result.stderr
+
+
+def test_loop_variable_after_its_loop_compiles_nowhere():
+    ctx = StageContext(ProphecyStore(), run_index=1, name="after_loop")
+    buf = ctx.parameter("float*")
+    held = []
+    ctx.for_loop(0, 4, 1, held.append)
+    ctx.assign(buf[0], held[0])
+    program = ctx.finish()
+    result = syntax_check({"after_loop": emit_c(program)})
+    assert result.returncode != 0
+    assert "'var0' was not declared in this scope" in result.stderr
+    with pytest.raises(InterpError, match="^loop variable var0 is used outside its loop$"):
+        interpret_program(program, {"arg0": np.zeros(1)})
