@@ -3,9 +3,7 @@ import pytest
 
 from prophecy import interp
 from prophecy.interp import InterpError, interpret_program
-from prophecy.second_stage import (
-    Assign, Binary, ForLoop, IntLit, SecondStageProgram, VarRef,
-)
+from prophecy.second_stage import Assign, Binary, ForLoop, IntLit, SecondStageProgram, VarRef
 from prophecy.staging import ProphecyStore, StageContext
 from test_pins import INTERPRETED
 
@@ -216,7 +214,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (np.inf, "inf"),
                                               (-np.inf, "-inf"), ("buffer", "a buffer")])
-    def test_value_no_int_can_hold(self, value, shown):
+    def test_int_cannot_hold_a_buffer_nan_or_inf(self, value, shown):
         ctx = ctx_named()
         buf = ctx.parameter("float*")
         x = ctx.parameter("float")
