@@ -3,8 +3,9 @@
 Executes a recorded program directly, standing in for a C toolchain and a
 GPU: device allocations become host allocations, memory-transfer calls
 become buffer copies, and ``grid_sync`` is a no-op.  The recorded block/
-thread grid is just a pair of loops, so "GPU" code runs by iterating every
-(block, thread) pair.
+thread grid is just a pair of loops, so "GPU" code runs by iterating the
+(block, thread) pairs, less those that provably do nothing (see below), as
+idle threads on a GPU cost next to nothing.
 
 Float values use genuine 32-bit arithmetic (numpy scalars), matching the
 DSLs' float element type; integers are Python ints (loop counters and flat
@@ -27,13 +28,35 @@ declares it and nothing assigns it, from the declaration to the end of its
 block; its element list and size stay in locals (``V3 N3``).  An access
 through a proven slot at an index ``is_int`` proves integral is inline, with
 only the bounds and ``None`` tests; every other access calls ``_buf`` and
-``_at``/``_in_bounds``.  A ``ForLoop`` is counted, so it runs as a ``range``
-loop; as in C, its variable is never assigned and in scope only while its
-body prints, and an int variable holds only ints (``_int``).
+``_at``/``_in_bounds``.  As in C, an int variable holds only ints (``_int``),
+a float variable given an int holds it as a float32, and ``%`` truncates
+toward zero: inline with one sign test for a positive int-literal divisor,
+through ``_mod`` otherwise, where a zero divisor is an InterpError.
+
+A ``ForLoop`` is counted, so it runs as a ``range`` loop; as in C, its
+variable is never assigned and in scope only while its body prints.  The
+range stops early, at a value computed once before the loop, when the later
+iterations provably do nothing: when each statement of the body for loop
+variable ``v`` is
+  (a) ``grid_sync``;
+  (b) a loop starting at ``v``, or at an ``int d = e + v`` declared before it
+      in the same body, so empty once ``v`` reaches its bound (less ``e``),
+      where ``e`` is built of int literals, ``+ - *``, enclosing loop
+      variables and int parameters, so it can neither raise nor read a
+      variable that holds no value;
+  (c) a loop whose start is built the same way from those, ``v`` and the
+      loop variables in between, and whose own body holds only (a) to (d); or
+  (d) such a declaration of ``d``, when nothing outside the loop reads ``d``
+      (a block's declarations stay readable after it here).
+So a skipped iteration would have stored, copied, allocated and raised
+nothing.  On a grid larger than its data, an einsum kernel with two output
+indices runs over the data's cells only; one with a single index (a flat
+thread id) still visits every block, with no thread past the data.
 """
 
 import numbers
 import re
+from collections import Counter
 from typing import Any, Mapping
 
 import numpy as np
@@ -44,7 +67,7 @@ from .second_stage import (
 )
 
 _f32 = np.float32
-_BINOPS = {"<": 0, "<=": 0, ">": 0, ">=": 0, "+": 1, "-": 1, "*": 2, "%": 2}  # binding strength
+_BINOPS = {"<": 0, "<=": 0, ">": 0, ">=": 0, "+": 1, "-": 1, "*": 2}  # binding strength; % prints atomic
 _ALLOCS = ("runtime::malloc", "runtime::cuda_malloc")
 _COPIES = ("runtime::memcpy", "runtime::cudaMemcpyToDevice", "runtime::cudaMemcpyToHost")
 
@@ -79,6 +102,14 @@ def _int(value: Any, name: str) -> int:
         raise InterpError(f"int {name} cannot hold {what}") from None
 
 
+def _mod(a: Any, b: Any) -> Any:
+    """C's ``a % b``: truncated toward zero, so the remainder takes the sign of ``a``."""
+    if b == 0:
+        raise InterpError(f"{a} % {b} divides by zero")
+    r = abs(a) % abs(b)
+    return r if a >= 0 else -r
+
+
 def _buf(value: Any, where: str) -> Buffer:
     if not isinstance(value, Buffer):
         raise InterpError(f"{where}: expected a buffer, got {type(value).__name__}")
@@ -109,6 +140,34 @@ def _copy(name: str, dst: Buffer, src: Buffer, nbytes: Any) -> None:
     dst.values[:count] = src.values[:count]
 
 
+def _reads(stmts: list[Stmt]) -> Counter:
+    """How often each variable is read in ``stmts``; the variable an assignment targets is not."""
+    reads: Counter = Counter()
+
+    def expr(e: Expr | None) -> None:
+        match e:
+            case VarRef(name):
+                reads[name] += 1
+            case Binary(_, left, right) | ArrayIndex(left, right):
+                expr(left)
+                expr(right)
+            case RuntimeCallExpr(_, args):
+                for arg in args:
+                    expr(arg)
+
+    for stmt in iter_stmts(stmts):
+        match stmt:
+            case Declare(_, _, init) | ForLoop(_, init) | IfElse(init):
+                expr(init)
+            case Assign(target, value):
+                expr(None if isinstance(target, VarRef) else target)
+                expr(value)
+            case RuntimeCall(_, args):
+                for arg in args:
+                    expr(arg)
+    return reads
+
+
 class _Walk:
     """What printing one program needs beyond the node at hand."""
 
@@ -130,6 +189,11 @@ class _Walk:
         self.proven = {self.slots[name] for name, kind in program.params
                        if kind.endswith("*") and name not in self.assigned}
         self.ints = {name for name, kind in [*program.params, *declared] if kind == "int"}
+        self.floats = {name for name, kind in [*program.params, *declared] if kind == "float"}
+        self.loops = frozenset(self.outside)
+        self.int_params = {name for name, kind in program.params if kind == "int"}
+        self.body = program.body
+        self.reads: Counter | None = None  # variable reads in the whole program, see stop
         self.result = "return (" + "".join(f"v{k}, " for k in range(len(program.params))) + ")"
         self.constants: dict[str, Any] = {}
 
@@ -157,8 +221,61 @@ class _Walk:
         return False
 
     def stored(self, name: str, expr: Expr, src: str) -> str:
-        """The source ``src`` of ``expr`` as variable ``name`` holds it: C converts to an int."""
-        return f"_int({src}, {name!r})" if name in self.ints and not self.is_int(expr) else src
+        """The source ``src`` of ``expr`` as variable ``name`` holds it: C converts to its kind."""
+        if name in self.ints:
+            return src if self.is_int(expr) else f"_int({src}, {name!r})"
+        return f"_f32({src})" if name in self.floats and self.is_int(expr) else src
+
+    def stop(self, loop: ForLoop) -> int | str:
+        """Where ``loop``'s range stops: its bound, or before it when every later iteration
+        provably does nothing (see the module docstring), as a literal or as the source of
+        a value computed once before the loop."""
+        v = loop.var
+        before = (self.loops - self.outside) | self.int_params  # bound, and unassigned in the body
+        stops: list[int | str] = []
+        offsets: dict[str, Expr] = {}  # int d = e + v, declared in a qualifying body
+
+        def safe(expr: Expr, names: set[str]) -> bool:
+            match expr:
+                case IntLit(value):
+                    return type(value) is int
+                case VarRef(name):
+                    return name in names
+                case Binary("+" | "-" | "*", left, right):
+                    return safe(left, names) and safe(right, names)
+            return False
+
+        def idle(body: list[Stmt], bound: set[str]) -> bool:
+            here: set[str] = set()
+            for stmt in body:
+                match stmt:
+                    case RuntimeCall("runtime::grid_sync"):
+                        pass
+                    case Declare(d, "int", Binary("+", e, VarRef(u))) if u == v and safe(e, before):
+                        offsets[d] = e
+                        here.add(d)
+                    case ForLoop(_, VarRef(u), IntLit(b)) if u == v:
+                        stops.append(b)  # empty once v >= b
+                    case ForLoop(_, VarRef(d), IntLit(b)) if d in here:
+                        stops.append(f"{b} - {_expr_src(offsets[d], self, prec=2)}")
+                    case ForLoop(u, start, _, _, inner) if safe(start, bound) and idle(inner, bound | {u}):
+                        pass
+                    case _:
+                        return False
+            return True
+
+        if not idle(loop.body, before | {v}) or not stops:
+            return loop.bound.value
+        if offsets:  # skipped declarations: no read outside the loop may see what they held
+            if self.reads is None:
+                self.reads = _reads(self.body)
+            inside = _reads(loop.body)
+            if any(self.reads[d] != inside[d] for d in offsets):
+                return loop.bound.value
+        if all(type(s) is int for s in stops):
+            return min(loop.bound.value, max(stops))
+        idle_from = stops[0] if len(stops) == 1 else f"max({', '.join(map(str, stops))})"
+        return f"min({loop.bound.value}, {idle_from})"
 
     def block(self, stmts: list[Stmt], depth: int, out: list[str]) -> None:
         proven = set(self.proven)  # an allocation proves its pointer until its block ends
@@ -178,6 +295,10 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
             return name
         case VarRef(name):
             return w.local(name)
+        case Binary("%", left, IntLit(d)) if type(d) is int and d > 0:  # C's remainder, inline
+            return f"(_m % {d} if (_m := {_expr_src(left, w)}) >= 0 else -(-_m % {d}))"
+        case Binary("%", left, right):
+            return f"_mod({_expr_src(left, w)}, {_expr_src(right, w)})"
         case Binary(op, left, right):
             if op not in _BINOPS:
                 raise InterpError(f"unknown binary operator {op!r}")
@@ -229,12 +350,16 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk) -> None:
             raise InterpError(f"bad assignment target {target!r}")
         case ForLoop(var, start, bound, step, body):
             start_src = w.stored(var, start, _expr_src(start, w))
+            stop = w.stop(stmt)
             w.outside.discard(var)
             v = w.local(var)
             out.append(f"{pad}{v} = {start_src}")
+            if isinstance(stop, str):  # computed once, before the loop
+                out.append(f"{pad}_t = {stop}")
+                stop = "_t"
             # range alone would do; this test spares the many empty grid-stride loops building one
-            out.append(f"{pad}if {v} < {bound.value}:")
-            out.append(f"{pad}    for {v} in range({v}, {bound.value}, {step.value}):")
+            out.append(f"{pad}if {v} < {stop}:")
+            out.append(f"{pad}    for {v} in range({v}, {stop}, {step.value}):")
             w.block(body, depth + 2, out)
             w.outside.add(var)
         case IfElse(cond, then_body, else_body):

@@ -1,9 +1,14 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from prophecy import interp
 from prophecy.interp import InterpError, interpret_program
-from prophecy.second_stage import Assign, Binary, ForLoop, IntLit, SecondStageProgram, VarRef
+from prophecy.second_stage import (
+    Assign, Binary, ForLoop, IntLit, RuntimeCall, SecondStageProgram, VarRef, iter_stmts,
+)
 from prophecy.staging import ProphecyStore, StageContext
 from test_pins import INTERPRETED
 
@@ -110,6 +115,30 @@ class TestBasics:
         out = interpret_program(ctx.finish(), {"arg0": [0, 1, 2, 3], "arg1": [0, 0, 0, 0]})
         np.testing.assert_array_equal(out["arg1"], np.float32([3, 0, 1, 2]))
 
+    @pytest.mark.parametrize("n, m, written", [(7, 4, 3), (-7, 4, -3), (7, -4, 3), (-7, -4, -3)])
+    def test_remainder_truncates_toward_zero(self, n, m, written):
+        # C's -7 % 4 is -3, where Python's is 1; a literal divisor prints inline, any other
+        # goes through a helper
+        ctx = ctx_named()
+        buf = ctx.parameter("float*")
+        a, b = ctx.parameter("int"), ctx.parameter("int")
+        ctx.assign(buf[0], a % 4)
+        ctx.assign(buf[1], a % b)
+        out = interpret_program(ctx.finish(), {"arg0": np.zeros(2), "arg1": n, "arg2": m})
+        assert out["arg0"].tolist() == [-3.0 if n < 0 else 3.0, written]
+
+    def test_float_variable_given_an_int_rounds_as_float32(self):
+        # 4097.0f * 4097.0f rounds to 16785408, so the difference is 0 in C, not 1
+        ctx = ctx_named()
+        buf = ctx.parameter("float*")
+        n = ctx.parameter("int")
+        x = ctx.declare("float", 4097)
+        ctx.assign(buf[0], x * x - 16785408)
+        ctx.assign(x, n)  # an assigned int is converted too
+        ctx.assign(buf[1], x * x - 16785408)
+        out = interpret_program(ctx.finish(), {"arg0": np.zeros(2), "arg1": 4097})
+        assert out["arg0"].tolist() == [0.0, 0.0]
+
 
 class TestErrors:
     def test_out_of_bounds_is_fatal_with_location(self):
@@ -177,6 +206,32 @@ class TestErrors:
             ctx.assign(buf[i], 1.0)
         with pytest.raises(InterpError, match=r"^index 0\.5 into arg0 is not an integer$"):
             interpret_program(ctx.finish(), {"arg0": [0.0, 1.0]})
+
+    def test_float_variable_given_an_int_is_no_index(self):
+        # float var0 = 1 holds 1.0f, which C refuses as an index
+        ctx = ctx_named()
+        buf = ctx.parameter("float*")
+        ctx.assign(buf[ctx.declare("float", 1)], 5.0)
+        with pytest.raises(InterpError, match=r"^index 1\.0 into arg0 is not an integer$"):
+            interpret_program(ctx.finish(), {"arg0": np.zeros(2)})
+
+    def test_negative_remainder_index(self):
+        # the emitted C indexes arg0[n % 4], that is arg0[-3]
+        ctx = ctx_named()
+        buf = ctx.parameter("float*")
+        n = ctx.parameter("int")
+        ctx.assign(buf[n % 4], 5.0)
+        with pytest.raises(InterpError, match=r"^index -3 out of bounds for arg0 of size 4$"):
+            interpret_program(ctx.finish(), {"arg0": np.zeros(4), "arg1": -3})
+
+    @pytest.mark.parametrize("divisor", ["literal", "parameter"])
+    def test_remainder_by_zero(self, divisor):
+        ctx = ctx_named()
+        buf = ctx.parameter("float*")
+        n = ctx.parameter("int")
+        ctx.assign(buf[0], n % (0 if divisor == "literal" else n - 5))
+        with pytest.raises(InterpError, match=r"^5 % 0 divides by zero$"):
+            interpret_program(ctx.finish(), {"arg0": np.zeros(1), "arg1": 5})
 
     def test_negative_copy_size(self):
         ctx = ctx_named()
@@ -310,6 +365,36 @@ class TestGridStyleExecution:
         ctx.for_loop(0, max_bid, 1, bid_body)
         out = interpret_program(ctx.finish(), {"arg0": np.zeros(n)})
         np.testing.assert_array_equal(out["arg0"], np.ones(n, dtype=np.float32))
+
+    @pytest.mark.parametrize("case, cells", [
+        ("matmul-prophecy-4x4x4", 4 * 4),  # the default 40 x 512 grid, shortened to the data
+        ("matmul-prophecy-5x3x6-grid2x3", 2 * 3),  # grids smaller than the data, kept whole
+        ("matvec-prophecy-7x5-grid3x2", 3 * 2),
+    ])
+    def test_idle_grid_cells_are_skipped(self, monkeypatch, case, cells):
+        # count the runs of the thread loop's first line in the source the interpreter compiles
+        sources, runs = [], Counter()
+        monkeypatch.setattr(interp, "compile", lambda source, *args: sources.append(source)
+                            or compile(source, *args), raising=False)
+
+        def line(frame, event, arg):
+            runs[frame.f_lineno] += event == "line"
+            return line
+
+        build, make_inputs = INTERPRETED[case]
+        program, _ = build()
+        thread = next(stmt.var for stmt in iter_stmts(program.body) if isinstance(stmt, ForLoop)
+                      and any(isinstance(s, RuntimeCall) for s in stmt.body))
+        slot = f"v{int(thread[3:]) + len(program.params)}"
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, *_: line if frame.f_code.co_name == "_program" else None)
+        try:
+            interpret_program(program, make_inputs(np.random.default_rng(0)))
+        finally:
+            sys.settrace(previous)
+        header = next(i for i, text in enumerate(sources[0].splitlines(), 1)
+                      if f"for {slot} in range(" in text)
+        assert runs[header + 1] == cells
 
     def test_interpretation_is_deterministic(self):
         ctx = ctx_named()

@@ -4,25 +4,31 @@
 ``interpret_program`` replaced: each AST node is compiled once into a
 closure over an environment list.  It is kept here as it was, with its own
 ``Buffer``, less the branches of the second-stage features since removed
-(``Return``, ``Unary`` and ``runtime::free``), and with two additions
-made to both.  An index that is not an integer (a ``float`` variable's
-value) is an InterpError after the bounds check, where numpy and the mask
-used to raise their own TypeError or IndexError.  A loop start, an ``int``
+(``Return``, ``Unary`` and ``runtime::free``), and with four additions made
+to both.  An index that is not an integer (a ``float`` variable's value) is
+an InterpError after the bounds check, where numpy and the mask used to
+raise their own TypeError or IndexError.  A loop start, an ``int``
 declaration's value and a value assigned to an ``int`` variable or
 parameter become what C stores in an ``int`` (``_to_int``): truncated
-toward zero, with a buffer, nan or inf an InterpError.  Its loop builds
-the ``var < bound`` test and the ``var = var + step`` update from the
-``ForLoop`` fields and runs them as a ``while`` loop.  It is the reference
-the generated-source interpreter must agree with.  Random programs are
-recorded through the public ``StageContext`` API, so they have the
-recorder's shapes, and cover nested counted loops with literal, staged,
-float and float-parameter starts (some of them empty), ``if_else``, ``int``
-variables given float values, loads and stores in and out of bounds, reads
-of unset variables and of uninitialized elements, whole, short and
-over-long copies, and aliases.  The pinned builds with a small grid (matmul
-and matvec in all three strategies, conv/ReLU 24 x 5 with both flags) are
-compared too.  Outputs are compared byte for byte, scalars by type and
-value, and errors by type and message.
+toward zero, with a buffer, nan or inf an InterpError.  An int given to a
+``float`` variable or parameter becomes a float32 (``_as_stored``).  ``%``
+is C's, whose quotient truncates toward zero (``_c_mod``), with a zero
+divisor an InterpError.  Its loop builds the ``var < bound`` test and the
+``var = var + step`` update from the ``ForLoop`` fields and runs them as a
+``while`` loop.  It is the reference the generated-source interpreter must
+agree with.  Random programs are recorded through the public
+``StageContext`` API, so they have the recorder's shapes, and cover nested
+counted loops with literal, staged, float and float-parameter starts (some
+of them empty), grid-shaped nests like the einsum DSL's kernels (whose idle
+iterations the interpreter skips, some with their flat thread id read after
+the nest), ``if_else``, ``int`` variables given float values and ``float``
+ones given ints, remainders by positive, negative, zero and staged
+divisors, loads and stores in and out of bounds, reads of unset variables
+and of uninitialized elements, whole, short and over-long copies, and
+aliases.  The pinned builds with a small grid (matmul and matvec in all
+three strategies, conv/ReLU 24 x 5 with both flags) are compared too.
+Outputs are compared byte for byte, scalars by type and value, and errors
+by type and message.
 
 The reference accepts a negative copy size, a loop variable read outside
 its loop and an assigned loop variable, which the new interpreter
@@ -76,11 +82,21 @@ class Buffer:
         return len(self.values)
 
 
+def _c_mod(a: Any, b: Any) -> Any:
+    """C's ``a % b``: the quotient truncates toward zero, so the remainder has ``a``'s sign."""
+    if b == 0:
+        raise InterpError(f"{a} % {b} divides by zero")
+    if isinstance(a, int) and isinstance(b, int):
+        q = abs(a) // abs(b)
+        return a - b * (q if (a < 0) == (b < 0) else -q)
+    return np.fmod(a, b)
+
+
 _BINOPS: dict[str, Callable[[Any, Any], Any]] = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
-    "%": operator.mod,
+    "%": _c_mod,
     "<": operator.lt,
     "<=": operator.le,
     ">": operator.gt,
@@ -88,14 +104,14 @@ _BINOPS: dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-def _int_vars(program: SecondStageProgram) -> set[str]:
-    names = {name for name, kind in program.params if kind == "int"}
+def _var_kinds(program: SecondStageProgram) -> dict[str, str]:
+    kinds = dict(program.params)
     for stmt in iter_stmts(program.body):
         if isinstance(stmt, ForLoop):
-            names.add(stmt.var)
-        elif isinstance(stmt, Declare) and stmt.kind == "int":
-            names.add(stmt.name)
-    return names
+            kinds[stmt.var] = "int"
+        elif isinstance(stmt, Declare):
+            kinds[stmt.name] = stmt.kind
+    return kinds
 
 
 def _to_int(value: Any, name: str) -> int:
@@ -108,7 +124,15 @@ def _to_int(value: Any, name: str) -> int:
 
 
 def _as_stored(value: Any, name: str) -> Any:
+    """What C stores in float variable ``name``: an int becomes a float."""
+    return np.float32(value) if type(value) is int else value
+
+
+def _kept(value: Any, name: str) -> Any:
     return value
+
+
+_CONVERT = {"int": _to_int, "float": _as_stored}
 
 
 def _collect_slots(program: SecondStageProgram) -> dict[str, int]:
@@ -211,7 +235,7 @@ def _compile_expr(
 
 
 def _compile_stmt(
-    stmt: Stmt, slots: Mapping[str, int], ints: set[str]
+    stmt: Stmt, slots: Mapping[str, int], kinds: Mapping[str, str]
 ) -> Callable[[list], None]:
     match stmt:
         case Declare(name, _, init):
@@ -221,7 +245,7 @@ def _compile_stmt(
                     env[slot] = None
                 return declare
             init_fn = _compile_expr(init, slots, alloc_name=name)
-            convert = _to_int if name in ints else _as_stored
+            convert = _CONVERT.get(kinds[name], _kept)
 
             def declare_init(env):
                 env[slot] = convert(init_fn(env), name)
@@ -231,7 +255,7 @@ def _compile_stmt(
             vf = _compile_expr(value, slots)
             if isinstance(target, VarRef):
                 slot, name = slots[target.name], target.name
-                convert = _to_int if name in ints else _as_stored
+                convert = _CONVERT.get(kinds[name], _kept)
 
                 def store_var(env):
                     env[slot] = convert(vf(env), name)
@@ -261,7 +285,7 @@ def _compile_stmt(
             init_fn = _compile_expr(init, slots)
             cond_fn = _compile_expr(cond, slots)
             step_fn = _compile_expr(step, slots)
-            body_fns = [_compile_stmt(s, slots, ints) for s in body]
+            body_fns = [_compile_stmt(s, slots, kinds) for s in body]
 
             def loop(env):
                 env[slot] = _to_int(init_fn(env), var)
@@ -273,8 +297,8 @@ def _compile_stmt(
             return loop
         case IfElse(cond, then_body, else_body):
             cond_fn = _compile_expr(cond, slots)
-            then_fns = [_compile_stmt(s, slots, ints) for s in then_body]
-            else_fns = [_compile_stmt(s, slots, ints) for s in (else_body or [])]
+            then_fns = [_compile_stmt(s, slots, kinds) for s in then_body]
+            else_fns = [_compile_stmt(s, slots, kinds) for s in (else_body or [])]
 
             def branch(env):
                 for fn in then_fns if cond_fn(env) else else_fns:
@@ -325,8 +349,8 @@ def reference_interpret(
             env[slots[name]] = np.float32(inputs[name])
         else:
             raise InterpError(f"unsupported parameter kind {kind!r}")
-    ints = _int_vars(program)
-    body = [_compile_stmt(s, slots, ints) for s in program.body]
+    kinds = _var_kinds(program)
+    body = [_compile_stmt(s, slots, kinds) for s in program.body]
     for fn in body:
         fn(env)
     outputs: dict[str, Any] = {}
@@ -366,8 +390,9 @@ class _Gen:
             return rng.choice(self.ints)
         a = self.ctx.lift(self.int_expr(depth + 1))
         op = rng.choice("+-*%")
-        if op == "%":
-            return a % rng.randint(1, 7)
+        if op == "%":  # mostly a positive literal, else through the interpreter's helper
+            roll = rng.random()
+            return a % (rng.randint(1, 7) if roll < 0.85 else -3 if roll < 0.9 else rng.choice(self.ints))
         return _ARITH[op](a, self.int_expr(depth + 1))
 
     def base(self):
@@ -417,12 +442,12 @@ class _Gen:
         if kind == "store":
             value = self.float_expr() if rng.random() < 0.8 else self.int_expr()
             ctx.assign(self.base()[self.index()], value)
-        elif kind == "float":
-            if self.floats[1:] and rng.random() < 0.5:
-                ctx.assign(rng.choice(self.floats[1:]), self.float_expr())
+        elif kind == "float":  # now and then an int value, which a float holds as a float
+            value = self.int_expr() if rng.random() < 0.15 else self.float_expr()
+            if rng.random() < 0.5:
+                ctx.assign(rng.choice(self.floats), value)
             else:
-                init = None if rng.random() < 0.3 else self.float_expr()
-                self.floats.append(ctx.declare("float", init))
+                self.floats.append(ctx.declare("float", None if rng.random() < 0.3 else value))
         elif kind == "int":
             roll = rng.random()
             init = self.int_expr() if roll < 0.75 else self.float_expr() if roll < 0.95 else self.base()
@@ -457,7 +482,10 @@ class _Gen:
 
     def loop(self, depth: int) -> None:
         rng, ctx = self.rng, self.ctx
-        shape = rng.choice(["counted", "counted", "var-start", "float-start"])
+        shape = rng.choice(["counted", "counted", "var-start", "float-start", "kernel", "kernel"])
+        if shape == "kernel":
+            self.kernel(depth)
+            return
         start = rng.randint(-1, 3)
         if shape == "var-start":
             start = ctx.lift(self.int_expr()) % 5 - 1
@@ -474,6 +502,36 @@ class _Gen:
             self.ints.remove(var)  # out of scope after its loop
 
         ctx.for_loop(start, bound, step, body)
+
+    def kernel(self, depth: int) -> None:
+        """A grid-shaped nest, as the einsum DSL records one: blocks, then threads, then a
+        loop over the data from the block, the thread or the flat id ``bid * K + tid``, then
+        ``grid_sync``.  Most flat ids are read again after the nest."""
+        rng, ctx = self.rng, self.ctx
+        blocks, threads, bound = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 8)
+        start_from, k = rng.choice(["block", "thread", "flat", "flat"]), rng.choice([threads, 1, 2])
+        step = rng.choice([1, threads, blocks * threads])
+        flat = []
+
+        def thread_body(bid, tid) -> None:
+            self.ints += [bid, tid]
+            if start_from == "flat":
+                flat.append(ctx.declare("int", bid * k + tid))
+            start = bid if start_from == "block" else tid if start_from == "thread" else flat[-1]
+
+            def body(i) -> None:
+                self.ints.append(i)
+                self.block(depth + 3, rng.randint(0, 3))
+                self.ints.remove(i)
+
+            ctx.for_loop(start, bound, step, body)
+            ctx.runtime("runtime::grid_sync")
+            self.ints.remove(bid)
+            self.ints.remove(tid)
+
+        ctx.for_loop(0, blocks, 1, lambda bid: ctx.for_loop(0, threads, 1, lambda tid: thread_body(bid, tid)))
+        if flat and rng.random() < 0.75:  # read outside its block, as the interpreter allows
+            ctx.assign(self.buffers[0][0], flat[-1])
 
 
 def random_program(seed: int):
