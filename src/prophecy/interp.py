@@ -42,8 +42,9 @@ variable ``v`` is
   (b) a loop starting at ``v``, or at an ``int d = e + v`` declared before it
       in the same body, so empty once ``v`` reaches its bound (less ``e``),
       where ``e`` is built of int literals, ``+ - *``, enclosing loop
-      variables and int parameters, so it can neither raise nor read a
-      variable that holds no value;
+      variables and int parameters that nothing assigns, so it can neither
+      raise, nor read a variable that holds no value, nor change while the
+      loop runs (the body of a loop in (b) is not checked);
   (c) a loop whose start is built the same way from those, ``v`` and the
       loop variables in between, and whose own body holds only (a) to (d); or
   (d) such a declaration of ``d``, when nothing outside the loop reads ``d``
@@ -191,7 +192,8 @@ class _Walk:
         self.ints = {name for name, kind in [*program.params, *declared] if kind == "int"}
         self.floats = {name for name, kind in [*program.params, *declared] if kind == "float"}
         self.loops = frozenset(self.outside)
-        self.int_params = {name for name, kind in program.params if kind == "int"}
+        self.fixed_params = {name for name, kind in program.params  # int, and never assigned
+                             if kind == "int" and name not in self.assigned}
         self.body = program.body
         self.reads: Counter | None = None  # variable reads in the whole program, see stop
         self.result = "return (" + "".join(f"v{k}, " for k in range(len(program.params))) + ")"
@@ -231,7 +233,7 @@ class _Walk:
         provably does nothing (see the module docstring), as a literal or as the source of
         a value computed once before the loop."""
         v = loop.var
-        before = (self.loops - self.outside) | self.int_params  # bound, and unassigned in the body
+        before = (self.loops - self.outside) | self.fixed_params  # fixed while the loop runs
         stops: list[int | str] = []
         offsets: dict[str, Expr] = {}  # int d = e + v, declared in a qualifying body
 

@@ -396,6 +396,22 @@ class TestGridStyleExecution:
                       if f"for {slot} in range(" in text)
         assert runs[header + 1] == cells
 
+    def test_offset_from_a_parameter_the_loop_assigns(self):
+        # each v lowers n by 10 before int d = n + v, so the loop from d still runs for
+        # v = 2 and v = 3 (d = -8, -7), though 2 - n, taken before the loop, is 2
+        ctx = ctx_named()
+        buf = ctx.parameter("float*")
+        n = ctx.parameter("int")
+
+        def body(v):
+            ctx.for_loop(v, 1, 1, lambda i: ctx.assign(n, n - 10))
+            d = ctx.declare("int", n + v)
+            ctx.for_loop(d, 2, 1, lambda j: ctx.assign(buf[0], buf[0] + 1.0))
+
+        ctx.for_loop(0, 4, 1, body)
+        out = interpret_program(ctx.finish(), {"arg0": np.zeros(1), "arg1": 0})
+        assert out["arg0"].tolist() == [12.0 + 11.0 + 10.0 + 9.0]
+
     def test_interpretation_is_deterministic(self):
         ctx = ctx_named()
         buf = ctx.parameter("float*")

@@ -21,14 +21,15 @@ agree with.  Random programs are recorded through the public
 counted loops with literal, staged, float and float-parameter starts (some
 of them empty), grid-shaped nests like the einsum DSL's kernels (whose idle
 iterations the interpreter skips, some with their flat thread id read after
-the nest), ``if_else``, ``int`` variables given float values and ``float``
-ones given ints, remainders by positive, negative, zero and staged
-divisors, loads and stores in and out of bounds, reads of unset variables
-and of uninitialized elements, whole, short and over-long copies, and
-aliases.  The pinned builds with a small grid (matmul and matvec in all
-three strategies, conv/ReLU 24 x 5 with both flags) are compared too.
-Outputs are compared byte for byte, scalars by type and value, and errors
-by type and message.
+the nest or offset by an int parameter the nest lowers), ``if_else``,
+``int`` variables given float values and ``float`` ones given ints,
+remainders by positive, negative, zero and staged divisors, loads and
+stores in and out of bounds, reads of unset variables and of uninitialized
+elements, whole, short and over-long copies, and aliases.  A second test
+draws programs of kernel nests only.  The pinned builds with a small grid
+(matmul and matvec in all three strategies, conv/ReLU 24 x 5 with both
+flags) are compared too.  Outputs are compared byte for byte, scalars by
+type and value, and errors by type and message.
 
 The reference accepts a negative copy size, a loop variable read outside
 its loop and an assigned loop variable, which the new interpreter
@@ -379,6 +380,7 @@ class _Gen:
         self.ints = [self.n]  # int-valued handles in scope: loop variables, declared ints
         self.declared_ints = []
         self.floats = [self.ctx.parameter("float")]
+        self.offset = self.ctx.parameter("int")  # read and assigned by kernels only, kept small
         self.statements = 0
 
     def int_expr(self, depth: int = 0):
@@ -505,22 +507,28 @@ class _Gen:
 
     def kernel(self, depth: int) -> None:
         """A grid-shaped nest, as the einsum DSL records one: blocks, then threads, then a
-        loop over the data from the block, the thread or the flat id ``bid * K + tid``, then
-        ``grid_sync``.  Most flat ids are read again after the nest."""
+        loop over the data from the block, the thread or the flat id ``bid * K + tid`` (some
+        ``bid * K + offset + tid``, where the data loop may lower ``offset``), then
+        ``grid_sync``.  Half the flat ids are read again after the nest."""
         rng, ctx = self.rng, self.ctx
         blocks, threads, bound = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 8)
         start_from, k = rng.choice(["block", "thread", "flat", "flat"]), rng.choice([threads, 1, 2])
+        if with_offset := rng.random() < 0.4:  # more threads than data, often
+            start_from, threads, bound = "flat", rng.randint(2, 6), rng.randint(1, 6)
         step = rng.choice([1, threads, blocks * threads])
         flat = []
 
         def thread_body(bid, tid) -> None:
             self.ints += [bid, tid]
             if start_from == "flat":
-                flat.append(ctx.declare("int", bid * k + tid))
+                offset = bid * k + self.offset if with_offset else bid * k
+                flat.append(ctx.declare("int", offset + tid))
             start = bid if start_from == "block" else tid if start_from == "thread" else flat[-1]
 
             def body(i) -> None:
                 self.ints.append(i)
+                if with_offset and rng.random() < 0.75:  # from 0 to 2 before: later flat ids
+                    ctx.assign(self.offset, -1 - tid)  # start lower, and the output shows who ran
                 self.block(depth + 3, rng.randint(0, 3))
                 self.ints.remove(i)
 
@@ -530,19 +538,25 @@ class _Gen:
             self.ints.remove(tid)
 
         ctx.for_loop(0, blocks, 1, lambda bid: ctx.for_loop(0, threads, 1, lambda tid: thread_body(bid, tid)))
-        if flat and rng.random() < 0.75:  # read outside its block, as the interpreter allows
+        if flat and rng.random() < 0.5:  # read outside its block, as the interpreter allows
             ctx.assign(self.buffers[0][0], flat[-1])
 
 
-def random_program(seed: int):
+def random_program(seed: int, kernels: bool = False):
+    """A random program and inputs; with ``kernels``, one to three kernel nests only."""
     rng = random.Random(seed)
     gen = _Gen(rng)
-    gen.block(0, rng.randint(1, 12))
+    if kernels:
+        for _ in range(rng.randint(1, 3)):
+            gen.kernel(0)
+    else:
+        gen.block(0, rng.randint(1, 12))
     inputs = {
         "arg0": np.float32(rng.choices([0.25, -1.5, 2.0, 7.0], k=rng.choice([4, 5, 8]))),
         "arg1": np.float32(rng.choices([1.0, -0.5, 3.25], k=rng.choice([4, 6]))),
         "arg2": rng.randint(1, 4),
         "arg3": rng.choice([0.5, -2.0]),
+        "arg4": rng.randint(0, 2),
     }
     return gen.ctx.finish(), inputs
 
@@ -567,6 +581,15 @@ def _outcome(interpret, program, inputs):
 @settings(max_examples=600, deadline=None)
 def test_generated_source_matches_reference(seed):
     program, inputs = random_program(seed)
+    assert _outcome(interpret_program, program, inputs) == _outcome(
+        reference_interpret, program, inputs
+    )
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=400, deadline=None)
+def test_generated_kernels_match_reference(seed):
+    program, inputs = random_program(seed, kernels=True)
     assert _outcome(interpret_program, program, inputs) == _outcome(
         reference_interpret, program, inputs
     )
