@@ -21,23 +21,25 @@ Each call prints the program as one Python function, walking it as
 ``emit_c`` does (``_expr_src``/``_stmt_src`` mirror ``_expr_text``/
 ``_stmt_lines``), and runs it.  Variables are locals named by slot (``v3``),
 so reading one that holds no value raises UnboundLocalError, reported under
-its recorded name.  Checks run in C order: the base holds a buffer, then the
-index, its bounds, and for a store the value.  A pointer slot is proven to
-hold a buffer when it is a parameter nothing assigns, or when an allocation
-declares it and nothing assigns it, from the declaration to the end of its
-block; its element list and size stay in locals (``V3 N3``).  An access
-through a proven slot at an index ``is_int`` proves integral is inline, with
-only the bounds and ``None`` tests; every other access calls ``_buf`` and
+its recorded name.  As in C, a declared variable is in scope from its
+declaration to the end of its block, and a loop variable in its loop's body
+only; a read anywhere else is an InterpError.  Checks run in C order: the
+base holds a buffer, then the index, its bounds, and for a store the value.
+A pointer slot is proven to hold a buffer when it is a parameter nothing
+assigns, or when an allocation declares it and nothing assigns it; its
+element list and size stay in locals (``V3 N3``).  An access through a
+proven slot at an index ``is_int`` proves integral is inline, with only the
+bounds and ``None`` tests; every other access calls ``_buf`` and
 ``_at``/``_in_bounds``.  As in C, an int variable holds only ints (``_int``),
-a float variable given an int holds it as a float32, and ``%`` truncates
-toward zero: inline with one sign test for a positive int-literal divisor,
-through ``_mod`` otherwise, where a zero divisor is an InterpError.
+a float variable given an int or a comparison holds it as a float32, and
+``%`` truncates toward zero: inline with one sign test for a positive
+int-literal divisor, through ``_mod`` otherwise, where a zero divisor is an
+InterpError.
 
 A ``ForLoop`` is counted, so it runs as a ``range`` loop; as in C, its
-variable is never assigned and in scope only while its body prints.  The
-range stops early, at a value computed once before the loop, when the later
-iterations provably do nothing: when each statement of the body for loop
-variable ``v`` is
+variable is never assigned.  The range stops early, at a value computed
+once before the loop, when the later iterations provably do nothing: when
+each statement of the body for loop variable ``v`` is
   (a) ``grid_sync``;
   (b) a loop starting at ``v``, or at an ``int d = e + v`` declared before it
       in the same body, so empty once ``v`` reaches its bound (less ``e``),
@@ -47,8 +49,7 @@ variable ``v`` is
       loop runs (the body of a loop in (b) is not checked);
   (c) a loop whose start is built the same way from those, ``v`` and the
       loop variables in between, and whose own body holds only (a) to (d); or
-  (d) such a declaration of ``d``, when nothing outside the loop reads ``d``
-      (a block's declarations stay readable after it here).
+  (d) such a declaration of ``d``, which nothing outside the loop can read.
 So a skipped iteration would have stored, copied, allocated and raised
 nothing.  On a grid larger than its data, an einsum kernel with two output
 indices runs over the data's cells only; one with a single index (a flat
@@ -57,7 +58,6 @@ thread id) still visits every block, with no thread past the data.
 
 import numbers
 import re
-from collections import Counter
 from typing import Any, Mapping
 
 import numpy as np
@@ -141,34 +141,6 @@ def _copy(name: str, dst: Buffer, src: Buffer, nbytes: Any) -> None:
     dst.values[:count] = src.values[:count]
 
 
-def _reads(stmts: list[Stmt]) -> Counter:
-    """How often each variable is read in ``stmts``; the variable an assignment targets is not."""
-    reads: Counter = Counter()
-
-    def expr(e: Expr | None) -> None:
-        match e:
-            case VarRef(name):
-                reads[name] += 1
-            case Binary(_, left, right) | ArrayIndex(left, right):
-                expr(left)
-                expr(right)
-            case RuntimeCallExpr(_, args):
-                for arg in args:
-                    expr(arg)
-
-    for stmt in iter_stmts(stmts):
-        match stmt:
-            case Declare(_, _, init) | ForLoop(_, init) | IfElse(init):
-                expr(init)
-            case Assign(target, value):
-                expr(None if isinstance(target, VarRef) else target)
-                expr(value)
-            case RuntimeCall(_, args):
-                for arg in args:
-                    expr(arg)
-    return reads
-
-
 class _Walk:
     """What printing one program needs beyond the node at hand."""
 
@@ -183,19 +155,18 @@ class _Walk:
             self.slots[name] = len(self.slots)
         self.assigned = {s.target.name for s in stmts
                          if isinstance(s, Assign) and isinstance(s.target, VarRef)}
-        self.outside = {s.var for s in stmts if isinstance(s, ForLoop)}  # out of scope, see local
-        if assigned := self.outside & self.assigned:
+        self.loops = frozenset(s.var for s in stmts if isinstance(s, ForLoop))
+        if assigned := self.loops & self.assigned:
             raise InterpError(f"loop variable {min(assigned)} is assigned")
-        # pointer slots known to hold a buffer at this point, see inline and block
+        # out of scope until declared, and again once their block ends: see local and block
+        self.outside = {name for name, _ in declared}
+        # pointer slots known to hold a buffer wherever their variable is in scope, see inline
         self.proven = {self.slots[name] for name, kind in program.params
                        if kind.endswith("*") and name not in self.assigned}
         self.ints = {name for name, kind in [*program.params, *declared] if kind == "int"}
         self.floats = {name for name, kind in [*program.params, *declared] if kind == "float"}
-        self.loops = frozenset(self.outside)
         self.fixed_params = {name for name, kind in program.params  # int, and never assigned
                              if kind == "int" and name not in self.assigned}
-        self.body = program.body
-        self.reads: Counter | None = None  # variable reads in the whole program, see stop
         self.result = "return (" + "".join(f"v{k}, " for k in range(len(program.params))) + ")"
         self.constants: dict[str, Any] = {}
 
@@ -203,12 +174,17 @@ class _Walk:
         if name not in self.slots:
             raise InterpError(f"variable {name!r} is never declared")
         if name in self.outside:
-            raise InterpError(f"loop variable {name} is used outside its loop")
+            if name in self.loops:
+                raise InterpError(f"loop variable {name} is used outside its loop")
+            raise InterpError(f"variable {name} is used outside its block")
         return f"v{self.slots[name]}"
 
     def inline(self, base: Expr, index: Expr) -> int | None:
         """The slot of a base proven to hold a buffer, when the index is proven an int."""
-        k = self.slots.get(base.name) if isinstance(base, VarRef) else None
+        if not isinstance(base, VarRef):
+            return None
+        self.local(base.name)  # in scope, as every read must be: proven keeps a slot past its block
+        k = self.slots[base.name]
         return k if k in self.proven and self.is_int(index) else None
 
     def is_int(self, expr: Expr) -> bool:
@@ -223,10 +199,12 @@ class _Walk:
         return False
 
     def stored(self, name: str, expr: Expr, src: str) -> str:
-        """The source ``src`` of ``expr`` as variable ``name`` holds it: C converts to its kind."""
+        """The source ``src`` of ``expr`` as variable ``name`` holds it: C converts to its kind
+        (a comparison, which is a Python bool here, too)."""
         if name in self.ints:
             return src if self.is_int(expr) else f"_int({src}, {name!r})"
-        return f"_f32({src})" if name in self.floats and self.is_int(expr) else src
+        integral = self.is_int(expr) or isinstance(expr, Binary) and _BINOPS.get(expr.op) == 0
+        return f"_f32({src})" if name in self.floats and integral else src
 
     def stop(self, loop: ForLoop) -> int | str:
         """Where ``loop``'s range stops: its bound, or before it when every later iteration
@@ -268,23 +246,17 @@ class _Walk:
 
         if not idle(loop.body, before | {v}) or not stops:
             return loop.bound.value
-        if offsets:  # skipped declarations: no read outside the loop may see what they held
-            if self.reads is None:
-                self.reads = _reads(self.body)
-            inside = _reads(loop.body)
-            if any(self.reads[d] != inside[d] for d in offsets):
-                return loop.bound.value
         if all(type(s) is int for s in stops):
             return min(loop.bound.value, max(stops))
         idle_from = stops[0] if len(stops) == 1 else f"max({', '.join(map(str, stops))})"
         return f"min({loop.bound.value}, {idle_from})"
 
     def block(self, stmts: list[Stmt], depth: int, out: list[str]) -> None:
-        proven = set(self.proven)  # an allocation proves its pointer until its block ends
+        outside = set(self.outside)  # a declaration is in scope until its block ends
         for stmt in stmts:
             _stmt_src(stmt, depth, out, self)
         out.append("    " * depth + "pass")  # a block may print nothing
-        self.proven = proven
+        self.outside = outside
 
 
 def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0) -> str:
@@ -324,6 +296,7 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk) -> None:
     pad = "    " * depth
     match stmt:
         case Declare(name, _, init):
+            w.outside.discard(name)
             v = w.local(name)
             if init is None:  # holds no value until assigned
                 out.append(f"{pad}{v} = None; del {v}")

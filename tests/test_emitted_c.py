@@ -62,3 +62,17 @@ def test_loop_variable_after_its_loop_compiles_nowhere():
     assert "'var0' was not declared in this scope" in result.stderr
     with pytest.raises(InterpError, match="^loop variable var0 is used outside its loop$"):
         interpret_program(program, {"arg0": np.zeros(1)})
+
+
+def test_branch_declaration_after_its_branch_compiles_nowhere():
+    ctx = StageContext(ProphecyStore(), run_index=1, name="after_branch")
+    buf = ctx.parameter("float*")
+    held = []
+    ctx.if_else(buf[0] < 1.0, lambda: held.append(ctx.declare("float", 2.0)))
+    ctx.assign(buf[0], held[0])
+    program = ctx.finish()
+    result = syntax_check({"after_branch": emit_c(program)})
+    assert result.returncode != 0
+    assert "'var0' was not declared in this scope" in result.stderr
+    with pytest.raises(InterpError, match="^variable var0 is used outside its block$"):
+        interpret_program(program, {"arg0": np.zeros(1)})
