@@ -161,6 +161,32 @@ def test_merge_logs_pinned(case):
     assert log == expected
 
 
+# m, n and o all differ, so a builder or an input draw that swaps two of them shows.
+# Each case: runs, the sha256 of the emitted C, and the names of the merged cells.
+NON_SQUARE = {
+    "matmul-3x5x2-prophecy": (6, "1e97b4bcad1e456951c6a9196c4a9292eb055bd7cb194e3219bf95a54b06ed25"),
+    "matmul-3x5x2-copy_all": (1, "eb29d959905a66ed43e5ead30db61412dbbea8d1dd7a435567482cfd14d0c1ee"),
+    "matmul-3x5x2-unified": (1, "91e905adb4cbd0a04a031d28d48117bd1a23319ddf3826202dcc15d03fc6b9c9"),
+    "matvec-5x3-prophecy": (6, "3e969a4ad914832d7d175e5195f8fe17ef50a4e7bbd957ba472c8aae08df2c8f"),
+    "matvec-5x3-copy_all": (1, "7096aa1b5e75d8a8f982c264cf9661e7ccc01a421f1906e232feeb2fdc8ef455"),
+    "matvec-5x3-unified": (1, "824d56d71d08e3faeaa523d9ccb4987acde6e7cfa854e522ddf9eb7fac91ff14"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_SQUARE))
+def test_non_square_einsum_builds_pinned(case):
+    kind, _, strategy = case.split("-")
+    if kind == "matmul":
+        program, stats = build_matmul_benchmark(3, 5, 2, strategy)
+    else:
+        program, stats = build_matvec_benchmark(5, 3, strategy)
+    runs, expected = NON_SQUARE[case]
+    assert stats.runs == runs
+    assert hashlib.sha256(emit_c(program).encode()).hexdigest() == expected
+    merged = [e.name for e in stats.merge_log]
+    assert merged == ([row[2] for row in _EINSUM_MERGES] if strategy == "prophecy" else [])
+
+
 def _output_record(outputs) -> list:
     record = []
     for name in sorted(outputs):
@@ -290,6 +316,30 @@ def test_cli_run_interp_checksums_pinned(dsl):
         code = main(["stage", "--dsl", dsl, "--run-interp", "--seed", "0"])
     assert code == 0
     assert out.getvalue().splitlines() == CLI_CHECKSUMS[dsl]
+
+
+# The same at non-square sizes: `--m 3 --n 5 --o 2` for matmul, `--m 5 --n 3` for matvec.
+NON_SQUARE_CLI_CHECKSUMS = {
+    ("einsum-matmul", "--m", "3", "--n", "5", "--o", "2"): [
+        "checksum[case 0][arg0]: 52c2cf0ea80f41dd",
+        "checksum[case 0][arg1]: 220b4271d9ba2280",
+        "checksum[case 0][arg2]: eb465ea5d7f98a0a",
+    ],
+    ("einsum-matvec", "--m", "5", "--n", "3"): [
+        "checksum[case 0][arg0]: 52c2cf0ea80f41dd",
+        "checksum[case 0][arg1]: 3482131f9ea976ef",
+        "checksum[case 0][arg2]: a3bf38b264c8a368",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", sorted(NON_SQUARE_CLI_CHECKSUMS), ids=lambda argv: argv[0])
+def test_cli_run_interp_checksums_pinned_at_non_square_sizes(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["stage", "--dsl", *argv, "--run-interp", "--seed", "0"])
+    assert code == 0
+    assert out.getvalue().splitlines() == NON_SQUARE_CLI_CHECKSUMS[argv]
 
 
 def _checker_tables(program, state, rng) -> list:
