@@ -224,20 +224,13 @@ def _build_benchmark(args: argparse.Namespace, strategy: str):
 
 
 def _benchmark_inputs(args: argparse.Namespace, rng: np.random.Generator) -> list[dict]:
-    if args.dsl == "einsum-matmul":
+    if args.dsl.startswith("einsum"):
+        cols = args.o if args.dsl == "einsum-matmul" else 1
         return [
             {
                 "arg0": rng.random(args.m * args.n, dtype=np.float32),
-                "arg1": rng.random(args.n * args.o, dtype=np.float32),
-                "arg2": np.zeros(args.m * args.o, dtype=np.float32),
-            }
-        ]
-    if args.dsl == "einsum-matvec":
-        return [
-            {
-                "arg0": rng.random(args.m * args.n, dtype=np.float32),
-                "arg1": rng.random(args.n, dtype=np.float32),
-                "arg2": np.zeros(args.m, dtype=np.float32),
+                "arg1": rng.random(args.n * cols, dtype=np.float32),
+                "arg2": np.zeros(args.m * cols, dtype=np.float32),
             }
         ]
     data = rng.standard_normal(args.size, dtype=np.float32) * 4

@@ -30,6 +30,10 @@ the tensor); initial predictions are false, so mispredictions rerun the
 generator until exactly the touched tensors are allocated and exactly the
 read/written ones are copied.  ``copy_all`` and ``unified`` strategies
 bypass the cells (move everything / share one buffer) for comparison.
+
+The matmul and matvec benchmarks share one builder: matvec is matmul's
+rank-1 case, ``z[i] += x[i, k] * y[k]``, with y and z losing the column
+index ``j``.
 """
 
 from __future__ import annotations
@@ -487,30 +491,7 @@ def build_matmul_benchmark(
     the externally supplied buffers x_b, y_b, z_b; only x, y are read and
     only z is written inside the kernel.
     """
-
-    def generate(ctx: StageContext) -> None:
-        session = EinsumSession(ctx, strategy, max_bid=max_bid, max_tid=max_tid)
-        x_data = ctx.parameter("float*")
-        y_data = ctx.parameter("float*")
-        z_data = ctx.parameter("float*")
-        i, j, k = Index("i"), Index("j"), Index("k")
-        x = session.tensor("x", [m, n])
-        x_b = session.tensor("x_b", [m, n], buffer=x_data)
-        y = session.tensor("y", [n, o])
-        y_b = session.tensor("y_b", [n, o], buffer=y_data)
-        z = session.tensor("z", [m, o])
-        z_b = session.tensor("z_b", [m, o], buffer=z_data)
-
-        x[i, j] = x_b[i, j]
-        y[i, j] = y_b[i, j]
-
-        def kernel() -> None:
-            z[i, j] += x[i, k] * y[k, j]
-
-        session.run_on_gpu(kernel)
-        z_b[i, j] = z[i, j]
-
-    return run_staged(generate, name="matmul")
+    return _product_benchmark("matmul", m, n, [o], strategy, max_bid, max_tid)
 
 
 def build_matvec_benchmark(
@@ -522,30 +503,36 @@ def build_matvec_benchmark(
     max_tid: int = DEFAULT_MAX_TID,
 ) -> tuple[SecondStageProgram, StageStats]:
     """Matrix-vector analogue of the matmul benchmark (z[i] += x[i,k]·y[k])."""
+    return _product_benchmark("matvec", m, n, [], strategy, max_bid, max_tid)
+
+
+def _product_benchmark(
+    name: str, m: int, n: int, cols: list[int], strategy: str, max_bid: int, max_tid: int
+) -> tuple[SecondStageProgram, StageStats]:
+    """z[i, *js] += x[i, k] * y[k, *js] with x m×n, y n×cols and z m×cols, where ``js``
+    is one index per entry of ``cols``: matmul for ``[o]``, matvec for ``[]``."""
 
     def generate(ctx: StageContext) -> None:
         session = EinsumSession(ctx, strategy, max_bid=max_bid, max_tid=max_tid)
-        x_data = ctx.parameter("float*")
-        y_data = ctx.parameter("float*")
-        z_data = ctx.parameter("float*")
-        i, k = Index("i"), Index("k")
+        x_data, y_data, z_data = (ctx.parameter("float*") for _ in range(3))
+        i, k, js = Index("i"), Index("k"), tuple(Index("j") for _ in cols)
         x = session.tensor("x", [m, n])
         x_b = session.tensor("x_b", [m, n], buffer=x_data)
-        y = session.tensor("y", [n])
-        y_b = session.tensor("y_b", [n], buffer=y_data)
-        z = session.tensor("z", [m])
-        z_b = session.tensor("z_b", [m], buffer=z_data)
+        y = session.tensor("y", [n, *cols])
+        y_b = session.tensor("y_b", [n, *cols], buffer=y_data)
+        z = session.tensor("z", [m, *cols])
+        z_b = session.tensor("z_b", [m, *cols], buffer=z_data)
 
         x[i, k] = x_b[i, k]
-        y[k] = y_b[k]
+        y[(k, *js)] = y_b[(k, *js)]
 
         def kernel() -> None:
-            z[i] += x[i, k] * y[k]
+            z[(i, *js)] += x[i, k] * y[(k, *js)]
 
         session.run_on_gpu(kernel)
-        z_b[i] = z[i]
+        z_b[(i, *js)] = z[(i, *js)]
 
-    return run_staged(generate, name="matvec")
+    return run_staged(generate, name=name)
 
 
 @dataclass(frozen=True)
