@@ -106,6 +106,9 @@ def _parse_bindings(pairs: list[str] | None) -> dict[str, int]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.strict_paper and args.mode != "concrete":
+        print("error: --strict-paper applies to --mode concrete only", file=sys.stderr)
+        return 2
     try:
         with open(args.program, "r", encoding="utf-8") as fh:
             text = fh.read()

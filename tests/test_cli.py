@@ -70,6 +70,13 @@ class TestAnalyze:
         assert "progress: FAIL" in out
         assert "l3 -> l1" in out
 
+    def test_strict_paper_is_concrete_only(self, loop_prog):
+        # all-paths mode has no strict option: it would report repairs said to be disabled
+        code, out, err = run_cli("analyze", loop_prog, "--mode", "all-paths", "--strict-paper")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --strict-paper applies to --mode concrete only\n"
+
     def test_all_paths_matches_oracle(self, branch_prog):
         # without --init the execution is stuck at l0 on x: the results match
         # the oracle, but progress cannot follow a stuck execution
