@@ -228,14 +228,10 @@ def _build_benchmark(args: argparse.Namespace, strategy: str):
 
 def _benchmark_inputs(args: argparse.Namespace, rng: np.random.Generator) -> list[dict]:
     if args.dsl.startswith("einsum"):
-        cols = args.o if args.dsl == "einsum-matmul" else 1
-        return [
-            {
-                "arg0": rng.random(args.m * args.n, dtype=np.float32),
-                "arg1": rng.random(args.n * cols, dtype=np.float32),
-                "arg2": np.zeros(args.m * cols, dtype=np.float32),
-            }
-        ]
+        cols = args.o if args.dsl == "einsum-matmul" else 1  # matvec is matmul with one column
+        x = rng.random(args.m * args.n, dtype=np.float32)
+        y = rng.random(args.n * cols, dtype=np.float32)
+        return [{"arg0": x, "arg1": y, "arg2": np.zeros(args.m * cols, dtype=np.float32)}]
     data = rng.standard_normal(args.size, dtype=np.float32) * 4
     weight = rng.standard_normal(args.filter_size, dtype=np.float32)
     base = {"arg0": data, "arg1": weight}
@@ -312,12 +308,7 @@ def cmd_stage(args: argparse.Namespace) -> int:
                 else:
                     for base, got in zip(baselines, outputs):
                         for name in base:
-                            same = (
-                                np.array_equal(base[name], got[name])
-                                if isinstance(base[name], np.ndarray)
-                                else base[name] == got[name]
-                            )
-                            if not same:
+                            if not np.array_equal(base[name], got[name]):  # arrays and scalars
                                 print(f"diff-strategies: FAIL ({flag_name} differs at {name})")
                                 failed = True
             if not failed:

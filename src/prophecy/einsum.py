@@ -32,8 +32,7 @@ read/written ones are copied.  ``copy_all`` and ``unified`` strategies
 bypass the cells (move everything / share one buffer) for comparison.
 
 The matmul and matvec benchmarks share one builder: matvec is matmul's
-rank-1 case, ``z[i] += x[i, k] * y[k]``, with y and z losing the column
-index ``j``.
+rank-1 case, ``z[i] += x[i, k] * y[k]``, without the column index ``j``.
 """
 
 from __future__ import annotations

@@ -34,7 +34,10 @@ bounds and ``None`` tests; every other access calls ``_buf`` and
 a float variable given an int or a comparison holds it as a float32, and
 ``%`` truncates toward zero: inline with one sign test for a positive
 int-literal divisor, through ``_mod`` otherwise, where a zero divisor is an
-InterpError.
+InterpError.  What C's types refuse is refused when the program is printed:
+a pointer (a ``float*`` variable or an allocation) as an operand, an index,
+a stored element, an ``int`` or ``float`` variable's value, a loop start or
+a copy or allocation size; and a float operand of ``%`` (see ``is_float``).
 
 A ``ForLoop`` is counted, so it runs as a ``range`` loop; as in C, its
 variable is never assigned.  The range stops early, at a value computed
@@ -86,8 +89,7 @@ class Buffer:
         self.size = len(values)
 
 
-def _alloc(name: str, *args: Any) -> Buffer:
-    (nbytes,) = args
+def _alloc(name: str, nbytes: Any) -> Buffer:
     count = int(nbytes) // _ELEM_BYTES
     if count <= 0:
         raise InterpError(f"allocation of {nbytes} bytes at {name}")
@@ -98,9 +100,8 @@ def _int(value: Any, name: str) -> int:
     """``value`` as C stores it in int variable ``name``: truncated toward zero."""
     try:
         return int(value)
-    except (TypeError, ValueError, OverflowError):  # a buffer, nan, inf
-        what = "a buffer" if isinstance(value, Buffer) else value
-        raise InterpError(f"int {name} cannot hold {what}") from None
+    except (ValueError, OverflowError):  # nan, inf
+        raise InterpError(f"int {name} cannot hold {value}") from None
 
 
 def _mod(a: Any, b: Any) -> Any:
@@ -163,8 +164,7 @@ class _Walk:
         # pointer slots known to hold a buffer wherever their variable is in scope, see inline
         self.proven = {self.slots[name] for name, kind in program.params
                        if kind.endswith("*") and name not in self.assigned}
-        self.ints = {name for name, kind in [*program.params, *declared] if kind == "int"}
-        self.floats = {name for name, kind in [*program.params, *declared] if kind == "float"}
+        self.kinds = dict([*program.params, *declared])
         self.fixed_params = {name for name, kind in program.params  # int, and never assigned
                              if kind == "int" and name not in self.assigned}
         self.result = "return (" + "".join(f"v{k}, " for k in range(len(program.params))) + ")"
@@ -181,6 +181,7 @@ class _Walk:
 
     def inline(self, base: Expr, index: Expr) -> int | None:
         """The slot of a base proven to hold a buffer, when the index is proven an int."""
+        self.number(index)
         if not isinstance(base, VarRef):
             return None
         self.local(base.name)  # in scope, as every read must be: proven keeps a slot past its block
@@ -193,18 +194,38 @@ class _Walk:
             case IntLit(value):
                 return type(value) is int
             case VarRef(name):
-                return name in self.ints
+                return self.kinds.get(name) == "int"
             case Binary("+" | "-" | "*" | "%", left, right):
                 return self.is_int(left) and self.is_int(right)
         return False
 
+    def is_float(self, expr: Expr) -> bool:
+        """A float literal or variable, a load, or arithmetic on one: what C's ``%`` refuses."""
+        match expr:
+            case Binary("+" | "-" | "*" | "%", left, right):
+                return self.is_float(left) or self.is_float(right)
+            case VarRef(name):
+                return self.kinds.get(name) == "float"
+        return isinstance(expr, (FloatLit, ArrayIndex))
+
+    def number(self, expr: Expr, holder: str = "") -> Expr:
+        """``expr`` where C wants a number (``holder``'s value, say): never a pointer, that is
+        an allocation or a ``float*`` variable in scope (out of scope, ``local`` refuses it)."""
+        if isinstance(expr, (VarRef, RuntimeCallExpr)) and (expr.name in _ALLOCS or (
+                self.kinds.get(expr.name, "").endswith("*") and expr.name not in self.outside)):
+            what = "cannot hold a buffer" if holder else "used as a number"
+            raise InterpError(f"{holder or 'pointer ' + expr.name} {what}")
+        return expr
+
     def stored(self, name: str, expr: Expr, src: str) -> str:
         """The source ``src`` of ``expr`` as variable ``name`` holds it: C converts to its kind
         (a comparison, which is a Python bool here, too)."""
-        if name in self.ints:
+        if (kind := self.kinds.get(name)) in ("int", "float"):
+            self.number(expr, f"{kind} {name}")
+        if kind == "int":
             return src if self.is_int(expr) else f"_int({src}, {name!r})"
         integral = self.is_int(expr) or isinstance(expr, Binary) and _BINOPS.get(expr.op) == 0
-        return f"_f32({src})" if name in self.floats and integral else src
+        return f"_f32({src})" if kind == "float" and integral else src
 
     def stop(self, loop: ForLoop) -> int | str:
         """Where ``loop``'s range stops: its bound, or before it when every later iteration
@@ -269,11 +290,14 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
             return name
         case VarRef(name):
             return w.local(name)
-        case Binary("%", left, IntLit(d)) if type(d) is int and d > 0:  # C's remainder, inline
-            return f"(_m % {d} if (_m := {_expr_src(left, w)}) >= 0 else -(-_m % {d}))"
-        case Binary("%", left, right):
-            return f"_mod({_expr_src(left, w)}, {_expr_src(right, w)})"
         case Binary(op, left, right):
+            w.number(left), w.number(right)
+            if op == "%":
+                if w.is_float(left) or w.is_float(right):
+                    raise InterpError("% with a float operand")
+                if isinstance(right, IntLit) and type(d := right.value) is int and d > 0:  # inline
+                    return f"(_m % {d} if (_m := {_expr_src(left, w)}) >= 0 else -(-_m % {d}))"
+                return f"_mod({_expr_src(left, w)}, {_expr_src(right, w)})"
             if op not in _BINOPS:
                 raise InterpError(f"unknown binary operator {op!r}")
             p = _BINOPS[op]  # parentheses only where Python would group otherwise
@@ -286,7 +310,7 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
             return f"_at(_buf({_expr_src(base, w)}, 'load'), {_expr_src(index, w)})"
         case RuntimeCallExpr(name, args):
             if name in _ALLOCS:
-                arg_src = "".join(f", {_expr_src(a, w)}" for a in args)
+                arg_src = "".join(f", {_expr_src(w.number(a), w)}" for a in args)
                 return f"_alloc({alloc_name or name!r}{arg_src})"
             raise InterpError(f"runtime call {name} does not produce a value")
     raise TypeError(f"not an expression: {expr!r}")
@@ -311,7 +335,7 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk) -> None:
             value_src = w.stored(name, value, _expr_src(value, w))
             out.append(f"{pad}{w.local(name)} = {value_src}")
         case Assign(ArrayIndex(base, index), value):  # base, index, bounds, then the value
-            value_src, k = _expr_src(value, w), w.inline(base, index)
+            value_src, k = _expr_src(w.number(value), w), w.inline(base, index)
             if k is None:
                 out.append(f"{pad}_b = _buf({_expr_src(base, w)}, 'store')")
                 values, check = "_b.values", "_in_bounds(_b, _s)"
@@ -344,6 +368,8 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk) -> None:
                 out.append(f"{pad}else:")
                 w.block(else_body, depth + 1, out)
         case RuntimeCall(name, args):
+            if name in _COPIES:
+                w.number(args[2])
             arg_src = [_expr_src(a, w) for a in args]
             if name in _COPIES:
                 checked = [f"_buf({a}, {name!r})" for a in arg_src[:2]]

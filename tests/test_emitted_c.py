@@ -17,6 +17,7 @@ from prophecy.einsum import STRATEGIES
 from prophecy.interp import InterpError, interpret_program
 from prophecy.second_stage import RUNTIME_HEADER, emit_c
 from prophecy.staging import ProphecyStore, StageContext
+from test_interp import REFUSED, _refused_program
 from test_pins import STAGED, _einsum_corpus, _einsum_outcome
 
 pytestmark = pytest.mark.skipif(shutil.which("g++") is None, reason="no g++ on PATH")
@@ -76,3 +77,17 @@ def test_branch_declaration_after_its_branch_compiles_nowhere():
     assert "'var0' was not declared in this scope" in result.stderr
     with pytest.raises(InterpError, match="^variable var0 is used outside its block$"):
         interpret_program(program, {"arg0": np.zeros(1)})
+
+
+def test_refused_programs_compile_nowhere_but_pointer_arithmetic():
+    # the interpreter refuses each before it runs; g++ accepts (arg0 + 1)[0], which the
+    # interpreter leaves unsupported
+    result = syntax_check({case: emit_c(_refused_program(REFUSED[case][0])) for case in REFUSED})
+    errors = [line for line in result.stderr.splitlines() if ": error: " in line]
+    assert {line.split(":")[0] for line in errors} == set(REFUSED) - {"pointer arithmetic"}
+    for case, error in [
+        ("pointer in a float", "cannot convert 'float*' to 'float' in initialization"),
+        ("pointer stored as an element", "cannot convert 'float*' to 'float' in assignment"),
+        ("remainder of a float variable", "invalid operands of types 'float' and 'int' to binary 'operator%'"),
+    ]:
+        assert any(line.startswith(f"{case}:") and line.endswith(error) for line in errors), case

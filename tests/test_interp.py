@@ -1,3 +1,4 @@
+import re
 import sys
 from collections import Counter
 
@@ -15,6 +16,61 @@ from test_pins import INTERPRETED
 
 def ctx_named(name="t"):
     return StageContext(ProphecyStore(), run_index=1, name=name)
+
+
+def _refused_program(statement):
+    """An out-of-bounds store, which would raise if the program ran, then ``statement``."""
+    ctx = ctx_named()
+    buf = ctx.parameter("float*")
+    ctx.assign(buf[9], 1.0)
+    statement(ctx, buf)
+    return ctx.finish()
+
+
+def _found_pointer_to_float(ctx, buf):
+    p = ctx.declare("float*", buf)
+    ctx.assign(p, 1)  # C refuses this too; the interpreters do not look at pointer values
+    ctx.assign(buf[ctx.declare("float", p)], 5.0)
+
+
+def _float_remainder(ctx, buf):
+    v = ctx.declare("float", 7.5)
+    ctx.assign(buf[0], v % 2)
+
+
+# Programs C's types refuse, each with the InterpError both interpreters give before anything runs.
+REFUSED = {
+    "pointer stored as an element": (lambda ctx, buf: ctx.assign(buf[0], buf),
+                                     "pointer arg0 used as a number"),
+    "pointer as an index": (lambda ctx, buf: ctx.assign(buf[0], buf[buf]),
+                            "pointer arg0 used as a number"),
+    "pointer arithmetic": (lambda ctx, buf: ctx.assign(buf[0], (buf + 1)[0]),
+                           "pointer arg0 used as a number"),
+    "pointer in a float": (lambda ctx, buf: ctx.declare("float", buf),
+                           "float var0 cannot hold a buffer"),
+    "pointer as a copy size": (lambda ctx, buf: ctx.runtime("runtime::memcpy", buf, buf, buf),
+                               "pointer arg0 used as a number"),
+    "pointer as an allocation size": (
+        lambda ctx, buf: ctx.declare("float*", ctx.runtime_expr("runtime::malloc", buf)),
+        "pointer arg0 used as a number"),
+    "allocation in an int": (
+        lambda ctx, buf: ctx.declare("int", ctx.runtime_expr("runtime::malloc", 4)),
+        "int var0 cannot hold a buffer"),
+    "allocation as a factor": (
+        lambda ctx, buf: ctx.assign(buf[0], ctx.runtime_expr("runtime::malloc", 4) * 2),
+        "pointer runtime::malloc used as a number"),
+    "pointer assigned to a float parameter": (
+        lambda ctx, buf: ctx.assign(ctx.parameter("float"), buf), "float arg1 cannot hold a buffer"),
+    "int given a pointer, then a float": (_found_pointer_to_float, "float var1 cannot hold a buffer"),
+    "remainder of a float variable": (_float_remainder, "% with a float operand"),
+    "remainder of a load": (lambda ctx, buf: ctx.assign(buf[0], buf[0] % 2),
+                            "% with a float operand"),
+    "remainder by a float literal": (lambda ctx, buf: ctx.assign(buf[0], ctx.lift(2) % 1.5),
+                                     "% with a float operand"),
+    "remainder of float arithmetic": (
+        lambda ctx, buf: ctx.assign(buf[0], ctx.lift(3) % (ctx.lift(1) + buf[1] * 2)),
+        "% with a float operand"),
+}
 
 
 class TestBasics:
@@ -286,6 +342,14 @@ class TestErrors:
         program = ctx.finish()
         inputs = {"arg0": [0.0], "arg1": 0.0 if value == "buffer" else value}
         with pytest.raises(InterpError, match=f"^int var0 cannot hold {shown}$"):
+            interpret_program(program, inputs)
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_what_c_types_refuse_is_refused_before_anything_runs(self, case):
+        statement, message = REFUSED[case]
+        program = _refused_program(statement)
+        inputs = {name: np.zeros(2) if kind == "float*" else 0.0 for name, kind in program.params}
+        with pytest.raises(InterpError, match=f"^{re.escape(message)}$"):
             interpret_program(program, inputs)
 
     def test_long_sum_and_too_deep_loop_nest(self):

@@ -4,16 +4,20 @@
 ``interpret_program`` replaced: each AST node is compiled once into a
 closure over an environment list.  It is kept here as it was, with its own
 ``Buffer``, less the branches of the second-stage features since removed
-(``Return``, ``Unary`` and ``runtime::free``), and with five additions made
+(``Return``, ``Unary`` and ``runtime::free``), and with six additions made
 to both.  An index that is not an integer (a ``float`` variable's value) is
 an InterpError after the bounds check, where numpy and the mask used to
 raise their own TypeError or IndexError.  A loop start, an ``int``
 declaration's value and a value assigned to an ``int`` variable or
 parameter become what C stores in an ``int`` (``_to_int``): truncated
-toward zero, with a buffer, nan or inf an InterpError.  An int or a
+toward zero, with nan or inf an InterpError.  An int or a
 comparison given to a ``float`` variable or parameter becomes a float32
 (``_as_stored``).  ``%`` is C's, whose quotient truncates toward zero
-(``_c_mod``), with a zero divisor an InterpError.  A variable is in scope as
+(``_c_mod``), with a zero divisor an InterpError.  What C's types refuse is
+an InterpError when the program compiles: a pointer (a ``float*`` variable
+or an allocation) used as a number (``_number``), so also an ``int`` or
+``float`` variable given one (``_held``), and a ``%`` with a float operand
+(``_is_float``).  A variable is in scope as
 in C (``_Scope``): a declaration until its block ends, a loop variable in
 its loop's body only, and a read anywhere else is an InterpError when the
 program compiles.  Its loop builds the ``var < bound`` test and the
@@ -29,12 +33,13 @@ float values and ``float`` ones given ints or comparisons, remainders by
 positive, negative, zero and staged divisors, loads and stores in and out
 of bounds, reads of unset variables and of uninitialized elements, whole,
 short and over-long copies, aliases, and now and then, on purpose, a read of
-a variable after its block (a kernel's flat thread id after the nest, say),
-which both refuse.  A second test draws programs of kernel nests only, and
+a variable after its block (a kernel's flat thread id after the nest, say)
+or an ``int`` given a pointer, which both refuse.  A second test draws programs of kernel nests only, and
 a third checks that few programs are refused and no fewer end ``ok`` than
 before the generator scoped its variables.  The pinned builds with a small
 grid (matmul and matvec in all three strategies, conv/ReLU 24 x 5 with both
-flags) are compared too.  Outputs are compared byte for byte, scalars by
+flags) are compared too, as are the programs C's types refuse (``REFUSED`` in
+``tests/test_interp.py``).  Outputs are compared byte for byte, scalars by
 type and value, and errors by type and message.
 
 The reference accepts a negative copy size and an assigned loop variable,
@@ -72,6 +77,7 @@ from prophecy.second_stage import (
     iter_stmts,
 )
 from prophecy.staging import ProphecyStore, StageContext
+from test_interp import REFUSED, _refused_program
 from test_pins import INTERPRETED
 
 
@@ -88,14 +94,12 @@ class Buffer:
         return len(self.values)
 
 
-def _c_mod(a: Any, b: Any) -> Any:
+def _c_mod(a: int, b: int) -> int:
     """C's ``a % b``: the quotient truncates toward zero, so the remainder has ``a``'s sign."""
     if b == 0:
         raise InterpError(f"{a} % {b} divides by zero")
-    if isinstance(a, int) and isinstance(b, int):
-        q = abs(a) // abs(b)
-        return a - b * (q if (a < 0) == (b < 0) else -q)
-    return np.fmod(a, b)
+    q = abs(a) // abs(b)
+    return a - b * (q if (a < 0) == (b < 0) else -q)
 
 
 _BINOPS: dict[str, Callable[[Any, Any], Any]] = {
@@ -122,8 +126,6 @@ def _var_kinds(program: SecondStageProgram) -> dict[str, str]:
 
 def _to_int(value: Any, name: str) -> int:
     """What C stores in int variable ``name``: ``value`` truncated toward zero."""
-    if isinstance(value, Buffer):
-        raise InterpError(f"int {name} cannot hold a buffer")
     if not math.isfinite(value):
         raise InterpError(f"int {name} cannot hold {value}")
     return math.trunc(value.item() if isinstance(value, np.generic) else value)
@@ -142,11 +144,11 @@ _CONVERT = {"int": _to_int, "float": _as_stored}
 
 
 class _Scope:
-    """Every variable's slot, and the names in scope where compilation has reached: as in C,
-    a declaration until its block ends, a loop variable in its loop's body only."""
+    """Every variable's slot and kind, and the names in scope where compilation has reached:
+    as in C, a declaration until its block ends, a loop variable in its loop's body only."""
 
-    def __init__(self, slots: dict[str, int], loops: set[str], live: set[str]):
-        self.slots, self.loops, self.live = slots, loops, live
+    def __init__(self, slots: dict[str, int], kinds: dict[str, str], loops: set[str], live: set[str]):
+        self.slots, self.kinds, self.loops, self.live = slots, kinds, loops, live
 
     def slot(self, name: str) -> int:
         if name not in self.slots:
@@ -156,6 +158,33 @@ class _Scope:
                 raise InterpError(f"loop variable {name} is used outside its loop")
             raise InterpError(f"variable {name} is used outside its block")
         return self.slots[name]
+
+
+def _number(expr: Expr, scope: _Scope, holder: str = "") -> Expr:
+    """``expr`` where C wants a number (``holder``'s value, say): a pointer, that is an allocation
+    or a ``float*`` variable in scope, is refused when the program compiles."""
+    if (isinstance(expr, RuntimeCallExpr) and expr.name in ("runtime::malloc", "runtime::cuda_malloc")
+            or isinstance(expr, VarRef) and scope.kinds.get(expr.name, "").endswith("*")
+            and expr.name in scope.live):
+        if holder:
+            raise InterpError(f"{holder} cannot hold a buffer")
+        raise InterpError(f"pointer {expr.name} used as a number")
+    return expr
+
+
+def _is_float(expr: Expr, scope: _Scope) -> bool:
+    """A float literal or variable, a load, or arithmetic on one: C's ``%`` refuses it."""
+    if isinstance(expr, Binary) and expr.op in ("+", "-", "*", "%"):
+        return _is_float(expr.left, scope) or _is_float(expr.right, scope)
+    if isinstance(expr, VarRef):
+        return scope.kinds.get(expr.name) == "float"
+    return isinstance(expr, (FloatLit, ArrayIndex))
+
+
+def _held(expr: Expr, scope: _Scope, name: str) -> None:
+    """A pointer given to an ``int`` or ``float`` variable is refused when the program compiles."""
+    if (kind := scope.kinds.get(name)) in ("int", "float"):
+        _number(expr, scope, f"{kind} {name}")
 
 
 def _collect_slots(program: SecondStageProgram) -> dict[str, int]:
@@ -218,6 +247,9 @@ def _compile_expr(
 
             return read_var
         case Binary(op, left, right):
+            _number(left, scope), _number(right, scope)
+            if op == "%" and (_is_float(left, scope) or _is_float(right, scope)):
+                raise InterpError("% with a float operand")
             if op not in _BINOPS:
                 raise InterpError(f"unknown binary operator {op!r}")
             fn = _BINOPS[op]
@@ -225,6 +257,7 @@ def _compile_expr(
             rf = _compile_expr(right, scope)
             return lambda env: fn(lf(env), rf(env))
         case ArrayIndex(base, index):
+            _number(index, scope)
             bf = _compile_expr(base, scope)
             xf = _compile_expr(index, scope)
 
@@ -244,7 +277,7 @@ def _compile_expr(
             return load
         case RuntimeCallExpr(name, args):
             if name in ("runtime::malloc", "runtime::cuda_malloc"):
-                arg_fns = [_compile_expr(a, scope) for a in args]
+                arg_fns = [_compile_expr(_number(a, scope), scope) for a in args]
                 label = alloc_name or name
 
                 def allocate(env, label=label):
@@ -255,18 +288,14 @@ def _compile_expr(
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def _compile_block(
-    stmts: list[Stmt], scope: _Scope, kinds: Mapping[str, str]
-) -> list[Callable[[list], None]]:
+def _compile_block(stmts: list[Stmt], scope: _Scope) -> list[Callable[[list], None]]:
     live = set(scope.live)
-    fns = [_compile_stmt(s, scope, kinds) for s in stmts]
+    fns = [_compile_stmt(s, scope) for s in stmts]
     scope.live = live
     return fns
 
 
-def _compile_stmt(
-    stmt: Stmt, scope: _Scope, kinds: Mapping[str, str]
-) -> Callable[[list], None]:
+def _compile_stmt(stmt: Stmt, scope: _Scope) -> Callable[[list], None]:
     match stmt:
         case Declare(name, _, init):
             scope.live.add(name)
@@ -276,23 +305,28 @@ def _compile_stmt(
                     env[slot] = None
                 return declare
             init_fn = _compile_expr(init, scope, alloc_name=name)
-            convert = _CONVERT.get(kinds[name], _kept)
+            _held(init, scope, name)
+            convert = _CONVERT.get(scope.kinds[name], _kept)
 
             def declare_init(env):
                 env[slot] = convert(init_fn(env), name)
 
             return declare_init
         case Assign(target, value):
+            if isinstance(target, ArrayIndex):
+                _number(value, scope)
             vf = _compile_expr(value, scope)
             if isinstance(target, VarRef):
+                _held(value, scope, target.name)
                 slot, name = scope.slot(target.name), target.name
-                convert = _CONVERT.get(kinds[name], _kept)
+                convert = _CONVERT.get(scope.kinds[name], _kept)
 
                 def store_var(env):
                     env[slot] = convert(vf(env), name)
 
                 return store_var
             if isinstance(target, ArrayIndex):
+                _number(target.index, scope)
                 bf = _compile_expr(target.base, scope)
                 xf = _compile_expr(target.index, scope)
 
@@ -313,11 +347,12 @@ def _compile_stmt(
         case ForLoop(var, init, bound, by, body):
             cond, step = Binary("<", VarRef(var), bound), Binary("+", VarRef(var), by)
             init_fn = _compile_expr(init, scope)
+            _held(init, scope, var)
             scope.live.add(var)
             slot = scope.slots[var]
             cond_fn = _compile_expr(cond, scope)
             step_fn = _compile_expr(step, scope)
-            body_fns = _compile_block(body, scope, kinds)
+            body_fns = _compile_block(body, scope)
             scope.live.discard(var)
 
             def loop(env):
@@ -330,8 +365,8 @@ def _compile_stmt(
             return loop
         case IfElse(cond, then_body, else_body):
             cond_fn = _compile_expr(cond, scope)
-            then_fns = _compile_block(then_body, scope, kinds)
-            else_fns = _compile_block(else_body or [], scope, kinds)
+            then_fns = _compile_block(then_body, scope)
+            else_fns = _compile_block(else_body or [], scope)
 
             def branch(env):
                 for fn in then_fns if cond_fn(env) else else_fns:
@@ -339,12 +374,11 @@ def _compile_stmt(
 
             return branch
         case RuntimeCall(name, args):
+            copies = ("runtime::memcpy", "runtime::cudaMemcpyToDevice", "runtime::cudaMemcpyToHost")
+            if name in copies:
+                _number(args[2], scope)
             arg_fns = [_compile_expr(a, scope) for a in args]
-            if name in (
-                "runtime::memcpy",
-                "runtime::cudaMemcpyToDevice",
-                "runtime::cudaMemcpyToHost",
-            ):
+            if name in copies:
 
                 def copy(env):
                     dst = _as_buffer(arg_fns[0](env), name)
@@ -382,10 +416,9 @@ def reference_interpret(
             env[slots[name]] = np.float32(inputs[name])
         else:
             raise InterpError(f"unsupported parameter kind {kind!r}")
-    kinds = _var_kinds(program)
     loops = {s.var for s in iter_stmts(program.body) if isinstance(s, ForLoop)}
-    scope = _Scope(slots, loops, {name for name, _ in program.params})
-    body = [_compile_stmt(s, scope, kinds) for s in program.body]
+    scope = _Scope(slots, _var_kinds(program), loops, {name for name, _ in program.params})
+    body = [_compile_stmt(s, scope) for s in program.body]
     for fn in body:
         fn(env)
     outputs: dict[str, Any] = {}
@@ -495,8 +528,8 @@ class _Gen:
             else:
                 self.floats.append(ctx.declare("float", None if rng.random() < 0.3 else value))
         elif kind == "int":
-            roll = rng.random()
-            init = self.int_expr() if roll < 0.75 else self.float_expr() if roll < 0.95 else self.base()
+            roll = rng.random()  # now and then a pointer, which C refuses wherever it stands
+            init = self.int_expr() if roll < 0.75 else self.float_expr() if roll < 0.99 else self.base()
             self.declared_ints.append(ctx.declare("int", init))
             self.ints.append(self.declared_ints[-1])
         elif kind == "loop":
@@ -662,3 +695,13 @@ def test_pinned_builds_match_reference(case):
         outcome = _outcome(interpret_program, program, inputs)
         assert outcome[0] == "ok"
         assert outcome == _outcome(reference_interpret, program, inputs)
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refusals_match_reference(case):
+    statement, message = REFUSED[case]
+    program = _refused_program(statement)
+    inputs = {name: np.zeros(2) if kind == "float*" else 0.0 for name, kind in program.params}
+    expected = ("error", "InterpError", message)
+    assert _outcome(interpret_program, program, inputs) == expected
+    assert _outcome(reference_interpret, program, inputs) == expected
