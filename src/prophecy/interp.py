@@ -181,7 +181,7 @@ class _Walk:
 
     def inline(self, base: Expr, index: Expr) -> int | None:
         """The slot of a base proven to hold a buffer, when the index is proven an int."""
-        self.number(index)
+        self.number(index)  # every access checks its index here, inline or not
         if not isinstance(base, VarRef):
             return None
         self.local(base.name)  # in scope, as every read must be: proven keeps a slot past its block
@@ -213,13 +213,13 @@ class _Walk:
         an allocation or a ``float*`` variable in scope (out of scope, ``local`` refuses it)."""
         if isinstance(expr, (VarRef, RuntimeCallExpr)) and (expr.name in _ALLOCS or (
                 self.kinds.get(expr.name, "").endswith("*") and expr.name not in self.outside)):
-            what = "cannot hold a buffer" if holder else "used as a number"
-            raise InterpError(f"{holder or 'pointer ' + expr.name} {what}")
+            raise InterpError(f"{holder} cannot hold a buffer" if holder
+                              else f"pointer {expr.name} used as a number")
         return expr
 
     def stored(self, name: str, expr: Expr, src: str) -> str:
         """The source ``src`` of ``expr`` as variable ``name`` holds it: C converts to its kind
-        (a comparison, which is a Python bool here, too)."""
+        (a comparison, which is a Python bool here, too), and refuses a pointer."""
         if (kind := self.kinds.get(name)) in ("int", "float"):
             self.number(expr, f"{kind} {name}")
         if kind == "int":

@@ -17,10 +17,9 @@ comparison given to a ``float`` variable or parameter becomes a float32
 an InterpError when the program compiles: a pointer (a ``float*`` variable
 or an allocation) used as a number (``_number``), so also an ``int`` or
 ``float`` variable given one (``_held``), and a ``%`` with a float operand
-(``_is_float``).  A variable is in scope as
-in C (``_Scope``): a declaration until its block ends, a loop variable in
-its loop's body only, and a read anywhere else is an InterpError when the
-program compiles.  Its loop builds the ``var < bound`` test and the
+(``_is_float``).  A variable is in scope as in C (``_Scope``): a
+declaration until its block ends, a loop variable in its loop's body only,
+and a read anywhere else is an InterpError when the program compiles.  Its loop builds the ``var < bound`` test and the
 ``var = var + step`` update from the ``ForLoop`` fields and runs them as a
 ``while`` loop.  It is the reference the generated-source interpreter must
 agree with.  Random programs are recorded through the public
@@ -34,9 +33,10 @@ positive, negative, zero and staged divisors, loads and stores in and out
 of bounds, reads of unset variables and of uninitialized elements, whole,
 short and over-long copies, aliases, and now and then, on purpose, a read of
 a variable after its block (a kernel's flat thread id after the nest, say)
-or an ``int`` given a pointer, which both refuse.  A second test draws programs of kernel nests only, and
-a third checks that few programs are refused and no fewer end ``ok`` than
-before the generator scoped its variables.  The pinned builds with a small
+or an ``int`` given a pointer, which both refuse.  A second test draws
+programs of kernel nests only, and a third checks that few programs are
+refused and no fewer end ``ok`` than before the generator scoped its
+variables.  The pinned builds with a small
 grid (matmul and matvec in all three strategies, conv/ReLU 24 x 5 with both
 flags) are compared too, as are the programs C's types refuse (``REFUSED`` in
 ``tests/test_interp.py``).  Outputs are compared byte for byte, scalars by
