@@ -8,14 +8,13 @@ thread grid is just a pair of loops, so "GPU" code runs by iterating the
 idle threads on a GPU cost next to nothing.
 
 Float values use genuine 32-bit arithmetic (numpy scalars), matching the
-DSLs' float element type; integers are Python ints (loop counters and flat
-indices only).  A buffer's elements are a Python list of ``np.float32``
-scalars, with ``None`` where nothing wrote: a store coerces its value as a
-float32 array would, a copy carries the ``None`` along rather than
-legitimizing uninitialized data, and an output reads unwritten elements as
-0.0.  Out-of-bounds indexing, an index that is not an integer and reading
-an element that holds ``None`` are fatal, with the offending location in
-the message.
+DSLs' float element type; integers are Python ints.  A buffer's elements are
+a Python list of ``np.float32`` scalars, with ``None`` where nothing wrote:
+a store coerces its value as a float32 array would, a copy carries the
+``None`` along rather than legitimizing uninitialized data, and an output
+reads unwritten elements as 0.0.  Out-of-bounds indexing and reading an
+element that holds ``None`` are fatal, with the offending location in the
+message.
 
 Each call prints the program as one Python function, walking it as
 ``emit_c`` does (``_expr_src``/``_stmt_src`` mirror ``_expr_text``/
@@ -23,21 +22,23 @@ Each call prints the program as one Python function, walking it as
 so reading one that holds no value raises UnboundLocalError, reported under
 its recorded name.  As in C, a declared variable is in scope from its
 declaration to the end of its block, and a loop variable in its loop's body
-only; a read anywhere else is an InterpError.  Checks run in C order: the
-base holds a buffer, then the index, its bounds, and for a store the value.
-A pointer slot is proven to hold a buffer when it is a parameter nothing
-assigns, or when an allocation declares it and nothing assigns it; its
-element list and size stay in locals (``V3 N3``).  An access through a
-proven slot at an index ``is_int`` proves integral is inline, with only the
-bounds and ``None`` tests; every other access calls ``_buf`` and
-``_at``/``_in_bounds``.  As in C, an int variable holds only ints (``_int``),
-a float variable given an int or a comparison holds it as a float32, and
+only; a read anywhere else is an InterpError.  What C's types refuse is
+refused when the program is printed, and three rules give every access one
+inline form: a ``float*`` holds only a buffer (an allocation or a ``float*``
+variable); only a ``float*`` variable is indexed; and an index is an int,
+where a comparison is C's int, 0 or 1 (``int(...)``; an ``if`` tests it
+bare).  A pointer's elements and size stay in locals (``V3 N3``), set on
+entry and after each value it is given; one declared without a value has
+``N3 = 0``, so an access through it falls to ``_at``/``_in_bounds``, which
+read the unset variable.  An access evaluates its index, then tests its
+bounds, and a store then its value.  As in C, an int variable holds only
+ints (``_int``), a float variable given an int holds it as a float32, and
 ``%`` truncates toward zero: inline with one sign test for a positive
 int-literal divisor, through ``_mod`` otherwise, where a zero divisor is an
-InterpError.  What C's types refuse is refused when the program is printed:
-a pointer (a ``float*`` variable or an allocation) as an operand, an index,
-a stored element, an ``int`` or ``float`` variable's value, a loop start or
-a copy or allocation size; and a float operand of ``%`` (see ``is_float``).
+InterpError.  Also refused when printed: a pointer (a ``float*`` variable or
+an allocation) as an operand, an index, a stored element, an ``int`` or
+``float`` variable's value, a loop start or a copy or allocation size; a
+number as a copy's source or destination; and a float operand of ``%``.
 
 A ``ForLoop`` is counted, so it runs as a ``range`` loop; as in C, its
 variable is never assigned.  The range stops early, at a value computed
@@ -67,13 +68,12 @@ import numpy as np
 
 from .second_stage import (
     _ELEM_BYTES, ArrayIndex, Assign, Binary, Declare, Expr, FloatLit, ForLoop, IfElse, IntLit,
-    RuntimeCall, RuntimeCallExpr, SecondStageProgram, Stmt, VarRef, iter_stmts,
+    RuntimeCall, RuntimeCallExpr, SecondStageProgram, Stmt, VarRef, _expr_text, iter_stmts,
 )
 
 _f32 = np.float32
 _BINOPS = {"<": 0, "<=": 0, ">": 0, ">=": 0, "+": 1, "-": 1, "*": 2}  # binding strength; % prints atomic
-_ALLOCS = ("runtime::malloc", "runtime::cuda_malloc")
-_COPIES = ("runtime::memcpy", "runtime::cudaMemcpyToDevice", "runtime::cudaMemcpyToHost")
+_TRACK = "V{0}, N{0} = v{0}.values, v{0}.size"  # the elements and size of pointer slot {0}
 
 
 class InterpError(Exception):
@@ -112,20 +112,12 @@ def _mod(a: Any, b: Any) -> Any:
     return r if a >= 0 else -r
 
 
-def _buf(value: Any, where: str) -> Buffer:
-    if not isinstance(value, Buffer):
-        raise InterpError(f"{where}: expected a buffer, got {type(value).__name__}")
-    return value
-
-
-def _in_bounds(buf: Buffer, i: Any) -> None:
+def _in_bounds(buf: Buffer, i: int) -> None:
     if i < 0 or i >= buf.size:
         raise InterpError(f"index {i} out of bounds for {buf.name} of size {buf.size}")
-    if not isinstance(i, int):
-        raise InterpError(f"index {i} into {buf.name} is not an integer")
 
 
-def _at(buf: Buffer, i: Any) -> Any:
+def _at(buf: Buffer, i: int) -> Any:
     _in_bounds(buf, i)
     if (value := buf.values[i]) is None:
         raise InterpError(f"uninitialized read at {buf.name}[{i}]")
@@ -161,9 +153,6 @@ class _Walk:
             raise InterpError(f"loop variable {min(assigned)} is assigned")
         # out of scope until declared, and again once their block ends: see local and block
         self.outside = {name for name, _ in declared}
-        # pointer slots known to hold a buffer wherever their variable is in scope, see inline
-        self.proven = {self.slots[name] for name, kind in program.params
-                       if kind.endswith("*") and name not in self.assigned}
         self.kinds = dict([*program.params, *declared])
         self.fixed_params = {name for name, kind in program.params  # int, and never assigned
                              if kind == "int" and name not in self.assigned}
@@ -179,17 +168,24 @@ class _Walk:
             raise InterpError(f"variable {name} is used outside its block")
         return f"v{self.slots[name]}"
 
-    def inline(self, base: Expr, index: Expr) -> int | None:
-        """The slot of a base proven to hold a buffer, when the index is proven an int."""
-        self.number(index)  # every access checks its index here, inline or not
-        if not isinstance(base, VarRef):
-            return None
-        self.local(base.name)  # in scope, as every read must be: proven keeps a slot past its block
-        k = self.slots[base.name]
-        return k if k in self.proven and self.is_int(index) else None
+    def element(self, base: Expr, index: Expr) -> tuple[int, str]:
+        """The slot of ``base`` and the source of ``index``: C indexes a float* by an int."""
+        _expr_src(base, self)  # in scope, and its own refusal first: pointer arithmetic, say
+        if not (isinstance(base, VarRef) and self.kinds[base.name] == "float*"):
+            raise InterpError(f"{_expr_text(base, top=True)} is indexed but is no float* variable")
+        index_src = _expr_src(index, self)
+        if self.is_float(self.number(index)):
+            raise InterpError(f"index {_expr_text(index, top=True)} into {base.name} is a float")
+        return self.slots[base.name], index_src
+
+    def is_pointer(self, expr: Expr) -> bool:
+        """A ``float*`` in C: an allocation or a ``float*`` variable."""
+        return isinstance(expr, RuntimeCallExpr) or (
+            isinstance(expr, VarRef) and self.kinds.get(expr.name) == "float*")
 
     def is_int(self, expr: Expr) -> bool:
-        """Built of int literals and int variables (parameters, declarations, loop variables)."""
+        """Built of int literals, int variables (parameters, declarations, loop variables) and
+        comparisons (C's int, see ``_expr_src``), so a Python int."""
         match expr:
             case IntLit(value):
                 return type(value) is int
@@ -197,10 +193,12 @@ class _Walk:
                 return self.kinds.get(name) == "int"
             case Binary("+" | "-" | "*" | "%", left, right):
                 return self.is_int(left) and self.is_int(right)
+            case Binary(op):
+                return op in _BINOPS
         return False
 
     def is_float(self, expr: Expr) -> bool:
-        """A float literal or variable, a load, or arithmetic on one: what C's ``%`` refuses."""
+        """A float literal or variable, a load, or arithmetic on one: no index, nor ``%``'s."""
         match expr:
             case Binary("+" | "-" | "*" | "%", left, right):
                 return self.is_float(left) or self.is_float(right)
@@ -211,21 +209,21 @@ class _Walk:
     def number(self, expr: Expr, holder: str = "") -> Expr:
         """``expr`` where C wants a number (``holder``'s value, say): never a pointer, that is
         an allocation or a ``float*`` variable in scope (out of scope, ``local`` refuses it)."""
-        if isinstance(expr, (VarRef, RuntimeCallExpr)) and (expr.name in _ALLOCS or (
-                self.kinds.get(expr.name, "").endswith("*") and expr.name not in self.outside)):
+        if self.is_pointer(expr) and expr.name not in self.outside:
             raise InterpError(f"{holder} cannot hold a buffer" if holder
                               else f"pointer {expr.name} used as a number")
         return expr
 
     def stored(self, name: str, expr: Expr, src: str) -> str:
-        """The source ``src`` of ``expr`` as variable ``name`` holds it: C converts to its kind
-        (a comparison, which is a Python bool here, too), and refuses a pointer."""
-        if (kind := self.kinds.get(name)) in ("int", "float"):
+        """The source ``src`` of ``expr`` as variable ``name`` holds it: C converts a number to
+        an ``int`` or ``float``, refusing a pointer there, and a number in a ``float*``."""
+        if (kind := self.kinds.get(name)) == "float*" and not self.is_pointer(expr):
+            raise InterpError(f"float* {name} cannot hold a number")
+        if kind in ("int", "float"):
             self.number(expr, f"{kind} {name}")
         if kind == "int":
             return src if self.is_int(expr) else f"_int({src}, {name!r})"
-        integral = self.is_int(expr) or isinstance(expr, Binary) and _BINOPS.get(expr.op) == 0
-        return f"_f32({src})" if kind == "float" and integral else src
+        return f"_f32({src})" if kind == "float" and self.is_int(expr) else src
 
     def stop(self, loop: ForLoop) -> int | str:
         """Where ``loop``'s range stops: its bound, or before it when every later iteration
@@ -280,7 +278,10 @@ class _Walk:
         self.outside = outside
 
 
-def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0) -> str:
+def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0,
+              cond: bool = False) -> str:
+    """The source of ``expr``; with ``cond``, an ``if`` condition, which tests a comparison
+    bare where anything else takes it as C's int, 0 or 1."""
     match expr:
         case IntLit(value):
             return repr(value)
@@ -302,51 +303,41 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
                 raise InterpError(f"unknown binary operator {op!r}")
             p = _BINOPS[op]  # parentheses only where Python would group otherwise
             text = f"{_expr_src(left, w, prec=p + (p == 0))} {op} {_expr_src(right, w, prec=p + 1)}"
+            if p == 0 and not cond:
+                return f"int({text})"
             return text if p >= prec else f"({text})"
-        case ArrayIndex(base, index) if (k := w.inline(base, index)) is not None:
-            return (f"(_v if 0 <= (_i := {_expr_src(index, w)}) < N{k} and "
-                    f"(_v := V{k}[_i]) is not None else _at(v{k}, _i))")
         case ArrayIndex(base, index):
-            return f"_at(_buf({_expr_src(base, w)}, 'load'), {_expr_src(index, w)})"
-        case RuntimeCallExpr(name, args):
-            if name in _ALLOCS:
-                arg_src = "".join(f", {_expr_src(w.number(a), w)}" for a in args)
-                return f"_alloc({alloc_name or name!r}{arg_src})"
-            raise InterpError(f"runtime call {name} does not produce a value")
+            k, index_src = w.element(base, index)
+            return (f"(_v if 0 <= (_i := {index_src}) < N{k} and "
+                    f"(_v := V{k}[_i]) is not None else _at(v{k}, _i))")
+        case RuntimeCallExpr(name, (size,)):  # an allocation
+            return f"_alloc({alloc_name or name!r}, {_expr_src(w.number(size), w)})"
     raise TypeError(f"not an expression: {expr!r}")
 
 
 def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk) -> None:
     pad = "    " * depth
     match stmt:
-        case Declare(name, _, init):
+        case Declare(name, kind, init):
             w.outside.discard(name)
-            v = w.local(name)
+            v, k = w.local(name), w.slots[name]
             if init is None:  # holds no value until assigned
                 out.append(f"{pad}{v} = None; del {v}")
-                return
-            out.append(f"{pad}{v} = {w.stored(name, init, _expr_src(init, w, name))}")
-            if name in w.assigned:
-                return
-            if isinstance(init, RuntimeCallExpr) and init.name in _ALLOCS:
-                w.proven.add(k := w.slots[name])
-                out.append(f"{pad}V{k}, N{k} = {v}.values, {v}.size")
+            else:
+                out.append(f"{pad}{v} = {w.stored(name, init, _expr_src(init, w, name))}")
+            if kind == "float*":  # with no value, an access falls to _at, which reads the unset v
+                out.append(pad + (f"N{k} = 0" if init is None else _TRACK.format(k)))
         case Assign(VarRef(name), value):
             value_src = w.stored(name, value, _expr_src(value, w))
             out.append(f"{pad}{w.local(name)} = {value_src}")
-        case Assign(ArrayIndex(base, index), value):  # base, index, bounds, then the value
-            value_src, k = _expr_src(w.number(value), w), w.inline(base, index)
-            if k is None:
-                out.append(f"{pad}_b = _buf({_expr_src(base, w)}, 'store')")
-                values, check = "_b.values", "_in_bounds(_b, _s)"
-            else:
-                values, check = f"V{k}", f"if not 0 <= _s < N{k}: _in_bounds(v{k}, _s)"
-            out.append(f"{pad}_s = {_expr_src(index, w)}")
-            store = f"{values}[_s] = _v if type(_v := {value_src}) is _f32 else _f32(_v)"
-            out.extend([f"{pad}{check}", f"{pad}{store}"])
-        case Assign(target, value):
-            _expr_src(value, w)
-            raise InterpError(f"bad assignment target {target!r}")
+            if w.kinds[name] == "float*":
+                out.append(pad + _TRACK.format(w.slots[name]))
+        case Assign(ArrayIndex(base, index), value):  # index, bounds, then the value
+            value_src = _expr_src(w.number(value), w)
+            k, index_src = w.element(base, index)
+            out.append(f"{pad}_s = {index_src}")
+            out.append(f"{pad}if not 0 <= _s < N{k}: _in_bounds(v{k}, _s)")
+            out.append(f"{pad}V{k}[_s] = _v if type(_v := {value_src}) is _f32 else _f32(_v)")
         case ForLoop(var, start, bound, step, body):
             start_src = w.stored(var, start, _expr_src(start, w))
             stop = w.stop(stmt)
@@ -362,20 +353,19 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk) -> None:
             w.block(body, depth + 2, out)
             w.outside.add(var)
         case IfElse(cond, then_body, else_body):
-            out.append(f"{pad}if {_expr_src(cond, w)}:")
+            out.append(f"{pad}if {_expr_src(cond, w, cond=True)}:")
             w.block(then_body, depth + 1, out)
             if else_body is not None:
                 out.append(f"{pad}else:")
                 w.block(else_body, depth + 1, out)
-        case RuntimeCall(name, args):
-            if name in _COPIES:
-                w.number(args[2])
-            arg_src = [_expr_src(a, w) for a in args]
-            if name in _COPIES:
-                checked = [f"_buf({a}, {name!r})" for a in arg_src[:2]]
-                out.append(f"{pad}_copy({name!r}, {', '.join(checked)}, {arg_src[2]})")
-            elif name != "runtime::grid_sync":
-                raise InterpError(f"runtime call {name} is not a statement")
+        case RuntimeCall(name, (dst, src, size)):  # a copy; grid_sync does nothing
+            arg_src = ", ".join(_expr_src(a, w) for a in (dst, src, w.number(size)))
+            for a in (dst, src):
+                if not w.is_pointer(a):
+                    raise InterpError(f"{name}: {_expr_text(a, top=True)} is no pointer")
+            out.append(f"{pad}_copy({name!r}, {arg_src})")
+        case RuntimeCall():
+            pass
         case _:
             raise TypeError(f"not a statement: {stmt!r}")
 
@@ -391,26 +381,21 @@ def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) ->
     about 200 parentheses) is an InterpError.
     """
     w = _Walk(program)
-    args: list[Any] = []
+    args, body = [], []  # body: the function's lines, from the locals of each pointer parameter
     for name, kind in program.params:
         if name not in inputs:
             raise InterpError(f"missing input for parameter {name!r}")
         value = inputs[name]
-        if kind.endswith("*"):
+        if kind == "float*":
             if np.ndim(value) == 0:  # None, or a bare scalar
                 raise InterpError(f"parameter {name!r} needs an array, got {type(value).__name__}")
             args.append(Buffer(list(np.asarray(value, dtype=np.float32).ravel()), name))
-        elif kind == "int":
-            if not isinstance(value, numbers.Integral):
-                raise InterpError(f"parameter {name!r} needs an integer, got {value!r}")
-            args.append(int(value))
-        elif kind == "float":
-            if not isinstance(value, numbers.Real):
-                raise InterpError(f"parameter {name!r} needs a number, got {value!r}")
-            args.append(np.float32(value))
+            body.append("    " + _TRACK.format(len(args) - 1))
+        elif not isinstance(value, numbers.Integral if kind == "int" else numbers.Real):
+            need = "an integer" if kind == "int" else "a number"
+            raise InterpError(f"parameter {name!r} needs {need}, got {value!r}")
         else:
-            raise InterpError(f"unsupported parameter kind {kind!r}")
-    body = [f"    V{k}, N{k} = v{k}.values, v{k}.size" for k in sorted(w.proven)]
+            args.append(int(value) if kind == "int" else np.float32(value))
     w.block(program.body, 1, body)
     params = [f"v{k}" for k in range(len(args))] + [f"{c}={c}" for c in w.constants]
     source = "\n".join([f"def _program({', '.join(params)}):", *body, f"    {w.result}"])

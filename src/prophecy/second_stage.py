@@ -14,14 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
-RUNTIME_CALLS = (
-    "runtime::malloc",
-    "runtime::memcpy",
-    "runtime::cuda_malloc",
-    "runtime::cudaMemcpyToDevice",
-    "runtime::cudaMemcpyToHost",
-    "runtime::grid_sync",
-)
+# Each call's argument count, and whether it yields a pointer (an allocation) or is a statement.
+RUNTIME_CALLS = {
+    "runtime::malloc": (1, True), "runtime::memcpy": (3, False),
+    "runtime::cuda_malloc": (1, True), "runtime::cudaMemcpyToDevice": (3, False),
+    "runtime::cudaMemcpyToHost": (3, False), "runtime::grid_sync": (0, False),
+}
 
 RUNTIME_HEADER = '#include "runtime.h"'
 
@@ -34,10 +32,21 @@ class UnknownRuntimeCall(Exception):
         self.name = name
 
 
-def _check_runtime_name(name: str) -> str:
+def _check_runtime_call(name: str, args: tuple, yields: bool) -> None:
+    """Refuse what C's signature of ``name`` refuses, where a value is wanted or not."""
     if name not in RUNTIME_CALLS:
         raise UnknownRuntimeCall(name)
-    return name
+    arity, pointer = RUNTIME_CALLS[name]
+    if pointer != yields:
+        wrong = "does not produce a value" if yields else "is not a statement"
+        raise ValueError(f"runtime call {name} {wrong}")
+    if len(args) != arity:
+        raise ValueError(f"runtime call {name} takes {arity} arguments, got {len(args)}")
+
+
+def _check_kind(name: str, kind: str) -> None:
+    if kind not in ("int", "float", "float*"):
+        raise ValueError(f"variable {name} has kind {kind!r}, not int, float or float*")
 
 
 # --------------------------------------------------------------------------
@@ -79,7 +88,7 @@ class RuntimeCallExpr:
     args: tuple["Expr", ...]
 
     def __post_init__(self) -> None:
-        _check_runtime_name(self.name)
+        _check_runtime_call(self.name, self.args, yields=True)
 
 
 Expr = Union[IntLit, FloatLit, VarRef, Binary, ArrayIndex, RuntimeCallExpr]
@@ -95,6 +104,9 @@ class Declare:
     name: str
     kind: str  # int | float | float*
     init: Expr | None = None
+
+    def __post_init__(self) -> None:
+        _check_kind(self.name, self.kind)
 
 
 @dataclass
@@ -133,7 +145,7 @@ class RuntimeCall:
     args: tuple[Expr, ...]
 
     def __post_init__(self) -> None:
-        _check_runtime_name(self.name)
+        _check_runtime_call(self.name, self.args, yields=False)
 
 
 Stmt = Union[Declare, Assign, ForLoop, IfElse, RuntimeCall]
@@ -156,6 +168,10 @@ class SecondStageProgram:
     body: list[Stmt]
     meta: dict = field(default_factory=dict, compare=False)
 
+    def __post_init__(self) -> None:
+        for param in self.params:
+            _check_kind(*param)
+
 
 # --------------------------------------------------------------------------
 # Emission
@@ -176,7 +192,6 @@ def _expr_text(expr: Expr, top: bool = False) -> str:
         case ArrayIndex(base, index):
             return f"{_expr_text(base)}[{_expr_text(index, top=True)}]"
         case RuntimeCallExpr(name, args):
-            _check_runtime_name(name)
             arg_text = ", ".join(_expr_text(a, top=True) for a in args)
             return f"{name}({arg_text})"
     raise TypeError(f"not an expression: {expr!r}")
@@ -212,7 +227,6 @@ def _stmt_lines(stmt: Stmt, depth: int, out: list[str]) -> None:
                     _stmt_lines(inner, depth + 1, out)
                 out.append(f"{pad}}}")
         case RuntimeCall(name, args):
-            _check_runtime_name(name)
             arg_text = ", ".join(_expr_text(a, top=True) for a in args)
             out.append(f"{pad}{name}({arg_text});")
         case _:

@@ -17,7 +17,7 @@ from prophecy.einsum import STRATEGIES
 from prophecy.interp import InterpError, interpret_program
 from prophecy.second_stage import RUNTIME_HEADER, emit_c
 from prophecy.staging import ProphecyStore, StageContext
-from test_interp import REFUSED, _refused_program
+from test_interp import C_COMPARISONS, REFUSED, _comparison_program, _refused_program
 from test_pins import STAGED, _einsum_corpus, _einsum_outcome
 
 pytestmark = pytest.mark.skipif(shutil.which("g++") is None, reason="no g++ on PATH")
@@ -80,14 +80,23 @@ def test_branch_declaration_after_its_branch_compiles_nowhere():
 
 
 def test_refused_programs_compile_nowhere_but_pointer_arithmetic():
-    # the interpreter refuses each before it runs; g++ accepts (arg0 + 1)[0], which the
-    # interpreter leaves unsupported
+    # the interpreter refuses each before it runs; g++ accepts (arg0 + 1)[0] and
+    # runtime::malloc(16)[0], which the interpreter leaves unsupported
     result = syntax_check({case: emit_c(_refused_program(REFUSED[case][0])) for case in REFUSED})
     errors = [line for line in result.stderr.splitlines() if ": error: " in line]
-    assert {line.split(":")[0] for line in errors} == set(REFUSED) - {"pointer arithmetic"}
+    assert {line.split(":")[0] for line in errors} == set(REFUSED) - {
+        "pointer arithmetic", "allocation indexed"}
     for case, error in [
         ("pointer in a float", "cannot convert 'float*' to 'float' in initialization"),
         ("pointer stored as an element", "cannot convert 'float*' to 'float' in assignment"),
         ("remainder of a float variable", "invalid operands of types 'float' and 'int' to binary 'operator%'"),
+        ("int in a pointer", "invalid conversion from 'int' to 'float*' [-fpermissive]"),
+        ("float variable as an index", "invalid types 'float*[float]' for array subscript"),
     ]:
         assert any(line.startswith(f"{case}:") and line.endswith(error) for line in errors), case
+
+
+def test_comparisons_compile_as_ints():
+    # a bool promotes to int, as an index or an operand; test_interp pins what each program gives
+    result = syntax_check({case: emit_c(_comparison_program(case)) for case in C_COMPARISONS})
+    assert result.returncode == 0, result.stderr

@@ -29,7 +29,7 @@ def _refused_program(statement):
 
 def _found_pointer_to_float(ctx, buf):
     p = ctx.declare("float*", buf)
-    ctx.assign(p, 1)  # C refuses this too; the interpreters do not look at pointer values
+    ctx.assign(p, 1)  # the first of C's three refusals here
     ctx.assign(buf[ctx.declare("float", p)], 5.0)
 
 
@@ -61,7 +61,37 @@ REFUSED = {
         "pointer runtime::malloc used as a number"),
     "pointer assigned to a float parameter": (
         lambda ctx, buf: ctx.assign(ctx.parameter("float"), buf), "float arg1 cannot hold a buffer"),
-    "int given a pointer, then a float": (_found_pointer_to_float, "float var1 cannot hold a buffer"),
+    "int given a pointer, then a float": (_found_pointer_to_float,
+                                          "float* var0 cannot hold a number"),
+    "int in a pointer": (lambda ctx, buf: ctx.declare("float*", 3),
+                         "float* var0 cannot hold a number"),
+    "load in a pointer": (lambda ctx, buf: ctx.declare("float*", buf[0]),
+                          "float* var0 cannot hold a number"),
+    "int assigned to a pointer parameter": (lambda ctx, buf: ctx.assign(buf, 1),
+                                            "float* arg0 cannot hold a number"),
+    "int variable indexed": (lambda ctx, buf: ctx.assign(buf[0], ctx.declare("int", 1)[0]),
+                             "var0 is indexed but is no float* variable"),
+    "float parameter indexed": (lambda ctx, buf: ctx.assign(ctx.parameter("float")[0], 1.0),
+                                "arg1 is indexed but is no float* variable"),
+    "load indexed": (lambda ctx, buf: ctx.assign(buf[0], buf[0][1]),
+                     "arg0[0] is indexed but is no float* variable"),
+    "allocation indexed": (
+        lambda ctx, buf: ctx.assign(ctx.runtime_expr("runtime::malloc", 16)[0], 1.0),
+        "runtime::malloc(16) is indexed but is no float* variable"),
+    "float variable as an index": (lambda ctx, buf: ctx.assign(buf[ctx.declare("float", 1)], 1.0),
+                                   "index var0 into arg0 is a float"),
+    "float literal as an index": (lambda ctx, buf: ctx.assign(buf[0], buf[1.0]),
+                                  "index 1.0 into arg0 is a float"),
+    "load as an index": (lambda ctx, buf: ctx.assign(buf[buf[0]], 1.0),
+                         "index arg0[0] into arg0 is a float"),
+    "float arithmetic as an index": (lambda ctx, buf: ctx.assign(buf[0], buf[(buf[1] < 1.0) + 0.5]),
+                                     "index (arg0[1] < 1.0) + 0.5 into arg0 is a float"),
+    "int as a copy source": (
+        lambda ctx, buf: ctx.runtime("runtime::memcpy", buf, ctx.declare("int", 1), 4),
+        "runtime::memcpy: var0 is no pointer"),
+    "float as a copy destination": (
+        lambda ctx, buf: ctx.runtime("runtime::cudaMemcpyToHost", ctx.parameter("float"), buf, 4),
+        "runtime::cudaMemcpyToHost: arg1 is no pointer"),
     "remainder of a float variable": (_float_remainder, "% with a float operand"),
     "remainder of a load": (lambda ctx, buf: ctx.assign(buf[0], buf[0] % 2),
                             "% with a float operand"),
@@ -71,6 +101,31 @@ REFUSED = {
         lambda ctx, buf: ctx.assign(buf[0], ctx.lift(3) % (ctx.lift(1) + buf[1] * 2)),
         "% with a float operand"),
 }
+
+
+def _comparison_sum(ctx, buf):
+    both = lambda: (buf[0] < 1.0) + (buf[1] < 1.0)  # numpy's bool + bool would be an or
+    ctx.assign(buf[2], ctx.declare("float", both()))
+    ctx.assign(buf[3], both())
+    ctx.assign(buf[ctx.declare("int", both())], 7.0)
+
+
+# Programs in which C takes a comparison as an int, 0 or 1, each with the output C gives on zeros.
+C_COMPARISONS = {
+    "comparison of a load as an index": (lambda ctx, buf: ctx.assign(buf[buf[0] < 1.0], 6.0),
+                                         [0, 6, 0, 0]),
+    "comparison of ints as an index": (lambda ctx, buf: ctx.assign(buf[ctx.lift(1) < 2], 6.0),
+                                       [0, 6, 0, 0]),
+    "remainder of a comparison as an index": (
+        lambda ctx, buf: ctx.assign(buf[(buf[0] < 1.0) % 3], 6.0), [0, 6, 0, 0]),
+    "sum of comparisons": (_comparison_sum, [0, 0, 7, 2]),
+}
+
+
+def _comparison_program(case):
+    ctx = ctx_named(case.replace(" ", "_"))
+    C_COMPARISONS[case][0](ctx, ctx.parameter("float*"))
+    return ctx.finish()
 
 
 class TestBasics:
@@ -183,6 +238,11 @@ class TestBasics:
         out = interpret_program(ctx.finish(), {"arg0": np.zeros(2), "arg1": n, "arg2": m})
         assert out["arg0"].tolist() == [-3.0 if n < 0 else 3.0, written]
 
+    @pytest.mark.parametrize("case", sorted(C_COMPARISONS))
+    def test_comparison_is_an_int(self, case):
+        out = interpret_program(_comparison_program(case), {"arg0": np.zeros(4)})
+        assert out["arg0"].tolist() == C_COMPARISONS[case][1]
+
     def test_float_variable_given_an_int_rounds_as_float32(self):
         # 4097.0f * 4097.0f rounds to 16785408, so the difference is 0 in C, not 1
         ctx = ctx_named()
@@ -246,9 +306,9 @@ class TestErrors:
             ctx.assign(pointer[0], 1.0)
         if holds == "nothing":
             message = "variable var0 used before it holds a value"
-        else:
-            message = f"{access}: expected a buffer, got int"
-        with pytest.raises(InterpError, match=message):
+        else:  # C refuses an int in a float*, so nothing runs
+            message = "float* var0 cannot hold a number"
+        with pytest.raises(InterpError, match=f"^{re.escape(message)}$"):
             interpret_program(ctx.finish(), {"arg0": [0.0]})
 
     @pytest.mark.parametrize("access", ["load", "store"])
@@ -260,7 +320,7 @@ class TestErrors:
             ctx.assign(buf[0], buf[i])
         else:
             ctx.assign(buf[i], 1.0)
-        with pytest.raises(InterpError, match=r"^index 0\.5 into arg0 is not an integer$"):
+        with pytest.raises(InterpError, match=r"^index var0 into arg0 is a float$"):
             interpret_program(ctx.finish(), {"arg0": [0.0, 1.0]})
 
     def test_float_variable_given_an_int_is_no_index(self):
@@ -268,7 +328,7 @@ class TestErrors:
         ctx = ctx_named()
         buf = ctx.parameter("float*")
         ctx.assign(buf[ctx.declare("float", 1)], 5.0)
-        with pytest.raises(InterpError, match=r"^index 1\.0 into arg0 is not an integer$"):
+        with pytest.raises(InterpError, match=r"^index var0 into arg0 is a float$"):
             interpret_program(ctx.finish(), {"arg0": np.zeros(2)})
 
     def test_float_variable_given_a_comparison_is_no_index(self):
@@ -277,7 +337,7 @@ class TestErrors:
         buf = ctx.parameter("float*")
         n = ctx.parameter("int")
         ctx.assign(buf[ctx.declare("float", n < 3)], 5.0)
-        with pytest.raises(InterpError, match=r"^index 1\.0 into arg0 is not an integer$"):
+        with pytest.raises(InterpError, match=r"^index var0 into arg0 is a float$"):
             interpret_program(ctx.finish(), {"arg0": np.zeros(2), "arg1": 1})
 
     def test_negative_remainder_index(self):
@@ -503,7 +563,7 @@ class TestGridStyleExecution:
 
 
 class TestInlineAccess:
-    """Loads and stores through a pointer proven to hold a buffer are inline."""
+    """Every load and store is inline, through a ``float*`` variable that holds a buffer."""
 
     @pytest.mark.parametrize("case", sorted(INTERPRETED))
     def test_pinned_builds_take_only_the_inline_path(self, monkeypatch, case):
@@ -550,28 +610,33 @@ class TestInlineAccess:
 
     @pytest.mark.parametrize("pointer", ["allocated", "parameter"])
     def test_reassigned_pointer_keeps_its_guard(self, pointer):
-        ctx = ctx_named()
-        out_buf = ctx.parameter("float*")
-        other = ctx.parameter("float*")
-        flag = ctx.parameter("int")
-        if pointer == "parameter":
-            p = other
-        else:
-            p = ctx.declare("float*", ctx.runtime_expr("runtime::malloc", 8))
-        ctx.assign(p[0], 1.0)
-        ctx.assign(p, out_buf)  # an alias: p[...] now reaches out_buf
-        ctx.assign(p[1], p[0] + 1.0)
-        ctx.if_else(flag, lambda: ctx.assign(p, 3))
-        ctx.assign(out_buf[2], p[0])
-        program = ctx.finish()
+        def program(int_in_branch):
+            ctx = ctx_named()
+            out_buf = ctx.parameter("float*")
+            other = ctx.parameter("float*")
+            flag = ctx.parameter("int")
+            if pointer == "parameter":
+                p = other
+            else:
+                p = ctx.declare("float*", ctx.runtime_expr("runtime::malloc", 8))
+            ctx.assign(p[0], 1.0)
+            ctx.assign(p, out_buf)  # an alias: p[...] now reaches out_buf
+            ctx.assign(p[1], p[0] + 1.0)
+            if int_in_branch:
+                ctx.if_else(flag, lambda: ctx.assign(p, 3))
+            ctx.assign(out_buf[2], p[0])
+            return ctx.finish()
+
         inputs = {"arg0": [10.0, 20.0, 30.0], "arg1": [0.0, 0.0], "arg2": 0}
-        out = interpret_program(program, inputs)
+        out = interpret_program(program(False), inputs)
         np.testing.assert_array_equal(out["arg0"], np.float32([10, 11, 10]))
         # a pointer parameter's output is the buffer it holds at the end
         other_out = [10, 11, 10] if pointer == "parameter" else [0, 0]
         np.testing.assert_array_equal(out["arg1"], np.float32(other_out))
-        with pytest.raises(InterpError, match="^load: expected a buffer, got int$"):
-            interpret_program(program, {**inputs, "arg2": 1})
+        # C refuses an int in a float*, even in a branch never taken
+        held = "arg1" if pointer == "parameter" else "var0"
+        with pytest.raises(InterpError, match=f"^float\\* {held} cannot hold a number$"):
+            interpret_program(program(True), inputs)
 
     def test_parameter_overwritten_by_unwritten_elements(self):
         ctx = ctx_named()
@@ -590,10 +655,10 @@ class TestInlineAccess:
 
     @pytest.mark.parametrize("value", [lambda buf: 1, lambda buf: buf[1] < 1.0])
     def test_stored_int_or_bool_becomes_a_float32(self, value):
-        # as in a float32 array, so the element read back is no index
+        # as in a float32 array, so the element read back is a float, which C refuses as an index
         ctx = ctx_named()
         buf = ctx.parameter("float*")
         ctx.assign(buf[0], value(buf))
         ctx.assign(buf[1], buf[buf[0]])
-        with pytest.raises(InterpError, match=r"^index 1\.0 into arg0 is not an integer$"):
+        with pytest.raises(InterpError, match=r"^index arg0\[0\] into arg0 is a float$"):
             interpret_program(ctx.finish(), {"arg0": [0.0, 0.5]})

@@ -4,22 +4,27 @@
 ``interpret_program`` replaced: each AST node is compiled once into a
 closure over an environment list.  It is kept here as it was, with its own
 ``Buffer``, less the branches of the second-stage features since removed
-(``Return``, ``Unary`` and ``runtime::free``), and with six additions made
-to both.  An index that is not an integer (a ``float`` variable's value) is
-an InterpError after the bounds check, where numpy and the mask used to
-raise their own TypeError or IndexError.  A loop start, an ``int``
-declaration's value and a value assigned to an ``int`` variable or
-parameter become what C stores in an ``int`` (``_to_int``): truncated
-toward zero, with nan or inf an InterpError.  An int or a
-comparison given to a ``float`` variable or parameter becomes a float32
-(``_as_stored``).  ``%`` is C's, whose quotient truncates toward zero
-(``_c_mod``), with a zero divisor an InterpError.  What C's types refuse is
-an InterpError when the program compiles: a pointer (a ``float*`` variable
-or an allocation) used as a number (``_number``), so also an ``int`` or
-``float`` variable given one (``_held``), and a ``%`` with a float operand
-(``_is_float``).  A variable is in scope as in C (``_Scope``): a
-declaration until its block ends, a loop variable in its loop's body only,
-and a read anywhere else is an InterpError when the program compiles.  Its loop builds the ``var < bound`` test and the
+(``Return``, ``Unary`` and ``runtime::free``) and of what a recorded node
+can no longer be (a runtime call of the wrong kind, a parameter kind other
+than ``int``, ``float`` or ``float*``), and with additions made to both.  A
+loop start, an ``int`` declaration's value and a value assigned to an
+``int`` variable or parameter become what C stores in an ``int``
+(``_to_int``): truncated toward zero, with nan or inf an InterpError.  A
+comparison is C's int, 0 or 1 (``_BINOPS``), and an int given to a
+``float`` variable or parameter becomes a float32 (``_as_stored``).  ``%``
+is C's, whose quotient truncates toward zero (``_c_mod``), with a zero
+divisor an InterpError.  What C's types refuse is an InterpError when the
+program compiles: a pointer (a ``float*`` variable or an allocation) used
+as a number (``_number``), so also an ``int`` or ``float`` variable given
+one, and a number given to a ``float*`` (``_held``); indexing anything but
+a ``float*`` variable, and a float index (``_compile_element``); anything
+but a pointer as a copy's source or destination (``_is_pointer``); and a
+``%`` with a float operand (``_is_float``).  So every index is an int and
+every indexed value a buffer, and an access evaluates its index before it
+reads its base, as the generated source does.  A variable is in scope as
+in C (``_Scope``): a declaration until its block ends, a loop variable in
+its loop's body only, and a read anywhere else is an InterpError when the
+program compiles.  Its loop builds the ``var < bound`` test and the
 ``var = var + step`` update from the ``ForLoop`` fields and runs them as a
 ``while`` loop.  It is the reference the generated-source interpreter must
 agree with.  Random programs are recorded through the public
@@ -28,19 +33,21 @@ counted loops with literal, staged, float and float-parameter starts (some
 of them empty), grid-shaped nests like the einsum DSL's kernels (whose idle
 iterations the interpreter skips, some with their flat thread id offset by
 an int parameter the nest lowers), ``if_else``, ``int`` variables given
-float values and ``float`` ones given ints or comparisons, remainders by
-positive, negative, zero and staged divisors, loads and stores in and out
-of bounds, reads of unset variables and of uninitialized elements, whole,
-short and over-long copies, aliases, and now and then, on purpose, a read of
-a variable after its block (a kernel's flat thread id after the nest, say)
-or an ``int`` given a pointer, which both refuse.  A second test draws
-programs of kernel nests only, and a third checks that few programs are
-refused and no fewer end ``ok`` than before the generator scoped its
-variables.  The pinned builds with a small
-grid (matmul and matvec in all three strategies, conv/ReLU 24 x 5 with both
-flags) are compared too, as are the programs C's types refuse (``REFUSED`` in
-``tests/test_interp.py``).  Outputs are compared byte for byte, scalars by
-type and value, and errors by type and message.
+float values and ``float`` ones given ints or comparisons, indices that
+sum two comparisons, remainders by positive, negative, zero and staged
+divisors, loads and stores in and out of bounds, reads of unset variables
+and of uninitialized elements, whole, short and over-long copies, aliases,
+and now and then, on purpose, what both refuse: a read of a variable after
+its block (a kernel's flat thread id after the nest, say), an ``int`` given
+a pointer, a ``float*`` given an int, an int indexed, a float index and an
+int copied.  A second test draws programs of kernel nests only, and a third
+checks that few programs are refused and no fewer end ``ok`` than before
+the generator scoped its variables.  The pinned builds with a small grid
+(matmul and matvec in all three strategies, conv/ReLU 24 x 5 with both
+flags) are compared too, as are the programs C's types refuse
+(``REFUSED`` in ``tests/test_interp.py``) and those that take a comparison
+as an int (``C_COMPARISONS`` there).  Outputs are compared byte for byte,
+scalars by type and value, and errors by type and message.
 
 The reference accepts a negative copy size and an assigned loop variable,
 which the new interpreter diagnoses (see ``tests/test_interp.py``), so the
@@ -74,10 +81,11 @@ from prophecy.second_stage import (
     SecondStageProgram,
     Stmt,
     VarRef,
+    _expr_text,
     iter_stmts,
 )
 from prophecy.staging import ProphecyStore, StageContext
-from test_interp import REFUSED, _refused_program
+from test_interp import C_COMPARISONS, REFUSED, _comparison_program, _refused_program
 from test_pins import INTERPRETED
 
 
@@ -107,10 +115,11 @@ _BINOPS: dict[str, Callable[[Any, Any], Any]] = {
     "-": operator.sub,
     "*": operator.mul,
     "%": _c_mod,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
+    # a comparison is C's int, 0 or 1
+    "<": lambda a, b: int(a < b),
+    "<=": lambda a, b: int(a <= b),
+    ">": lambda a, b: int(a > b),
+    ">=": lambda a, b: int(a >= b),
 }
 
 
@@ -132,8 +141,8 @@ def _to_int(value: Any, name: str) -> int:
 
 
 def _as_stored(value: Any, name: str) -> Any:
-    """What C stores in float variable ``name``: an int or a comparison becomes a float."""
-    return np.float32(value) if isinstance(value, (int, np.bool_)) else value
+    """What C stores in float variable ``name``: an int (a comparison, say) becomes a float."""
+    return np.float32(value) if isinstance(value, int) else value
 
 
 def _kept(value: Any, name: str) -> Any:
@@ -160,12 +169,17 @@ class _Scope:
         return self.slots[name]
 
 
+def _is_pointer(expr: Expr, scope: _Scope) -> bool:
+    """A ``float*`` in C: an allocation (every runtime call that yields a value) or a ``float*``
+    variable."""
+    return isinstance(expr, RuntimeCallExpr) or (
+        isinstance(expr, VarRef) and scope.kinds.get(expr.name) == "float*")
+
+
 def _number(expr: Expr, scope: _Scope, holder: str = "") -> Expr:
     """``expr`` where C wants a number (``holder``'s value, say): a pointer, that is an allocation
     or a ``float*`` variable in scope, is refused when the program compiles."""
-    if (isinstance(expr, RuntimeCallExpr) and expr.name in ("runtime::malloc", "runtime::cuda_malloc")
-            or isinstance(expr, VarRef) and scope.kinds.get(expr.name, "").endswith("*")
-            and expr.name in scope.live):
+    if _is_pointer(expr, scope) and (isinstance(expr, RuntimeCallExpr) or expr.name in scope.live):
         if holder:
             raise InterpError(f"{holder} cannot hold a buffer")
         raise InterpError(f"pointer {expr.name} used as a number")
@@ -182,9 +196,24 @@ def _is_float(expr: Expr, scope: _Scope) -> bool:
 
 
 def _held(expr: Expr, scope: _Scope, name: str) -> None:
-    """A pointer given to an ``int`` or ``float`` variable is refused when the program compiles."""
+    """A pointer given to an ``int`` or ``float`` variable, or a number given to a ``float*``, is
+    refused when the program compiles."""
     if (kind := scope.kinds.get(name)) in ("int", "float"):
         _number(expr, scope, f"{kind} {name}")
+    elif kind == "float*" and not _is_pointer(expr, scope):
+        raise InterpError(f"float* {name} cannot hold a number")
+
+
+def _compile_element(base: Expr, index: Expr, scope: _Scope) -> tuple[Callable, Callable]:
+    """Only a ``float*`` variable is indexed, and only by an int: the rest is refused when the
+    program compiles."""
+    bf = _compile_expr(base, scope)
+    if not (isinstance(base, VarRef) and scope.kinds[base.name] == "float*"):
+        raise InterpError(f"{_expr_text(base, top=True)} is indexed but is no float* variable")
+    xf = _compile_expr(index, scope)
+    if _is_float(_number(index, scope), scope):
+        raise InterpError(f"index {_expr_text(index, top=True)} into {base.name} is a float")
+    return bf, xf
 
 
 def _collect_slots(program: SecondStageProgram) -> dict[str, int]:
@@ -221,12 +250,6 @@ def _alloc(args: tuple[Any, ...], name: str) -> Buffer:
     return Buffer(np.zeros(count, dtype=np.float32), bytearray(count), name)
 
 
-def _as_buffer(value: Any, where: str) -> Buffer:
-    if not isinstance(value, Buffer):
-        raise InterpError(f"{where}: expected a buffer, got {type(value).__name__}")
-    return value
-
-
 def _compile_expr(
     expr: Expr, scope: _Scope, alloc_name: str | None = None
 ) -> Callable[[list], Any]:
@@ -257,34 +280,28 @@ def _compile_expr(
             rf = _compile_expr(right, scope)
             return lambda env: fn(lf(env), rf(env))
         case ArrayIndex(base, index):
-            _number(index, scope)
-            bf = _compile_expr(base, scope)
-            xf = _compile_expr(index, scope)
+            bf, xf = _compile_element(base, index, scope)
 
             def load(env):
-                buf = _as_buffer(bf(env), "load")
                 i = xf(env)
+                buf = bf(env)
                 if i < 0 or i >= buf.size:
                     raise InterpError(
                         f"index {i} out of bounds for {buf.name} of size {buf.size}"
                     )
-                if not isinstance(i, int):
-                    raise InterpError(f"index {i} into {buf.name} is not an integer")
                 if not buf.mask[i]:
                     raise InterpError(f"uninitialized read at {buf.name}[{i}]")
                 return buf.values[i]
 
             return load
-        case RuntimeCallExpr(name, args):
-            if name in ("runtime::malloc", "runtime::cuda_malloc"):
-                arg_fns = [_compile_expr(_number(a, scope), scope) for a in args]
-                label = alloc_name or name
+        case RuntimeCallExpr(name, args):  # an allocation
+            arg_fns = [_compile_expr(_number(a, scope), scope) for a in args]
+            label = alloc_name or name
 
-                def allocate(env, label=label):
-                    return _alloc(tuple(f(env) for f in arg_fns), label)
+            def allocate(env, label=label):
+                return _alloc(tuple(f(env) for f in arg_fns), label)
 
-                return allocate
-            raise InterpError(f"runtime call {name} does not produce a value")
+            return allocate
     raise TypeError(f"not an expression: {expr!r}")
 
 
@@ -326,19 +343,15 @@ def _compile_stmt(stmt: Stmt, scope: _Scope) -> Callable[[list], None]:
 
                 return store_var
             if isinstance(target, ArrayIndex):
-                _number(target.index, scope)
-                bf = _compile_expr(target.base, scope)
-                xf = _compile_expr(target.index, scope)
+                bf, xf = _compile_element(target.base, target.index, scope)
 
                 def store_elem(env):
-                    buf = _as_buffer(bf(env), "store")
                     i = xf(env)
+                    buf = bf(env)
                     if i < 0 or i >= buf.size:
                         raise InterpError(
                             f"index {i} out of bounds for {buf.name} of size {buf.size}"
                         )
-                    if not isinstance(i, int):
-                        raise InterpError(f"index {i} into {buf.name} is not an integer")
                     buf.values[i] = vf(env)
                     buf.mask[i] = 1
 
@@ -373,29 +386,28 @@ def _compile_stmt(stmt: Stmt, scope: _Scope) -> Callable[[list], None]:
                     fn(env)
 
             return branch
-        case RuntimeCall(name, args):
-            copies = ("runtime::memcpy", "runtime::cudaMemcpyToDevice", "runtime::cudaMemcpyToHost")
-            if name in copies:
-                _number(args[2], scope)
+        case RuntimeCall("runtime::grid_sync"):
+            return lambda env: None
+        case RuntimeCall(name, args):  # a copy
+            _number(args[2], scope)
             arg_fns = [_compile_expr(a, scope) for a in args]
-            if name in copies:
+            for a in args[:2]:
+                if not _is_pointer(a, scope):
+                    raise InterpError(f"{name}: {_expr_text(a, top=True)} is no pointer")
 
-                def copy(env):
-                    dst = _as_buffer(arg_fns[0](env), name)
-                    src = _as_buffer(arg_fns[1](env), name)
-                    count = int(arg_fns[2](env)) // _ELEM_BYTES
-                    if count > dst.size or count > src.size:
-                        raise InterpError(
-                            f"{name}: copying {count} elements between {src.name}"
-                            f" ({src.size}) and {dst.name} ({dst.size})"
-                        )
-                    dst.values[:count] = src.values[:count]
-                    dst.mask[:count] = src.mask[:count]
+            def copy(env):
+                dst = arg_fns[0](env)
+                src = arg_fns[1](env)
+                count = int(arg_fns[2](env)) // _ELEM_BYTES
+                if count > dst.size or count > src.size:
+                    raise InterpError(
+                        f"{name}: copying {count} elements between {src.name}"
+                        f" ({src.size}) and {dst.name} ({dst.size})"
+                    )
+                dst.values[:count] = src.values[:count]
+                dst.mask[:count] = src.mask[:count]
 
-                return copy
-            if name == "runtime::grid_sync":
-                return lambda env: None
-            raise InterpError(f"runtime call {name} is not a statement")
+            return copy
     raise TypeError(f"not a statement: {stmt!r}")
 
 
@@ -407,15 +419,13 @@ def reference_interpret(
     for name, kind in program.params:
         if name not in inputs:
             raise InterpError(f"missing input for parameter {name!r}")
-        if kind.endswith("*"):
+        if kind == "float*":
             values = np.asarray(inputs[name], dtype=np.float32).ravel().copy()
             env[slots[name]] = Buffer(values, bytearray(b"\x01" * len(values)), name)
         elif kind == "int":
             env[slots[name]] = int(inputs[name])
-        elif kind == "float":
-            env[slots[name]] = np.float32(inputs[name])
         else:
-            raise InterpError(f"unsupported parameter kind {kind!r}")
+            env[slots[name]] = np.float32(inputs[name])
     loops = {s.var for s in iter_stmts(program.body) if isinstance(s, ForLoop)}
     scope = _Scope(slots, _var_kinds(program), loops, {name for name, _ in program.params})
     body = [_compile_stmt(s, scope) for s in program.body]
@@ -466,13 +476,17 @@ class _Gen:
         return _ARITH[op](a, self.int_expr(depth + 1))
 
     def base(self):
-        if self.rng.random() < 0.04:  # not a buffer: an int, often a loop variable
+        if self.rng.random() < 0.02:  # not a buffer: an int, often a loop variable, which C refuses
             return self.ctx.lift(self.rng.choice(self.ints))
         return self.rng.choice(self.buffers)
 
     def index(self):
-        if self.rng.random() < 0.03:  # a float, often not an integer
+        roll = self.rng.random()
+        if roll < 0.01:  # a float, which C refuses as an index
             return self.rng.choice(self.floats)
+        if roll < 0.04:  # a sum of two comparisons, each C's int 0 or 1
+            load = lambda: self.buffers[0][self.rng.randint(0, 3)]
+            return (load() < 1.0) + (load() < 1.0)
         idx = self.int_expr()
         if self.rng.random() < 0.8:  # mostly in bounds of the smaller buffers
             idx = self.ctx.lift(idx) % 4
@@ -543,18 +557,19 @@ class _Gen:
                 ["runtime::memcpy", "runtime::cudaMemcpyToDevice", "runtime::cudaMemcpyToHost"]
             )
             dst, src = rng.choice(self.buffers), rng.choice(self.buffers)
-            if rng.random() < 0.05:
+            if rng.random() < 0.02:  # C refuses an int as a pointer
                 src = rng.choice(self.ints)
             ctx.runtime(name, dst, src, rng.choice([0, 4, 8, 12, 16, 18, 32, 40]))
         elif kind == "alloc":
             alloc = rng.choice(["runtime::malloc", "runtime::cuda_malloc"])
             nbytes = rng.choice([16, 16, 24, 32, 0, -4])
             self.buffers.append(ctx.declare("float*", ctx.runtime_expr(alloc, nbytes)))
-        elif kind == "alias":
+        elif kind == "alias":  # now and then an int, which C refuses in a float*
+            value = rng.choice(self.ints if rng.random() < 0.02 else self.buffers)
             if rng.random() < 0.5:
-                self.buffers.append(ctx.declare("float*", rng.choice(self.buffers)))
+                self.buffers.append(ctx.declare("float*", value))
             else:
-                ctx.assign(rng.choice(self.buffers), rng.choice(self.buffers))
+                ctx.assign(rng.choice(self.buffers), value)
         else:  # never a loop variable: C allows no assignment to one here
             target = rng.choice([self.n, *self.declared_ints])
             ctx.assign(target, target + 1 if rng.random() < 0.5 else self.float_expr())
@@ -703,5 +718,14 @@ def test_refusals_match_reference(case):
     program = _refused_program(statement)
     inputs = {name: np.zeros(2) if kind == "float*" else 0.0 for name, kind in program.params}
     expected = ("error", "InterpError", message)
+    assert _outcome(interpret_program, program, inputs) == expected
+    assert _outcome(reference_interpret, program, inputs) == expected
+
+
+@pytest.mark.parametrize("case", sorted(C_COMPARISONS))
+def test_comparisons_match_reference(case):
+    program = _comparison_program(case)
+    inputs = {"arg0": np.zeros(4)}
+    expected = ("ok", [("arg0", "float32", np.float32(C_COMPARISONS[case][1]).tobytes())])
     assert _outcome(interpret_program, program, inputs) == expected
     assert _outcome(reference_interpret, program, inputs) == expected

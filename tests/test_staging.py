@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import typing
 
@@ -588,6 +589,45 @@ void t(float* arg0) {
             RuntimeCall("runtime::free", ())
         with pytest.raises(UnknownRuntimeCall):
             ctx.runtime("runtime::free", ctx.parameter("float*"))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda ctx, buf: ctx.runtime("runtime::memcpy", buf),
+         "runtime call runtime::memcpy takes 3 arguments, got 1"),
+        (lambda ctx, buf: ctx.runtime("runtime::cudaMemcpyToHost", buf, buf, 4, 4),
+         "runtime call runtime::cudaMemcpyToHost takes 3 arguments, got 4"),
+        (lambda ctx, buf: ctx.runtime("runtime::grid_sync", buf),
+         "runtime call runtime::grid_sync takes 0 arguments, got 1"),
+        (lambda ctx, buf: ctx.runtime_expr("runtime::malloc"),
+         "runtime call runtime::malloc takes 1 arguments, got 0"),
+        (lambda ctx, buf: ctx.runtime_expr("runtime::cuda_malloc", 16, 16),
+         "runtime call runtime::cuda_malloc takes 1 arguments, got 2"),
+        (lambda ctx, buf: ctx.runtime("runtime::malloc", 16),
+         "runtime call runtime::malloc is not a statement"),
+        (lambda ctx, buf: ctx.declare("float*", ctx.runtime_expr("runtime::memcpy", buf, buf, 4)),
+         "runtime call runtime::memcpy does not produce a value"),
+        (lambda ctx, buf: ctx.runtime_expr("runtime::grid_sync"),
+         "runtime call runtime::grid_sync does not produce a value"),
+    ])
+    def test_runtime_calls_take_their_c_signatures(self, call, message):
+        # g++ refuses each against tests/data/runtime.h but an allocation as a statement
+        ctx = fresh_ctx()
+        buf = ctx.parameter("float*")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(ctx, buf)
+        assert RUNTIME_CALLS["runtime::memcpy"] == (3, False)
+
+    @pytest.mark.parametrize("kind", ["int*", "float**", "double", "void", "float *"])
+    def test_variables_are_int_float_or_float_pointer(self, kind):
+        ctx = fresh_ctx()
+        buf = ctx.parameter("float*")
+        with pytest.raises(ValueError, match=f"^variable var0 has kind {re.escape(repr(kind))}, "
+                                             "not int, float or float\\*$"):
+            ctx.declare(kind, buf)
+        ctx.parameter(kind)
+        with pytest.raises(ValueError, match=f"^variable arg1 has kind {re.escape(repr(kind))}"):
+            ctx.finish()
+        with pytest.raises(ValueError, match="^variable p has kind"):
+            SecondStageProgram("p", (("p", kind),), [])
 
     def test_registry_is_the_public_surface(self):
         assert set(RUNTIME_CALLS) == {
