@@ -22,15 +22,18 @@ outside that range.  All values here are immutable after construction and
 safe to share.
 
 The parser runs a recursive descent over the tokens one regular
-expression splits each line into.  Building a ``Program`` fills a
-per-label table: each label's command, its ``StepObligations`` (read set
-and assigned variable), its next label and its successors (as a set and
-fall-through first), so ``command_obligations`` and the successor queries
-are lookups.  The first use of a label compiles its transition into nested
-closures over the slots, a list with one entry per variable, and keeps it
-in the table, as a ``Program`` keeps its ``sweep_order`` and last
-``label_path`` (neither enters equality or pickling).  An assignment
-writes its slot and returns the next label; a branch returns a label.
+expression splits each line into; one parse makes one node per variable
+name and per literal token.  Building a ``Program`` fills a per-label
+table: each label's command, its ``StepObligations`` (read set and
+assigned variable, one record per distinct pair), its next label and its
+successors (as a set and fall-through first), so ``command_obligations``
+and the successor queries are lookups.  The first use of a label compiles
+its transition into nested closures over the slots, a list with one entry
+per variable, and keeps it in the table, as a ``Program`` keeps its
+``sweep_order`` and last ``label_path`` (neither enters equality or
+pickling); every transition shares one read closure per variable and one
+constant closure per literal.  An assignment writes its slot and returns
+the next label; a branch returns a label.
 
 ``execution`` is the one loop over the transitions and the one home of
 the ``max_steps`` rule.  ``label_path`` yields only the first position of
@@ -218,24 +221,25 @@ class StepObligations:
     prediction_extra: VarSet
 
 
-_NO_OBLIGATIONS = StepObligations(frozenset(), frozenset())
-
-
 class _LabelEntry:
     """What the semantics and analyses ask about a label; ``transition`` compiles on first use."""
 
     __slots__ = ("command", "obligations", "next_label", "ordered_successors", "successors",
                  "transition")
 
-    def __init__(self, command: Command, next_label: Label | None):
+    def __init__(self, command: Command, next_label: Label | None,
+                 shared: dict[tuple[VarSet, VarSet], StepObligations]):
         self.command = command
         self.next_label = next_label
         if isinstance(command, Assign):
-            self.obligations = StepObligations(expr_vars(command.expr), frozenset((command.var,)))
+            key = expr_vars(command.expr), frozenset((command.var,))
         elif isinstance(command, If):
-            self.obligations = StepObligations(expr_vars(command.cond), frozenset())
+            key = expr_vars(command.cond), frozenset()
         else:
-            self.obligations = _NO_OBLIGATIONS
+            key = frozenset(), frozenset()
+        if (obligations := shared.get(key)) is None:
+            obligations = shared[key] = StepObligations(*key)
+        self.obligations = obligations
         # fall-through first, then the branch target (next_label is None only at the end)
         if isinstance(command, Goto):
             ordered: tuple[Label, ...] = (command.target,)
@@ -270,13 +274,13 @@ class Program:
         self.labels: tuple[Label, ...] = tuple(label for label, _ in self.commands)
         followers = self.commands[1:] + ((None, None),)
         self._table: dict[Label, _LabelEntry] = {}
+        shared: dict[tuple[VarSet, VarSet], StepObligations] = {}
         for (label, command), (nxt, _) in zip(self.commands, followers):
             if label in self._table:
                 raise ProgramStructureError(f"duplicate label {label!r}")
-            self._table[label] = _LabelEntry(command, nxt)
+            self._table[label] = _LabelEntry(command, nxt, shared)
         # None stands for the end, where only a final command that falls through goes
         inverse: dict[Label | None, set[Label]] = {label: set() for label in (*self.labels, None)}
-        variables: set[str] = set()
         for (label, command), (_, follower) in zip(self.commands, followers):
             entry = self._table[label]
             if isinstance(command, Halt) and not isinstance(follower, Done):
@@ -289,14 +293,15 @@ class Program:
                 )
             for successor in entry.ordered_successors:
                 inverse[successor].add(label)
-            variables |= entry.obligations.precondition | entry.obligations.prediction_extra
         if inverse.pop(None):
             raise ProgramStructureError(
                 f"last command at {self.labels[-1]!r} may fall through past the end"
             )
         self._predecessors = {label: frozenset(preds) for label, preds in inverse.items()}
-        self._variables = frozenset(variables)
-        self._slot = {name: at for at, name in enumerate(sorted(variables))}
+        self._variables = frozenset().union(*(o.precondition | o.prediction_extra
+                                              for o in shared.values()))
+        self._slot = {name: at for at, name in enumerate(sorted(self._variables))}
+        self._leaves = _Leaves(self._slot)
         self._sweep_order: tuple[Label, ...] | None = None
         self._path: tuple | None = None  # (key, the entries of label_path)
 
@@ -385,11 +390,17 @@ _BARE_COMMANDS = {"skip": Skip, "halt": Halt, "done": Done}
 class _Parser:
     """Recursive descent over one line's tokens, then an empty end token.
 
-    Errors point at the next token or the end of the text, found only then;
-    a nesting error, or a word read in place of ``then``, just past the last token read.
+    One parser reads a whole program, ``reset`` for each line, and interns
+    each ``Var`` by name and each ``Num`` by its token, so a program holds
+    one node of each.  Errors point at the next token or the end of the
+    text, found only then; a nesting error, or a word read in place of
+    ``then``, just past the last token read.
     """
 
-    def __init__(self, text: str, line_no: int, offset: int):
+    def __init__(self) -> None:
+        self.leaves: dict[str, Num | Var] = {}  # by token: digits make a Num, a word a Var
+
+    def reset(self, text: str, line_no: int, offset: int) -> None:
         self.text = text
         self.line_no = line_no
         self.offset = offset  # column of text[0] within the original line
@@ -460,19 +471,21 @@ class _Parser:
                 raise self.error("expected ')'")
             return node
         token = self.tokens[self.i]
-        if token[:1] in _DIGITS:
-            try:
-                value = int(token)
-            except ValueError:  # longer than int() accepts
-                raise self.error("integer literal too long") from None
-            if value >= _INT64_SIGN:
-                raise self.error("integer literal outside the 64-bit range")
-            self.i += 1
-            return Num(value)
-        if token[:1] in _WORD_START and token not in _KEYWORDS:
-            self.i += 1
-            return Var(token)
-        raise self.error("expected integer, identifier, or '('")
+        if (node := self.leaves.get(token)) is None:
+            if token[:1] in _DIGITS:
+                try:
+                    value = int(token)
+                except ValueError:  # longer than int() accepts
+                    raise self.error("integer literal too long") from None
+                if value >= _INT64_SIGN:
+                    raise self.error("integer literal outside the 64-bit range")
+                node = self.leaves[token] = Num(value)
+            elif token[:1] in _WORD_START and token not in _KEYWORDS:
+                node = self.leaves[token] = Var(token)
+            else:
+                raise self.error("expected integer, identifier, or '('")
+        self.i += 1
+        return node
 
     # boolean: bor := band ("or" band)*, band := bnot ("and" bnot)*
     def bexp(self) -> BExp:
@@ -522,8 +535,8 @@ def is_variable_name(text: str) -> bool:
     return _IDENT_RE.fullmatch(text) is not None and text not in _KEYWORDS
 
 
-def _parse_command(rest: str, line_no: int, offset: int) -> Command:
-    parser = _Parser(rest, line_no, offset)
+def _parse_command(parser: _Parser, rest: str, line_no: int, offset: int) -> Command:
+    parser.reset(rest, line_no, offset)
     word = parser.take_word()
     if word in _BARE_COMMANDS:
         return parser.end(_BARE_COMMANDS[word]())
@@ -544,9 +557,13 @@ def _parse_command(rest: str, line_no: int, offset: int) -> Command:
 
 
 def parse_program(text: str) -> Program:
-    """Parse program text (one ``label: command`` per line, ``#`` comments)."""
+    """Parse program text (one ``label: command`` per line, ``#`` comments).
+
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``, as in a file read with universal newlines.
+    """
     pairs: list[tuple[Label, Command]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    parser = _Parser()
+    for line_no, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
@@ -556,7 +573,7 @@ def parse_program(text: str) -> Program:
         label = line[:colon].strip()
         if not _IDENT_RE.fullmatch(label):
             raise ParseError(f"invalid label {label!r}", line_no, 1)
-        pairs.append((label, _parse_command(line[colon + 1 :], line_no, colon + 2)))
+        pairs.append((label, _parse_command(parser, line[colon + 1 :], line_no, colon + 2)))
     if not pairs:
         raise ParseError("empty program", 1, 1)
     return Program(pairs)
@@ -687,25 +704,43 @@ _APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "=": operator
           "<=": operator.le, "and": operator.and_, "or": operator.or_}
 
 
-def _expr(expr: AExp | BExp, slot: dict[str, int]) -> Callable[[list], int | bool]:
-    if isinstance(expr, (Num, BoolLit)):
-        constant = expr.value
-        return lambda slots: constant
+class _Leaves(dict):
+    """A ``Program``'s leaf closures, made on first use and shared by all its transitions.
+
+    A read is keyed by its variable's name, a constant by its type and value: ``Num(True)``
+    gets a closure of its own beside ``Num(1)``.
+    """
+
+    def __init__(self, slot: dict[str, int]):
+        super().__init__()
+        self.slot = slot
+
+    def __missing__(self, key: str | tuple[type, int | bool]) -> Callable[[list], int | bool]:
+        if isinstance(key, str):
+            at = self.slot[key]
+
+            def leaf(slots):
+                if (value := slots[at]) is None:
+                    raise UndefinedVariableError(key)
+                return value
+        else:
+            constant = key[1]
+            leaf = lambda slots: constant
+        self[key] = leaf
+        return leaf
+
+
+def _expr(expr: AExp | BExp, leaves: _Leaves) -> Callable[[list], int | bool]:
     if isinstance(expr, Var):
-        at, name = slot[expr.name], expr.name
-
-        def read(slots):
-            if (value := slots[at]) is None:
-                raise UndefinedVariableError(name)
-            return value
-
-        return read
+        return leaves[expr.name]
+    if isinstance(expr, (Num, BoolLit)):
+        return leaves[type(expr.value), expr.value]
     if isinstance(expr, Not):
-        inner = _expr(expr.operand, slot)
+        inner = _expr(expr.operand, leaves)
         return lambda slots: not inner(slots)
     if not isinstance(expr, (ABin, Cmp, BBin)):
         raise TypeError(f"not an expression: {expr!r}")
-    apply, lhs, rhs = _APPLY[expr.op], _expr(expr.left, slot), _expr(expr.right, slot)
+    apply, lhs, rhs = _APPLY[expr.op], _expr(expr.left, leaves), _expr(expr.right, leaves)
     if isinstance(expr, ABin):
 
         def arith(slots):
@@ -717,7 +752,7 @@ def _expr(expr: AExp | BExp, slot: dict[str, int]) -> Callable[[list], int | boo
     return lambda slots: apply(lhs(slots), rhs(slots))
 
 
-def _compile_label(command: Command, nxt: Label | None, slot: dict[str, int]) -> Transition:
+def _compile_label(command: Command, nxt: Label | None, leaves: _Leaves) -> Transition:
     """The standard rule for ``command`` as a function of the slots: it returns what it reached."""
     if isinstance(command, Done):
         return lambda slots: AT_DONE
@@ -725,7 +760,7 @@ def _compile_label(command: Command, nxt: Label | None, slot: dict[str, int]) ->
         target = command.target if isinstance(command, Goto) else nxt
         return lambda slots: target
     if isinstance(command, Assign):
-        at, evaluate = slot[command.var], _expr(command.expr, slot)
+        at, evaluate = leaves.slot[command.var], _expr(command.expr, leaves)
 
         def assign(slots):
             try:
@@ -736,7 +771,7 @@ def _compile_label(command: Command, nxt: Label | None, slot: dict[str, int]) ->
 
         return assign
     if isinstance(command, If):
-        holds, target = _expr(command.cond, slot), command.target
+        holds, target = _expr(command.cond, leaves), command.target
 
         def branch(slots):
             try:
@@ -752,7 +787,7 @@ def _transition(program: Program, label: Label) -> Transition:
     """The compiled rule at ``label``; the first call at a label compiles and keeps it."""
     entry = program._entry(label)
     if entry.transition is None:
-        entry.transition = _compile_label(entry.command, entry.next_label, program._slot)
+        entry.transition = _compile_label(entry.command, entry.next_label, program._leaves)
     return entry.transition
 
 

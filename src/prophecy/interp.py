@@ -377,11 +377,17 @@ def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) ->
     fully initialized and its final contents are returned under the same
     name), every int parameter by an integer and every float parameter by a
     real number (its final value is returned); any other input is an
-    InterpError naming the parameter.  A program nested deeper than Python compiles (20 loops,
-    about 200 parentheses) is an InterpError.
+    InterpError naming the parameter.  What C's types refuse is an
+    InterpError when the program is printed, before any input is looked at.
+    A program nested deeper than Python compiles (20 loops, about 200
+    parentheses) is an InterpError.
     """
     w = _Walk(program)
-    args, body = [], []  # body: the function's lines, from the locals of each pointer parameter
+    # the function's lines, from the locals of each pointer parameter
+    body = ["    " + _TRACK.format(k) for k, (_, kind) in enumerate(program.params)
+            if kind == "float*"]
+    w.block(program.body, 1, body)
+    args = []
     for name, kind in program.params:
         if name not in inputs:
             raise InterpError(f"missing input for parameter {name!r}")
@@ -390,13 +396,11 @@ def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) ->
             if np.ndim(value) == 0:  # None, or a bare scalar
                 raise InterpError(f"parameter {name!r} needs an array, got {type(value).__name__}")
             args.append(Buffer(list(np.asarray(value, dtype=np.float32).ravel()), name))
-            body.append("    " + _TRACK.format(len(args) - 1))
         elif not isinstance(value, numbers.Integral if kind == "int" else numbers.Real):
             need = "an integer" if kind == "int" else "a number"
             raise InterpError(f"parameter {name!r} needs {need}, got {value!r}")
         else:
             args.append(int(value) if kind == "int" else np.float32(value))
-    w.block(program.body, 1, body)
     params = [f"v{k}" for k in range(len(args))] + [f"{c}={c}" for c in w.constants]
     source = "\n".join([f"def _program({', '.join(params)}):", *body, f"    {w.result}"])
     namespace = dict(w.constants)

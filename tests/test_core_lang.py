@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import random
 
@@ -28,6 +29,7 @@ from prophecy.core_lang import (
     TraceKind,
     UndefinedVariableError,
     Var,
+    command_obligations,
     expr_vars,
     label_path,
     parse_program,
@@ -38,7 +40,7 @@ from prophecy.core_lang import (
 from prophecy.engine import analyze_concrete, live_variables_oracle
 from prophecy.extended import check_progress
 from randprog import random_program
-from test_differential import _wrap64, eval_expr
+from test_differential import _wrap64, eval_expr, reference_step
 
 MINIMAL = "l0: x := 1\nl1: halt\nl2: done"
 
@@ -117,6 +119,19 @@ class TestParser:
         text = "# header\nl0: x := 1  # set x\n\nl1: halt\nl2: done\n"
         program = parse_program(text)
         assert program.labels == ("l0", "l1", "l2")
+
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                           "\u2028", "\u2029"])
+    def test_only_newlines_end_a_line(self, separator):
+        # a comment runs on past any other line separator, which inside a command is no blank
+        program = parse_program(f"l0: x := 1 # note{separator}more\nl1: halt\nl2: done")
+        assert program.labels == ("l0", "l1", "l2")
+        with pytest.raises(ParseError, match=r"^1:11: unexpected trailing input"):
+            parse_program(f"l0: x := 1{separator}l1: halt\nl2: done")
+
+    def test_universal_newlines_end_a_line(self):
+        with pytest.raises(ParseError, match=r"^3:10: expected integer"):
+            parse_program("l0: x := 1\r\nl1: halt\rl2: y := ?\nl3: done")
 
     def test_precedence_and_parens(self):
         program = parse_program("l0: x := 1 + 2 * 3 - (4 - 1)\nl1: halt\nl2: done")
@@ -268,6 +283,73 @@ class TestLazyCompilation:
         copy = pickle.loads(pickle.dumps(program))
         assert copy == program
         assert run_trace(copy) == trace
+
+
+# three variables, each read where another is written, so a read of the wrong slot shows
+SHARED = """
+l0: a := 3
+l1: b := a + 1
+l2: c := b * a - 1
+l3: if c <= 20 and not a = 1 then l6
+l4: a := a - 1
+l5: goto l1
+l6: b := b + 1
+l7: halt
+l8: done
+"""
+
+
+def _nodes(node):
+    """``node`` and every node under it."""
+    yield node
+    for field in dataclasses.fields(node):
+        if dataclasses.is_dataclass(child := getattr(node, field.name)):
+            yield from _nodes(child)
+
+
+def _unshared(node):
+    """An equal copy of ``node`` that shares no node with anything else."""
+    if not dataclasses.is_dataclass(node):
+        return node
+    return type(node)(*(_unshared(getattr(node, f.name)) for f in dataclasses.fields(node)))
+
+
+class TestSharing:
+    """A ``Program`` shares what repeats; sharing changes no result."""
+
+    def test_parsed_program_holds_one_node_per_leaf_and_one_record_per_obligation(self):
+        program = parse_program(SHARED)
+        leaves = [node for _, command in program.commands for node in _nodes(command)
+                  if isinstance(node, (Var, Num))]
+        first: dict = {}
+        assert all(first.setdefault(node, node) is node for node in leaves)
+        assert len(first) == 6 < len(leaves)  # a, b, c, 1, 3 and 20
+        records = [command_obligations(program, label) for label in program.labels]
+        assert len({id(record) for record in records}) == len(set(records)) < len(records)
+        assert program.variables() == {"a", "b", "c"}
+
+    def test_unshared_equal_nodes_build_an_equal_program(self):
+        parsed = parse_program(SHARED)
+        built = Program([(label, _unshared(command)) for label, command in parsed.commands])
+        assert built == parsed and hash(built) == hash(parsed)
+        assert print_program(built) == print_program(parsed)
+        assert built.variables() == parsed.variables()
+        for label in parsed.labels:
+            assert command_obligations(built, label) == command_obligations(parsed, label)
+            for state in ({}, {"a": 2}, {"a": 5, "b": -1, "c": 9}):
+                config = Configuration.make(label, state)
+                assert step(built, config) == reference_step(built, config) == step(parsed, config)
+        assert run_trace(built) == run_trace(parsed)
+
+    @pytest.mark.parametrize("order", [(1, True), (True, 1)])
+    def test_equal_constants_of_two_types_keep_their_own_values(self, order):
+        commands = [(f"l{k}", Assign(f"x{k}", Num(value))) for k, value in enumerate(order)]
+        program = Program(commands + [("l2", If(BoolLit(True), "l3")), ("l3", Halt()),
+                                      ("l4", Done())])
+        final = run_trace(program).configurations[-1].state_dict()
+        assert [(final[f"x{k}"], type(final[f"x{k}"])) for k in range(2)] == [
+            (value, type(value)) for value in order
+        ]
 
 
 class TestTrace:

@@ -27,6 +27,12 @@ def _refused_program(statement):
     return ctx.finish()
 
 
+def _refused_inputs(program):
+    """Inputs of the kind each parameter of ``program`` needs."""
+    return {name: np.zeros(2) if kind == "float*" else 0 if kind == "int" else 0.0
+            for name, kind in program.params}
+
+
 def _found_pointer_to_float(ctx, buf):
     p = ctx.declare("float*", buf)
     ctx.assign(p, 1)  # the first of C's three refusals here
@@ -65,6 +71,8 @@ REFUSED = {
                                           "float* var0 cannot hold a number"),
     "int in a pointer": (lambda ctx, buf: ctx.declare("float*", 3),
                          "float* var0 cannot hold a number"),
+    "int parameter in a pointer": (lambda ctx, buf: ctx.declare("float*", ctx.parameter("int")),
+                                   "float* var0 cannot hold a number"),
     "load in a pointer": (lambda ctx, buf: ctx.declare("float*", buf[0]),
                           "float* var0 cannot hold a number"),
     "int assigned to a pointer parameter": (lambda ctx, buf: ctx.assign(buf, 1),
@@ -408,8 +416,13 @@ class TestErrors:
     def test_what_c_types_refuse_is_refused_before_anything_runs(self, case):
         statement, message = REFUSED[case]
         program = _refused_program(statement)
-        inputs = {name: np.zeros(2) if kind == "float*" else 0.0 for name, kind in program.params}
         with pytest.raises(InterpError, match=f"^{re.escape(message)}$"):
+            interpret_program(program, _refused_inputs(program))
+
+    @pytest.mark.parametrize("inputs", [{"arg0": [0.0], "arg1": 0.0}, {"arg0": 1.0, "arg1": 0}, {}])
+    def test_what_c_types_refuse_is_refused_before_any_input_is_read(self, inputs):
+        program = _refused_program(REFUSED["int parameter in a pointer"][0])
+        with pytest.raises(InterpError, match=r"^float\* var0 cannot hold a number$"):
             interpret_program(program, inputs)
 
     def test_long_sum_and_too_deep_loop_nest(self):

@@ -85,7 +85,8 @@ from prophecy.second_stage import (
     iter_stmts,
 )
 from prophecy.staging import ProphecyStore, StageContext
-from test_interp import C_COMPARISONS, REFUSED, _comparison_program, _refused_program
+from test_interp import (C_COMPARISONS, REFUSED, _comparison_program, _refused_inputs,
+                         _refused_program)
 from test_pins import INTERPRETED
 
 
@@ -415,6 +416,9 @@ def reference_interpret(
     program: SecondStageProgram, inputs: Mapping[str, Any]
 ) -> dict[str, Any]:
     slots = _collect_slots(program)
+    loops = {s.var for s in iter_stmts(program.body) if isinstance(s, ForLoop)}
+    scope = _Scope(slots, _var_kinds(program), loops, {name for name, _ in program.params})
+    body = [_compile_stmt(s, scope) for s in program.body]  # refuses what C's types refuse
     env: list[Any] = [None] * len(slots)
     for name, kind in program.params:
         if name not in inputs:
@@ -426,9 +430,6 @@ def reference_interpret(
             env[slots[name]] = int(inputs[name])
         else:
             env[slots[name]] = np.float32(inputs[name])
-    loops = {s.var for s in iter_stmts(program.body) if isinstance(s, ForLoop)}
-    scope = _Scope(slots, _var_kinds(program), loops, {name for name, _ in program.params})
-    body = [_compile_stmt(s, scope) for s in program.body]
     for fn in body:
         fn(env)
     outputs: dict[str, Any] = {}
@@ -716,10 +717,10 @@ def test_pinned_builds_match_reference(case):
 def test_refusals_match_reference(case):
     statement, message = REFUSED[case]
     program = _refused_program(statement)
-    inputs = {name: np.zeros(2) if kind == "float*" else 0.0 for name, kind in program.params}
     expected = ("error", "InterpError", message)
-    assert _outcome(interpret_program, program, inputs) == expected
-    assert _outcome(reference_interpret, program, inputs) == expected
+    for inputs in (_refused_inputs(program), {}):  # refused before any input is read
+        assert _outcome(interpret_program, program, inputs) == expected
+        assert _outcome(reference_interpret, program, inputs) == expected
 
 
 @pytest.mark.parametrize("case", sorted(C_COMPARISONS))

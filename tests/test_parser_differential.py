@@ -246,7 +246,8 @@ def reference_parse_command(rest: str, line_no: int, offset: int) -> Command:
 def reference_parse_program(text: str) -> Program:
     """``parse_program`` over the character-level parser."""
     pairs: list[tuple[Label, Command]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
