@@ -18,8 +18,9 @@ variable missing from the state makes the execution stuck.
 
 Integers are 64-bit two's complement with wrap-around on overflow: the
 parser rejects a literal above 2**63 - 1 and an execution an initial value
-outside that range.  All values here are immutable after construction and
-safe to share.
+outside that range.  A ``Num`` holds such an int (never a bool) and a
+``BoolLit`` a bool; any other value is a ValueError when the node is
+built.  All values here are immutable after construction and safe to share.
 
 The parser runs a recursive descent over the tokens one regular
 expression splits each line into; one parse makes one node per variable
@@ -65,6 +66,10 @@ _KEYWORDS = frozenset(
 )
 
 
+def _fits_int64(value: object) -> bool:
+    return type(value) is int and -_INT64_SIGN <= value < _INT64_SIGN
+
+
 def _wrap64(value: int) -> int:
     value &= _INT64_MASK
     return value - (1 << 64) if value & _INT64_SIGN else value
@@ -106,6 +111,10 @@ class UnknownLabelError(CoreLangError):
 class Num:
     value: int
 
+    def __post_init__(self) -> None:
+        if not _fits_int64(self.value):
+            raise ValueError(f"integer literal is not a 64-bit integer: {self.value!r}")
+
 
 @dataclass(frozen=True)
 class Var:
@@ -125,6 +134,10 @@ AExp = Union[Num, Var, ABin]
 @dataclass(frozen=True)
 class BoolLit:
     value: bool
+
+    def __post_init__(self) -> None:
+        if type(self.value) is not bool:
+            raise ValueError(f"boolean literal is not a bool: {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -707,8 +720,8 @@ _APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "=": operator
 class _Leaves(dict):
     """A ``Program``'s leaf closures, made on first use and shared by all its transitions.
 
-    A read is keyed by its variable's name, a constant by its type and value: ``Num(True)``
-    gets a closure of its own beside ``Num(1)``.
+    A read is keyed by its variable's name, a constant by its type and value: ``BoolLit(True)``
+    gets a closure of its own beside ``Num(1)``, though ``True == 1``.
     """
 
     def __init__(self, slot: dict[str, int]):
@@ -795,7 +808,7 @@ def _initial(initial_state: State | None) -> StateTuple:
     """The initial state sorted by name, once every value is checked to be a 64-bit integer."""
     state = tuple(sorted((initial_state or {}).items()))
     for name, value in state:
-        if type(value) is not int or not -_INT64_SIGN <= value < _INT64_SIGN:
+        if not _fits_int64(value):
             raise ValueError(f"initial value of {name!r} is not a 64-bit integer: {value!r}")
     return state
 

@@ -19,18 +19,16 @@ message.
 Each call prints the program as one Python function, walking it as
 ``emit_c`` does (``_expr_src``/``_stmt_src`` mirror ``_expr_text``/
 ``_stmt_lines``), and runs it.  Variables are locals named by slot (``v3``),
-so reading one that holds no value raises UnboundLocalError, reported under
-its recorded name.  As in C, a declared variable is in scope from its
-declaration to the end of its block, and a loop variable in its loop's body
-only; a read anywhere else is an InterpError.  What C's types refuse is
-refused when the program is printed, and three rules give every access one
-inline form: a ``float*`` holds only a buffer (an allocation or a ``float*``
-variable); only a ``float*`` variable is indexed; and an index is an int,
-where a comparison is C's int, 0 or 1 (``int(...)``; an ``if`` tests it
-bare).  A pointer's elements and size stay in locals (``V3 N3``), set on
-entry and after each value it is given; one declared without a value has
-``N3 = 0``, so an access through it falls to ``_at``/``_in_bounds``, which
-read the unset variable.  An access evaluates its index, then tests its
+and every declaration gives its variable a value.  As in C, a declared
+variable is in scope from the end of its value to the end of its block, and
+a loop variable in its loop's body only; a read anywhere else, its own value
+included, is an InterpError.  What C's types refuse is refused when the
+program is printed, and three rules give every access one inline form: a
+``float*`` holds only a buffer (an allocation or a ``float*`` variable);
+only a ``float*`` variable is indexed; and an index is an int, where a
+comparison is C's int, 0 or 1 (``int(...)``; an ``if`` tests it bare).  A
+pointer's elements and size stay in locals (``V3 N3``), set on entry and
+after each value it is given.  An access evaluates its index, then tests its
 bounds, and a store then its value.  As in C, an int variable holds only
 ints (``_int``), a float variable given an int holds it as a float32, and
 ``%`` truncates toward zero: inline with one sign test for a positive
@@ -49,8 +47,8 @@ each statement of the body for loop variable ``v`` is
       in the same body, so empty once ``v`` reaches its bound (less ``e``),
       where ``e`` is built of int literals, ``+ - *``, enclosing loop
       variables and int parameters that nothing assigns, so it can neither
-      raise, nor read a variable that holds no value, nor change while the
-      loop runs (the body of a loop in (b) is not checked);
+      raise nor change while the loop runs (the body of a loop in (b) is not
+      checked);
   (c) a loop whose start is built the same way from those, ``v`` and the
       loop variables in between, and whose own body holds only (a) to (d); or
   (d) such a declaration of ``d``, which nothing outside the loop can read.
@@ -61,7 +59,6 @@ thread id) still visits every block, with no thread past the data.
 """
 
 import numbers
-import re
 from typing import Any, Mapping
 
 import numpy as np
@@ -183,27 +180,16 @@ class _Walk:
         return isinstance(expr, RuntimeCallExpr) or (
             isinstance(expr, VarRef) and self.kinds.get(expr.name) == "float*")
 
-    def is_int(self, expr: Expr) -> bool:
-        """Built of int literals, int variables (parameters, declarations, loop variables) and
-        comparisons (C's int, see ``_expr_src``), so a Python int."""
-        match expr:
-            case IntLit(value):
-                return type(value) is int
-            case VarRef(name):
-                return self.kinds.get(name) == "int"
-            case Binary("+" | "-" | "*" | "%", left, right):
-                return self.is_int(left) and self.is_int(right)
-            case Binary(op):
-                return op in _BINOPS
-        return False
-
     def is_float(self, expr: Expr) -> bool:
-        """A float literal or variable, a load, or arithmetic on one: no index, nor ``%``'s."""
+        """A float literal or variable, an ``IntLit`` holding no int, a load, or arithmetic on
+        one: no index, nor ``%``'s.  Any other printed number is a Python int (see ``stored``)."""
         match expr:
             case Binary("+" | "-" | "*" | "%", left, right):
                 return self.is_float(left) or self.is_float(right)
             case VarRef(name):
                 return self.kinds.get(name) == "float"
+            case IntLit(value):
+                return type(value) is not int
         return isinstance(expr, (FloatLit, ArrayIndex))
 
     def number(self, expr: Expr, holder: str = "") -> Expr:
@@ -222,8 +208,8 @@ class _Walk:
         if kind in ("int", "float"):
             self.number(expr, f"{kind} {name}")
         if kind == "int":
-            return src if self.is_int(expr) else f"_int({src}, {name!r})"
-        return f"_f32({src})" if kind == "float" and self.is_int(expr) else src
+            return f"_int({src}, {name!r})" if self.is_float(expr) else src
+        return f"_f32({src})" if kind == "float" and not self.is_float(expr) else src
 
     def stop(self, loop: ForLoop) -> int | str:
         """Where ``loop``'s range stops: its bound, or before it when every later iteration
@@ -296,7 +282,7 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
             if op == "%":
                 if w.is_float(left) or w.is_float(right):
                     raise InterpError("% with a float operand")
-                if isinstance(right, IntLit) and type(d := right.value) is int and d > 0:  # inline
+                if isinstance(right, IntLit) and (d := right.value) > 0:  # inline
                     return f"(_m % {d} if (_m := {_expr_src(left, w)}) >= 0 else -(-_m % {d}))"
                 return f"_mod({_expr_src(left, w)}, {_expr_src(right, w)})"
             if op not in _BINOPS:
@@ -318,17 +304,11 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
 def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk) -> None:
     pad = "    " * depth
     match stmt:
-        case Declare(name, kind, init):
-            w.outside.discard(name)
-            v, k = w.local(name), w.slots[name]
-            if init is None:  # holds no value until assigned
-                out.append(f"{pad}{v} = None; del {v}")
-            else:
-                out.append(f"{pad}{v} = {w.stored(name, init, _expr_src(init, w, name))}")
-            if kind == "float*":  # with no value, an access falls to _at, which reads the unset v
-                out.append(pad + (f"N{k} = 0" if init is None else _TRACK.format(k)))
-        case Assign(VarRef(name), value):
-            value_src = w.stored(name, value, _expr_src(value, w))
+        case Declare(name, _, value) | Assign(VarRef(name), value):
+            declared = isinstance(stmt, Declare)  # a declared allocation takes the variable's name
+            value_src = w.stored(name, value, _expr_src(value, w, name if declared else None))
+            if declared:
+                w.outside.discard(name)  # in scope from the end of its value
             out.append(f"{pad}{w.local(name)} = {value_src}")
             if w.kinds[name] == "float*":
                 out.append(pad + _TRACK.format(w.slots[name]))
@@ -408,13 +388,7 @@ def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) ->
         exec(compile(source, f"<{program.name}>", "exec"), globals(), namespace)
     except SyntaxError as exc:
         raise InterpError(f"program {program.name} is nested too deeply: {exc.msg}") from None
-    try:
-        final = namespace["_program"](*args)
-    except UnboundLocalError as exc:
-        if not (unset := re.search(r"'v(\d+)'", str(exc))):
-            raise
-        name = list(w.slots)[int(unset[1])]
-        raise InterpError(f"variable {name} used before it holds a value") from None
+    final = namespace["_program"](*args)
     return {name: np.array([0.0 if x is None else x for x in value.values], np.float32)
             if isinstance(value, Buffer) else value
             for (name, _), value in zip(program.params, final)}

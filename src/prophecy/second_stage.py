@@ -103,7 +103,7 @@ Expr = Union[IntLit, FloatLit, VarRef, Binary, ArrayIndex, RuntimeCallExpr]
 class Declare:
     name: str
     kind: str  # int | float | float*
-    init: Expr | None = None
+    init: Expr
 
     def __post_init__(self) -> None:
         _check_kind(self.name, self.kind)
@@ -201,10 +201,7 @@ def _stmt_lines(stmt: Stmt, depth: int, out: list[str]) -> None:
     pad = "  " * depth
     match stmt:
         case Declare(name, kind, init):
-            if init is None:
-                out.append(f"{pad}{kind} {name};")
-            else:
-                out.append(f"{pad}{kind} {name} = {_expr_text(init, top=True)};")
+            out.append(f"{pad}{kind} {name} = {_expr_text(init, top=True)};")
         case Assign(target, value):
             out.append(f"{pad}{_expr_text(target, top=True)} = {_expr_text(value, top=True)};")
         case ForLoop(var, start, bound, step, body):

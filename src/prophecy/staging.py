@@ -354,10 +354,9 @@ class StageContext:
         self._params.append((name, kind))
         return StagedExpr(VarRef(name), self)
 
-    def declare(self, kind: str, init: Any = None) -> StagedExpr:
+    def declare(self, kind: str, init: Any) -> StagedExpr:
         name = self._fresh_var()
-        init_node = None if init is None else self.lift(init).node
-        self._record(Declare(name, kind, init_node))
+        self._record(Declare(name, kind, self.lift(init).node))
         return StagedExpr(VarRef(name), self)
 
     def assign(self, target: StagedExpr, value: Any) -> None:

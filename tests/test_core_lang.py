@@ -341,15 +341,12 @@ class TestSharing:
                 assert step(built, config) == reference_step(built, config) == step(parsed, config)
         assert run_trace(built) == run_trace(parsed)
 
-    @pytest.mark.parametrize("order", [(1, True), (True, 1)])
-    def test_equal_constants_of_two_types_keep_their_own_values(self, order):
-        commands = [(f"l{k}", Assign(f"x{k}", Num(value))) for k, value in enumerate(order)]
-        program = Program(commands + [("l2", If(BoolLit(True), "l3")), ("l3", Halt()),
-                                      ("l4", Done())])
-        final = run_trace(program).configurations[-1].state_dict()
-        assert [(final[f"x{k}"], type(final[f"x{k}"])) for k in range(2)] == [
-            (value, type(value)) for value in order
-        ]
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_equal_constants_of_two_types_keep_their_own_values(self, flag):
+        # the bool's leaf is made first; True == 1 and False == 0, yet x gets an int
+        text = f"l0: if {str(flag).lower()} then l1\nl1: x := {int(flag)}\nl2: halt\nl3: done"
+        final = run_trace(parse_program(text)).configurations[-1].state_dict()
+        assert (final["x"], type(final["x"])) == (int(flag), int)
 
 
 class TestTrace:
@@ -385,6 +382,17 @@ class TestInt64Domain:
     def test_largest_literal_parses(self):
         program = parse_program(f"l0: x := {2**63 - 1}\nl1: halt\nl2: done")
         assert program.command_at("l0") == Assign("x", Num(2**63 - 1))
+
+    @pytest.mark.parametrize("value", [True, False, 2**63, -(2**63) - 1, 1.0, "1", None])
+    def test_integer_literal_holds_a_64_bit_int(self, value):
+        # a Num(True) would store x = True, which print_program writes and the parser refuses
+        with pytest.raises(ValueError, match="^integer literal is not a 64-bit integer: "):
+            Num(value)
+
+    @pytest.mark.parametrize("value", [1, 0, None, "true"])
+    def test_boolean_literal_holds_a_bool(self, value):
+        with pytest.raises(ValueError, match="^boolean literal is not a bool: "):
+            BoolLit(value)
 
     @pytest.mark.parametrize("literal", [2**63, 99999999999999999999])
     def test_literal_above_the_range_is_a_parse_error(self, literal):

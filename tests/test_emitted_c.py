@@ -18,6 +18,7 @@ from prophecy.interp import InterpError, interpret_program
 from prophecy.second_stage import RUNTIME_HEADER, emit_c
 from prophecy.staging import ProphecyStore, StageContext
 from test_interp import C_COMPARISONS, REFUSED, _comparison_program, _refused_program
+from test_interp_differential import random_program
 from test_pins import STAGED, _einsum_corpus, _einsum_outcome
 
 pytestmark = pytest.mark.skipif(shutil.which("g++") is None, reason="no g++ on PATH")
@@ -100,3 +101,22 @@ def test_comparisons_compile_as_ints():
     # a bool promotes to int, as an index or an operand; test_interp pins what each program gives
     result = syntax_check({case: emit_c(_comparison_program(case)) for case in C_COMPARISONS})
     assert result.returncode == 0, result.stderr
+
+
+def test_generated_programs_compile_exactly_where_the_interpreter_prints_them():
+    # refused when printed, so before the inputs are read; g++ refuses the same programs
+    sources, refused = {}, set()
+    for mode in ("general", "kernels"):
+        for seed in range(300):
+            program, _ = random_program(seed, kernels=mode == "kernels")
+            name = f"{mode}-{seed}"
+            sources[name] = emit_c(program)
+            try:
+                interpret_program(program, {})
+            except InterpError as exc:
+                if not str(exc).startswith("missing input for parameter "):
+                    refused.add(name)
+    result = syntax_check(sources)
+    rejected = {line.split(":")[0] for line in result.stderr.splitlines() if ": error: " in line}
+    assert rejected == refused
+    assert 0 < len(refused) < len(sources) / 2

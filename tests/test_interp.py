@@ -8,9 +8,10 @@ import pytest
 from prophecy import interp
 from prophecy.interp import InterpError, interpret_program
 from prophecy.second_stage import (
-    Assign, Binary, ForLoop, IntLit, RuntimeCall, SecondStageProgram, VarRef, iter_stmts,
+    ArrayIndex, Assign, Binary, Declare, FloatLit, ForLoop, IntLit, RuntimeCall,
+    SecondStageProgram, VarRef, iter_stmts,
 )
-from prophecy.staging import ProphecyStore, StageContext
+from prophecy.staging import ProphecyStore, StageContext, StagingError
 from test_pins import INTERPRETED
 
 
@@ -109,6 +110,28 @@ REFUSED = {
         lambda ctx, buf: ctx.assign(buf[0], ctx.lift(3) % (ctx.lift(1) + buf[1] * 2)),
         "% with a float operand"),
 }
+
+
+_ELEMENT = lambda index: ArrayIndex(VarRef("arg0"), index)
+
+# Statements the recorder never makes, each with the InterpError both interpreters give when
+# the program ``_hand_built_program`` makes of it is printed.  C compiles ``float var0 = var0;``
+# but reads an indeterminate value; a literal index or ``%`` operand that holds a float is a
+# float, as C's would be.
+HAND_BUILT = {
+    "declaration that reads itself": (Declare("var0", "float", VarRef("var0")),
+                                      "variable var0 is used outside its block"),
+    "non-int literal as a store index": (Assign(_ELEMENT(IntLit(2.5)), FloatLit(1.0)),
+                                         "index 2.5 into arg0 is a float"),
+    "non-int literal as a load index": (Assign(_ELEMENT(IntLit(0)), _ELEMENT(IntLit(2.5))),
+                                        "index 2.5 into arg0 is a float"),
+    "non-int literal under %": (Assign(_ELEMENT(Binary("%", IntLit(3), IntLit(2.5))), FloatLit(1.0)),
+                                "% with a float operand"),
+}
+
+
+def _hand_built_program(case):
+    return SecondStageProgram("hand", (("arg0", "float*"),), [HAND_BUILT[case][0]])
 
 
 def _comparison_sum(ctx, buf):
@@ -305,19 +328,26 @@ class TestErrors:
     def test_pointer_that_holds_no_buffer(self, access, holds):
         ctx = ctx_named()
         out_buf = ctx.parameter("float*")
-        pointer = ctx.declare("float*", {"nothing": None, "declared int": 3}.get(holds, out_buf))
+        if holds == "nothing":  # every declaration has a value, so none is recorded
+            with pytest.raises(StagingError, match="^cannot stage a value of type NoneType$"):
+                ctx.declare("float*", None)
+            return
+        pointer = ctx.declare("float*", 3 if holds == "declared int" else out_buf)
         if holds == "assigned int":
             ctx.assign(pointer, 3)
         if access == "load":
             ctx.assign(out_buf[0], pointer[0])
         else:
             ctx.assign(pointer[0], 1.0)
-        if holds == "nothing":
-            message = "variable var0 used before it holds a value"
-        else:  # C refuses an int in a float*, so nothing runs
-            message = "float* var0 cannot hold a number"
-        with pytest.raises(InterpError, match=f"^{re.escape(message)}$"):
+        # C refuses an int in a float*, so nothing runs
+        with pytest.raises(InterpError, match=r"^float\* var0 cannot hold a number$"):
             interpret_program(ctx.finish(), {"arg0": [0.0]})
+
+    @pytest.mark.parametrize("case", sorted(HAND_BUILT))
+    def test_hand_built_refusals(self, case):
+        # refused when printed, so before the missing input is noticed
+        with pytest.raises(InterpError, match=f"^{re.escape(HAND_BUILT[case][1])}$"):
+            interpret_program(_hand_built_program(case), {})
 
     @pytest.mark.parametrize("access", ["load", "store"])
     def test_index_that_is_not_an_integer(self, access):

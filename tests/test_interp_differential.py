@@ -6,48 +6,51 @@ closure over an environment list.  It is kept here as it was, with its own
 ``Buffer``, less the branches of the second-stage features since removed
 (``Return``, ``Unary`` and ``runtime::free``) and of what a recorded node
 can no longer be (a runtime call of the wrong kind, a parameter kind other
-than ``int``, ``float`` or ``float*``), and with additions made to both.  A
-loop start, an ``int`` declaration's value and a value assigned to an
-``int`` variable or parameter become what C stores in an ``int``
-(``_to_int``): truncated toward zero, with nan or inf an InterpError.  A
-comparison is C's int, 0 or 1 (``_BINOPS``), and an int given to a
-``float`` variable or parameter becomes a float32 (``_as_stored``).  ``%``
-is C's, whose quotient truncates toward zero (``_c_mod``), with a zero
-divisor an InterpError.  What C's types refuse is an InterpError when the
-program compiles: a pointer (a ``float*`` variable or an allocation) used
-as a number (``_number``), so also an ``int`` or ``float`` variable given
-one, and a number given to a ``float*`` (``_held``); indexing anything but
-a ``float*`` variable, and a float index (``_compile_element``); anything
-but a pointer as a copy's source or destination (``_is_pointer``); and a
-``%`` with a float operand (``_is_float``).  So every index is an int and
-every indexed value a buffer, and an access evaluates its index before it
-reads its base, as the generated source does.  A variable is in scope as
-in C (``_Scope``): a declaration until its block ends, a loop variable in
-its loop's body only, and a read anywhere else is an InterpError when the
-program compiles.  Its loop builds the ``var < bound`` test and the
-``var = var + step`` update from the ``ForLoop`` fields and runs them as a
-``while`` loop.  It is the reference the generated-source interpreter must
-agree with.  Random programs are recorded through the public
-``StageContext`` API, so they have the recorder's shapes, and cover nested
-counted loops with literal, staged, float and float-parameter starts (some
-of them empty), grid-shaped nests like the einsum DSL's kernels (whose idle
-iterations the interpreter skips, some with their flat thread id offset by
-an int parameter the nest lowers), ``if_else``, ``int`` variables given
-float values and ``float`` ones given ints or comparisons, indices that
-sum two comparisons, remainders by positive, negative, zero and staged
-divisors, loads and stores in and out of bounds, reads of unset variables
-and of uninitialized elements, whole, short and over-long copies, aliases,
-and now and then, on purpose, what both refuse: a read of a variable after
-its block (a kernel's flat thread id after the nest, say), an ``int`` given
-a pointer, a ``float*`` given an int, an int indexed, a float index and an
-int copied.  A second test draws programs of kernel nests only, and a third
-checks that few programs are refused and no fewer end ``ok`` than before
-the generator scoped its variables.  The pinned builds with a small grid
-(matmul and matvec in all three strategies, conv/ReLU 24 x 5 with both
-flags) are compared too, as are the programs C's types refuse
-(``REFUSED`` in ``tests/test_interp.py``) and those that take a comparison
-as an int (``C_COMPARISONS`` there).  Outputs are compared byte for byte,
-scalars by type and value, and errors by type and message.
+than ``int``, ``float`` or ``float*``, a declaration without a value), and
+with additions made to both.  A loop start, an ``int`` declaration's value
+and a value assigned to an ``int`` variable or parameter become what C
+stores in an ``int`` (``_to_int``): truncated toward zero, with nan or inf
+an InterpError.  A comparison is C's int, 0 or 1 (``_BINOPS``), and an int
+given to a ``float`` variable or parameter becomes a float32
+(``_as_stored``).  ``%`` is C's, whose quotient truncates toward zero
+(``_c_mod``), with a zero divisor an InterpError.  What C's types refuse is
+an InterpError when the program compiles: a pointer (a ``float*`` variable
+or an allocation) used as a number (``_number``), so also an ``int`` or
+``float`` variable given one, and a number given to a ``float*``
+(``_held``); indexing anything but a ``float*`` variable, and a float index
+(``_compile_element``); anything but a pointer as a copy's source or
+destination (``_is_pointer``); and a ``%`` with a float operand
+(``_is_float``, where a hand-built ``IntLit`` holding anything but an int is
+a float).  So every index is an int and every indexed value a buffer, and an
+access evaluates its index before it reads its base, as the generated source
+does.  A variable is in scope as in C (``_Scope``): a declaration until its
+block ends, a loop variable in its loop's body only, and a read anywhere
+else is an InterpError when the program compiles; a declaration comes into
+scope once its value is compiled, so it cannot read itself.  Its loop builds
+the ``var < bound`` test and the ``var = var + step`` update from the
+``ForLoop`` fields and runs them as a ``while`` loop.  It is the reference
+the generated-source interpreter must agree with.  Random programs are
+recorded through the public ``StageContext`` API, so they have the
+recorder's shapes, and cover nested counted loops with literal, staged,
+float and float-parameter starts (some of them empty), grid-shaped nests
+like the einsum DSL's kernels (whose idle iterations the interpreter skips,
+some with their flat thread id offset by an int parameter the nest lowers),
+``if_else``, ``int`` variables given float values and ``float`` ones given
+ints or comparisons, indices that sum two comparisons, remainders by
+positive, negative, zero and staged divisors, loads and stores in and out of
+bounds, reads of uninitialized elements, whole, short and over-long copies,
+aliases, and now and then, on purpose, what both refuse: a read of a
+variable after its block (a kernel's flat thread id after the nest, say), an
+``int`` given a pointer, a ``float*`` given an int, an int indexed, a float
+index and an int copied.  A second test draws programs of kernel nests only,
+and a third checks that few programs are refused and no fewer end ``ok``
+than before the generator scoped its variables.  The pinned builds with a
+small grid (matmul and matvec in all three strategies, conv/ReLU 24 x 5 with
+both flags) are compared too, as are the programs C's types refuse
+(``REFUSED`` in ``tests/test_interp.py``), the hand-built statements both
+refuse (``HAND_BUILT`` there) and those that take a comparison as an int
+(``C_COMPARISONS`` there).  Outputs are compared byte for byte, scalars by
+type and value, and errors by type and message.
 
 The reference accepts a negative copy size and an assigned loop variable,
 which the new interpreter diagnoses (see ``tests/test_interp.py``), so the
@@ -85,8 +88,8 @@ from prophecy.second_stage import (
     iter_stmts,
 )
 from prophecy.staging import ProphecyStore, StageContext
-from test_interp import (C_COMPARISONS, REFUSED, _comparison_program, _refused_inputs,
-                         _refused_program)
+from test_interp import (C_COMPARISONS, HAND_BUILT, REFUSED, _comparison_program,
+                         _hand_built_program, _refused_inputs, _refused_program)
 from test_pins import INTERPRETED
 
 
@@ -193,6 +196,8 @@ def _is_float(expr: Expr, scope: _Scope) -> bool:
         return _is_float(expr.left, scope) or _is_float(expr.right, scope)
     if isinstance(expr, VarRef):
         return scope.kinds.get(expr.name) == "float"
+    if isinstance(expr, IntLit):  # hand-built, holding anything but an int
+        return type(expr.value) is not int
     return isinstance(expr, (FloatLit, ArrayIndex))
 
 
@@ -262,14 +267,7 @@ def _compile_expr(
             return lambda env: const
         case VarRef(name):
             slot = scope.slot(name)
-
-            def read_var(env, slot=slot, name=name):
-                value = env[slot]
-                if value is None:
-                    raise InterpError(f"variable {name} used before it holds a value")
-                return value
-
-            return read_var
+            return lambda env: env[slot]
         case Binary(op, left, right):
             _number(left, scope), _number(right, scope)
             if op == "%" and (_is_float(left, scope) or _is_float(right, scope)):
@@ -316,14 +314,10 @@ def _compile_block(stmts: list[Stmt], scope: _Scope) -> list[Callable[[list], No
 def _compile_stmt(stmt: Stmt, scope: _Scope) -> Callable[[list], None]:
     match stmt:
         case Declare(name, _, init):
-            scope.live.add(name)
-            slot = scope.slots[name]
-            if init is None:
-                def declare(env):
-                    env[slot] = None
-                return declare
             init_fn = _compile_expr(init, scope, alloc_name=name)
             _held(init, scope, name)
+            scope.live.add(name)  # in scope from the end of its value
+            slot = scope.slots[name]
             convert = _CONVERT.get(scope.kinds[name], _kept)
 
             def declare_init(env):
@@ -541,7 +535,10 @@ class _Gen:
             if rng.random() < 0.5:
                 ctx.assign(rng.choice(self.floats), value)
             else:
-                self.floats.append(ctx.declare("float", None if rng.random() < 0.3 else value))
+                # every declaration has a value; the draw that once chose none stays, so each
+                # program that gave every declaration a value is recorded as before
+                rng.random()
+                self.floats.append(ctx.declare("float", value))
         elif kind == "int":
             roll = rng.random()  # now and then a pointer, which C refuses wherever it stands
             init = self.int_expr() if roll < 0.75 else self.float_expr() if roll < 0.99 else self.base()
@@ -719,6 +716,15 @@ def test_refusals_match_reference(case):
     program = _refused_program(statement)
     expected = ("error", "InterpError", message)
     for inputs in (_refused_inputs(program), {}):  # refused before any input is read
+        assert _outcome(interpret_program, program, inputs) == expected
+        assert _outcome(reference_interpret, program, inputs) == expected
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_hand_built_refusals_match_reference(case):
+    program = _hand_built_program(case)
+    expected = ("error", "InterpError", HAND_BUILT[case][1])
+    for inputs in ({"arg0": np.zeros(4)}, {}):  # refused before any input is read
         assert _outcome(interpret_program, program, inputs) == expected
         assert _outcome(reference_interpret, program, inputs) == expected
 
