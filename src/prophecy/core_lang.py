@@ -601,6 +601,9 @@ _PREC = {"or": 1, "and": 2, "not": 3, "=": 4, "<=": 4, "+": 5, "-": 5, "*": 6}
 
 def _expr_text(expr: AExp | BExp, parent_prec: int = 0, right_side: bool = False) -> str:
     match expr:
+        case Num(value) if value < 0:  # the grammar has no negative literal: print 0 - n
+            n = ABin("-", Num(0), Num(min(-value, 2**63 - 1)))  # -2**63 is 0 - (2**63 - 1) - 1
+            return _expr_text(n if value > -2**63 else ABin("-", n, Num(1)), parent_prec, right_side)
         case Num(value):
             return str(value)
         case Var(name):
@@ -637,7 +640,7 @@ def _command_text(command: Command) -> str:
 
 
 def print_program(program: Program) -> str:
-    """Canonical text form; parse_program(print_program(p)) == p."""
+    """Canonical text form; parse_program(print_program(p)) == p but for a negative Num."""
     return "\n".join(f"{label}: {_command_text(command)}" for label, command in program.commands)
 
 

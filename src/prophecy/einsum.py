@@ -37,6 +37,7 @@ rank-1 case, ``z[i] += x[i, k] * y[k]``, without the column index ``j``.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from math import prod
 from typing import Any, Callable, Iterator, Sequence
@@ -132,7 +133,7 @@ class Tensor:
             raise EinsumError(f"tensor {name!r} needs int sizes, got {sizes}")
         if not sizes or any(s <= 0 for s in sizes):
             raise EinsumError(f"tensor {name!r} needs nonempty positive sizes, got {sizes}")
-        self.session = session
+        self._session = weakref.ref(session)  # the session holds its tensors
         self.name = name
         self.sizes = tuple(sizes)
         self.total_size = prod(self.sizes)
@@ -156,6 +157,12 @@ class Tensor:
                 "float*",
                 ctx.runtime_expr("runtime::cuda_malloc", self.total_size * _ELEM_BYTES),
             )
+
+    @property
+    def session(self) -> "EinsumSession":
+        if (session := self._session()) is None:
+            raise EinsumError(f"tensor {self.name!r} outlived its EinsumSession")
+        return session
 
     def __getitem__(self, indices) -> "TensorAccess":
         if not isinstance(indices, tuple):
@@ -210,15 +217,10 @@ class TensorAccess(_Operators):
 
     def flat_index(self) -> StagedExpr:
         """Row-major flattening: sum of it_d times the product of trailing sizes."""
-        sizes = self.tensor.sizes
-
-        def build(d: int) -> StagedExpr:
-            it = self.indices[d].handle
-            if d + 1 == len(sizes):
-                return it
-            return it * prod(sizes[d + 1 :]) + build(d + 1)
-
-        return build(0)
+        flat = self.indices[-1].handle  # right-nested: it_0 * s_0 + (it_1 * s_1 + ...)
+        for d in range(len(self.indices) - 2, -1, -1):
+            flat = self.indices[d].handle * prod(self.tensor.sizes[d + 1 :]) + flat
+        return flat
 
 
 @dataclass(frozen=True)

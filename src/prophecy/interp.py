@@ -150,6 +150,7 @@ class _Walk:
             raise InterpError(f"loop variable {min(assigned)} is assigned")
         # out of scope until declared, and again once their block ends: see local and block
         self.outside = {name for name, _ in declared}
+        self.ahead = set(self.outside)  # not declared yet
         self.kinds = dict([*program.params, *declared])
         self.fixed_params = {name for name, kind in program.params  # int, and never assigned
                              if kind == "int" and name not in self.assigned}
@@ -162,6 +163,8 @@ class _Walk:
         if name in self.outside:
             if name in self.loops:
                 raise InterpError(f"loop variable {name} is used outside its loop")
+            if name in self.ahead:
+                raise InterpError(f"variable {name} is not yet declared")
             raise InterpError(f"variable {name} is used outside its block")
         return f"v{self.slots[name]}"
 
@@ -215,46 +218,34 @@ class _Walk:
         """Where ``loop``'s range stops: its bound, or before it when every later iteration
         provably does nothing (see the module docstring), as a literal or as the source of
         a value computed once before the loop."""
-        v = loop.var
         before = (self.loops - self.outside) | self.fixed_params  # fixed while the loop runs
         stops: list[int | str] = []
-        offsets: dict[str, Expr] = {}  # int d = e + v, declared in a qualifying body
-
-        def safe(expr: Expr, names: set[str]) -> bool:
-            match expr:
-                case IntLit(value):
-                    return type(value) is int
-                case VarRef(name):
-                    return name in names
-                case Binary("+" | "-" | "*", left, right):
-                    return safe(left, names) and safe(right, names)
-            return False
-
-        def idle(body: list[Stmt], bound: set[str]) -> bool:
-            here: set[str] = set()
-            for stmt in body:
-                match stmt:
-                    case RuntimeCall("runtime::grid_sync"):
-                        pass
-                    case Declare(d, "int", Binary("+", e, VarRef(u))) if u == v and safe(e, before):
-                        offsets[d] = e
-                        here.add(d)
-                    case ForLoop(_, VarRef(u), IntLit(b)) if u == v:
-                        stops.append(b)  # empty once v >= b
-                    case ForLoop(_, VarRef(d), IntLit(b)) if d in here:
-                        stops.append(f"{b} - {_expr_src(offsets[d], self, prec=2)}")
-                    case ForLoop(u, start, _, _, inner) if safe(start, bound) and idle(inner, bound | {u}):
-                        pass
-                    case _:
-                        return False
-            return True
-
-        if not idle(loop.body, before | {v}) or not stops:
+        if not self.idle(loop.body, loop.var, before, before | {loop.var}, stops) or not stops:
             return loop.bound.value
         if all(type(s) is int for s in stops):
             return min(loop.bound.value, max(stops))
         idle_from = stops[0] if len(stops) == 1 else f"max({', '.join(map(str, stops))})"
         return f"min({loop.bound.value}, {idle_from})"
+
+    def idle(self, body: list[Stmt], v: str, before: set, bound: set, stops: list) -> bool:
+        """Whether ``body``, in loop ``v``, holds only (a) to (d); adds where (b) loops empty."""
+        offsets: dict[str, Expr] = {}  # int d = e + v, declared in this body
+        for stmt in body:
+            match stmt:
+                case RuntimeCall("runtime::grid_sync"):
+                    pass
+                case Declare(d, "int", Binary("+", e, VarRef(u))) if u == v and _safe(e, before):
+                    offsets[d] = e
+                case ForLoop(_, VarRef(u), IntLit(b)) if u == v:
+                    stops.append(b)  # empty once v >= b
+                case ForLoop(_, VarRef(d), IntLit(b)) if d in offsets:
+                    stops.append(f"{b} - {_expr_src(offsets[d], self, prec=2)}")
+                case ForLoop(u, start, _, _, inner) if _safe(start, bound):
+                    if not self.idle(inner, v, before, bound | {u}, stops):
+                        return False
+                case _:
+                    return False
+        return True
 
     def block(self, stmts: list[Stmt], depth: int, out: list[str]) -> None:
         outside = set(self.outside)  # a declaration is in scope until its block ends
@@ -262,6 +253,18 @@ class _Walk:
             _stmt_src(stmt, depth, out, self)
         out.append("    " * depth + "pass")  # a block may print nothing
         self.outside = outside
+
+
+def _safe(expr: Expr, names: set[str]) -> bool:
+    """Built of int literals, ``+ - *`` and ``names``, so it can neither raise nor change."""
+    match expr:
+        case IntLit(value):
+            return type(value) is int
+        case VarRef(name):
+            return name in names
+        case Binary("+" | "-" | "*", left, right):
+            return _safe(left, names) and _safe(right, names)
+    return False
 
 
 def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0,
@@ -309,6 +312,7 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk) -> None:
             value_src = w.stored(name, value, _expr_src(value, w, name if declared else None))
             if declared:
                 w.outside.discard(name)  # in scope from the end of its value
+                w.ahead.discard(name)
             out.append(f"{pad}{w.local(name)} = {value_src}")
             if w.kinds[name] == "float*":
                 out.append(pad + _TRACK.format(w.slots[name]))
@@ -388,7 +392,8 @@ def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) ->
         exec(compile(source, f"<{program.name}>", "exec"), globals(), namespace)
     except SyntaxError as exc:
         raise InterpError(f"program {program.name} is nested too deeply: {exc.msg}") from None
-    final = namespace["_program"](*args)
+    with np.errstate(all="ignore"):  # as in C, a float overflows to inf without a word
+        final = namespace["_program"](*args)
     return {name: np.array([0.0 if x is None else x for x in value.values], np.float32)
             if isinstance(value, Buffer) else value
             for (name, _), value in zip(program.params, final)}

@@ -9,9 +9,9 @@ reruns the generator.  Cell values persist across reruns (identified by
 creation order, which is why generators must be deterministic given the cell
 contents), so each rerun starts better informed, and the bounded rank of
 every lattice guarantees the loop ends in a clean run.  A cell handle
-belongs to the run that made it: it works only while that run is the
-latest ``StageContext`` made on its store, and a handle kept into a later
-run raises ``StagingError``.
+works only while its store holds its run's token, else ``StagingError``;
+nothing refers back to what holds it (a tensor holds its einsum session
+weakly), so reference counting frees each run as soon as it is dropped.
 
 *History variables* are the complement: first-stage state about the past
 execution, reset at the start of every run.  Inside ``if_else`` both branch
@@ -119,8 +119,8 @@ class ProphecyStore:
     def __init__(self) -> None:
         self.cells: list[_CellState] = []
         self.merge_log: list[MergeEvent] = []
-        # the latest StageContext made on this store: only its cell handles are valid
-        self.current_run: StageContext | None = None
+        # the token of the latest StageContext made on this store: only its cell handles are valid
+        self.current_run: object | None = None
 
 
 class ProphecyCell:
@@ -135,7 +135,7 @@ class ProphecyCell:
 
     def _state(self) -> _CellState:
         store = self._ctx._store
-        if store.current_run is not self._ctx:
+        if store.current_run is not self._ctx._run:
             raise StagingError(f"handle of {self.name} belongs to a different run")
         return store.cells[self.cell_id]
 
@@ -273,7 +273,7 @@ class StageContext:
     """One first-stage run: prophecy access plus the statement recorder."""
 
     def __init__(self, store: ProphecyStore, run_index: int, name: str):
-        store.current_run = self
+        self._run = store.current_run = object()  # a token: the store keeps no run alive
         self._store = store
         self.run_index = run_index
         self._name = name

@@ -491,6 +491,18 @@ def test_parser_round_trip(program):
     assert parse_program(print_program(program)) == program
 
 
+@pytest.mark.parametrize("value", [-5, -1, -(2**63)])
+def test_negative_literal_prints_as_a_subtraction_that_parses(value):
+    # the grammar has no negative literal, so a hand-built Num(-5) prints as 0 - 5
+    exprs = [Num(value), ABin("-", Var("x"), Num(value)), ABin("*", Num(value), Var("x")),
+             ABin("+", Num(value), Num(value))]
+    program = Program([*((f"l{k}", Assign("x", e)) for k, e in enumerate(exprs)),
+                       ("l4", Halt()), ("l5", Done())])
+    parsed = parse_program(print_program(program))
+    for (_, built), (_, printed) in zip(program.commands[:4], parsed.commands):
+        assert eval_expr(printed.expr, {"x": 3}) == eval_expr(built.expr, {"x": 3})
+
+
 @given(_aexps(), st.dictionaries(_names, st.integers(-100, 100), min_size=4))
 @settings(max_examples=200, deadline=None)
 def test_eval_matches_direct_recursion(expr, state):

@@ -100,6 +100,12 @@ class TestTensorNew:
         with pytest.raises(EinsumError, match="duplicate"):
             session.tensor("a", [1])
 
+    def test_tensor_that_outlives_its_session_rejected(self):
+        # a tensor refers to its session weakly, so the session's registry makes no cycle
+        a = fresh_session().tensor("a", [4])
+        with pytest.raises(EinsumError, match="^tensor 'a' outlived its EinsumSession$"):
+            a[Index("i")] = 1.0
+
 
 class TestLowering:
     def test_matmul_statement_shape(self):

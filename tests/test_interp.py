@@ -1,5 +1,6 @@
 import re
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from prophecy import interp
 from prophecy.interp import InterpError, interpret_program
 from prophecy.second_stage import (
-    ArrayIndex, Assign, Binary, Declare, FloatLit, ForLoop, IntLit, RuntimeCall,
+    ArrayIndex, Assign, Binary, Declare, FloatLit, ForLoop, IfElse, IntLit, RuntimeCall,
     SecondStageProgram, VarRef, iter_stmts,
 )
 from prophecy.staging import ProphecyStore, StageContext, StagingError
@@ -116,11 +117,20 @@ _ELEMENT = lambda index: ArrayIndex(VarRef("arg0"), index)
 
 # Statements the recorder never makes, each with the InterpError both interpreters give when
 # the program ``_hand_built_program`` makes of it is printed.  C compiles ``float var0 = var0;``
-# but reads an indeterminate value; a literal index or ``%`` operand that holds a float is a
-# float, as C's would be.
+# but reads an indeterminate value, and refuses a read before a declaration (``'var0' was not
+# declared in this scope``); a literal index or ``%`` operand that holds a float is a float, as
+# C's would be.
 HAND_BUILT = {
     "declaration that reads itself": (Declare("var0", "float", VarRef("var0")),
-                                      "variable var0 is used outside its block"),
+                                      "variable var0 is not yet declared"),
+    "read before a declaration in its block": (
+        IfElse(IntLit(1), [Assign(_ELEMENT(IntLit(0)), VarRef("var0")),
+                           Declare("var0", "float", FloatLit(1.0))], None),
+        "variable var0 is not yet declared"),
+    "read before a later block's declaration": (
+        IfElse(IntLit(1), [Assign(_ELEMENT(IntLit(0)), VarRef("var0"))],
+               [Declare("var0", "float", FloatLit(1.0))]),
+        "variable var0 is not yet declared"),
     "non-int literal as a store index": (Assign(_ELEMENT(IntLit(2.5)), FloatLit(1.0)),
                                          "index 2.5 into arg0 is a float"),
     "non-int literal as a load index": (Assign(_ELEMENT(IntLit(0)), _ELEMENT(IntLit(2.5))),
@@ -200,6 +210,16 @@ class TestBasics:
         out = interpret_program(ctx.finish(), {"arg0": [1e8]})
         assert out["arg0"][0] == np.float32(1e8)
         assert out["arg0"].dtype == np.float32
+
+    def test_float32_overflow_is_inf_without_a_warning(self):
+        # as in C, a product past float32's range is inf, and nothing is said
+        ctx = ctx_named()
+        buf = ctx.parameter("float*")
+        ctx.assign(buf[0], buf[0] * buf[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = interpret_program(ctx.finish(), {"arg0": [1e30]})
+        assert out["arg0"][0] == np.inf
 
     def test_scalar_parameter_returns_its_final_value(self):
         prog = SecondStageProgram("p", (("n", "int"),), [Assign(VarRef("n"), IntLit(5))])

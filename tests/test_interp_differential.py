@@ -162,6 +162,7 @@ class _Scope:
 
     def __init__(self, slots: dict[str, int], kinds: dict[str, str], loops: set[str], live: set[str]):
         self.slots, self.kinds, self.loops, self.live = slots, kinds, loops, live
+        self.declared: set[str] = set()  # the declarations compilation has passed
 
     def slot(self, name: str) -> int:
         if name not in self.slots:
@@ -169,6 +170,8 @@ class _Scope:
         if name not in self.live:
             if name in self.loops:
                 raise InterpError(f"loop variable {name} is used outside its loop")
+            if name not in self.declared:
+                raise InterpError(f"variable {name} is not yet declared")
             raise InterpError(f"variable {name} is used outside its block")
         return self.slots[name]
 
@@ -317,6 +320,7 @@ def _compile_stmt(stmt: Stmt, scope: _Scope) -> Callable[[list], None]:
             init_fn = _compile_expr(init, scope, alloc_name=name)
             _held(init, scope, name)
             scope.live.add(name)  # in scope from the end of its value
+            scope.declared.add(name)
             slot = scope.slots[name]
             convert = _CONVERT.get(scope.kinds[name], _kept)
 
@@ -424,8 +428,9 @@ def reference_interpret(
             env[slots[name]] = int(inputs[name])
         else:
             env[slots[name]] = np.float32(inputs[name])
-    for fn in body:
-        fn(env)
+    with np.errstate(all="ignore"):  # as in C, a float overflows to inf without a word
+        for fn in body:
+            fn(env)
     outputs: dict[str, Any] = {}
     for name, kind in program.params:
         value = env[slots[name]]

@@ -8,12 +8,18 @@ short.  On the stage workloads those are matvec builds only, so the
 cheapest matmul shape (all three strategies: the two-index block/thread
 split) and the cheapest conv join them.  An analyze request evaluates its
 standard execution once: the analysis and both checkers share one label path.
+The same requests, with conv/ReLU built without fusion beside them, leave no
+cyclic garbage: reference counting frees each result once it is dropped.
 """
 
+import gc
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from prophecy import build_conv_relu_benchmark, emit_c
 
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -63,3 +69,28 @@ def test_analyze_requests_step_once_per_position(transitions, name):
         calls.clear()
         WORKLOADS[name].request(item, call)
         assert len(calls) == item.expected["steps"] + 1, item.key
+
+
+def serve_and_drop() -> None:
+    """Serve and check every smoke item, and build and emit conv/ReLU without fusion."""
+    for name in sorted(WORKLOADS):
+        memo = {}
+        for item in smoke_items(name):
+            out = WORKLOADS[name].request(item, call)
+            assert WORKLOADS[name].check(item, out, call, memo)[1] == [], item.key
+    emit_c(build_conv_relu_benchmark(24, 5, fusion=False)[0])
+
+
+def test_requests_leave_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        serve_and_drop()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # keep what a collection finds, to name it
+        found = gc.collect()
+        leaked = Counter(type(garbage).__name__ for garbage in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert found == 0, f"{found} objects in reference cycles: {leaked.most_common(8)}"
