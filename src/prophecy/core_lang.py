@@ -29,18 +29,19 @@ table: each label's command, its ``StepObligations`` (read set and
 assigned variable, one record per distinct pair), its next label and its
 successors (as a set and fall-through first), so ``command_obligations``
 and the successor queries are lookups.  The first use of a label compiles
-its transition into nested closures over the slots, a list with one entry
-per variable, and keeps it in the table, as a ``Program`` keeps its
-``sweep_order`` and last ``label_path`` (neither enters equality or
-pickling); every transition shares one read closure per variable and one
-constant closure per literal.  An assignment writes its slot and returns
-the next label; a branch returns a label.
+its transition over the slots, a list with one entry per variable, and
+keeps it in the table, as a ``Program`` keeps its ``sweep_order`` and last
+``label_path`` (neither enters equality or pickling).  An assignment or a
+branch whose operator has two leaf operands is one closure; any other
+expression is a tree of closures.  An assignment writes its slot and
+returns the next label; a branch returns a label.
 
-``execution`` is the one loop over the transitions and the one home of
-the ``max_steps`` rule.  ``label_path`` yields only the first position of
-each distinct step (a label and what it reached) and the last, and records
-them once for the engine and the checkers; ``run_trace`` builds a
-``Configuration`` per position, and ``step`` runs one transition.
+``execution`` (for ``run_trace``) and ``label_path`` each loop over the
+transitions, from one start and under one ``max_steps`` rule.
+``label_path`` yields only the first position of each distinct step (a
+label and what it reached) and the last, and records them once for the
+engine and the checkers; ``run_trace`` builds a ``Configuration`` per
+position, and ``step`` runs one transition.
 """
 
 from __future__ import annotations
@@ -160,20 +161,23 @@ class BBin:
 
 
 BExp = Union[BoolLit, Cmp, Not, BBin]
+_BINARY = (ABin, Cmp, BBin)
 
 
 def expr_vars(expr: AExp | BExp) -> frozenset[str]:
     """All variable names read by an expression."""
-    # isinstance tests, not class patterns: this runs for every label a Program builds
-    if isinstance(expr, Var):
-        return frozenset((expr.name,))
-    if isinstance(expr, (ABin, Cmp, BBin)):
-        return expr_vars(expr.left) | expr_vars(expr.right)
-    if isinstance(expr, Not):
-        return expr_vars(expr.operand)
-    if isinstance(expr, (Num, BoolLit)):
-        return frozenset()
-    raise TypeError(f"not an expression: {expr!r}")
+    # one walk and one set, with isinstance tests: this runs for every label a Program builds
+    names, nodes = [], [expr]
+    for node in nodes:  # the list grows as the walk visits the children
+        if isinstance(node, Var):
+            names.append(node.name)
+        elif isinstance(node, _BINARY):
+            nodes += node.left, node.right
+        elif isinstance(node, Not):
+            nodes.append(node.operand)
+        elif not isinstance(node, (Num, BoolLit)):
+            raise TypeError(f"not an expression: {node!r}")
+    return frozenset(names)
 
 
 # --------------------------------------------------------------------------
@@ -702,7 +706,7 @@ Transition = Callable[[list], Reached]
 
 def step(program: Program, config: Configuration) -> Configuration | Stuck | AtDone:
     """One transition of the standard rules, run over slots filled from ``config``."""
-    slots = _fill(program, config.state)
+    _, slots = _start(program, dict(config.state), 1)
     reached = _transition(program, config.label)(slots)
     if not isinstance(reached, str):
         return reached
@@ -710,11 +714,13 @@ def step(program: Program, config: Configuration) -> Configuration | Stuck | AtD
     return Configuration.make(reached, {**dict(config.state), **written})
 
 
-# Compilation of the standard rules into closures over the slots (see ``_fill``).
-# Reading an empty slot raises UndefinedVariableError, which the transition
-# returns as ``Stuck``.  Every operand evaluates, left to right, so the first
-# undefined variable is the one a tree walk names.  The closures carry no
-# annotations: an annotation dict for each made compiling about twice as slow.
+# Compilation of the standard rules into closures over the slots (see ``_start``).
+# An ``ABin`` or ``Cmp`` of two leaves is flat, one closure; other shapes are trees
+# whose leaves raise UndefinedVariableError, returned as ``Stuck``.  Either names the
+# first empty slot from the left, as a tree walk does.  The closures carry no
+# annotations: an annotation dict for each made compiling about twice as slow.  A
+# flat closure binds its values as defaults, not cells: each cell is one more object
+# that the garbage collector counts for as long as the program lives.
 
 _APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "=": operator.eq,
           "<=": operator.le, "and": operator.and_, "or": operator.or_}
@@ -768,6 +774,40 @@ def _expr(expr: AExp | BExp, leaves: _Leaves) -> Callable[[list], int | bool]:
     return lambda slots: apply(lhs(slots), rhs(slots))
 
 
+def _flat(command: Assign | If, nxt: Label | None, slot: dict[str, int]) -> Transition | None:
+    """The one closure of an assignment of an ``ABin``, or a branch on a ``Cmp``, of two
+    leaves (each its slot and name, or None and its literal); None for any other command."""
+    expr = command.expr if isinstance(command, Assign) else command.cond
+    if not (isinstance(expr, ABin if isinstance(command, Assign) else Cmp)
+            and isinstance(expr.left, (Var, Num)) and isinstance(expr.right, (Var, Num))):
+        return None
+    (left_at, left), (right_at, right) = ((slot[leaf.name], leaf.name) if isinstance(leaf, Var)
+                                          else (None, leaf.value) for leaf in (expr.left, expr.right))
+    if isinstance(command, Assign):
+
+        def assign_flat(slots, apply=_APPLY[expr.op], left_at=left_at, left=left, right_at=right_at,
+                        right=right, at=slot[command.var], nxt=nxt):
+            a = left if left_at is None else slots[left_at]
+            b = right if right_at is None else slots[right_at]
+            if a is None or b is None:  # an empty slot: ``left`` or ``right`` is its name
+                return Stuck(str(UndefinedVariableError(left if a is None else right)))
+            value = apply(a, b)
+            slots[at] = value if -_INT64_SIGN <= value < _INT64_SIGN else _wrap64(value)
+            return nxt
+
+        return assign_flat
+
+    def branch_flat(slots, apply=_APPLY[expr.op], left_at=left_at, left=left, right_at=right_at,
+                    right=right, target=command.target, nxt=nxt):
+        a = left if left_at is None else slots[left_at]
+        b = right if right_at is None else slots[right_at]
+        if a is None or b is None:
+            return Stuck(str(UndefinedVariableError(left if a is None else right)))
+        return target if apply(a, b) else nxt
+
+    return branch_flat
+
+
 def _compile_label(command: Command, nxt: Label | None, leaves: _Leaves) -> Transition:
     """The standard rule for ``command`` as a function of the slots: it returns what it reached."""
     if isinstance(command, Done):
@@ -775,6 +815,8 @@ def _compile_label(command: Command, nxt: Label | None, leaves: _Leaves) -> Tran
     if isinstance(command, (Skip, Halt, Goto)):
         target = command.target if isinstance(command, Goto) else nxt
         return lambda slots: target
+    if isinstance(command, (Assign, If)) and (flat := _flat(command, nxt, leaves.slot)):
+        return flat
     if isinstance(command, Assign):
         at, evaluate = leaves.slot[command.var], _expr(command.expr, leaves)
 
@@ -816,14 +858,16 @@ def _initial(initial_state: State | None) -> StateTuple:
     return state
 
 
-def _fill(program: Program, state: StateTuple) -> list:
-    """The slots of ``state``: each program variable's value at its sorted index, or None."""
-    slot = program._slot
+def _start(program: Program, initial_state: State | None, max_steps: int) -> tuple[StateTuple, list]:
+    """The checked initial state and its slots: each variable's value at its sorted index, or None."""
+    if max_steps < 0:
+        raise ValueError("max_steps must be at least 0")
+    state, slot = _initial(initial_state), program._slot
     slots: list = [None] * len(slot)
     for name, value in state:
         if name in slot:
             slots[slot[name]] = value
-    return slots
+    return state, slots
 
 
 class TraceKind(str, Enum):
@@ -854,9 +898,7 @@ def execution(
     (truncated).  So ``max_steps`` transitions are allowed, and an execution
     stuck after exactly that many is stuck, not truncated.
     """
-    if max_steps < 0:
-        raise ValueError("max_steps must be at least 0")
-    slots = _fill(program, _initial(initial_state))
+    _, slots = _start(program, initial_state, max_steps)
     table, label = program._table, program.first
     for _ in range(max_steps + 1):
         reached = (table[label].transition or _transition(program, label))(slots)
@@ -879,7 +921,8 @@ def label_path(
     ``max_steps``, and replays them for the same key without a transition.
     A walk stopped early records nothing.
     """
-    key = (_initial(initial_state), max_steps)
+    state, slots = _start(program, initial_state, max_steps)
+    key = state, max_steps
     recorded = program._path
     if recorded is not None and recorded[0] == key:
         yield from recorded[1]
@@ -887,15 +930,19 @@ def label_path(
     program._path = None
     seen: set[tuple[Label, Reached]] = set()
     entries: list[tuple[int, Label, Reached]] = []
-    for position, (label, reached, _) in enumerate(execution(program, initial_state, max_steps)):
+    table, label = program._table, program.first
+    for position in range(max_steps + 1):  # the steps of ``execution``, without its generator
+        reached = (table[label].transition or _transition(program, label))(slots)
         this_step = label, reached
         if this_step not in seen:
             seen.add(this_step)
-            entry = position, label, reached
-            entries.append(entry)
-            yield entry
+            entries.append((position, label, reached))
+            yield entries[-1]
+        if not isinstance(reached, str):
+            break
+        label = reached
     if entries[-1][0] != position:
-        entries.append((position, label, reached))
+        entries.append((position, *this_step))  # after the whole budget, ``label`` is past it
         yield entries[-1]
     program._path = (key, tuple(entries))
 

@@ -15,29 +15,26 @@ For checking we substitute computed analysis results for the predictions:
 the prediction before label ``l`` is ``results[l]``.  An extended step is
 then the standard ``step`` plus two inclusion guards over ``results``: it
 exists iff the standard step does and both guards hold, and it reaches the
-configuration the standard step reaches.
-
-Preservation (extended steps introduce no new behavior) therefore holds by
-construction, for any results, even wrong ones: a failed guard only ends
-the extended execution early.  The compiled transitions themselves are
-checked against the tree-walking ``reference_step`` by differential tests.
-Progress (the results let the extended semantics follow every standard
-step) is what the results must earn.  When both hold, standard and extended
+configuration the standard step reaches.  Preservation (extended steps
+introduce no new behavior) therefore holds by construction, for any
+results: a failed guard only ends the extended execution early.  Progress
+(the results let the extended semantics follow every standard step) is what
+the results must earn.  When both hold, standard and extended
 configurations simulate each other along the checked execution.
 
-Both checkers walk ``core_lang.label_path`` under the ``max_steps`` rule
-``run_trace`` and the engine share, and check both guards against each
-step it yields; after ``analyze_concrete`` or the other checker on the
-same execution, that walk is a replay that evaluates no step.  With the
-results fixed, a guard's outcome depends only on the step (a label and
-the label it reaches), so the first failing position is that of the
-first failing distinct step.  A check whose execution runs past the
-budget does not pass: it reports a ``truncated`` violation at the label
-where it stopped.  Progress also fails with a ``stuck`` violation when
-the standard execution gets stuck (an undefined variable): there is no
-step for the results to follow, and the analyzed execution did not run
-to ``done``.  Preservation passes there, noting where the extended
-execution stopped.
+Both checkers check both guards on the steps of ``core_lang.label_path``,
+which runs the compiled transitions (each checked against the tree-walking
+``reference_step`` by differential tests) in its own loop under the
+``max_steps`` rule ``run_trace`` and the engine share; after
+``analyze_concrete`` or the other checker on the same execution, the walk
+is a replay that evaluates no step.  With the results fixed, a guard's
+outcome depends only on the step (a label and the label it reaches), so
+the first failing position is that of the first failing distinct step.  A
+check whose execution runs past the budget does not pass: it reports a
+``truncated`` violation at the label where it stopped.  Progress also fails
+with a ``stuck`` violation when the standard execution gets stuck (an
+undefined variable): there is no step for the results to follow.
+Preservation passes there, noting where the extended execution stopped.
 """
 
 from __future__ import annotations

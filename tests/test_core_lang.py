@@ -418,6 +418,7 @@ class TestInt64Domain:
             lambda: list(label_path(program, {name: value})),
             lambda: analyze_concrete(program, {name: value}),
             lambda: check_progress(program, live_variables_oracle(program), {name: value}),
+            lambda: step(program, Configuration.make(program.first, {name: value})),
         )
         for walk in walks:
             with pytest.raises(ValueError, match=f"initial value of '{name}' is not a 64-bit integer"):

@@ -5,12 +5,15 @@
   ``eval_expr`` (the tree evaluator, which also reports the variables it
   read), step by step along random executions (states may lack variables,
   so ``Stuck`` reasons are compared, and may hold values near 2**63, so
-  64-bit wrap-around is compared).  ``run_trace`` and ``label_path``, which
-  run the transitions over one list of slots along ``execution``, are
-  compared with a walk over ``reference_step`` (``label_path`` with the
-  first position of each of its distinct steps, plus the last), including
-  stuck and truncated runs and initial variables the program never
-  mentions.
+  64-bit wrap-around is compared).  An assignment or branch whose operator
+  has two leaf operands compiles to one flat closure instead of a closure
+  tree; hand-picked cases compare it with ``reference_step`` for every
+  operator, leaf kind, empty slot and wrap-around edge.  ``run_trace``
+  (along ``execution``) and ``label_path`` (in its own loop), which run the
+  transitions over one list of slots, are compared with a walk over
+  ``reference_step`` (``label_path`` with the first position of each of its
+  distinct steps, plus the last), including stuck and truncated runs and
+  initial variables the program never mentions.
 * ``analyze_concrete`` evaluates the standard execution once, before the
   first run, checks only its distinct steps, resumes each rerun at the
   step where the previous run aborted, and records each edge once.  It is
@@ -37,6 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prophecy import core_lang
 from prophecy.core_lang import (
     AT_DONE,
     ABin,
@@ -267,6 +271,124 @@ def test_foreign_label_is_unknown():
     program = random_program(random.Random(0))
     with pytest.raises(UnknownLabelError):
         step(program, Configuration.make("nowhere", {}))
+
+
+# ---------------------------------------------------------------------------
+# Flat transitions: an operator over two leaves compiles to one closure
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def tree_calls(monkeypatch):
+    """Each expression ``core_lang._expr`` compiles into a closure tree, in order."""
+    calls = []
+    expr = core_lang._expr
+
+    def counting(node, leaves):
+        calls.append(node)
+        return expr(node, leaves)
+
+    monkeypatch.setattr(core_lang, "_expr", counting)
+    return calls
+
+
+def _flat_node(op, left, right):
+    return ABin(op, left, right) if op in "+-*" else Cmp(op, left, right)
+
+
+def _flat_program(node):
+    """``z := node`` at l0, or ``if node then l3`` there; both flat for a leaf-over-leaf node."""
+    command = Assign("z", node) if isinstance(node, ABin) else If(node, "l3")
+    return Program([("l0", command), ("l1", Halt()), ("l2", Done()), ("l3", Goto("l1"))])
+
+
+def _assert_flat_steps_match(node, states):
+    program = _flat_program(node)
+    for state in states:
+        config = Configuration.make("l0", state)
+        assert step(program, config) == reference_step(program, config), (node, state)
+
+
+_LEAF_PAIRS = [(Var("x"), Var("y")), (Var("x"), Num(3)), (Num(-4), Var("y")), (Num(6), Num(-2))]
+_FULL_STATES = [{"x": 5, "y": -2}, {"x": -2, "y": 5}, {"x": 3, "y": 3}, {"x": 6, "y": -4, "w": 1}]
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "=", "<="])
+@pytest.mark.parametrize("left, right", _LEAF_PAIRS)
+def test_flat_transition_matches_reference(tree_calls, op, left, right):
+    node = _flat_node(op, left, right)
+    _assert_flat_steps_match(node, _FULL_STATES)
+    assert tree_calls == []  # the flat closure, not the tree, ran
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "=", "<="])
+def test_flat_transition_names_the_first_empty_slot(tree_calls, op):
+    node = _flat_node(op, Var("x"), Var("y"))
+    _assert_flat_steps_match(node, [{"y": 1}, {"x": 1}, {}, {"w": 1}])
+    program = _flat_program(node)
+    for state, name in (({"y": 1}, "x"), ({"x": 1}, "y"), ({}, "x")):
+        assert step(program, Configuration.make("l0", state)) == Stuck(f"undefined variable {name!r}")
+    assert tree_calls == []
+
+
+@pytest.mark.parametrize("node, state, value", [
+    (ABin("+", Var("x"), Num(1)), {"x": 2**63 - 1}, -(2**63)),
+    (ABin("-", Var("x"), Num(1)), {"x": -(2**63)}, 2**63 - 1),
+    (ABin("-", Num(0), Var("x")), {"x": -(2**63)}, -(2**63)),
+    (ABin("*", Var("x"), Var("y")), {"x": 2**62, "y": 2}, -(2**63)),
+    (ABin("*", Var("x"), Var("y")), {"x": -(2**63), "y": -1}, -(2**63)),
+    (ABin("+", Var("x"), Var("y")), {"x": 2**63 - 1, "y": 2**63 - 1}, -2),
+    (ABin("-", Var("x"), Var("y")), {"x": 2**63 - 1, "y": -(2**63) + 1}, -2),
+    (ABin("+", Var("x"), Num(0)), {"x": 2**63 - 1}, 2**63 - 1),
+    (ABin("-", Var("x"), Num(0)), {"x": -(2**63)}, -(2**63)),
+])
+def test_flat_assignment_wraps_at_the_64_bit_edges(tree_calls, node, state, value):
+    _assert_flat_steps_match(node, [state])
+    after = step(_flat_program(node), Configuration.make("l0", state))
+    assert after.state_dict()["z"] == value
+    assert tree_calls == []
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "=", "<="])
+def test_flat_transition_reads_one_variable_twice(tree_calls, op):
+    """``x := x op x`` reads x before it writes it."""
+    node = _flat_node(op, Var("x"), Var("x"))
+    states = [{"x": 3}, {"x": -7}, {"x": 2**62}, {"x": -(2**63)}, {"x": 2**63 - 1}, {}]
+    _assert_flat_steps_match(node, states)
+    if op in "+-*":
+        program = Program([("l0", Assign("x", node)), ("l1", Halt()), ("l2", Done())])
+        for state in states:
+            config = Configuration.make("l0", state)
+            assert step(program, config) == reference_step(program, config)
+    assert tree_calls == []
+
+
+COUNTING_LOOP = """
+l0: i := 10
+l1: s := 0
+l2: if i <= 0 then l6
+l3: s := s + i
+l4: i := i - 1
+l5: goto l2
+l6: halt
+l7: done
+"""
+
+
+def test_flat_commands_of_a_counting_loop_compile_no_tree(tree_calls):
+    """A silent fallback to the closure tree would pass every other test: count ``_expr`` calls."""
+    program = parse_program(COUNTING_LOOP)
+    made = {}
+    for label in program.labels:
+        before = len(tree_calls)
+        core_lang._transition(program, label)
+        made[label] = len(tree_calls) - before
+    # the two literal assignments are trees of one leaf; the branch and both updates are flat
+    assert made == {"l0": 1, "l1": 1, "l2": 0, "l3": 0, "l4": 0, "l5": 0, "l6": 0, "l7": 0}
+    trace = run_trace(program)
+    assert trace.kind is TraceKind.COMPLETE
+    assert trace.configurations[-1].state_dict() == {"i": 0, "s": 55}
+    assert trace == reference_trace(program, {}, 10_000)[0]
 
 
 @dataclass(frozen=True)
