@@ -7,12 +7,20 @@ recorder's job (see staging), executing them is the interpreter's (see
 interp), and ``emit_c`` turns them into deterministic C-like text suitable
 for golden-file comparison.  ``iter_stmts`` is the one walk over every
 statement of a program in program order.
+
+C's types are checked once, when a program is built: a node refuses what C
+refuses of it alone, and ``SecondStageProgram`` walks the program in the
+order the interpreter prints it (``_Types``: a value before its name enters
+scope, a store's value before its index), so ``emit_c`` and the interpreter
+see only typed programs.  A refusal is a ``ValueError`` naming the first
+fault.  The walk is stricter than C in three shapes: pointer arithmetic, an
+indexed allocation, and one name declared in two blocks (see README).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 # Each call's argument count, and whether it yields a pointer (an allocation) or is a statement.
 RUNTIME_CALLS = {
@@ -58,6 +66,10 @@ def _check_kind(name: str, kind: str) -> None:
 class IntLit:
     value: int
 
+    def __post_init__(self) -> None:
+        if type(self.value) is not int:
+            raise ValueError(f"integer literal is not an int: {self.value!r}")
+
 
 @dataclass(frozen=True)
 class FloatLit:
@@ -74,6 +86,10 @@ class Binary:
     op: str  # + - * % < <= > >=
     left: "Expr"
     right: "Expr"
+
+    def __post_init__(self) -> None:
+        if self.op not in ("+", "-", "*", "%", "<", "<=", ">", ">="):
+            raise ValueError(f"unknown binary operator {self.op!r}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +130,10 @@ class Assign:
     target: Expr  # VarRef or ArrayIndex
     value: Expr
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.target, (VarRef, ArrayIndex)):
+            raise ValueError("assignment target must be a variable or array element")
+
 
 @dataclass
 class ForLoop:
@@ -126,9 +146,9 @@ class ForLoop:
     body: list["Stmt"]
 
     def __post_init__(self) -> None:
-        if type(self.bound) is not IntLit or type(self.bound.value) is not int:
+        if type(self.bound) is not IntLit:
             raise ValueError(f"loop bound must be an int literal, got {self.bound!r}")
-        if type(self.step) is not IntLit or type(self.step.value) is not int or self.step.value < 1:
+        if type(self.step) is not IntLit or self.step.value < 1:
             raise ValueError(f"loop step must be an int literal of at least 1, got {self.step!r}")
 
 
@@ -171,6 +191,116 @@ class SecondStageProgram:
     def __post_init__(self) -> None:
         for param in self.params:
             _check_kind(*param)
+        _Types(self).block(self.body)
+
+
+def is_float(expr: Expr, kinds: Mapping[str, str]) -> bool:
+    """A float in C: a float literal or variable, a load, or arithmetic on one."""
+    if type(expr) is Binary:
+        return expr.op in "+-*%" and (is_float(expr.left, kinds) or is_float(expr.right, kinds))
+    return type(expr) in (FloatLit, ArrayIndex) or (
+        type(expr) is VarRef and kinds.get(expr.name) == "float")
+
+
+def declarations(program: SecondStageProgram) -> tuple[dict[str, str], set[str], set[str]]:
+    """Every variable's kind, parameters first, the loop variables and the variables assigned;
+    a name declared twice or an assigned loop variable is a ``ValueError``."""
+    stmts = list(iter_stmts(program.body))
+    kinds: dict[str, str] = {}
+    for name, kind in [*program.params, *[(s.var, "int") if type(s) is ForLoop else (s.name, s.kind)
+                                           for s in stmts if type(s) in (ForLoop, Declare)]]:
+        if name in kinds:
+            raise ValueError(f"duplicate variable name {name!r}")
+        kinds[name] = kind
+    loops = {s.var for s in stmts if type(s) is ForLoop}
+    assigned = {s.target.name for s in stmts if type(s) is Assign and type(s.target) is VarRef}
+    if loops & assigned:
+        raise ValueError(f"loop variable {min(loops & assigned)} is assigned")
+    return kinds, loops, assigned
+
+
+class _Types:
+    """The walk: every name's kind, the loop variables, the names in scope and those declared."""
+
+    def __init__(self, program: SecondStageProgram):
+        self.kinds, self.loops, _ = declarations(program)
+        self.seen, self.live = set(), {name for name, _ in program.params}
+
+    def pointer(self, expr: Expr) -> bool:  # a float* in C: an allocation or a float* variable
+        return type(expr) is RuntimeCallExpr or (
+            type(expr) is VarRef and expr.name in self.live and self.kinds[expr.name] == "float*")
+
+    def number(self, expr: Expr, holder: str = "") -> None:
+        if self.pointer(expr):
+            raise ValueError(f"{holder} cannot hold a buffer" if holder
+                             else f"pointer {expr.name} used as a number")
+
+    def held(self, name: str, value: Expr) -> None:
+        self.expr(value)
+        if (kind := self.kinds.get(name)) == "float*" and not self.pointer(value):
+            raise ValueError(f"float* {name} cannot hold a number")
+        if kind in ("int", "float"):
+            self.number(value, f"{kind} {name}")
+
+    def expr(self, expr: Expr) -> None:
+        kind = type(expr)
+        if kind is VarRef and (name := expr.name) not in self.live:
+            raise ValueError(
+                f"variable {name!r} is never declared" if name not in self.kinds
+                else f"loop variable {name} is used outside its loop" if name in self.loops
+                else f"variable {name} is used outside its block" if name in self.seen
+                else f"variable {name} is not yet declared")
+        if kind is Binary:
+            left, right = expr.left, expr.right
+            self.number(left)
+            self.number(right)
+            if expr.op == "%" and (is_float(left, self.kinds) or is_float(right, self.kinds)):
+                raise ValueError("% with a float operand")
+            self.expr(left)
+            self.expr(right)
+        elif kind is ArrayIndex:  # only a float* variable, indexed by an int
+            self.expr(base := expr.base)
+            if type(base) is not VarRef or self.kinds[base.name] != "float*":
+                raise ValueError(f"{_expr_text(base, top=True)} is indexed but is no float* variable")
+            self.expr(index := expr.index)
+            self.number(index)
+            if is_float(index, self.kinds):
+                raise ValueError(f"index {_expr_text(index, top=True)} into {base.name} is a float")
+        elif kind is RuntimeCallExpr:  # an allocation
+            self.number(expr.args[0])
+            self.expr(expr.args[0])
+
+    def block(self, stmts: list[Stmt]) -> None:
+        live, self.live = self.live, set(self.live)  # a declaration ends with its block
+        for stmt in stmts:
+            kind = type(stmt)
+            if kind is Declare or kind is ForLoop:
+                name = stmt.name if kind is Declare else stmt.var
+                self.held(name, stmt.init if kind is Declare else stmt.start)
+                self.seen.add(name)
+                self.live.add(name)
+                if kind is ForLoop:
+                    self.block(stmt.body)
+                    self.live.discard(name)
+            elif kind is Assign:  # to a variable, or a store: the value, then the element
+                if type(stmt.target) is VarRef:
+                    self.held(stmt.target.name, stmt.value)
+                else:
+                    self.number(stmt.value)
+                    self.expr(stmt.value)
+                self.expr(stmt.target)
+            elif kind is IfElse:
+                self.expr(stmt.cond)
+                self.block(stmt.then_body)
+                self.block(stmt.else_body or [])
+            elif kind is RuntimeCall and len(stmt.args) == 3:  # a copy, between pointers
+                self.number(stmt.args[2])
+                for arg in stmt.args:
+                    self.expr(arg)
+                for arg in stmt.args[:2]:
+                    if not self.pointer(arg):
+                        raise ValueError(f"{stmt.name}: {_expr_text(arg, top=True)} is no pointer")
+        self.live = live
 
 
 # --------------------------------------------------------------------------

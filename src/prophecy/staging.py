@@ -333,7 +333,7 @@ class StageContext:
                     raise StagingError(
                         f"integer literal has more than {sys.get_int_max_str_digits()} digits"
                     ) from None
-            return StagedExpr(IntLit(value), self)
+            return StagedExpr(IntLit(int(value)), self)  # an IntEnum, say, as a plain int
         if isinstance(value, float):
             if not math.isfinite(value):  # C has no literal for inf or nan
                 raise StagingError(f"float literal {value!r} is not finite")
@@ -360,10 +360,7 @@ class StageContext:
         return StagedExpr(VarRef(name), self)
 
     def assign(self, target: StagedExpr, value: Any) -> None:
-        target = self.lift(target)
-        if not isinstance(target.node, (VarRef, ArrayIndex)):
-            raise StagingError("assignment target must be a variable or array element")
-        self._record(Assign(target.node, self.lift(value).node))
+        self._record(Assign(self.lift(target).node, self.lift(value).node))
 
     def runtime(self, name: str, *args: Any) -> None:
         self._record(RuntimeCall(name, tuple(self.lift(a).node for a in args)))

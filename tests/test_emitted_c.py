@@ -2,23 +2,24 @@
 
 Programs are checked against ``tests/data/runtime.h``, a stub of the six
 runtime calls, so this covers syntax and types only; nothing is linked or
-run.  The check skips only when no ``g++`` is on PATH.
+run.  g++ is also the oracle for what building a program refuses: the C of
+a refused recording (``emit_recorded``) is C that g++ refuses.  The check
+skips only when no ``g++`` is on PATH.
 """
 
 import os
 import shutil
 import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from prophecy.einsum import STRATEGIES
-from prophecy.interp import InterpError, interpret_program
 from prophecy.second_stage import RUNTIME_HEADER, emit_c
 from prophecy.staging import ProphecyStore, StageContext
-from test_interp import C_COMPARISONS, REFUSED, _comparison_program, _refused_program
-from test_interp_differential import random_program
+from test_interp import C_COMPARISONS, REFUSED, _comparison_program, _refused_recording
+from test_interp_differential import random_recording
 from test_pins import STAGED, _einsum_corpus, _einsum_outcome
 
 pytestmark = pytest.mark.skipif(shutil.which("g++") is None, reason="no g++ on PATH")
@@ -40,6 +41,12 @@ def syntax_check(sources: dict[str, str]) -> subprocess.CompletedProcess:
     )
 
 
+def emit_recorded(ctx: StageContext) -> str:
+    """The C of what ``ctx`` recorded, whether or not the program builds: ``emit_c`` reads only
+    a program's name, parameters and body."""
+    return emit_c(SimpleNamespace(name=ctx._name, params=tuple(ctx._params), body=ctx._root))
+
+
 def test_pinned_programs_compile():
     sources = {case: emit_c(build()[0]) for case, (build, _, _) in sorted(STAGED.items())}
     for name, case in _einsum_corpus().items():
@@ -58,12 +65,11 @@ def test_loop_variable_after_its_loop_compiles_nowhere():
     held = []
     ctx.for_loop(0, 4, 1, held.append)
     ctx.assign(buf[0], held[0])
-    program = ctx.finish()
-    result = syntax_check({"after_loop": emit_c(program)})
+    result = syntax_check({"after_loop": emit_recorded(ctx)})
     assert result.returncode != 0
     assert "'var0' was not declared in this scope" in result.stderr
-    with pytest.raises(InterpError, match="^loop variable var0 is used outside its loop$"):
-        interpret_program(program, {"arg0": np.zeros(1)})
+    with pytest.raises(ValueError, match="^loop variable var0 is used outside its loop$"):
+        ctx.finish()
 
 
 def test_branch_declaration_after_its_branch_compiles_nowhere():
@@ -72,18 +78,18 @@ def test_branch_declaration_after_its_branch_compiles_nowhere():
     held = []
     ctx.if_else(buf[0] < 1.0, lambda: held.append(ctx.declare("float", 2.0)))
     ctx.assign(buf[0], held[0])
-    program = ctx.finish()
-    result = syntax_check({"after_branch": emit_c(program)})
+    result = syntax_check({"after_branch": emit_recorded(ctx)})
     assert result.returncode != 0
     assert "'var0' was not declared in this scope" in result.stderr
-    with pytest.raises(InterpError, match="^variable var0 is used outside its block$"):
-        interpret_program(program, {"arg0": np.zeros(1)})
+    with pytest.raises(ValueError, match="^variable var0 is used outside its block$"):
+        ctx.finish()
 
 
 def test_refused_programs_compile_nowhere_but_pointer_arithmetic():
-    # the interpreter refuses each before it runs; g++ accepts (arg0 + 1)[0] and
-    # runtime::malloc(16)[0], which the interpreter leaves unsupported
-    result = syntax_check({case: emit_c(_refused_program(REFUSED[case][0])) for case in REFUSED})
+    # building refuses each; g++ accepts (arg0 + 1)[0] and runtime::malloc(16)[0], which
+    # building refuses as unsupported, stricter than C
+    result = syntax_check({case: emit_recorded(_refused_recording(REFUSED[case][0]))
+                           for case in REFUSED})
     errors = [line for line in result.stderr.splitlines() if ": error: " in line]
     assert {line.split(":")[0] for line in errors} == set(REFUSED) - {
         "pointer arithmetic", "allocation indexed"}
@@ -103,19 +109,18 @@ def test_comparisons_compile_as_ints():
     assert result.returncode == 0, result.stderr
 
 
-def test_generated_programs_compile_exactly_where_the_interpreter_prints_them():
-    # refused when printed, so before the inputs are read; g++ refuses the same programs
+def test_generated_programs_compile_exactly_where_the_program_builds():
+    # building refuses a program, and g++ refuses the C of the same recordings
     sources, refused = {}, set()
     for mode in ("general", "kernels"):
         for seed in range(300):
-            program, _ = random_program(seed, kernels=mode == "kernels")
+            ctx, _ = random_recording(seed, kernels=mode == "kernels")
             name = f"{mode}-{seed}"
-            sources[name] = emit_c(program)
+            sources[name] = emit_recorded(ctx)
             try:
-                interpret_program(program, {})
-            except InterpError as exc:
-                if not str(exc).startswith("missing input for parameter "):
-                    refused.add(name)
+                ctx.finish()
+            except ValueError:
+                refused.add(name)
     result = syntax_check(sources)
     rejected = {line.split(":")[0] for line in result.stderr.splitlines() if ": error: " in line}
     assert rejected == refused

@@ -4,62 +4,58 @@
 ``interpret_program`` replaced: each AST node is compiled once into a
 closure over an environment list.  It is kept here as it was, with its own
 ``Buffer``, less the branches of the second-stage features since removed
-(``Return``, ``Unary`` and ``runtime::free``) and of what a recorded node
-can no longer be (a runtime call of the wrong kind, a parameter kind other
-than ``int``, ``float`` or ``float*``, a declaration without a value), and
-with additions made to both.  A loop start, an ``int`` declaration's value
-and a value assigned to an ``int`` variable or parameter become what C
-stores in an ``int`` (``_to_int``): truncated toward zero, with nan or inf
-an InterpError.  A comparison is C's int, 0 or 1 (``_BINOPS``), and an int
-given to a ``float`` variable or parameter becomes a float32
-(``_as_stored``).  ``%`` is C's, whose quotient truncates toward zero
-(``_c_mod``), with a zero divisor an InterpError.  What C's types refuse is
-an InterpError when the program compiles: a pointer (a ``float*`` variable
-or an allocation) used as a number (``_number``), so also an ``int`` or
-``float`` variable given one, and a number given to a ``float*``
-(``_held``); indexing anything but a ``float*`` variable, and a float index
-(``_compile_element``); anything but a pointer as a copy's source or
-destination (``_is_pointer``); and a ``%`` with a float operand
-(``_is_float``, where a hand-built ``IntLit`` holding anything but an int is
-a float).  So every index is an int and every indexed value a buffer, and an
-access evaluates its index before it reads its base, as the generated source
-does.  A variable is in scope as in C (``_Scope``): a declaration until its
-block ends, a loop variable in its loop's body only, and a read anywhere
-else is an InterpError when the program compiles; a declaration comes into
-scope once its value is compiled, so it cannot read itself.  Its loop builds
-the ``var < bound`` test and the ``var = var + step`` update from the
-``ForLoop`` fields and runs them as a ``while`` loop.  It is the reference
-the generated-source interpreter must agree with.  Random programs are
-recorded through the public ``StageContext`` API, so they have the
-recorder's shapes, and cover nested counted loops with literal, staged,
-float and float-parameter starts (some of them empty), grid-shaped nests
-like the einsum DSL's kernels (whose idle iterations the interpreter skips,
-some with their flat thread id offset by an int parameter the nest lowers),
-``if_else``, ``int`` variables given float values and ``float`` ones given
-ints or comparisons, indices that sum two comparisons, remainders by
-positive, negative, zero and staged divisors, loads and stores in and out of
-bounds, reads of uninitialized elements, whole, short and over-long copies,
-aliases, and now and then, on purpose, what both refuse: a read of a
-variable after its block (a kernel's flat thread id after the nest, say), an
-``int`` given a pointer, a ``float*`` given an int, an int indexed, a float
-index and an int copied.  A second test draws programs of kernel nests only,
-and a third checks that few programs are refused and no fewer end ``ok``
-than before the generator scoped its variables.  The pinned builds with a
-small grid (matmul and matvec in all three strategies, conv/ReLU 24 x 5 with
-both flags) are compared too, as are the programs C's types refuse
-(``REFUSED`` in ``tests/test_interp.py``), the hand-built statements both
-refuse (``HAND_BUILT`` there) and those that take a comparison as an int
-(``C_COMPARISONS`` there).  Outputs are compared byte for byte, scalars by
-type and value, and errors by type and message.
+(``Return``, ``Unary`` and ``runtime::free``), of what a recorded node can
+no longer be (a runtime call of the wrong kind, a parameter kind other than
+``int``, ``float`` or ``float*``, a declaration without a value, an
+assignment to anything but a variable or an element, an unknown operator),
+and of what a program can no longer hold: C's types are checked when a
+program is built (see ``prophecy.second_stage``), so the reference refuses
+nothing at compile time, and g++ is the oracle for what is refused (see
+``tests/test_emitted_c.py``).  It has additions made to both.  A loop
+start, an ``int`` declaration's value and a value assigned to an ``int``
+variable or parameter become what C stores in an ``int`` (``_to_int``):
+truncated toward zero, with nan or inf an InterpError.  A comparison is C's
+int, 0 or 1 (``_BINOPS``), and an int given to a ``float`` variable or
+parameter becomes a float32 (``_as_stored``).  ``%`` is C's, whose quotient
+truncates toward zero (``_c_mod``), with a zero divisor an InterpError.  An
+access evaluates its index before it reads its base, as the generated
+source does.  Its loop builds the ``var < bound`` test and the ``var = var +
+step`` update from the ``ForLoop`` fields and runs them as a ``while``
+loop.  It is the reference the generated-source interpreter must agree
+with.  Random programs are recorded through the public ``StageContext``
+API, so they have the recorder's shapes, and cover nested counted loops
+with literal, staged, float and float-parameter starts (some of them
+empty), grid-shaped nests like the einsum DSL's kernels (whose idle
+iterations the interpreter skips, some with their flat thread id offset by
+an int parameter the nest lowers), ``if_else``, ``int`` variables given
+float values and ``float`` ones given ints or comparisons, indices that sum
+two comparisons, remainders by positive, negative, zero and staged
+divisors, loads and stores in and out of bounds, reads of uninitialized
+elements, whole, short and over-long copies, aliases, and now and then, on
+purpose, what C refuses, so building the program does: a read of a
+variable after its block (a kernel's flat thread id after the nest, say),
+an ``int`` given a pointer, a ``float*`` given an int, an int indexed, a
+float index and an int copied.  ``random_program`` returns the error of
+such a draw in place of the program, and the differential tests compare
+the programs that build.  A second test draws programs of kernel nests
+only, and a third checks that few programs are refused and no fewer end
+``ok`` than before the generator scoped its variables.  The pinned builds
+with a small grid (matmul and matvec in all three strategies, conv/ReLU
+24 x 5 with both flags) are compared too, as are the programs that take a
+comparison as an int (``C_COMPARISONS`` in ``tests/test_interp.py``); the
+programs C's types refuse (``REFUSED`` there) and the hand-built
+statements (``HAND_BUILT`` there) are checked to be refused when built, so
+that neither interpreter is given them.  Outputs are compared byte for
+byte, scalars by type and value, and errors by type and message.
 
-The reference accepts a negative copy size and an assigned loop variable,
-which the new interpreter diagnoses (see ``tests/test_interp.py``), so the
-generator makes neither.
+The reference accepts a negative copy size, which the new interpreter
+diagnoses (see ``tests/test_interp.py``), so the generator makes none.
 """
 
 import math
 import operator
 import random
+import re
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -84,12 +80,11 @@ from prophecy.second_stage import (
     SecondStageProgram,
     Stmt,
     VarRef,
-    _expr_text,
     iter_stmts,
 )
 from prophecy.staging import ProphecyStore, StageContext
 from test_interp import (C_COMPARISONS, HAND_BUILT, REFUSED, _comparison_program,
-                         _hand_built_program, _refused_inputs, _refused_program)
+                         _hand_built_program, _refused_recording)
 from test_pins import INTERPRETED
 
 
@@ -128,6 +123,7 @@ _BINOPS: dict[str, Callable[[Any, Any], Any]] = {
 
 
 def _var_kinds(program: SecondStageProgram) -> dict[str, str]:
+    """Every variable's kind, parameters first, then declarations in program order."""
     kinds = dict(program.params)
     for stmt in iter_stmts(program.body):
         if isinstance(stmt, ForLoop):
@@ -156,101 +152,6 @@ def _kept(value: Any, name: str) -> Any:
 _CONVERT = {"int": _to_int, "float": _as_stored}
 
 
-class _Scope:
-    """Every variable's slot and kind, and the names in scope where compilation has reached:
-    as in C, a declaration until its block ends, a loop variable in its loop's body only."""
-
-    def __init__(self, slots: dict[str, int], kinds: dict[str, str], loops: set[str], live: set[str]):
-        self.slots, self.kinds, self.loops, self.live = slots, kinds, loops, live
-        self.declared: set[str] = set()  # the declarations compilation has passed
-
-    def slot(self, name: str) -> int:
-        if name not in self.slots:
-            raise InterpError(f"variable {name!r} is never declared")
-        if name not in self.live:
-            if name in self.loops:
-                raise InterpError(f"loop variable {name} is used outside its loop")
-            if name not in self.declared:
-                raise InterpError(f"variable {name} is not yet declared")
-            raise InterpError(f"variable {name} is used outside its block")
-        return self.slots[name]
-
-
-def _is_pointer(expr: Expr, scope: _Scope) -> bool:
-    """A ``float*`` in C: an allocation (every runtime call that yields a value) or a ``float*``
-    variable."""
-    return isinstance(expr, RuntimeCallExpr) or (
-        isinstance(expr, VarRef) and scope.kinds.get(expr.name) == "float*")
-
-
-def _number(expr: Expr, scope: _Scope, holder: str = "") -> Expr:
-    """``expr`` where C wants a number (``holder``'s value, say): a pointer, that is an allocation
-    or a ``float*`` variable in scope, is refused when the program compiles."""
-    if _is_pointer(expr, scope) and (isinstance(expr, RuntimeCallExpr) or expr.name in scope.live):
-        if holder:
-            raise InterpError(f"{holder} cannot hold a buffer")
-        raise InterpError(f"pointer {expr.name} used as a number")
-    return expr
-
-
-def _is_float(expr: Expr, scope: _Scope) -> bool:
-    """A float literal or variable, a load, or arithmetic on one: C's ``%`` refuses it."""
-    if isinstance(expr, Binary) and expr.op in ("+", "-", "*", "%"):
-        return _is_float(expr.left, scope) or _is_float(expr.right, scope)
-    if isinstance(expr, VarRef):
-        return scope.kinds.get(expr.name) == "float"
-    if isinstance(expr, IntLit):  # hand-built, holding anything but an int
-        return type(expr.value) is not int
-    return isinstance(expr, (FloatLit, ArrayIndex))
-
-
-def _held(expr: Expr, scope: _Scope, name: str) -> None:
-    """A pointer given to an ``int`` or ``float`` variable, or a number given to a ``float*``, is
-    refused when the program compiles."""
-    if (kind := scope.kinds.get(name)) in ("int", "float"):
-        _number(expr, scope, f"{kind} {name}")
-    elif kind == "float*" and not _is_pointer(expr, scope):
-        raise InterpError(f"float* {name} cannot hold a number")
-
-
-def _compile_element(base: Expr, index: Expr, scope: _Scope) -> tuple[Callable, Callable]:
-    """Only a ``float*`` variable is indexed, and only by an int: the rest is refused when the
-    program compiles."""
-    bf = _compile_expr(base, scope)
-    if not (isinstance(base, VarRef) and scope.kinds[base.name] == "float*"):
-        raise InterpError(f"{_expr_text(base, top=True)} is indexed but is no float* variable")
-    xf = _compile_expr(index, scope)
-    if _is_float(_number(index, scope), scope):
-        raise InterpError(f"index {_expr_text(index, top=True)} into {base.name} is a float")
-    return bf, xf
-
-
-def _collect_slots(program: SecondStageProgram) -> dict[str, int]:
-    slots: dict[str, int] = {}
-
-    def add(name: str) -> None:
-        if name in slots:
-            raise InterpError(f"duplicate variable name {name!r}")
-        slots[name] = len(slots)
-
-    def walk(stmts: list[Stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, Declare):
-                add(stmt.name)
-            elif isinstance(stmt, ForLoop):
-                add(stmt.var)
-                walk(stmt.body)
-            elif isinstance(stmt, IfElse):
-                walk(stmt.then_body)
-                if stmt.else_body is not None:
-                    walk(stmt.else_body)
-
-    for name, _ in program.params:
-        add(name)
-    walk(program.body)
-    return slots
-
-
 def _alloc(args: tuple[Any, ...], name: str) -> Buffer:
     (nbytes,) = args
     count = int(nbytes) // _ELEM_BYTES
@@ -260,7 +161,7 @@ def _alloc(args: tuple[Any, ...], name: str) -> Buffer:
 
 
 def _compile_expr(
-    expr: Expr, scope: _Scope, alloc_name: str | None = None
+    expr: Expr, slots: dict[str, int], alloc_name: str | None = None
 ) -> Callable[[list], Any]:
     match expr:
         case IntLit(value):
@@ -269,20 +170,15 @@ def _compile_expr(
             const = np.float32(value)
             return lambda env: const
         case VarRef(name):
-            slot = scope.slot(name)
+            slot = slots[name]
             return lambda env: env[slot]
         case Binary(op, left, right):
-            _number(left, scope), _number(right, scope)
-            if op == "%" and (_is_float(left, scope) or _is_float(right, scope)):
-                raise InterpError("% with a float operand")
-            if op not in _BINOPS:
-                raise InterpError(f"unknown binary operator {op!r}")
             fn = _BINOPS[op]
-            lf = _compile_expr(left, scope)
-            rf = _compile_expr(right, scope)
+            lf = _compile_expr(left, slots)
+            rf = _compile_expr(right, slots)
             return lambda env: fn(lf(env), rf(env))
         case ArrayIndex(base, index):
-            bf, xf = _compile_element(base, index, scope)
+            bf, xf = _compile_expr(base, slots), _compile_expr(index, slots)
 
             def load(env):
                 i = xf(env)
@@ -297,7 +193,7 @@ def _compile_expr(
 
             return load
         case RuntimeCallExpr(name, args):  # an allocation
-            arg_fns = [_compile_expr(_number(a, scope), scope) for a in args]
+            arg_fns = [_compile_expr(a, slots) for a in args]
             label = alloc_name or name
 
             def allocate(env, label=label):
@@ -307,65 +203,48 @@ def _compile_expr(
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def _compile_block(stmts: list[Stmt], scope: _Scope) -> list[Callable[[list], None]]:
-    live = set(scope.live)
-    fns = [_compile_stmt(s, scope) for s in stmts]
-    scope.live = live
-    return fns
-
-
-def _compile_stmt(stmt: Stmt, scope: _Scope) -> Callable[[list], None]:
+def _compile_stmt(stmt: Stmt, slots: dict[str, int], kinds: dict[str, str]) -> Callable[[list], None]:
     match stmt:
-        case Declare(name, _, init):
-            init_fn = _compile_expr(init, scope, alloc_name=name)
-            _held(init, scope, name)
-            scope.live.add(name)  # in scope from the end of its value
-            scope.declared.add(name)
-            slot = scope.slots[name]
-            convert = _CONVERT.get(scope.kinds[name], _kept)
+        case Declare(name, kind, init):
+            init_fn = _compile_expr(init, slots, alloc_name=name)
+            slot = slots[name]
+            convert = _CONVERT.get(kind, _kept)
 
             def declare_init(env):
                 env[slot] = convert(init_fn(env), name)
 
             return declare_init
-        case Assign(target, value):
-            if isinstance(target, ArrayIndex):
-                _number(value, scope)
-            vf = _compile_expr(value, scope)
-            if isinstance(target, VarRef):
-                _held(value, scope, target.name)
-                slot, name = scope.slot(target.name), target.name
-                convert = _CONVERT.get(scope.kinds[name], _kept)
+        case Assign(VarRef(name), value):
+            vf = _compile_expr(value, slots)
+            slot = slots[name]
+            convert = _CONVERT.get(kinds[name], _kept)
 
-                def store_var(env):
-                    env[slot] = convert(vf(env), name)
+            def store_var(env):
+                env[slot] = convert(vf(env), name)
 
-                return store_var
-            if isinstance(target, ArrayIndex):
-                bf, xf = _compile_element(target.base, target.index, scope)
+            return store_var
+        case Assign(ArrayIndex(base, index), value):
+            vf = _compile_expr(value, slots)
+            bf, xf = _compile_expr(base, slots), _compile_expr(index, slots)
 
-                def store_elem(env):
-                    i = xf(env)
-                    buf = bf(env)
-                    if i < 0 or i >= buf.size:
-                        raise InterpError(
-                            f"index {i} out of bounds for {buf.name} of size {buf.size}"
-                        )
-                    buf.values[i] = vf(env)
-                    buf.mask[i] = 1
+            def store_elem(env):
+                i = xf(env)
+                buf = bf(env)
+                if i < 0 or i >= buf.size:
+                    raise InterpError(
+                        f"index {i} out of bounds for {buf.name} of size {buf.size}"
+                    )
+                buf.values[i] = vf(env)
+                buf.mask[i] = 1
 
-                return store_elem
-            raise InterpError(f"bad assignment target {target!r}")
+            return store_elem
         case ForLoop(var, init, bound, by, body):
             cond, step = Binary("<", VarRef(var), bound), Binary("+", VarRef(var), by)
-            init_fn = _compile_expr(init, scope)
-            _held(init, scope, var)
-            scope.live.add(var)
-            slot = scope.slots[var]
-            cond_fn = _compile_expr(cond, scope)
-            step_fn = _compile_expr(step, scope)
-            body_fns = _compile_block(body, scope)
-            scope.live.discard(var)
+            init_fn = _compile_expr(init, slots)
+            slot = slots[var]
+            cond_fn = _compile_expr(cond, slots)
+            step_fn = _compile_expr(step, slots)
+            body_fns = [_compile_stmt(s, slots, kinds) for s in body]
 
             def loop(env):
                 env[slot] = _to_int(init_fn(env), var)
@@ -376,9 +255,9 @@ def _compile_stmt(stmt: Stmt, scope: _Scope) -> Callable[[list], None]:
 
             return loop
         case IfElse(cond, then_body, else_body):
-            cond_fn = _compile_expr(cond, scope)
-            then_fns = _compile_block(then_body, scope)
-            else_fns = _compile_block(else_body or [], scope)
+            cond_fn = _compile_expr(cond, slots)
+            then_fns = [_compile_stmt(s, slots, kinds) for s in then_body]
+            else_fns = [_compile_stmt(s, slots, kinds) for s in else_body or []]
 
             def branch(env):
                 for fn in then_fns if cond_fn(env) else else_fns:
@@ -388,11 +267,7 @@ def _compile_stmt(stmt: Stmt, scope: _Scope) -> Callable[[list], None]:
         case RuntimeCall("runtime::grid_sync"):
             return lambda env: None
         case RuntimeCall(name, args):  # a copy
-            _number(args[2], scope)
-            arg_fns = [_compile_expr(a, scope) for a in args]
-            for a in args[:2]:
-                if not _is_pointer(a, scope):
-                    raise InterpError(f"{name}: {_expr_text(a, top=True)} is no pointer")
+            arg_fns = [_compile_expr(a, slots) for a in args]
 
             def copy(env):
                 dst = arg_fns[0](env)
@@ -413,10 +288,9 @@ def _compile_stmt(stmt: Stmt, scope: _Scope) -> Callable[[list], None]:
 def reference_interpret(
     program: SecondStageProgram, inputs: Mapping[str, Any]
 ) -> dict[str, Any]:
-    slots = _collect_slots(program)
-    loops = {s.var for s in iter_stmts(program.body) if isinstance(s, ForLoop)}
-    scope = _Scope(slots, _var_kinds(program), loops, {name for name, _ in program.params})
-    body = [_compile_stmt(s, scope) for s in program.body]  # refuses what C's types refuse
+    kinds = _var_kinds(program)
+    slots = {name: k for k, name in enumerate(kinds)}
+    body = [_compile_stmt(s, slots, kinds) for s in program.body]
     env: list[Any] = [None] * len(slots)
     for name, kind in program.params:
         if name not in inputs:
@@ -637,8 +511,8 @@ class _Gen:
             ctx.assign(self.buffers[0][0], flat[-1])
 
 
-def random_program(seed: int, kernels: bool = False):
-    """A random program and inputs; with ``kernels``, one to three kernel nests only."""
+def random_recording(seed: int, kernels: bool = False):
+    """A random program's recorder and inputs; with ``kernels``, one to three kernel nests only."""
     rng = random.Random(seed)
     gen = _Gen(rng)
     if kernels:
@@ -653,7 +527,17 @@ def random_program(seed: int, kernels: bool = False):
         "arg3": rng.choice([0.5, -2.0]),
         "arg4": rng.randint(0, 2),
     }
-    return gen.ctx.finish(), inputs
+    return gen.ctx, inputs
+
+
+def random_program(seed: int, kernels: bool = False):
+    """A random program and inputs, or in place of a program C's types refuse, the ValueError
+    building it gives."""
+    ctx, inputs = random_recording(seed, kernels)
+    try:
+        return ctx.finish(), inputs
+    except ValueError as exc:
+        return exc, inputs
 
 
 def _outcome(interpret, program, inputs):
@@ -676,18 +560,20 @@ def _outcome(interpret, program, inputs):
 @settings(max_examples=600, deadline=None)
 def test_generated_source_matches_reference(seed):
     program, inputs = random_program(seed)
-    assert _outcome(interpret_program, program, inputs) == _outcome(
-        reference_interpret, program, inputs
-    )
+    if isinstance(program, SecondStageProgram):
+        assert _outcome(interpret_program, program, inputs) == _outcome(
+            reference_interpret, program, inputs
+        )
 
 
 @given(st.integers(0, 2**32))
 @settings(max_examples=400, deadline=None)
 def test_generated_kernels_match_reference(seed):
     program, inputs = random_program(seed, kernels=True)
-    assert _outcome(interpret_program, program, inputs) == _outcome(
-        reference_interpret, program, inputs
-    )
+    if isinstance(program, SecondStageProgram):
+        assert _outcome(interpret_program, program, inputs) == _outcome(
+            reference_interpret, program, inputs
+        )
 
 
 # Programs of seeds 0-299 that ended ok before the generator scoped its variables to their
@@ -697,10 +583,11 @@ _OK_FLOOR = {"general": 68, "kernels": 161}
 
 @pytest.mark.parametrize("mode", sorted(_OK_FLOOR))
 def test_generator_mostly_runs_to_the_end(mode):
-    outcomes = [_outcome(interpret_program, *random_program(seed, kernels=mode == "kernels"))
-                for seed in range(300)]
-    refused = sum(o[0] == "error" and " is used outside its " in o[2] for o in outcomes)
-    assert 0 < refused <= 30  # the differential tests see refusals, but not mostly
+    drawn = [random_program(seed, kernels=mode == "kernels") for seed in range(300)]
+    refused = sum(isinstance(p, ValueError) and " is used outside its " in str(p) for p, _ in drawn)
+    assert 0 < refused <= 30  # the tests see refusals, but not mostly
+    outcomes = [_outcome(interpret_program, p, inputs) for p, inputs in drawn
+                if isinstance(p, SecondStageProgram)]
     assert sum(o[0] == "ok" for o in outcomes) >= _OK_FLOOR[mode]
 
 
@@ -717,21 +604,18 @@ def test_pinned_builds_match_reference(case):
 
 @pytest.mark.parametrize("case", sorted(REFUSED))
 def test_refusals_match_reference(case):
+    # refused when built, so neither interpreter is given the program
     statement, message = REFUSED[case]
-    program = _refused_program(statement)
-    expected = ("error", "InterpError", message)
-    for inputs in (_refused_inputs(program), {}):  # refused before any input is read
-        assert _outcome(interpret_program, program, inputs) == expected
-        assert _outcome(reference_interpret, program, inputs) == expected
+    ctx = _refused_recording(statement)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ctx.finish()
 
 
 @pytest.mark.parametrize("case", sorted(HAND_BUILT))
 def test_hand_built_refusals_match_reference(case):
-    program = _hand_built_program(case)
-    expected = ("error", "InterpError", HAND_BUILT[case][1])
-    for inputs in ({"arg0": np.zeros(4)}, {}):  # refused before any input is read
-        assert _outcome(interpret_program, program, inputs) == expected
-        assert _outcome(reference_interpret, program, inputs) == expected
+    # refused when built, so neither interpreter is given the program
+    with pytest.raises(ValueError, match=f"^{re.escape(HAND_BUILT[case][1])}$"):
+        _hand_built_program(case)
 
 
 @pytest.mark.parametrize("case", sorted(C_COMPARISONS))

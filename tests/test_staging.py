@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import re
 import sys
 import typing
@@ -386,6 +387,16 @@ class TestRecording:
             ctx.assign(n, n % 10 ** (limit + 1))
         ctx.assign(n, n % 10 ** (limit - 1))  # limit digits: still printable
         assert str(10 ** (limit - 1)) in emit_c(ctx.finish())
+
+    def test_int_subclass_freezes_to_a_plain_int_literal(self):
+        # an int literal holds only an int, so the recorder stages an IntEnum's value
+        class Row(enum.IntEnum):
+            SECOND = 1
+
+        ctx = fresh_ctx()
+        buf = ctx.parameter("float*")
+        ctx.assign(buf[Row.SECOND], 1.0)
+        assert "arg0[1] = 1.0;" in emit_c(ctx.finish())
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_float_literal_rejected(self, value):
