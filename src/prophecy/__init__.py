@@ -26,7 +26,6 @@ from .core_lang import (
     parse_program,
     print_program,
     run_trace,
-    step,
 )
 from .engine import (
     RunStats,
@@ -102,5 +101,4 @@ __all__ = [
     "print_program",
     "run_staged",
     "run_trace",
-    "step",
 ]

@@ -36,12 +36,11 @@ branch whose operator has two leaf operands is one closure; any other
 expression is a tree of closures.  An assignment writes its slot and
 returns the next label; a branch returns a label.
 
-``execution`` (for ``run_trace``) and ``label_path`` each loop over the
-transitions, from one start and under one ``max_steps`` rule.
-``label_path`` yields only the first position of each distinct step (a
-label and what it reached) and the last, and records them once for the
-engine and the checkers; ``run_trace`` builds a ``Configuration`` per
-position, and ``step`` runs one transition.
+``run_trace`` and ``label_path`` each loop over the transitions, from
+one start and under one ``max_steps`` rule.  ``label_path`` yields only
+the first position of each distinct step (a label and what it reached)
+and the last, and records them once for the engine and the checkers;
+``run_trace`` builds a ``Configuration`` per position.
 """
 
 from __future__ import annotations
@@ -704,16 +703,6 @@ Reached = Union[Label, Stuck, AtDone]  # what a transition reached
 Transition = Callable[[list], Reached]
 
 
-def step(program: Program, config: Configuration) -> Configuration | Stuck | AtDone:
-    """One transition of the standard rules, run over slots filled from ``config``."""
-    _, slots = _start(program, dict(config.state), 1)
-    reached = _transition(program, config.label)(slots)
-    if not isinstance(reached, str):
-        return reached
-    written = {name: value for name, value in zip(program._slot, slots) if value is not None}
-    return Configuration.make(reached, {**dict(config.state), **written})
-
-
 # Compilation of the standard rules into closures over the slots (see ``_start``).
 # An ``ABin`` or ``Cmp`` of two leaves is flat, one closure; other shapes are trees
 # whose leaves raise UndefinedVariableError, returned as ``Stuck``.  Either names the
@@ -760,8 +749,6 @@ def _expr(expr: AExp | BExp, leaves: _Leaves) -> Callable[[list], int | bool]:
     if isinstance(expr, Not):
         inner = _expr(expr.operand, leaves)
         return lambda slots: not inner(slots)
-    if not isinstance(expr, (ABin, Cmp, BBin)):
-        raise TypeError(f"not an expression: {expr!r}")
     apply, lhs, rhs = _APPLY[expr.op], _expr(expr.left, leaves), _expr(expr.right, leaves)
     if isinstance(expr, ABin):
 
@@ -828,17 +815,15 @@ def _compile_label(command: Command, nxt: Label | None, leaves: _Leaves) -> Tran
             return nxt
 
         return assign
-    if isinstance(command, If):
-        holds, target = _expr(command.cond, leaves), command.target
+    holds, target = _expr(command.cond, leaves), command.target  # an If: a Program holds no other
 
-        def branch(slots):
-            try:
-                return target if holds(slots) else nxt
-            except UndefinedVariableError as exc:
-                return Stuck(str(exc))
+    def branch(slots):
+        try:
+            return target if holds(slots) else nxt
+        except UndefinedVariableError as exc:
+            return Stuck(str(exc))
 
-        return branch
-    raise TypeError(f"not a command: {command!r}")
+    return branch
 
 
 def _transition(program: Program, label: Label) -> Transition:
@@ -886,32 +871,10 @@ class Trace:
         return len(self.configurations)
 
 
-def execution(
-    program: Program, initial_state: State | None = None, max_steps: int = 10_000
-) -> Iterator[tuple[Label, Reached, list]]:
-    """The standard execution from the first label, one transition per position.
-
-    Yields each position's label, what its transition reached and the slots
-    after it (one list, updated in place), for positions 0 through
-    ``max_steps``, and stops after the first outcome that is not a label:
-    ``AtDone`` (complete), ``Stuck``, or a label past the budget
-    (truncated).  So ``max_steps`` transitions are allowed, and an execution
-    stuck after exactly that many is stuck, not truncated.
-    """
-    _, slots = _start(program, initial_state, max_steps)
-    table, label = program._table, program.first
-    for _ in range(max_steps + 1):
-        reached = (table[label].transition or _transition(program, label))(slots)
-        yield label, reached, slots
-        if not isinstance(reached, str):
-            return
-        label = reached
-
-
 def label_path(
     program: Program, initial_state: State | None = None, max_steps: int = 10_000
 ) -> Iterator[tuple[int, Label, Reached]]:
-    """The new steps of ``execution``: ``(position, label, reached)`` where a step first occurs.
+    """The new steps of ``run_trace``: ``(position, label, reached)`` where a step first occurs.
 
     A step is a label and what its transition reached: the next label, and
     at the last position how the run ended: ``AtDone``, ``Stuck``, or the
@@ -931,7 +894,7 @@ def label_path(
     seen: set[tuple[Label, Reached]] = set()
     entries: list[tuple[int, Label, Reached]] = []
     table, label = program._table, program.first
-    for position in range(max_steps + 1):  # the steps of ``execution``, without its generator
+    for position in range(max_steps + 1):
         reached = (table[label].transition or _transition(program, label))(slots)
         this_step = label, reached
         if this_step not in seen:
@@ -948,25 +911,34 @@ def label_path(
 
 
 def run_trace(program: Program, initial_state: State | None = None, max_steps: int = 10_000) -> Trace:
-    """The configurations of ``execution`` and how it ended.
+    """The standard execution from the first label: its configurations and how it ended.
 
-    A state shares its (name, value) pairs with the one before: only an
-    assignment makes a new pair, in its sorted place.
+    Runs one transition per position, for positions 0 through ``max_steps``,
+    and stops after the first outcome that is not a label: ``AtDone``
+    (complete), ``Stuck``, or a label past the budget (truncated).  So
+    ``max_steps`` transitions are allowed, and an execution stuck after
+    exactly that many is stuck, not truncated.  A state shares its (name,
+    value) pairs with the one before: only an assignment makes a new pair,
+    in its sorted place.
     """
-    start = Configuration.make(program.first, initial_state or {})
-    bound = dict(start.state)
+    state, slots = _start(program, initial_state, max_steps)
+    bound = dict(state)
     pairs = {name: (name, bound[name]) if name in bound else None  # in sorted order
              for name in sorted(bound.keys() | program._slot.keys())}
     writes = {label: (command.var, program._slot[command.var])
               for label, command in program.commands if isinstance(command, Assign)}
-    configurations, state = [start], start.state
-    for label, reached, slots in execution(program, initial_state, max_steps):
-        if isinstance(reached, str):
-            if label in writes:
-                var, slot = writes[label]
-                pairs[var] = (var, slots[slot])
-                state = tuple(filter(None, pairs.values()))
-            configurations.append(Configuration(reached, state))
+    table, label = program._table, program.first
+    configurations = [Configuration(label, state)]
+    for _ in range(max_steps + 1):
+        reached = (table[label].transition or _transition(program, label))(slots)
+        if not isinstance(reached, str):
+            break
+        if label in writes:
+            var, slot = writes[label]
+            pairs[var] = (var, slots[slot])
+            state = tuple(filter(None, pairs.values()))
+        configurations.append(Configuration(reached, state))
+        label = reached
     if isinstance(reached, AtDone):
         return Trace(tuple(configurations), TraceKind.COMPLETE)
     if isinstance(reached, Stuck):

@@ -13,7 +13,7 @@ when the program is built; this module re-exports it with
 
 For checking we substitute computed analysis results for the predictions:
 the prediction before label ``l`` is ``results[l]``.  An extended step is
-then the standard ``step`` plus two inclusion guards over ``results``: it
+then a standard step plus two inclusion guards over ``results``: it
 exists iff the standard step does and both guards hold, and it reaches the
 configuration the standard step reaches.  Preservation (extended steps
 introduce no new behavior) therefore holds by construction, for any

@@ -25,10 +25,10 @@ and an index is an int, where a comparison is C's int, 0 or 1 (``int(...)``;
 an ``if`` tests it bare).  A pointer's elements and size stay in locals
 (``V3 N3``), set on entry and after each value it is given.  An access
 evaluates its index, then tests its bounds, and a store then its value.  As
-in C, an int variable holds only ints (``_int``), a float variable given an
-int (not ``is_float``) holds it as a float32, and ``%`` truncates toward
-zero: inline with one sign test for a positive int-literal divisor, through
-``_mod`` otherwise, where a zero divisor is an InterpError.
+in C, an int variable holds only ints (``_int``), a float variable or an
+element given an int (not ``is_float``) holds it as a float32, and ``%``
+truncates toward zero: inline with one sign test for a positive int-literal
+divisor, through ``_mod`` otherwise, where a zero divisor is an InterpError.
 
 A ``ForLoop`` is counted, so it runs as a ``range`` loop; as in C, its
 variable is never assigned.  The range stops early, at a value computed
@@ -134,10 +134,10 @@ class _Walk:
         self.result = "return (" + "".join(f"v{k}, " for k in range(len(program.params))) + ")"
         self.constants: dict[str, Any] = {}
 
-    def stored(self, name: str, expr: Expr, src: str) -> str:
-        """The source ``src`` of ``expr`` as variable ``name`` holds it: C converts a number to
-        an ``int`` or ``float``."""
-        if (kind := self.kinds[name]) == "int":
+    def stored(self, name: str | None, expr: Expr, src: str) -> str:
+        """The source ``src`` of ``expr`` as variable ``name``, or an element where None, holds
+        it: C converts a number to an ``int`` or ``float``."""
+        if (kind := "float" if name is None else self.kinds[name]) == "int":
             return f"_int({src}, {name!r})" if is_float(expr, self.kinds) else src
         return f"_f32({src})" if kind == "float" and not is_float(expr, self.kinds) else src
 
@@ -219,7 +219,6 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
                     f"(_v := V{k}[_i]) is not None else _at(v{k}, _i))")
         case RuntimeCallExpr(name, (size,)):  # an allocation
             return f"_alloc({alloc_name or name!r}, {_expr_src(size, w)})"
-    raise TypeError(f"not an expression: {expr!r}")
 
 
 def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk, loops: frozenset[str]) -> None:
@@ -232,11 +231,11 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk, loops: frozenset
             if w.kinds[name] == "float*":
                 out.append(pad + _TRACK.format(w.slots[name]))
         case Assign(ArrayIndex(VarRef(base), index), value):  # index, bounds, then the value
-            value_src = _expr_src(value, w)
+            value_src = w.stored(None, value, _expr_src(value, w))
             k = w.slots[base]
             out.append(f"{pad}_s = {_expr_src(index, w)}")
             out.append(f"{pad}if not 0 <= _s < N{k}: _in_bounds(v{k}, _s)")
-            out.append(f"{pad}V{k}[_s] = _v if type(_v := {value_src}) is _f32 else _f32(_v)")
+            out.append(f"{pad}V{k}[_s] = {value_src}")
         case ForLoop(var, start, bound, step, body):
             start_src = w.stored(var, start, _expr_src(start, w))
             stop = w.stop(stmt, loops)
@@ -260,19 +259,19 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk, loops: frozenset
             out.append(f"{pad}_copy({name!r}, {arg_src})")
         case RuntimeCall():
             pass
-        case _:
-            raise TypeError(f"not a statement: {stmt!r}")
 
 
 def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) -> dict[str, Any]:
-    """Run a recorded program on named inputs; outputs are final parameter values.
+    """Run a recorded program on named inputs; outputs are the caller's buffers and scalars.
 
     Every pointer parameter must be covered by an input array (it arrives
-    fully initialized and its final contents are returned under the same
-    name), every int parameter by an integer and every float parameter by a
-    real number (its final value is returned); any other input is an
-    InterpError naming the parameter.  A program nested deeper than Python
-    compiles (20 loops, about 200 parentheses) is an InterpError.
+    fully initialized, and the final contents of that buffer are returned
+    under the same name: as in C, the caller keeps its own buffer, whatever
+    the parameter points to later), every int parameter by an integer and
+    every float parameter by a real number (its final value is returned);
+    any other input is an InterpError naming the parameter.  A program
+    nested deeper than Python compiles (20 loops, about 200 parentheses) is
+    an InterpError.
     """
     w = _Walk(program)
     # the function's lines, from the locals of each pointer parameter
@@ -302,6 +301,6 @@ def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) ->
         raise InterpError(f"program {program.name} is nested too deeply: {exc.msg}") from None
     with np.errstate(all="ignore"):  # as in C, a float overflows to inf without a word
         final = namespace["_program"](*args)
-    return {name: np.array([0.0 if x is None else x for x in value.values], np.float32)
-            if isinstance(value, Buffer) else value
-            for (name, _), value in zip(program.params, final)}
+    return {name: np.array([0.0 if x is None else x for x in arg.values], np.float32)
+            if kind == "float*" else value
+            for (name, kind), arg, value in zip(program.params, args, final)}

@@ -12,9 +12,10 @@ C's types are checked once, when a program is built: a node refuses what C
 refuses of it alone, and ``SecondStageProgram`` walks the program in the
 order the interpreter prints it (``_Types``: a value before its name enters
 scope, a store's value before its index), so ``emit_c`` and the interpreter
-see only typed programs.  A refusal is a ``ValueError`` naming the first
-fault.  The walk is stricter than C in three shapes: pointer arithmetic, an
-indexed allocation, and one name declared in two blocks (see README).
+see only typed programs, made of nodes alone.  A refusal is a ``ValueError``
+naming the first fault.  The walk is stricter than C in three shapes:
+pointer arithmetic, an indexed allocation, and one name declared in two
+blocks (see README).
 """
 
 from __future__ import annotations
@@ -269,6 +270,8 @@ class _Types:
         elif kind is RuntimeCallExpr:  # an allocation
             self.number(expr.args[0])
             self.expr(expr.args[0])
+        elif kind is not VarRef and kind is not IntLit and kind is not FloatLit:
+            raise ValueError(f"not an expression: {expr!r}")
 
     def block(self, stmts: list[Stmt]) -> None:
         live, self.live = self.live, set(self.live)  # a declaration ends with its block
@@ -293,7 +296,9 @@ class _Types:
                 self.expr(stmt.cond)
                 self.block(stmt.then_body)
                 self.block(stmt.else_body or [])
-            elif kind is RuntimeCall and len(stmt.args) == 3:  # a copy, between pointers
+            elif kind is not RuntimeCall:
+                raise ValueError(f"not a statement: {stmt!r}")
+            elif len(stmt.args) == 3:  # a copy, between pointers
                 self.number(stmt.args[2])
                 for arg in stmt.args:
                     self.expr(arg)

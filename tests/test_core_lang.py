@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,12 +36,11 @@ from prophecy.core_lang import (
     parse_program,
     print_program,
     run_trace,
-    step,
 )
 from prophecy.engine import analyze_concrete, live_variables_oracle
 from prophecy.extended import check_progress
 from randprog import random_program
-from test_differential import _wrap64, eval_expr, reference_step
+from test_differential import _wrap64, compiled_step, eval_expr, reference_step
 
 MINIMAL = "l0: x := 1\nl1: halt\nl2: done"
 
@@ -176,6 +176,16 @@ class TestStructure:
             for p in program.predecessors(l):
                 assert l in program.successors(p)
 
+    @pytest.mark.parametrize("command, message", [
+        ("skip", "not a command: 'skip'"),
+        (Assign("x", "1"), "not an expression: '1'"),
+        (If(Not("x"), "l1"), "not an expression: 'x'"),
+    ])
+    def test_what_no_transition_compiles_is_refused_when_built(self, command, message):
+        # so the compiled transitions need no fallthrough for such a shape
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            Program([("l0", command), ("l1", Halt()), ("l2", Done())])
+
 
 class TestEval:
     """The tree evaluator that the differential tests' ``reference_step`` is built on."""
@@ -212,41 +222,42 @@ class TestEval:
 class TestStep:
     def test_assign(self):
         program = parse_program(MINIMAL)
-        after = step(program, Configuration.make("l0", {}))
+        after = compiled_step(program, Configuration.make("l0", {}))
         assert after == Configuration.make("l1", {"x": 1})
 
     def test_if_false_falls_through(self):
         program = parse_program("l0: if x <= 1 then l2\nl1: skip\nl2: halt\nl3: done")
-        after = step(program, Configuration.make("l0", {"x": 3}))
+        after = compiled_step(program, Configuration.make("l0", {"x": 3}))
         assert after == Configuration.make("l1", {"x": 3})
 
     def test_if_true_jumps(self):
         program = parse_program("l0: if x <= 1 then l2\nl1: skip\nl2: halt\nl3: done")
-        after = step(program, Configuration.make("l0", {"x": 0}))
+        after = compiled_step(program, Configuration.make("l0", {"x": 0}))
         assert after == Configuration.make("l2", {"x": 0})
 
     def test_stuck_on_undefined_variable(self):
         program = parse_program("l0: y := z\nl1: halt\nl2: done")
-        result = step(program, Configuration.make("l0", {}))
+        result = compiled_step(program, Configuration.make("l0", {}))
         assert isinstance(result, Stuck)
         assert "z" in result.reason
 
     def test_halt_steps_to_done(self):
         program = parse_program(MINIMAL)
-        after = step(program, Configuration.make("l1", {"x": 1}))
+        after = compiled_step(program, Configuration.make("l1", {"x": 1}))
         assert after == Configuration.make("l2", {"x": 1})
-        assert step(program, after) is AT_DONE
+        assert compiled_step(program, after) is AT_DONE
 
     def test_program_pickles(self):
         program = parse_program(LOOP)
         copy = pickle.loads(pickle.dumps(program))
         assert copy == program
-        assert step(copy, Configuration.make("l2", {"x": 5})) == Configuration.make("l3", {"x": 4})
+        after = compiled_step(copy, Configuration.make("l2", {"x": 5}))
+        assert after == Configuration.make("l3", {"x": 4})
 
     def test_determinism(self):
         program = parse_program(LOOP)
         config = Configuration.make("l1", {"x": 5})
-        assert step(program, config) == step(program, config)
+        assert compiled_step(program, config) == compiled_step(program, config)
 
 
 class TestLazyCompilation:
@@ -264,9 +275,9 @@ class TestLazyCompilation:
     def test_first_step_compiles_once(self, compiled):
         program = parse_program(LOOP)
         config = Configuration.make("l2", {"x": 5})
-        after = step(program, config)
+        after = compiled_step(program, config)
         assert compiled == [program.command_at("l2")]
-        assert step(program, config) == after == Configuration.make("l3", {"x": 4})
+        assert compiled_step(program, config) == after == Configuration.make("l3", {"x": 4})
         assert compiled == [program.command_at("l2")]
 
     def test_a_trace_compiles_each_visited_label_once(self, compiled):
@@ -338,7 +349,8 @@ class TestSharing:
             assert command_obligations(built, label) == command_obligations(parsed, label)
             for state in ({}, {"a": 2}, {"a": 5, "b": -1, "c": 9}):
                 config = Configuration.make(label, state)
-                assert step(built, config) == reference_step(built, config) == step(parsed, config)
+                want = reference_step(built, config)
+                assert compiled_step(built, config) == want == compiled_step(parsed, config)
         assert run_trace(built) == run_trace(parsed)
 
     @pytest.mark.parametrize("flag", [True, False])
@@ -418,7 +430,7 @@ class TestInt64Domain:
             lambda: list(label_path(program, {name: value})),
             lambda: analyze_concrete(program, {name: value}),
             lambda: check_progress(program, live_variables_oracle(program), {name: value}),
-            lambda: step(program, Configuration.make(program.first, {name: value})),
+            lambda: compiled_step(program, Configuration.make(program.first, {name: value})),
         )
         for walk in walks:
             with pytest.raises(ValueError, match=f"initial value of '{name}' is not a 64-bit integer"):
@@ -532,8 +544,8 @@ def test_successor_predecessor_duality(program):
 @settings(max_examples=100, deadline=None)
 def test_step_is_deterministic(program, state):
     config = Configuration.make(program.first, state)
-    first = step(program, config)
-    second = step(program, config)
+    first = compiled_step(program, config)
+    second = compiled_step(program, config)
     assert first == second or (isinstance(first, (Stuck, AtDone)) and first == second)
 
 

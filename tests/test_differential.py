@@ -1,19 +1,20 @@
 """Differential tests: each fast path against the path it replaced.
 
-* ``core_lang.step`` runs each label's compiled transition over slots.  It
-  is compared with ``reference_step``, the tree-walking rules built on
+* ``compiled_step`` runs one label's compiled transition over slots (a
+  probe of ``core_lang._transition``; the package exports no single step).
+  It is compared with ``reference_step``, the tree-walking rules built on
   ``eval_expr`` (the tree evaluator, which also reports the variables it
   read), step by step along random executions (states may lack variables,
   so ``Stuck`` reasons are compared, and may hold values near 2**63, so
   64-bit wrap-around is compared).  An assignment or branch whose operator
   has two leaf operands compiles to one flat closure instead of a closure
   tree; hand-picked cases compare it with ``reference_step`` for every
-  operator, leaf kind, empty slot and wrap-around edge.  ``run_trace``
-  (along ``execution``) and ``label_path`` (in its own loop), which run the
-  transitions over one list of slots, are compared with a walk over
-  ``reference_step`` (``label_path`` with the first position of each of its
-  distinct steps, plus the last), including stuck and truncated runs and
-  initial variables the program never mentions.
+  operator, leaf kind, empty slot and wrap-around edge.  ``run_trace`` and
+  ``label_path``, each in its own loop over the transitions and one list
+  of slots, are compared with a walk over ``reference_step``
+  (``label_path`` with the first position of each of its distinct steps,
+  plus the last), including stuck and truncated runs and initial variables
+  the program never mentions.
 * ``analyze_concrete`` evaluates the standard execution once, before the
   first run, checks only its distinct steps, resumes each rerun at the
   step where the previous run aborted, and records each edge once.  It is
@@ -67,7 +68,6 @@ from prophecy.core_lang import (
     label_path,
     parse_program,
     run_trace,
-    step,
 )
 from prophecy.engine import (
     AnalysisError,
@@ -170,6 +170,16 @@ def reference_step(program, config):
     raise TypeError(f"not a command: {command!r}")
 
 
+def compiled_step(program, config):
+    """One compiled transition (``core_lang._transition``) over slots filled from ``config``."""
+    _, slots = core_lang._start(program, dict(config.state), 1)
+    reached = core_lang._transition(program, config.label)(slots)
+    if not isinstance(reached, str):
+        return reached
+    written = {name: value for name, value in zip(program._slot, slots) if value is not None}
+    return Configuration.make(reached, {**dict(config.state), **written})
+
+
 _values = st.one_of(
     st.integers(-8, 8),
     st.integers(2**63 - 16, 2**63 - 1),
@@ -185,7 +195,7 @@ def test_compiled_step_matches_reference(seed, state):
     program = random_program(random.Random(seed))
     config = Configuration.make(program.first, state)
     for _ in range(200):
-        got, want = step(program, config), reference_step(program, config)
+        got, want = compiled_step(program, config), reference_step(program, config)
         assert got == want
         if not isinstance(got, Configuration):
             break
@@ -198,7 +208,7 @@ def test_compiled_step_matches_reference_from_every_label(seed, state):
     program = random_program(random.Random(seed))
     for label in program.labels:
         config = Configuration.make(label, state)
-        assert step(program, config) == reference_step(program, config)
+        assert compiled_step(program, config) == reference_step(program, config)
 
 
 _names = st.sampled_from(["x", "y", "z"])
@@ -229,7 +239,7 @@ def test_compiled_expressions_match_reference(expr, cond, state):
     )
     for label in ("l0", "l1"):
         config = Configuration.make(label, state)
-        assert step(program, config) == reference_step(program, config)
+        assert compiled_step(program, config) == reference_step(program, config)
 
 
 def reference_trace(program, state, max_steps):
@@ -270,7 +280,7 @@ def test_slot_walk_matches_reference_walk(seed, state, max_steps):
 def test_foreign_label_is_unknown():
     program = random_program(random.Random(0))
     with pytest.raises(UnknownLabelError):
-        step(program, Configuration.make("nowhere", {}))
+        compiled_step(program, Configuration.make("nowhere", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +316,7 @@ def _assert_flat_steps_match(node, states):
     program = _flat_program(node)
     for state in states:
         config = Configuration.make("l0", state)
-        assert step(program, config) == reference_step(program, config), (node, state)
+        assert compiled_step(program, config) == reference_step(program, config), (node, state)
 
 
 _LEAF_PAIRS = [(Var("x"), Var("y")), (Var("x"), Num(3)), (Num(-4), Var("y")), (Num(6), Num(-2))]
@@ -327,7 +337,8 @@ def test_flat_transition_names_the_first_empty_slot(tree_calls, op):
     _assert_flat_steps_match(node, [{"y": 1}, {"x": 1}, {}, {"w": 1}])
     program = _flat_program(node)
     for state, name in (({"y": 1}, "x"), ({"x": 1}, "y"), ({}, "x")):
-        assert step(program, Configuration.make("l0", state)) == Stuck(f"undefined variable {name!r}")
+        after = compiled_step(program, Configuration.make("l0", state))
+        assert after == Stuck(f"undefined variable {name!r}")
     assert tree_calls == []
 
 
@@ -344,7 +355,7 @@ def test_flat_transition_names_the_first_empty_slot(tree_calls, op):
 ])
 def test_flat_assignment_wraps_at_the_64_bit_edges(tree_calls, node, state, value):
     _assert_flat_steps_match(node, [state])
-    after = step(_flat_program(node), Configuration.make("l0", state))
+    after = compiled_step(_flat_program(node), Configuration.make("l0", state))
     assert after.state_dict()["z"] == value
     assert tree_calls == []
 
@@ -359,7 +370,7 @@ def test_flat_transition_reads_one_variable_twice(tree_calls, op):
         program = Program([("l0", Assign("x", node)), ("l1", Halt()), ("l2", Done())])
         for state in states:
             config = Configuration.make("l0", state)
-            assert step(program, config) == reference_step(program, config)
+            assert compiled_step(program, config) == reference_step(program, config)
     assert tree_calls == []
 
 
@@ -425,9 +436,9 @@ class Recording:
     """The standard execution of one program from one initial state, evaluated so far.
 
     ``labels[k]`` is the label after k transitions and ``config`` is the
-    configuration at ``labels[-1]``.  ``step`` runs only past the recorded
-    end, so the reference evaluates each position once without sharing
-    ``core_lang.execution`` with the engine.
+    configuration at ``labels[-1]``.  ``compiled_step`` runs only past the
+    recorded end, so the reference evaluates each position once without
+    sharing ``core_lang.label_path`` with the engine.
     """
 
     program: Program
@@ -443,7 +454,7 @@ class Recording:
         """The label after ``labels[position]``."""
         if position + 1 < len(self.labels):
             return (self.labels[position + 1],)
-        outcome = step(self.program, self.config)
+        outcome = compiled_step(self.program, self.config)
         if outcome is AT_DONE:
             return ()
         if isinstance(outcome, Stuck):

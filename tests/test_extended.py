@@ -3,7 +3,7 @@
 ``check_preservation`` and ``check_progress`` share one walk that
 evaluates each standard step once.  The two checkers it replaced, which
 each built an extended step with ``ext_step_with_results`` and compared it
-with a second ``step``, are kept here as the reference: ``TestExtStep`` and
+with a second standard step, are kept here as the reference: ``TestExtStep`` and
 ``TestMonotonicity`` test the reference extended step, and a hypothesis
 differential test compares the reference reports with the walk's.  The
 walk checks only the distinct steps ``label_path`` yields and replays the
@@ -30,10 +30,8 @@ from prophecy.core_lang import (
     Configuration,
     Program,
     Stuck,
-    execution,
     parse_program,
     run_trace,
-    step,
 )
 from prophecy.engine import (
     AnalysisError,
@@ -53,7 +51,7 @@ from prophecy.extended import (
     command_obligations,
 )
 from randprog import VARS, random_program, random_state
-from test_differential import record_constraint, reference_step
+from test_differential import compiled_step, record_constraint, reference_step
 
 LOOP = """
 l0: x := 10
@@ -110,7 +108,7 @@ def ext_step_with_results(program, config, results) -> ExtStepOutcome:
     missing = obligations.precondition - current
     if missing:
         return PreconditionViolation(label, missing)
-    outcome = step(program, config)
+    outcome = compiled_step(program, config)
     if isinstance(outcome, AtDone):
         return ExtAtDone()
     if isinstance(outcome, Stuck):
@@ -152,7 +150,7 @@ def reference_preservation(program, results, initial_state=None, max_steps=10_00
             break
         if checked >= max_steps:
             return _truncated("preservation", config, checked, notes)
-        standard = step(program, config)
+        standard = compiled_step(program, config)
         if not isinstance(standard, Configuration) or standard != outcome.next:
             violation = Violation(
                 kind="projection",
@@ -169,7 +167,7 @@ def reference_progress(program, results, initial_state=None, max_steps=10_000):
     config = Configuration.make(program.first, initial_state or {})
     notes = []
     for checked in count():
-        standard = step(program, config)
+        standard = compiled_step(program, config)
         if isinstance(standard, AtDone):
             notes.append("standard execution complete")
             break
@@ -546,7 +544,7 @@ def analyze_concrete_positions(program, results, state, max_steps):
 
 
 class TestStepCost:
-    """Each caller of ``execution`` evaluates every standard step once, plus the one where it stops."""
+    """Each walk of the standard execution evaluates every step once, plus the one where it stops."""
 
     @pytest.mark.parametrize(
         "check",
@@ -624,8 +622,12 @@ def test_warm_program_matches_fresh_program(seed, text, calls):
 
 
 def _positions(program, state, max_steps):
-    """Every position's label and what its step reached."""
-    return [(label, reached) for label, reached, _ in execution(program, state, max_steps)]
+    """Every position's label and what its step reached: the next label, or at the last how
+    ``run_trace`` ended."""
+    configurations = run_trace(program, state, max_steps).configurations
+    last = compiled_step(program, configurations[-1])
+    labels = [config.label for config in configurations]
+    return list(zip(labels, labels[1:] + [last.label if isinstance(last, Configuration) else last]))
 
 
 def _check_positions_from(program, labels, cursor, results, constraints, repair_constraints):

@@ -117,7 +117,8 @@ _ELEMENT = lambda index: ArrayIndex(VarRef("arg0"), index)
 # ``_hand_built_program`` makes of it gives.  C compiles ``float var0 = var0;`` but reads an
 # indeterminate value, and refuses a read before a declaration or of a name never declared
 # (``'var0' was not declared in this scope``) and a parameter declared again in the function's
-# block.  An int literal that holds a float is refused when the literal is built.
+# block.  An int literal that holds a float is refused when the literal is built, and a value or
+# statement that is no second-stage node when the program is.
 HAND_BUILT = {
     "declaration that reads itself": (lambda: Declare("var0", "float", VarRef("var0")),
                                       "variable var0 is not yet declared"),
@@ -140,6 +141,9 @@ HAND_BUILT = {
     "non-int literal under %": (
         lambda: Assign(_ELEMENT(Binary("%", IntLit(3), IntLit(2.5))), FloatLit(1.0)),
         "integer literal is not an int: 2.5"),
+    "declared value that is no node": (lambda: Declare("var0", "int", "hello"),
+                                       "not an expression: 'hello'"),
+    "statement that is no node": (lambda: "x", "not a statement: 'x'"),
 }
 
 
@@ -711,8 +715,8 @@ class TestInlineAccess:
         inputs = {"arg0": [10.0, 20.0, 30.0], "arg1": [0.0, 0.0], "arg2": 0}
         out = interpret_program(recording(False).finish(), inputs)
         np.testing.assert_array_equal(out["arg0"], np.float32([10, 11, 10]))
-        # a pointer parameter's output is the buffer it holds at the end
-        other_out = [10, 11, 10] if pointer == "parameter" else [0, 0]
+        # a pointer parameter's output is the caller's buffer, whatever it points to at the end
+        other_out = [1, 0] if pointer == "parameter" else [0, 0]
         np.testing.assert_array_equal(out["arg1"], np.float32(other_out))
         # C refuses an int in a float*, even in a branch never taken
         held = "arg1" if pointer == "parameter" else "var0"
