@@ -42,9 +42,10 @@ only, and a third checks that few programs are refused and no fewer end
 ``ok`` than before the generator scoped its variables.  The pinned builds
 with a small grid (matmul and matvec in all three strategies, conv/ReLU
 24 x 5 with both flags) are compared too, as are the programs that take a
-comparison as an int (``C_COMPARISONS`` in ``tests/test_interp.py``).  What
-C's types refuse is refused when the program is built (``REFUSED`` and
-``HAND_BUILT`` there), so neither interpreter is given it.  Outputs are
+comparison as an int (``C_COMPARISONS`` in ``tests/test_interp.py``); the
+programs C's types refuse (``REFUSED`` there) and the hand-built
+statements (``HAND_BUILT`` there) are checked to be refused when built, so
+that neither interpreter is given them.  Outputs are
 compared byte for byte, scalars by type and value, and errors by type and
 message.  As in C, a pointer parameter's output is the caller's buffer,
 whatever the parameter points to at the end.
@@ -56,6 +57,7 @@ diagnoses (see ``tests/test_interp.py``), so the generator makes none.
 import math
 import operator
 import random
+import re
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -83,7 +85,8 @@ from prophecy.second_stage import (
     iter_stmts,
 )
 from prophecy.staging import ProphecyStore, StageContext
-from test_interp import C_COMPARISONS, _comparison_program
+from test_interp import (C_COMPARISONS, HAND_BUILT, REFUSED, _comparison_program,
+                         _hand_built_program, _refused_recording)
 from test_pins import INTERPRETED
 
 
@@ -598,6 +601,22 @@ def test_pinned_builds_match_reference(case):
         outcome = _outcome(interpret_program, program, inputs)
         assert outcome[0] == "ok"
         assert outcome == _outcome(reference_interpret, program, inputs)
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refusals_match_reference(case):
+    # refused when built, so neither interpreter is given the program
+    statement, message = REFUSED[case]
+    ctx = _refused_recording(statement)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ctx.finish()
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_hand_built_refusals_match_reference(case):
+    # refused when built, so neither interpreter is given the program
+    with pytest.raises(ValueError, match=f"^{re.escape(HAND_BUILT[case][1])}$"):
+        _hand_built_program(case)
 
 
 def test_reassigned_pointer_parameter_matches_reference():
