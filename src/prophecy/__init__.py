@@ -17,7 +17,6 @@ Layers, bottom up:
 """
 
 from .core_lang import (
-    Configuration,
     ParseError,
     Program,
     ProgramStructureError,
@@ -63,7 +62,6 @@ from .staging import (
 
 __all__ = [
     "CheckReport",
-    "Configuration",
     "EinsumSession",
     "FalseTopLattice",
     "HistoryVar",

@@ -37,10 +37,10 @@ expression is a tree of closures.  An assignment writes its slot and
 returns the next label; a branch returns a label.
 
 ``run_trace`` and ``label_path`` each loop over the transitions, from
-one start and under one ``max_steps`` rule.  ``label_path`` yields only
-the first position of each distinct step (a label and what it reached)
-and the last, and records them once for the engine and the checkers;
-``run_trace`` builds a ``Configuration`` per position.
+one start and under one ``max_steps`` rule, and build no configuration.
+``label_path`` yields only the first position of each distinct step (a
+label and what it reached) and the last, and records them once for the
+engine and the checkers; ``run_trace`` counts positions and the outcome.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from enum import Enum
 from typing import Callable, Iterator, Mapping, Union
 
 Label = str
-# a state as configurations hold it: (name, value) pairs sorted by name
+# an initial state as ``label_path`` keys its record: (name, value) pairs sorted by name
 StateTuple = tuple[tuple[str, int], ...]
 
 _INT64_MASK = (1 << 64) - 1
@@ -622,7 +622,6 @@ def _expr_text(expr: AExp | BExp, parent_prec: int = 0, right_side: bool = False
             if prec < parent_prec or (prec == parent_prec and right_side):
                 return f"({text})"
             return text
-    raise TypeError(f"not an expression: {expr!r}")
 
 
 def _command_text(command: Command) -> str:
@@ -639,11 +638,20 @@ def _command_text(command: Command) -> str:
             return "halt"
         case Done():
             return "done"
-    raise TypeError(f"not a command: {command!r}")
 
 
 def print_program(program: Program) -> str:
-    """Canonical text form; parse_program(print_program(p)) == p but for a negative Num."""
+    """Canonical text form; parse_program(print_program(p)) == p but for a negative Num.
+
+    A name the parser cannot read is a ValueError naming the first one: the
+    labels in program order, then the variables in sorted order.
+    """
+    for label in program.labels:
+        if not _IDENT_RE.fullmatch(label):
+            raise ValueError(f"label {label!r} is not an identifier")
+    for name in sorted(program.variables()):
+        if not is_variable_name(name):
+            raise ValueError(f"variable {name!r} is not an identifier, or is a keyword")
     return "\n".join(f"{label}: {_command_text(command)}" for label, command in program.commands)
 
 
@@ -652,28 +660,6 @@ def print_program(program: Program) -> str:
 # --------------------------------------------------------------------------
 
 State = Mapping[str, int]
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """A label and a state, the state as (name, value) pairs sorted by name.
-
-    Build one with ``make``, which sorts the pairs, so equal states compare equal.
-    """
-
-    label: Label
-    state: StateTuple
-
-    @staticmethod
-    def make(label: Label, state: State) -> "Configuration":
-        return Configuration(label, tuple(sorted(state.items())))
-
-    def state_dict(self) -> dict[str, int]:
-        return dict(self.state)
-
-    def __str__(self) -> str:
-        bindings = ", ".join(f"{k}={v}" for k, v in self.state)
-        return f"<{self.label}, {{{bindings}}}>"
 
 
 @dataclass(frozen=True)
@@ -834,22 +820,16 @@ def _transition(program: Program, label: Label) -> Transition:
     return entry.transition
 
 
-def _initial(initial_state: State | None) -> StateTuple:
-    """The initial state sorted by name, once every value is checked to be a 64-bit integer."""
-    state = tuple(sorted((initial_state or {}).items()))
+def _start(program: Program, initial_state: State | None, max_steps: int) -> tuple[StateTuple, list]:
+    """The initial state sorted by name, once every value is checked to be a 64-bit integer,
+    and its slots: each variable's value at its sorted index, or None."""
+    if max_steps < 0:
+        raise ValueError("max_steps must be at least 0")
+    state, slot = tuple(sorted((initial_state or {}).items())), program._slot
+    slots: list = [None] * len(slot)
     for name, value in state:
         if not _fits_int64(value):
             raise ValueError(f"initial value of {name!r} is not a 64-bit integer: {value!r}")
-    return state
-
-
-def _start(program: Program, initial_state: State | None, max_steps: int) -> tuple[StateTuple, list]:
-    """The checked initial state and its slots: each variable's value at its sorted index, or None."""
-    if max_steps < 0:
-        raise ValueError("max_steps must be at least 0")
-    state, slot = _initial(initial_state), program._slot
-    slots: list = [None] * len(slot)
-    for name, value in state:
         if name in slot:
             slots[slot[name]] = value
     return state, slots
@@ -863,18 +843,20 @@ class TraceKind(str, Enum):
 
 @dataclass(frozen=True)
 class Trace:
-    configurations: tuple[Configuration, ...]
+    """How many positions an execution visited, how it ended, and why if it did not complete."""
+
+    length: int
     kind: TraceKind
     reason: str | None = None
 
     def __len__(self) -> int:
-        return len(self.configurations)
+        return self.length
 
 
 def label_path(
     program: Program, initial_state: State | None = None, max_steps: int = 10_000
 ) -> Iterator[tuple[int, Label, Reached]]:
-    """The new steps of ``run_trace``: ``(position, label, reached)`` where a step first occurs.
+    """The new steps of the execution: ``(position, label, reached)`` where a step first occurs.
 
     A step is a label and what its transition reached: the next label, and
     at the last position how the run ended: ``AtDone``, ``Stuck``, or the
@@ -911,37 +893,24 @@ def label_path(
 
 
 def run_trace(program: Program, initial_state: State | None = None, max_steps: int = 10_000) -> Trace:
-    """The standard execution from the first label: its configurations and how it ended.
+    """The standard execution from the first label: how many positions it visited and how it ended.
 
     Runs one transition per position, for positions 0 through ``max_steps``,
     and stops after the first outcome that is not a label: ``AtDone``
     (complete), ``Stuck``, or a label past the budget (truncated).  So
     ``max_steps`` transitions are allowed, and an execution stuck after
-    exactly that many is stuck, not truncated.  A state shares its (name,
-    value) pairs with the one before: only an assignment makes a new pair,
-    in its sorted place.
+    exactly that many is stuck, not truncated.  Unlike ``label_path`` it
+    replays nothing: every call runs every transition.
     """
-    state, slots = _start(program, initial_state, max_steps)
-    bound = dict(state)
-    pairs = {name: (name, bound[name]) if name in bound else None  # in sorted order
-             for name in sorted(bound.keys() | program._slot.keys())}
-    writes = {label: (command.var, program._slot[command.var])
-              for label, command in program.commands if isinstance(command, Assign)}
+    _, slots = _start(program, initial_state, max_steps)
     table, label = program._table, program.first
-    configurations = [Configuration(label, state)]
-    for _ in range(max_steps + 1):
+    for position in range(max_steps + 1):
         reached = (table[label].transition or _transition(program, label))(slots)
         if not isinstance(reached, str):
             break
-        if label in writes:
-            var, slot = writes[label]
-            pairs[var] = (var, slots[slot])
-            state = tuple(filter(None, pairs.values()))
-        configurations.append(Configuration(reached, state))
         label = reached
     if isinstance(reached, AtDone):
-        return Trace(tuple(configurations), TraceKind.COMPLETE)
+        return Trace(position + 1, TraceKind.COMPLETE)
     if isinstance(reached, Stuck):
-        return Trace(tuple(configurations), TraceKind.STUCK, reached.reason)
-    configurations.pop()  # the configuration past the budget
-    return Trace(tuple(configurations), TraceKind.TRUNCATED, f"no done within {max_steps} steps")
+        return Trace(position + 1, TraceKind.STUCK, reached.reason)
+    return Trace(position + 1, TraceKind.TRUNCATED, f"no done within {max_steps} steps")

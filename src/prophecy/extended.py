@@ -25,16 +25,17 @@ configurations simulate each other along the checked execution.
 Both checkers check both guards on the steps of ``core_lang.label_path``,
 which runs the compiled transitions (each checked against the tree-walking
 ``reference_step`` by differential tests) in its own loop under the
-``max_steps`` rule ``run_trace`` and the engine share; after
-``analyze_concrete`` or the other checker on the same execution, the walk
-is a replay that evaluates no step.  With the results fixed, a guard's
-outcome depends only on the step (a label and the label it reaches), so
-the first failing position is that of the first failing distinct step.  A
-check whose execution runs past the budget does not pass: it reports a
-``truncated`` violation at the label where it stopped.  Progress also fails
-with a ``stuck`` violation when the standard execution gets stuck (an
-undefined variable): there is no step for the results to follow.
-Preservation passes there, noting where the extended execution stopped.
+``max_steps`` rule the engine shares with ``run_trace``, which only counts
+an execution's positions; after ``analyze_concrete`` or the other checker
+on the same execution, the walk is a replay that evaluates no step.  With
+the results fixed, a guard's outcome depends only on the step (a label and
+the label it reaches), so the first failing position is that of the first
+failing distinct step.  A check whose execution runs past the budget does
+not pass: it reports a ``truncated`` violation at the label where it
+stopped.  Progress also fails with a ``stuck`` violation when the standard
+execution gets stuck (an undefined variable): there is no step for the
+results to follow.  Preservation passes there, noting where the extended
+execution stopped.
 """
 
 from __future__ import annotations

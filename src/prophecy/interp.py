@@ -131,7 +131,8 @@ class _Walk:
         self.slots = {name: k for k, name in enumerate(self.kinds)}
         self.fixed_params = {name for name, kind in program.params  # int, and never assigned
                              if kind == "int" and name not in assigned}
-        self.result = "return (" + "".join(f"v{k}, " for k in range(len(program.params))) + ")"
+        self.result = "return (" + "".join(f"v{k}, " for k, (_, kind) in enumerate(program.params)
+                                           if kind != "float*") + ")"  # the scalars
         self.constants: dict[str, Any] = {}
 
     def stored(self, name: str | None, expr: Expr, src: str) -> str:
@@ -300,7 +301,7 @@ def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) ->
     except SyntaxError as exc:
         raise InterpError(f"program {program.name} is nested too deeply: {exc.msg}") from None
     with np.errstate(all="ignore"):  # as in C, a float overflows to inf without a word
-        final = namespace["_program"](*args)
+        scalars = iter(namespace["_program"](*args))
     return {name: np.array([0.0 if x is None else x for x in arg.values], np.float32)
-            if kind == "float*" else value
-            for (name, kind), arg, value in zip(program.params, args, final)}
+            if kind == "float*" else next(scalars)
+            for (name, kind), arg in zip(program.params, args)}

@@ -15,7 +15,6 @@ from prophecy.core_lang import (
     BBin,
     BoolLit,
     Cmp,
-    Configuration,
     Done,
     Goto,
     Halt,
@@ -40,7 +39,14 @@ from prophecy.core_lang import (
 from prophecy.engine import analyze_concrete, live_variables_oracle
 from prophecy.extended import check_progress
 from randprog import random_program
-from test_differential import _wrap64, compiled_step, eval_expr, reference_step
+from test_differential import (
+    Configuration,
+    _wrap64,
+    compiled_step,
+    compiled_walk,
+    eval_expr,
+    reference_step,
+)
 
 MINIMAL = "l0: x := 1\nl1: halt\nl2: done"
 
@@ -294,6 +300,7 @@ class TestLazyCompilation:
         copy = pickle.loads(pickle.dumps(program))
         assert copy == program
         assert run_trace(copy) == trace
+        assert compiled_walk(copy) == compiled_walk(program)
 
 
 # three variables, each read where another is written, so a read of the wrong slot shows
@@ -352,12 +359,13 @@ class TestSharing:
                 want = reference_step(built, config)
                 assert compiled_step(built, config) == want == compiled_step(parsed, config)
         assert run_trace(built) == run_trace(parsed)
+        assert compiled_walk(built) == compiled_walk(parsed)
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_equal_constants_of_two_types_keep_their_own_values(self, flag):
         # the bool's leaf is made first; True == 1 and False == 0, yet x gets an int
         text = f"l0: if {str(flag).lower()} then l1\nl1: x := {int(flag)}\nl2: halt\nl3: done"
-        final = run_trace(parse_program(text)).configurations[-1].state_dict()
+        final = compiled_walk(parse_program(text))[-1].state_dict()
         assert (final["x"], type(final["x"])) == (int(flag), int)
 
 
@@ -368,9 +376,9 @@ class TestTrace:
         assert len(trace) == 3
 
     def test_stuck(self):
-        trace = run_trace(parse_program("l0: y := x\nl1: halt\nl2: done"), {})
-        assert trace.kind is TraceKind.STUCK
-        assert trace.configurations[-1].label == "l0"
+        program = parse_program("l0: y := x\nl1: halt\nl2: done")
+        assert run_trace(program, {}).kind is TraceKind.STUCK
+        assert compiled_walk(program, {})[-1].label == "l0"
 
     def test_truncated(self):
         trace = run_trace(parse_program("l0: goto l0\nl1: halt\nl2: done"), {}, max_steps=100)
@@ -378,14 +386,14 @@ class TestTrace:
         assert len(trace) == 101
 
     def test_loop_counts_down(self):
-        trace = run_trace(parse_program(LOOP), {})
-        assert trace.kind is TraceKind.COMPLETE
-        assert trace.configurations[-1].state_dict() == {"x": 0}
+        program = parse_program(LOOP)
+        assert run_trace(program, {}).kind is TraceKind.COMPLETE
+        assert compiled_walk(program, {})[-1].state_dict() == {"x": 0}
 
     def test_unmentioned_initial_variables_survive(self):
-        trace = run_trace(parse_program(LOOP), {"a": 7, "z": -1})
-        assert trace.configurations[1] == Configuration.make("l1", {"a": 7, "x": 10, "z": -1})
-        assert trace.configurations[-1].state_dict() == {"a": 7, "x": 0, "z": -1}
+        configurations = compiled_walk(parse_program(LOOP), {"a": 7, "z": -1})
+        assert configurations[1] == Configuration.make("l1", {"a": 7, "x": 10, "z": -1})
+        assert configurations[-1].state_dict() == {"a": 7, "x": 0, "z": -1}
 
 
 class TestInt64Domain:
@@ -417,9 +425,9 @@ class TestInt64Domain:
 
     @pytest.mark.parametrize("value", [-(2**63), 2**63 - 1])
     def test_extreme_initial_values_run(self, value):
-        trace = run_trace(parse_program("l0: y := x + 1\nl1: halt\nl2: done"), {"x": value})
-        assert trace.kind is TraceKind.COMPLETE
-        assert trace.configurations[-1].state_dict()["y"] == _wrap64(value + 1)
+        program = parse_program("l0: y := x + 1\nl1: halt\nl2: done")
+        assert run_trace(program, {"x": value}).kind is TraceKind.COMPLETE
+        assert compiled_walk(program, {"x": value})[-1].state_dict()["y"] == _wrap64(value + 1)
 
     @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2**70, True, 1.0, "1"])
     @pytest.mark.parametrize("name", ["x", "unmentioned"])
@@ -514,6 +522,22 @@ def test_negative_literal_prints_as_a_subtraction_that_parses(value):
     parsed = parse_program(print_program(program))
     for (_, built), (_, printed) in zip(program.commands[:4], parsed.commands):
         assert eval_expr(printed.expr, {"x": 3}) == eval_expr(built.expr, {"x": 3})
+
+
+@pytest.mark.parametrize("commands, message", [
+    ([("l0", Assign("if", Num(1)))], "variable 'if' is not an identifier, or is a keyword"),
+    ([("l 0", Skip())], "label 'l 0' is not an identifier"),
+    ([("l0", Assign("x", Var("a b")))], "variable 'a b' is not an identifier, or is a keyword"),
+    # the first in a fixed order: labels in program order, then variables sorted by name
+    ([("l0", Assign("if", Var("a b"))), ("l 1", Skip()), ("l 0", Skip())],
+     "label 'l 1' is not an identifier"),
+    ([("l0", Assign("if", Var("a b")))], "variable 'a b' is not an identifier, or is a keyword"),
+])
+def test_names_the_parser_cannot_read_are_refused_when_printed(commands, message):
+    # printed as is, ``l0: if := 1`` would not parse (1:8), nor would ``l 0: skip`` or ``x := a b``
+    program = Program([*commands, ("l8", Halt()), ("l9", Done())])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        print_program(program)
 
 
 @given(_aexps(), st.dictionaries(_names, st.integers(-100, 100), min_size=4))

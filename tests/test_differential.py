@@ -1,7 +1,9 @@
 """Differential tests: each fast path against the path it replaced.
 
 * ``compiled_step`` runs one label's compiled transition over slots (a
-  probe of ``core_lang._transition``; the package exports no single step).
+  probe of ``core_lang._transition``; the package exports no single step)
+  from a ``Configuration``, a label and a state (the package has no such
+  class: its executions keep a state only in their slots).
   It is compared with ``reference_step``, the tree-walking rules built on
   ``eval_expr`` (the tree evaluator, which also reports the variables it
   read), step by step along random executions (states may lack variables,
@@ -9,9 +11,11 @@
   64-bit wrap-around is compared).  An assignment or branch whose operator
   has two leaf operands compiles to one flat closure instead of a closure
   tree; hand-picked cases compare it with ``reference_step`` for every
-  operator, leaf kind, empty slot and wrap-around edge.  ``run_trace`` and
-  ``label_path``, each in its own loop over the transitions and one list
-  of slots, are compared with a walk over ``reference_step``
+  operator, leaf kind, empty slot and wrap-around edge.  ``compiled_walk``
+  chains ``compiled_step`` into the configurations of an execution.  It,
+  ``run_trace`` (a position count and how the run ended) and
+  ``label_path``, the latter two each in its own loop over the transitions
+  and one list of slots, are compared with a walk over ``reference_step``
   (``label_path`` with the first position of each of its distinct steps,
   plus the last), including stuck and truncated runs and initial variables
   the program never mentions.
@@ -35,7 +39,7 @@
 
 import random
 from dataclasses import dataclass
-from typing import Union
+from typing import Mapping, Union
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +53,6 @@ from prophecy.core_lang import (
     BBin,
     BoolLit,
     Cmp,
-    Configuration,
     Done,
     Goto,
     Halt,
@@ -143,6 +146,28 @@ def eval_expr(expr, state):
     return value, frozenset(reads)
 
 
+@dataclass(frozen=True)
+class Configuration:
+    """A label and a state, the state as (name, value) pairs sorted by name.
+
+    Build one with ``make``, which sorts the pairs, so equal states compare equal.
+    """
+
+    label: str
+    state: tuple[tuple[str, int], ...]
+
+    @staticmethod
+    def make(label: str, state: Mapping[str, int]) -> "Configuration":
+        return Configuration(label, tuple(sorted(state.items())))
+
+    def state_dict(self) -> dict[str, int]:
+        return dict(self.state)
+
+    def __str__(self) -> str:
+        bindings = ", ".join(f"{k}={v}" for k, v in self.state)
+        return f"<{self.label}, {{{bindings}}}>"
+
+
 def reference_step(program, config):
     """The standard rules walked over the command's syntax tree."""
     command = program.command_at(config.label)
@@ -178,6 +203,21 @@ def compiled_step(program, config):
         return reached
     written = {name: value for name, value in zip(program._slot, slots) if value is not None}
     return Configuration.make(reached, {**dict(config.state), **written})
+
+
+def compiled_walk(program, state=None, max_steps=10_000):
+    """The configurations of the positions ``run_trace`` visits, one ``compiled_step`` each.
+
+    They keep initial bindings of variables the program never mentions; a
+    run past the budget ends at position ``max_steps``.
+    """
+    configurations = [Configuration.make(program.first, state or {})]
+    while len(configurations) <= max_steps:
+        outcome = compiled_step(program, configurations[-1])
+        if not isinstance(outcome, Configuration):
+            break
+        configurations.append(outcome)
+    return tuple(configurations)
 
 
 _values = st.one_of(
@@ -243,7 +283,8 @@ def test_compiled_expressions_match_reference(expr, cond, state):
 
 
 def reference_trace(program, state, max_steps):
-    """``run_trace`` and each position's step by ``reference_step``, one tree walk per position."""
+    """The configurations, ``run_trace`` and each position's step by ``reference_step``, one
+    tree walk per position."""
     config = Configuration.make(program.first, state)
     configurations, path = [], []
     for _ in range(max_steps + 1):
@@ -251,11 +292,15 @@ def reference_trace(program, state, max_steps):
         outcome = reference_step(program, config)
         path.append((config.label, outcome.label if isinstance(outcome, Configuration) else outcome))
         if outcome is AT_DONE:
-            return Trace(tuple(configurations), TraceKind.COMPLETE), path
+            kind, reason = TraceKind.COMPLETE, None
+            break
         if isinstance(outcome, Stuck):
-            return Trace(tuple(configurations), TraceKind.STUCK, outcome.reason), path
+            kind, reason = TraceKind.STUCK, outcome.reason
+            break
         config = outcome
-    return Trace(tuple(configurations), TraceKind.TRUNCATED, f"no done within {max_steps} steps"), path
+    else:
+        kind, reason = TraceKind.TRUNCATED, f"no done within {max_steps} steps"
+    return tuple(configurations), Trace(len(configurations), kind, reason), path
 
 
 # the program's variables and some it never mentions, sorting before, among and after them
@@ -267,7 +312,8 @@ _walk_states = st.dictionaries(st.sampled_from(VARS + ["_a", "cc", "zz"]), _valu
 def test_slot_walk_matches_reference_walk(seed, state, max_steps):
     """Partial states get stuck, small budgets truncate, values near 2**63 wrap."""
     program = random_program(random.Random(seed))
-    trace, path = reference_trace(program, state, max_steps)
+    configurations, trace, path = reference_trace(program, state, max_steps)
+    assert compiled_walk(program, state, max_steps) == configurations
     assert run_trace(program, state, max_steps) == trace
     # the first position of each (label, reached) step, and the last position
     first = {taken: position for position, taken in reversed(list(enumerate(path)))}
@@ -398,8 +444,9 @@ def test_flat_commands_of_a_counting_loop_compile_no_tree(tree_calls):
     assert made == {"l0": 1, "l1": 1, "l2": 0, "l3": 0, "l4": 0, "l5": 0, "l6": 0, "l7": 0}
     trace = run_trace(program)
     assert trace.kind is TraceKind.COMPLETE
-    assert trace.configurations[-1].state_dict() == {"i": 0, "s": 55}
-    assert trace == reference_trace(program, {}, 10_000)[0]
+    configurations = compiled_walk(program)
+    assert configurations[-1].state_dict() == {"i": 0, "s": 55}
+    assert (configurations, trace) == reference_trace(program, {}, 10_000)[:2]
 
 
 @dataclass(frozen=True)

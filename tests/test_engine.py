@@ -15,6 +15,7 @@ from prophecy.engine import (
 )
 from prophecy.extended import check_preservation, check_progress
 from randprog import corpus, terminating_sample
+from test_differential import compiled_walk
 
 STRAIGHT = "l0: x := 1\nl1: y := x\nl2: halt\nl3: done"
 
@@ -219,13 +220,13 @@ class TestCheckCost:
 
         program = self._counting_loop()
         edges = built(analyze_concrete, program)
-        labels = [config.label for config in run_trace(program).configurations]
+        labels = [config.label for config in compiled_walk(program)]
         assert len(edges) == len(set(edges)) <= len(set(zip(labels, labels[1:])))
         assert edges
 
         for program, state in terminating_sample(random.Random(5), 40):
             edges = built(analyze_concrete, program, state)
-            labels = [config.label for config in run_trace(program, state).configurations]
+            labels = [config.label for config in compiled_walk(program, state)]
             assert len(edges) == len(set(edges)) <= len(set(zip(labels, labels[1:])))
 
         for program in [self._counting_loop()] + corpus(random.Random(5), 40):

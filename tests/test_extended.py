@@ -12,6 +12,7 @@ caller of it on a warm program with a fresh copy, and a third compares
 the engine and both checkers with the per-position walks they replaced.
 """
 
+import functools
 import pickle
 import random
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ from hypothesis import strategies as st
 from prophecy import extended
 from prophecy.core_lang import (
     AtDone,
-    Configuration,
     Program,
     Stuck,
     parse_program,
@@ -51,7 +51,13 @@ from prophecy.extended import (
     command_obligations,
 )
 from randprog import VARS, random_program, random_state
-from test_differential import compiled_step, record_constraint, reference_step
+from test_differential import (
+    Configuration,
+    compiled_step,
+    compiled_walk,
+    record_constraint,
+    reference_step,
+)
 
 LOOP = """
 l0: x := 10
@@ -623,11 +629,18 @@ def test_warm_program_matches_fresh_program(seed, text, calls):
 
 def _positions(program, state, max_steps):
     """Every position's label and what its step reached: the next label, or at the last how
-    ``run_trace`` ended."""
-    configurations = run_trace(program, state, max_steps).configurations
+    the execution ended."""
+    return _walked_positions(program, Configuration.make(program.first, state or {}), max_steps)
+
+
+@functools.lru_cache(maxsize=1)
+def _walked_positions(program, start, max_steps):
+    """``_positions`` from ``start``, kept for the next call: the references of one example
+    walk one execution, and ``compiled_walk`` re-slots the state at every position."""
+    configurations = compiled_walk(program, start.state_dict(), max_steps)
     last = compiled_step(program, configurations[-1])
     labels = [config.label for config in configurations]
-    return list(zip(labels, labels[1:] + [last.label if isinstance(last, Configuration) else last]))
+    return tuple(zip(labels, labels[1:] + [last.label if isinstance(last, Configuration) else last]))
 
 
 def _check_positions_from(program, labels, cursor, results, constraints, repair_constraints):
@@ -757,7 +770,7 @@ class TestLookupCost:
         program, results = loop_fixpoint()
         if table != "computed":
             results = _table(table, program, {}, random.Random(1))
-        labels = [config.label for config in run_trace(program).configurations]
+        labels = [config.label for config in compiled_walk(program)]
         distinct = len(set(zip(labels, labels[1:])))
         lookups.extended.clear()
         check(program, results)
@@ -782,6 +795,20 @@ class TestRecordedPath:
         assert len(steps) == positions
         assert preservation.passed and progress.passed
         assert preservation.steps_checked == progress.steps_checked == positions - 1
+
+    def test_run_trace_steps_a_warm_program_itself(self, steps):
+        """``run_trace`` replays no recorded walk, so counting its positions is not a replay of
+        ``label_path``: perfbench compares that count with the checkers' ``steps_checked``."""
+        program = parse_program(LOOP)
+        results, _ = analyze_concrete(program)
+        assert check_progress(program, results).passed
+        steps.clear()
+        trace = run_trace(program)
+        assert len(steps) == len(trace)
+        steps.clear()
+        reports = check_preservation(program, results), check_progress(program, results)
+        assert not steps  # the checkers replay the recorded walk
+        assert [report.steps_checked for report in reports] == [len(trace) - 1] * 2
 
     def test_other_key_steps_again(self, steps):
         program, results = loop_fixpoint()
