@@ -22,19 +22,22 @@ outside that range.  A ``Num`` holds such an int (never a bool) and a
 ``BoolLit`` a bool; any other value is a ValueError when the node is
 built.  All values here are immutable after construction and safe to share.
 
-The parser runs a recursive descent over the tokens one regular
-expression splits each line into; one parse makes one node per variable
-name and per literal token.  Building a ``Program`` fills a per-label
-table: each label's command, its ``StepObligations`` (read set and
-assigned variable, one record per distinct pair), its next label and its
-successors (as a set and fall-through first), so ``command_obligations``
-and the successor queries are lookups.  The first use of a label compiles
-its transition over the slots, a list with one entry per variable, and
-keeps it in the table, as a ``Program`` keeps its ``sweep_order`` and last
-``label_path`` (neither enters equality or pickling).  An assignment or a
-branch whose operator has two leaf operands is one closure; any other
-expression is a tree of closures.  An assignment writes its slot and
-returns the next label; a branch returns a label.
+The parser builds the commonest lines (``skip``, ``halt``, ``done``,
+``goto L``, ``x := a``, ``x := a op b`` and ``if a cmp b then L``, each
+leaf a word or at most 19 digits) from one regular expression's match.
+Every other line, and every error, goes to a recursive descent over the
+tokens another regular expression splits it into.  Both make one node per
+variable name and per literal token of a parse.  Building a ``Program``
+fills a per-label table: each label's command, its ``StepObligations``
+(read set and assigned variable, one record per distinct pair), its next
+label and its successors (as a set and fall-through first), so
+``command_obligations`` and the successor queries are lookups.  The first
+use of a label compiles its transition over the slots, a list with one
+entry per variable, and keeps it in the table, as a ``Program`` keeps its
+``sweep_order`` and last ``label_path`` (neither enters equality or
+pickling).  An assignment or a branch whose operator has two leaf
+operands is one closure; any other expression is a tree of closures.  An
+assignment writes its slot and returns the next label; a branch returns a label.
 
 ``run_trace`` and ``label_path`` each loop over the transitions, from
 one start and under one ``max_steps`` rule, and build no configuration.
@@ -401,6 +404,14 @@ _DIGITS = frozenset("0123456789")
 # after a parenthesized boolean, these first characters make it an arithmetic operand
 _ARITH_FOLLOW = frozenset("=<+-*")
 _BARE_COMMANDS = {"skip": Skip, "halt": Halt, "done": Done}
+# The commonest lines, whole, with blanks where tokens would run together (``ifx``, ``1then``)
+_WORD = _IDENT_RE.pattern
+_LEAF = rf"({_WORD}|[0-9]{{1,19}})"
+_COMMAND_RE = re.compile(
+    rf"[ \t]*(?:({_WORD})[ \t]*:=[ \t]*{_LEAF}(?:[ \t]*([-+*])[ \t]*{_LEAF})?"
+    rf"|if[ \t]+{_LEAF}[ \t]*(<=|=)[ \t]*{_LEAF}[ \t]+then[ \t]+({_WORD})"
+    rf"|goto[ \t]+({_WORD})|(skip|halt|done))[ \t]*"
+)
 
 
 class _Parser:
@@ -551,6 +562,39 @@ def is_variable_name(text: str) -> bool:
     return _IDENT_RE.fullmatch(text) is not None and text not in _KEYWORDS
 
 
+def _leaf(leaves: dict[str, Num | Var], token: str) -> Num | Var | None:
+    """The node ``token`` interns to; None for a keyword or a literal of 2**63 or more."""
+    if (node := leaves.get(token)) is None:
+        if token[0] in _DIGITS:
+            if (value := int(token)) >= _INT64_SIGN:
+                return None
+            node = leaves[token] = Num(value)
+        elif token in _KEYWORDS:
+            return None
+        else:
+            node = leaves[token] = Var(token)
+    return node
+
+
+def _match_command(leaves: dict[str, Num | Var], rest: str) -> Command | None:
+    """The command of a line ``_COMMAND_RE`` matches, its leaves interned in ``leaves``; None
+    for any other line, or a keyword or a literal of 2**63 or more, left to the descent."""
+    if (m := _COMMAND_RE.fullmatch(rest)) is None:
+        return None
+    var, a, op, b, c, cmp, d, then, goto, bare = m.groups()
+    if var is not None:
+        if var in _KEYWORDS or (left := _leaf(leaves, a)) is None:
+            return None
+        if op is None:
+            return Assign(var, left)
+        right = _leaf(leaves, b)
+        return None if right is None else Assign(var, ABin(op, left, right))
+    if c is not None:
+        left, right = _leaf(leaves, c), _leaf(leaves, d)
+        return None if left is None or right is None else If(Cmp(cmp, left, right), then)
+    return Goto(goto) if goto is not None else _BARE_COMMANDS[bare]()
+
+
 def _parse_command(parser: _Parser, rest: str, line_no: int, offset: int) -> Command:
     parser.reset(rest, line_no, offset)
     word = parser.take_word()
@@ -589,7 +633,10 @@ def parse_program(text: str) -> Program:
         label = line[:colon].strip()
         if not _IDENT_RE.fullmatch(label):
             raise ParseError(f"invalid label {label!r}", line_no, 1)
-        pairs.append((label, _parse_command(parser, line[colon + 1 :], line_no, colon + 2)))
+        rest = line[colon + 1 :]
+        if (command := _match_command(parser.leaves, rest)) is None:
+            command = _parse_command(parser, rest, line_no, colon + 2)
+        pairs.append((label, command))
     if not pairs:
         raise ParseError("empty program", 1, 1)
     return Program(pairs)

@@ -116,6 +116,22 @@ class TestAnalyze:
             assert f"{label}" in text and "{" + ", ".join(live) + "}" in text
         assert ("oracle_match: pass" in text) == (record["oracle_match"] is True)
 
+    @pytest.mark.parametrize("mode, analysis", [
+        ("concrete", "analyze_concrete"),
+        ("all-paths", "analyze_all_paths_with_stats"),
+    ])
+    def test_results_beyond_the_oracle_fail_the_check(self, loop_prog, monkeypatch, mode, analysis):
+        analyze = getattr(cli, analysis)
+
+        def with_x_at_halt(program, *args, **kwargs):
+            results, stats = analyze(program, *args, **kwargs)
+            return {**results, "l4": results["l4"] | {"x"}}, stats
+
+        monkeypatch.setattr(cli, analysis, with_x_at_halt)
+        code, out, _ = run_cli("analyze", loop_prog, "--mode", mode, "--check", "--format", "json")
+        assert json.loads(out)["oracle_match"] is False
+        assert code == 1
+
     def test_init_seeds_state(self, tmp_path):
         path = tmp_path / "reads.prog"
         path.write_text("l0: y := x\nl1: halt\nl2: done")

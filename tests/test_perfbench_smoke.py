@@ -7,7 +7,8 @@ between benchmark runs.  The three cheapest items of each pool keep this
 short.  On the stage workloads those are matvec builds only, so the
 cheapest matmul shape (all three strategies: the two-index block/thread
 split) and the cheapest conv join them.  An analyze request evaluates its
-standard execution once: the analysis and both checkers share one label path.
+standard execution once: the analysis and both checkers share one label path,
+and every line of its program takes the parser's one-expression path.
 The same requests, with conv/ReLU built without fusion beside them, leave no
 cyclic garbage: reference counting frees each result once it is dropped.
 """
@@ -19,12 +20,12 @@ from pathlib import Path
 
 import pytest
 
-from prophecy import build_conv_relu_benchmark, emit_c
+from prophecy import build_conv_relu_benchmark, core_lang, emit_c
 
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-from workloads import WORKLOADS, madds  # noqa: E402
+from workloads import WORKLOADS, allpaths_pool, concrete_pool, madds  # noqa: E402
 
 
 def call(name, fn, *args, **kwargs):
@@ -69,6 +70,23 @@ def test_analyze_requests_step_once_per_position(transitions, name):
         calls.clear()
         WORKLOADS[name].request(item, call)
         assert len(calls) == item.expected["steps"] + 1, item.key
+
+
+def test_analyze_programs_take_the_one_expression_path(monkeypatch):
+    """Every line of the analyze pools is one ``_match_command`` reads: none reaches the descent."""
+    descents = []
+    parse_command = core_lang._parse_command
+
+    def counting(parser, rest, line_no, offset):
+        descents.append(rest)
+        return parse_command(parser, rest, line_no, offset)
+
+    monkeypatch.setattr(core_lang, "_parse_command", counting)
+    for item in concrete_pool(1) + allpaths_pool(1):
+        core_lang.parse_program(item.params["text"])
+    assert descents == []
+    core_lang.parse_program("l0: x := (1)\nl1: halt\nl2: done")  # the descent reads parentheses
+    assert descents == [" x := (1)"]
 
 
 def serve_and_drop() -> None:
