@@ -18,7 +18,8 @@ message.
 
 Each call prints the program as one Python function, walking it as
 ``emit_c`` does (``_expr_src``/``_stmt_src`` mirror ``_expr_text``/
-``_stmt_lines``), and runs it.  Variables are locals named by slot (``v3``).
+``_stmt_lines`` and, like them, dispatch on each node's exact type), and
+runs it.  Variables are locals named by slot (``v3``).
 A program is typed when it is built (see second_stage), so every access has
 one inline form: only a ``float*`` variable is indexed, it holds a buffer,
 and an index is an int, where a comparison is C's int, 0 or 1 (``int(...)``;
@@ -195,71 +196,71 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
               cond: bool = False) -> str:
     """The source of ``expr``; with ``cond``, an ``if`` condition, which tests a comparison
     bare where anything else takes it as C's int, 0 or 1."""
-    match expr:
-        case IntLit(value):
-            return repr(value)
-        case FloatLit(value):
-            name = f"_c{len(w.constants)}"
-            w.constants[name] = np.float32(value)
-            return name
-        case VarRef(name):
-            return f"v{w.slots[name]}"
-        case Binary(op, left, right):
-            if op == "%":
-                if isinstance(right, IntLit) and (d := right.value) > 0:  # inline
-                    return f"(_m % {d} if (_m := {_expr_src(left, w)}) >= 0 else -(-_m % {d}))"
-                return f"_mod({_expr_src(left, w)}, {_expr_src(right, w)})"
-            p = _BINOPS[op]  # parentheses only where Python would group otherwise
-            text = f"{_expr_src(left, w, prec=p + (p == 0))} {op} {_expr_src(right, w, prec=p + 1)}"
-            if p == 0 and not cond:
-                return f"int({text})"
-            return text if p >= prec else f"({text})"
-        case ArrayIndex(VarRef(base), index):
-            k = w.slots[base]
-            return (f"(_v if 0 <= (_i := {_expr_src(index, w)}) < N{k} and "
-                    f"(_v := V{k}[_i]) is not None else _at(v{k}, _i))")
-        case RuntimeCallExpr(name, (size,)):  # an allocation
-            return f"_alloc({alloc_name or name!r}, {_expr_src(size, w)})"
+    kind = type(expr)
+    if kind is VarRef:
+        return f"v{w.slots[expr.name]}"
+    if kind is IntLit:
+        return repr(expr.value)
+    if kind is Binary:
+        op, left, right = expr.op, expr.left, expr.right
+        if op == "%":
+            if type(right) is IntLit and (d := right.value) > 0:  # inline
+                return f"(_m % {d} if (_m := {_expr_src(left, w)}) >= 0 else -(-_m % {d}))"
+            return f"_mod({_expr_src(left, w)}, {_expr_src(right, w)})"
+        p = _BINOPS[op]  # parentheses only where Python would group otherwise
+        text = f"{_expr_src(left, w, prec=p + (p == 0))} {op} {_expr_src(right, w, prec=p + 1)}"
+        if p == 0 and not cond:
+            return f"int({text})"
+        return text if p >= prec else f"({text})"
+    if kind is ArrayIndex:  # of a float* variable
+        k = w.slots[expr.base.name]
+        return (f"(_v if 0 <= (_i := {_expr_src(expr.index, w)}) < N{k} and "
+                f"(_v := V{k}[_i]) is not None else _at(v{k}, _i))")
+    if kind is FloatLit:
+        name = f"_c{len(w.constants)}"
+        w.constants[name] = np.float32(expr.value)
+        return name
+    # what is left is an allocation
+    return f"_alloc({alloc_name or expr.name!r}, {_expr_src(expr.args[0], w)})"
 
 
 def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk, loops: frozenset[str]) -> None:
     pad = "    " * depth
-    match stmt:
-        case Declare(name, _, value) | Assign(VarRef(name), value):
-            declared = isinstance(stmt, Declare)  # a declared allocation takes the variable's name
-            value_src = w.stored(name, value, _expr_src(value, w, name if declared else None))
-            out.append(f"{pad}v{w.slots[name]} = {value_src}")
-            if w.kinds[name] == "float*":
-                out.append(pad + _TRACK.format(w.slots[name]))
-        case Assign(ArrayIndex(VarRef(base), index), value):  # index, bounds, then the value
-            value_src = w.stored(None, value, _expr_src(value, w))
-            k = w.slots[base]
-            out.append(f"{pad}_s = {_expr_src(index, w)}")
-            out.append(f"{pad}if not 0 <= _s < N{k}: _in_bounds(v{k}, _s)")
-            out.append(f"{pad}V{k}[_s] = {value_src}")
-        case ForLoop(var, start, bound, step, body):
-            start_src = w.stored(var, start, _expr_src(start, w))
-            stop = w.stop(stmt, loops)
-            v = f"v{w.slots[var]}"
-            out.append(f"{pad}{v} = {start_src}")
-            if isinstance(stop, str):  # computed once, before the loop
-                out.append(f"{pad}_t = {stop}")
-                stop = "_t"
-            # range alone would do; this test spares the many empty grid-stride loops building one
-            out.append(f"{pad}if {v} < {stop}:")
-            out.append(f"{pad}    for {v} in range({v}, {stop}, {step.value}):")
-            w.block(body, depth + 2, out, loops | {var})
-        case IfElse(cond, then_body, else_body):
-            out.append(f"{pad}if {_expr_src(cond, w, cond=True)}:")
-            w.block(then_body, depth + 1, out, loops)
-            if else_body is not None:
-                out.append(f"{pad}else:")
-                w.block(else_body, depth + 1, out, loops)
-        case RuntimeCall(name, (dst, src, size)):  # a copy; grid_sync does nothing
-            arg_src = ", ".join(_expr_src(a, w) for a in (dst, src, size))
-            out.append(f"{pad}_copy({name!r}, {arg_src})")
-        case RuntimeCall():
-            pass
+    kind = type(stmt)
+    if kind is Assign and type(target := stmt.target) is ArrayIndex:  # index, bounds, then the value
+        value_src = w.stored(None, stmt.value, _expr_src(stmt.value, w))
+        k = w.slots[target.base.name]
+        out.append(f"{pad}_s = {_expr_src(target.index, w)}")
+        out.append(f"{pad}if not 0 <= _s < N{k}: _in_bounds(v{k}, _s)")
+        out.append(f"{pad}V{k}[_s] = {value_src}")
+    elif kind is Assign or kind is Declare:  # a declared allocation takes the variable's name
+        name, value = (stmt.target.name, stmt.value) if kind is Assign else (stmt.name, stmt.init)
+        value_src = w.stored(name, value, _expr_src(value, w, name if kind is Declare else None))
+        out.append(f"{pad}v{w.slots[name]} = {value_src}")
+        if w.kinds[name] == "float*":
+            out.append(pad + _TRACK.format(w.slots[name]))
+    elif kind is ForLoop:
+        var = stmt.var
+        start_src = w.stored(var, stmt.start, _expr_src(stmt.start, w))
+        stop = w.stop(stmt, loops)
+        v = f"v{w.slots[var]}"
+        out.append(f"{pad}{v} = {start_src}")
+        if isinstance(stop, str):  # computed once, before the loop
+            out.append(f"{pad}_t = {stop}")
+            stop = "_t"
+        # range alone would do; this test spares the many empty grid-stride loops building one
+        out.append(f"{pad}if {v} < {stop}:")
+        out.append(f"{pad}    for {v} in range({v}, {stop}, {stmt.step.value}):")
+        w.block(stmt.body, depth + 2, out, loops | {var})
+    elif kind is IfElse:
+        out.append(f"{pad}if {_expr_src(stmt.cond, w, cond=True)}:")
+        w.block(stmt.then_body, depth + 1, out, loops)
+        if stmt.else_body is not None:
+            out.append(f"{pad}else:")
+            w.block(stmt.else_body, depth + 1, out, loops)
+    elif len(stmt.args) == 3:  # a copy; grid_sync does nothing
+        arg_src = ", ".join(_expr_src(a, w) for a in stmt.args)
+        out.append(f"{pad}_copy({stmt.name!r}, {arg_src})")
 
 
 def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) -> dict[str, Any]:

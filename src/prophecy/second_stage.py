@@ -12,10 +12,12 @@ C's types are checked once, when a program is built: a node refuses what C
 refuses of it alone, and ``SecondStageProgram`` walks the program in the
 order the interpreter prints it (``_Types``: a value before its name enters
 scope, a store's value before its index), so ``emit_c`` and the interpreter
-see only typed programs, made of nodes alone.  A refusal is a ``ValueError``
-naming the first fault.  The walk is stricter than C in three shapes:
-pointer arithmetic, an indexed allocation, and one name declared in two
-blocks (see README).
+see only typed programs, made of nodes alone.  Every walk here, ``emit_c``'s
+too, dispatches on each node's exact type (``type(node) is C``), so a
+subclass of a node is no node.  A refusal is a ``ValueError`` naming the
+first fault.  The walk is stricter than C in three shapes: pointer
+arithmetic, an indexed allocation, and one name declared in two blocks (see
+README).
 """
 
 from __future__ import annotations
@@ -176,9 +178,9 @@ def iter_stmts(stmts: Iterable[Stmt]) -> Iterator[Stmt]:
     """Every statement in ``stmts`` and in the blocks below them, in program order."""
     for stmt in stmts:
         yield stmt
-        if isinstance(stmt, ForLoop):
+        if type(stmt) is ForLoop:
             yield from iter_stmts(stmt.body)
-        elif isinstance(stmt, IfElse):
+        elif type(stmt) is IfElse:
             yield from iter_stmts(stmt.then_body + (stmt.else_body or []))
 
 
@@ -314,55 +316,52 @@ class _Types:
 
 
 def _expr_text(expr: Expr, top: bool = False) -> str:
-    match expr:
-        case IntLit(value):
-            return str(value)
-        case FloatLit(value):
-            return repr(value)
-        case VarRef(name):
-            return name
-        case Binary(op, left, right):
-            text = f"{_expr_text(left)} {op} {_expr_text(right)}"
-            return text if top else f"({text})"
-        case ArrayIndex(base, index):
-            return f"{_expr_text(base)}[{_expr_text(index, top=True)}]"
-        case RuntimeCallExpr(name, args):
-            arg_text = ", ".join(_expr_text(a, top=True) for a in args)
-            return f"{name}({arg_text})"
+    kind = type(expr)
+    if kind is VarRef:
+        return expr.name
+    if kind is IntLit:
+        return str(expr.value)
+    if kind is Binary:
+        text = f"{_expr_text(expr.left)} {expr.op} {_expr_text(expr.right)}"
+        return text if top else f"({text})"
+    if kind is ArrayIndex:
+        return f"{_expr_text(expr.base)}[{_expr_text(expr.index, top=True)}]"
+    if kind is FloatLit:
+        return repr(expr.value)
+    if kind is RuntimeCallExpr:
+        return f"{expr.name}({', '.join(_expr_text(a, top=True) for a in expr.args)})"
     raise TypeError(f"not an expression: {expr!r}")
 
 
 def _stmt_lines(stmt: Stmt, depth: int, out: list[str]) -> None:
     pad = "  " * depth
-    match stmt:
-        case Declare(name, kind, init):
-            out.append(f"{pad}{kind} {name} = {_expr_text(init, top=True)};")
-        case Assign(target, value):
-            out.append(f"{pad}{_expr_text(target, top=True)} = {_expr_text(value, top=True)};")
-        case ForLoop(var, start, bound, step, body):
-            out.append(
-                f"{pad}for (int {var} = {_expr_text(start, top=True)}; "
-                f"{var} < {_expr_text(bound)}; {var} = {var} + {_expr_text(step)}) {{"
-            )
-            for inner in body:
+    kind = type(stmt)
+    if kind is Assign:
+        out.append(f"{pad}{_expr_text(stmt.target, top=True)} = {_expr_text(stmt.value, top=True)};")
+    elif kind is Declare:
+        out.append(f"{pad}{stmt.kind} {stmt.name} = {_expr_text(stmt.init, top=True)};")
+    elif kind is ForLoop:
+        var = stmt.var
+        out.append(
+            f"{pad}for (int {var} = {_expr_text(stmt.start, top=True)}; "
+            f"{var} < {_expr_text(stmt.bound)}; {var} = {var} + {_expr_text(stmt.step)}) {{"
+        )
+        for inner in stmt.body:
+            _stmt_lines(inner, depth + 1, out)
+        out.append(f"{pad}}}")
+    elif kind is IfElse:
+        out.append(f"{pad}if ({_expr_text(stmt.cond, top=True)}) {{")
+        for inner in stmt.then_body:
+            _stmt_lines(inner, depth + 1, out)
+        if stmt.else_body is not None:
+            out.append(f"{pad}}} else {{")
+            for inner in stmt.else_body:
                 _stmt_lines(inner, depth + 1, out)
-            out.append(f"{pad}}}")
-        case IfElse(cond, then_body, else_body):
-            out.append(f"{pad}if ({_expr_text(cond, top=True)}) {{")
-            for inner in then_body:
-                _stmt_lines(inner, depth + 1, out)
-            if else_body is None:
-                out.append(f"{pad}}}")
-            else:
-                out.append(f"{pad}}} else {{")
-                for inner in else_body:
-                    _stmt_lines(inner, depth + 1, out)
-                out.append(f"{pad}}}")
-        case RuntimeCall(name, args):
-            arg_text = ", ".join(_expr_text(a, top=True) for a in args)
-            out.append(f"{pad}{name}({arg_text});")
-        case _:
-            raise TypeError(f"not a statement: {stmt!r}")
+        out.append(f"{pad}}}")
+    elif kind is RuntimeCall:
+        out.append(f"{pad}{stmt.name}({', '.join(_expr_text(a, top=True) for a in stmt.args)});")
+    else:
+        raise TypeError(f"not a statement: {stmt!r}")
 
 
 def emit_c(program: SecondStageProgram) -> str:

@@ -121,6 +121,7 @@ class ProphecyStore:
         self.merge_log: list[MergeEvent] = []
         # the token of the latest StageContext made on this store: only its cell handles are valid
         self.current_run: object | None = None
+        self.int_lits: dict[int, IntLit] = {}  # one node per int value in this build
 
 
 class ProphecyCell:
@@ -205,7 +206,7 @@ class StagedExpr:
         self._ctx = ctx
 
     def _bin(self, op: str, other: Any, reflected: bool = False) -> "StagedExpr":
-        other_node = self._ctx.lift(other).node
+        other_node = self._ctx._node(other)
         left, right = (other_node, self.node) if reflected else (self.node, other_node)
         return StagedExpr(Binary(op, left, right), self._ctx)
 
@@ -243,7 +244,7 @@ class StagedExpr:
         return self._bin(">=", other)
 
     def __getitem__(self, index) -> "StagedExpr":
-        return StagedExpr(ArrayIndex(self.node, self._ctx.lift(index).node), self._ctx)
+        return StagedExpr(ArrayIndex(self.node, self._ctx._node(index)), self._ctx)
 
     # without these, every handle is true and iterates through __getitem__ without end
     def __bool__(self):
@@ -275,6 +276,7 @@ class StageContext:
     def __init__(self, store: ProphecyStore, run_index: int, name: str):
         self._run = store.current_run = object()  # a token: the store keeps no run alive
         self._store = store
+        self._int_lits = store.int_lits
         self.run_index = run_index
         self._name = name
         self._next_cell_id = 0
@@ -316,14 +318,33 @@ class StageContext:
     # -- recording -----------------------------------------------------------
 
     def lift(self, value: Any) -> StagedExpr:
-        """First-stage constants freeze into literals; handles pass through."""
-        if isinstance(value, StagedExpr):
-            if value._ctx is not self:
-                raise StagingError("staged handle belongs to a different run")
+        """First-stage constants freeze into literals; handles pass through.
+
+        What cannot be staged is refused in ``_node``, and equal ints share
+        one ``IntLit`` within a build.
+        """
+        if type(value) is StagedExpr and value._ctx is self:
             return value
-        if isinstance(value, bool):
-            raise StagingError("no staged booleans; use int 0/1")
-        if isinstance(value, int):
+        return StagedExpr(self._node(value), self)
+
+    def _node(self, value: Any) -> Expr:
+        """The node ``lift(value)`` holds, without making its handle."""
+        kind = type(value)
+        if kind is StagedExpr and value._ctx is self:
+            return value.node
+        if kind is not int:
+            if isinstance(value, StagedExpr):
+                raise StagingError("staged handle belongs to a different run")
+            if isinstance(value, bool):
+                raise StagingError("no staged booleans; use int 0/1")
+            if isinstance(value, float):
+                if not math.isfinite(value):  # C has no literal for inf or nan
+                    raise StagingError(f"float literal {value!r} is not finite")
+                return FloatLit(value)
+            if not isinstance(value, int):
+                raise StagingError(f"cannot stage a value of type {type(value).__name__}")
+            value = int(value)  # an IntEnum, say, as a plain int
+        if (node := self._int_lits.get(value)) is None:
             # the second stage prints every literal; below 2000 bits an int has
             # fewer digits than the lowest limit Python allows (640)
             if value.bit_length() > 2000:
@@ -333,12 +354,8 @@ class StageContext:
                     raise StagingError(
                         f"integer literal has more than {sys.get_int_max_str_digits()} digits"
                     ) from None
-            return StagedExpr(IntLit(int(value)), self)  # an IntEnum, say, as a plain int
-        if isinstance(value, float):
-            if not math.isfinite(value):  # C has no literal for inf or nan
-                raise StagingError(f"float literal {value!r} is not finite")
-            return StagedExpr(FloatLit(value), self)
-        raise StagingError(f"cannot stage a value of type {type(value).__name__}")
+            node = self._int_lits[value] = IntLit(value)
+        return node
 
     def _fresh_var(self) -> str:
         name = f"var{self._var_counter}"
@@ -356,19 +373,17 @@ class StageContext:
 
     def declare(self, kind: str, init: Any) -> StagedExpr:
         name = self._fresh_var()
-        self._record(Declare(name, kind, self.lift(init).node))
+        self._record(Declare(name, kind, self._node(init)))
         return StagedExpr(VarRef(name), self)
 
     def assign(self, target: StagedExpr, value: Any) -> None:
-        self._record(Assign(self.lift(target).node, self.lift(value).node))
+        self._record(Assign(self._node(target), self._node(value)))
 
     def runtime(self, name: str, *args: Any) -> None:
-        self._record(RuntimeCall(name, tuple(self.lift(a).node for a in args)))
+        self._record(RuntimeCall(name, tuple(self._node(a) for a in args)))
 
     def runtime_expr(self, name: str, *args: Any) -> StagedExpr:
-        return StagedExpr(
-            RuntimeCallExpr(name, tuple(self.lift(a).node for a in args)), self
-        )
+        return StagedExpr(RuntimeCallExpr(name, tuple(self._node(a) for a in args)), self)
 
     def for_loop(
         self,
@@ -385,9 +400,7 @@ class StageContext:
         lands inside the loop, whose block closes even if the body raises.
         """
         name = self._fresh_var()
-        stmt = ForLoop(
-            name, self.lift(start).node, self.lift(bound).node, self.lift(step).node, []
-        )
+        stmt = ForLoop(name, self._node(start), self._node(bound), self._node(step), [])
         self._record(stmt)
         self._record_block(stmt.body, body, StagedExpr(VarRef(name), self))
 
@@ -404,7 +417,7 @@ class StageContext:
         History-variable state is restored before the else branch and again
         at the join.
         """
-        stmt = IfElse(self.lift(cond).node, [], [] if else_body is not None else None)
+        stmt = IfElse(self._node(cond), [], [] if else_body is not None else None)
         self._record(stmt)
         snapshot = [(var, var._value) for var in self._history_vars]
         for block, body in ((stmt.then_body, then_body), (stmt.else_body, else_body)):

@@ -67,6 +67,29 @@ def fresh_ctx():
     return StageContext(ProphecyStore(), run_index=1, name="t")
 
 
+# Each records ``value`` at one entry point of the recorder, beside a float* and an int handle.
+ENTRY_POINTS = {
+    "declare": lambda ctx, buf, n, value: ctx.declare("int", value),
+    "assign target": lambda ctx, buf, n, value: ctx.assign(value, 1),
+    "assign value": lambda ctx, buf, n, value: ctx.assign(n, value),
+    "for_loop start": lambda ctx, buf, n, value: ctx.for_loop(value, 4, 1, lambda i: None),
+    "runtime": lambda ctx, buf, n, value: ctx.runtime("runtime::memcpy", buf, buf, value),
+    "runtime_expr": lambda ctx, buf, n, value: ctx.runtime_expr("runtime::malloc", value),
+    "if_else": lambda ctx, buf, n, value: ctx.if_else(value, lambda: None),
+    "h + x": lambda ctx, buf, n, value: n + value,
+    "x + h": lambda ctx, buf, n, value: value + n,
+    "h[x]": lambda ctx, buf, n, value: buf[value],
+}
+
+UNSTAGEABLE = {
+    "bool": True,
+    "inf": float("inf"),
+    "nan": float("nan"),
+    "str": "1",
+    "unprintable int": 10 ** sys.get_int_max_str_digits(),  # one digit over the limit
+}
+
+
 class TestProphecyCells:
     def test_fresh_cell_returns_initializer(self):
         ctx = fresh_ctx()
@@ -492,6 +515,52 @@ class TestRecording:
 
         run_staged(generator)
 
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_stale_handle_rejected_at_every_entry_point(self, entry):
+        leaked = []
+
+        def generator(ctx):
+            cell = ctx.prophecy_cell(FLAG, Flag.UNSET)
+            buf, n = ctx.parameter("float*"), ctx.parameter("int")
+            handle = ctx.declare("int", 0)
+            if ctx.run_index == 1:
+                leaked.append(handle)
+                cell.require(Flag.SET)
+            else:
+                with pytest.raises(StagingError, match="^staged handle belongs to a different run$"):
+                    ENTRY_POINTS[entry](ctx, buf, n, leaked[0])
+                ctx.assign(handle, 1)
+
+        program, stats = run_staged(generator)
+        assert stats.runs == 2 and len(program.body) == 2  # nothing of the refused recording
+
+    @pytest.mark.parametrize("value", sorted(UNSTAGEABLE))
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_every_entry_point_refuses_what_lift_refuses(self, entry, value):
+        ctx = fresh_ctx()
+        with pytest.raises(StagingError) as lifted:
+            ctx.lift(UNSTAGEABLE[value])
+        buf, n = ctx.parameter("float*"), ctx.parameter("int")
+        with pytest.raises(StagingError, match=f"^{re.escape(str(lifted.value))}$"):
+            ENTRY_POINTS[entry](ctx, buf, n, UNSTAGEABLE[value])
+        assert ctx._root == []
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_int_enum_records_as_a_plain_int_at_every_entry_point(self, entry):
+        class Row(enum.IntEnum):
+            SECOND = 1
+
+        recorded = []
+        for value in (Row.SECOND, 1):
+            ctx = fresh_ctx()
+            buf, n = ctx.parameter("float*"), ctx.parameter("int")
+            try:
+                result = ENTRY_POINTS[entry](ctx, buf, n, value)
+            except ValueError as exc:  # an int literal is no assignment target
+                result = exc
+            recorded.append(repr((getattr(result, "node", result), ctx._root)))
+        assert recorded[0] == recorded[1]
+
     @pytest.mark.parametrize("record", ["loop", "branch"])
     def test_block_closes_when_its_body_raises(self, record):
         ctx = fresh_ctx()
@@ -515,6 +584,41 @@ class TestRecording:
         ctx._blocks.append([])
         with pytest.raises(StagingError, match="open block"):
             ctx.finish()
+
+
+class TestIntLiteralSharing:
+    """Equal ints share one ``IntLit`` within a build; sharing must not change a program."""
+
+    def test_equal_ints_share_one_literal(self):
+        ctx = fresh_ctx()
+        buf = ctx.parameter("float*")
+        first, second = buf[10**6], buf[int("1000000")]  # equal, but two int objects
+        ctx.for_loop(10**6, 10**7, 10**6, lambda i: None)
+        loop = ctx._root[0]
+        assert first.node.index is second.node.index is loop.start is loop.step
+        assert ctx.lift(10**6).node is loop.start and loop.bound.value == 10**7
+
+    @pytest.mark.parametrize("first, second", [(1, 1.0), (1.0, 1)])
+    def test_an_int_and_an_equal_float_stay_apart(self, first, second):
+        # 1 == 1.0 and both hash alike, so one dict keyed by value would confuse them
+        ctx = fresh_ctx()
+        x = ctx.parameter("float")
+        ctx.assign(x, x * first)
+        ctx.assign(x, x * second)
+        literal = {int: second_stage.IntLit, float: second_stage.FloatLit}
+        assert [stmt.value.right for stmt in ctx._root] == [
+            literal[type(v)](v) for v in (first, second)]
+        text = emit_c(ctx.finish())
+        assert f"  arg0 = arg0 * {first};\n  arg0 = arg0 * {second};\n" in text
+
+    def test_builds_share_no_literal(self):
+        def generator(ctx):
+            buf = ctx.parameter("float*")
+            ctx.assign(buf[2], 1.0)
+
+        (first, _), (second, _) = run_staged(generator), run_staged(generator)
+        assert first.body[0].target.index == second.body[0].target.index
+        assert first.body[0].target.index is not second.body[0].target.index
 
 
 class TestEmission:
