@@ -39,6 +39,7 @@ from .extended import check_preservation, check_progress
 from .einsum import (
     DEFAULT_MAX_BID,
     DEFAULT_MAX_TID,
+    STRATEGIES,
     EinsumError,
     build_matmul_benchmark,
     build_matvec_benchmark,
@@ -49,7 +50,7 @@ from .nn import NnError, build_conv_relu_benchmark
 from .second_stage import emit_c
 from .staging import StageStats, StagingError
 
-_STRATEGY_FLAGS = {"prophecy": "prophecy", "copy-all": "copy_all", "unified": "unified"}
+_STRATEGY_FLAGS = {strategy.replace("_", "-"): strategy for strategy in STRATEGIES}
 _DECIMAL = re.compile(r"[ \t]*([+-]?[0-9]+)[ \t]*")
 
 
@@ -112,20 +113,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         with open(args.program, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
+        program = parse_program(text)
+        initial = _parse_bindings(args.init)
+    except UnicodeDecodeError as exc:  # a ValueError too
         print(f"error: {args.program} is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
-    try:
-        program = parse_program(text)
     except CoreLangError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    try:
-        initial = _parse_bindings(args.init)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -259,12 +255,11 @@ def _print_stage_stats(args: argparse.Namespace, program, stats: StageStats) -> 
 
 def cmd_stage(args: argparse.Namespace) -> int:
     einsum = args.dsl.startswith("einsum")
-    if not einsum and args.strategy is not None:
-        print("error: --strategy applies to einsum DSLs only", file=sys.stderr)
-        return 2
-    if not einsum and args.diff_strategies:
-        print("error: --diff-strategies applies to einsum DSLs only", file=sys.stderr)
-        return 2
+    for flag, given in (("--strategy", args.strategy is not None),
+                        ("--diff-strategies", args.diff_strategies)):
+        if given and not einsum:
+            print(f"error: {flag} applies to einsum DSLs only", file=sys.stderr)
+            return 2
     strategy = _STRATEGY_FLAGS[args.strategy or "prophecy"]
 
     try:

@@ -15,8 +15,12 @@ next operation is a ReLU with threshold t", over a three-level lattice:
 convolution (tracked by a history flag).  Two ReLUs with thresholds that
 differ by at least 0.001 merge the cell to F, which satisfies every later
 requirement — so F permanently disables fusion for that convolution and
-both operations emit their own loops.  At the fixpoint, ``convolve`` reads
-the cell: T(t) records the fused clamp, anything else a plain convolution.
+both operations emit their own loops.  Any other read of the output while
+it is still the convolution's last operation (a copy out, another
+convolution, a branch arm without the ReLU) requires F through
+``MLTensor.buffer``, since it would see the clamped values unclamped.  At
+the fixpoint, ``convolve`` reads the cell: T(t) records the fused clamp,
+anything else a plain convolution.
 
 Convolution indexing wraps around the input (``(i + j) mod size``).
 """
@@ -114,13 +118,19 @@ class MLTensor:
         self.session = session
         self.size = size
         if buffer is None:
-            self.buffer = session.ctx.declare(
+            buffer = session.ctx.declare(
                 "float*", session.ctx.runtime_expr("runtime::malloc", size * _ELEM_BYTES)
             )
-        else:
-            self.buffer = buffer
+        self._buffer = buffer
         self.is_last_convolution = HistoryVar(session.ctx, False)
         self.is_next_relu: ProphecyCell | None = None
+
+    @property
+    def buffer(self) -> StagedExpr:
+        """The data; read before the ReLU that may fuse, it requires F (no fusion)."""
+        if self.is_next_relu is not None and self.is_last_convolution.get():
+            self.is_next_relu.require(FALSE_TOP_F)
+        return self._buffer
 
 
 class NnSession:
@@ -169,7 +179,7 @@ class NnSession:
                     ctx.if_else(
                         acc < prediction.threshold, lambda: ctx.assign(acc, 0.0)
                     )
-            ctx.assign(output.buffer[i], acc)
+            ctx.assign(output._buffer[i], acc)  # the convolution's own store
 
         ctx.for_loop(0, input.size, 1, body)
         return output

@@ -22,6 +22,7 @@ README).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -35,6 +36,7 @@ RUNTIME_CALLS = {
 RUNTIME_HEADER = '#include "runtime.h"'
 
 _ELEM_BYTES = 4  # every buffer holds float32 elements; sizes passed to the runtime are bytes
+_FLOAT_MAX = 2.0**128 - 2.0**103  # the least magnitude that rounds to inf in C's float
 
 
 class UnknownRuntimeCall(Exception):
@@ -72,11 +74,18 @@ class IntLit:
     def __post_init__(self) -> None:
         if type(self.value) is not int:
             raise ValueError(f"integer literal is not an int: {self.value!r}")
+        if not -2**31 <= self.value < 2**31:  # Python may refuse to print the value itself
+            raise ValueError("integer literal is outside C's int")
 
 
 @dataclass(frozen=True)
 class FloatLit:
     value: float
+
+    def __post_init__(self) -> None:
+        if not abs(self.value) < _FLOAT_MAX:  # false for nan too
+            fault = "is outside C's float" if math.isfinite(self.value) else "is not finite"
+            raise ValueError(f"float literal {self.value!r} {fault}")
 
 
 @dataclass(frozen=True)

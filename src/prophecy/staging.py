@@ -25,8 +25,6 @@ literals, specializing the second-stage program to this run's knowledge.
 from __future__ import annotations
 
 import abc
-import math
-import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -320,42 +318,34 @@ class StageContext:
     def lift(self, value: Any) -> StagedExpr:
         """First-stage constants freeze into literals; handles pass through.
 
-        What cannot be staged is refused in ``_node``, and equal ints share
-        one ``IntLit`` within a build.
+        What cannot be staged is refused in ``_node``, a literal C cannot
+        hold by its node; equal ints share one ``IntLit`` within a build.
         """
         if type(value) is StagedExpr and value._ctx is self:
             return value
         return StagedExpr(self._node(value), self)
 
     def _node(self, value: Any) -> Expr:
-        """The node ``lift(value)`` holds, without making its handle."""
+        """The node ``lift(value)`` holds, without its handle; a node's refusal is a StagingError."""
         kind = type(value)
         if kind is StagedExpr and value._ctx is self:
             return value.node
-        if kind is not int:
-            if isinstance(value, StagedExpr):
-                raise StagingError("staged handle belongs to a different run")
-            if isinstance(value, bool):
-                raise StagingError("no staged booleans; use int 0/1")
-            if isinstance(value, float):
-                if not math.isfinite(value):  # C has no literal for inf or nan
-                    raise StagingError(f"float literal {value!r} is not finite")
-                return FloatLit(value)
-            if not isinstance(value, int):
-                raise StagingError(f"cannot stage a value of type {type(value).__name__}")
-            value = int(value)  # an IntEnum, say, as a plain int
-        if (node := self._int_lits.get(value)) is None:
-            # the second stage prints every literal; below 2000 bits an int has
-            # fewer digits than the lowest limit Python allows (640)
-            if value.bit_length() > 2000:
-                try:
-                    str(value)
-                except ValueError:
-                    raise StagingError(
-                        f"integer literal has more than {sys.get_int_max_str_digits()} digits"
-                    ) from None
-            node = self._int_lits[value] = IntLit(value)
-        return node
+        try:
+            if kind is not int:
+                if isinstance(value, StagedExpr):
+                    raise StagingError("staged handle belongs to a different run")
+                if isinstance(value, bool):
+                    raise StagingError("no staged booleans; use int 0/1")
+                if isinstance(value, float):
+                    return FloatLit(value)
+                if not isinstance(value, int):
+                    raise StagingError(f"cannot stage a value of type {type(value).__name__}")
+                value = int(value)  # an IntEnum, say, as a plain int
+            if (node := self._int_lits.get(value)) is None:
+                node = self._int_lits[value] = IntLit(value)
+            return node
+        except ValueError as exc:
+            raise StagingError(str(exc)) from None
 
     def _fresh_var(self) -> str:
         name = f"var{self._var_counter}"

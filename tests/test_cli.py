@@ -344,6 +344,15 @@ class TestStage:
         assert code == 1
         assert "staging error" in err
 
+    def test_byte_count_outside_c_int_is_a_staging_error(self):
+        # 2**29 floats take 2**31 bytes, one more than C's int holds
+        code, out, err = run_cli("stage", "--dsl", "nn-conv-relu", "--size", str(2**29),
+                                 "--filter-size", "3")
+        assert (code, out, err) == (1, "", "staging error: integer literal is outside C's int\n")
+        code, out, _ = run_cli("stage", "--dsl", "nn-conv-relu", "--size", str(2**29 - 1),
+                               "--filter-size", "3")
+        assert code == 0 and "runtime::malloc(2147483644);" in out
+
     @pytest.mark.parametrize(
         "flag", ["--m", "--n", "--o", "--size", "--filter-size", "--max-bid", "--max-tid"]
     )

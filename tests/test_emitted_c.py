@@ -20,6 +20,7 @@ from prophecy.second_stage import RUNTIME_HEADER, emit_c
 from prophecy.staging import ProphecyStore, StageContext
 from test_interp import C_COMPARISONS, REFUSED, _comparison_program, _refused_recording
 from test_interp_differential import random_recording
+from test_nn import FUSION_CASES, build_session, random_session
 from test_pins import STAGED, _einsum_corpus, _einsum_outcome
 
 pytestmark = pytest.mark.skipif(shutil.which("g++") is None, reason="no g++ on PATH")
@@ -54,6 +55,12 @@ def test_pinned_programs_compile():
             outcome = _einsum_outcome(case, strategy)
             if outcome[0] == "ok":
                 sources[f"einsum-{name}-{strategy}"] = outcome[1]
+    sessions = {f"fusion-{case}": ops for case, ops in FUSION_CASES.items()}
+    sessions.update((f"session-{seed}", random_session(seed)) for seed in range(20))
+    for name, ops in sessions.items():
+        for fusion in (True, False):
+            sources[f"{name}-{'fused' if fusion else 'unfused'}"] = emit_c(
+                build_session(ops, fusion=fusion)[0])
     assert len(sources) > len(STAGED)
     result = syntax_check(sources)
     assert result.returncode == 0, result.stderr

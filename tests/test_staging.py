@@ -87,6 +87,8 @@ UNSTAGEABLE = {
     "nan": float("nan"),
     "str": "1",
     "unprintable int": 10 ** sys.get_int_max_str_digits(),  # one digit over the limit
+    "2**31": 2**31,
+    "1e39": 1e39,
 }
 
 
@@ -403,13 +405,14 @@ class TestRecording:
         assert "int var2 = var0 + (var1 * 2);" in text
 
     def test_unprintable_int_literal_rejected(self):
+        # refused at C's int, so an int too long for Python to print is refused without printing
         ctx = fresh_ctx()
         n = ctx.declare("int", 1)
         limit = sys.get_int_max_str_digits()
-        with pytest.raises(StagingError, match=f"more than {limit} digits"):
+        with pytest.raises(StagingError, match="^integer literal is outside C's int$"):
             ctx.assign(n, n % 10 ** (limit + 1))
-        ctx.assign(n, n % 10 ** (limit - 1))  # limit digits: still printable
-        assert str(10 ** (limit - 1)) in emit_c(ctx.finish())
+        ctx.assign(n, n % (2**31 - 1))  # C's largest int: still recorded
+        assert "var0 = var0 % 2147483647;" in emit_c(ctx.finish())
 
     def test_int_subclass_freezes_to_a_plain_int_literal(self):
         # an int literal holds only an int, so the recorder stages an IntEnum's value
@@ -584,6 +587,62 @@ class TestRecording:
         ctx._blocks.append([])
         with pytest.raises(StagingError, match="open block"):
             ctx.finish()
+
+
+class TestLiteralsHoldWhatCHolds:
+    """An int literal holds a C ``int``, a float literal a finite C ``float``; the recorder
+    refuses the rest with the node's message."""
+
+    REFUSED = [
+        (second_stage.IntLit, 2**31, "integer literal is outside C's int"),
+        (second_stage.IntLit, -2**31 - 1, "integer literal is outside C's int"),
+        (second_stage.FloatLit, float("inf"), "float literal inf is not finite"),
+        (second_stage.FloatLit, float("-inf"), "float literal -inf is not finite"),
+        (second_stage.FloatLit, float("nan"), "float literal nan is not finite"),
+        (second_stage.FloatLit, 1e39, "float literal 1e+39 is outside C's float"),
+        (second_stage.FloatLit, -1e39, "float literal -1e+39 is outside C's float"),
+        # the least double that rounds to inf in float32: 2**128 - 2**103
+        (second_stage.FloatLit, 3.4028235677973366e38,
+         "float literal 3.4028235677973366e+38 is outside C's float"),
+    ]
+
+    @pytest.mark.parametrize("node, value, message", REFUSED)
+    def test_node_refuses_what_c_cannot_hold(self, node, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            node(value)
+        if node is second_stage.FloatLit:
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.isfinite(np.float32(value))
+
+    @pytest.mark.parametrize("node, value, message", REFUSED)
+    def test_recorder_refuses_with_the_nodes_message(self, node, value, message):
+        # UNSTAGEABLE shows that every entry point refuses as lift does
+        ctx = fresh_ctx()
+        with pytest.raises(StagingError, match=f"^{re.escape(message)}$"):
+            ctx.lift(value)
+
+    @pytest.mark.parametrize("node, value", [
+        (second_stage.IntLit, 2**31 - 1),
+        (second_stage.IntLit, -2**31),
+        (second_stage.FloatLit, 3.4028235e38),
+        (second_stage.FloatLit, 3.4028235677973362e38),
+        (second_stage.FloatLit, -3.4028235677973362e38),
+    ])
+    def test_node_holds_c_extremes(self, node, value):
+        assert node(value).value == value
+        if node is second_stage.FloatLit:  # the next double past 3.4028235677973362e38 is refused
+            assert np.isfinite(np.float32(value))
+        ctx = fresh_ctx()
+        buf = ctx.parameter("float*")
+        ctx.assign(buf[0], value)
+        assert f"arg0[0] = {value!r};" in emit_c(ctx.finish())
+
+    def test_loop_start_outside_c_int_refused_when_recorded(self):
+        # C's int cannot count from -10**15; the program is never built, let alone run
+        ctx = fresh_ctx()
+        with pytest.raises(StagingError, match="^integer literal is outside C's int$"):
+            ctx.for_loop(-10**15, 1, 1, lambda i: None)
+        assert ctx._root == []
 
 
 class TestIntLiteralSharing:
