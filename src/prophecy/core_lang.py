@@ -31,7 +31,11 @@ variable name and per literal token of a parse.  Building a ``Program``
 fills a per-label table: each label's command, its ``StepObligations``
 (read set and assigned variable, one record per distinct pair), its next
 label and its successors (as a set and fall-through first), so
-``command_obligations`` and the successor queries are lookups.  The first
+``command_obligations`` and the successor queries are lookups.  Beside it
+the program keeps each label's obligations as two int bit masks, computed
+once per distinct record, where bit k stands for the k-th variable name in
+sorted order (the slot order below): ``obligation_masks`` hands them to the
+engine and ``mask_names`` turns a mask back into its set.  The first
 use of a label compiles its transition over the slots, a list with one
 entry per variable, and keeps it in the table, as a ``Program`` keeps its
 ``sweep_order`` and last ``label_path`` (neither enters equality or
@@ -52,6 +56,7 @@ import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Callable, Iterator, Mapping, Union
 
 Label = str
@@ -60,6 +65,7 @@ StateTuple = tuple[tuple[str, int], ...]
 
 _INT64_MASK = (1 << 64) - 1
 _INT64_SIGN = 1 << 63
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # parentheses and ``not`` nest at most this deep, well inside Python's recursion limit
@@ -319,7 +325,13 @@ class Program:
         self._predecessors = {label: frozenset(preds) for label, preds in inverse.items()}
         self._variables = frozenset().union(*(o.precondition | o.prediction_extra
                                               for o in shared.values()))
-        self._slot = {name: at for at, name in enumerate(sorted(self._variables))}
+        self._names = tuple(sorted(self._variables))
+        self._slot = {name: at for at, name in enumerate(self._names)}
+        # each record's read set and assigned variable as bit masks: bit k is slot k
+        bit = {name: 1 << at for name, at in self._slot.items()}.__getitem__
+        masks = {id(record): (sum(map(bit, record.precondition)), sum(map(bit, record.prediction_extra)))
+                 for record in shared.values()}
+        self._masks = {label: masks[id(entry.obligations)] for label, entry in self._table.items()}
         self._leaves = _Leaves(self._slot)
         self._sweep_order: tuple[Label, ...] | None = None
         self._path: tuple | None = None  # (key, the entries of label_path)
@@ -389,6 +401,22 @@ class Program:
 def command_obligations(program: Program, label: Label) -> StepObligations:
     """The obligations of the command at ``label``, from the program's table."""
     return program._entry(label).obligations
+
+
+def obligation_masks(program: Program) -> Mapping[Label, tuple[int, int]]:
+    """Each label's obligations as ``(read_mask, def_mask)``, from the program's table.
+
+    Bit k stands for the k-th of the program's variable names in sorted
+    order, so ``mask_names`` turns a mask back into its set.  The mapping
+    is the program's own: read it, never change it.
+    """
+    return program._masks
+
+
+def mask_names(program: Program, mask: int) -> VarSet:
+    """The variable names whose bits are set in ``mask``, numbered as ``obligation_masks`` does."""
+    # the binary digits, lowest first, as 0 and 1 bytes select the names of their slots
+    return frozenset(compress(program._names, bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)))
 
 
 # --------------------------------------------------------------------------

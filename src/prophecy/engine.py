@@ -28,6 +28,12 @@ one grows, so no earlier check can fire again.  An analysis costs one
 check per edge, plus the repairs; run, misprediction and repair counts are
 those of running every run from the start.
 
+Results, constraint extras and the oracle's live sets are bit masks over
+the program's variables (``core_lang.obligation_masks``, which ``Program``
+builds once per distinct obligation record), so each check, repair and
+worklist step is a few int operations.  Each analysis turns every distinct
+mask back into a frozenset once, on return; what it hands out is sets.
+
 One deliberate deviation from the literal pseudocode this follows: a
 prediction constraint that is already violated when recorded (a loop back
 edge first traversed after the last precondition repair) is repaired on the
@@ -54,11 +60,11 @@ from .core_lang import (
     Label,
     Program,
     State,
-    StepObligations,
     Stuck,
     VarSet,
-    command_obligations,
     label_path,
+    mask_names,
+    obligation_masks,
 )
 
 
@@ -100,29 +106,34 @@ class RunStats:
 
 
 # successor -> [(predecessor, extra)], one per recorded edge, each meaning
-# results[successor] ⊆ results[predecessor] ∪ extra
-Constraints = dict[Label, list[tuple[Label, VarSet]]]
+# results[successor] ⊆ results[predecessor] ∪ extra, over the masks of ``obligation_masks``
+Constraints = dict[Label, list[tuple[Label, int]]]
 
 
-def solve(label: Label, results: dict[Label, VarSet], constraints: Constraints) -> None:
+def solve(label: Label, results: dict[Label, int], constraints: Constraints) -> None:
     """Re-establish every recorded constraint after results[label] grew.
 
     Worklist version of the recursive repair: whenever the left side of a
     constraint exceeds its right side, the missing elements are forced into
-    the predecessor's result, which in turn is enqueued.
+    the predecessor's result, which in turn is enqueued.  Results and
+    extras are bit masks as ``obligation_masks`` numbers them, so each
+    check is three int operations.
     """
     pending = [label]
     while pending:
         current = pending.pop()
+        # only a constraint of ``current`` on itself could grow it here, and that one forces nothing
+        grown = results[current]
         for predecessor, extra in constraints.get(current, ()):
-            missing = results[current] - extra - results[predecessor]
-            if missing:
+            if missing := grown & ~(extra | results[predecessor]):
                 results[predecessor] |= missing
                 pending.append(predecessor)
 
 
-def empty_results(program: Program) -> dict[Label, VarSet]:
-    return {label: frozenset() for label in program.labels}
+def _as_sets(program: Program, masks: dict[Label, int]) -> dict[Label, VarSet]:
+    """Each label's mask as its set of names, decoding each distinct mask once."""
+    sets = {mask: mask_names(program, mask) for mask in set(masks.values())}
+    return dict(zip(masks, map(sets.__getitem__, masks.values())))
 
 
 def _rerun(
@@ -150,23 +161,23 @@ def _rerun(
     program's variables at each label, so more runs than the ceiling means
     the repair accounting is broken.
     """
-    results = empty_results(program)
+    masks = obligation_masks(program)
+    results = dict.fromkeys(program.labels, 0)
     constraints: Constraints = {}
     repairs = {"precondition": 0, "constraint": 0}
     run_ceiling = len(program.labels) * max(1, len(program.variables())) + 2
     runs, position = 1, 0
     while position < len(edges):
         label, successor = edges[position]
-        obligations = command_obligations(program, label)
-        if missing := obligations.precondition - results[label]:
+        read, defined = masks[label]
+        if missing := read & ~results[label]:
             kind = "precondition"
         else:
             position += 1
             if successor is None:
                 continue
-            extra = obligations.prediction_extra
-            constraints.setdefault(successor, []).append((label, extra))
-            missing = results[successor] - extra - results[label]
+            constraints.setdefault(successor, []).append((label, defined))
+            missing = results[successor] & ~(defined | results[label])
             if not (missing and repair_constraints):
                 continue
             kind = "constraint"
@@ -176,7 +187,7 @@ def _rerun(
         if runs == run_ceiling:
             raise AnalysisError("rerun ceiling exceeded; repair accounting is broken")
         runs += 1
-    return results, RunStats(runs, repairs["precondition"], repairs["constraint"])
+    return _as_sets(program, results), RunStats(runs, repairs["precondition"], repairs["constraint"])
 
 
 def analyze_concrete(
@@ -234,8 +245,9 @@ def live_variables_oracle(program: Program) -> dict[Label, VarSet]:
 
     live_in(l) = use(l) ∪ (⋃ over successors s of live_in(s), minus def(l)),
     iterated to the least fixpoint.  Shares only the per-command use/def
-    sets with the engine; the propagation is a conventional worklist over
-    the control-flow graph, with no reexecution involved.
+    sets with the engine, as the bit masks ``Program`` builds; the
+    propagation is a conventional worklist over the control-flow graph, on
+    masks, with no reexecution involved.
 
     The first visits go backward, from the last label to the first, and a
     label whose set changes enqueues its predecessors, popped last in first
@@ -243,27 +255,25 @@ def live_variables_oracle(program: Program) -> dict[Label, VarSet]:
     visit per label, and a label is revisited only when a successor's set
     grew after its visit.  The least fixpoint does not depend on the order.
     """
-    labels = program.labels
-    obligations: dict[Label, StepObligations] = {
-        label: command_obligations(program, label) for label in labels
-    }
-    live: dict[Label, VarSet] = {label: frozenset() for label in labels}
+    labels, masks = program.labels, obligation_masks(program)
+    live = dict.fromkeys(labels, 0)
     pending = list(labels)  # popped from the end: the last label first
     in_queue = set(pending)
     while pending:
         label = pending.pop()
         in_queue.discard(label)
-        out: frozenset[str] = frozenset()
+        out = 0
         for successor in program.successors(label):
             out |= live[successor]
-        updated = obligations[label].precondition | (out - obligations[label].prediction_extra)
+        read, defined = masks[label]
+        updated = read | (out & ~defined)
         if updated != live[label]:
             live[label] = updated
             for predecessor in program.predecessors(label):
                 if predecessor not in in_queue:
                     pending.append(predecessor)
                     in_queue.add(predecessor)
-    return live
+    return _as_sets(program, live)
 
 
 def reachable_labels(program: Program) -> frozenset[Label]:

@@ -83,6 +83,8 @@ class FloatLit:
     value: float
 
     def __post_init__(self) -> None:
+        if type(self.value) is not float:
+            raise ValueError(f"float literal is not a float: {self.value!r}")
         if not abs(self.value) < _FLOAT_MAX:  # false for nan too
             fault = "is outside C's float" if math.isfinite(self.value) else "is not finite"
             raise ValueError(f"float literal {self.value!r} {fault}")

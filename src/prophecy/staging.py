@@ -337,7 +337,7 @@ class StageContext:
                 if isinstance(value, bool):
                     raise StagingError("no staged booleans; use int 0/1")
                 if isinstance(value, float):
-                    return FloatLit(value)
+                    return FloatLit(float(value))  # a np.float64, say, as a plain float
                 if not isinstance(value, int):
                     raise StagingError(f"cannot stage a value of type {type(value).__name__}")
                 value = int(value)  # an IntEnum, say, as a plain int

@@ -35,19 +35,36 @@ def transitions(monkeypatch):
     return seen
 
 
+class _CountedReads(dict):
+    """A copy of a program's ``obligation_masks`` that lists the label of each read in ``read``."""
+
+    def __init__(self, masks, read):
+        super().__init__(masks)
+        self.read = read
+
+    def __getitem__(self, label):
+        self.read.append(label)
+        return super().__getitem__(label)
+
+
 @pytest.fixture
 def lookups(monkeypatch):
-    """Count obligation lookups, by wrapping ``command_obligations`` where each module calls it.
+    """Count obligation lookups where each module makes them.
 
-    ``engine`` lists the label of each lookup the engine makes (its reruns
-    and the oracle), and ``extended`` each one the checkers make.
+    ``engine`` lists the label of each mask read the engine makes: one per
+    edge check of its reruns and one per oracle visit, read from the
+    counting copy of ``obligation_masks`` it is handed.  ``extended`` lists
+    the label of each ``command_obligations`` call the checkers make.
     """
     seen = SimpleNamespace(engine=[], extended=[])
-    for module, looked_up in ((engine, seen.engine), (extended, seen.extended)):
 
-        def counting(program, label, looked_up=looked_up):
-            looked_up.append(label)
-            return core_lang.command_obligations(program, label)
+    def counted_masks(program):
+        return _CountedReads(core_lang.obligation_masks(program), seen.engine)
 
-        monkeypatch.setattr(module, "command_obligations", counting)
+    def counting(program, label):
+        seen.extended.append(label)
+        return core_lang.command_obligations(program, label)
+
+    monkeypatch.setattr(engine, "obligation_masks", counted_masks)
+    monkeypatch.setattr(extended, "command_obligations", counting)
     return seen

@@ -61,6 +61,7 @@ from prophecy.core_lang import (
     Num,
     Program,
     Skip,
+    StepObligations,
     Stuck,
     UndefinedVariableError,
     Trace,
@@ -69,6 +70,8 @@ from prophecy.core_lang import (
     Var,
     command_obligations,
     label_path,
+    mask_names,
+    obligation_masks,
     parse_program,
     run_trace,
 )
@@ -79,10 +82,8 @@ from prophecy.engine import (
     StepBudgetExceeded,
     analyze_all_paths_with_stats,
     analyze_concrete,
-    empty_results,
     live_variables_oracle,
     reachable_labels,
-    solve,
 )
 from randprog import (
     VARS,
@@ -465,8 +466,28 @@ class Misprediction:
 ExecutionOutcome = Union[Completed, Misprediction]
 
 
+def empty_results(program):
+    return {label: frozenset() for label in program.labels}
+
+
+def solve(label, results, constraints):
+    """Re-establish every recorded constraint after results[label] grew, over sets of names.
+
+    ``engine.solve`` repairs bit masks; the references keep the set
+    arithmetic, so they share no repair code with the engine.
+    """
+    pending = [label]
+    while pending:
+        current = pending.pop()
+        for predecessor, extra in constraints.get(current, ()):
+            missing = results[current] - extra - results[predecessor]
+            if missing:
+                results[predecessor] |= missing
+                pending.append(predecessor)
+
+
 def record_constraint(constraints, label, successor, extra):
-    """Record the edge's constraint in ``engine.solve``'s mapping; False if it is there already.
+    """Record the edge's constraint in ``solve``'s mapping; False if it is there already.
 
     The references re-traverse edges, so unlike the engine they need the
     membership test.
@@ -767,3 +788,35 @@ def test_backward_oracle_matches_forward_reference_on_corpus():
         oracle = live_variables_oracle(program)
         assert oracle == reference_oracle(program)
         assert oracle.keys() == set(program.labels)
+
+
+def assert_masks_match_obligations(program):
+    """Each label's ``obligation_masks``, decoded with bit k as the k-th sorted variable name,
+    are its ``command_obligations``; ``mask_names`` decodes them alike."""
+    names = sorted(program.variables())
+
+    def decoded(mask):
+        assert 0 <= mask < 1 << len(names)
+        names_of = frozenset(name for k, name in enumerate(names) if mask >> k & 1)
+        assert mask_names(program, mask) == names_of
+        return names_of
+
+    masks = obligation_masks(program)
+    assert list(masks) == list(program.labels)
+    for label, (read, defined) in masks.items():
+        assert StepObligations(decoded(read), decoded(defined)) == command_obligations(program, label), label
+
+
+@given(st.integers(0, 2**32), st.integers(2, 40))
+@settings(max_examples=300, deadline=None)
+def test_masks_decode_to_obligations(seed, max_body):
+    assert_masks_match_obligations(random_program(random.Random(seed), max_body=max_body))
+
+
+def test_masks_decode_to_obligations_on_corpus():
+    programs = corpus(random.Random(29), 200)
+    assert any(len(command_obligations(program, label).precondition) > 1
+               for program in programs for label in program.labels)
+    assert len({name for program in programs for name in program.variables()}) == len(VARS)
+    for program in programs:
+        assert_masks_match_obligations(program)

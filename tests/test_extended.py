@@ -39,9 +39,7 @@ from prophecy.engine import (
     RunStats,
     StepBudgetExceeded,
     analyze_concrete,
-    empty_results,
     live_variables_oracle,
-    solve,
 )
 from prophecy.extended import (
     CheckReport,
@@ -55,8 +53,10 @@ from test_differential import (
     Configuration,
     compiled_step,
     compiled_walk,
+    empty_results,
     record_constraint,
     reference_step,
+    solve,
 )
 
 LOOP = """

@@ -637,6 +637,20 @@ class TestLiteralsHoldWhatCHolds:
         ctx.assign(buf[0], value)
         assert f"arg0[0] = {value!r};" in emit_c(ctx.finish())
 
+    @pytest.mark.parametrize("value", [np.float64(1.5), 1])
+    def test_float_literal_holds_only_a_float(self, value):
+        # as an int literal holds only an int (tests/test_interp.py)
+        with pytest.raises(ValueError, match=f"^float literal is not a float: {re.escape(repr(value))}$"):
+            second_stage.FloatLit(value)
+
+    def test_float_subclass_is_staged_as_a_plain_float(self):
+        ctx = fresh_ctx()
+        buf = ctx.parameter("float*")
+        ctx.assign(buf[0], np.float64(1.5))
+        (stmt,) = ctx._root
+        assert type(stmt.value.value) is float
+        assert "  arg0[0] = 1.5;\n" in emit_c(ctx.finish())
+
     def test_loop_start_outside_c_int_refused_when_recorded(self):
         # C's int cannot count from -10**15; the program is never built, let alone run
         ctx = fresh_ctx()
