@@ -20,8 +20,10 @@ from .core_lang import (
     ParseError,
     Program,
     ProgramStructureError,
+    StepObligations,
     Trace,
     TraceKind,
+    command_obligations,
     parse_program,
     print_program,
     run_trace,
@@ -32,13 +34,7 @@ from .engine import (
     analyze_concrete,
     live_variables_oracle,
 )
-from .extended import (
-    CheckReport,
-    StepObligations,
-    check_preservation,
-    check_progress,
-    command_obligations,
-)
+from .extended import CheckReport, check_preservation, check_progress
 from .einsum import (
     EinsumSession,
     Index,

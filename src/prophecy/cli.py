@@ -35,7 +35,7 @@ from .engine import (
     live_variables_oracle,
     reachable_labels,
 )
-from .extended import check_preservation, check_progress
+from .extended import CheckReport, check_preservation, check_progress
 from .einsum import (
     DEFAULT_MAX_BID,
     DEFAULT_MAX_TID,
@@ -148,6 +148,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "progress": None,
     }
 
+    failed: list[CheckReport] = []  # the checks that did not pass, each with its violation
     if args.check:
         oracle = live_variables_oracle(program)
         if args.mode == "all-paths":
@@ -156,16 +157,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         else:
             # a single trace constrains no more than all paths do
             report["oracle_match"] = all(results[l] <= oracle[l] for l in program.labels)
-        preservation = check_preservation(program, results, initial, args.max_steps)
-        progress = check_progress(program, results, initial, args.max_steps)
-        report["preservation"] = preservation.passed
-        report["progress"] = progress.passed
-        if not preservation.passed:
-            report["preservation_violation"] = preservation.violation.to_record()
-        if not progress.passed:
-            report["progress_violation"] = progress.violation.to_record()
+        for check in (check_preservation(program, results, initial, args.max_steps),
+                      check_progress(program, results, initial, args.max_steps)):
+            report[check.check] = check.passed
+            if not check.passed:
+                report[f"{check.check}_violation"] = check.violation.to_record()
+                failed.append(check)
 
-    _print_analysis_report(report, args.format)
+    _print_analysis_report(report, args.format, failed)
     checks = [report["oracle_match"], report["preservation"], report["progress"]]
     return 1 if any(c is False for c in checks) else 0
 
@@ -176,7 +175,7 @@ def _verdict(value: Any) -> str:
     return "pass" if value else "FAIL"
 
 
-def _print_analysis_report(report: dict[str, Any], fmt: str) -> None:
+def _print_analysis_report(report: dict[str, Any], fmt: str, failed: list[CheckReport]) -> None:
     if fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
         return
@@ -193,12 +192,8 @@ def _print_analysis_report(report: dict[str, Any], fmt: str) -> None:
     print(f"oracle_match: {_verdict(report['oracle_match'])}")
     print(f"preservation: {_verdict(report['preservation'])}")
     print(f"progress: {_verdict(report['progress'])}")
-    for key in ("preservation_violation", "progress_violation"):
-        if key in report:
-            v = report[key]
-            where = v["label"] + (f" -> {v['next_label']}" if "next_label" in v else "")
-            what = v.get("detail") or f"witness {v['witness']}"
-            print(f"  {key.replace('_', ' ')}: {v['kind']} at {where}, {what}")
+    for check in failed:
+        print(f"  {check.check}: {check.violation.describe()}")
 
 
 # --------------------------------------------------------------------------

@@ -26,22 +26,24 @@ The parser builds the commonest lines (``skip``, ``halt``, ``done``,
 ``goto L``, ``x := a``, ``x := a op b`` and ``if a cmp b then L``, each
 leaf a word or at most 19 digits) from one regular expression's match.
 Every other line, and every error, goes to a recursive descent over the
-tokens another regular expression splits it into.  Both make one node per
-variable name and per literal token of a parse.  Building a ``Program``
-fills a per-label table: each label's command, its ``StepObligations``
-(read set and assigned variable, one record per distinct pair), its next
-label and its successors (as a set and fall-through first), so
-``command_obligations`` and the successor queries are lookups.  Beside it
-the program keeps each label's obligations as two int bit masks, computed
-once per distinct record, where bit k stands for the k-th variable name in
-sorted order (the slot order below): ``obligation_masks`` hands them to the
-engine and ``mask_names`` turns a mask back into its set.  The first
-use of a label compiles its transition over the slots, a list with one
-entry per variable, and keeps it in the table, as a ``Program`` keeps its
-``sweep_order`` and last ``label_path`` (neither enters equality or
-pickling).  An assignment or a branch whose operator has two leaf
-operands is one closure; any other expression is a tree of closures.  An
-assignment writes its slot and returns the next label; a branch returns a label.
+tokens another regular expression splits it into.  Both read each leaf
+token with ``_leaf``, the one rule that makes one node per variable name
+and per literal token of a parse and words the errors about a leaf.
+Building a ``Program`` fills a per-label table: each label's command, its
+``StepObligations`` (read set and assigned variable, one record per
+distinct pair), its next label and its successors (as a set and
+fall-through first), so ``command_obligations`` and the successor queries
+are lookups.  Beside it the program keeps each label's obligations as two
+int bit masks, computed once per distinct record, where bit k stands for
+the k-th variable name in sorted order (the slot order below):
+``obligation_masks`` hands them to the engine and ``mask_names`` turns a
+mask back into its set.  The first use of a label compiles its transition
+over the slots, a list with one entry per variable, and keeps it in the
+table, as a ``Program`` keeps its ``sweep_order`` and last ``label_path``
+(neither enters equality or pickling).  An assignment or a branch whose
+operator has two leaf operands is one closure; any other expression is a
+tree of closures, one per node, leaves included.  An assignment writes its
+slot and returns the next label; a branch returns a label.
 
 ``run_trace`` and ``label_path`` each loop over the transitions, from
 one start and under one ``max_steps`` rule, and build no configuration.
@@ -332,7 +334,6 @@ class Program:
         masks = {id(record): (sum(map(bit, record.precondition)), sum(map(bit, record.prediction_extra)))
                  for record in shared.values()}
         self._masks = {label: masks[id(entry.obligations)] for label, entry in self._table.items()}
-        self._leaves = _Leaves(self._slot)
         self._sweep_order: tuple[Label, ...] | None = None
         self._path: tuple | None = None  # (key, the entries of label_path)
 
@@ -445,11 +446,11 @@ _COMMAND_RE = re.compile(
 class _Parser:
     """Recursive descent over one line's tokens, then an empty end token.
 
-    One parser reads a whole program, ``reset`` for each line, and interns
-    each ``Var`` by name and each ``Num`` by its token, so a program holds
-    one node of each.  Errors point at the next token or the end of the
-    text, found only then; a nesting error, or a word read in place of
-    ``then``, just past the last token read.
+    One parser reads a whole program, ``reset`` for each line, and reads
+    each leaf with ``_leaf``, as ``_match_command`` does, so a program holds
+    one node per name and per literal token.  Errors point at the next
+    token or the end of the text, found only then; a nesting error, or a
+    word read in place of ``then``, just past the last token read.
     """
 
     def __init__(self) -> None:
@@ -525,20 +526,10 @@ class _Parser:
             if not self.take(")"):
                 raise self.error("expected ')'")
             return node
-        token = self.tokens[self.i]
-        if (node := self.leaves.get(token)) is None:
-            if token[:1] in _DIGITS:
-                try:
-                    value = int(token)
-                except ValueError:  # longer than int() accepts
-                    raise self.error("integer literal too long") from None
-                if value >= _INT64_SIGN:
-                    raise self.error("integer literal outside the 64-bit range")
-                node = self.leaves[token] = Num(value)
-            elif token[:1] in _WORD_START and token not in _KEYWORDS:
-                node = self.leaves[token] = Var(token)
-            else:
-                raise self.error("expected integer, identifier, or '('")
+        try:
+            node = _leaf(self.leaves, self.tokens[self.i])
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
         self.i += 1
         return node
 
@@ -590,17 +581,22 @@ def is_variable_name(text: str) -> bool:
     return _IDENT_RE.fullmatch(text) is not None and text not in _KEYWORDS
 
 
-def _leaf(leaves: dict[str, Num | Var], token: str) -> Num | Var | None:
-    """The node ``token`` interns to; None for a keyword or a literal of 2**63 or more."""
+def _leaf(leaves: dict[str, Num | Var], token: str) -> Num | Var:
+    """The node ``token`` interns to in ``leaves``; a ValueError, worded as the parse error,
+    for a keyword, a literal too long or of 2**63 or more, or any other token."""
     if (node := leaves.get(token)) is None:
-        if token[0] in _DIGITS:
-            if (value := int(token)) >= _INT64_SIGN:
-                return None
+        if token[:1] in _DIGITS:
+            try:
+                value = int(token)
+            except ValueError:  # longer than int() accepts
+                raise ValueError("integer literal too long") from None
+            if value >= _INT64_SIGN:
+                raise ValueError("integer literal outside the 64-bit range")
             node = leaves[token] = Num(value)
-        elif token in _KEYWORDS:
-            return None
-        else:
+        elif token[:1] in _WORD_START and token not in _KEYWORDS:
             node = leaves[token] = Var(token)
+        else:
+            raise ValueError("expected integer, identifier, or '('")
     return node
 
 
@@ -610,16 +606,16 @@ def _match_command(leaves: dict[str, Num | Var], rest: str) -> Command | None:
     if (m := _COMMAND_RE.fullmatch(rest)) is None:
         return None
     var, a, op, b, c, cmp, d, then, goto, bare = m.groups()
-    if var is not None:
-        if var in _KEYWORDS or (left := _leaf(leaves, a)) is None:
-            return None
-        if op is None:
-            return Assign(var, left)
-        right = _leaf(leaves, b)
-        return None if right is None else Assign(var, ABin(op, left, right))
-    if c is not None:
-        left, right = _leaf(leaves, c), _leaf(leaves, d)
-        return None if left is None or right is None else If(Cmp(cmp, left, right), then)
+    if var in _KEYWORDS:  # refused before any leaf is interned
+        return None
+    try:
+        if var is not None:
+            left = _leaf(leaves, a)
+            return Assign(var, left if op is None else ABin(op, left, _leaf(leaves, b)))
+        if c is not None:
+            return If(Cmp(cmp, _leaf(leaves, c), _leaf(leaves, d)), then)
+    except ValueError:
+        return None
     return Goto(goto) if goto is not None else _BARE_COMMANDS[bare]()
 
 
@@ -766,8 +762,9 @@ Transition = Callable[[list], Reached]
 
 # Compilation of the standard rules into closures over the slots (see ``_start``).
 # An ``ABin`` or ``Cmp`` of two leaves is flat, one closure; other shapes are trees
-# whose leaves raise UndefinedVariableError, returned as ``Stuck``.  Either names the
-# first empty slot from the left, as a tree walk does.  The closures carry no
+# of closures, each leaf's made where the tree meets it: a read of an empty slot
+# raises UndefinedVariableError, returned as ``Stuck``.  Either names the first empty
+# slot from the left, as a tree walk does.  The closures carry no
 # annotations: an annotation dict for each made compiling about twice as slow.  A
 # flat closure binds its values as defaults, not cells: each cell is one more object
 # that the garbage collector counts for as long as the program lives.
@@ -776,41 +773,23 @@ _APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "=": operator
           "<=": operator.le, "and": operator.and_, "or": operator.or_}
 
 
-class _Leaves(dict):
-    """A ``Program``'s leaf closures, made on first use and shared by all its transitions.
-
-    A read is keyed by its variable's name, a constant by its type and value: ``BoolLit(True)``
-    gets a closure of its own beside ``Num(1)``, though ``True == 1``.
-    """
-
-    def __init__(self, slot: dict[str, int]):
-        super().__init__()
-        self.slot = slot
-
-    def __missing__(self, key: str | tuple[type, int | bool]) -> Callable[[list], int | bool]:
-        if isinstance(key, str):
-            at = self.slot[key]
-
-            def leaf(slots):
-                if (value := slots[at]) is None:
-                    raise UndefinedVariableError(key)
-                return value
-        else:
-            constant = key[1]
-            leaf = lambda slots: constant
-        self[key] = leaf
-        return leaf
-
-
-def _expr(expr: AExp | BExp, leaves: _Leaves) -> Callable[[list], int | bool]:
+def _expr(expr: AExp | BExp, slot: dict[str, int]) -> Callable[[list], int | bool]:
     if isinstance(expr, Var):
-        return leaves[expr.name]
+        at, name = slot[expr.name], expr.name
+
+        def read(slots):
+            if (value := slots[at]) is None:
+                raise UndefinedVariableError(name)
+            return value
+
+        return read
     if isinstance(expr, (Num, BoolLit)):
-        return leaves[type(expr.value), expr.value]
+        constant = expr.value
+        return lambda slots: constant
     if isinstance(expr, Not):
-        inner = _expr(expr.operand, leaves)
+        inner = _expr(expr.operand, slot)
         return lambda slots: not inner(slots)
-    apply, lhs, rhs = _APPLY[expr.op], _expr(expr.left, leaves), _expr(expr.right, leaves)
+    apply, lhs, rhs = _APPLY[expr.op], _expr(expr.left, slot), _expr(expr.right, slot)
     if isinstance(expr, ABin):
 
         def arith(slots):
@@ -856,17 +835,17 @@ def _flat(command: Assign | If, nxt: Label | None, slot: dict[str, int]) -> Tran
     return branch_flat
 
 
-def _compile_label(command: Command, nxt: Label | None, leaves: _Leaves) -> Transition:
+def _compile_label(command: Command, nxt: Label | None, slot: dict[str, int]) -> Transition:
     """The standard rule for ``command`` as a function of the slots: it returns what it reached."""
     if isinstance(command, Done):
         return lambda slots: AT_DONE
     if isinstance(command, (Skip, Halt, Goto)):
         target = command.target if isinstance(command, Goto) else nxt
         return lambda slots: target
-    if isinstance(command, (Assign, If)) and (flat := _flat(command, nxt, leaves.slot)):
+    if isinstance(command, (Assign, If)) and (flat := _flat(command, nxt, slot)):
         return flat
     if isinstance(command, Assign):
-        at, evaluate = leaves.slot[command.var], _expr(command.expr, leaves)
+        at, evaluate = slot[command.var], _expr(command.expr, slot)
 
         def assign(slots):
             try:
@@ -876,7 +855,7 @@ def _compile_label(command: Command, nxt: Label | None, leaves: _Leaves) -> Tran
             return nxt
 
         return assign
-    holds, target = _expr(command.cond, leaves), command.target  # an If: a Program holds no other
+    holds, target = _expr(command.cond, slot), command.target  # an If: a Program holds no other
 
     def branch(slots):
         try:
@@ -891,7 +870,7 @@ def _transition(program: Program, label: Label) -> Transition:
     """The compiled rule at ``label``; the first call at a label compiles and keeps it."""
     entry = program._entry(label)
     if entry.transition is None:
-        entry.transition = _compile_label(entry.command, entry.next_label, program._leaves)
+        entry.transition = _compile_label(entry.command, entry.next_label, program._slot)
     return entry.transition
 
 

@@ -3,8 +3,7 @@
 The extended semantics augments each configuration with a predicted set of
 live variables.  Two kinds of obligations attach to every transition out of
 a command (``StepObligations``, which ``core_lang`` computes once per label
-when the program is built; this module re-exports it with
-``command_obligations``):
+when the program is built):
 
 * a precondition: every variable the command reads must already be in the
   current prediction;
@@ -48,7 +47,6 @@ from .core_lang import (
     Label,
     Program,
     State,
-    StepObligations,  # re-exported with command_obligations and VarSet
     Stuck,
     VarSet,
     command_obligations,

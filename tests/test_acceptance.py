@@ -300,7 +300,7 @@ def test_criterion_4_strict_paper_gap(tmp_path):
     code, out, _ = run_cli(
         "analyze", str(path), "--mode", "concrete", "--strict-paper", "--check"
     )
-    assert code == 1 and "prediction at l3 -> l1" in out
+    assert code == 1 and "prediction violation on edge l3 -> l1" in out
     report("criterion 4 (strict-paper gap at l3->l1; default fixpoint in 4 runs, exact): PASS")
 
 

@@ -341,9 +341,9 @@ def tree_calls(monkeypatch):
     calls = []
     expr = core_lang._expr
 
-    def counting(node, leaves):
+    def counting(node, slot):
         calls.append(node)
-        return expr(node, leaves)
+        return expr(node, slot)
 
     monkeypatch.setattr(core_lang, "_expr", counting)
     return calls

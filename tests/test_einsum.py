@@ -107,6 +107,63 @@ class TestTensorNew:
             a[Index("i")] = 1.0
 
 
+
+def _rank_mismatch():
+    session = fresh_session()
+    x = session.tensor("x", [2, 2])
+    x[Index("i")] = 1.0
+
+
+def _int_subscript():
+    session = fresh_session()
+    session.tensor("x", [2])[1]
+
+
+def _string_operand():
+    session = fresh_session()
+    z = session.tensor("z", [2])
+    z[Index("i")] = "a"
+
+
+def _index_without_dimension():
+    session = fresh_session()
+    i, j = Index("i"), Index("j")
+    x, z = session.tensor("x", [2]), session.tensor("z", [2])
+    z[i] = x[i] + j
+
+
+def _unknown_mode():
+    session = fresh_session()
+    i = Index("i")
+    x, z = session.tensor("x", [2]), session.tensor("z", [2])
+    einsum_assign(z[i], x[i], "sub_assign")
+
+
+def _copy_all_kernel_reads_unified_tensor():
+    def generate(ctx):
+        other, session = EinsumSession(ctx, "unified"), EinsumSession(ctx, "copy_all")
+        i = Index("i")
+        t, c = other.tensor("t", [4]), session.tensor("c", [4])
+        session.run_on_gpu(lambda: c.__setitem__(i, t[i]))
+
+    run_staged(generate)
+
+
+@pytest.mark.parametrize("refused, message", [
+    (_rank_mismatch, "tensor 'x' has rank 2 but 1 subscripts were given"),
+    (_int_subscript, "tensor subscripts must be Index objects, got 1"),
+    (_string_operand, "cannot use 'a' in an einsum expression"),
+    (_index_without_dimension, "index 'j' never meets a tensor dimension"),
+    (_unknown_mode, "unknown einsum mode 'sub_assign'"),
+    (lambda: fresh_session("cuda"),
+     "unknown strategy 'cuda'; expected one of ('prophecy', 'copy_all', 'unified')"),
+    (_copy_all_kernel_reads_unified_tensor, "tensor 't' has no device buffer"),
+], ids=["rank", "subscript", "operand", "index", "mode", "strategy", "device_buffer"])
+def test_refusal_message(refused, message):
+    with pytest.raises(EinsumError) as raised:
+        refused()
+    assert str(raised.value) == message
+
 class TestLowering:
     def test_matmul_statement_shape(self):
         session = fresh_session()
