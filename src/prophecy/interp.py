@@ -14,7 +14,9 @@ a store coerces its value as a float32 array would, a copy carries the
 ``None`` along rather than legitimizing uninitialized data, and an output
 reads unwritten elements as 0.0.  Out-of-bounds indexing and reading an
 element that holds ``None`` are fatal, with the offending location in the
-message.
+message.  So is a copy or allocation whose byte count is not a whole number
+of elements: stricter than C, whose copy of 18 bytes into a 16-byte buffer
+writes past it.
 
 Each call prints the program as one Python function, walking it as
 ``emit_c`` does (``_expr_src``/``_stmt_src`` mirror ``_expr_text``/
@@ -25,16 +27,20 @@ one inline form: only a ``float*`` variable is indexed, it holds a buffer,
 and an index is an int, where a comparison is C's int, 0 or 1 (``int(...)``;
 an ``if`` tests it bare).  A pointer's elements and size stay in locals
 (``V3 N3``), set on entry and after each value it is given.  An access
-evaluates its index, then tests its bounds, and a store then its value.  As
+evaluates its index (bound to ``_i`` in a read, ``_s`` in a store, unless a
+variable or literal), then tests its bounds, and a store then its value.  As
 in C, an int variable holds only ints (``_int``), a float variable or an
 element given an int (not ``is_float``) holds it as a float32, and ``%``
-truncates toward zero: inline with one sign test for a positive int-literal
-divisor, through ``_mod`` otherwise, where a zero divisor is an InterpError.
+truncates toward zero: as Python's ``%``, in parentheses, for a positive
+int-literal divisor and a left side built of int literals ``>= 0``, ``+ *``
+and loop variables that start at such a value; through ``_mod`` otherwise,
+where a zero divisor is an InterpError.
 
-A ``ForLoop`` is counted, so it runs as a ``range`` loop; as in C, its
-variable is never assigned.  The range stops early, at a value computed
-once before the loop, when the later iterations provably do nothing: when
-each statement of the body for loop variable ``v`` is
+A ``ForLoop`` is counted, so it runs as one ``for v3 in range(...)`` line;
+as in C, its variable is never assigned, nor read after the loop.  The range
+stops early, at a value computed once before the loop (``_t``, which cannot
+raise), when the later iterations provably do nothing: when each statement
+of the body for loop variable ``v`` is
   (a) ``grid_sync``;
   (b) a loop starting at ``v``, or at an ``int d = e + v`` declared before it
       in the same body, so empty once ``v`` reaches its bound (less ``e``),
@@ -62,7 +68,8 @@ from .second_stage import (
 )
 
 _f32 = np.float32
-_BINOPS = {"<": 0, "<=": 0, ">": 0, ">=": 0, "+": 1, "-": 1, "*": 2}  # binding strength; % prints atomic
+_BINOPS = {"<": 0, "<=": 0, ">": 0, ">=": 0, "+": 1, "-": 1, "*": 2}  # binding strength; % is
+# atomic, a call or in parentheses
 _TRACK = "V{0}, N{0} = v{0}.values, v{0}.size"  # the elements and size of pointer slot {0}
 
 
@@ -80,8 +87,8 @@ class Buffer:
 
 
 def _alloc(name: str, nbytes: Any) -> Buffer:
-    count = int(nbytes) // _ELEM_BYTES
-    if count <= 0:
+    count, part = divmod(int(nbytes), _ELEM_BYTES)
+    if count <= 0 or part:
         raise InterpError(f"allocation of {nbytes} bytes at {name}")
     return Buffer([None] * count, name)
 
@@ -115,9 +122,11 @@ def _at(buf: Buffer, i: int) -> Any:
 
 
 def _copy(name: str, dst: Buffer, src: Buffer, nbytes: Any) -> None:
-    count = int(nbytes) // _ELEM_BYTES
+    count, part = divmod(int(nbytes), _ELEM_BYTES)
     if count < 0:
         raise InterpError(f"{name}: copying {nbytes} bytes, a negative size")
+    if part:
+        raise InterpError(f"{name}: copying {nbytes} bytes, not a whole number of elements")
     if count > dst.size or count > src.size:
         raise InterpError(f"{name}: copying {count} elements between {src.name}"
                           f" ({src.size}) and {dst.name} ({dst.size})")
@@ -135,6 +144,7 @@ class _Walk:
         self.result = "return (" + "".join(f"v{k}, " for k, (_, kind) in enumerate(program.params)
                                            if kind != "float*") + ")"  # the scalars
         self.constants: dict[str, Any] = {}
+        self.counting: set[str] = set()  # loop variables that start at an int >= 0
 
     def stored(self, name: str | None, expr: Expr, src: str) -> str:
         """The source ``src`` of ``expr`` as variable ``name``, or an element where None, holds
@@ -177,9 +187,11 @@ class _Walk:
         return True
 
     def block(self, stmts: list[Stmt], depth: int, out: list[str], loops: frozenset[str]) -> None:
+        printed = len(out)
         for stmt in stmts:  # inside the loops of variables ``loops``
             _stmt_src(stmt, depth, out, self, loops)
-        out.append("    " * depth + "pass")  # a block may print nothing
+        if len(out) == printed:  # a block may print nothing
+            out.append("    " * depth + "pass")
 
 
 def _safe(expr: Expr, names: set[str]) -> bool:
@@ -190,6 +202,16 @@ def _safe(expr: Expr, names: set[str]) -> bool:
         case Binary("+" | "-" | "*", left, right):
             return _safe(left, names) and _safe(right, names)
     return type(expr) is IntLit
+
+
+def _at_least_0(expr: Expr, counting: set[str]) -> bool:
+    """Built of int literals ``>= 0``, ``+ *`` and ``counting``, loop variables that start there."""
+    match expr:
+        case VarRef(name):
+            return name in counting
+        case Binary("+" | "*", left, right):
+            return _at_least_0(left, counting) and _at_least_0(right, counting)
+    return type(expr) is IntLit and expr.value >= 0
 
 
 def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0,
@@ -203,9 +225,9 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
         return repr(expr.value)
     if kind is Binary:
         op, left, right = expr.op, expr.left, expr.right
-        if op == "%":
-            if type(right) is IntLit and (d := right.value) > 0:  # inline
-                return f"(_m % {d} if (_m := {_expr_src(left, w)}) >= 0 else -(-_m % {d}))"
+        if op == "%":  # Python's % where it agrees with C's
+            if type(right) is IntLit and right.value > 0 and _at_least_0(left, w.counting):
+                return f"({_expr_src(left, w, prec=2)} % {right.value})"
             return f"_mod({_expr_src(left, w)}, {_expr_src(right, w)})"
         p = _BINOPS[op]  # parentheses only where Python would group otherwise
         text = f"{_expr_src(left, w, prec=p + (p == 0))} {op} {_expr_src(right, w, prec=p + 1)}"
@@ -214,8 +236,8 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
         return text if p >= prec else f"({text})"
     if kind is ArrayIndex:  # of a float* variable
         k = w.slots[expr.base.name]
-        return (f"(_v if 0 <= (_i := {_expr_src(expr.index, w)}) < N{k} and "
-                f"(_v := V{k}[_i]) is not None else _at(v{k}, _i))")
+        i, bind = _index_src(expr.index, w, "_i")
+        return f"(_v if 0 <= {bind} < N{k} and (_v := V{k}[{i}]) is not None else _at(v{k}, {i}))"
     if kind is FloatLit:
         name = f"_c{len(w.constants)}"
         w.constants[name] = np.float32(expr.value)
@@ -224,15 +246,21 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
     return f"_alloc({alloc_name or expr.name!r}, {_expr_src(expr.args[0], w)})"
 
 
+def _index_src(index: Expr, w: _Walk, name: str) -> tuple[str, str]:
+    """How an access uses ``index`` and first evaluates it: a computed one bound to ``name``."""
+    src = _expr_src(index, w)
+    return (src, src) if type(index) in (VarRef, IntLit) else (name, f"({name} := {src})")
+
+
 def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk, loops: frozenset[str]) -> None:
     pad = "    " * depth
     kind = type(stmt)
     if kind is Assign and type(target := stmt.target) is ArrayIndex:  # index, bounds, then the value
         value_src = w.stored(None, stmt.value, _expr_src(stmt.value, w))
         k = w.slots[target.base.name]
-        out.append(f"{pad}_s = {_expr_src(target.index, w)}")
-        out.append(f"{pad}if not 0 <= _s < N{k}: _in_bounds(v{k}, _s)")
-        out.append(f"{pad}V{k}[_s] = {value_src}")
+        i, bind = _index_src(target.index, w, "_s")
+        out.append(f"{pad}if not 0 <= {bind} < N{k}: _in_bounds(v{k}, {i})")
+        out.append(f"{pad}V{k}[{i}] = {value_src}")
     elif kind is Assign or kind is Declare:  # a declared allocation takes the variable's name
         name, value = (stmt.target.name, stmt.value) if kind is Assign else (stmt.name, stmt.init)
         value_src = w.stored(name, value, _expr_src(value, w, name if kind is Declare else None))
@@ -242,16 +270,15 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk, loops: frozenset
     elif kind is ForLoop:
         var = stmt.var
         start_src = w.stored(var, stmt.start, _expr_src(stmt.start, w))
+        if _at_least_0(stmt.start, w.counting):
+            w.counting.add(var)
         stop = w.stop(stmt, loops)
-        v = f"v{w.slots[var]}"
-        out.append(f"{pad}{v} = {start_src}")
-        if isinstance(stop, str):  # computed once, before the loop
+        if isinstance(stop, str):  # computed once, before the loop; it cannot raise
             out.append(f"{pad}_t = {stop}")
             stop = "_t"
-        # range alone would do; this test spares the many empty grid-stride loops building one
-        out.append(f"{pad}if {v} < {stop}:")
-        out.append(f"{pad}    for {v} in range({v}, {stop}, {stmt.step.value}):")
-        w.block(stmt.body, depth + 2, out, loops | {var})
+        step = "" if stmt.step.value == 1 else f", {stmt.step.value}"
+        out.append(f"{pad}for v{w.slots[var]} in range({start_src}, {stop}{step}):")
+        w.block(stmt.body, depth + 1, out, loops | {var})
     elif kind is IfElse:
         out.append(f"{pad}if {_expr_src(stmt.cond, w, cond=True)}:")
         w.block(stmt.then_body, depth + 1, out, loops)

@@ -14,7 +14,7 @@ from prophecy.second_stage import (
     SecondStageProgram, VarRef, iter_stmts,
 )
 from prophecy.staging import ProphecyStore, StageContext, StagingError
-from test_pins import INTERPRETED
+from test_pins import INTERPRETED, compiled_source
 
 
 def ctx_named(name="t"):
@@ -276,18 +276,50 @@ class TestBasics:
         np.testing.assert_array_equal(out["arg0"], np.float32([2, 0, 1]))
         assert out["arg1"] == -2 and type(out["arg1"]) is int
 
-    def test_modulo_wraparound_indexing(self):
+    # % by a positive int literal prints as Python's % only where its left side is provably
+    # >= 0: built of int literals >= 0, loop variables that start at such a value, + and *.
+    # It must print atomic: a printer without the parentheses printed (3 * 6) * (4 % 5) as
+    # 3 * 6 * 4 % 5, which Python groups as (3 * 6 * 4) % 5.
+    @pytest.mark.parametrize("start, index, outcome", [
+        (0, lambda i, j: (i + 3) % 4, [3, 3, 0, 0, 1, 1, 2, 2]),
+        (-3, lambda i, j: i % 4, "index -3 out of bounds for arg0 of size 4"),  # C's -3 % 4
+        (0, lambda i, j: (i - j) % 4, "index -1 out of bounds for arg0 of size 4"),
+        ("arg2", lambda i, j: i % 4, "index -2 out of bounds for arg0 of size 4"),  # arg2 = -2
+        (-1.5, lambda i, j: i % 4, "index -1 out of bounds for arg0 of size 4"),  # starts at -1
+    ], ids=["wraparound", "from -3", "difference", "from a parameter", "from a float"])
+    def test_modulo_wraparound_indexing(self, start, index, outcome):
+        from test_interp_differential import _outcome, reference_interpret  # imports this module
         ctx = ctx_named()
-        buf = ctx.parameter("float*")
-        out_buf = ctx.parameter("float*")
-        ctx.for_loop(0, 4, 1, lambda i: ctx.assign(out_buf[i], buf[(i + 3) % 4]))
-        out = interpret_program(ctx.finish(), {"arg0": [0, 1, 2, 3], "arg1": [0, 0, 0, 0]})
-        np.testing.assert_array_equal(out["arg1"], np.float32([3, 0, 1, 2]))
+        buf, out_buf, n = ctx.parameter("float*"), ctx.parameter("float*"), ctx.parameter("int")
+
+        def body(i):
+            def inner(j):
+                x = ctx.declare("float", buf[index(i, j)])  # the read comes before the store
+                ctx.assign(out_buf[i * 2 + j], x)
+
+            ctx.for_loop(0, 2, 1, inner)
+
+        ctx.for_loop(n if start == "arg2" else start, 4, 1, body)
+        program = ctx.finish()
+        inputs = {"arg0": [0, 1, 2, 3], "arg1": np.zeros(8), "arg2": -2}
+        assert _outcome(interpret_program, program, inputs) == _outcome(
+            reference_interpret, program, inputs)
+        if isinstance(outcome, str):
+            with pytest.raises(InterpError, match=f"^{re.escape(outcome)}$"):
+                interpret_program(program, inputs)
+        else:
+            assert interpret_program(program, inputs)["arg1"].tolist() == outcome
+
+    def test_conv_window_prints_plain_remainder(self, monkeypatch):
+        # conv's (i + j) % n: both loop variables count up from 0, so no sign test is printed
+        source = compiled_source(monkeypatch, "conv-relu-flag1")
+        assert re.search(r"\(\(v\d+ \+ v\d+\) % 24\)", source)
+        assert "_mod(" not in source
 
     @pytest.mark.parametrize("n, m, written", [(7, 4, 3), (-7, 4, -3), (7, -4, 3), (-7, -4, -3)])
     def test_remainder_truncates_toward_zero(self, n, m, written):
-        # C's -7 % 4 is -3, where Python's is 1; a literal divisor prints inline, any other
-        # goes through a helper
+        # C's -7 % 4 is -3, where Python's is 1; a left side not provably >= 0 goes through a
+        # helper, whatever the divisor
         ctx = ctx_named()
         buf = ctx.parameter("float*")
         a, b = ctx.parameter("int"), ctx.parameter("int")
@@ -430,6 +462,23 @@ class TestErrors:
         ctx.runtime("runtime::memcpy", dst, src, -8)
         with pytest.raises(InterpError, match=r"runtime::memcpy: copying -8 bytes, a negative"):
             interpret_program(ctx.finish(), {"arg0": [0, 0, 0, 0], "arg1": [1, 2, 3, 4]})
+
+    @pytest.mark.parametrize("call, message", [
+        ("runtime::memcpy", "runtime::memcpy: copying 18 bytes, not a whole number of elements"),
+        ("runtime::malloc", "allocation of 18 bytes at var0"),
+    ])
+    def test_partial_element_size(self, call, message):
+        # stricter than C, which copies or allocates the 2 odd bytes: C's copy of 18 bytes into
+        # a 16-byte buffer writes past it, which 4 whole elements would hide
+        ctx = ctx_named()
+        dst = ctx.parameter("float*")
+        src = ctx.parameter("float*")
+        if call == "runtime::memcpy":
+            ctx.runtime(call, dst, src, 18)
+        else:
+            ctx.declare("float*", ctx.runtime_expr(call, 18))
+        with pytest.raises(InterpError, match=f"^{re.escape(message)}$"):
+            interpret_program(ctx.finish(), {"arg0": [0, 0, 0, 0], "arg1": [1, 2, 3, 4, 5]})
 
     @pytest.mark.parametrize("step", [0, -1])
     def test_loop_that_never_advances(self, step):
@@ -590,29 +639,30 @@ class TestGridStyleExecution:
         ("matvec-prophecy-7x5-grid3x2", 3 * 2),
     ])
     def test_idle_grid_cells_are_skipped(self, monkeypatch, case, cells):
-        # count the runs of the thread loop's first line in the source the interpreter compiles
-        sources, runs = [], Counter()
-        monkeypatch.setattr(interp, "compile", lambda source, *args: sources.append(source)
-                            or compile(source, *args), raising=False)
+        # count the entries into the thread loop's body in the source the interpreter compiles:
+        # its first line run straight after its header (that line may be a loop header itself,
+        # which runs once per iteration and once more at exhaustion)
+        runs, last = Counter(), [0]
 
         def line(frame, event, arg):
-            runs[frame.f_lineno] += event == "line"
+            if event == "line":
+                runs[last[0], frame.f_lineno] += 1
+                last[0] = frame.f_lineno
             return line
 
-        build, make_inputs = INTERPRETED[case]
-        program, _ = build()
+        program, _ = INTERPRETED[case][0]()
         thread = next(stmt.var for stmt in iter_stmts(program.body) if isinstance(stmt, ForLoop)
                       and any(isinstance(s, RuntimeCall) for s in stmt.body))
         slot = f"v{int(thread[3:]) + len(program.params)}"
         previous = sys.gettrace()
         sys.settrace(lambda frame, *_: line if frame.f_code.co_name == "_program" else None)
         try:
-            interpret_program(program, make_inputs(np.random.default_rng(0)))
+            source = compiled_source(monkeypatch, case)
         finally:
             sys.settrace(previous)
-        header = next(i for i, text in enumerate(sources[0].splitlines(), 1)
+        header = next(i for i, text in enumerate(source.splitlines(), 1)
                       if f"for {slot} in range(" in text)
-        assert runs[header + 1] == cells
+        assert runs[header, header + 1] == cells
 
     def test_offset_from_a_parameter_the_loop_assigns(self):
         # each v lowers n by 10 before int d = n + v, so the loop from d still runs for

@@ -17,7 +17,9 @@ variable or parameter become what C stores in an ``int`` (``_to_int``):
 truncated toward zero, with nan or inf an InterpError.  A comparison is C's
 int, 0 or 1 (``_BINOPS``), and an int given to a ``float`` variable or
 parameter becomes a float32 (``_as_stored``).  ``%`` is C's, whose quotient
-truncates toward zero (``_c_mod``), with a zero divisor an InterpError.  An
+truncates toward zero (``_c_mod``), with a zero divisor an InterpError.  A
+copy or allocation of a byte count that is not a whole number of elements is
+an InterpError (C's copy of 18 bytes into a 16-byte buffer writes past it).  An
 access evaluates its index before it reads its base, as the generated
 source does.  Its loop builds the ``var < bound`` test and the ``var = var +
 step`` update from the ``ForLoop`` fields and runs them as a ``while``
@@ -156,8 +158,8 @@ _CONVERT = {"int": _to_int, "float": _as_stored}
 
 def _alloc(args: tuple[Any, ...], name: str) -> Buffer:
     (nbytes,) = args
-    count = int(nbytes) // _ELEM_BYTES
-    if count <= 0:
+    count, part = divmod(int(nbytes), _ELEM_BYTES)
+    if count <= 0 or part:
         raise InterpError(f"allocation of {nbytes} bytes at {name}")
     return Buffer(np.zeros(count, dtype=np.float32), bytearray(count), name)
 
@@ -274,7 +276,11 @@ def _compile_stmt(stmt: Stmt, slots: dict[str, int], kinds: dict[str, str]) -> C
             def copy(env):
                 dst = arg_fns[0](env)
                 src = arg_fns[1](env)
-                count = int(arg_fns[2](env)) // _ELEM_BYTES
+                nbytes = arg_fns[2](env)
+                count, part = divmod(int(nbytes), _ELEM_BYTES)
+                if part:
+                    raise InterpError(
+                        f"{name}: copying {nbytes} bytes, not a whole number of elements")
                 if count > dst.size or count > src.size:
                     raise InterpError(
                         f"{name}: copying {count} elements between {src.name}"
@@ -590,6 +596,18 @@ def test_generator_mostly_runs_to_the_end(mode):
     outcomes = [_outcome(interpret_program, p, inputs) for p, inputs in drawn
                 if isinstance(p, SecondStageProgram)]
     assert sum(o[0] == "ok" for o in outcomes) >= _OK_FLOOR[mode]
+
+
+@pytest.mark.parametrize("seed, kernels", [(50, False), (0, True)])
+def test_partial_element_copy_is_refused(seed, kernels):
+    # each copies 18 bytes into a 16-byte buffer, a heap overflow under AddressSanitizer that
+    # a count floored to 4 elements would let pass
+    program, inputs = random_program(seed, kernels)
+    outcome = _outcome(interpret_program, program, inputs)
+    assert outcome[:2] == ("error", "InterpError")
+    assert re.fullmatch(r"runtime::\w+: copying 18 bytes, not a whole number of elements",
+                        outcome[2])
+    assert _outcome(reference_interpret, program, inputs) == outcome
 
 
 @pytest.mark.parametrize("case", sorted(c for c in INTERPRETED if "grid" in c or "conv" in c))

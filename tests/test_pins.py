@@ -9,6 +9,7 @@ digest mismatch.  The staged benchmarks' full merge logs are pinned as
 literal lists beside their digests.
 """
 
+import ast
 import hashlib
 import io
 import json
@@ -18,6 +19,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+from prophecy import interp
 from prophecy.cli import main
 
 from prophecy.einsum import (
@@ -282,6 +284,43 @@ def test_interpreted_outputs_pinned(case):
         inputs = make_inputs(np.random.default_rng(seed))
         records.append(_output_record(interpret_program(program, inputs)))
     assert _digest(records) == INTERPRETED_DIGESTS[case]
+
+
+# The work of Python's compile in `interpret_program`: the statements and the branch nodes
+# (`if`, conditional expression, `and`/`or`, `for`) of the source it prints for each program.
+# A change that moves these re-pins them in a commit of its own, as for emitted C.
+COMPILED_NODES = {
+    "conv-relu-flag0": (40, 26),
+    "conv-relu-flag1": (40, 26),
+    "matmul-copy_all-4x4x4": (60, 25),
+    "matmul-copy_all-5x3x6-grid2x3": (60, 25),
+    "matmul-prophecy-4x4x4": (45, 25),
+    "matmul-prophecy-5x3x6-grid2x3": (45, 25),
+    "matmul-unified-4x4x4": (36, 25),
+    "matmul-unified-5x3x6-grid2x3": (36, 25),
+    "matvec-copy_all-7x5-grid3x2": (59, 22),
+    "matvec-prophecy-7x5-grid3x2": (44, 22),
+    "matvec-unified-7x5-grid3x2": (35, 22),
+}
+
+
+def compiled_source(monkeypatch, case) -> str:
+    """The source `interpret_program` compiles for `INTERPRETED[case]`."""
+    sources = []
+    monkeypatch.setattr(interp, "compile", lambda source, *args: sources.append(source)
+                        or compile(source, *args), raising=False)
+    build, make_inputs = INTERPRETED[case]
+    interpret_program(build()[0], make_inputs(np.random.default_rng(0)))
+    return sources[0]
+
+
+@pytest.mark.parametrize("case", sorted(INTERPRETED))
+def test_compiled_source_pinned(monkeypatch, case):
+    nodes = list(ast.walk(ast.parse(compiled_source(monkeypatch, case))))
+    branches = (ast.If, ast.IfExp, ast.BoolOp, ast.For)
+    counts = (sum(isinstance(n, ast.stmt) for n in nodes),
+              sum(isinstance(n, branches) for n in nodes))
+    assert counts == COMPILED_NODES[case]
 
 
 # `prophecy stage --dsl <dsl> --run-interp --seed 0` at the CLI default sizes.
