@@ -22,19 +22,28 @@ Each call prints the program as one Python function, walking it as
 ``emit_c`` does (``_expr_src``/``_stmt_src`` mirror ``_expr_text``/
 ``_stmt_lines`` and, like them, dispatch on each node's exact type), and
 runs it.  Variables are locals named by slot (``v3``).
-A program is typed when it is built (see second_stage), so every access has
-one inline form: only a ``float*`` variable is indexed, it holds a buffer,
-and an index is an int, where a comparison is C's int, 0 or 1 (``int(...)``;
-an ``if`` tests it bare).  A pointer's elements and size stay in locals
-(``V3 N3``), set on entry and after each value it is given.  An access
-evaluates its index (bound to ``_i`` in a read, ``_s`` in a store, unless a
-variable or literal), then tests its bounds, and a store then its value.  As
-in C, an int variable holds only ints (``_int``), a float variable or an
-element given an int (not ``is_float``) holds it as a float32, and ``%``
-truncates toward zero: as Python's ``%``, in parentheses, for a positive
-int-literal divisor and a left side built of int literals ``>= 0``, ``+ *``
-and loop variables that start at such a value; through ``_mod`` otherwise,
-where a zero divisor is an InterpError.
+A program is typed when it is built (see second_stage): only a ``float*``
+variable is indexed, it holds a buffer, and an index is an int, where a
+comparison is C's int, 0 or 1 (``int(...)``; an ``if`` tests it bare).  A
+pointer's elements and size stay in locals (``V3 N3``), set on entry and
+after each value it is given.  A checked access evaluates its index (bound
+to ``_i`` in a read, ``_s`` in a store, unless a variable or literal), then
+tests its bounds, and a store then its value.  A proven access drops the
+bounds test, as its index's interval (below) lies inside the buffer, whose
+size is known if nothing assigns the variable, a pointer parameter or one
+declared from a literal allocation; the index cannot raise, so C's order
+holds.  A proven read tests for ``None`` unless it reads (``V3[i]``) a
+pointer parameter no copy writes into, where each buffer has one name (no
+``float*`` variable is assigned or declared from another).  An interval
+``(lo, hi)`` is known for an int literal; a loop variable whose start has
+one (the start's ``lo`` to the bound less 1: nothing assigns it and its step
+is at least 1); ``+ - *`` of two; and ``e % m``, ``m`` an int literal ``> 0``
+and ``lo(e) >= 0`` (0 to ``min(hi(e), m - 1)``); never one that leaves C's
+int at a node, so that C's wrapping cannot break a proof.  As in C, an int
+variable holds only ints (``_int``), a float variable or an element given an
+int (not ``is_float``) holds it as a float32, and ``%`` truncates toward
+zero: as Python's ``%``, in parentheses, where its interval is known; through
+``_mod`` otherwise, where a zero divisor is an InterpError.
 
 A ``ForLoop`` is counted, so it runs as one ``for v3 in range(...)`` line;
 as in C, its variable is never assigned, nor read after the loop.  The range
@@ -65,6 +74,7 @@ import numpy as np
 from .second_stage import (
     _ELEM_BYTES, ArrayIndex, Assign, Binary, Declare, Expr, FloatLit, ForLoop, IfElse, IntLit,
     RuntimeCall, RuntimeCallExpr, SecondStageProgram, Stmt, VarRef, declarations, is_float,
+    iter_stmts,
 )
 
 _f32 = np.float32
@@ -136,7 +146,7 @@ def _copy(name: str, dst: Buffer, src: Buffer, nbytes: Any) -> None:
 class _Walk:
     """What printing one program needs beyond the node at hand."""
 
-    def __init__(self, program: SecondStageProgram):
+    def __init__(self, program: SecondStageProgram, args: list):
         self.kinds, _, assigned = declarations(program)
         self.slots = {name: k for k, name in enumerate(self.kinds)}
         self.fixed_params = {name for name, kind in program.params  # int, and never assigned
@@ -144,7 +154,19 @@ class _Walk:
         self.result = "return (" + "".join(f"v{k}, " for k, (_, kind) in enumerate(program.params)
                                            if kind != "float*") + ")"  # the scalars
         self.constants: dict[str, Any] = {}
-        self.counting: set[str] = set()  # loop variables that start at an int >= 0
+        self.ranges: dict[str, tuple[int, int]] = {}  # loop variables' intervals, where known
+        stmts = list(iter_stmts(program.body))
+        # the elements of the one buffer a variable holds: a parameter's input, a literal allocation
+        self.sizes = {name: arg.size for (name, kind), arg in zip(program.params, args)
+                      if kind == "float*" and name not in assigned}
+        self.sizes.update((s.name, s.init.args[0].value // _ELEM_BYTES) for s in stmts
+                          if type(s) is Declare and type(s.init) is RuntimeCallExpr
+                          and type(s.init.args[0]) is IntLit and s.name not in assigned)
+        # one name to a buffer: then a pointer parameter that no copy writes into never holds None
+        one_name = all(self.kinds[name] != "float*" for name in assigned) and not any(
+            type(s) is Declare and s.kind == "float*" and type(s.init) is VarRef for s in stmts)
+        self.whole = {name for name, kind in program.params if kind == "float*" and one_name} - {
+            s.args[0].name for s in stmts if type(s) is RuntimeCall and len(s.args) == 3}
 
     def stored(self, name: str | None, expr: Expr, src: str) -> str:
         """The source ``src`` of ``expr`` as variable ``name``, or an element where None, holds
@@ -204,14 +226,20 @@ def _safe(expr: Expr, names: set[str]) -> bool:
     return type(expr) is IntLit
 
 
-def _at_least_0(expr: Expr, counting: set[str]) -> bool:
-    """Built of int literals ``>= 0``, ``+ *`` and ``counting``, loop variables that start there."""
+def _interval(expr: Expr, w: _Walk) -> tuple[int, int] | None:
+    """Bounds ``(lo, hi)`` on the int ``expr``, or None (see the module docstring)."""
     match expr:
+        case IntLit(value):
+            return value, value
         case VarRef(name):
-            return name in counting
-        case Binary("+" | "*", left, right):
-            return _at_least_0(left, counting) and _at_least_0(right, counting)
-    return type(expr) is IntLit and expr.value >= 0
+            return w.ranges.get(name)
+        case Binary("%", left, IntLit(m)) if m > 0 and (a := _interval(left, w)) and a[0] >= 0:
+            return 0, min(a[1], m - 1)
+        case Binary("+" | "-" | "*" as op, p, q) if (a := _interval(p, w)) and (b := _interval(q, w)):
+            ends = [x + y if op == "+" else x - y if op == "-" else x * y for x in a for y in b]
+            if -2**31 <= min(ends) and max(ends) < 2**31:  # inside C's int
+                return min(ends), max(ends)
+    return None
 
 
 def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0,
@@ -226,7 +254,7 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
     if kind is Binary:
         op, left, right = expr.op, expr.left, expr.right
         if op == "%":  # Python's % where it agrees with C's
-            if type(right) is IntLit and right.value > 0 and _at_least_0(left, w.counting):
+            if _interval(expr, w) is not None:
                 return f"({_expr_src(left, w, prec=2)} % {right.value})"
             return f"_mod({_expr_src(left, w)}, {_expr_src(right, w)})"
         p = _BINOPS[op]  # parentheses only where Python would group otherwise
@@ -236,7 +264,10 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
         return text if p >= prec else f"({text})"
     if kind is ArrayIndex:  # of a float* variable
         k = w.slots[expr.base.name]
-        i, bind = _index_src(expr.index, w, "_i")
+        i, bind = _index_src(expr, w, "_i")
+        if bind is None:  # proven: no bounds test, and no None test where the buffer holds none
+            return (f"V{k}[{i}]" if expr.base.name in w.whole
+                    else f"(_v if (_v := V{k}[{i}]) is not None else _at(v{k}, {i}))")
         return f"(_v if 0 <= {bind} < N{k} and (_v := V{k}[{i}]) is not None else _at(v{k}, {i}))"
     if kind is FloatLit:
         name = f"_c{len(w.constants)}"
@@ -246,9 +277,11 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
     return f"_alloc({alloc_name or expr.name!r}, {_expr_src(expr.args[0], w)})"
 
 
-def _index_src(index: Expr, w: _Walk, name: str) -> tuple[str, str]:
-    """How an access uses ``index`` and first evaluates it: a computed one bound to ``name``."""
-    src = _expr_src(index, w)
+def _index_src(access: ArrayIndex, w: _Walk, name: str) -> tuple[str, str | None]:
+    """How ``access`` uses its index, and evaluates it (as ``name``) for a bounds test, or None."""
+    src = _expr_src(index := access.index, w)
+    if (r := _interval(index, w)) and 0 <= r[0] and r[1] < w.sizes.get(access.base.name, 0):
+        return src, None
     return (src, src) if type(index) in (VarRef, IntLit) else (name, f"({name} := {src})")
 
 
@@ -258,8 +291,9 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk, loops: frozenset
     if kind is Assign and type(target := stmt.target) is ArrayIndex:  # index, bounds, then the value
         value_src = w.stored(None, stmt.value, _expr_src(stmt.value, w))
         k = w.slots[target.base.name]
-        i, bind = _index_src(target.index, w, "_s")
-        out.append(f"{pad}if not 0 <= {bind} < N{k}: _in_bounds(v{k}, {i})")
+        i, bind = _index_src(target, w, "_s")
+        if bind is not None:  # else proven, and the index cannot raise, so C's order holds
+            out.append(f"{pad}if not 0 <= {bind} < N{k}: _in_bounds(v{k}, {i})")
         out.append(f"{pad}V{k}[{i}] = {value_src}")
     elif kind is Assign or kind is Declare:  # a declared allocation takes the variable's name
         name, value = (stmt.target.name, stmt.value) if kind is Assign else (stmt.name, stmt.init)
@@ -270,8 +304,8 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk, loops: frozenset
     elif kind is ForLoop:
         var = stmt.var
         start_src = w.stored(var, stmt.start, _expr_src(stmt.start, w))
-        if _at_least_0(stmt.start, w.counting):
-            w.counting.add(var)
+        if (start := _interval(stmt.start, w)) is not None:  # never assigned; a step of at least 1
+            w.ranges[var] = start[0], stmt.bound.value - 1
         stop = w.stop(stmt, loops)
         if isinstance(stop, str):  # computed once, before the loop; it cannot raise
             out.append(f"{pad}_t = {stop}")
@@ -302,11 +336,6 @@ def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) ->
     nested deeper than Python compiles (20 loops, about 200 parentheses) is
     an InterpError.
     """
-    w = _Walk(program)
-    # the function's lines, from the locals of each pointer parameter
-    body = ["    " + _TRACK.format(k) for k, (_, kind) in enumerate(program.params)
-            if kind == "float*"]
-    w.block(program.body, 1, body, frozenset())
     args = []
     for name, kind in program.params:
         if name not in inputs:
@@ -321,6 +350,11 @@ def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) ->
             raise InterpError(f"parameter {name!r} needs {need}, got {value!r}")
         else:
             args.append(int(value) if kind == "int" else np.float32(value))
+    w = _Walk(program, args)
+    # the function's lines, from the locals of each pointer parameter
+    body = ["    " + _TRACK.format(k) for k, (_, kind) in enumerate(program.params)
+            if kind == "float*"]
+    w.block(program.body, 1, body, frozenset())
     params = [f"v{k}" for k in range(len(args))] + [f"{c}={c}" for c in w.constants]
     source = "\n".join([f"def _program({', '.join(params)}):", *body, f"    {w.result}"])
     namespace = dict(w.constants)

@@ -697,8 +697,85 @@ class TestGridStyleExecution:
         np.testing.assert_array_equal(out1["arg0"], out2["arg0"])
 
 
+def _source_and_outcome(monkeypatch, program, inputs):
+    """The source ``interpret_program`` prints for ``program``, and its outcome on ``inputs``,
+    which must be the reference interpreter's."""
+    from test_interp_differential import _outcome, reference_interpret  # it imports this module
+    sources = []
+    monkeypatch.setattr(interp, "compile", lambda source, *args: sources.append(source)
+                        or compile(source, *args), raising=False)
+    outcome = _outcome(interpret_program, program, inputs)
+    assert outcome == _outcome(reference_interpret, program, inputs)
+    return sources[0], outcome
+
+
+def _read_in_loops(ctx, buf, out, n, case):
+    store = lambda index: ctx.assign(out[0], buf[index])  # out[0] is proven in every case
+    if case == "range(0, N)":
+        ctx.for_loop(0, 4, 1, store)
+    elif case == "range(0, N + 1)":
+        ctx.for_loop(0, 5, 1, store)
+    elif case == "start at an enclosing loop variable":  # a kernel's range(v13, 4, 40)
+        ctx.for_loop(0, 2, 1, lambda b: ctx.for_loop(b, 4, 40, store))
+    elif case == "start at an int parameter":
+        ctx.for_loop(n, 4, 1, store)
+    else:  # v * 65536 * 65536 would leave C's int for v = 1; the range stops before it
+        ctx.for_loop(0, 2, 1, lambda v: ctx.for_loop(v, 1, 1, lambda i: store(v * 65536 * 65536 % 4)))
+
+
+# Reads of arg0 (4 elements) in loops, each with whether its index is proven in bounds and the
+# start of the outcome both interpreters give.
+BOUNDARY_READS = {
+    "range(0, N)": (True, ("ok",)),
+    "range(0, N + 1)": (False, ("error", "InterpError", "index 4 out of bounds for arg0 of size 4")),
+    "start at an enclosing loop variable": (True, ("ok",)),
+    "start at an int parameter": (False, ("ok",)),
+    "intermediate product leaving C's int": (False, ("ok",)),
+}
+
+
 class TestInlineAccess:
     """Every load and store is inline, through a ``float*`` variable that holds a buffer."""
+
+    @pytest.mark.parametrize("case", sorted(BOUNDARY_READS))
+    def test_bounds_proven_only_inside_the_buffer(self, monkeypatch, case):
+        ctx = ctx_named()
+        buf, out, n = ctx.parameter("float*"), ctx.parameter("float*"), ctx.parameter("int")
+        _read_in_loops(ctx, buf, out, n, case)
+        inputs = {"arg0": [1.0, 2.0, 3.0, 4.0], "arg1": [0.0], "arg2": 0}
+        source, outcome = _source_and_outcome(monkeypatch, ctx.finish(), inputs)
+        proven, expected = BOUNDARY_READS[case]
+        assert outcome[:len(expected)] == expected
+        assert "< N1" not in source and "_at(v1" not in source
+        # a proven read of a parameter that holds no None is bare: no bounds or None test
+        assert ("< N0" in source, "_at(v0" in source) == (not proven, not proven)
+
+    def test_conv_reads_its_inputs_bare(self, monkeypatch):
+        build, make_inputs = INTERPRETED["conv-relu-flag0"]
+        source, outcome = _source_and_outcome(monkeypatch, build()[0],
+                                              make_inputs(np.random.default_rng(0)))
+        assert outcome[0] == "ok"
+        assert len(re.findall(r"V0\[\(\(v\d+ \+ v\d+\) % 24\)\]", source)) == 2
+        assert "_at(v0" not in source and "_at(v1" not in source
+
+    @pytest.mark.parametrize("alias", ["declared", "assigned"])
+    def test_parameter_copied_into_through_an_alias_keeps_its_none_test(self, monkeypatch, alias):
+        # no copy names arg0, but one through p leaves its first two elements unwritten
+        ctx = ctx_named()
+        buf, out = ctx.parameter("float*"), ctx.parameter("float*")
+        scratch = ctx.declare("float*", ctx.runtime_expr("runtime::malloc", 8))
+        if alias == "declared":
+            p = ctx.declare("float*", buf)
+        else:
+            p = ctx.declare("float*", ctx.runtime_expr("runtime::malloc", 16))
+            ctx.assign(p, buf)
+        ctx.runtime("runtime::memcpy", p, scratch, 8)
+        ctx.for_loop(0, 4, 1, lambda i: ctx.assign(out[i], buf[0]))
+        inputs = {"arg0": np.ones(4), "arg1": np.zeros(4)}
+        source, outcome = _source_and_outcome(monkeypatch, ctx.finish(), inputs)
+        assert outcome == ("error", "InterpError", "uninitialized read at arg0[0]")
+        assert "V1[v" in source and "< N" not in source  # every access proven in bounds
+        assert "(_v if (_v := V0[0]) is not None else _at(v0, 0))" in source
 
     @pytest.mark.parametrize("case", sorted(INTERPRETED))
     def test_pinned_builds_take_only_the_inline_path(self, monkeypatch, case):
