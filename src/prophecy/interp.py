@@ -278,7 +278,8 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
 
 
 def _index_src(access: ArrayIndex, w: _Walk, name: str) -> tuple[str, str | None]:
-    """How ``access`` uses its index, and evaluates it (as ``name``) for a bounds test, or None."""
+    """How ``access`` uses its index, and how its bounds test evaluates it (a computed one bound
+    to ``name``), or None where the index provably lies inside the buffer."""
     src = _expr_src(index := access.index, w)
     if (r := _interval(index, w)) and 0 <= r[0] and r[1] < w.sizes.get(access.base.name, 0):
         return src, None
