@@ -16,7 +16,8 @@ reads unwritten elements as 0.0.  Out-of-bounds indexing and reading an
 element that holds ``None`` are fatal, with the offending location in the
 message.  So is a copy or allocation whose byte count is not a whole number
 of elements: stricter than C, whose copy of 18 bytes into a 16-byte buffer
-writes past it.
+writes past it.  So is an allocation of 0 bytes, though C's ``malloc(0)``
+faults only when its pointer is used.
 
 Each call prints the program as one Python function, walking it as
 ``emit_c`` does (``_expr_src``/``_stmt_src`` mirror ``_expr_text``/

@@ -480,6 +480,13 @@ class TestErrors:
         with pytest.raises(InterpError, match=f"^{re.escape(message)}$"):
             interpret_program(ctx.finish(), {"arg0": [0, 0, 0, 0], "arg1": [1, 2, 3, 4, 5]})
 
+    def test_zero_byte_allocation(self):
+        # stricter than C, whose malloc(0) may return a pointer that faults only when used
+        ctx = ctx_named()
+        ctx.declare("float*", ctx.runtime_expr("runtime::malloc", 0))
+        with pytest.raises(InterpError, match=r"^allocation of 0 bytes at var0$"):
+            interpret_program(ctx.finish(), {})
+
     @pytest.mark.parametrize("step", [0, -1])
     def test_loop_that_never_advances(self, step):
         ctx = ctx_named()
