@@ -25,7 +25,6 @@ from .core_lang import (
     TraceKind,
     command_obligations,
     parse_program,
-    print_program,
     run_trace,
 )
 from .engine import (
@@ -92,7 +91,6 @@ __all__ = [
     "live_variables_oracle",
     "movement_summary",
     "parse_program",
-    "print_program",
     "run_staged",
     "run_trace",
 ]

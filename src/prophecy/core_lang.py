@@ -22,28 +22,37 @@ outside that range.  A ``Num`` holds such an int (never a bool) and a
 ``BoolLit`` a bool; any other value is a ValueError when the node is
 built.  All values here are immutable after construction and safe to share.
 
-The parser builds the commonest lines (``skip``, ``halt``, ``done``,
-``goto L``, ``x := a``, ``x := a op b`` and ``if a cmp b then L``, each
-leaf a word or at most 19 digits) from one regular expression's match.
-Every other line, and every error, goes to a recursive descent over the
-tokens another regular expression splits it into.  Both read each leaf
-token with ``_leaf``, the one rule that makes one node per variable name
-and per literal token of a parse and words the errors about a leaf.
-Building a ``Program`` fills a per-label table: each label's command, its
-``StepObligations`` (read set and assigned variable, one record per
-distinct pair), its next label and its successors (as a set and
-fall-through first), so ``command_obligations`` and the successor queries
-are lookups.  Beside it the program keeps each label's obligations as two
-int bit masks, computed once per distinct record, where bit k stands for
-the k-th variable name in sorted order (the slot order below):
-``obligation_masks`` hands them to the engine and ``mask_names`` turns a
-mask back into its set.  The first use of a label compiles its transition
-over the slots, a list with one entry per variable, and keeps it in the
-table, as a ``Program`` keeps its ``sweep_order`` and last ``label_path``
-(neither enters equality or pickling).  An assignment or a branch whose
-operator has two leaf operands is one closure; any other expression is a
-tree of closures, one per node, leaves included.  An assignment writes its
-slot and returns the next label; a branch returns a label.
+The parser builds the commonest lines whole (a label, then ``skip``,
+``halt``, ``done``, ``goto L``, ``x := a``, ``x := a op b`` or
+``if a cmp b then L``, each leaf a word or at most 19 digits, then perhaps
+a ``#`` comment) from one regular expression's match.  Every other line,
+and every error, is cut at its ``#`` and its colon and goes to a recursive
+descent over the tokens another regular expression splits the command
+into.  Both read each leaf token with ``_leaf``, the one rule that makes
+one node per variable name and per literal token of a parse and words the
+errors about a leaf.
+Building a ``Program`` fills a per-label table in one pass: each label's
+command, its ``StepObligations`` (read set and assigned variable, one
+record per distinct pair, found by a key of the sorted names), its next
+label and its successors (as a set and fall-through first), so
+``command_obligations`` and the successor queries are lookups.  A second
+pass checks the targets and collects the predecessors.  Beside the table
+the program keeps each label's obligations as two int bit masks, computed
+once per distinct record, where bit k stands for the k-th variable name in
+sorted order (the slot order below): ``obligation_masks`` hands them to
+the engine and ``mask_names`` turns a mask back into its set.  The first
+use of a label compiles its transition over the slots, a list with one
+entry per variable, and keeps it, as a ``Program`` keeps its
+``sweep_order`` and last ``label_path`` (none enters equality or
+pickling).  An assignment or a branch whose operator has two leaf operands
+is one closure; any other expression is a tree of closures, one per node,
+leaves included.  An assignment writes its slot and returns the next
+label; a branch returns a label.
+
+Building a ``Program``, compiling a transition and ``expr_vars`` dispatch
+on each node's exact type, as ``second_stage`` does: a subclass of a node
+is no node, and a ``Program`` that holds one is a TypeError when it is
+built.
 
 ``run_trace`` and ``label_path`` each loop over the transitions, from
 one start and under one ``max_steps`` rule, and build no configuration.
@@ -58,7 +67,7 @@ import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from itertools import chain, compress
 from typing import Callable, Iterator, Mapping, Union
 
 Label = str
@@ -171,21 +180,21 @@ class BBin:
 
 
 BExp = Union[BoolLit, Cmp, Not, BBin]
-_BINARY = (ABin, Cmp, BBin)
 
 
 def expr_vars(expr: AExp | BExp) -> frozenset[str]:
     """All variable names read by an expression."""
-    # one walk and one set, with isinstance tests: this runs for every label a Program builds
+    # one walk and one set, with exact-type tests: a subclass of a node is no node
     names, nodes = [], [expr]
     for node in nodes:  # the list grows as the walk visits the children
-        if isinstance(node, Var):
+        kind = type(node)
+        if kind is Var:
             names.append(node.name)
-        elif isinstance(node, _BINARY):
+        elif kind is ABin or kind is Cmp or kind is BBin:
             nodes += node.left, node.right
-        elif isinstance(node, Not):
+        elif kind is Not:
             nodes.append(node.operand)
-        elif not isinstance(node, (Num, BoolLit)):
+        elif kind is not Num and kind is not BoolLit:
             raise TypeError(f"not an expression: {node!r}")
     return frozenset(names)
 
@@ -248,39 +257,30 @@ class StepObligations:
     prediction_extra: VarSet
 
 
-class _LabelEntry:
-    """What the semantics and analyses ask about a label; ``transition`` compiles on first use."""
+# the key of a record with nothing to read or assign: see ``_obligation_key``
+_NO_KEY = (None,)
 
-    __slots__ = ("command", "obligations", "next_label", "ordered_successors", "successors",
-                 "transition")
 
-    def __init__(self, command: Command, next_label: Label | None,
-                 shared: dict[tuple[VarSet, VarSet], StepObligations]):
-        self.command = command
-        self.next_label = next_label
-        if isinstance(command, Assign):
-            key = expr_vars(command.expr), frozenset((command.var,))
-        elif isinstance(command, If):
-            key = expr_vars(command.cond), frozenset()
-        else:
-            key = frozenset(), frozenset()
-        if (obligations := shared.get(key)) is None:
-            obligations = shared[key] = StepObligations(*key)
-        self.obligations = obligations
-        # fall-through first, then the branch target (next_label is None only at the end)
-        if isinstance(command, Goto):
-            ordered: tuple[Label, ...] = (command.target,)
-        elif isinstance(command, If) and command.target != next_label:
-            ordered = (next_label, command.target)
-        elif isinstance(command, Done):
-            ordered = ()
-        elif isinstance(command, (Assign, If, Skip, Halt)):
-            ordered = (next_label,)
-        else:
-            raise TypeError(f"not a command: {command!r}")
-        self.ordered_successors = ordered
-        self.successors = frozenset(ordered)
-        self.transition: Transition | None = None
+def _obligation_key(expr: AExp | BExp, assigned: str | None) -> tuple:
+    """The names ``expr`` reads, sorted, then ``assigned`` (None for a branch): one key per
+    distinct ``StepObligations``.  A leaf's and an operator's over two leaves are read directly."""
+    kind = type(expr)
+    if kind is Var:
+        return expr.name, assigned
+    if kind is ABin or kind is Cmp:
+        left, right = type(expr.left), type(expr.right)
+        if left is Var and right is Var:
+            a, b = expr.left.name, expr.right.name
+            return (a, assigned) if a == b else (a, b, assigned) if a < b else (b, a, assigned)
+        if left is Var and right is Num:
+            return expr.left.name, assigned
+        if left is Num and right is Var:
+            return expr.right.name, assigned
+        if left is Num and right is Num:
+            return (assigned,)
+    elif kind is Num:
+        return (assigned,)
+    return (*sorted(expr_vars(expr)), assigned)
 
 
 class Program:
@@ -298,42 +298,66 @@ class Program:
         self.commands: tuple[tuple[Label, Command], ...] = tuple(commands)
         if not self.commands:
             raise ProgramStructureError("a program must contain at least one command")
-        self.labels: tuple[Label, ...] = tuple(label for label, _ in self.commands)
-        followers = self.commands[1:] + ((None, None),)
-        self._table: dict[Label, _LabelEntry] = {}
-        shared: dict[tuple[VarSet, VarSet], StepObligations] = {}
-        for (label, command), (nxt, _) in zip(self.commands, followers):
-            if label in self._table:
+        self.labels: tuple[Label, ...] = tuple([label for label, _ in self.commands])
+        # each label's (command, obligations, next label, ordered successors, successors)
+        table: dict[Label, tuple] = {}
+        shared: dict[tuple, int] = {}  # an obligation key, in first-use order: its record's index
+        records: list[StepObligations] = []
+        used: list[int] = []  # each label's record index
+        for (label, command), nxt in zip(self.commands, self.labels[1:] + (None,)):
+            if label in table:
                 raise ProgramStructureError(f"duplicate label {label!r}")
-            self._table[label] = _LabelEntry(command, nxt, shared)
+            kind = type(command)
+            # fall-through first, then the branch target (nxt is None only at the end)
+            if kind is Assign:
+                key, ordered = _obligation_key(command.expr, command.var), (nxt,)
+            elif kind is If:
+                key = _obligation_key(command.cond, None)
+                ordered = (nxt,) if command.target == nxt else (nxt, command.target)
+            elif kind is Goto:
+                key, ordered = _NO_KEY, (command.target,)
+            elif kind is Done:
+                key, ordered = _NO_KEY, ()
+            elif kind is Skip or kind is Halt:
+                key, ordered = _NO_KEY, (nxt,)
+            else:
+                raise TypeError(f"not a command: {command!r}")
+            if (at := shared.get(key)) is None:
+                at = shared[key] = len(records)
+                assigned = frozenset() if key[-1] is None else frozenset(key[-1:])
+                records.append(StepObligations(frozenset(key[:-1]), assigned))
+            used.append(at)
+            table[label] = command, records[at], nxt, ordered, frozenset(ordered)
         # None stands for the end, where only a final command that falls through goes
-        inverse: dict[Label | None, set[Label]] = {label: set() for label in (*self.labels, None)}
-        for (label, command), (_, follower) in zip(self.commands, followers):
-            entry = self._table[label]
-            if isinstance(command, Halt) and not isinstance(follower, Done):
+        inverse: dict[Label | None, list[Label]] = {label: [] for label in table}
+        inverse[None] = []
+        for label, (command, _, nxt, ordered, _) in table.items():
+            kind = type(command)
+            if kind is Halt and (nxt is None or type(table[nxt][0]) is not Done):
                 raise ProgramStructureError(
                     f"halt at {label!r} is not immediately followed by done"
                 )
-            if isinstance(command, (If, Goto)) and command.target not in self._table:
+            if (kind is If or kind is Goto) and command.target not in table:
                 raise ProgramStructureError(
                     f"command at {label!r} targets unknown label {command.target!r}"
                 )
-            for successor in entry.ordered_successors:
-                inverse[successor].add(label)
+            for successor in ordered:
+                inverse[successor].append(label)
         if inverse.pop(None):
             raise ProgramStructureError(
                 f"last command at {self.labels[-1]!r} may fall through past the end"
             )
+        self._table = table
+        self._transitions: dict[Label, Transition | None] = dict.fromkeys(self.labels)
         self._predecessors = {label: frozenset(preds) for label, preds in inverse.items()}
-        self._variables = frozenset().union(*(o.precondition | o.prediction_extra
-                                              for o in shared.values()))
+        self._variables = frozenset(chain.from_iterable(shared)).difference(_NO_KEY)
         self._names = tuple(sorted(self._variables))
         self._slot = {name: at for at, name in enumerate(self._names)}
-        # each record's read set and assigned variable as bit masks: bit k is slot k
-        bit = {name: 1 << at for name, at in self._slot.items()}.__getitem__
-        masks = {id(record): (sum(map(bit, record.precondition)), sum(map(bit, record.prediction_extra)))
-                 for record in shared.values()}
-        self._masks = {label: masks[id(entry.obligations)] for label, entry in self._table.items()}
+        # each record's read set and assigned variable as bit masks: bit k is slot k, and the
+        # None that ends a key with nothing assigned is no bit
+        bit = {None: 0, **{name: 1 << at for name, at in self._slot.items()}}.__getitem__
+        masks = [(sum(map(bit, key[:-1])), bit(key[-1])) for key in shared]
+        self._masks = dict(zip(self.labels, map(masks.__getitem__, used)))
         self._sweep_order: tuple[Label, ...] | None = None
         self._path: tuple | None = None  # (key, the entries of label_path)
 
@@ -354,25 +378,25 @@ class Program:
     def first(self) -> Label:
         return self.labels[0]
 
-    def _entry(self, label: Label) -> _LabelEntry:
+    def _entry(self, label: Label) -> tuple:
         try:
             return self._table[label]
         except KeyError:
             raise UnknownLabelError(label) from None
 
     def command_at(self, label: Label) -> Command:
-        return self._entry(label).command
+        return self._entry(label)[0]
 
     def next_label(self, label: Label) -> Label | None:
         """Label of the next command in sequence order, or None at the end."""
-        return self._entry(label).next_label
+        return self._entry(label)[2]
 
     def successors(self, label: Label) -> frozenset[Label]:
-        return self._entry(label).successors
+        return self._entry(label)[4]
 
     def ordered_successors(self, label: Label) -> tuple[Label, ...]:
         """Successors in a fixed order: fall-through first, then the branch target."""
-        return self._entry(label).ordered_successors
+        return self._entry(label)[3]
 
     def predecessors(self, label: Label) -> frozenset[Label]:
         try:
@@ -401,7 +425,7 @@ class Program:
 
 def command_obligations(program: Program, label: Label) -> StepObligations:
     """The obligations of the command at ``label``, from the program's table."""
-    return program._entry(label).obligations
+    return program._entry(label)[1]
 
 
 def obligation_masks(program: Program) -> Mapping[Label, tuple[int, int]]:
@@ -433,13 +457,14 @@ _DIGITS = frozenset("0123456789")
 # after a parenthesized boolean, these first characters make it an arithmetic operand
 _ARITH_FOLLOW = frozenset("=<+-*")
 _BARE_COMMANDS = {"skip": Skip, "halt": Halt, "done": Done}
-# The commonest lines, whole, with blanks where tokens would run together (``ifx``, ``1then``)
+# The commonest lines, whole: a label, a command with blanks where tokens would run together
+# (``ifx``, ``1then``), and a comment
 _WORD = _IDENT_RE.pattern
 _LEAF = rf"({_WORD}|[0-9]{{1,19}})"
 _COMMAND_RE = re.compile(
-    rf"[ \t]*(?:({_WORD})[ \t]*:=[ \t]*{_LEAF}(?:[ \t]*([-+*])[ \t]*{_LEAF})?"
+    rf"[ \t]*({_WORD})[ \t]*:[ \t]*(?:({_WORD})[ \t]*:=[ \t]*{_LEAF}(?:[ \t]*([-+*])[ \t]*{_LEAF})?"
     rf"|if[ \t]+{_LEAF}[ \t]*(<=|=)[ \t]*{_LEAF}[ \t]+then[ \t]+({_WORD})"
-    rf"|goto[ \t]+({_WORD})|(skip|halt|done))[ \t]*"
+    rf"|goto[ \t]+({_WORD})|(skip|halt|done))[ \t]*(?:#.*)?"
 )
 
 
@@ -600,23 +625,23 @@ def _leaf(leaves: dict[str, Num | Var], token: str) -> Num | Var:
     return node
 
 
-def _match_command(leaves: dict[str, Num | Var], rest: str) -> Command | None:
-    """The command of a line ``_COMMAND_RE`` matches, its leaves interned in ``leaves``; None
-    for any other line, or a keyword or a literal of 2**63 or more, left to the descent."""
-    if (m := _COMMAND_RE.fullmatch(rest)) is None:
+def _match_command(leaves: dict[str, Num | Var], line: str) -> tuple[Label, Command] | None:
+    """The label and command of a line ``_COMMAND_RE`` matches, its leaves interned in ``leaves``;
+    None for any other line, or a keyword or a literal of 2**63 or more, left to the descent."""
+    if (m := _COMMAND_RE.fullmatch(line)) is None:
         return None
-    var, a, op, b, c, cmp, d, then, goto, bare = m.groups()
+    label, var, a, op, b, c, cmp, d, then, goto, bare = m.groups()
     if var in _KEYWORDS:  # refused before any leaf is interned
         return None
     try:
         if var is not None:
             left = _leaf(leaves, a)
-            return Assign(var, left if op is None else ABin(op, left, _leaf(leaves, b)))
+            return label, Assign(var, left if op is None else ABin(op, left, _leaf(leaves, b)))
         if c is not None:
-            return If(Cmp(cmp, _leaf(leaves, c), _leaf(leaves, d)), then)
+            return label, If(Cmp(cmp, _leaf(leaves, c), _leaf(leaves, d)), then)
     except ValueError:
         return None
-    return Goto(goto) if goto is not None else _BARE_COMMANDS[bare]()
+    return label, Goto(goto) if goto is not None else _BARE_COMMANDS[bare]()
 
 
 def _parse_command(parser: _Parser, rest: str, line_no: int, offset: int) -> Command:
@@ -647,83 +672,23 @@ def parse_program(text: str) -> Program:
     """
     pairs: list[tuple[Label, Command]] = []
     parser = _Parser()
+    leaves = parser.leaves
     for line_no, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        colon = line.find(":")
-        if colon < 0:
-            raise ParseError("expected 'label: command'", line_no, 1)
-        label = line[:colon].strip()
-        if not _IDENT_RE.fullmatch(label):
-            raise ParseError(f"invalid label {label!r}", line_no, 1)
-        rest = line[colon + 1 :]
-        if (command := _match_command(parser.leaves, rest)) is None:
-            command = _parse_command(parser, rest, line_no, colon + 2)
-        pairs.append((label, command))
+        if (pair := _match_command(leaves, raw)) is None:
+            line = raw.split("#", 1)[0]
+            if not line.strip():
+                continue
+            colon = line.find(":")
+            if colon < 0:
+                raise ParseError("expected 'label: command'", line_no, 1)
+            label = line[:colon].strip()
+            if not _IDENT_RE.fullmatch(label):
+                raise ParseError(f"invalid label {label!r}", line_no, 1)
+            pair = label, _parse_command(parser, line[colon + 1 :], line_no, colon + 2)
+        pairs.append(pair)
     if not pairs:
         raise ParseError("empty program", 1, 1)
     return Program(pairs)
-
-
-# --------------------------------------------------------------------------
-# Pretty-printing (inverse of the parser)
-# --------------------------------------------------------------------------
-
-_PREC = {"or": 1, "and": 2, "not": 3, "=": 4, "<=": 4, "+": 5, "-": 5, "*": 6}
-
-
-def _expr_text(expr: AExp | BExp, parent_prec: int = 0, right_side: bool = False) -> str:
-    match expr:
-        case Num(value) if value < 0:  # the grammar has no negative literal: print 0 - n
-            n = ABin("-", Num(0), Num(min(-value, 2**63 - 1)))  # -2**63 is 0 - (2**63 - 1) - 1
-            return _expr_text(n if value > -2**63 else ABin("-", n, Num(1)), parent_prec, right_side)
-        case Num(value):
-            return str(value)
-        case Var(name):
-            return name
-        case BoolLit(value):
-            return "true" if value else "false"
-        case Not(operand):
-            return f"not {_expr_text(operand, _PREC['not'])}"
-        case ABin(op, left, right) | Cmp(op, left, right) | BBin(op, left, right):
-            prec = _PREC[op]
-            text = f"{_expr_text(left, prec)} {op} {_expr_text(right, prec, True)}"
-            # left-associative: a right child at equal precedence needs parens
-            if prec < parent_prec or (prec == parent_prec and right_side):
-                return f"({text})"
-            return text
-
-
-def _command_text(command: Command) -> str:
-    match command:
-        case Skip():
-            return "skip"
-        case Assign(var, expr):
-            return f"{var} := {_expr_text(expr)}"
-        case If(cond, target):
-            return f"if {_expr_text(cond)} then {target}"
-        case Goto(target):
-            return f"goto {target}"
-        case Halt():
-            return "halt"
-        case Done():
-            return "done"
-
-
-def print_program(program: Program) -> str:
-    """Canonical text form; parse_program(print_program(p)) == p but for a negative Num.
-
-    A name the parser cannot read is a ValueError naming the first one: the
-    labels in program order, then the variables in sorted order.
-    """
-    for label in program.labels:
-        if not _IDENT_RE.fullmatch(label):
-            raise ValueError(f"label {label!r} is not an identifier")
-    for name in sorted(program.variables()):
-        if not is_variable_name(name):
-            raise ValueError(f"variable {name!r} is not an identifier, or is a keyword")
-    return "\n".join(f"{label}: {_command_text(command)}" for label, command in program.commands)
 
 
 # --------------------------------------------------------------------------
@@ -774,7 +739,8 @@ _APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "=": operator
 
 
 def _expr(expr: AExp | BExp, slot: dict[str, int]) -> Callable[[list], int | bool]:
-    if isinstance(expr, Var):
+    kind = type(expr)
+    if kind is Var:
         at, name = slot[expr.name], expr.name
 
         def read(slots):
@@ -783,14 +749,14 @@ def _expr(expr: AExp | BExp, slot: dict[str, int]) -> Callable[[list], int | boo
             return value
 
         return read
-    if isinstance(expr, (Num, BoolLit)):
+    if kind is Num or kind is BoolLit:
         constant = expr.value
         return lambda slots: constant
-    if isinstance(expr, Not):
+    if kind is Not:
         inner = _expr(expr.operand, slot)
         return lambda slots: not inner(slots)
     apply, lhs, rhs = _APPLY[expr.op], _expr(expr.left, slot), _expr(expr.right, slot)
-    if isinstance(expr, ABin):
+    if kind is ABin:
 
         def arith(slots):
             value = apply(lhs(slots), rhs(slots))
@@ -804,13 +770,24 @@ def _expr(expr: AExp | BExp, slot: dict[str, int]) -> Callable[[list], int | boo
 def _flat(command: Assign | If, nxt: Label | None, slot: dict[str, int]) -> Transition | None:
     """The one closure of an assignment of an ``ABin``, or a branch on a ``Cmp``, of two
     leaves (each its slot and name, or None and its literal); None for any other command."""
-    expr = command.expr if isinstance(command, Assign) else command.cond
-    if not (isinstance(expr, ABin if isinstance(command, Assign) else Cmp)
-            and isinstance(expr.left, (Var, Num)) and isinstance(expr.right, (Var, Num))):
+    assigns = type(command) is Assign
+    expr = command.expr if assigns else command.cond
+    if type(expr) is not (ABin if assigns else Cmp):
         return None
-    (left_at, left), (right_at, right) = ((slot[leaf.name], leaf.name) if isinstance(leaf, Var)
-                                          else (None, leaf.value) for leaf in (expr.left, expr.right))
-    if isinstance(command, Assign):
+    left, right = expr.left, expr.right
+    if type(left) is Var:
+        left_at, left = slot[left.name], left.name
+    elif type(left) is Num:
+        left_at, left = None, left.value
+    else:
+        return None
+    if type(right) is Var:
+        right_at, right = slot[right.name], right.name
+    elif type(right) is Num:
+        right_at, right = None, right.value
+    else:
+        return None
+    if assigns:
 
         def assign_flat(slots, apply=_APPLY[expr.op], left_at=left_at, left=left, right_at=right_at,
                         right=right, at=slot[command.var], nxt=nxt):
@@ -837,14 +814,15 @@ def _flat(command: Assign | If, nxt: Label | None, slot: dict[str, int]) -> Tran
 
 def _compile_label(command: Command, nxt: Label | None, slot: dict[str, int]) -> Transition:
     """The standard rule for ``command`` as a function of the slots: it returns what it reached."""
-    if isinstance(command, Done):
+    kind = type(command)
+    if kind is Done:
         return lambda slots: AT_DONE
-    if isinstance(command, (Skip, Halt, Goto)):
-        target = command.target if isinstance(command, Goto) else nxt
+    if kind is not Assign and kind is not If:  # a skip, halt or goto
+        target = command.target if kind is Goto else nxt
         return lambda slots: target
-    if isinstance(command, (Assign, If)) and (flat := _flat(command, nxt, slot)):
+    if flat := _flat(command, nxt, slot):
         return flat
-    if isinstance(command, Assign):
+    if kind is Assign:
         at, evaluate = slot[command.var], _expr(command.expr, slot)
 
         def assign(slots):
@@ -855,7 +833,7 @@ def _compile_label(command: Command, nxt: Label | None, slot: dict[str, int]) ->
             return nxt
 
         return assign
-    holds, target = _expr(command.cond, slot), command.target  # an If: a Program holds no other
+    holds, target = _expr(command.cond, slot), command.target
 
     def branch(slots):
         try:
@@ -868,10 +846,10 @@ def _compile_label(command: Command, nxt: Label | None, slot: dict[str, int]) ->
 
 def _transition(program: Program, label: Label) -> Transition:
     """The compiled rule at ``label``; the first call at a label compiles and keeps it."""
-    entry = program._entry(label)
-    if entry.transition is None:
-        entry.transition = _compile_label(entry.command, entry.next_label, program._slot)
-    return entry.transition
+    if (transition := program._transitions.get(label)) is None:
+        command, _, nxt, _, _ = program._entry(label)
+        transition = program._transitions[label] = _compile_label(command, nxt, program._slot)
+    return transition
 
 
 def _start(program: Program, initial_state: State | None, max_steps: int) -> tuple[StateTuple, list]:
@@ -929,9 +907,9 @@ def label_path(
     program._path = None
     seen: set[tuple[Label, Reached]] = set()
     entries: list[tuple[int, Label, Reached]] = []
-    table, label = program._table, program.first
+    transitions, label = program._transitions, program.first
     for position in range(max_steps + 1):
-        reached = (table[label].transition or _transition(program, label))(slots)
+        reached = (transitions[label] or _transition(program, label))(slots)
         this_step = label, reached
         if this_step not in seen:
             seen.add(this_step)
@@ -957,9 +935,9 @@ def run_trace(program: Program, initial_state: State | None = None, max_steps: i
     replays nothing: every call runs every transition.
     """
     _, slots = _start(program, initial_state, max_steps)
-    table, label = program._table, program.first
+    transitions, label = program._transitions, program.first
     for position in range(max_steps + 1):
-        reached = (table[label].transition or _transition(program, label))(slots)
+        reached = (transitions[label] or _transition(program, label))(slots)
         if not isinstance(reached, str):
             break
         label = reached

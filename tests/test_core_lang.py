@@ -25,6 +25,7 @@ from prophecy.core_lang import (
     Program,
     ProgramStructureError,
     Skip,
+    StepObligations,
     Stuck,
     TraceKind,
     UndefinedVariableError,
@@ -32,8 +33,8 @@ from prophecy.core_lang import (
     command_obligations,
     expr_vars,
     label_path,
+    obligation_masks,
     parse_program,
-    print_program,
     run_trace,
 )
 from prophecy.engine import analyze_concrete, live_variables_oracle
@@ -45,6 +46,7 @@ from test_differential import (
     compiled_step,
     compiled_walk,
     eval_expr,
+    print_program,
     reference_step,
 )
 
@@ -156,6 +158,26 @@ class TestParser:
         )
 
 
+class _SubAssign(Assign):
+    pass
+
+
+class _SubVar(Var):
+    pass
+
+
+def _reads(expr) -> frozenset:
+    """The names ``expr`` reads, by a walk of its own."""
+    match expr:
+        case Var(name):
+            return frozenset({name})
+        case Num() | BoolLit():
+            return frozenset()
+        case Not(operand):
+            return _reads(operand)
+    return _reads(expr.left) | _reads(expr.right)
+
+
 class TestStructure:
     def test_if_successors(self):
         program = parse_program("l0: if x <= 0 then l3\nl1: skip\nl2: halt\nl3: done")
@@ -186,11 +208,54 @@ class TestStructure:
         ("skip", "not a command: 'skip'"),
         (Assign("x", "1"), "not an expression: '1'"),
         (If(Not("x"), "l1"), "not an expression: 'x'"),
+        # a subclass of a node is no node, whether the table reads it directly or walks to it
+        (_SubAssign("x", Num(1)), "not a command: _SubAssign(var='x', expr=Num(value=1))"),
+        (Assign("x", _SubVar("y")), "not an expression: _SubVar(name='y')"),
+        (Assign("x", ABin("+", Num(1), _SubVar("y"))), "not an expression: _SubVar(name='y')"),
+        (If(Not(Cmp("<=", _SubVar("y"), Num(1))), "l1"), "not an expression: _SubVar(name='y')"),
     ])
     def test_what_no_transition_compiles_is_refused_when_built(self, command, message):
         # so the compiled transitions need no fallthrough for such a shape
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             Program([("l0", command), ("l1", Halt()), ("l2", Done())])
+
+    def test_table_matches_one_built_from_the_commands(self):
+        for seed in range(300):
+            self.check_table(random_program(random.Random(seed)))
+
+    @staticmethod
+    def check_table(program):
+        labels = [label for label, _ in program.commands]
+        ordered, obligations = {}, {}
+        for (label, command), nxt in zip(program.commands, labels[1:] + [None]):
+            match command:
+                case Goto(target):
+                    ordered[label] = (target,)
+                case If(cond, target):
+                    ordered[label] = (nxt,) if target == nxt else (nxt, target)
+                    obligations[label] = _reads(cond), frozenset()
+                case Done():
+                    ordered[label] = ()
+                case _:
+                    ordered[label] = (nxt,)
+            if isinstance(command, Assign):
+                obligations[label] = _reads(command.expr), frozenset({command.var})
+            obligations.setdefault(label, (frozenset(), frozenset()))
+        names = sorted({name for pair in obligations.values() for names in pair for name in names})
+
+        def mask(of):
+            return sum(1 << names.index(name) for name in of)
+
+        records = {label: command_obligations(program, label) for label in labels}
+        for label in labels:
+            assert program.ordered_successors(label) == ordered[label]
+            assert program.successors(label) == frozenset(ordered[label])
+            assert program.predecessors(label) == {p for p in labels if label in ordered[p]}
+            assert records[label] == StepObligations(*obligations[label])
+            assert obligation_masks(program)[label] == tuple(map(mask, obligations[label]))
+        # one record per distinct (read set, assigned) pair, bit k for the k-th name sorted
+        assert len({id(record) for record in records.values()}) == len(set(obligations.values()))
+        assert program.variables() == frozenset(names)
 
 
 class TestEval:

@@ -19,6 +19,10 @@
   (``label_path`` with the first position of each of its distinct steps,
   plus the last), including stuck and truncated runs and initial variables
   the program never mentions.
+* ``print_program`` writes a ``Program`` back as text the parser reads; the
+  package has no printer, and the round-trip tests in
+  ``tests/test_core_lang.py`` and ``tests/test_parser_differential.py``
+  use this one.
 * ``analyze_concrete`` evaluates the standard execution once, before the
   first run, checks only its distinct steps, resumes each rerun at the
   step where the previous run aborted, and records each edge once.  It is
@@ -38,6 +42,7 @@
 """
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -69,6 +74,7 @@ from prophecy.core_lang import (
     UnknownLabelError,
     Var,
     command_obligations,
+    is_variable_name,
     label_path,
     mask_names,
     obligation_masks,
@@ -302,6 +308,63 @@ def reference_trace(program, state, max_steps):
     else:
         kind, reason = TraceKind.TRUNCATED, f"no done within {max_steps} steps"
     return tuple(configurations), Trace(len(configurations), kind, reason), path
+
+
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_PREC = {"or": 1, "and": 2, "not": 3, "=": 4, "<=": 4, "+": 5, "-": 5, "*": 6}
+
+
+def _expr_text(expr, parent_prec: int = 0, right_side: bool = False) -> str:
+    match expr:
+        case Num(value) if value < 0:  # the grammar has no negative literal: print 0 - n
+            n = ABin("-", Num(0), Num(min(-value, 2**63 - 1)))  # -2**63 is 0 - (2**63 - 1) - 1
+            return _expr_text(n if value > -2**63 else ABin("-", n, Num(1)), parent_prec, right_side)
+        case Num(value):
+            return str(value)
+        case Var(name):
+            return name
+        case BoolLit(value):
+            return "true" if value else "false"
+        case Not(operand):
+            return f"not {_expr_text(operand, _PREC['not'])}"
+        case ABin(op, left, right) | Cmp(op, left, right) | BBin(op, left, right):
+            prec = _PREC[op]
+            text = f"{_expr_text(left, prec)} {op} {_expr_text(right, prec, True)}"
+            # left-associative: a right child at equal precedence needs parens
+            if prec < parent_prec or (prec == parent_prec and right_side):
+                return f"({text})"
+            return text
+
+
+def _command_text(command) -> str:
+    match command:
+        case Skip():
+            return "skip"
+        case Assign(var, expr):
+            return f"{var} := {_expr_text(expr)}"
+        case If(cond, target):
+            return f"if {_expr_text(cond)} then {target}"
+        case Goto(target):
+            return f"goto {target}"
+        case Halt():
+            return "halt"
+        case Done():
+            return "done"
+
+
+def print_program(program: Program) -> str:
+    """Canonical text form; parse_program(print_program(p)) == p but for a negative Num.
+
+    A name the parser cannot read is a ValueError naming the first one: the
+    labels in program order, then the variables in sorted order.
+    """
+    for label in program.labels:
+        if not _IDENT_RE.fullmatch(label):
+            raise ValueError(f"label {label!r} is not an identifier")
+    for name in sorted(program.variables()):
+        if not is_variable_name(name):
+            raise ValueError(f"variable {name!r} is not an identifier, or is a keyword")
+    return "\n".join(f"{label}: {_command_text(command)}" for label, command in program.commands)
 
 
 # the program's variables and some it never mentions, sorting before, among and after them

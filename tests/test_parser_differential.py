@@ -6,19 +6,23 @@ character position at a time.  Both must accept the same texts, build the
 same ``Program``, and reject the rest with the same error class, line,
 column and message.  Inputs are fragments of the grammar glued together and
 printed random programs with tokens inserted or deleted.  ``_match_command``,
-which builds the commonest lines from one regular expression, is checked line
-by line against the descent it stands in for.
+which builds the commonest lines whole from one regular expression, is
+checked against the path it stands in for: each line cut at its ``#`` and its
+colon, its command read by the descent (``descent_parse``), over a seeded
+sweep of lines in and beside the shapes it reads.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from functools import partial
 from typing import Callable
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prophecy import core_lang
 from prophecy.core_lang import (
     ABin,
     AExp,
@@ -44,10 +48,10 @@ from prophecy.core_lang import (
     _parse_command,
     _Parser,
     parse_program,
-    print_program,
 )
 from randprog import random_program
 from test_core_lang import _FRAGMENTS
+from test_differential import print_program
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
@@ -248,8 +252,9 @@ def reference_parse_command(rest: str, line_no: int, offset: int) -> Command:
     raise parser.error("expected a command")
 
 
-def reference_parse_program(text: str) -> Program:
-    """``parse_program`` over the character-level parser."""
+def reference_parse_program(text: str, parse_command=reference_parse_command, build=Program):
+    """``parse_program`` over the character-level parser, or over ``parse_command``, every line
+    cut at its ``#`` and its colon; ``build`` makes the result of the pairs."""
     pairs: list[tuple[Label, Command]] = []
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for line_no, raw in enumerate(lines, start=1):
@@ -262,11 +267,11 @@ def reference_parse_program(text: str) -> Program:
         label = line[:colon].strip()
         if not _IDENT_RE.fullmatch(label):
             raise ParseError(f"invalid label {label!r}", line_no, 1)
-        command = reference_parse_command(line[colon + 1 :], line_no, colon + 2)
+        command = parse_command(line[colon + 1 :], line_no, colon + 2)
         pairs.append((label, command))
     if not pairs:
         raise ParseError("empty program", 1, 1)
-    return Program(pairs)
+    return build(pairs)
 
 
 def _outcome(parse: Callable[[str], Program], text: str):
@@ -378,11 +383,91 @@ def test_one_expression_path_builds_what_the_descent_builds(line):
     """Where ``_match_command`` builds a command, the descent builds an equal one; where
     the descent raises, ``_match_command`` returns None and leaves the error to it."""
     try:
-        want = _parse_command(_Parser(), line, 1, 1)
+        want = "l0", _parse_command(_Parser(), line, 1, 4)
     except ParseError:
         want = None
-    got = _match_command({}, line)
+    got = _match_command({}, "l0:" + line)
     assert got is None or got == want, (line, got, want)
+
+
+def descent_parse(text: str) -> tuple[tuple[Label, Command], ...]:
+    """The pairs ``parse_program`` builds, by the path its whole-line match stands in for:
+    each line cut at its ``#`` and its colon, its command read by the descent."""
+    return reference_parse_program(text, partial(_parse_command, _Parser()), tuple)
+
+
+# Lines that the whole-line match reads, and lines just beside them
+_LABELS = ["l0", "L_1", "_x", "x"] * 4 + ["goto", "if", "done", "then", "1l", "l-1", "l 0", ""]
+_WORDS = ["x", "y1", "_t", "ifx", "then1", "l9"] * 3 + ["goto", "if", "not", "true", "done"]
+_LITERALS = ["0", "7", "007", "42"] * 2 + [
+    "9223372036854775807", "9223372036854775808", "9999999999999999999",  # 19 digits
+    "10000000000000000000", "12345678901234567890",  # 20 digits
+]
+_BLANKS = ["", " ", "\t", " \t ", "\f", "\v", "\xa0"]
+_COMMENTS = ["# note", "#", "#x := 1", "# l1: goto l0 #"]
+_ENDINGS = ["", "\n", "\r", "\r\n", "\nl1: done\r\n"]
+
+
+def _sweep_line(rng: random.Random) -> str:
+    """One line: blanks around the label and the colon, a command of any shape the whole-line
+    match reads (or one token off it), perhaps a comment after the command or after blanks, and
+    an ending of none, LF, CR or CRLF, or a second line."""
+
+    def blank() -> str:
+        return rng.choice(_BLANKS) if rng.random() < 0.1 else rng.choice(["", " "])
+
+    def leaf() -> str:
+        return rng.choice(_WORDS if rng.random() < 0.5 else _LITERALS)
+
+    shape = rng.randrange(8)
+    if shape == 0:
+        tokens = [rng.choice(["skip", "halt", "done"])]
+    elif shape == 1:
+        tokens = ["goto", rng.choice(_WORDS)]
+    elif shape in (2, 3):
+        tokens = [rng.choice(_WORDS), ":=", leaf()]
+        if shape == 3:
+            tokens += [rng.choice("+-*"), leaf()]
+    elif shape in (4, 5):
+        tokens = ["if", leaf(), rng.choice(["=", "<="]), leaf(), "then", rng.choice(_WORDS)]
+    elif shape == 6:  # descent-only syntax
+        tokens = rng.choice([
+            ["x", ":=", "(", "1", ")"], ["if", "not", "x", "<=", "1", "then", "l0"],
+            ["if", "true", "then", "l0"], ["x", ":=", "1", "+", "2", "*", "y"],
+        ])
+    else:  # a token dropped, doubled or replaced
+        tokens = ["if", leaf(), "<=", leaf(), "then", "l0"]
+        at = rng.randrange(len(tokens))
+        other = rng.choice(_WORDS + ["(", ":", "#"])
+        tokens[at:at + 1] = rng.choice([[], [tokens[at]] * 2, [other]])
+    # a token runs into the next one where the blank between them is empty: ``ifx``, ``1then``
+    command = "".join(token + (rng.choice(["", " "]) if rng.random() < 0.1 else blank() or " ")
+                      for token in tokens).rstrip(" ") + blank()
+    comment = rng.choice(_COMMENTS) if rng.random() < 0.3 else ""
+    return (blank() + rng.choice(_LABELS) + blank() + ":" + blank() + command + comment
+            + rng.choice(_ENDINGS))
+
+
+def test_whole_line_path_parses_as_the_split_path(monkeypatch):
+    """A seeded sweep of lines, each parsed alone: the same pairs, or the same ParseError
+    (class, line, column and message), as every line cut and read by the descent."""
+    monkeypatch.setattr(core_lang, "Program", tuple)  # the pairs, with no structure check
+    whole = []
+    match_command = core_lang._match_command
+
+    def counting(leaves, line):
+        pair = match_command(leaves, line)
+        if line:  # not the empty text after a text's last line ending
+            whole.append(pair is not None)
+        return pair
+
+    monkeypatch.setattr(core_lang, "_match_command", counting)
+    rng = random.Random(0)
+    for _ in range(20_000):
+        text = _sweep_line(rng)
+        got, want = _outcome(parse_program, text), _outcome(descent_parse, text)
+        assert got == want, text
+    assert 0.25 < sum(whole) / len(whole) < 0.75  # each path takes a good share of the lines
 
 
 _PARSE_ERRORS = (

@@ -73,18 +73,28 @@ def test_analyze_requests_step_once_per_position(transitions, name):
 
 
 def test_analyze_programs_take_the_one_expression_path(monkeypatch):
-    """Every line of the analyze pools is one ``_match_command`` reads: none reaches the descent."""
-    descents = []
-    parse_command = core_lang._parse_command
+    """Every line of the analyze pools is one ``_match_command`` reads whole: none leaves the
+    whole-line path, so none reaches the descent."""
+    descents, refused = [], []
+    parse_command, match_command = core_lang._parse_command, core_lang._match_command
 
     def counting(parser, rest, line_no, offset):
         descents.append(rest)
         return parse_command(parser, rest, line_no, offset)
 
+    def matching(leaves, line):
+        if (pair := match_command(leaves, line)) is None:
+            refused.append(line)
+        return pair
+
     monkeypatch.setattr(core_lang, "_parse_command", counting)
-    for item in concrete_pool(1) + allpaths_pool(1):
+    monkeypatch.setattr(core_lang, "_match_command", matching)
+    items = concrete_pool(1) + allpaths_pool(1)
+    for item in items:
         core_lang.parse_program(item.params["text"])
     assert descents == []
+    # only the empty text after each program's last newline, which is no line
+    assert refused == [""] * len(items)
     core_lang.parse_program("l0: x := (1)\nl1: halt\nl2: done")  # the descent reads parentheses
     assert descents == [" x := (1)"]
 
