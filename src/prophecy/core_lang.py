@@ -350,11 +350,11 @@ class Program:
         self._table = table
         self._transitions: dict[Label, Transition | None] = dict.fromkeys(self.labels)
         self._predecessors = {label: frozenset(preds) for label, preds in inverse.items()}
+        # every name in a key, but the None that ends a key with nothing assigned
         self._variables = frozenset(chain.from_iterable(shared)).difference(_NO_KEY)
         self._names = tuple(sorted(self._variables))
         self._slot = {name: at for at, name in enumerate(self._names)}
-        # each record's read set and assigned variable as bit masks: bit k is slot k, and the
-        # None that ends a key with nothing assigned is no bit
+        # each record's read set and assigned variable as bit masks: bit k is slot k, None is 0
         bit = {None: 0, **{name: 1 << at for name, at in self._slot.items()}}.__getitem__
         masks = [(sum(map(bit, key[:-1])), bit(key[-1])) for key in shared]
         self._masks = dict(zip(self.labels, map(masks.__getitem__, used)))

@@ -42,7 +42,6 @@
 """
 
 import random
-import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -73,6 +72,7 @@ from prophecy.core_lang import (
     TraceKind,
     UnknownLabelError,
     Var,
+    _IDENT_RE,
     command_obligations,
     is_variable_name,
     label_path,
@@ -310,7 +310,6 @@ def reference_trace(program, state, max_steps):
     return tuple(configurations), Trace(len(configurations), kind, reason), path
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _PREC = {"or": 1, "and": 2, "not": 3, "=": 4, "<=": 4, "+": 5, "-": 5, "*": 6}
 
 
