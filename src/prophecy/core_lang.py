@@ -58,7 +58,9 @@ built.
 one start and under one ``max_steps`` rule, and build no configuration.
 ``label_path`` yields only the first position of each distinct step (a
 label and what it reached) and the last, and records them once for the
-engine and the checkers; ``run_trace`` counts positions and the outcome.
+engine and the checkers, hashing a ``(label, reached)`` pair only where a
+label reaches something other than its first outcome; ``run_trace``
+counts positions and the outcome.
 """
 
 from __future__ import annotations
@@ -758,9 +760,9 @@ def _expr(expr: AExp | BExp, slot: dict[str, int]) -> Callable[[list], int | boo
     apply, lhs, rhs = _APPLY[expr.op], _expr(expr.left, slot), _expr(expr.right, slot)
     if kind is ABin:
 
-        def arith(slots):
+        def arith(slots, low=-_INT64_SIGN, high=_INT64_SIGN):
             value = apply(lhs(slots), rhs(slots))
-            return value if -_INT64_SIGN <= value < _INT64_SIGN else _wrap64(value)
+            return value if low <= value < high else _wrap64(value)
 
         return arith
     # a comparison, or and/or as & and | over bools, which evaluate both operands
@@ -790,13 +792,14 @@ def _flat(command: Assign | If, nxt: Label | None, slot: dict[str, int]) -> Tran
     if assigns:
 
         def assign_flat(slots, apply=_APPLY[expr.op], left_at=left_at, left=left, right_at=right_at,
-                        right=right, at=slot[command.var], nxt=nxt):
+                        right=right, at=slot[command.var], nxt=nxt, low=-_INT64_SIGN,
+                        high=_INT64_SIGN):
             a = left if left_at is None else slots[left_at]
             b = right if right_at is None else slots[right_at]
             if a is None or b is None:  # an empty slot: ``left`` or ``right`` is its name
                 return Stuck(str(UndefinedVariableError(left if a is None else right)))
             value = apply(a, b)
-            slots[at] = value if -_INT64_SIGN <= value < _INT64_SIGN else _wrap64(value)
+            slots[at] = value if low <= value < high else _wrap64(value)
             return nxt
 
         return assign_flat
@@ -893,10 +896,14 @@ def label_path(
     A step is a label and what its transition reached: the next label, and
     at the last position how the run ended: ``AtDone``, ``Stuck``, or the
     label past the budget.  The last position is always yielded, after the
-    run ends.  The ``Program`` keeps these entries of its latest walk if
-    that walk reached the end, keyed by the sorted initial state and
-    ``max_steps``, and replays them for the same key without a transition.
-    A walk stopped early records nothing.
+    run ends.  A dict keeps each label's first outcome: a position whose
+    transition returns that object again is an old step after one lookup, and
+    only a label that reaches something else (a branch's other arm, the end of
+    the run) has its ``(label, reached)`` pair compared by equality and kept in
+    a set.  The ``Program`` keeps these entries of its latest walk if it reached
+    the end, keyed by the sorted initial state and ``max_steps``, and replays
+    them for the same key without a transition; a walk stopped early records
+    nothing.
     """
     state, slots = _start(program, initial_state, max_steps)
     key = state, max_steps
@@ -905,21 +912,25 @@ def label_path(
         yield from recorded[1]
         return
     program._path = None
-    seen: set[tuple[Label, Reached]] = set()
+    first: dict[Label, Reached] = {}  # each label's first outcome
+    others: set[tuple[Label, Reached]] = set()  # the steps unlike their label's first outcome
     entries: list[tuple[int, Label, Reached]] = []
-    transitions, label = program._transitions, program.first
+    transitions, reached = program._transitions, program.first
     for position in range(max_steps + 1):
+        label = reached
         reached = (transitions[label] or _transition(program, label))(slots)
-        this_step = label, reached
-        if this_step not in seen:
-            seen.add(this_step)
+        if (was := first.get(label)) is not reached and (
+                was is None or was != reached and (label, reached) not in others):
+            if was is None:
+                first[label] = reached
+            else:
+                others.add((label, reached))
             entries.append((position, label, reached))
             yield entries[-1]
         if not isinstance(reached, str):
             break
-        label = reached
     if entries[-1][0] != position:
-        entries.append((position, *this_step))  # after the whole budget, ``label`` is past it
+        entries.append((position, label, reached))  # the whole budget ran: ``reached`` is past it
         yield entries[-1]
     program._path = (key, tuple(entries))
 

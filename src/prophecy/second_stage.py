@@ -330,8 +330,8 @@ def _expr_text(expr: Expr, top: bool = False) -> str:
     kind = type(expr)
     if kind is VarRef:
         return expr.name
-    if kind is IntLit:
-        return str(expr.value)
+    if kind is IntLit:  # C reads -2147483648 as minus the long 2147483648
+        return str(expr.value) if expr.value != -2**31 else "(-2147483647 - 1)"
     if kind is Binary:
         text = f"{_expr_text(expr.left)} {expr.op} {_expr_text(expr.right)}"
         return text if top else f"({text})"

@@ -19,6 +19,13 @@
   (``label_path`` with the first position of each of its distinct steps,
   plus the last), including stuck and truncated runs and initial variables
   the program never mentions.
+* ``label_path`` finds new steps per label, building a ``(label, reached)``
+  pair only where a label reaches something other than its first outcome.
+  It is compared with ``tuple_set_walk``, the walk that looked such a pair
+  up in a set at every position, over the same transitions: on random
+  programs, a corpus, two small loops cut at every budget from 0 to the
+  whole run, runs stuck on a label's first visit, and a branch whose two
+  arms reach equal labels held as two string objects.
 * ``print_program`` writes a ``Program`` back as text the parser reads; the
   package has no printer, and the round-trip tests in
   ``tests/test_core_lang.py`` and ``tests/test_parser_differential.py``
@@ -310,6 +317,25 @@ def reference_trace(program, state, max_steps):
     return tuple(configurations), Trace(len(configurations), kind, reason), path
 
 
+def tuple_set_walk(program, state, max_steps):
+    """The entries ``label_path`` gave when it looked a ``(label, reached)`` tuple up in a set at
+    every position, over the same compiled transitions; it replays nothing."""
+    _, slots = core_lang._start(program, state, max_steps)
+    seen, entries, label = set(), [], program.first
+    for position in range(max_steps + 1):
+        reached = core_lang._transition(program, label)(slots)
+        this_step = label, reached
+        if this_step not in seen:
+            seen.add(this_step)
+            entries.append((position, label, reached))
+        if not isinstance(reached, str):
+            break
+        label = reached
+    if entries[-1][0] != position:
+        entries.append((position, *this_step))
+    return entries
+
+
 _PREC = {"or": 1, "and": 2, "not": 3, "=": 4, "<=": 4, "+": 5, "-": 5, "*": 6}
 
 
@@ -384,6 +410,102 @@ def test_slot_walk_matches_reference_walk(seed, state, max_steps):
                if first[taken] == position or position == len(path) - 1]
     assert list(label_path(program, state, max_steps)) == entries
     assert list(label_path(program, state, max_steps)) == entries  # the recorded replay
+
+
+def assert_walk_matches_tuple_set_walk(program, state, max_steps):
+    """A cold ``label_path`` and its replay give the tuple-set walk's entries."""
+    expected = tuple_set_walk(Program(program.commands), state, max_steps)
+    assert list(label_path(program, state, max_steps)) == expected
+    assert list(label_path(program, state, max_steps)) == expected  # the recorded replay
+    return expected
+
+
+@given(st.integers(0, 2**32), _walk_states, st.integers(0, 40) | st.just(10_000))
+@settings(max_examples=300, deadline=None)
+def test_label_path_matches_tuple_set_walk(seed, state, max_steps):
+    assert_walk_matches_tuple_set_walk(random_program(random.Random(seed)), state, max_steps)
+
+
+def test_label_path_matches_tuple_set_walk_on_corpus():
+    rng = random.Random(37)
+    for program in corpus(rng, 200):
+        state = random_state(rng, program)
+        for max_steps in (0, 1, 7, 10_000):
+            assert_walk_matches_tuple_set_walk(program, state, max_steps)
+
+
+COUNTDOWN = """
+l0: x := 3
+l1: if x <= 0 then l4
+l2: x := x - 1
+l3: goto l1
+l4: halt
+l5: done
+"""
+
+# l3 takes its two arms in turn, so each arm recurs after the other
+ALTERNATING = """
+l0: t := 0
+l1: n := 4
+l2: t := 1 - t
+l3: if t <= 0 then l5
+l4: skip
+l5: n := n - 1
+l6: if n <= 0 then l8
+l7: goto l2
+l8: halt
+l9: done
+"""
+
+
+@pytest.mark.parametrize("text", [COUNTDOWN, ALTERNATING], ids=["countdown", "alternating"])
+def test_label_path_matches_tuple_set_walk_at_every_budget(text):
+    """Budgets from 0 to the whole run cut the loop at every position, among them the one
+    right after a branch's second arm first occurs."""
+    program = parse_program(text)
+    length = run_trace(program).length
+    for max_steps in range(length + 1):
+        assert_walk_matches_tuple_set_walk(program, {}, max_steps)
+
+
+def test_countdown_walk_yields_the_second_arm_once():
+    program = parse_program(COUNTDOWN)
+    assert assert_walk_matches_tuple_set_walk(program, {}, 10_000) == [
+        (0, "l0", "l1"), (1, "l1", "l2"), (2, "l2", "l3"), (3, "l3", "l1"),
+        (10, "l1", "l4"), (11, "l4", "l5"), (12, "l5", AT_DONE)]
+    # cut right after the second arm, and inside the loop, where the last step is old
+    assert list(label_path(program, {}, 11))[-2:] == [(10, "l1", "l4"), (11, "l4", "l5")]
+    assert list(label_path(program, {}, 9))[-2:] == [(3, "l3", "l1"), (9, "l3", "l1")]
+
+
+def test_label_path_matches_tuple_set_walk_when_stuck_on_a_first_visit():
+    program = parse_program("l0: x := 1\nl1: y := z + x\nl2: halt\nl3: done")
+    stuck = Stuck(str(UndefinedVariableError("z")))
+    assert assert_walk_matches_tuple_set_walk(program, {}, 10_000) == [
+        (0, "l0", "l1"), (1, "l1", stuck)]
+    assert assert_walk_matches_tuple_set_walk(program, {}, 1) == [(0, "l0", "l1"), (1, "l1", stuck)]
+    assert assert_walk_matches_tuple_set_walk(program, {}, 0) == [(0, "l0", "l1")]
+    looping = parse_program("l0: y := z\nl1: goto l0\nl2: halt\nl3: done")
+    assert assert_walk_matches_tuple_set_walk(looping, {}, 0) == [(0, "l0", stuck)]
+
+
+def test_label_path_compares_an_equal_outcome_by_equality():
+    # the branch's target is its next label, as another string object: both arms are one step
+    target = "".join(["l", "2"])
+    program = Program([
+        ("l0", Assign("x", Num(2))),
+        ("l1", If(Cmp("<=", Var("x"), Num(0)), target)),
+        ("l2", Assign("x", ABin("-", Var("x"), Num(1)))),
+        ("l3", If(Cmp("<=", Num(0), Var("x")), "l1")),
+        ("l4", Halt()),
+        ("l5", Done()),
+    ])
+    transition = core_lang._transition(program, "l1")
+    taken, fallen = transition([0]), transition([1])
+    assert taken == fallen and taken is not fallen
+    assert assert_walk_matches_tuple_set_walk(program, {}, 10_000) == [
+        (0, "l0", "l1"), (1, "l1", "l2"), (2, "l2", "l3"), (3, "l3", "l1"), (9, "l3", "l4"),
+        (10, "l4", "l5"), (11, "l5", AT_DONE)]
 
 
 def test_foreign_label_is_unknown():

@@ -5,8 +5,8 @@ structurally (``match``/``case``); ``emit_c`` now dispatches on each node's
 exact type.  Both must print the same bytes for every program: the random
 recordings of ``tests/test_interp_differential.py`` (seeds 0-299, general
 and kernel-only), whether or not they build, the recordings C's types refuse
-(``REFUSED`` in ``tests/test_interp.py``) and every pinned build of
-``tests/test_pins.py``.  A recording that does not build is emitted as
+(``REFUSED`` in ``tests/test_interp.py``), every pinned build of
+``tests/test_pins.py`` and the int literals at the ends of C's int.  A recording that does not build is emitted as
 ``tests/test_emitted_c.py::emit_recorded`` emits it, through a namespace
 holding its name, parameters and body.  No compiler is needed.
 """
@@ -28,7 +28,7 @@ from test_pins import STAGED
 def _expr_text(expr: Expr, top: bool = False) -> str:
     match expr:
         case IntLit(value):
-            return str(value)
+            return str(value) if value != -2**31 else "(-2147483647 - 1)"
         case FloatLit(value):
             return repr(value)
         case VarRef(name):
@@ -118,6 +118,15 @@ def test_refused_recordings_emit_as_the_reference_does():
 def test_pinned_builds_emit_as_the_reference_does(case):
     program, _ = STAGED[case][0]()
     assert emit_c(program) == reference_emit_c(program)
+
+
+def test_int_literals_at_the_ends_of_cs_int_emit_as_the_reference_does():
+    # C has no literal for -2**31: both print it as (-2147483647 - 1)
+    body = [Declare(f"var{k}", "int", Binary("*", VarRef("arg0"), IntLit(value)))
+            for k, value in enumerate((-2**31, -2**31 + 1, 2**31 - 1))]
+    program = SimpleNamespace(name="t", params=(("arg0", "int"),), body=body)
+    assert emit_c(program) == reference_emit_c(program)
+    assert "int var0 = arg0 * (-2147483647 - 1);" in emit_c(program)
 
 
 @pytest.mark.parametrize("body, message", [

@@ -3,8 +3,9 @@
 Programs are checked against ``tests/data/runtime.h``, a stub of the six
 runtime calls, so this covers syntax and types only; nothing is linked or
 run.  g++ is also the oracle for what building a program refuses: the C of
-a refused recording (``emit_recorded``) is C that g++ refuses.  The check
-skips only when no ``g++`` is on PATH.
+a refused recording (``emit_recorded``) is C that g++ refuses, and g++'s
+``decltype`` shows that the emitted -2**31 is an ``int``, as the typing walk
+types it.  The check skips only when no ``g++`` is on PATH.
 """
 
 import os
@@ -132,3 +133,19 @@ def test_generated_programs_compile_exactly_where_the_program_builds():
     rejected = {line.split(":")[0] for line in result.stderr.splitlines() if ": error: " in line}
     assert rejected == refused
     assert 0 < len(refused) < len(sources) / 2
+
+
+def test_int_min_literal_is_an_int():
+    # C reads -2147483648 as unary minus on 2147483648, which outgrows int and so is a long;
+    # the typing walk types the product an int, and so must g++
+    ctx = StageContext(ProphecyStore(), run_index=1, name="int_min")
+    ctx.declare("int", ctx.parameter("int") * -2**31)
+    text = emit_c(ctx.finish())
+    (line,) = [line for line in text.splitlines() if line.startswith("  int var0 = ")]
+    product = line.removeprefix("  int var0 = ").removesuffix(";")
+    probe = text + (
+        "template <class T> struct is_int { static const bool value = false; };\n"
+        "template <> struct is_int<int> { static const bool value = true; };\n"
+        f"void probe(int arg0) {{ static_assert(is_int<decltype({product})>::value, \"long\"); }}\n")
+    result = syntax_check({"int_min": probe})
+    assert result.returncode == 0, result.stderr
