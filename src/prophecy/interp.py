@@ -33,18 +33,26 @@ tests its bounds, and a store then its value.  A proven access drops the
 bounds test, as its index's interval (below) lies inside the buffer, whose
 size is known if nothing assigns the variable, a pointer parameter or one
 declared from a literal allocation; the index cannot raise, so C's order
-holds.  A proven read tests for ``None`` unless it reads (``V3[i]``) a
-pointer parameter no copy writes into, where each buffer has one name (no
-``float*`` variable is assigned or declared from another).  An interval
-``(lo, hi)`` is known for an int literal; a loop variable whose start has
-one (the start's ``lo`` to the bound less 1: nothing assigns it and its step
-is at least 1); ``+ - *`` of two; and ``e % m``, ``m`` an int literal ``> 0``
-and ``lo(e) >= 0`` (0 to ``min(hi(e), m - 1)``); never one that leaves C's
-int at a node, so that C's wrapping cannot break a proof.  As in C, an int
-variable holds only ints (``_int``), a float variable or an element given an
-int (not ``is_float``) holds it as a float32, and ``%`` truncates toward
-zero: as Python's ``%``, in parentheses, where its interval is known; through
-``_mod`` otherwise, where a zero divisor is an InterpError.
+holds.  A proven read of a *filled* buffer, which holds no ``None``, is bare
+(``V3[i]``).  Until a top-level statement gives a ``float*`` variable
+another's buffer (then none is, from there on), a pointer parameter is
+filled on entry, and a buffer of known size once a top-level statement
+writes it whole: copies its size from a filled buffer, or stores at the
+row-major index (``flat_index``'s) of a nest of loops from 0 by 1 to bounds
+``>= 1`` that multiply to its size, each, and the store or copy, at the top
+level of the one before.  A top-level statement that copies into a buffer
+from an unfilled one (or one that it empties so) empties it, from its start.
+An interval ``(lo, hi)`` is known for an int literal; a loop variable whose
+start has one (the start's ``lo`` to the stop less 1, or the bound where the
+stop is computed: nothing assigns it and its step is at least 1); an ``int``
+declared from one that nothing assigns; ``+ - *`` of two; and ``e % m``,
+``m`` an int literal ``> 0`` and ``lo(e) >= 0`` (0 to ``min(hi(e), m -
+1)``); never one that leaves C's int at a node, so that C's wrapping cannot
+break a proof.  As in C, an int variable holds only ints (``_int``), a float
+variable or an element given an int (not ``is_float``) holds it as a
+float32, and ``%`` truncates toward zero: as Python's ``%``, in parentheses,
+where its interval is known; through ``_mod`` otherwise, where a zero
+divisor is an InterpError.
 
 A ``ForLoop`` is counted, so it runs as one ``for v3 in range(...)`` line;
 as in C, its variable is never assigned, nor read after the loop.  The range
@@ -64,11 +72,17 @@ of the body for loop variable ``v`` is
 So a skipped iteration would have stored, copied, allocated and raised
 nothing.  On a grid larger than its data, an einsum kernel with two output
 indices runs over the data's cells only; one with a single index (a flat
-thread id) still visits every block, with no thread past the data.
+thread id) still visits every block, with no thread past the data.  A loop
+whose start's interval lies in ``[stop - step, stop - 1]`` (a literal stop)
+runs once, and prints as ``v3 = START`` with its body one level up.  Where
+the loops might run more than ``MAX_LOOP_ITERATIONS`` iterations in all, by
+their intervals and bounds, each prints as C runs it and charges its range's
+length to a budget as it starts; going over is an InterpError naming it.
 """
 
 import numbers
-from typing import Any, Mapping
+from math import prod
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -82,6 +96,7 @@ _f32 = np.float32
 _BINOPS = {"<": 0, "<=": 0, ">": 0, ">=": 0, "+": 1, "-": 1, "*": 2}  # binding strength; % is
 # atomic, a call or in parentheses
 _TRACK = "V{0}, N{0} = v{0}.values, v{0}.size"  # the elements and size of pointer slot {0}
+MAX_LOOP_ITERATIONS = 2**24  # the budget on the iterations of a program's loops, all entries
 
 
 class InterpError(Exception):
@@ -147,27 +162,21 @@ def _copy(name: str, dst: Buffer, src: Buffer, nbytes: Any) -> None:
 class _Walk:
     """What printing one program needs beyond the node at hand."""
 
-    def __init__(self, program: SecondStageProgram, args: list):
-        self.kinds, _, assigned = declarations(program)
+    def __init__(self, program: SecondStageProgram, args: list, charged: bool = False):
+        self.kinds, _, self.assigned = declarations(program)
         self.slots = {name: k for k, name in enumerate(self.kinds)}
         self.fixed_params = {name for name, kind in program.params  # int, and never assigned
-                             if kind == "int" and name not in assigned}
+                             if kind == "int" and name not in self.assigned}
         self.result = "return (" + "".join(f"v{k}, " for k, (_, kind) in enumerate(program.params)
                                            if kind != "float*") + ")"  # the scalars
         self.constants: dict[str, Any] = {}
-        self.ranges: dict[str, tuple[int, int]] = {}  # loop variables' intervals, where known
-        stmts = list(iter_stmts(program.body))
-        # the elements of the one buffer a variable holds: a parameter's input, a literal allocation
+        self.ranges: dict[str, tuple[int, int]] = {}  # int variables' intervals, where known
+        # the elements of the one buffer a variable holds: a parameter's, a literal allocation's
         self.sizes = {name: arg.size for (name, kind), arg in zip(program.params, args)
-                      if kind == "float*" and name not in assigned}
-        self.sizes.update((s.name, s.init.args[0].value // _ELEM_BYTES) for s in stmts
-                          if type(s) is Declare and type(s.init) is RuntimeCallExpr
-                          and type(s.init.args[0]) is IntLit and s.name not in assigned)
-        # one name to a buffer: then a pointer parameter that no copy writes into never holds None
-        one_name = all(self.kinds[name] != "float*" for name in assigned) and not any(
-            type(s) is Declare and s.kind == "float*" and type(s.init) is VarRef for s in stmts)
-        self.whole = {name for name, kind in program.params if kind == "float*" and one_name} - {
-            s.args[0].name for s in stmts if type(s) is RuntimeCall and len(s.args) == 3}
+                      if kind == "float*" and name not in self.assigned}
+        self.filled = {name for name, kind in program.params if kind == "float*"}  # hold no None
+        self.one_name, self.charged = True, charged  # no buffer has two names; ``_b`` is charged
+        self.runs, self.iterations = {}, 0  # at most: each loop's iterations per entry, all's
 
     def stored(self, name: str | None, expr: Expr, src: str) -> str:
         """The source ``src`` of ``expr`` as variable ``name``, or an element where None, holds
@@ -215,6 +224,42 @@ class _Walk:
             _stmt_src(stmt, depth, out, self, loops)
         if len(out) == printed:  # a block may print nothing
             out.append("    " * depth + "pass")
+
+    def top(self, stmt: Stmt, out: list[str]) -> None:
+        """Print the top-level ``stmt``, and keep the filled buffers (see the module docstring)."""
+        inner = list(iter_stmts([stmt]))
+        held = [s.init if type(s) is Declare else s.value for s in inner
+                if type(s) in (Declare, Assign)]
+        if any(type(v) is VarRef and self.kinds[v.name] == "float*" for v in held):
+            self.one_name, self.filled = False, set()  # a buffer may have two names from here on
+        copies = [s.args for s in inner if type(s) is RuntimeCall and len(s.args) == 3]
+        emptied: set[str] = set()  # copied into from an unfilled buffer
+        while new := {d.name for d, s, _ in copies if type(d) is VarRef and d.name not in emptied
+                      and (type(s) is not VarRef or s.name in emptied or s.name not in self.filled)}:
+            emptied |= new
+        self.filled -= emptied
+        _stmt_src(stmt, 1, out, self, frozenset())
+        if self.one_name:
+            self.filled = self.filled.union(self.whole(stmt)) - emptied
+
+    def whole(self, stmt: Stmt, nest: tuple[tuple[str, int], ...] = ()) -> Iterator[str]:
+        """The buffers of known size that the top-level ``stmt`` writes whole, in ``nest``: a copy
+        from a filled buffer, or a store in a nest of loops from 0 by 1 (``stop`` trims none)."""
+        match stmt:
+            case RuntimeCall(_, (VarRef(dst), VarRef(src), IntLit(n))) if (
+                    src in self.filled and n == self.sizes.get(dst, 0) * _ELEM_BYTES):
+                yield dst
+            case ForLoop(var, IntLit(0), IntLit(bound), IntLit(1), body) if bound > 0:
+                for inner in body:
+                    yield from self.whole(inner, nest + ((var, bound),))
+            case Assign(ArrayIndex(VarRef(name), index)) if nest and self.sizes.get(name) == prod(
+                    bound for _, bound in nest):  # so every stride below fits C's int
+                flat, stride = VarRef(nest[-1][0]), nest[-1][1]
+                for var, bound in nest[-2::-1]:  # row-major: v0 * s0 + (v1 * s1 + ... + vn)
+                    flat = Binary("+", Binary("*", VarRef(var), IntLit(stride)), flat)
+                    stride *= bound
+                if index == flat:
+                    yield name
 
 
 def _safe(expr: Expr, names: set[str]) -> bool:
@@ -266,8 +311,8 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
     if kind is ArrayIndex:  # of a float* variable
         k = w.slots[expr.base.name]
         i, bind = _index_src(expr, w, "_i")
-        if bind is None:  # proven: no bounds test, and no None test where the buffer holds none
-            return (f"V{k}[{i}]" if expr.base.name in w.whole
+        if bind is None:  # proven: no bounds test, and no None test where the buffer is filled
+            return (f"V{k}[{i}]" if expr.base.name in w.filled
                     else f"(_v if (_v := V{k}[{i}]) is not None else _at(v{k}, {i}))")
         return f"(_v if 0 <= {bind} < N{k} and (_v := V{k}[{i}]) is not None else _at(v{k}, {i}))"
     if kind is FloatLit:
@@ -301,20 +346,37 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk, loops: frozenset
         name, value = (stmt.target.name, stmt.value) if kind is Assign else (stmt.name, stmt.init)
         value_src = w.stored(name, value, _expr_src(value, w, name if kind is Declare else None))
         out.append(f"{pad}v{w.slots[name]} = {value_src}")
+        if kind is Declare and name not in w.assigned:  # a literal allocation's size, an interval
+            if type(value) is RuntimeCallExpr and type(value.args[0]) is IntLit:
+                w.sizes[name] = value.args[0].value // _ELEM_BYTES
+            elif w.kinds[name] == "int" and (r := _interval(value, w)) is not None:
+                w.ranges[name] = r
         if w.kinds[name] == "float*":
             out.append(pad + _TRACK.format(w.slots[name]))
     elif kind is ForLoop:
-        var = stmt.var
+        var, k, bound, step = stmt.var, w.slots[stmt.var], stmt.bound.value, stmt.step.value
         start_src = w.stored(var, stmt.start, _expr_src(stmt.start, w))
+        stop = bound if w.charged else w.stop(stmt, loops)  # a charged loop runs as in C
         if (start := _interval(stmt.start, w)) is not None:  # never assigned; a step of at least 1
-            w.ranges[var] = start[0], stmt.bound.value - 1
-        stop = w.stop(stmt, loops)
-        if isinstance(stop, str):  # computed once, before the loop; it cannot raise
-            out.append(f"{pad}_t = {stop}")
-            stop = "_t"
-        step = "" if stmt.step.value == 1 else f", {stmt.step.value}"
-        out.append(f"{pad}for v{w.slots[var]} in range({start_src}, {stop}{step}):")
-        w.block(stmt.body, depth + 1, out, loops | {var})
+            w.ranges[var] = start[0], (stop if type(stop) is int else bound) - 1
+        w.runs[var] = max(0, -(-(bound - start[0]) // step)) if start else MAX_LOOP_ITERATIONS + 1
+        w.iterations += prod(w.runs[u] for u in loops | {var})
+        if (start and type(stop) is int and stop - step <= start[0] and start[1] < stop
+                and not w.charged):  # it runs once
+            out.append(f"{pad}v{k} = {start_src}")
+            w.block(stmt.body, depth, out, loops | {var})
+        else:
+            if isinstance(stop, str):  # computed once, before the loop; it cannot raise
+                out.append(f"{pad}_t = {stop}")
+                stop = "_t"
+            loop_range = f"range({start_src}, {stop}{'' if step == 1 else f', {step}'})"
+            if w.charged:  # its length, from the budget, before it starts
+                out.append(f"{pad}_b -= len(_r := {loop_range})")
+                out.append(f"{pad}if _b < 0: raise InterpError('loop over {var} runs past the"
+                           f" budget of {MAX_LOOP_ITERATIONS} iterations')")
+                loop_range = "_r"
+            out.append(f"{pad}for v{k} in {loop_range}:")
+            w.block(stmt.body, depth + 1, out, loops | {var})
     elif kind is IfElse:
         out.append(f"{pad}if {_expr_src(stmt.cond, w, cond=True)}:")
         w.block(stmt.then_body, depth + 1, out, loops)
@@ -352,11 +414,15 @@ def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) ->
             raise InterpError(f"parameter {name!r} needs {need}, got {value!r}")
         else:
             args.append(int(value) if kind == "int" else np.float32(value))
-    w = _Walk(program, args)
-    # the function's lines, from the locals of each pointer parameter
-    body = ["    " + _TRACK.format(k) for k, (_, kind) in enumerate(program.params)
-            if kind == "float*"]
-    w.block(program.body, 1, body, frozenset())
+    for charged in (False, True):  # charge the loops only where they might pass the budget
+        w = _Walk(program, args, charged)
+        # the function's lines, from the locals of each pointer parameter
+        body = ["    " + _TRACK.format(k) for k, (_, kind) in enumerate(program.params)
+                if kind == "float*"] + [f"    _b = {MAX_LOOP_ITERATIONS}"] * charged
+        for stmt in program.body:
+            w.top(stmt, body)
+        if w.iterations <= MAX_LOOP_ITERATIONS:
+            break
     params = [f"v{k}" for k in range(len(args))] + [f"{c}={c}" for c in w.constants]
     source = "\n".join([f"def _program({', '.join(params)}):", *body, f"    {w.result}"])
     namespace = dict(w.constants)

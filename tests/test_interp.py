@@ -1,4 +1,5 @@
 import re
+import signal
 import sys
 import warnings
 from collections import Counter
@@ -551,16 +552,60 @@ class TestErrors:
         ctx.assign(buf[0], total)
         assert interpret_program(ctx.finish(), {"arg0": [0.0]})["arg0"][0] == 500.0
 
+        def nest(bound):
+            ctx = ctx_named()
+            buf = ctx.parameter("float*")
+
+            def level(depth):
+                innermost = lambda i: ctx.assign(buf[0], 1.0)
+                ctx.for_loop(0, bound, 1, (lambda i: level(depth - 1)) if depth > 1 else innermost)
+
+            level(21)
+            return ctx.finish()
+
+        with pytest.raises(InterpError, match="nested too deeply: too many statically nested"):
+            interpret_program(nest(2), {"arg0": [0.0]})
+        # a loop that runs once prints as a binding, so 21 of them nest no block
+        assert interpret_program(nest(1), {"arg0": [0.0]})["arg0"][0] == 1.0
+
+    def test_loop_over_all_of_cs_int_ends_at_the_budget(self):
+        # 2**32 iterations, which the interpreter would take hours over
         ctx = ctx_named()
         buf = ctx.parameter("float*")
+        ctx.for_loop(-2**31, 2**31 - 1, 1, lambda i: ctx.assign(buf[0], 1.0))
+        program = ctx.finish()
 
-        def nest(depth):
-            innermost = lambda i: ctx.assign(buf[0], 1.0)
-            ctx.for_loop(0, 1, 1, (lambda i: nest(depth - 1)) if depth > 1 else innermost)
+        def alarm(signum, frame):
+            raise TimeoutError("the loop still ran after 5 s")
 
-        nest(21)
-        with pytest.raises(InterpError, match="nested too deeply: too many statically nested"):
-            interpret_program(ctx.finish(), {"arg0": [0.0]})
+        previous = signal.signal(signal.SIGALRM, alarm)
+        signal.alarm(5)
+        try:
+            with pytest.raises(InterpError, match=r"^loop over var0 runs past the budget of"
+                                                  r" 16777216 iterations$"):
+                interpret_program(program, {"arg0": [0.0]})
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("start, outcome", [
+        (0, ("ok", 10.0)),  # exactly the budget
+        (-1, ("error", "loop over var0 runs past the budget of 10 iterations")),
+    ])
+    def test_loop_of_exactly_the_budget_finishes(self, monkeypatch, start, outcome):
+        monkeypatch.setattr(interp, "MAX_LOOP_ITERATIONS", 10)
+        for literal in (True, False):  # a literal start bounds the loop, so it prints no charge
+            ctx = ctx_named()
+            buf, n = ctx.parameter("float*"), ctx.parameter("int")
+            ctx.for_loop(start if literal else n, 10, 1,
+                         lambda i: ctx.assign(buf[0], buf[0] + 1.0))
+            source, got = _source_and_outcome(monkeypatch, ctx.finish(),
+                                              {"arg0": [0.0], "arg1": start})
+            assert ("_b -= len(" in source) == (not literal or start < 0)
+            if outcome[0] == "ok":
+                assert got[0] == "ok" and got[1][0][2] == np.float32([outcome[1]]).tobytes()
+            else:
+                assert got == ("error", "InterpError", outcome[1])
 
     def test_missing_input(self):
         prog = SecondStageProgram("p", (("data", "float*"),), [])
@@ -671,6 +716,26 @@ class TestGridStyleExecution:
                       if f"for {slot} in range(" in text)
         assert runs[header, header + 1] == cells
 
+    def test_loop_that_runs_once_prints_as_a_binding(self, monkeypatch):
+        # v takes 0 and 1: the loop from v to 2 by 5 runs once for each, and the loop from v to 1
+        # once for v = 0 but never for v = 1, so it stays a loop
+        ctx = ctx_named()
+        buf, out = ctx.parameter("float*"), ctx.parameter("float*")
+
+        def body(v):
+            ctx.assign(out[v], 1.0)  # so the range over v is not shortened
+            ctx.for_loop(v, 1, 5, lambda i: ctx.assign(buf[0], buf[0] + 1.0))
+            ctx.for_loop(v, 2, 5, lambda i: ctx.assign(buf[1], buf[1] + 1.0))
+
+        ctx.for_loop(0, 2, 1, body)
+        source, outcome = _source_and_outcome(monkeypatch, ctx.finish(),
+                                              {"arg0": [0.0, 0.0], "arg1": [0.0, 0.0]})
+        assert outcome[1][0] == ("arg0", "float32", np.float32([1, 2]).tobytes())
+        assert "for v3 in range(v2, 1, 5):" in source and "\n        v4 = v2\n" in source
+        # the matmul kernel on the default grid: one cell per thread, shortened to the data
+        kernel = compiled_source(monkeypatch, "matmul-prophecy-4x4x4")
+        assert "v15 = v13\n            v16 = v14\n" in kernel and "for v15" not in kernel
+
     def test_offset_from_a_parameter_the_loop_assigns(self):
         # each v lowers n by 10 before int d = n + v, so the loop from d still runs for
         # v = 2 and v = 3 (d = -8, -7), though 2 - n, taken before the loop, is 2
@@ -726,7 +791,15 @@ def _read_in_loops(ctx, buf, out, n, case):
         ctx.for_loop(0, 2, 1, lambda b: ctx.for_loop(b, 4, 40, store))
     elif case == "start at an int parameter":
         ctx.for_loop(n, 4, 1, store)
-    else:  # v * 65536 * 65536 would leave C's int for v = 1; the range stops before it
+    elif case == "declared int":
+        store(ctx.declare("int", 3))
+    elif case == "declared int assigned after":
+        d = ctx.declare("int", 3)
+        ctx.assign(d, 4)
+        store(d)
+    elif case == "intermediate product leaving C's int":  # v * 65536 * 65536 does for v = 1
+        ctx.for_loop(0, 2, 1, lambda v: ctx.for_loop(v, 2, 1, lambda i: store(v * 65536 * 65536 % 4)))
+    else:  # the range stops where v = 1 would do nothing, and so before the product leaves C's int
         ctx.for_loop(0, 2, 1, lambda v: ctx.for_loop(v, 1, 1, lambda i: store(v * 65536 * 65536 % 4)))
 
 
@@ -737,7 +810,97 @@ BOUNDARY_READS = {
     "range(0, N + 1)": (False, ("error", "InterpError", "index 4 out of bounds for arg0 of size 4")),
     "start at an enclosing loop variable": (True, ("ok",)),
     "start at an int parameter": (False, ("ok",)),
+    "declared int": (True, ("ok",)),
+    "declared int assigned after": (False, ("error", "InterpError",
+                                            "index 4 out of bounds for arg0 of size 4")),
     "intermediate product leaving C's int": (False, ("ok",)),
+    "intermediate product past a literal stop": (True, ("ok",)),
+}
+
+
+def _allocated(ctx):
+    return ctx.declare("float*", ctx.runtime_expr("runtime::malloc", 16))  # 4 elements
+
+
+def _nest(ctx, buf, src, bound=4):
+    ctx.for_loop(0, bound, 1, lambda i: ctx.assign(buf[i], src[i]))
+
+
+def _nest_2d(ctx, buf, src):
+    ctx.for_loop(0, 2, 1, lambda i: ctx.for_loop(0, 2, 1, lambda j: ctx.assign(
+        buf[i * 2 + j], src[i * 2 + j])))
+
+
+def _copied_from_filled(ctx, src, nbytes=16):
+    buf = _allocated(ctx)
+    _nest(ctx, buf, src)
+    copy = _allocated(ctx)
+    ctx.runtime("runtime::memcpy", copy, buf, nbytes)
+    return copy
+
+
+def _under_if(ctx, src, flag):
+    buf = _allocated(ctx)
+    ctx.if_else(flag, lambda: _nest(ctx, buf, src))
+    return buf
+
+
+def _store_under_if(ctx, src):
+    buf = _allocated(ctx)
+    ctx.for_loop(0, 4, 1, lambda i: ctx.if_else(i < 3, lambda: ctx.assign(buf[i], src[i])))
+    return buf
+
+
+def _strided(ctx, src):
+    buf = _allocated(ctx)
+    ctx.for_loop(0, 4, 2, lambda i: [ctx.assign(buf[i + k], src[i + k]) for k in (0, 1)])
+    return buf
+
+
+def _trimmed(ctx, src):  # the grid-stride shape: stops at 4, and stores every element
+    buf = _allocated(ctx)
+    ctx.for_loop(0, 8, 1, lambda b: ctx.for_loop(b, 4, 8, lambda i: ctx.assign(buf[i], src[i])))
+    return buf
+
+
+def _refilled_from_part(ctx, src):  # its first two elements from a buffer that holds one
+    buf, part = _allocated(ctx), _allocated(ctx)
+    _nest(ctx, buf, src)
+    ctx.assign(part[1], 5.0)
+    ctx.runtime("runtime::memcpy", buf, part, 8)
+    return buf
+
+
+def _emptied_through_an_alias(ctx, src):
+    buf = _allocated(ctx)
+    _nest(ctx, buf, src)
+    alias = ctx.declare("float*", buf)
+    ctx.runtime("runtime::memcpy", alias, _allocated(ctx), 8)
+    return buf
+
+
+# Buffers written, and then read at an element, in top-level statements: each recording gives the
+# buffer it reads, the index it reads at, whether the read is bare (no None test) and the outcome
+# both interpreters give.
+FILLS = {
+    "nest": (lambda ctx, src, flag: _nest(ctx, b := _allocated(ctx), src) or b, 3, True, "ok"),
+    "row-major nest": (lambda ctx, src, flag: _nest_2d(ctx, b := _allocated(ctx), src) or b, 3,
+                       True, "ok"),
+    "copy from a filled buffer": (lambda ctx, src, flag: _copied_from_filled(ctx, src), 3, True,
+                                  "ok"),
+    "copy of half from a filled buffer": (lambda ctx, src, flag: _copied_from_filled(ctx, src, 8),
+                                         3, False, "uninitialized read at var2[3]"),
+    "nest one element short": (lambda ctx, src, flag: _nest(ctx, b := _allocated(ctx), src, 3)
+                               or b, 3, False, "uninitialized read at var0[3]"),
+    "fill under if": (_under_if, 0, False, "uninitialized read at var0[0]"),
+    "store under if in the nest": (lambda ctx, src, flag: _store_under_if(ctx, src), 3, False,
+                                   "uninitialized read at var0[3]"),
+    "strided nest": (lambda ctx, src, flag: _strided(ctx, src), 3, False, "ok"),
+    "trimmed nest": (lambda ctx, src, flag: _trimmed(ctx, src), 3, False, "ok"),
+    "copy from a partly written buffer": (lambda ctx, src, flag: _refilled_from_part(ctx, src), 0,
+                                          False, "uninitialized read at var0[0]"),
+    "alias": (lambda ctx, src, flag: _emptied_through_an_alias(ctx, src), 0, False,
+              "uninitialized read at var0[0]"),
 }
 
 
@@ -764,6 +927,34 @@ class TestInlineAccess:
         assert outcome[0] == "ok"
         assert len(re.findall(r"V0\[\(\(v\d+ \+ v\d+\) % 24\)\]", source)) == 2
         assert "_at(v0" not in source and "_at(v1" not in source
+
+    @pytest.mark.parametrize("case", sorted(FILLS))
+    def test_read_of_a_filled_buffer_is_bare(self, monkeypatch, case):
+        ctx = ctx_named()
+        src, out, flag = ctx.parameter("float*"), ctx.parameter("float*"), ctx.parameter("int")
+        record, index, bare, outcome = FILLS[case]
+        ctx.assign(out[0], record(ctx, src, flag)[index])
+        inputs = {"arg0": [1.0, 2.0, 3.0, 4.0], "arg1": [0.0], "arg2": 0}
+        source, got = _source_and_outcome(monkeypatch, ctx.finish(), inputs)
+        assert got[0] == "ok" if outcome == "ok" else got == ("error", "InterpError", outcome)
+        read = source.splitlines()[-2]  # the last statement, out[0] = buf[index], proven in bounds
+        assert read.startswith("    V1[0] = ") and "< N" not in read
+        assert ("_at(" not in read) == bare
+
+    @pytest.mark.parametrize("case, reads", [
+        ("matmul-prophecy-4x4x4", ["V4[v15 * 4 + v18]", "V6[v18 * 4 + v16]"]),  # the kernel's
+        ("conv-relu-flag0", ["if V5[v9] < _c1:", "if V5[v10] < _c3:"]),  # the ReLU tests
+        # copy_all's inputs, copied into after they are read, from buffers they filled
+        ("matmul-copy_all-5x3x6-grid2x3", ["= V0[v12 * 3 + v13]", "= V1[v14 * 6 + v15]"]),
+    ])
+    def test_pinned_builds_read_filled_buffers_bare(self, monkeypatch, case, reads):
+        build, make_inputs = INTERPRETED[case]
+        source, outcome = _source_and_outcome(monkeypatch, build()[0],
+                                              make_inputs(np.random.default_rng(0)))
+        assert outcome[0] == "ok"
+        for read in reads:
+            slot = re.search(r"V(\d+)\[", read)[1]
+            assert read in source and f"_at(v{slot}," not in source
 
     @pytest.mark.parametrize("alias", ["declared", "assigned"])
     def test_parameter_copied_into_through_an_alias_keeps_its_none_test(self, monkeypatch, alias):

@@ -23,7 +23,9 @@ an InterpError (C's copy of 18 bytes into a 16-byte buffer writes past it).  An
 access evaluates its index before it reads its base, as the generated
 source does.  Its loop builds the ``var < bound`` test and the ``var = var +
 step`` update from the ``ForLoop`` fields and runs them as a ``while``
-loop.  It is the reference the generated-source interpreter must agree
+loop, after it charges the loop's length (its ``range``) to a budget of
+``interp.MAX_LOOP_ITERATIONS`` iterations, kept after the variables, going
+over which is an InterpError.  It is the reference the generated-source interpreter must agree
 with.  Random programs are recorded through the public ``StageContext``
 API, so they have the recorder's shapes, and cover nested counted loops
 with literal, staged, float and float-parameter starts (some of them
@@ -40,11 +42,16 @@ an ``int`` given a pointer, a ``float*`` given an int, an int indexed, a
 float index and an int copied.  ``random_program`` returns the error of
 such a draw in place of the program, and the differential tests compare
 the programs that build.  A second test draws programs of kernel nests
-only, and a third checks that few programs are refused and no fewer end
-``ok`` than before the generator scoped its variables.  A fourth compares
-seeds 0-299 of both kinds on every run, so that an access printed without
-its bounds test that can fail is caught without hypothesis's luck, and
-checks that many printed sources hold such an access.  The pinned builds
+only, and a third programs whose top-level statements mostly write a
+buffer whole, as the interpreter's fill rule sees it, or fall just short
+of that (``_Gen.fill``), each then read at a literal index.  A fourth
+checks that few programs are refused and no fewer end ``ok`` than before
+the generator scoped its variables.  A fifth compares seeds 0-299 of all
+three kinds on every run, so that an access printed without its bounds
+test, or a read without its ``None`` test, that can fail is caught
+without hypothesis's luck, and checks that many printed sources hold
+such an access and such a read.  A sixth compares seeds 0-99 under loop
+budgets small enough that many programs go over them.  The pinned builds
 with a small grid (matmul and matvec in all three strategies, conv/ReLU
 24 x 5 with both flags) are compared too, as are the programs that take a
 comparison as an int (``C_COMPARISONS`` in ``tests/test_interp.py``); the
@@ -256,6 +263,10 @@ def _compile_stmt(stmt: Stmt, slots: dict[str, int], kinds: dict[str, str]) -> C
 
             def loop(env):
                 env[slot] = _to_int(init_fn(env), var)
+                env[-1] -= len(range(env[slot], bound.value, by.value))  # the loop budget
+                if env[-1] < 0:
+                    raise InterpError(f"loop over {var} runs past the budget of"
+                                      f" {interp.MAX_LOOP_ITERATIONS} iterations")
                 while cond_fn(env):
                     for fn in body_fns:
                         fn(env)
@@ -303,7 +314,7 @@ def reference_interpret(
     kinds = _var_kinds(program)
     slots = {name: k for k, name in enumerate(kinds)}
     body = [_compile_stmt(s, slots, kinds) for s in program.body]
-    env: list[Any] = [None] * len(slots)
+    env: list[Any] = [None] * len(slots) + [interp.MAX_LOOP_ITERATIONS]  # and what is left of it
     callers: dict[str, Buffer] = {}  # what C's caller keeps, whatever the parameter points to
     for name, kind in program.params:
         if name not in inputs:
@@ -522,13 +533,59 @@ class _Gen:
             ctx.assign(self.buffers[0][0], flat[-1])
 
 
-def random_recording(seed: int, kernels: bool = False):
-    """A random program's recorder and inputs; with ``kernels``, one to three kernel nests only."""
+    def fill(self) -> None:
+        """A top-level statement that may write a buffer whole, as the interpreter's fill rule
+        sees it, or fall just short of that, then a read of the buffer at a literal index: a
+        nest of loops from 0 by 1 that stores at the row-major index of its variables (some
+        a bound short, strided, under an ``if`` or storing under one), or a copy of a buffer's
+        size or of half of it, into a buffer allocated here now and then."""
+        rng, ctx = self.rng, self.ctx
+        dims = rng.choice([(4,), (2, 2), (4, 2), (2, 3)])
+        size = math.prod(dims)
+        if rng.random() < 0.6:
+            buf = ctx.declare("float*", ctx.runtime_expr("runtime::malloc", 4 * size))
+            self.buffers.append(buf)
+        else:
+            buf = rng.choice(self.buffers)
+        shape = rng.choice(["nest", "nest", "short", "strided", "if", "store under if", "copy"])
+        if shape == "copy":
+            ctx.runtime("runtime::memcpy", buf, rng.choice(self.buffers), rng.choice([2, 4]) * size)
+        else:
+            value = lambda: rng.choice([0.5, -1.25, 3.0]) if rng.random() < 0.7 else self.float_expr()
+            store = lambda index: ctx.assign(buf[index], value())
+            if shape == "store under if":
+                store = lambda index, plain=store: ctx.if_else(self.cond(), lambda: plain(index))
+
+            def nest(variables: list) -> None:
+                depth = len(variables)
+                if depth == len(dims):  # as einsum's flat_index: v0 * s0 + (v1 * s1 + ... + vn)
+                    index = variables[-1]
+                    for d in range(depth - 2, -1, -1):
+                        index = variables[d] * math.prod(dims[d + 1:]) + index
+                    store(index)
+                    return
+                bound = dims[depth] - (shape == "short" and depth == len(dims) - 1)
+                step = 2 if shape == "strided" and depth == 0 else 1
+                ctx.for_loop(0, bound, step, lambda v: nest(variables + [v]))
+
+            if shape == "if":
+                ctx.if_else(self.cond(), lambda: nest([]))
+            else:
+                nest([])
+        ctx.assign(self.buffers[0][rng.randint(0, 3)], buf[rng.randint(0, size - 1)])
+
+
+def random_recording(seed: int, kernels: bool = False, fills: bool = False):
+    """A random program's recorder and inputs; with ``kernels``, one to three kernel nests only,
+    and with ``fills``, top-level statements of which more than half are ``_Gen.fill``."""
     rng = random.Random(seed)
     gen = _Gen(rng)
     if kernels:
         for _ in range(rng.randint(1, 3)):
             gen.kernel(0)
+    elif fills:
+        for _ in range(rng.randint(2, 8)):
+            gen.fill() if rng.random() < 0.6 else gen.statement(0)
     else:
         gen.block(0, rng.randint(1, 12))
     inputs = {
@@ -541,10 +598,10 @@ def random_recording(seed: int, kernels: bool = False):
     return gen.ctx, inputs
 
 
-def random_program(seed: int, kernels: bool = False):
+def random_program(seed: int, kernels: bool = False, fills: bool = False):
     """A random program and inputs, or in place of a program C's types refuse, the ValueError
     building it gives."""
-    ctx, inputs = random_recording(seed, kernels)
+    ctx, inputs = random_recording(seed, kernels, fills)
     try:
         return ctx.finish(), inputs
     except ValueError as exc:
@@ -587,6 +644,16 @@ def test_generated_kernels_match_reference(seed):
         )
 
 
+@given(st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_generated_fills_match_reference(seed):
+    program, inputs = random_program(seed, fills=True)
+    if isinstance(program, SecondStageProgram):
+        assert _outcome(interpret_program, program, inputs) == _outcome(
+            reference_interpret, program, inputs
+        )
+
+
 # Programs of seeds 0-299 that ended ok before the generator scoped its variables to their
 # blocks (on seeds 0-1999: 481 and 1079; with block scope, 525 and 1091).
 _OK_FLOOR = {"general": 68, "kernels": 161}
@@ -602,9 +669,22 @@ def test_generator_mostly_runs_to_the_end(mode):
     assert sum(o[0] == "ok" for o in outcomes) >= _OK_FLOOR[mode]
 
 
-# Programs of seeds 0-299 that build (236 general, 269 kernels) and whose printed source holds an
-# access with no bounds test.
-_PROVEN_FLOOR = {"general": 160, "kernels": 173}
+# Programs of seeds 0-299 that build (236 general, 269 kernels, 274 fills) and whose printed
+# source holds an access with no bounds test.
+_PROVEN_FLOOR = {"general": 164, "kernels": 177, "fills": 271}
+# Of those, the programs whose source reads an allocated buffer with no None test.  The general
+# and kernel programs read none so: their copies take a random byte count and their stores a
+# random index, so no allocation is filled.
+_FILLED_FLOOR = {"general": 0, "kernels": 0, "fills": 125}
+
+
+def _reads_allocated_bare(source: str) -> bool:
+    allocated = set(re.findall(r"v(\d+) = _alloc\(", source))
+    for line in source.splitlines():
+        value = line.split(" = ", 1)[1] if re.match(r"\s*V\d+\[", line) else line  # a store's
+        if allocated & set(re.findall(r"(?<!:= )V(\d+)\[", value)):  # not ``(_v := Vk[``
+            return True
+    return False
 
 
 @pytest.mark.parametrize("mode", sorted(_PROVEN_FLOOR))
@@ -612,16 +692,39 @@ def test_seeded_programs_match_reference(monkeypatch, mode):
     sources = []
     monkeypatch.setattr(interp, "compile", lambda source, *args: sources.append(source)
                         or compile(source, *args), raising=False)
-    proven = 0
+    proven = filled = 0
     for seed in range(300):
-        program, inputs = random_program(seed, kernels=mode == "kernels")
+        program, inputs = random_program(seed, kernels=mode == "kernels", fills=mode == "fills")
         if isinstance(program, SecondStageProgram):
             outcome = _outcome(interpret_program, program, inputs)
             assert outcome == _outcome(reference_interpret, program, inputs), seed
             # each access prints one ``Vk[``, and a checked one a bounds test, ``< Nk``
             counts = [len(re.findall(pattern, sources[-1])) for pattern in (r"V\d+\[", r"< N\d+")]
             proven += counts[0] > counts[1]
+            filled += _reads_allocated_bare(sources[-1])
     assert proven >= _PROVEN_FLOOR[mode]
+    assert filled >= _FILLED_FLOOR[mode]
+
+
+# Programs of seeds 0-99 that go over a budget of 5, 60 or 1000 loop iterations, counted once a
+# budget: 14 general, 99 kernels, 52 fills.
+_OVER_BUDGET_FLOOR = {"general": 14, "kernels": 99, "fills": 52}
+
+
+@pytest.mark.parametrize("mode", sorted(_OVER_BUDGET_FLOOR))
+def test_loop_budget_matches_reference(monkeypatch, mode):
+    # budgets small enough that many programs go over them, where both interpreters must charge
+    # every loop alike, the interpreter as C runs it
+    passed = 0
+    for budget in (5, 60, 1000):
+        monkeypatch.setattr(interp, "MAX_LOOP_ITERATIONS", budget)
+        for seed in range(100):
+            program, inputs = random_program(seed, kernels=mode == "kernels", fills=mode == "fills")
+            if isinstance(program, SecondStageProgram):
+                outcome = _outcome(interpret_program, program, inputs)
+                assert outcome == _outcome(reference_interpret, program, inputs), (budget, seed)
+                passed += "runs past the budget" in str(outcome)
+    assert passed >= _OVER_BUDGET_FLOOR[mode]
 
 
 @pytest.mark.parametrize("seed, kernels", [(50, False), (0, True)])
