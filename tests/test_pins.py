@@ -290,17 +290,17 @@ def test_interpreted_outputs_pinned(case):
 # (`if`, conditional expression, `and`/`or`, `for`) of the source it prints for each program.
 # A change that moves these re-pins them in a commit of its own, as for emitted C.
 COMPILED_NODES = {
-    "conv-relu-flag0": (32, 12),
-    "conv-relu-flag1": (32, 12),
-    "matmul-copy_all-4x4x4": (52, 16),
-    "matmul-copy_all-5x3x6-grid2x3": (52, 16),
-    "matmul-prophecy-4x4x4": (37, 14),
-    "matmul-prophecy-5x3x6-grid2x3": (37, 14),
-    "matmul-unified-4x4x4": (28, 14),
-    "matmul-unified-5x3x6-grid2x3": (28, 14),
-    "matvec-copy_all-7x5-grid3x2": (53, 15),
-    "matvec-prophecy-7x5-grid3x2": (38, 13),
-    "matvec-unified-7x5-grid3x2": (29, 13),
+    "conv-relu-flag0": (32, 10),
+    "conv-relu-flag1": (32, 10),
+    "matmul-copy_all-4x4x4": (52, 10),
+    "matmul-copy_all-5x3x6-grid2x3": (52, 12),
+    "matmul-prophecy-4x4x4": (37, 10),
+    "matmul-prophecy-5x3x6-grid2x3": (37, 12),
+    "matmul-unified-4x4x4": (28, 10),
+    "matmul-unified-5x3x6-grid2x3": (28, 12),
+    "matvec-copy_all-7x5-grid3x2": (51, 9),
+    "matvec-prophecy-7x5-grid3x2": (36, 9),
+    "matvec-unified-7x5-grid3x2": (27, 9),
 }
 
 
