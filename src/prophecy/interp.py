@@ -35,13 +35,14 @@ size is known if nothing assigns the variable, a pointer parameter or one
 declared from a literal allocation; the index cannot raise, so C's order
 holds.  A proven read of a *filled* buffer, which holds no ``None``, is bare
 (``V3[i]``).  Until a top-level statement gives a ``float*`` variable
-another's buffer (then none is, from there on), a pointer parameter is
-filled on entry, and a buffer of known size once a top-level statement
-writes it whole: copies its size from a filled buffer, or stores at the
-row-major index (``flat_index``'s) of a nest of loops from 0 by 1 to bounds
-``>= 1`` that multiply to its size, each, and the store or copy, at the top
-level of the one before.  A top-level statement that copies into a buffer
-from an unfilled one (or one that it empties so) empties it, from its start.
+another's buffer (then none is, from there on), a pointer parameter that
+nothing assigns is filled on entry, and a buffer of known size once a
+top-level statement writes it whole: copies its size from a filled buffer,
+or stores at the row-major index (``flat_index``'s) of a nest of loops from
+0 by 1 to bounds ``>= 1`` that multiply to its size, each, and the store or
+copy, at the top level of the one before.  A top-level statement that copies
+into a buffer from an unfilled one (or one that it empties so) empties it,
+from its start: where it was printed as filled, the statement prints again.
 An interval ``(lo, hi)`` is known for an int literal; a loop variable whose
 start has one (the start's ``lo`` to the stop less 1, or the bound where the
 stop is computed: nothing assigns it and its step is at least 1); an ``int``
@@ -81,8 +82,7 @@ length to a budget as it starts; going over is an InterpError naming it.
 """
 
 import numbers
-from math import prod
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -174,9 +174,10 @@ class _Walk:
         # the elements of the one buffer a variable holds: a parameter's, a literal allocation's
         self.sizes = {name: arg.size for (name, kind), arg in zip(program.params, args)
                       if kind == "float*" and name not in self.assigned}
-        self.filled = {name for name, kind in program.params if kind == "float*"}  # hold no None
+        self.filled = set(self.sizes)  # hold no None: the parameters, which nothing assigns
         self.one_name, self.charged = True, charged  # no buffer has two names; ``_b`` is charged
-        self.runs, self.iterations = {}, 0  # at most: each loop's iterations per entry, all's
+        self.copies, self.aliased = [], False  # in the top-level statement being printed
+        self.reach, self.iterations = 1, 0  # at most: the enclosing loops' iterations, all's
 
     def stored(self, name: str | None, expr: Expr, src: str) -> str:
         """The source ``src`` of ``expr`` as variable ``name``, or an element where None, holds
@@ -226,40 +227,52 @@ class _Walk:
             out.append("    " * depth + "pass")
 
     def top(self, stmt: Stmt, out: list[str]) -> None:
-        """Print the top-level ``stmt``, and keep the filled buffers (see the module docstring)."""
-        inner = list(iter_stmts([stmt]))
-        held = [s.init if type(s) is Declare else s.value for s in inner
-                if type(s) in (Declare, Assign)]
-        if any(type(v) is VarRef and self.kinds[v.name] == "float*" for v in held):
-            self.one_name, self.filled = False, set()  # a buffer may have two names from here on
-        copies = [s.args for s in inner if type(s) is RuntimeCall and len(s.args) == 3]
-        emptied: set[str] = set()  # copied into from an unfilled buffer
-        while new := {d.name for d, s, _ in copies if type(d) is VarRef and d.name not in emptied
-                      and (type(s) is not VarRef or s.name in emptied or s.name not in self.filled)}:
-            emptied |= new
-        self.filled -= emptied
+        """Print the top-level ``stmt`` and keep the filled buffers (see the module docstring)."""
+        before, printed, iterations = self.filled, len(out), self.iterations
+        self.copies, self.aliased = [], False  # as ``_stmt_src`` prints them
         _stmt_src(stmt, 1, out, self, frozenset())
-        if self.one_name:
-            self.filled = self.filled.union(self.whole(stmt)) - emptied
+        emptied: set[str] = set()  # copied into from an unfilled buffer, or from one so emptied
+        for _ in self.copies:  # each pass follows the copies one step further
+            emptied = {d.name for d, s, _ in self.copies if type(d) is VarRef and (
+                type(s) is not VarRef or s.name not in before or s.name in emptied)}
+        self.one_name &= not self.aliased  # else a buffer may have two names from here on
+        if before and (self.aliased or not emptied.isdisjoint(before)):
+            self.filled, self.iterations = before - emptied if self.one_name else set(), iterations
+            del out[printed:]  # printed as if they held no None: print it again
+            _stmt_src(stmt, 1, out, self, frozenset())
+        if self.one_name and type(stmt) in (ForLoop, RuntimeCall):
+            self.whole(stmt, (), 1, written := set())
+            if written:
+                self.filled = self.filled.union(written) - emptied
 
-    def whole(self, stmt: Stmt, nest: tuple[tuple[str, int], ...] = ()) -> Iterator[str]:
-        """The buffers of known size that the top-level ``stmt`` writes whole, in ``nest``: a copy
-        from a filled buffer, or a store in a nest of loops from 0 by 1 (``stop`` trims none)."""
-        match stmt:
-            case RuntimeCall(_, (VarRef(dst), VarRef(src), IntLit(n))) if (
-                    src in self.filled and n == self.sizes.get(dst, 0) * _ELEM_BYTES):
-                yield dst
-            case ForLoop(var, IntLit(0), IntLit(bound), IntLit(1), body) if bound > 0:
-                for inner in body:
-                    yield from self.whole(inner, nest + ((var, bound),))
-            case Assign(ArrayIndex(VarRef(name), index)) if nest and self.sizes.get(name) == prod(
-                    bound for _, bound in nest):  # so every stride below fits C's int
-                flat, stride = VarRef(nest[-1][0]), nest[-1][1]
-                for var, bound in nest[-2::-1]:  # row-major: v0 * s0 + (v1 * s1 + ... + vn)
-                    flat = Binary("+", Binary("*", VarRef(var), IntLit(stride)), flat)
-                    stride *= bound
-                if index == flat:
-                    yield name
+    def whole(self, stmt: Stmt, nest: tuple[tuple[str, int], ...], count: int,
+              written: set[str]) -> None:
+        """Add to ``written`` the buffers that the top-level ``stmt`` writes whole, inside ``nest``,
+        loops of ``count`` iterations in all (so ``stop`` trims none of them)."""
+        kind = type(stmt)
+        if kind is RuntimeCall and len(stmt.args) == 3:
+            dst, src, n = stmt.args
+            if (type(dst) is type(src) is VarRef and type(n) is IntLit and src.name in self.filled
+                    and n.value == self.sizes.get(dst.name, 0) * _ELEM_BYTES):
+                written.add(dst.name)
+        elif kind is ForLoop:
+            start, bound = stmt.start, stmt.bound.value
+            if type(start) is IntLit and start.value == 0 and stmt.step.value == 1 and bound > 0:
+                for inner in stmt.body:
+                    self.whole(inner, nest + ((stmt.var, bound),), count * bound, written)
+        elif (kind is Assign and nest and type(target := stmt.target) is ArrayIndex
+              and self.sizes.get(target.base.name) == count):
+            index = target.index
+            for var, bound in nest[:-1]:  # v0 * s0 + (v1 * s1 + ... + vn), as ``flat_index``
+                count //= bound  # the stride of ``var``
+                match index:
+                    case Binary("+", Binary("*", VarRef(v), IntLit(s)), rest) if (
+                            (v, s) == (var, count)):
+                        index = rest
+                    case _:
+                        return
+            if type(index) is VarRef and index.name == nest[-1][0]:
+                written.add(target.base.name)
 
 
 def _safe(expr: Expr, names: set[str]) -> bool:
@@ -353,14 +366,16 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk, loops: frozenset
                 w.ranges[name] = r
         if w.kinds[name] == "float*":
             out.append(pad + _TRACK.format(w.slots[name]))
+            w.aliased |= type(value) is VarRef  # then the buffer has two names
     elif kind is ForLoop:
         var, k, bound, step = stmt.var, w.slots[stmt.var], stmt.bound.value, stmt.step.value
         start_src = w.stored(var, stmt.start, _expr_src(stmt.start, w))
         stop = bound if w.charged else w.stop(stmt, loops)  # a charged loop runs as in C
         if (start := _interval(stmt.start, w)) is not None:  # never assigned; a step of at least 1
             w.ranges[var] = start[0], (stop if type(stop) is int else bound) - 1
-        w.runs[var] = max(0, -(-(bound - start[0]) // step)) if start else MAX_LOOP_ITERATIONS + 1
-        w.iterations += prod(w.runs[u] for u in loops | {var})
+        reach = w.reach  # how often the loop is entered, at most; then its body
+        w.reach *= max(0, -(-(bound - start[0]) // step)) if start else MAX_LOOP_ITERATIONS + 1
+        w.iterations += w.reach
         if (start and type(stop) is int and stop - step <= start[0] and start[1] < stop
                 and not w.charged):  # it runs once
             out.append(f"{pad}v{k} = {start_src}")
@@ -377,6 +392,7 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk, loops: frozenset
                 loop_range = "_r"
             out.append(f"{pad}for v{k} in {loop_range}:")
             w.block(stmt.body, depth + 1, out, loops | {var})
+        w.reach = reach
     elif kind is IfElse:
         out.append(f"{pad}if {_expr_src(stmt.cond, w, cond=True)}:")
         w.block(stmt.then_body, depth + 1, out, loops)
@@ -386,6 +402,7 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk, loops: frozenset
     elif len(stmt.args) == 3:  # a copy; grid_sync does nothing
         arg_src = ", ".join(_expr_src(a, w) for a in stmt.args)
         out.append(f"{pad}_copy({stmt.name!r}, {arg_src})")
+        w.copies.append(stmt.args)
 
 
 def interpret_program(program: SecondStageProgram, inputs: Mapping[str, Any]) -> dict[str, Any]:

@@ -798,7 +798,8 @@ def _read_in_loops(ctx, buf, out, n, case):
         ctx.assign(d, 4)
         store(d)
     elif case == "intermediate product leaving C's int":  # v * 65536 * 65536 does for v = 1
-        ctx.for_loop(0, 2, 1, lambda v: ctx.for_loop(v, 2, 1, lambda i: store(v * 65536 * 65536 % 4)))
+        ctx.for_loop(0, 2, 1, lambda v: ctx.for_loop(v, 2, 1,
+                                                     lambda i: store(v * 65536 * 65536 % 4)))
     else:  # the range stops where v = 1 would do nothing, and so before the product leaves C's int
         ctx.for_loop(0, 2, 1, lambda v: ctx.for_loop(v, 1, 1, lambda i: store(v * 65536 * 65536 % 4)))
 
@@ -871,6 +872,13 @@ def _refilled_from_part(ctx, src):  # its first two elements from a buffer that 
     return buf
 
 
+def _copied_from_a_reassigned_parameter(ctx, src):
+    buf = _allocated(ctx)
+    ctx.assign(src, ctx.runtime_expr("runtime::malloc", 16))  # no longer the caller's buffer
+    ctx.runtime("runtime::memcpy", buf, src, 16)
+    return buf
+
+
 def _emptied_through_an_alias(ctx, src):
     buf = _allocated(ctx)
     _nest(ctx, buf, src)
@@ -901,6 +909,8 @@ FILLS = {
                                           False, "uninitialized read at var0[0]"),
     "alias": (lambda ctx, src, flag: _emptied_through_an_alias(ctx, src), 0, False,
               "uninitialized read at var0[0]"),
+    "copy from a reassigned parameter": (lambda ctx, src, flag: _copied_from_a_reassigned_parameter(
+        ctx, src), 0, False, "uninitialized read at var0[0]"),
 }
 
 

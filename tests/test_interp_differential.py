@@ -551,7 +551,8 @@ class _Gen:
         if shape == "copy":
             ctx.runtime("runtime::memcpy", buf, rng.choice(self.buffers), rng.choice([2, 4]) * size)
         else:
-            value = lambda: rng.choice([0.5, -1.25, 3.0]) if rng.random() < 0.7 else self.float_expr()
+            value = lambda: (rng.choice([0.5, -1.25, 3.0]) if rng.random() < 0.7
+                             else self.float_expr())
             store = lambda index: ctx.assign(buf[index], value())
             if shape == "store under if":
                 store = lambda index, plain=store: ctx.if_else(self.cond(), lambda: plain(index))
