@@ -823,94 +823,91 @@ def _allocated(ctx):
     return ctx.declare("float*", ctx.runtime_expr("runtime::malloc", 16))  # 4 elements
 
 
-def _nest(ctx, buf, src, bound=4):
+def _store_each(ctx, buf, src, bound=4):
     ctx.for_loop(0, bound, 1, lambda i: ctx.assign(buf[i], src[i]))
 
 
-def _nest_2d(ctx, buf, src):
+def _nest(ctx, src, flag, bound=4):
+    _store_each(ctx, buf := _allocated(ctx), src, bound)
+    return buf
+
+
+def _row_major_nest(ctx, src, flag):
+    buf = _allocated(ctx)
     ctx.for_loop(0, 2, 1, lambda i: ctx.for_loop(0, 2, 1, lambda j: ctx.assign(
         buf[i * 2 + j], src[i * 2 + j])))
+    return buf
 
 
-def _copied_from_filled(ctx, src, nbytes=16):
-    buf = _allocated(ctx)
-    _nest(ctx, buf, src)
-    copy = _allocated(ctx)
-    ctx.runtime("runtime::memcpy", copy, buf, nbytes)
+def _copied_from_filled(ctx, src, flag, nbytes=16):
+    buf = _nest(ctx, src, flag)
+    ctx.runtime("runtime::memcpy", copy := _allocated(ctx), buf, nbytes)
     return copy
 
 
 def _under_if(ctx, src, flag):
     buf = _allocated(ctx)
-    ctx.if_else(flag, lambda: _nest(ctx, buf, src))
+    ctx.if_else(flag, lambda: _store_each(ctx, buf, src))
     return buf
 
 
-def _store_under_if(ctx, src):
+def _store_under_if(ctx, src, flag):
     buf = _allocated(ctx)
     ctx.for_loop(0, 4, 1, lambda i: ctx.if_else(i < 3, lambda: ctx.assign(buf[i], src[i])))
     return buf
 
 
-def _strided(ctx, src):
+def _strided(ctx, src, flag):  # stores every element, two an iteration
     buf = _allocated(ctx)
     ctx.for_loop(0, 4, 2, lambda i: [ctx.assign(buf[i + k], src[i + k]) for k in (0, 1)])
     return buf
 
 
-def _trimmed(ctx, src):  # the grid-stride shape: stops at 4, and stores every element
+def _trimmed(ctx, src, flag):  # the grid-stride shape: stops at 4, and stores every element
     buf = _allocated(ctx)
     ctx.for_loop(0, 8, 1, lambda b: ctx.for_loop(b, 4, 8, lambda i: ctx.assign(buf[i], src[i])))
     return buf
 
 
-def _refilled_from_part(ctx, src):  # its first two elements from a buffer that holds one
-    buf, part = _allocated(ctx), _allocated(ctx)
-    _nest(ctx, buf, src)
+def _refilled_from_part(ctx, src, flag):  # its first two elements from a buffer that holds one
+    buf, part = _nest(ctx, src, flag), _allocated(ctx)
     ctx.assign(part[1], 5.0)
     ctx.runtime("runtime::memcpy", buf, part, 8)
     return buf
 
 
-def _copied_from_a_reassigned_parameter(ctx, src):
+def _copied_from_a_reassigned_parameter(ctx, src, flag):
     buf = _allocated(ctx)
     ctx.assign(src, ctx.runtime_expr("runtime::malloc", 16))  # no longer the caller's buffer
     ctx.runtime("runtime::memcpy", buf, src, 16)
     return buf
 
 
-def _emptied_through_an_alias(ctx, src):
-    buf = _allocated(ctx)
-    _nest(ctx, buf, src)
-    alias = ctx.declare("float*", buf)
-    ctx.runtime("runtime::memcpy", alias, _allocated(ctx), 8)
+def _emptied_through_an_alias(ctx, src, flag):
+    buf = _nest(ctx, src, flag)
+    ctx.runtime("runtime::memcpy", ctx.declare("float*", buf), _allocated(ctx), 8)
     return buf
 
 
-# Buffers written, and then read at an element, in top-level statements: each recording gives the
-# buffer it reads, the index it reads at, whether the read is bare (no None test) and the outcome
-# both interpreters give.
+# Buffers written in top-level statements, each recording giving the buffer it writes (from
+# arg0, into a new one but where it says otherwise), then read at an index: the index, whether the
+# read is bare (no None test) and the outcome both interpreters give.
 FILLS = {
-    "nest": (lambda ctx, src, flag: _nest(ctx, b := _allocated(ctx), src) or b, 3, True, "ok"),
-    "row-major nest": (lambda ctx, src, flag: _nest_2d(ctx, b := _allocated(ctx), src) or b, 3,
-                       True, "ok"),
-    "copy from a filled buffer": (lambda ctx, src, flag: _copied_from_filled(ctx, src), 3, True,
-                                  "ok"),
-    "copy of half from a filled buffer": (lambda ctx, src, flag: _copied_from_filled(ctx, src, 8),
-                                         3, False, "uninitialized read at var2[3]"),
-    "nest one element short": (lambda ctx, src, flag: _nest(ctx, b := _allocated(ctx), src, 3)
-                               or b, 3, False, "uninitialized read at var0[3]"),
+    "nest": (_nest, 3, True, "ok"),
+    "row-major nest": (_row_major_nest, 3, True, "ok"),
+    "copy from a filled buffer": (_copied_from_filled, 3, True, "ok"),
+    "copy of half from a filled buffer": (partial(_copied_from_filled, nbytes=8), 3, False,
+                                          "uninitialized read at var2[3]"),
+    "nest one element short": (partial(_nest, bound=3), 3, False, "uninitialized read at var0[3]"),
     "fill under if": (_under_if, 0, False, "uninitialized read at var0[0]"),
-    "store under if in the nest": (lambda ctx, src, flag: _store_under_if(ctx, src), 3, False,
-                                   "uninitialized read at var0[3]"),
-    "strided nest": (lambda ctx, src, flag: _strided(ctx, src), 3, False, "ok"),
-    "trimmed nest": (lambda ctx, src, flag: _trimmed(ctx, src), 3, False, "ok"),
-    "copy from a partly written buffer": (lambda ctx, src, flag: _refilled_from_part(ctx, src), 0,
-                                          False, "uninitialized read at var0[0]"),
-    "alias": (lambda ctx, src, flag: _emptied_through_an_alias(ctx, src), 0, False,
-              "uninitialized read at var0[0]"),
-    "copy from a reassigned parameter": (lambda ctx, src, flag: _copied_from_a_reassigned_parameter(
-        ctx, src), 0, False, "uninitialized read at var0[0]"),
+    "store under if in the nest": (_store_under_if, 3, False, "uninitialized read at var0[3]"),
+    "strided nest": (_strided, 3, False, "ok"),
+    "trimmed nest": (_trimmed, 3, False, "ok"),
+    "copy from a partly written buffer": (_refilled_from_part, 0, False,
+                                          "uninitialized read at var0[0]"),
+    "alias": (_emptied_through_an_alias, 0, False, "uninitialized read at var0[0]"),
+    "copy from a reassigned parameter": (_copied_from_a_reassigned_parameter, 0, False,
+                                         "uninitialized read at var0[0]"),
 }
 
 
