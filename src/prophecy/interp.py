@@ -89,7 +89,6 @@ import numpy as np
 from .second_stage import (
     _ELEM_BYTES, ArrayIndex, Assign, Binary, Declare, Expr, FloatLit, ForLoop, IfElse, IntLit,
     RuntimeCall, RuntimeCallExpr, SecondStageProgram, Stmt, VarRef, declarations, is_float,
-    iter_stmts,
 )
 
 _f32 = np.float32
