@@ -232,20 +232,39 @@ def _benchmark_inputs(args: argparse.Namespace, rng: np.random.Generator) -> lis
     ]
 
 
-def _print_stage_stats(args: argparse.Namespace, program, stats: StageStats) -> None:
-    print(f"dsl: {args.dsl}")
+_MOVEMENTS = ("device_allocations", "copied_to_device", "copied_to_host")
+
+
+def _stage_report(args: argparse.Namespace, program, stats: StageStats) -> dict[str, Any]:
+    """The stats, one record per merge in order, and (einsum only) the movement summary."""
+    report: dict[str, Any] = {"dsl": args.dsl}
     if args.dsl.startswith("einsum"):
-        print(f"strategy: {program.meta['strategy']}")
-    print(f"runs: {stats.runs}")
-    print(f"merges: {stats.merges}")
-    print(f"derivation: runs = merges + 1 = {stats.merges} + 1 = {stats.merges + 1}")
-    for event in stats.merge_log:
-        print(f"  run {event.run}: {event.name} {event.old_value} -> {event.new_value}")
+        report["strategy"] = program.meta["strategy"]
+    report["runs"], report["merges"] = stats.runs, stats.merges
+    report["merge_log"] = [
+        {"run": e.run, "cell_id": e.cell_id, "name": e.name, "old": e.old_value,
+         "new": e.new_value, "required": e.required}
+        for e in stats.merge_log
+    ]
     if args.dsl.startswith("einsum"):
         moves = movement_summary(program)
-        print(f"device_allocations: {sorted(moves.device_allocations)}")
-        print(f"copied_to_device: {sorted(moves.copied_to_device)}")
-        print(f"copied_to_host: {sorted(moves.copied_to_host)}")
+        for key in _MOVEMENTS:
+            report[key] = sorted(getattr(moves, key))
+    return report
+
+
+def _print_stage_stats(report: dict[str, Any]) -> None:
+    print(f"dsl: {report['dsl']}")
+    if "strategy" in report:
+        print(f"strategy: {report['strategy']}")
+    print(f"runs: {report['runs']}")
+    print(f"merges: {report['merges']}")
+    print(f"derivation: runs = merges + 1 = {report['merges']} + 1 = {report['merges'] + 1}")
+    for event in report["merge_log"]:
+        print(f"  run {event['run']}: {event['name']} {event['old']} -> {event['new']}")
+    for key in _MOVEMENTS:
+        if key in report:
+            print(f"{key}: {report[key]}")
 
 
 def cmd_stage(args: argparse.Namespace) -> int:
@@ -262,6 +281,9 @@ def cmd_stage(args: argparse.Namespace) -> int:
     except (EinsumError, NnError, StagingError) as exc:
         print(f"staging error: {exc}", file=sys.stderr)
         return 1
+    report = _stage_report(args, program, stats)
+    # the text lines as they come; with --format json, only the one object at the end
+    say = print if args.format == "text" else lambda *_, **__: None
     emitted = emit_c(program)
     if args.emit:
         try:
@@ -270,26 +292,32 @@ def cmd_stage(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        print(f"emitted: {args.emit}")
-    if args.stats:
-        _print_stage_stats(args, program, stats)
+        say(f"emitted: {args.emit}")
+        report["emitted"] = args.emit
+    if args.stats and args.format == "text":
+        _print_stage_stats(report)
     if not (args.emit or args.stats or args.run_interp or args.diff_strategies):
-        print(emitted, end="")
+        say(emitted, end="")
+        report["c"] = emitted
 
     failed = False
     try:
         if args.run_interp:
+            report["checksums"] = []
             rng = np.random.default_rng(args.seed)
             for case, inputs in enumerate(_benchmark_inputs(args, rng)):
                 outputs = interpret_program(program, inputs)
                 for name in sorted(outputs):
                     if isinstance(outputs[name], np.ndarray):
-                        print(f"checksum[case {case}][{name}]: {_checksum(outputs[name])}")
+                        checksum = _checksum(outputs[name])
+                        say(f"checksum[case {case}][{name}]: {checksum}")
+                        report["checksums"].append({"case": case, "name": name, "checksum": checksum})
 
         if args.diff_strategies:
             rng = np.random.default_rng(args.seed)
             input_sets = _benchmark_inputs(args, rng)
             baselines: list[dict] | None = None
+            differences = []  # [strategy flag, output name], one per output that differs
             for flag_name, strategy_name in _STRATEGY_FLAGS.items():
                 variant, _ = _build_benchmark(args, strategy_name)
                 outputs = [interpret_program(variant, inputs) for inputs in input_sets]
@@ -299,14 +327,21 @@ def cmd_stage(args: argparse.Namespace) -> int:
                     for base, got in zip(baselines, outputs):
                         for name in base:
                             if not np.array_equal(base[name], got[name]):  # arrays and scalars
-                                print(f"diff-strategies: FAIL ({flag_name} differs at {name})")
-                                failed = True
+                                say(f"diff-strategies: FAIL ({flag_name} differs at {name})")
+                                differences.append([flag_name, name])
+            failed = bool(differences)
             if not failed:
-                print("diff-strategies: pass (outputs bit-identical across strategies)")
+                say("diff-strategies: pass (outputs bit-identical across strategies)")
+            report["diff_strategies"] = {"passed": not failed, "differences": differences}
     except InterpError as exc:
         print(f"interpreter error: {exc}", file=sys.stderr)
         return 1
 
+    if args.format == "json":
+        for event in report["merge_log"]:  # each value as the repr the merge log pins
+            for key in ("old", "new", "required"):
+                event[key] = repr(event[key])
+        print(json.dumps(report, indent=2, sort_keys=True))
     return 1 if failed else 0
 
 
@@ -369,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="assert bit-identical interpreted outputs across all strategies",
     )
     stage.add_argument("--seed", type=non_negative_int, default=0)
+    stage.add_argument("--format", choices=["text", "json"], default="text")
     stage.set_defaults(func=cmd_stage)
     return parser
 

@@ -21,6 +21,10 @@ parser rejects a literal above 2**63 - 1 and an execution an initial value
 outside that range.  A ``Num`` holds such an int (never a bool) and a
 ``BoolLit`` a bool; any other value is a ValueError when the node is
 built.  All values here are immutable after construction and safe to share.
+Every node, and each ``StepObligations``, is a frozen dataclass with slots
+and no ``__dict__``, as ``second_stage``'s expressions are: its
+``__init__`` (``_node.frozen_node``) writes each field through its slot,
+past the frozen ``__setattr__``, then runs the class's field check.
 
 The parser builds the commonest lines whole (a label, then ``skip``,
 ``halt``, ``done``, ``goto L``, ``x := a``, ``x := a op b`` or
@@ -71,6 +75,8 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress
 from typing import Callable, Iterator, Mapping, Union
+
+from ._node import frozen_node
 
 Label = str
 # an initial state as ``label_path`` keys its record: (name, value) pairs sorted by name
@@ -129,7 +135,7 @@ class UnknownLabelError(CoreLangError):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Num:
     value: int
 
@@ -138,12 +144,12 @@ class Num:
             raise ValueError(f"integer literal is not a 64-bit integer: {self.value!r}")
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@frozen_node
 class ABin:
     op: str  # one of + - *
     left: "AExp"
@@ -153,7 +159,7 @@ class ABin:
 AExp = Union[Num, Var, ABin]
 
 
-@dataclass(frozen=True)
+@frozen_node
 class BoolLit:
     value: bool
 
@@ -162,19 +168,19 @@ class BoolLit:
             raise ValueError(f"boolean literal is not a bool: {self.value!r}")
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Cmp:
     op: str  # one of = <=
     left: AExp
     right: AExp
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Not:
     operand: "BExp"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class BBin:
     op: str  # and | or
     left: "BExp"
@@ -206,34 +212,34 @@ def expr_vars(expr: AExp | BExp) -> frozenset[str]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Skip:
     pass
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Assign:
     var: str
     expr: AExp
 
 
-@dataclass(frozen=True)
+@frozen_node
 class If:
     cond: BExp
     target: Label
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Goto:
     target: Label
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Halt:
     pass
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Done:
     pass
 
@@ -244,7 +250,7 @@ Command = Union[Skip, Assign, If, Goto, Halt, Done]
 VarSet = frozenset[str]
 
 
-@dataclass(frozen=True)
+@frozen_node
 class StepObligations:
     """Per-command obligations: what must be predicted, what may be dropped.
 

@@ -8,6 +8,12 @@ interp), and ``emit_c`` turns them into deterministic C-like text suitable
 for golden-file comparison.  ``iter_stmts`` is the one walk over every
 statement of a program in program order.
 
+Expressions are frozen dataclasses with slots, built as ``core_lang``'s
+nodes are (``_node.frozen_node``: each field written through its slot,
+then the field check), so one node may sit in many places of a program.
+Statements are mutable dataclasses with slots: the recorder appends to a
+loop's or a branch's block while its body runs.
+
 C's types are checked once, when a program is built: a node refuses what C
 refuses of it alone, and ``SecondStageProgram`` walks the program in the
 order the interpreter prints it (``_Types``: a value before its name enters
@@ -15,9 +21,10 @@ scope, a store's value before its index), so ``emit_c`` and the interpreter
 see only typed programs, made of nodes alone.  Every walk here, ``emit_c``'s
 too, dispatches on each node's exact type (``type(node) is C``), so a
 subclass of a node is no node.  A refusal is a ``ValueError`` naming the
-first fault.  The walk is stricter than C in three shapes: pointer
-arithmetic, an indexed allocation, and one name declared in two blocks (see
-README).
+first fault; a program nested deeper than the walk's recursion can follow
+(an expression about 1,000 deep) is one too, naming the nesting.  The walk
+is stricter than C in three shapes: pointer arithmetic, an indexed
+allocation, and one name declared in two blocks (see README).
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
+
+from ._node import frozen_node
 
 # Each call's argument count, and whether it yields a pointer (an allocation) or is a statement.
 RUNTIME_CALLS = {
@@ -67,7 +76,7 @@ def _check_kind(name: str, kind: str) -> None:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_node
 class IntLit:
     value: int
 
@@ -78,7 +87,7 @@ class IntLit:
             raise ValueError("integer literal is outside C's int")
 
 
-@dataclass(frozen=True)
+@frozen_node
 class FloatLit:
     value: float
 
@@ -90,12 +99,12 @@ class FloatLit:
             raise ValueError(f"float literal {self.value!r} {fault}")
 
 
-@dataclass(frozen=True)
+@frozen_node
 class VarRef:
     name: str
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Binary:
     op: str  # + - * % < <= > >=
     left: "Expr"
@@ -106,13 +115,13 @@ class Binary:
             raise ValueError(f"unknown binary operator {self.op!r}")
 
 
-@dataclass(frozen=True)
+@frozen_node
 class ArrayIndex:
     base: "Expr"
     index: "Expr"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class RuntimeCallExpr:
     name: str
     args: tuple["Expr", ...]
@@ -129,7 +138,7 @@ Expr = Union[IntLit, FloatLit, VarRef, Binary, ArrayIndex, RuntimeCallExpr]
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Declare:
     name: str
     kind: str  # int | float | float*
@@ -139,7 +148,7 @@ class Declare:
         _check_kind(self.name, self.kind)
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign:
     target: Expr  # VarRef or ArrayIndex
     value: Expr
@@ -149,7 +158,7 @@ class Assign:
             raise ValueError("assignment target must be a variable or array element")
 
 
-@dataclass
+@dataclass(slots=True)
 class ForLoop:
     """``for (int var = start; var < bound; var = var + step) { body }``."""
 
@@ -166,14 +175,14 @@ class ForLoop:
             raise ValueError(f"loop step must be an int literal of at least 1, got {self.step!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class IfElse:
     cond: Expr
     then_body: list["Stmt"]
     else_body: list["Stmt"] | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RuntimeCall:
     name: str
     args: tuple[Expr, ...]
@@ -205,7 +214,10 @@ class SecondStageProgram:
     def __post_init__(self) -> None:
         for param in self.params:
             _check_kind(*param)
-        _Types(self).block(self.body)
+        try:
+            _Types(self).block(self.body)
+        except RecursionError:  # caught once, here: the walk itself counts no depth
+            raise ValueError(f"program {self.name} is nested too deeply for the type walk") from None
 
 
 def is_float(expr: Expr, kinds: Mapping[str, str]) -> bool:

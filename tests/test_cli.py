@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from prophecy import cli
 from prophecy.cli import build_parser, cmd_stage, main
+from test_pins import MERGE_LOGS
 
 LOOP = """
 l0: x := 10
@@ -409,3 +411,76 @@ class TestStage:
         _, out_a, _ = run_cli(*base, "--seed", "0")
         _, out_b, _ = run_cli(*base, "--seed", "1")
         assert out_a != out_b
+
+
+class TestStageJson:
+    """``stage --format json`` prints one object: the stats, the merge records and what the same
+    flags print as text, each under its own key."""
+
+    # the CLI arguments of each pinned merge log that the CLI's flags can build
+    CASES = {
+        "matmul-prophecy": ("--dsl", "einsum-matmul", "--strategy", "prophecy"),
+        "matmul-copy_all": ("--dsl", "einsum-matmul", "--strategy", "copy-all"),
+        "matmul-unified": ("--dsl", "einsum-matmul", "--strategy", "unified"),
+        "matvec-prophecy": ("--dsl", "einsum-matvec", "--strategy", "prophecy"),
+        "matvec-copy_all": ("--dsl", "einsum-matvec", "--strategy", "copy-all"),
+        "matvec-unified": ("--dsl", "einsum-matvec", "--strategy", "unified"),
+        "conv-relu": ("--dsl", "nn-conv-relu"),
+    }
+    SMALL = ("--m", "4", "--n", "3", "--o", "5", "--max-bid", "2", "--max-tid", "4")
+
+    def test_covers_every_merge_log_the_cli_builds(self):
+        assert set(MERGE_LOGS) - set(self.CASES) == {"conv-relu-unfused"}  # no flag turns fusion off
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_merge_records_are_the_pinned_logs(self, case):
+        code, out, err = run_cli("stage", *self.CASES[case], "--stats", "--format", "json")
+        assert code == 0 and err == ""
+        report = json.loads(out)  # exactly one object, or this raises
+        rows = [[r["run"], r["cell_id"], r["name"], r["old"], r["new"], r["required"]]
+                for r in report["merge_log"]]
+        assert rows == MERGE_LOGS[case][1]
+        assert report["runs"] == report["merges"] + 1 == len(rows) + 1
+        if case.startswith("conv"):
+            assert "copied_to_device" not in report and "strategy" not in report
+        elif case.endswith("prophecy"):
+            assert (report["device_allocations"], report["copied_to_device"],
+                    report["copied_to_host"]) == (["x", "y", "z"], ["x", "y"], ["z"])
+
+    def test_the_stats_text_prints_the_same_records(self):
+        code, text, _ = run_cli("stage", "--dsl", "nn-conv-relu", "--stats")
+        report = json.loads(run_cli("stage", "--dsl", "nn-conv-relu", "--stats", "--format", "json")[1])
+        assert code == 0
+        assert text.splitlines()[4:] == [
+            "  run 1: is_next_relu[conv0] Unspecified -> T(2.0)",
+            "  run 2: is_next_relu[conv0] T(2.0) -> F",
+            "  run 3: is_next_relu[conv1] Unspecified -> T(1.56)",
+        ]
+        assert [r["new"] for r in report["merge_log"]] == ["T(2.0)", "F", "T(1.56)"]
+
+    def test_what_the_flags_print_as_text_joins_the_object(self, tmp_path):
+        target = tmp_path / "out.c"
+        args = ("stage", "--dsl", "einsum-matmul", *self.SMALL)
+        report = json.loads(run_cli(*args, "--format", "json")[1])
+        assert report["c"] == run_cli(*args)[1]
+        code, out, _ = run_cli(*args, "--run-interp", "--diff-strategies", "--emit", str(target),
+                               "--format", "json")
+        _, text, _ = run_cli(*args, "--run-interp", "--diff-strategies")
+        report = json.loads(out)
+        assert code == 0 and "c" not in report and report["emitted"] == str(target)
+        assert [f"checksum[case {r['case']}][{r['name']}]: {r['checksum']}"
+                for r in report["checksums"]] == text.splitlines()[:-1]
+        assert report["diff_strategies"] == {"passed": True, "differences": []}
+
+    def test_an_error_prints_no_object(self):
+        code, out, err = run_cli("stage", "--dsl", "nn-conv-relu", "--size", "2", "--filter-size", "9",
+                                 "--format", "json")
+        assert code == 1 and out == "" and err.startswith("staging error: ")
+
+    def test_the_bytes_are_pinned(self):
+        # under every hash seed: the movement summary's sets print as sorted lists
+        code, out, _ = run_cli("stage", "--dsl", "einsum-matmul", *self.SMALL, "--run-interp",
+                               "--diff-strategies", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6ab9ba78741d81a22c5969456565ca8d0868756c2d992f1f1e062dfbf4edd7f7")

@@ -850,3 +850,37 @@ void t(float* arg0) {
                 walk(stmt)
         assert calls == set(RUNTIME_CALLS)
         assert kinds == {*typing.get_args(second_stage.Expr), *typing.get_args(second_stage.Stmt)}
+
+
+class TestDeepNesting:
+    """A program nested deeper than the type walk can follow is refused with a ``ValueError``
+    naming the nesting, never a bare ``RecursionError``; one just short of that still builds,
+    emits and interprets."""
+
+    @staticmethod
+    def deep_sum(depth):
+        def generator(ctx):
+            param = value = ctx.parameter("int")
+            for _ in range(depth):
+                value = value + 1
+            ctx.assign(param, ctx.declare("int", value))
+
+        return generator
+
+    @pytest.mark.parametrize("depth", [1000, 5000])
+    def test_too_deep_is_refused_by_run_staged(self, depth):
+        with pytest.raises(ValueError, match="^program deep is nested too deeply for the type walk$"):
+            run_staged(self.deep_sum(depth), name="deep")
+
+    @pytest.mark.parametrize("depth", [1000, 5000])
+    def test_too_deep_is_refused_by_a_hand_built_program(self, depth):
+        value = second_stage.VarRef("arg0")
+        for _ in range(depth):
+            value = second_stage.Binary("+", value, second_stage.IntLit(1))
+        with pytest.raises(ValueError, match="^program deep is nested too deeply for the type walk$"):
+            SecondStageProgram("deep", (("arg0", "int"),), [second_stage.Declare("var0", "int", value)])
+
+    def test_just_short_of_it_builds_emits_and_interprets(self):
+        program, _ = run_staged(self.deep_sum(950), name="deep")
+        assert emit_c(program).count(" + 1") == 950
+        assert interpret_program(program, {"arg0": 3}) == {"arg0": 953}
