@@ -87,8 +87,9 @@ _INT64_SIGN = 1 << 63
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# parentheses and ``not`` nest at most this deep, well inside Python's recursion limit
-_MAX_NESTING = 50
+# parentheses and ``not`` nest at most this deep, and an expression holds at most this many
+# binary operators, so that every walk of its tree stays well inside Python's recursion limit
+_MAX_NESTING, _MAX_OPERATORS = 50, 100
 _KEYWORDS = frozenset(
     {"skip", "if", "then", "goto", "halt", "done", "true", "false", "not", "and", "or"}
 )
@@ -495,8 +496,7 @@ class _Parser:
         self.offset = offset  # column of text[0] within the original line
         self.tokens = _TOKEN_RE.findall(text)
         self.tokens.append("")
-        self.i = 0
-        self.depth = 0
+        self.i = self.depth = self.operators = 0
 
     def error(self, message: str, after_previous: bool = False) -> ParseError:
         return ParseError(message, self.line_no, self.offset + self.position(after_previous))
@@ -517,6 +517,16 @@ class _Parser:
             self.i += 1
             return token
         return None
+
+    def operator(self, token: str) -> bool:
+        """Take ``token`` if it is next, as one more binary operator, bounding their count."""
+        if self.tokens[self.i] != token:
+            return False
+        if self.operators >= _MAX_OPERATORS:
+            raise self.error(f"expression holds more than {_MAX_OPERATORS} binary operators")
+        self.operators += 1
+        self.i += 1
+        return True
 
     def nested(self, parse: Callable[[], "AExp | BExp"]) -> "AExp | BExp":
         """Parse one level of parentheses or ``not`` with ``parse``, bounding the depth."""
@@ -542,14 +552,13 @@ class _Parser:
     # arithmetic: term ((+|-) term)*, term: factor (* factor)*
     def aexp(self) -> AExp:
         node = self.aterm()
-        while (op := self.tokens[self.i]) == "+" or op == "-":
-            self.i += 1
-            node = ABin(op, node, self.aterm())
+        while self.operator("+") or self.operator("-"):
+            node = ABin(self.tokens[self.i - 1], node, self.aterm())
         return node
 
     def aterm(self) -> AExp:
         node = self.afactor()
-        while self.take("*"):
+        while self.operator("*"):
             node = ABin("*", node, self.afactor())
         return node
 
@@ -569,13 +578,13 @@ class _Parser:
     # boolean: bor := band ("or" band)*, band := bnot ("and" bnot)*
     def bexp(self) -> BExp:
         node = self.band()
-        while self.take("or"):
+        while self.operator("or"):
             node = BBin("or", node, self.band())
         return node
 
     def band(self) -> BExp:
         node = self.bnot()
-        while self.take("and"):
+        while self.operator("and"):
             node = BBin("and", node, self.bnot())
         return node
 
@@ -592,7 +601,7 @@ class _Parser:
         if self.tokens[self.i] == "(":
             # Could be a parenthesized boolean or the left side of a
             # comparison; try boolean first, fall back to comparison.
-            saved = self.i
+            saved = self.i, self.operators
             self.i += 1
             try:
                 inner = self.nested(self.bexp)
@@ -600,12 +609,10 @@ class _Parser:
                     return inner
             except ParseError:
                 pass
-            self.i = saved
+            self.i, self.operators = saved
         left = self.aexp()
-        op = self.tokens[self.i]
-        if op == "<=" or op == "=":
-            self.i += 1
-            return Cmp(op, left, self.aexp())
+        if self.operator("<=") or self.operator("="):
+            return Cmp(self.tokens[self.i - 1], left, self.aexp())
         raise self.error("expected '=' or '<=' in comparison")
 
 

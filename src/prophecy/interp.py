@@ -26,10 +26,10 @@ runs it.  Variables are locals named by slot (``v3``).
 A program is typed when it is built (see second_stage): only a ``float*``
 variable is indexed, it holds a buffer, and an index is an int, where a
 comparison is C's int, 0 or 1 (``int(...)``; an ``if`` tests it bare).  A
-pointer's elements and size stay in locals (``V3 N3``), set on entry and
-after each value it is given.  A checked access evaluates its index (bound
-to ``_i`` in a read, ``_s`` in a store, unless a variable or literal), then
-tests its bounds, and a store then its value.  A proven access drops the
+pointer's elements stay in one local list (``V3``), set on entry and after
+each value it is given.  A checked access evaluates its index (bound to ``_i``
+in a read, ``_s`` in a store, unless a variable or literal), then tests it
+against ``len(V3)``, and a store then its value.  A proven access drops the
 bounds test, as its index's interval (below) lies inside the buffer, whose
 size is known if nothing assigns the variable, a pointer parameter or one
 declared from a literal allocation; the index cannot raise, so C's order
@@ -37,12 +37,12 @@ holds.  A proven read of a *filled* buffer, which holds no ``None``, is bare
 (``V3[i]``).  Until a top-level statement gives a ``float*`` variable
 another's buffer (then none is, from there on), a pointer parameter that
 nothing assigns is filled on entry, and a buffer of known size once a
-top-level statement writes it whole: copies its size from a filled buffer,
-or stores at the row-major index (``flat_index``'s) of a nest of loops from
-0 by 1 to bounds ``>= 1`` that multiply to its size, each, and the store or
-copy, at the top level of the one before.  A top-level statement that copies
-into a buffer from an unfilled one (or one that it empties so) empties it,
-from its start: where it was printed as filled, the statement prints again.
+top-level statement writes it whole: copies its size from a filled buffer, or
+stores at the row-major index (``flat_index``'s) of a nest of loops from 0 by
+1 to bounds ``>= 1`` that multiply to its size, each, and the store or copy,
+at the top level of the one before.  A top-level statement that copies into a
+buffer from an unfilled one (or one that it empties so) empties it, from its
+start: where it was printed as filled, the statement prints again.
 An interval ``(lo, hi)`` is known for an int literal; a loop variable whose
 start has one (the start's ``lo`` to the stop less 1, or the bound where the
 stop is computed: nothing assigns it and its step is at least 1); an ``int``
@@ -94,7 +94,7 @@ from .second_stage import (
 _f32 = np.float32
 _BINOPS = {"<": 0, "<=": 0, ">": 0, ">=": 0, "+": 1, "-": 1, "*": 2}  # binding strength; % is
 # atomic, a call or in parentheses
-_TRACK = "V{0}, N{0} = v{0}.values, v{0}.size"  # the elements and size of pointer slot {0}
+_TRACK = "V{0} = v{0}.values"  # the elements of pointer slot {0}, as many as its size
 MAX_LOOP_ITERATIONS = 2**24  # the budget on the iterations of a program's loops, all entries
 
 
@@ -103,12 +103,11 @@ class InterpError(Exception):
 
 
 class Buffer:
-    __slots__ = ("values", "name", "size")
+    __slots__ = ("values", "name")
 
     def __init__(self, values: list, name: str):
-        self.values = values  # np.float32 scalars, None where nothing wrote
+        self.values = values  # np.float32 scalars, None where nothing wrote; as many as its size
         self.name = name
-        self.size = len(values)
 
 
 def _alloc(name: str, nbytes: Any) -> Buffer:
@@ -135,8 +134,8 @@ def _mod(a: Any, b: Any) -> Any:
 
 
 def _in_bounds(buf: Buffer, i: int) -> None:
-    if i < 0 or i >= buf.size:
-        raise InterpError(f"index {i} out of bounds for {buf.name} of size {buf.size}")
+    if not 0 <= i < len(buf.values):
+        raise InterpError(f"index {i} out of bounds for {buf.name} of size {len(buf.values)}")
 
 
 def _at(buf: Buffer, i: int) -> Any:
@@ -152,9 +151,9 @@ def _copy(name: str, dst: Buffer, src: Buffer, nbytes: Any) -> None:
         raise InterpError(f"{name}: copying {nbytes} bytes, a negative size")
     if part:
         raise InterpError(f"{name}: copying {nbytes} bytes, not a whole number of elements")
-    if count > dst.size or count > src.size:
+    if count > len(dst.values) or count > len(src.values):
         raise InterpError(f"{name}: copying {count} elements between {src.name}"
-                          f" ({src.size}) and {dst.name} ({dst.size})")
+                          f" ({len(src.values)}) and {dst.name} ({len(dst.values)})")
     dst.values[:count] = src.values[:count]
 
 
@@ -171,7 +170,7 @@ class _Walk:
         self.constants: dict[str, Any] = {}
         self.ranges: dict[str, tuple[int, int]] = {}  # int variables' intervals, where known
         # the elements of the one buffer a variable holds: a parameter's, a literal allocation's
-        self.sizes = {name: arg.size for (name, kind), arg in zip(program.params, args)
+        self.sizes = {name: len(arg.values) for (name, kind), arg in zip(program.params, args)
                       if kind == "float*" and name not in self.assigned}
         self.filled = set(self.sizes)  # hold no None: the parameters, which nothing assigns
         self.one_name, self.charged = True, charged  # no buffer has two names; ``_b`` is charged
@@ -326,7 +325,7 @@ def _expr_src(expr: Expr, w: _Walk, alloc_name: str | None = None, prec: int = 0
         if bind is None:  # proven: no bounds test, and no None test where the buffer is filled
             return (f"V{k}[{i}]" if expr.base.name in w.filled
                     else f"(_v if (_v := V{k}[{i}]) is not None else _at(v{k}, {i}))")
-        return f"(_v if 0 <= {bind} < N{k} and (_v := V{k}[{i}]) is not None else _at(v{k}, {i}))"
+        return f"(_v if 0 <= {bind} < len(V{k}) and (_v := V{k}[{i}]) is not None else _at(v{k}, {i}))"
     if kind is FloatLit:
         name = f"_c{len(w.constants)}"
         w.constants[name] = np.float32(expr.value)
@@ -352,7 +351,7 @@ def _stmt_src(stmt: Stmt, depth: int, out: list[str], w: _Walk, loops: frozenset
         k = w.slots[target.base.name]
         i, bind = _index_src(target, w, "_s")
         if bind is not None:  # else proven, and the index cannot raise, so C's order holds
-            out.append(f"{pad}if not 0 <= {bind} < N{k}: _in_bounds(v{k}, {i})")
+            out.append(f"{pad}if not 0 <= {bind} < len(V{k}): _in_bounds(v{k}, {i})")
         out.append(f"{pad}V{k}[{i}] = {value_src}")
     elif kind is Assign or kind is Declare:  # a declared allocation takes the variable's name
         name, value = (stmt.target.name, stmt.value) if kind is Assign else (stmt.name, stmt.init)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prophecy import cli
+from prophecy import cli, core_lang
 from prophecy.cli import build_parser, cmd_stage, main
 from test_pins import MERGE_LOGS
 
@@ -149,6 +149,17 @@ class TestAnalyze:
         code, _, err = run_cli("analyze", str(path))
         assert code == 2
         assert "parse error" in err
+
+    @pytest.mark.parametrize("flags", [["--init", "x=1"], ["--mode", "all-paths", "--check"]])
+    def test_long_operator_chain_is_a_parse_error(self, tmp_path, flags):
+        # 1,200 terms, one past the bound by far: never a RecursionError out of the analysis
+        path = tmp_path / "chain.prog"
+        path.write_text("l0: y := x" + " + 1" * 1199 + "\nl1: done")
+        code, out, err = run_cli("analyze", str(path), *flags)
+        bound = core_lang._MAX_OPERATORS
+        column = len("l0: y := x" + " + 1" * bound) + 2  # the operator past the bound
+        assert (code, out) == (2, "")
+        assert err == f"parse error: 1:{column}: expression holds more than {bound} binary operators\n"
 
     def test_missing_file_exit_2(self):
         code, _, err = run_cli("analyze", "/nonexistent/x.prog")

@@ -1,12 +1,15 @@
+import copy
 import dataclasses
 import pickle
 import random
 import re
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prophecy import core_lang
 from prophecy.core_lang import (
     AT_DONE,
     ABin,
@@ -37,8 +40,8 @@ from prophecy.core_lang import (
     parse_program,
     run_trace,
 )
-from prophecy.engine import analyze_concrete, live_variables_oracle
-from prophecy.extended import check_progress
+from prophecy.engine import analyze_all_paths_with_stats, analyze_concrete, live_variables_oracle
+from prophecy.extended import check_preservation, check_progress
 from randprog import random_program
 from test_differential import (
     Configuration,
@@ -164,6 +167,48 @@ class _SubAssign(Assign):
 
 class _SubVar(Var):
     pass
+
+
+def _chain(op: str, operators: int) -> str:
+    """A program whose one expression holds ``operators`` binary operators, each ``op`` but
+    the comparison a chain of ``and`` or ``or`` starts from."""
+    if op in ("and", "or"):
+        return f"l0: if x = x{f' {op} true' * (operators - 1)} then l1\nl1: done"
+    return f"l0: y := x{f' {op} 1' * operators}\nl1: done"
+
+
+# every operator, and the deepest tree the bounds allow: 49 ``not`` and 1 pair of parentheses
+# nest 50 deep around a sum of the operators left after its comparison
+_CHAINS = {op: partial(_chain, op) for op in ("+", "-", "*", "and", "or")} | {
+    "not": lambda operators: "l0: if " + "not " * 49 + f"(x{' + 1' * (operators - 1)} = 0)"
+                             " then l1\nl1: done",
+}
+
+
+class TestExpressionBound:
+    """An expression holds at most ``_MAX_OPERATORS`` binary operators, few enough for every
+    recursive walk of its tree, from inside a test, beside the parentheses and ``not`` bound."""
+
+    @pytest.mark.parametrize("shape", sorted(_CHAINS))
+    def test_every_use_works_at_the_bound(self, shape):
+        assert core_lang._MAX_OPERATORS >= 50  # no lower than the bound on parentheses
+        text = _CHAINS[shape](core_lang._MAX_OPERATORS)
+        program, again = parse_program(text), parse_program(text)
+        results, _ = analyze_concrete(program, {"x": 1})
+        assert check_progress(program, results, {"x": 1}).passed
+        assert check_preservation(program, results, {"x": 1}).passed
+        assert analyze_all_paths_with_stats(program)[0] == live_variables_oracle(program)
+        assert again == program and hash(again) == hash(program) and repr(again) == repr(program)
+        assert pickle.loads(pickle.dumps(program)) == program == copy.deepcopy(program)
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "and", "or"])
+    def test_one_operator_past_the_bound_is_refused_at_it(self, op):
+        text = _chain(op, core_lang._MAX_OPERATORS + 1)
+        last = text.rindex(f" {op} ") + 2  # the column of the last operator
+        with pytest.raises(ParseError) as excinfo:
+            parse_program(text)
+        assert str(excinfo.value) == (
+            f"1:{last}: expression holds more than {core_lang._MAX_OPERATORS} binary operators")
 
 
 def _reads(expr) -> frozenset:

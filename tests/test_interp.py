@@ -923,9 +923,9 @@ class TestInlineAccess:
         source, outcome = _source_and_outcome(monkeypatch, ctx.finish(), inputs)
         proven, expected = BOUNDARY_READS[case]
         assert outcome[:len(expected)] == expected
-        assert "< N1" not in source and "_at(v1" not in source
+        assert "< len(V1)" not in source and "_at(v1" not in source
         # a proven read of a parameter that holds no None is bare: no bounds or None test
-        assert ("< N0" in source, "_at(v0" in source) == (not proven, not proven)
+        assert ("< len(V0)" in source, "_at(v0" in source) == (not proven, not proven)
 
     def test_conv_reads_its_inputs_bare(self, monkeypatch):
         build, make_inputs = INTERPRETED["conv-relu-flag0"]
@@ -945,7 +945,7 @@ class TestInlineAccess:
         source, got = _source_and_outcome(monkeypatch, ctx.finish(), inputs)
         assert got[0] == "ok" if outcome == "ok" else got == ("error", "InterpError", outcome)
         read = source.splitlines()[-2]  # the last statement, out[0] = buf[index], proven in bounds
-        assert read.startswith("    V1[0] = ") and "< N" not in read
+        assert read.startswith("    V1[0] = ") and "< len(V" not in read
         assert ("_at(" not in read) == bare
 
     @pytest.mark.parametrize("case, reads", [
@@ -979,7 +979,7 @@ class TestInlineAccess:
         inputs = {"arg0": np.ones(4), "arg1": np.zeros(4)}
         source, outcome = _source_and_outcome(monkeypatch, ctx.finish(), inputs)
         assert outcome == ("error", "InterpError", "uninitialized read at arg0[0]")
-        assert "V1[v" in source and "< N" not in source  # every access proven in bounds
+        assert "V1[v" in source and "< len(V" not in source  # every access proven in bounds
         assert "(_v if (_v := V0[0]) is not None else _at(v0, 0))" in source
 
     @pytest.mark.parametrize("case", sorted(INTERPRETED))

@@ -699,8 +699,8 @@ def test_seeded_programs_match_reference(monkeypatch, mode):
         if isinstance(program, SecondStageProgram):
             outcome = _outcome(interpret_program, program, inputs)
             assert outcome == _outcome(reference_interpret, program, inputs), seed
-            # each access prints one ``Vk[``, and a checked one a bounds test, ``< Nk``
-            counts = [len(re.findall(pattern, sources[-1])) for pattern in (r"V\d+\[", r"< N\d+")]
+            # each access prints one ``Vk[``, and a checked one a bounds test, ``< len(Vk)``
+            counts = [len(re.findall(pattern, sources[-1])) for pattern in (r"V\d+\[", r"< len\(V\d+\)")]
             proven += counts[0] > counts[1]
             filled += _reads_allocated_bare(sources[-1])
     assert proven >= _PROVEN_FLOOR[mode]

@@ -55,7 +55,7 @@ from test_differential import print_program
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
-_MAX_NESTING = 50
+_MAX_NESTING, _MAX_OPERATORS = 50, 100
 _KEYWORDS = frozenset(
     {"skip", "if", "then", "goto", "halt", "done", "true", "false", "not", "and", "or"}
 )
@@ -70,6 +70,7 @@ class _ExprParser:
         self.offset = offset  # column of text[0] within the original line
         self.pos = 0
         self.depth = 0
+        self.operators = 0
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.line_no, self.offset + self.pos)
@@ -102,6 +103,13 @@ class _ExprParser:
         m = _IDENT_RE.match(self.text, self.pos)
         return m.group() if m else None
 
+    def operator(self, literal: str) -> None:
+        """Take the binary operator ``literal``, which is next, bounding how many are taken."""
+        if self.operators >= _MAX_OPERATORS:
+            raise self.error(f"expression holds more than {_MAX_OPERATORS} binary operators")
+        self.operators += 1
+        self.take(literal)
+
     def nested(self, parse: Callable[[], "AExp | BExp"]) -> "AExp | BExp":
         """Parse one level of parentheses or ``not`` with ``parse``, bounding the depth."""
         if self.depth >= _MAX_NESTING:
@@ -120,18 +128,15 @@ class _ExprParser:
     # arithmetic: term ((+|-) term)*, term: factor (* factor)*
     def aexp(self) -> AExp:
         node = self.aterm()
-        while True:
-            self.skip_ws()
-            if self.take("+"):
-                node = ABin("+", node, self.aterm())
-            elif self.take("-"):
-                node = ABin("-", node, self.aterm())
-            else:
-                return node
+        while (op := self.peek()) in ("+", "-"):
+            self.operator(op)
+            node = ABin(op, node, self.aterm())
+        return node
 
     def aterm(self) -> AExp:
         node = self.afactor()
-        while self.take("*"):
+        while self.peek() == "*":
+            self.operator("*")
             node = ABin("*", node, self.afactor())
         return node
 
@@ -162,14 +167,14 @@ class _ExprParser:
     def bexp(self) -> BExp:
         node = self.band()
         while self.peek_word() == "or":
-            self.take_word()
+            self.operator("or")
             node = BBin("or", node, self.band())
         return node
 
     def band(self) -> BExp:
         node = self.bnot()
         while self.peek_word() == "and":
-            self.take_word()
+            self.operator("and")
             node = BBin("and", node, self.bnot())
         return node
 
@@ -190,7 +195,7 @@ class _ExprParser:
         if self.peek() == "(":
             # Could be a parenthesized boolean or the left side of a
             # comparison; try boolean first, fall back to comparison.
-            saved = self.pos
+            saved = self.pos, self.operators
             self.take("(")
             try:
                 inner = self.nested(self.bexp)
@@ -200,13 +205,13 @@ class _ExprParser:
                         return inner
             except ParseError:
                 pass
-            self.pos = saved
+            self.pos, self.operators = saved
         left = self.aexp()
         self.skip_ws()
-        if self.take("<="):
-            return Cmp("<=", left, self.aexp())
-        if self.take("="):
-            return Cmp("=", left, self.aexp())
+        for op in ("<=", "="):
+            if self.text.startswith(op, self.pos):
+                self.operator(op)
+                return Cmp(op, left, self.aexp())
         raise self.error("expected '=' or '<=' in comparison")
 
 
@@ -314,6 +319,11 @@ _fragment_texts = st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join
 @example("l0: x := " + "(" * 400 + "1" + ")" * 400 + "\nl1: goto l0")
 @example("l0: if " + "not " * 400 + "true then l0\nl1: goto l0")
 @example("l0: if " + "(" * 60 + "x" + ")" * 60 + " <= 1 then l0\nl1: goto l0")
+@example("l0: x := y" + " + 1" * _MAX_OPERATORS + "\nl1: halt\nl2: done")
+@example("l0: x := y" + " * 1" * (_MAX_OPERATORS + 1) + "\nl1: halt\nl2: done")
+@example("l0: if x = x" + " and true" * _MAX_OPERATORS + " then l0\nl1: goto l0")
+# the operators read while the parentheses were tried as a boolean are not counted twice
+@example("l0: if (x" + " + 1" * (_MAX_OPERATORS - 1) + ") <= 1 or true then l0\nl1: goto l0")
 @example("l0: if x <= 1 thn l0\nl1: goto l0")
 @example("l0: if x <= 1 ( then l0\nl1: goto l0")
 @example("l0: if (x <= 1) + 1 <= 2 then l0\nl1: goto l0")
@@ -485,6 +495,7 @@ _PARSE_ERRORS = (
     "expected 'label: command'",
     "invalid label",
     "expression nested more than",
+    "expression holds more than",
     "empty program",
 )
 
@@ -506,6 +517,7 @@ def test_edited_programs_reach_every_error():
         "integer literal too long",
         "integer literal outside the 64-bit range",
         "expression nested more than",
+        "expression holds more than",
         "empty program",
     }
     assert kinds >= {"parsed", "ProgramStructureError", *_PARSE_ERRORS} - rare, kinds
