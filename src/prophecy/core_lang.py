@@ -38,19 +38,21 @@ errors about a leaf.
 Building a ``Program`` fills a per-label table in one pass: each label's
 command, its ``StepObligations`` (read set and assigned variable, one
 record per distinct pair, found by a key of the sorted names), its next
-label and its successors (as a set and fall-through first), so
-``command_obligations`` and the successor queries are lookups.  A second
-pass checks the targets and collects the predecessors.  Beside the table
+label and its successors, fall-through first, so ``command_obligations``
+and ``ordered_successors`` are lookups.  A second pass checks the targets
+and collects each label's predecessors in a list, in program order; the
+analyses read these tuples and lists from the table, and ``successors`` and
+``predecessors`` build their sets only when called.  Beside the table
 the program keeps each label's obligations as two int bit masks, computed
 once per distinct record, where bit k stands for the k-th variable name in
 sorted order (the slot order below): ``obligation_masks`` hands them to
-the engine and ``mask_names`` turns a mask back into its set.  The first
-use of a label compiles its transition over the slots, a list with one
-entry per variable, and keeps it, as a ``Program`` keeps its
-``sweep_order`` and last ``label_path`` (none enters equality or
-pickling).  An assignment or a branch whose operator has two leaf operands
-is one closure; any other expression is a tree of closures, one per node,
-leaves included.  An assignment writes its slot and returns the next
+the engine and ``mask_names`` turns a mask back into its set, once per
+distinct mask of a program.  The first use of a label compiles its
+transition over the slots, a list with one entry per variable, and keeps
+it, as a ``Program`` keeps its ``sweep_order``, decoded masks and last
+``label_path`` (none enters equality or pickling).  An assignment or a
+branch whose operator has two leaf operands is one closure; any other
+expression is a tree of closures, one per node, leaves included.  An assignment writes its slot and returns the next
 label; a branch returns a label.
 
 Building a ``Program``, compiling a transition and ``expr_vars`` dispatch
@@ -300,7 +302,8 @@ class Program:
     must exist, and the final command must not fall through (only
     ``done`` or ``goto`` may end the sequence).  Construction also builds
     the per-label table (see the module docstring), so every query below
-    is a lookup; a label's transition is compiled on its first use.
+    is a lookup, but ``successors`` and ``predecessors`` build a set; a
+    label's transition is compiled on its first use.
     """
 
     def __init__(self, commands: Iterator[tuple[Label, Command]] | list[tuple[Label, Command]]):
@@ -308,7 +311,7 @@ class Program:
         if not self.commands:
             raise ProgramStructureError("a program must contain at least one command")
         self.labels: tuple[Label, ...] = tuple([label for label, _ in self.commands])
-        # each label's (command, obligations, next label, ordered successors, successors)
+        # each label's (command, obligations, next label, ordered successors)
         table: dict[Label, tuple] = {}
         shared: dict[tuple, int] = {}  # an obligation key, in first-use order: its record's index
         records: list[StepObligations] = []
@@ -336,11 +339,11 @@ class Program:
                 assigned = frozenset() if key[-1] is None else frozenset(key[-1:])
                 records.append(StepObligations(frozenset(key[:-1]), assigned))
             used.append(at)
-            table[label] = command, records[at], nxt, ordered, frozenset(ordered)
+            table[label] = command, records[at], nxt, ordered
         # None stands for the end, where only a final command that falls through goes
         inverse: dict[Label | None, list[Label]] = {label: [] for label in table}
         inverse[None] = []
-        for label, (command, _, nxt, ordered, _) in table.items():
+        for label, (command, _, nxt, ordered) in table.items():
             kind = type(command)
             if kind is Halt and (nxt is None or type(table[nxt][0]) is not Done):
                 raise ProgramStructureError(
@@ -358,7 +361,7 @@ class Program:
             )
         self._table = table
         self._transitions: dict[Label, Transition | None] = dict.fromkeys(self.labels)
-        self._predecessors = {label: frozenset(preds) for label, preds in inverse.items()}
+        self._predecessors = inverse  # each label's predecessors, in program order
         # every name in a key, but the None that ends a key with nothing assigned
         self._variables = frozenset(chain.from_iterable(shared)).difference(_NO_KEY)
         self._names = tuple(sorted(self._variables))
@@ -367,6 +370,7 @@ class Program:
         bit = {None: 0, **{name: 1 << at for name, at in self._slot.items()}}.__getitem__
         masks = [(sum(map(bit, key[:-1])), bit(key[-1])) for key in shared]
         self._masks = dict(zip(self.labels, map(masks.__getitem__, used)))
+        self._decoded: dict[int, VarSet] = {}  # each mask ``mask_names`` decoded: its names
         self._sweep_order: tuple[Label, ...] | None = None
         self._path: tuple | None = None  # (key, the entries of label_path)
 
@@ -401,7 +405,7 @@ class Program:
         return self._entry(label)[2]
 
     def successors(self, label: Label) -> frozenset[Label]:
-        return self._entry(label)[4]
+        return frozenset(self._entry(label)[3])
 
     def ordered_successors(self, label: Label) -> tuple[Label, ...]:
         """Successors in a fixed order: fall-through first, then the branch target."""
@@ -409,7 +413,7 @@ class Program:
 
     def predecessors(self, label: Label) -> frozenset[Label]:
         try:
-            return self._predecessors[label]
+            return frozenset(self._predecessors[label])
         except KeyError:
             raise UnknownLabelError(label) from None
 
@@ -420,14 +424,14 @@ class Program:
     def sweep_order(self) -> tuple[Label, ...]:
         """Each reachable label once, depth first, fall-through before branch target (kept)."""
         if self._sweep_order is None:
-            visited: dict[Label, None] = {}
+            table, visited = self._table, {}
             stack = [self.first]
             while stack:
                 label = stack.pop()
                 if label in visited:
                     continue
                 visited[label] = None
-                stack += [s for s in reversed(self.ordered_successors(label)) if s not in visited]
+                stack += reversed(table[label][3])  # a visited label is skipped when popped
             self._sweep_order = tuple(visited)
         return self._sweep_order
 
@@ -449,8 +453,11 @@ def obligation_masks(program: Program) -> Mapping[Label, tuple[int, int]]:
 
 def mask_names(program: Program, mask: int) -> VarSet:
     """The variable names whose bits are set in ``mask``, numbered as ``obligation_masks`` does."""
-    # the binary digits, lowest first, as 0 and 1 bytes select the names of their slots
-    return frozenset(compress(program._names, bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)))
+    if (names := program._decoded.get(mask)) is None:
+        # the binary digits, lowest first, as 0 and 1 bytes select the names of their slots
+        digits = bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)
+        names = program._decoded[mask] = frozenset(compress(program._names, digits))
+    return names
 
 
 # --------------------------------------------------------------------------
@@ -598,6 +605,7 @@ class _Parser:
             return BoolLit(True)
         if self.take("false"):
             return BoolLit(False)
+        failed = None  # the boolean reading's error
         if self.tokens[self.i] == "(":
             # Could be a parenthesized boolean or the left side of a
             # comparison; try boolean first, fall back to comparison.
@@ -607,13 +615,19 @@ class _Parser:
                 inner = self.nested(self.bexp)
                 if self.take(")") and self.tokens[self.i][:1] not in _ARITH_FOLLOW:
                     return inner
-            except ParseError:
-                pass
+            except ParseError as exc:
+                failed = exc
             self.i, self.operators = saved
-        left = self.aexp()
-        if self.operator("<=") or self.operator("="):
-            return Cmp(self.tokens[self.i - 1], left, self.aexp())
-        raise self.error("expected '=' or '<=' in comparison")
+        try:
+            left = self.aexp()
+            if self.operator("<=") or self.operator("="):
+                return Cmp(self.tokens[self.i - 1], left, self.aexp())
+            raise self.error("expected '=' or '<=' in comparison")
+        except ParseError as exc:
+            # both readings failed: report the one that got further, the comparison on a tie
+            if failed is not None and failed.column > exc.column:
+                raise failed from None
+            raise
 
 
 def is_variable_name(text: str) -> bool:
@@ -863,7 +877,7 @@ def _compile_label(command: Command, nxt: Label | None, slot: dict[str, int]) ->
 def _transition(program: Program, label: Label) -> Transition:
     """The compiled rule at ``label``; the first call at a label compiles and keeps it."""
     if (transition := program._transitions.get(label)) is None:
-        command, _, nxt, _, _ = program._entry(label)
+        command, _, nxt, _ = program._entry(label)
         transition = program._transitions[label] = _compile_label(command, nxt, program._slot)
     return transition
 

@@ -32,7 +32,9 @@ Results, constraint extras and the oracle's live sets are bit masks over
 the program's variables (``core_lang.obligation_masks``, which ``Program``
 builds once per distinct obligation record), so each check, repair and
 worklist step is a few int operations.  Each analysis turns every distinct
-mask back into a frozenset once, on return; what it hands out is sets.
+mask back into a frozenset on return, with ``mask_names``, which decodes a
+mask once per program.  The sweep and the oracle read successors and
+predecessors from the program's table, with no method call per label.
 
 One deliberate deviation from the literal pseudocode this follows: a
 prediction constraint that is already violated when recorded (a loop back
@@ -235,8 +237,8 @@ def analyze_all_paths_with_stats(program: Program) -> tuple[dict[Label, VarSet],
     is repaired and ends the sweep, mirroring how a concrete run aborts;
     the next sweep resumes there.
     """
-    order, successors = program.sweep_order(), program.ordered_successors
-    edges = [(label, s) for label in order for s in successors(label) or (None,)]
+    order, table = program.sweep_order(), program._table
+    edges = [(label, s) for label in order for s in table[label][3] or (None,)]
     return _rerun(program, edges)
 
 
@@ -256,6 +258,7 @@ def live_variables_oracle(program: Program) -> dict[Label, VarSet]:
     grew after its visit.  The least fixpoint does not depend on the order.
     """
     labels, masks = program.labels, obligation_masks(program)
+    table, predecessors = program._table, program._predecessors
     live = dict.fromkeys(labels, 0)
     pending = list(labels)  # popped from the end: the last label first
     in_queue = set(pending)
@@ -263,13 +266,13 @@ def live_variables_oracle(program: Program) -> dict[Label, VarSet]:
         label = pending.pop()
         in_queue.discard(label)
         out = 0
-        for successor in program.successors(label):
+        for successor in table[label][3]:
             out |= live[successor]
         read, defined = masks[label]
         updated = read | (out & ~defined)
         if updated != live[label]:
             live[label] = updated
-            for predecessor in program.predecessors(label):
+            for predecessor in predecessors[label]:
                 if predecessor not in in_queue:
                     pending.append(predecessor)
                     in_queue.add(predecessor)

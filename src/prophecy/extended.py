@@ -127,11 +127,12 @@ def _walk(
     for checked, label, reached in label_path(program, initial_state, max_steps):
         obligations = command_obligations(program, label)
         current = results[label]
-        if missing := obligations.precondition - current:
-            failed = Violation("precondition", label, missing)
+        # a containment test builds no set: a guard that holds costs no difference
+        if not (precondition := obligations.precondition) <= current:
+            failed = Violation("precondition", label, precondition - current)
             break
-        if isinstance(reached, str):
-            if excess := results[reached] - current - obligations.prediction_extra:
+        if isinstance(reached, str) and not (after := results[reached]) <= current:
+            if excess := after - current - obligations.prediction_extra:
                 failed = Violation("prediction", label, excess, next_label=reached)
                 break
     return checked, label, reached, failed

@@ -126,6 +126,27 @@ class TestParser:
         assert excinfo.value.column == column
         assert str(excinfo.value).startswith(f"1:{column}: ")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the boolean reading got further: the fault is the ')' after 'and'
+            ("l0: if (x <= 1 and) then l1", "1:19: expected integer, identifier, or '('"),
+            ("l0: if ((x) = ) then l1", "1:15: expected integer, identifier, or '('"),
+            ("l0: if (x" + " + 1" * 99 + " = 0 + 1) then l1",
+             "1:411: expression holds more than 100 binary operators"),
+            # the comparison reading got further
+            ("l0: if (x) <= ) then l1", "1:15: expected integer, identifier, or '('"),
+            # a tie, at the '=' past 100 operators, goes to the comparison reading
+            ("l0: if (x" + " + 1" * 100 + " = 0) then l1", "1:411: expected ')'"),
+        ],
+        ids=["and", "cmp", "bound", "comparison", "tie"],
+    )
+    def test_parenthesis_error_is_the_reading_that_got_further(self, text, message):
+        """A '(' opening a condition is read as a boolean, then as a comparison's operand."""
+        with pytest.raises(ParseError) as excinfo:
+            parse_program(text + "\nl1: done")
+        assert str(excinfo.value) == message
+
     def test_comments_and_blank_lines(self):
         text = "# header\nl0: x := 1  # set x\n\nl1: halt\nl2: done\n"
         program = parse_program(text)
@@ -296,6 +317,7 @@ class TestStructure:
             assert program.ordered_successors(label) == ordered[label]
             assert program.successors(label) == frozenset(ordered[label])
             assert program.predecessors(label) == {p for p in labels if label in ordered[p]}
+            assert type(program.successors(label)) is type(program.predecessors(label)) is frozenset
             assert records[label] == StepObligations(*obligations[label])
             assert obligation_masks(program)[label] == tuple(map(mask, obligations[label]))
         # one record per distinct (read set, assigned) pair, bit k for the k-th name sorted

@@ -991,6 +991,18 @@ def assert_masks_match_obligations(program):
         assert StepObligations(decoded(read), decoded(defined)) == command_obligations(program, label), label
 
 
+def test_mask_names_keeps_each_programs_own_decoding():
+    """``mask_names`` keeps what it decoded per program: one mask, decoded on two programs in
+    turn, names each program's own variables every time."""
+    first = parse_program("l0: b := a\nl1: halt\nl2: done")
+    second = parse_program("l0: z := x + y\nl1: halt\nl2: done")
+    for _ in range(2):
+        assert mask_names(first, 0b11) == {"a", "b"}
+        assert mask_names(second, 0b11) == {"x", "y"}
+        assert mask_names(second, 0b101) == {"x", "z"}
+    assert mask_names(first, 0b11) is mask_names(first, 0b11)
+
+
 @given(st.integers(0, 2**32), st.integers(2, 40))
 @settings(max_examples=300, deadline=None)
 def test_masks_decode_to_obligations(seed, max_body):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from prophecy import engine
-from prophecy.core_lang import parse_program, run_trace
+from prophecy.core_lang import Program, parse_program, run_trace
 from prophecy.engine import (
     RunStats,
     StepBudgetExceeded,
@@ -261,34 +261,42 @@ class TestCheckCost:
 
 class TestOracle:
     @staticmethod
-    def _visits(program):
-        """The labels the oracle visits, in order: it asks for successors once per visit."""
-        visited = []
-        successors = program.successors
+    def _visits(lookups, program):
+        """The labels the oracle visits, in order: it reads a label's masks once per visit."""
+        lookups.engine.clear()
+        live_variables_oracle(program)
+        return list(lookups.engine)
 
-        def counting(label):
-            visited.append(label)
-            return successors(label)
-
-        program.successors = counting
-        try:
-            live_variables_oracle(program)
-        finally:
-            del program.successors
-        return visited
-
-    def test_loop_free_chain_takes_one_visit_per_label(self):
+    def test_loop_free_chain_takes_one_visit_per_label(self, lookups):
         program = TestCheckCost._chain()
-        visited = self._visits(program)
+        visited = self._visits(lookups, program)
         assert len(program.labels) == 200
         assert visited == list(reversed(program.labels))
 
-    def test_loop_takes_at_most_two_visits_per_label(self):
+    def test_loop_takes_at_most_two_visits_per_label(self, lookups):
         program = TestCheckCost._counting_loop()
-        visited = self._visits(program)
+        visited = self._visits(lookups, program)
         assert len(program.labels) == 23
         assert set(visited) == set(program.labels)
         assert len(visited) <= 2 * len(program.labels)
+
+    def test_analyses_call_no_successor_query(self, monkeypatch):
+        """The oracle, ``sweep_order`` and the all-paths sweep read successors and predecessors
+        from the program's table, with no query call per label."""
+        calls = []
+        for name in ("successors", "predecessors", "ordered_successors"):
+            def counting(program, label, query=getattr(Program, name), name=name):
+                calls.append(name)
+                return query(program, label)
+
+            monkeypatch.setattr(Program, name, counting)
+        programs = [TestCheckCost._counting_loop(), parse_program(BRANCH)]
+        for program in programs + corpus(random.Random(3), 20):
+            assert program.sweep_order()
+            analyze_all_paths_with_stats(program)
+            live_variables_oracle(program)
+        assert calls == []
+        assert programs[1].successors("l0") == {"l1", "l3"} and calls == ["successors"]
 
     def test_loop_program(self):
         program = parse_program(LOOP)

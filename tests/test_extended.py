@@ -30,6 +30,7 @@ from prophecy.core_lang import (
     AtDone,
     Program,
     Stuck,
+    label_path,
     parse_program,
     run_trace,
 )
@@ -522,6 +523,58 @@ def test_walk_matches_reference_checkers_on_every_outcome():
         ("progress", False, "prediction", ()),
         ("progress", False, "stuck", ()),
         ("progress", False, "truncated", ()),
+    }
+
+
+def difference_first_walk(program, results, initial_state, max_steps):
+    """The checkers' walk over distinct steps with each guard a set difference first, tested
+    for emptiness, as the walk computed it before its containment tests."""
+    failed = None
+    for checked, label, reached in label_path(program, initial_state, max_steps):
+        obligations = command_obligations(program, label)
+        current = results[label]
+        if missing := obligations.precondition - current:
+            failed = Violation("precondition", label, missing)
+            break
+        if isinstance(reached, str):
+            if excess := results[reached] - current - obligations.prediction_extra:
+                failed = Violation("prediction", label, excess, next_label=reached)
+                break
+    return checked, label, reached, failed
+
+
+def test_containment_first_guards_match_difference_first_guards():
+    """Testing containment before computing a difference reports what the differences report:
+    every verdict, steps checked, violation and note, on a seeded sweep of random programs.
+    The sweep reaches every outcome, and edges whose successor's result exceeds the current
+    one by the assigned variable only, where the containment test fails but no guard does."""
+    seen, covered = set(), 0
+    for seed in range(60):
+        for drop in (False, True):
+            rng, program, state = _case(seed, drop)
+            for table in TABLES:
+                results = _table(table, program, state, rng)
+                for max_steps in BUDGETS:
+                    for check in (check_preservation, check_progress):
+                        with mock.patch.object(extended, "_walk", difference_first_walk):
+                            expected = check(program, results, state, max_steps)
+                        report = check(program, results, state, max_steps)
+                        assert report == expected and report.notes == expected.notes
+                        kind = report.violation.kind if report.violation else None
+                        seen.add((report.check, report.passed, kind))
+                for _, label, reached in label_path(program, state):
+                    after, current = results.get(reached, frozenset()), results[label]
+                    extra = command_obligations(program, label).prediction_extra
+                    covered += not after <= current and after - current <= extra
+    assert covered
+    assert seen >= {
+        ("preservation", True, None),
+        ("preservation", False, "truncated"),
+        ("progress", True, None),
+        ("progress", False, "precondition"),
+        ("progress", False, "prediction"),
+        ("progress", False, "stuck"),
+        ("progress", False, "truncated"),
     }
 
 

@@ -192,6 +192,7 @@ class _ExprParser:
         if word == "false":
             self.take_word()
             return BoolLit(False)
+        failed = None
         if self.peek() == "(":
             # Could be a parenthesized boolean or the left side of a
             # comparison; try boolean first, fall back to comparison.
@@ -203,9 +204,18 @@ class _ExprParser:
                     self.skip_ws()
                     if self.peek() not in {"=", "<", "+", "-", "*"}:
                         return inner
-            except ParseError:
-                pass
+            except ParseError as exc:
+                failed = exc
             self.pos, self.operators = saved
+        try:
+            return self.comparison()
+        except ParseError as exc:
+            # when both readings fail, the error that got further, the comparison's on a tie
+            if failed is not None and failed.column > exc.column:
+                raise failed from None
+            raise
+
+    def comparison(self) -> BExp:
         left = self.aexp()
         self.skip_ws()
         for op in ("<=", "="):
